@@ -17,7 +17,7 @@ import numpy as np
 
 from . import codes, lab, protocol, regions
 from .cq import StochasticMap
-from .linalg import DensityOperator, Povm, mat_from_json, mat_to_json
+from .linalg import DensityOperator, Povm, mat_from_json, partial_trace
 
 
 @dataclass(frozen=True)
@@ -40,20 +40,11 @@ def _povm_from_json(d: dict) -> Povm:
                 tuple(d.get("outcomes", range(len(d["elements"])))))
 
 
-def _povm_to_json(m: Povm) -> dict:
-    return {"outcomes": list(m.outcomes), "elements": [mat_to_json(e) for e in m.elements]}
-
-
 def _map_from_json(d: dict) -> StochasticMap:
     sizes = tuple(int(s) for s in d["input_sizes"])
     out = int(d["output_size"])
     rows = np.array(d["rows"], dtype=float).reshape(sizes + (out,))
     return StochasticMap(sizes, out, rows)
-
-
-def _map_to_json(m: StochasticMap) -> dict:
-    return {"input_sizes": list(m.input_sizes), "output_size": m.output_size,
-            "rows": np.asarray(m.probs).reshape(-1, m.output_size).tolist()}
 
 
 def load_problem(source) -> ProblemSpec:
@@ -192,15 +183,41 @@ def _default_p2p_problem():
     return rho, m, p_zw
 
 
+# Exit codes of ``simulate`` for input it refuses; argparse itself exits with 2.
+EXIT_NOT_PRIME = 3
+EXIT_NEEDS_L2 = 4
+EXIT_NO_SPEC = 5
+
+
+def _refuse(message: str, code: int, out_path: str | None) -> int:
+    _emit({"error": message}, out_path)
+    return code
+
+
 def cmd_simulate(args) -> int:
+    """Build the protocol and report K.
+
+    With ``--spec``, p2p simulates rho_A = Tr_B rho_AB measured by the file's
+    m_a, followed by its p_zw; distributed uses the whole problem (example1
+    when no file is given).
+    """
+    if not codes.is_prime(args.p):
+        return _refuse(f"--p {args.p} is not prime", EXIT_NOT_PRIME, args.out)
+    if args.mode == "distributed" and (args.l2 is None or args.N2 is None):
+        return _refuse("--mode distributed needs --l2 and --N2", EXIT_NEEDS_L2, args.out)
+    spec = None
+    if args.spec or args.mode == "distributed":
+        try:
+            spec = load_problem(args.spec or bundled_example_path(1))
+        except OSError as exc:
+            return _refuse(f"cannot read the problem file: {exc}", EXIT_NO_SPEC, args.out)
     params = protocol.ProtocolParams(
         n=args.n, k=args.k, l=args.l, p=args.p, num_mu=args.N,
         eta=args.eta, delta=args.delta, seed=args.seed,
         l2=args.l2, num_mu2=args.N2)
     if args.mode == "p2p":
-        if args.spec:
-            spec = load_problem(args.spec)
-            rho, m, p_zw = spec.rho_ab, spec.m_a, spec.p_zw
+        if spec:
+            rho, m, p_zw = partial_trace(spec.rho_ab, traced=[1]), spec.m_a, spec.p_zw
         else:
             rho, m, p_zw = _default_p2p_problem()
         inst = protocol.build_instance(params, m, rho)
@@ -217,7 +234,6 @@ def cmd_simulate(args) -> int:
             "bins_per_mu": params.p ** params.l,
         }
     else:
-        spec = load_problem(args.spec) if args.spec else load_problem(bundled_example_path(1))
         inst = protocol.build_distributed_instance(params, spec.m_a, spec.m_b, spec.rho_ab)
         candidate = protocol.assemble_overall_distributed(inst, spec.p_zw)
         target = protocol.target_overall_distributed(

@@ -139,11 +139,8 @@ def multiplicity(code: UccCode, w) -> int:
 
 def multiplicity_table(code: UccCode) -> dict:
     """Map word tuple -> multiplicity, with sum of values = p**(k+l)."""
-    table: dict = {}
-    for row in all_codewords(code):
-        key = tuple(int(x) for x in row)
-        table[key] = table.get(key, 0) + 1
-    return table
+    words, counts = np.unique(all_codewords(code), axis=0, return_counts=True)
+    return dict(zip(map(tuple, words.tolist()), counts.tolist()))
 
 
 def bins(code: UccCode) -> dict:
@@ -306,8 +303,3 @@ def three_way_dependence_report(p: int, n: int, k: int, l: int) -> DependenceWit
 def code_to_json(code: UccCode) -> dict:
     return {"p": code.p, "n": code.n, "k": code.k, "l": code.l,
             "G": code.G.tolist(), "h": code.h.tolist()}
-
-
-def code_from_json(d: dict) -> UccCode:
-    return UccCode(int(d["p"]), int(d["n"]), int(d["k"]), int(d["l"]),
-                   np.array(d["G"], dtype=np.int64), np.array(d["h"], dtype=np.int64))

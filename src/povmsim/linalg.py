@@ -39,11 +39,6 @@ def hermitian_part(a) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
-    m = as_complex_matrix(a)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
 def eigh(a):
     """Eigendecomposition of the Hermitian part of ``a``."""
     return np.linalg.eigh(hermitian_part(a))
@@ -65,6 +60,11 @@ def trace_norm(a) -> float:
     """Trace norm: the sum of singular values of a square complex matrix."""
     m = as_complex_matrix(a)
     return float(np.linalg.svd(m, compute_uv=False).sum())
+
+
+def hermitian_trace_norm(a) -> float:
+    """Trace norm of a Hermitian matrix: the sum of |eigenvalues| of its Hermitian part."""
+    return float(np.abs(np.linalg.eigvalsh(hermitian_part(a))).sum())
 
 
 def entropy_bits(probs) -> float:
@@ -293,14 +293,6 @@ def psd_pinv_sqrt(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     cutoff = EIG_CUTOFF * scale
     inv = np.where(vals > cutoff, 1.0 / np.sqrt(np.clip(vals, cutoff, None)), 0.0)
     return hermitian_part((vecs * inv) @ vecs.conj().T)
-
-
-def support_projector(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    vals, vecs = eigh(a)
-    cutoff = EIG_CUTOFF * max(vals[-1], 0.0)
-    keep = vals > cutoff
-    v = vecs[:, keep]
-    return hermitian_part(v @ v.conj().T)
 
 
 def pruning_projector(x, base: np.ndarray | None = None, tol: float = 1e-10) -> np.ndarray:

@@ -10,31 +10,33 @@ target measurement.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .codes import (
     CodeEnsembleSpec,
     UccCode,
+    all_codewords,
     all_vectors,
+    multiplicity_table,
     require_prime,
     sample_ensemble,
 )
 from .cq import StochasticMap
 from .linalg import (
+    EIG_CUTOFF,
     DensityOperator,
     Povm,
     hermitian_part,
+    hermitian_trace_norm,
     kron_all,
     kron_power,
     max_eigenvalue,
     partial_trace,
     permute_registers,
     pruning_projector,
-    psd_pinv_sqrt,
     psd_sqrt,
-    trace_norm,
 )
 
 SEQUENCE_CAP = 2 ** 20   # cap on p**n (sequence enumeration)
@@ -114,15 +116,25 @@ def sequence_counts(seq, num_letters: int) -> np.ndarray:
     return np.bincount(np.asarray(seq, dtype=np.int64), minlength=num_letters)
 
 
-def counts_are_typical(counts, probs, n: int, delta: float) -> bool:
-    """Strong typicality: |count/n - p| <= delta * p per letter, zero stays zero."""
+def _group_counts(labels: np.ndarray, num_groups: int) -> np.ndarray:
+    """Per row of ``labels``, how often each label 0..num_groups-1 occurs."""
+    return (labels[..., None] == np.arange(num_groups)).sum(axis=-2)
+
+
+def counts_are_typical(counts, probs, n: int, delta: float):
+    """Strong typicality: |count/n - p| <= delta * p per letter, zero stays zero.
+
+    ``counts`` is one count vector (giving a bool) or a stack of them along
+    the leading axes (giving a bool array).
+    """
     counts = np.asarray(counts, dtype=float)
     probs = np.asarray(probs, dtype=float)
     zero = probs <= 1e-14
-    if np.any(counts[zero] > 0):
-        return False
     pos = ~zero
-    return bool(np.all(np.abs(counts[pos] / n - probs[pos]) <= delta * probs[pos] + 1e-12))
+    ok = (np.all(counts[..., zero] == 0, axis=-1)
+          & np.all(np.abs(counts[..., pos] / n - probs[pos]) <= delta * probs[pos] + 1e-12,
+                   axis=-1))
+    return ok if ok.ndim else bool(ok)
 
 
 @dataclass(frozen=True)
@@ -145,14 +157,9 @@ def typical_set(dist, n: int, delta: float) -> TypicalSet:
     if q ** n > SEQUENCE_CAP:
         raise ValueError(f"{q}**{n} sequences exceed the desk-scale cap")
     seqs = all_vectors(n, q)
-    members = []
-    mass = 0.0
-    for row in seqs:
-        counts = sequence_counts(row, q)
-        if counts_are_typical(counts, probs, n, delta):
-            members.append(tuple(int(x) for x in row))
-            mass += float(np.prod(probs[row]))
-    return TypicalSet(probs, n, delta, tuple(members), mass)
+    typical = seqs[counts_are_typical(_group_counts(seqs, q), probs, n, delta)]
+    mass = float(np.prod(probs[typical], axis=1).sum())
+    return TypicalSet(probs, n, delta, tuple(map(tuple, typical.tolist())), mass)
 
 
 def _eigen_groups(vals, rel_tol: float = 1e-8):
@@ -175,6 +182,54 @@ def _eigen_groups(vals, rel_tol: float = 1e-8):
     return ids, np.array(probs)
 
 
+@dataclass(frozen=True)
+class _Spectrum:
+    """Eigen-decomposition of one Hermitian operator, with its eigenvalue groups."""
+
+    vals: np.ndarray
+    vecs: np.ndarray
+    group_ids: np.ndarray
+    group_probs: np.ndarray
+
+
+def _spectrum(mat) -> _Spectrum:
+    vals, vecs = np.linalg.eigh(hermitian_part(mat))
+    return _Spectrum(vals, vecs, *_eigen_groups(vals))
+
+
+def _kron_columns(mats, cols: np.ndarray) -> np.ndarray:
+    """The columns of kron_all(mats) indexed by the rows of ``cols`` (one index per factor)."""
+    out = np.ones((1, cols.shape[0]), dtype=complex)
+    for j, m in enumerate(mats):
+        out = (out[:, None, :] * m[:, cols[:, j]][None, :, :]).reshape(
+            out.shape[0] * m.shape[0], cols.shape[0])
+    return out
+
+
+def _check_dim(dim: int, n: int) -> None:
+    if dim ** n > DIM_CAP:
+        raise ValueError(f"dim**n = {dim ** n} exceeds the dense-operator cap")
+
+
+def _typical_factor(mat: np.ndarray, n: int, delta: float):
+    """(U, inv) with Pi_rho = U U^dagger and (rho^{-1/2})^{(x) n} Pi_rho = U diag(inv) U^dagger.
+
+    U holds the typical tensor eigenvectors of ``mat``: eigenvalues equal within
+    tolerance are grouped, so degenerate spectra (e.g. the maximally mixed
+    state) behave like single letters.  ``inv`` is the product of the
+    single-copy inverse square roots, zero off the support as in
+    ``psd_pinv_sqrt``.
+    """
+    _check_dim(mat.shape[0], n)
+    spec = _spectrum(mat)
+    idx = all_vectors(n, mat.shape[0])
+    keep = idx[counts_are_typical(_group_counts(spec.group_ids[idx], spec.group_probs.size),
+                                  spec.group_probs, n, delta)]
+    cutoff = EIG_CUTOFF * max(float(spec.vals[-1]), 0.0)
+    inv = np.where(spec.vals > cutoff, 1.0 / np.sqrt(np.clip(spec.vals, cutoff, None)), 0.0)
+    return _kron_columns([spec.vecs] * n, keep), np.prod(inv[keep], axis=1)
+
+
 def typical_projector(rho, n: int, delta: float) -> np.ndarray:
     """Projector onto tensor eigenvector sequences typical for the eigenvalue law.
 
@@ -182,21 +237,30 @@ def typical_projector(rho, n: int, delta: float) -> np.ndarray:
     (e.g. the maximally mixed state) behave like single letters.
     """
     mat = rho.mat if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-    dim = mat.shape[0]
-    if dim ** n > DIM_CAP:
-        raise ValueError(f"dim**n = {dim ** n} exceeds the dense-operator cap")
-    vals, vecs = np.linalg.eigh(hermitian_part(mat))
-    ids, gprobs = _eigen_groups(vals)
-    num_groups = gprobs.size
-    basis = kron_power(vecs, n)
-    mask = np.zeros(dim ** n)
-    for flat, idx_seq in enumerate(itertools.product(range(dim), repeat=n)):
-        counts = np.zeros(num_groups)
-        for i in idx_seq:
-            counts[ids[i]] += 1
-        if counts_are_typical(counts, gprobs, n, delta):
-            mask[flat] = 1.0
-    return hermitian_part((basis * mask) @ basis.conj().T)
+    u, _ = _typical_factor(mat, n, delta)
+    return hermitian_part(u @ u.conj().T)
+
+
+def _cond_typical_columns(spectra, w_seq, delta: float, idx: np.ndarray):
+    """Conditional typical eigenvectors along ``w_seq`` and their rho_hat_{w^n} eigenvalues.
+
+    Within the positions carrying letter w, the eigenvalue-group counts of
+    rho_hat_w must be strong-typical with the block length n_w.  ``idx`` is
+    ``all_vectors(n, dim)``; returns the kept columns of the tensor eigenbasis
+    and the matching eigenvalue products.
+    """
+    w_seq = np.asarray(w_seq, dtype=np.int64)
+    ok = np.ones(idx.shape[0], dtype=bool)
+    for w in np.unique(w_seq):
+        at = w_seq == w
+        s = spectra[w]
+        counts = _group_counts(s.group_ids[idx[:, at]], s.group_probs.size)
+        ok &= counts_are_typical(counts, s.group_probs, int(at.sum()), delta)
+    keep = idx[ok]
+    eig = np.ones(keep.shape[0])
+    for j, w in enumerate(w_seq):
+        eig = eig * spectra[w].vals[keep[:, j]]
+    return _kron_columns([spectra[w].vecs for w in w_seq], keep), eig
 
 
 def cond_typical_projector(ens: CanonicalEnsemble, w_seq, delta: float) -> np.ndarray:
@@ -206,36 +270,20 @@ def cond_typical_projector(ens: CanonicalEnsemble, w_seq, delta: float) -> np.nd
     rho_hat_w must be strong-typical with the block length n_w.
     """
     w_seq = [int(w) for w in w_seq]
-    n = len(w_seq)
     dim = ens.post_states[0].shape[0]
-    if dim ** n > DIM_CAP:
-        raise ValueError(f"dim**n = {dim ** n} exceeds the dense-operator cap")
-    letters = sorted(set(w_seq))
-    eig = {}
-    for w in letters:
-        vals, vecs = np.linalg.eigh(hermitian_part(ens.post_states[w]))
-        eig[w] = (_eigen_groups(vals), vecs)
-    basis = kron_all([eig[w][1] for w in w_seq])
-    positions = {w: [j for j, x in enumerate(w_seq) if x == w] for w in letters}
-    mask = np.zeros(dim ** n)
-    for flat, idx_seq in enumerate(itertools.product(range(dim), repeat=n)):
-        ok = True
-        for w in letters:
-            (ids, gprobs), _ = eig[w]
-            counts = np.zeros(gprobs.size)
-            for j in positions[w]:
-                counts[ids[idx_seq[j]]] += 1
-            if not counts_are_typical(counts, gprobs, len(positions[w]), delta):
-                ok = False
-                break
-        if ok:
-            mask[flat] = 1.0
-    return hermitian_part((basis * mask) @ basis.conj().T)
+    _check_dim(dim, len(w_seq))
+    spectra = {w: _spectrum(ens.post_states[w]) for w in set(w_seq)}
+    cols, _ = _cond_typical_columns(spectra, w_seq, delta, all_vectors(len(w_seq), dim))
+    return hermitian_part(cols @ cols.conj().T)
 
 
 def cut_post_state(ens: CanonicalEnsemble, pi_rho: np.ndarray, w_seq,
                    delta: float, tset: TypicalSet | None = None) -> np.ndarray:
-    """Pi_rho Pi_{w^n} rho_hat_{w^n} Pi_{w^n} Pi_rho; the null operator off the typical set."""
+    """Pi_rho Pi_{w^n} rho_hat_{w^n} Pi_{w^n} Pi_rho; the null operator off the typical set.
+
+    The protocol builds the same operator in factored form; this dense
+    version is the reference it is tested against.
+    """
     dim_n = pi_rho.shape[0]
     if tset is not None and not tset.is_member(w_seq):
         return np.zeros((dim_n, dim_n), dtype=complex)
@@ -245,7 +293,7 @@ def cut_post_state(ens: CanonicalEnsemble, pi_rho: np.ndarray, w_seq,
 
 
 # ---------------------------------------------------------------------------
-# Protocol parameters and instance.
+# Protocol parameters and the per-side construction.
 
 @dataclass(frozen=True)
 class ProtocolParams:
@@ -291,19 +339,88 @@ class ProtocolParams:
 
 
 @dataclass
-class MuData:
-    """Operators derived from one (G, h^(mu)) realization."""
+class SideData:
+    """Operators derived from one code realization (G, h^(mu)) on one side.
+
+    Point-to-point fills the decoder fields; the distributed construction
+    decodes pairs of sides jointly and leaves them empty.
+    """
 
     code: UccCode
     gamma: dict                 # word tuple -> multiplicity
     sigma: np.ndarray           # sum_w gamma_w Abar_w
     pi_mu: np.ndarray           # pruning projector on range(Pi_rho)
-    a_ops: dict                 # word tuple -> pruned A_w
+    a_ops: dict                 # word tuple -> pruned A_w, for the code's built words
     bin_ops: list               # p**l bin operators Gamma_i
     completion: np.ndarray      # I - sum_i Gamma_i
-    decode_table: list          # message m in 0..p**l -> word tuple (or None sentinel)
-    collisions: int             # bins whose typical-decoding set had >= 2 entries
+    defect: float               # max(0, lambda_max(sum_i Gamma_i - I))
+    decode_table: list = field(default_factory=list)  # message -> word; 0 is completion
+    collisions: int = 0         # bins whose typical-decoding set had >= 2 entries
 
+
+def _bin_words(code: UccCode) -> list:
+    """Per bin i, the codeword tuples a G + h(i) in the sweep order of a."""
+    words = all_codewords(code).reshape(code.p ** code.k, code.num_bins, code.n)
+    return [list(map(tuple, words[:, i].tolist())) for i in range(code.num_bins)]
+
+
+def _decode(words, accept, w0):
+    """The single accepted word among ``words`` (else w0), and whether >= 2 were accepted."""
+    found = [w for w in words if w in accept]
+    return (found[0] if len(found) == 1 else w0), int(len(found) >= 2)
+
+
+def _code_side(code: UccCode, gamma: dict, factors: dict, abar: dict,
+               pi_rho: np.ndarray) -> SideData:
+    dim_n = pi_rho.shape[0]
+    zero = np.zeros((dim_n, dim_n), dtype=complex)
+    eye = np.eye(dim_n)
+    words = [w for w in factors if w in gamma]
+    sigma = sum((gamma[w] * abar[w] for w in words), zero)
+    pi_mu = pruning_projector(sigma, base=pi_rho, tol=PRUNE_TOL)
+    a_ops = {}
+    for w in words:
+        y = pi_mu @ factors[w]
+        a_ops[w] = hermitian_part(y @ y.conj().T)
+    bin_ops = [sum((a_ops[w] for w in ws if w in a_ops), zero) for ws in _bin_words(code)]
+    total = sum(bin_ops, zero)
+    return SideData(code, gamma, sigma, pi_mu, a_ops, bin_ops, hermitian_part(eye - total),
+                    max(0.0, max_eigenvalue(total - eye)))
+
+
+def _build_side(ens: CanonicalEnsemble, tset: TypicalSet, rho_mat: np.ndarray, codes: list,
+               params: ProtocolParams, kl: int) -> tuple:
+    """Pi_rho, the Abar_w table and the pruned per-code operators of one side.
+
+    Abar_w is built only for typical, positive-weight words that occur in some
+    code, in factored form: Abar_w = X_w X_w^dagger with
+    X_w = Q B_w[:, keep] sqrt(eig c_w), where Q = (rho^{-1/2})^{(x) n} Pi_rho,
+    B_w is the eigenbasis of rho_hat_{w^n}, keep its conditional typical
+    columns and c_w = lambda_{w^n} p^n / ((1 + eta) p^kl).  A code's A_w is
+    (Pi_mu X_w)(Pi_mu X_w)^dagger, for the words of that code only.
+    """
+    n = params.n
+    u, inv = _typical_factor(rho_mat, n, params.delta)
+    pi_rho = hermitian_part(u @ u.conj().T)
+    q = hermitian_part((u * inv) @ u.conj().T)
+    norm = params.p ** n / ((1.0 + params.eta) * params.p ** kl)
+    gammas = [multiplicity_table(c) for c in codes]
+    used = set().union(*gammas)
+    spectra = [_spectrum(s) for s in ens.post_states]
+    idx = all_vectors(n, rho_mat.shape[0])
+    factors = {}
+    for w in tset.members:
+        lam = ens.weight_of(w)
+        if w in used and lam > 0.0:
+            cols, eig = _cond_typical_columns(spectra, w, params.delta, idx)
+            factors[w] = q @ (cols * np.sqrt(np.clip(eig, 0.0, None) * (norm * lam)))
+    abar = {w: hermitian_part(x @ x.conj().T) for w, x in factors.items()}
+    sides = [_code_side(c, g, factors, abar, pi_rho) for c, g in zip(codes, gammas)]
+    return pi_rho, abar, sides
+
+
+# ---------------------------------------------------------------------------
+# Point-to-point construction.
 
 @dataclass
 class ProtocolInstance:
@@ -313,9 +430,9 @@ class ProtocolInstance:
     ens: CanonicalEnsemble      # padded to F_p
     tset: TypicalSet
     pi_rho: np.ndarray
-    abar: dict                  # word tuple -> unpruned Abar_w (typical words only)
+    abar: dict                  # word tuple -> unpruned Abar_w (typical words of some code)
     w0: tuple | None            # lexicographically smallest non-typical word, or None
-    mus: list
+    mus: list                   # SideData per mu, with its decoder
     sub_povm_defect: float      # max over mu of lambda_max(sum_i Gamma_i - I)
     decoder_collisions: int
 
@@ -333,81 +450,25 @@ def _lex_smallest_outside(tset: TypicalSet, p: int, n: int):
     return None
 
 
-def _gamma_table(code: UccCode) -> dict:
-    table: dict = {}
-    a_all = all_vectors(code.k, code.p)
-    base = (a_all @ code.G) % code.p
-    for i in range(code.num_bins):
-        words = (base + code.h[i]) % code.p
-        for row in words:
-            key = tuple(int(x) for x in row)
-            table[key] = table.get(key, 0) + 1
-    return table
-
-
 def build_instance(params: ProtocolParams, m: Povm, rho: DensityOperator) -> ProtocolInstance:
     """Construct the point-to-point structured sub-POVMs for every mu."""
     n, p = params.n, params.p
-    if rho.dim ** n > DIM_CAP:
-        raise ValueError(f"dim**n = {rho.dim ** n} exceeds the dense-operator cap")
+    _check_dim(rho.dim, n)
     ens = pad_ensemble(canonical_ensemble(m, rho), p)
     tset = typical_set(ens.weights, n, params.delta)
-    pi_rho = typical_projector(rho, n, params.delta)
-    sqrt_inv_n = kron_power(psd_pinv_sqrt(rho.mat), n)
-    norm = p ** n / ((1.0 + params.eta) * p ** (params.k + params.l))
-    abar: dict = {}
-    for w in tset.members:
-        lam_wn = ens.weight_of(w)
-        if lam_wn <= 0.0:
-            continue
-        rho_tilde = cut_post_state(ens, pi_rho, w, params.delta)
-        abar[w] = hermitian_part(sqrt_inv_n @ rho_tilde @ sqrt_inv_n) * (norm * lam_wn)
-    w0 = _lex_smallest_outside(tset, p, n)
     codes = sample_ensemble(CodeEnsembleSpec(p, n, params.k, params.l,
                                              params.num_mu, params.seed))
-    dim_n = rho.dim ** n
-    eye = np.eye(dim_n)
-    mus = []
-    worst_defect = 0.0
-    total_collisions = 0
-    a_all = all_vectors(params.k, p)
-    for code in codes:
-        gamma = _gamma_table(code)
-        sigma = np.zeros((dim_n, dim_n), dtype=complex)
-        for w, op in abar.items():
-            g = gamma.get(w, 0)
-            if g:
-                sigma = sigma + g * op
-        pi_mu = pruning_projector(sigma, base=pi_rho, tol=PRUNE_TOL)
-        a_ops = {w: hermitian_part(pi_mu @ op @ pi_mu) for w, op in abar.items()}
-        bin_ops = []
-        decode_table: list = [w0]
-        collisions = 0
-        base_words = (a_all @ code.G) % p
-        for i in range(code.num_bins):
-            gam = np.zeros((dim_n, dim_n), dtype=complex)
-            decodable = []
-            words = (base_words + code.h[i]) % p
-            for row in words:
-                key = tuple(int(x) for x in row)
-                if key in a_ops:
-                    gam = gam + a_ops[key]
-                    decodable.append(key)
-            bin_ops.append(gam)
-            if len(decodable) == 1:
-                decode_table.append(decodable[0])
-            else:
-                if len(decodable) >= 2:
-                    collisions += 1
-                decode_table.append(w0)
-        total = sum(bin_ops) if bin_ops else np.zeros_like(eye)
-        defect = max(0.0, max_eigenvalue(total - eye))
-        worst_defect = max(worst_defect, defect)
-        total_collisions += collisions
-        mus.append(MuData(code, gamma, sigma, pi_mu, a_ops, bin_ops,
-                          hermitian_part(eye - total), decode_table, collisions))
+    pi_rho, abar, mus = _build_side(ens, tset, rho.mat, codes, params, params.k + params.l)
+    w0 = _lex_smallest_outside(tset, p, n)
+    for mu in mus:
+        mu.decode_table = [w0]
+        for words in _bin_words(mu.code):
+            word, clash = _decode(words, mu.a_ops, w0)
+            mu.decode_table.append(word)
+            mu.collisions += clash
     return ProtocolInstance(params, m, rho, ens, tset, pi_rho, abar, w0, mus,
-                            float(worst_defect), total_collisions)
+                            float(max(mu.defect for mu in mus)),
+                            sum(mu.collisions for mu in mus))
 
 
 def decode_p2p(instance: ProtocolInstance, message: int, mu: int = 0):
@@ -429,41 +490,40 @@ def extend_map_to_field(p_zw: StochasticMap, p: int) -> StochasticMap:
     return StochasticMap((p,), p_zw.output_size, np.vstack([p_zw.probs, pad]))
 
 
+def _add_to(ops: dict, key, op) -> None:
+    ops[key] = ops[key] + op if key in ops else op
+
+
 def _word_weight_ops(mus, num_mu: int):
     """(1/N) sum_mu sum_{m: F(m)=w} Gamma_m, grouped by decoded word."""
     ops: dict = {}
     for mu in mus:
-        entries = [(mu.decode_table[0], mu.completion)]
-        entries += [(mu.decode_table[m + 1], g) for m, g in enumerate(mu.bin_ops)]
-        for word, op in entries:
-            if word in ops:
-                ops[word] = ops[word] + op / num_mu
-            else:
-                ops[word] = op / num_mu
+        for word, op in zip(mu.decode_table, [mu.completion] + mu.bin_ops):
+            _add_to(ops, word, op / num_mu)
     return ops
 
 
-def _spread_over_outputs(word_ops: dict, p_ext: StochasticMap, n: int, dim_n: int):
-    """Apply P^n_{Z|W} to word-indexed operators; None spreads uniformly."""
+def _spread_over_outputs(word_ops: dict, p_ext: StochasticMap, n: int):
+    """Apply P^n_{Z|W} to word-indexed operators; None spreads uniformly.
+
+    Zero operators and outputs of zero probability are not stored.
+    """
     nz = p_ext.output_size
     if nz ** n > DIM_CAP:
         raise ValueError("|Z|**n exceeds the dense-operator cap")
-    out = {z: np.zeros((dim_n, dim_n), dtype=complex)
-           for z in itertools.product(range(nz), repeat=n)}
+    zs = all_vectors(n, nz)
+    keys = list(map(tuple, zs.tolist()))
+    out: dict = {}
     for word, op in word_ops.items():
-        if word is None:
-            for z in out:
-                out[z] = out[z] + op / nz ** n
+        if not np.any(op):
             continue
-        rows = [p_ext.row(w) for w in word]
-        for z in out:
-            pr = 1.0
-            for j, zj in enumerate(z):
-                pr *= rows[j][zj]
-                if pr == 0.0:
-                    break
+        if word is None:
+            probs = np.full(len(keys), 1.0 / nz ** n)
+        else:
+            probs = np.prod(p_ext.probs[np.asarray(word), zs], axis=1)
+        for z, pr in zip(keys, probs):
             if pr > 0.0:
-                out[z] = out[z] + op * pr
+                _add_to(out, z, op * pr)
     return out
 
 
@@ -471,7 +531,7 @@ def assemble_overall(instance: ProtocolInstance, p_zw: StochasticMap) -> dict:
     """The overall sub-POVM {Lambda_hat_{z^n}} of the protocol (complete by construction)."""
     p_ext = extend_map_to_field(p_zw, instance.params.p)
     word_ops = _word_weight_ops(instance.mus, instance.params.num_mu)
-    return _spread_over_outputs(word_ops, p_ext, instance.params.n, instance.dim_n)
+    return _spread_over_outputs(word_ops, p_ext, instance.params.n)
 
 
 def target_overall(m: Povm, p_zw: StochasticMap, n: int) -> dict:
@@ -496,39 +556,26 @@ def faithfulness(rho_n, target: dict, candidate: dict) -> float:
     """The faithfulness figure K of a candidate sub-POVM against a target.
 
     K = sum_z ||sqrt(rho)(T_z - C_z)sqrt(rho)||_1 + Tr{(I - sum_z C_z) rho},
-    evaluated on the n-copy state ``rho_n``.
+    evaluated on the n-copy state ``rho_n``.  A z with no candidate operator
+    contributes Tr{T_z rho}, which is its trace norm because T_z >= 0.
     """
     mat = rho_n.mat if isinstance(rho_n, DensityOperator) else np.asarray(rho_n, dtype=complex)
     root = psd_sqrt(mat)
-    dim = mat.shape[0]
-    zero = np.zeros((dim, dim), dtype=complex)
-    total_candidate = np.zeros((dim, dim), dtype=complex)
+    total_candidate = np.zeros_like(mat)
     k = 0.0
     for z in set(target) | set(candidate):
-        t = target.get(z, zero)
-        c = candidate.get(z, zero)
+        c = candidate.get(z)
+        if c is None:
+            k += float(np.vdot(mat, target[z]).real)
+            continue
         total_candidate = total_candidate + c
-        k += trace_norm(root @ (t - c) @ root)
-    k += float(np.trace((np.eye(dim) - total_candidate) @ mat).real)
+        k += hermitian_trace_norm(root @ (target.get(z, 0) - c) @ root)
+    k += float(np.trace(mat).real - np.vdot(mat, total_candidate).real)
     return k
 
 
 # ---------------------------------------------------------------------------
 # Distributed construction.
-
-@dataclass
-class SideData:
-    """Per-side analogue of MuData (operators on one factor's n copies)."""
-
-    code: UccCode
-    gamma: dict
-    sigma: np.ndarray
-    pi_mu: np.ndarray
-    a_ops: dict
-    bin_ops: list
-    completion: np.ndarray
-    defect: float
-
 
 @dataclass
 class DistributedInstance:
@@ -549,46 +596,6 @@ class DistributedInstance:
     decoder_collisions: int
 
 
-def _build_side(code: UccCode, abar: dict, pi_rho: np.ndarray, dim_n: int) -> SideData:
-    gamma = _gamma_table(code)
-    sigma = np.zeros((dim_n, dim_n), dtype=complex)
-    for w, op in abar.items():
-        g = gamma.get(w, 0)
-        if g:
-            sigma = sigma + g * op
-    pi_mu = pruning_projector(sigma, base=pi_rho, tol=PRUNE_TOL)
-    a_ops = {w: hermitian_part(pi_mu @ op @ pi_mu) for w, op in abar.items()}
-    a_all = all_vectors(code.k, code.p)
-    base = (a_all @ code.G) % code.p
-    bin_ops = []
-    for i in range(code.num_bins):
-        gam = np.zeros((dim_n, dim_n), dtype=complex)
-        for row in (base + code.h[i]) % code.p:
-            key = tuple(int(x) for x in row)
-            if key in a_ops:
-                gam = gam + a_ops[key]
-        bin_ops.append(gam)
-    total = sum(bin_ops) if bin_ops else np.zeros((dim_n, dim_n), dtype=complex)
-    eye = np.eye(dim_n)
-    return SideData(code, gamma, sigma, pi_mu, a_ops, bin_ops,
-                    hermitian_part(eye - total), max(0.0, float(max_eigenvalue(total - eye))))
-
-
-def _side_abar(ens: CanonicalEnsemble, tset: TypicalSet, rho_mat: np.ndarray,
-               n: int, eta: float, delta: float, p: int, kl: int) -> tuple:
-    pi_rho = typical_projector(rho_mat, n, delta)
-    sqrt_inv = kron_power(psd_pinv_sqrt(rho_mat), n)
-    norm = p ** n / ((1.0 + eta) * p ** kl)
-    abar = {}
-    for w in tset.members:
-        lam = ens.weight_of(w)
-        if lam <= 0.0:
-            continue
-        rho_tilde = cut_post_state(ens, pi_rho, w, delta)
-        abar[w] = hermitian_part(sqrt_inv @ rho_tilde @ sqrt_inv) * (norm * lam)
-    return pi_rho, abar
-
-
 def build_distributed_instance(params: ProtocolParams, m_a: Povm, m_b: Povm,
                                rho_ab: DensityOperator) -> DistributedInstance:
     """Two pruned sub-POVM families sharing one generator matrix, plus the joint decoder."""
@@ -603,12 +610,7 @@ def build_distributed_instance(params: ProtocolParams, m_a: Povm, m_b: Povm,
     ens_b = pad_ensemble(canonical_ensemble(m_b, rho_b), p)
     tset_a = typical_set(ens_a.weights, n, params.delta)
     tset_b = typical_set(ens_b.weights, n, params.delta)
-    # Exact distribution of W = U + V over F_p.
-    lam_w = np.zeros(p)
-    for u, lam_u_el in enumerate(m_a.elements):
-        for v, lam_v_el in enumerate(m_b.elements):
-            lam_w[(u + v) % p] += float(np.trace(np.kron(lam_u_el, lam_v_el)
-                                                 @ rho_ab.mat).real)
+    lam_w = [float(np.trace(el @ rho_ab.mat).real) for el in _sum_povm(m_a, m_b, p).elements]
     tset_w = typical_set(lam_w, n, p * params.delta)
     w0 = _lex_smallest_outside(tset_w, p, n)
 
@@ -618,42 +620,23 @@ def build_distributed_instance(params: ProtocolParams, m_a: Povm, m_b: Povm,
                for _ in range(params.num_mu)]
     codes_b = [UccCode(p, n, k, params.l2, g, rng.integers(0, p, size=(p ** params.l2, n)))
                for _ in range(params.num_mu2)]
-
-    pi_a, abar_a = _side_abar(ens_a, tset_a, rho_a.mat, n, params.eta, params.delta,
-                              p, k + params.l)
-    pi_b, abar_b = _side_abar(ens_b, tset_b, rho_b.mat, n, params.eta, params.delta,
-                              p, k + params.l2)
-    dim_an, dim_bn = rho_a.dim ** n, rho_b.dim ** n
-    side_a = [_build_side(c, abar_a, pi_a, dim_an) for c in codes_a]
-    side_b = [_build_side(c, abar_b, pi_b, dim_bn) for c in codes_b]
+    _, _, side_a = _build_side(ens_a, tset_a, rho_a.mat, codes_a, params, k + params.l)
+    _, _, side_b = _build_side(ens_b, tset_b, rho_b.mat, codes_b, params, k + params.l2)
 
     members_w = set(tset_w.members)
-    a_all = all_vectors(k, p)
-    base = (a_all @ g) % p
+    base = (all_vectors(k, p) @ g) % p
     decode_tables = {}
     collisions = 0
     for i1, ca in enumerate(codes_a):
         for i2, cb in enumerate(codes_b):
-            table = {}
-            for i in range(ca.num_bins + 1):
-                for j in range(cb.num_bins + 1):
-                    if i == 0 or j == 0:
-                        table[(i, j)] = w0
-                        continue
-                    shift = (ca.h[i - 1] + cb.h[j - 1]) % p
-                    found = []
-                    for row in (base + shift) % p:
-                        key = tuple(int(x) for x in row)
-                        if key in members_w:
-                            found.append(key)
-                    if len(found) == 1:
-                        table[(i, j)] = found[0]
-                    else:
-                        if len(found) >= 2:
-                            collisions += 1
-                        table[(i, j)] = w0
+            table = {ij: w0 for ij in itertools.product(range(ca.num_bins + 1),
+                                                        range(cb.num_bins + 1))}
+            for i, j in itertools.product(range(ca.num_bins), range(cb.num_bins)):
+                words = map(tuple, ((base + ca.h[i] + cb.h[j]) % p).tolist())
+                table[(i + 1, j + 1)], clash = _decode(words, members_w, w0)
+                collisions += clash
             decode_tables[(i1, i2)] = table
-    defect = max([s.defect for s in side_a + side_b])
+    defect = max(s.defect for s in side_a + side_b)
     return DistributedInstance(params, m_a, m_b, rho_ab, ens_a, ens_b,
                                tset_a, tset_b, tset_w, w0, side_a, side_b,
                                decode_tables, float(defect), collisions)
@@ -688,29 +671,22 @@ def assemble_overall_distributed(inst: DistributedInstance, p_zw: StochasticMap)
             ops_b = [sb.completion] + sb.bin_ops
             table = inst.decode_tables[(i1, i2)]
             for (i, j), word in table.items():
-                op = np.kron(ops_a[i], ops_b[j]) / (n1 * n2)
-                if word in word_ops:
-                    word_ops[word] = word_ops[word] + op
-                else:
-                    word_ops[word] = op
+                _add_to(word_ops, word, np.kron(ops_a[i], ops_b[j]) / (n1 * n2))
     word_ops = {w: _interleave_ab(op, da, db, n) for w, op in word_ops.items()}
-    return _spread_over_outputs(word_ops, p_ext, n, (da * db) ** n)
+    return _spread_over_outputs(word_ops, p_ext, n)
+
+
+def _sum_povm(m_a: Povm, m_b: Povm, p: int) -> Povm:
+    """The measurement of W = U + V over F_p on H_A (x) H_B."""
+    d = m_a.dim * m_b.dim
+    els = [np.zeros((d, d), dtype=complex) for _ in range(p)]
+    for u, lam_u in enumerate(m_a.elements):
+        for v, lam_v in enumerate(m_b.elements):
+            els[(u + v) % p] = els[(u + v) % p] + np.kron(lam_u, lam_v)
+    return Povm(tuple(els))
 
 
 def target_overall_distributed(m_a: Povm, m_b: Povm, p_zw: StochasticMap,
                                p: int, n: int) -> dict:
     """(M_AB composed with P_{Z|W})^{(x) n} in the interleaved (AB)^n ordering."""
-    p_ext = extend_map_to_field(p_zw, p)
-    nz = p_ext.output_size
-    d = m_a.dim * m_b.dim
-    singles = []
-    for z in range(nz):
-        op = np.zeros((d, d), dtype=complex)
-        for u, lam_u in enumerate(m_a.elements):
-            for v, lam_v in enumerate(m_b.elements):
-                pr = p_ext(z, (u + v) % p)
-                if pr:
-                    op = op + pr * np.kron(lam_u, lam_v)
-        singles.append(op)
-    return {z: kron_all([singles[zj] for zj in z])
-            for z in itertools.product(range(nz), repeat=n)}
+    return target_overall(_sum_povm(m_a, m_b, p), extend_map_to_field(p_zw, p), n)

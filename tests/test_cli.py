@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from povmsim.cli import bundled_example_path, load_problem, main
+from povmsim.cli import (
+    EXIT_NEEDS_L2,
+    EXIT_NO_SPEC,
+    EXIT_NOT_PRIME,
+    bundled_example_path,
+    load_problem,
+    main,
+)
 
 
 def run(args):
@@ -105,6 +112,43 @@ def test_simulate_distributed(tmp_path):
     report = json.loads(out.read_text())
     assert report["subpovm_defect"] <= 1e-9
     assert 0.0 <= report["K"] <= 2.0 + 1e-9
+
+
+@pytest.mark.parametrize("ident, extra", [(1, []), (2, ["--p", "3"])])
+def test_simulate_p2p_spec(tmp_path, ident, extra):
+    # p2p on a problem file simulates m_a on rho_A = Tr_B rho_AB, then p_zw.
+    out = tmp_path / "simp.json"
+    code = run(["simulate", "--mode", "p2p", "--spec", bundled_example_path(ident),
+                "--n", "2", "--k", "0", "--l", "2", "--N", "2", "--delta", "0.5",
+                "--out", str(out)] + extra)
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["subpovm_defect"] <= 1e-9
+    assert 0.0 <= report["K"] <= 2.0 + 1e-9
+
+
+SIMULATE = ["simulate", "--n", "2", "--k", "0", "--l", "1"]
+
+
+def test_simulate_rejects_non_prime_p(tmp_path):
+    out = tmp_path / "err.json"
+    assert run(SIMULATE + ["--p", "4", "--out", str(out)]) == EXIT_NOT_PRIME
+    assert "prime" in json.loads(out.read_text())["error"]
+
+
+def test_simulate_distributed_needs_l2_and_n2(tmp_path):
+    out = tmp_path / "err.json"
+    assert run(SIMULATE + ["--mode", "distributed", "--N", "2",
+                           "--out", str(out)]) == EXIT_NEEDS_L2
+    assert "--l2" in json.loads(out.read_text())["error"]
+
+
+def test_simulate_missing_spec_file(tmp_path):
+    out = tmp_path / "err.json"
+    missing = tmp_path / "absent.json"
+    assert run(SIMULATE + ["--spec", str(missing), "--out", str(out)]) == EXIT_NO_SPEC
+    assert str(missing) in json.loads(out.read_text())["error"]
+    assert len({0, 1, 2, EXIT_NOT_PRIME, EXIT_NEEDS_L2, EXIT_NO_SPEC}) == 6
 
 
 def test_covering_command(tmp_path):

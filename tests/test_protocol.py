@@ -2,12 +2,24 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_density
+from conftest import random_complete_povm, random_density, random_psd, random_unitary
 from povmsim import protocol
 from povmsim.cq import StochasticMap
-from povmsim.linalg import DensityOperator, Povm, kron_power, max_eigenvalue, trace_norm
+from povmsim.linalg import (
+    DensityOperator,
+    Povm,
+    hermitian_part,
+    kron_power,
+    max_eigenvalue,
+    min_eigenvalue,
+    psd_pinv_sqrt,
+    psd_sqrt,
+    trace_norm,
+)
 from povmsim.protocol import (
+    CanonicalEnsemble,
     ProtocolParams,
     assemble_overall,
     assemble_overall_distributed,
@@ -386,3 +398,139 @@ def test_params_validation():
         ProtocolParams(n=2, k=0, l=1, p=2, num_mu=1, eta=1.5)
     with pytest.raises(ValueError):
         ProtocolParams(n=2, k=0, l=1, p=2, num_mu=1, delta=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Regression oracles for the factored build and the vectorized masks.
+
+def _brute_typical_diag(diags, letters, delta):
+    """Loop oracle: diag mask of index tuples whose per-letter eigenvalue-group
+    counts are strong-typical, for diagonal operators with exact entries."""
+    n = len(letters)
+    mask = []
+    for idx in itertools.product(range(len(diags[0])), repeat=n):
+        ok = True
+        for w in set(letters):
+            vals = diags[w]
+            pos = [j for j in range(n) if letters[j] == w]
+            for level in set(vals):
+                prob = sum(v for v in vals if v == level)
+                count = sum(1 for j in pos if vals[idx[j]] == level)
+                if prob == 0:
+                    ok = ok and count == 0
+                else:
+                    ok = ok and abs(count / len(pos) - prob) <= delta * prob + 1e-12
+        mask.append(float(ok))
+    return np.diag(mask)
+
+
+@pytest.mark.parametrize("diag", [(0.5, 0.5), (0.7, 0.3), (1.0, 0.0),
+                                  (0.5, 0.25, 0.25), (0.6, 0.4, 0.0)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("delta", [0.3, 0.6])
+def test_typical_projector_matches_loop_oracle(diag, n, delta):
+    rho = DensityOperator(np.diag(diag).astype(complex), (len(diag),))
+    want = _brute_typical_diag([list(diag)], [0] * n, delta)
+    assert np.allclose(typical_projector(rho, n, delta), want, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cond_typical_projector_matches_loop_oracle(n):
+    # Degenerate, mixed-degenerate and pure diagonal post-states on a qutrit.
+    diags = [[0.5, 0.5, 0.0], [0.5, 0.25, 0.25], [1.0, 0.0, 0.0]]
+    ens = CanonicalEnsemble(np.full(3, 1.0 / 3), tuple(np.diag(d) for d in diags))
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        word = tuple(int(x) for x in rng.integers(0, 3, size=n))
+        for delta in (0.3, 0.6):
+            want = _brute_typical_diag(diags, list(word), delta)
+            assert np.allclose(cond_typical_projector(ens, word, delta), want, atol=1e-10)
+
+
+def test_factored_abar_matches_cut_post_state():
+    # A projective measurement in a basis rotated against rho's eigenbasis:
+    # the post-states are pure, do not commute with rho, and have nonempty
+    # conditional typical projectors.
+    rho = DensityOperator(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]), (2,))
+    u = random_unitary(np.random.default_rng(5), 2)
+    m = Povm(tuple(np.outer(u[:, i], u[:, i].conj()) for i in range(2)))
+    n = 4
+    params = ProtocolParams(n=n, k=0, l=n, p=2, num_mu=4, eta=0.1, delta=0.6, seed=1)
+    inst = build_instance(params, m, rho)
+    s = kron_power(psd_pinv_sqrt(rho.mat), n)
+    norm = params.p ** n / ((1 + params.eta) * params.p ** (params.k + params.l))
+    assert inst.abar
+    for w, op in inst.abar.items():
+        cut = cut_post_state(inst.ens, inst.pi_rho, w, params.delta)
+        ref = hermitian_part(s @ cut @ s) * (norm * inst.ens.weight_of(w))
+        assert np.linalg.norm(ref) > 1e-6
+        assert np.linalg.norm(op - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=20, deadline=None)
+def test_faithfulness_absent_candidate_is_target_trace(seed):
+    # A z without a candidate contributes Tr{T_z rho}; compare with the full
+    # trace norm on every z.
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, 4)
+    target = {z: random_psd(rng, 4) / 4 for z in range(4)}
+    candidate = {z: random_psd(rng, 4) / 8 for z in (1, 3, 5)}
+    root = psd_sqrt(rho.mat)
+    want = sum(trace_norm(root @ (target.get(z, 0) - candidate.get(z, 0)) @ root)
+               for z in set(target) | set(candidate))
+    want += 1.0 - np.trace(sum(candidate.values()) @ rho.mat).real
+    assert faithfulness(rho, target, candidate) == pytest.approx(want, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Protocol invariants on generic instances.
+
+def _rank_one_povm(rng, dim, num):
+    """num rank-one elements v_i v_i^dagger from the first dim rows of a random unitary."""
+    v = random_unitary(rng, num)[:dim]
+    return Povm(tuple(np.outer(v[:, i], v[:, i].conj()) for i in range(num)))
+
+
+def _assert_side_invariants(sides, dim):
+    eye = np.eye(dim)
+    for s in sides:
+        assert np.max(np.abs(sum(s.bin_ops) + s.completion - eye)) < 1e-9
+        for a in s.a_ops.values():
+            assert min_eigenvalue(s.pi_mu - a) >= -1e-9
+
+
+@given(st.integers(0, 10_000), st.sampled_from([2, 3]), st.booleans())
+@settings(max_examples=15, deadline=None)
+def test_p2p_invariants_generic(seed, p, rank_one):
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, 2)
+    m = _rank_one_povm(rng, 2, p) if rank_one else random_complete_povm(rng, 2, p)
+    n = 3
+    params = ProtocolParams(n=n, k=int(rng.integers(0, 2)), l=2, p=p, num_mu=2,
+                            eta=0.1, delta=0.6, seed=seed)
+    inst = build_instance(params, m, rho)
+    _assert_side_invariants(inst.mus, inst.dim_n)
+    p_zw = StochasticMap((p,), 2, rng.dirichlet(np.ones(2), size=p))
+    tgt = target_overall(m, p_zw, n)
+    rho_n = kron_power(rho.mat, n)
+    k = faithfulness(rho_n, tgt, assemble_overall(inst, p_zw))
+    assert -1e-9 <= k <= 2.0 + 1e-9
+    assert abs(faithfulness(rho_n, tgt, tgt)) <= 1e-9
+
+
+@given(st.integers(0, 10_000), st.booleans())
+@settings(max_examples=10, deadline=None)
+def test_distributed_invariants_generic(seed, rank_one):
+    rng = np.random.default_rng(seed)
+    rho_ab = random_density(rng, 4, (2, 2))
+    make = _rank_one_povm if rank_one else random_complete_povm
+    m_a, m_b = make(rng, 2, 2), make(rng, 2, 2)
+    params = ProtocolParams(n=2, k=1, l=1, p=2, num_mu=2, eta=0.1, delta=0.5,
+                            seed=seed, l2=1, num_mu2=2)
+    inst = build_distributed_instance(params, m_a, m_b, rho_ab)
+    _assert_side_invariants(inst.side_a + inst.side_b, 4)
+    p_zw = StochasticMap((2,), 2, rng.dirichlet(np.ones(2), size=2))
+    tgt = target_overall_distributed(m_a, m_b, p_zw, 2, 2)
+    k = faithfulness(kron_power(rho_ab.mat, 2), tgt, assemble_overall_distributed(inst, p_zw))
+    assert -1e-9 <= k <= 2.0 + 1e-9
