@@ -99,7 +99,10 @@ def _validate_problem(spec: ProblemSpec, tol: float) -> dict:
 
 
 def cmd_rates(args) -> int:
-    spec = load_problem(args.spec)
+    try:
+        spec = load_problem(args.spec)
+    except OSError as exc:
+        return _refuse(f"cannot read the problem file: {exc}", EXIT_NO_SPEC, args.out)
     checks = _validate_problem(spec, args.tolerance)
     if not (checks["separable_ok"] and checks["sum_structure_ok"]):
         _emit({"error": "problem validation failed", "checks": checks}, args.out)
@@ -183,15 +186,51 @@ def _default_p2p_problem():
     return rho, m, p_zw
 
 
-# Exit codes of ``simulate`` for input it refuses; argparse itself exits with 2.
+# Exit codes for input a command refuses; argparse itself exits with 2.
 EXIT_NOT_PRIME = 3
 EXIT_NEEDS_L2 = 4
 EXIT_NO_SPEC = 5
+EXIT_BAD_PROTOCOL = 6    # the protocol construction rejected its parameters
 
 
 def _refuse(message: str, code: int, out_path: str | None) -> int:
     _emit({"error": message}, out_path)
     return code
+
+
+def _run_protocol(args, spec):
+    """Build the protocol for ``args``; returns (params, instance, K, bins_stats)."""
+    params = protocol.ProtocolParams(
+        n=args.n, k=args.k, l=args.l, p=args.p, num_mu=args.N,
+        eta=args.eta, delta=args.delta, seed=args.seed,
+        l2=args.l2, num_mu2=args.N2)
+    if args.mode == "p2p":
+        if spec:
+            rho, m, p_zw = partial_trace(spec.rho_ab, traced=[1]), spec.m_a, spec.p_zw
+        else:
+            rho, m, p_zw = _default_p2p_problem()
+        inst = protocol.build_instance(params, m, rho)
+        candidate = protocol.assemble_overall(inst, p_zw)
+        target = protocol.target_overall(
+            m, protocol.extend_map_to_field(p_zw, params.p), params.n)
+        rho_n = protocol.kron_power(rho.mat, params.n)
+        bins_stats = {
+            "typical_words": len(inst.tset.members),
+            "typical_mass": inst.tset.mass,
+            "bins_per_mu": params.p ** params.l,
+        }
+    else:
+        inst = protocol.build_distributed_instance(params, spec.m_a, spec.m_b, spec.rho_ab)
+        candidate = protocol.assemble_overall_distributed(inst, spec.p_zw)
+        target = protocol.target_overall_distributed(
+            spec.m_a, spec.m_b, spec.p_zw, params.p, params.n)
+        rho_n = protocol.kron_power(spec.rho_ab.mat, params.n)
+        bins_stats = {
+            "typical_words_w": len(inst.tset_w.members),
+            "typical_mass_w": inst.tset_w.mass,
+            "bins_per_mu": [params.p ** params.l, params.p ** (params.l2 or 0)],
+        }
+    return params, inst, protocol.faithfulness(rho_n, target, candidate), bins_stats
 
 
 def cmd_simulate(args) -> int:
@@ -211,42 +250,11 @@ def cmd_simulate(args) -> int:
             spec = load_problem(args.spec or bundled_example_path(1))
         except OSError as exc:
             return _refuse(f"cannot read the problem file: {exc}", EXIT_NO_SPEC, args.out)
-    params = protocol.ProtocolParams(
-        n=args.n, k=args.k, l=args.l, p=args.p, num_mu=args.N,
-        eta=args.eta, delta=args.delta, seed=args.seed,
-        l2=args.l2, num_mu2=args.N2)
-    if args.mode == "p2p":
-        if spec:
-            rho, m, p_zw = partial_trace(spec.rho_ab, traced=[1]), spec.m_a, spec.p_zw
-        else:
-            rho, m, p_zw = _default_p2p_problem()
-        inst = protocol.build_instance(params, m, rho)
-        candidate = protocol.assemble_overall(inst, p_zw)
-        target = protocol.target_overall(
-            m, protocol.extend_map_to_field(p_zw, params.p), params.n)
-        rho_n = protocol.kron_power(rho.mat, params.n)
-        k_value = protocol.faithfulness(rho_n, target, candidate)
-        defect = inst.sub_povm_defect
-        collisions = inst.decoder_collisions
-        bins_stats = {
-            "typical_words": len(inst.tset.members),
-            "typical_mass": inst.tset.mass,
-            "bins_per_mu": params.p ** params.l,
-        }
-    else:
-        inst = protocol.build_distributed_instance(params, spec.m_a, spec.m_b, spec.rho_ab)
-        candidate = protocol.assemble_overall_distributed(inst, spec.p_zw)
-        target = protocol.target_overall_distributed(
-            spec.m_a, spec.m_b, spec.p_zw, params.p, params.n)
-        rho_n = protocol.kron_power(spec.rho_ab.mat, params.n)
-        k_value = protocol.faithfulness(rho_n, target, candidate)
-        defect = inst.sub_povm_defect
-        collisions = inst.decoder_collisions
-        bins_stats = {
-            "typical_words_w": len(inst.tset_w.members),
-            "typical_mass_w": inst.tset_w.mass,
-            "bins_per_mu": [params.p ** params.l, params.p ** (params.l2 or 0)],
-        }
+    try:
+        params, inst, k_value, bins_stats = _run_protocol(args, spec)
+    except ValueError as exc:
+        return _refuse(str(exc), EXIT_BAD_PROTOCOL, args.out)
+    defect = inst.sub_povm_defect
     _emit({
         "params": {"n": params.n, "k": params.k, "l": params.l, "p": params.p,
                    "N": params.num_mu, "eta": params.eta, "delta": params.delta,
@@ -255,7 +263,7 @@ def cmd_simulate(args) -> int:
         "K": k_value,
         "subpovm_defect": defect,
         "bins_stats": bins_stats,
-        "decoder_collisions": collisions,
+        "decoder_collisions": inst.decoder_collisions,
     }, args.out)
     return 0 if defect <= 1e-9 else 1
 

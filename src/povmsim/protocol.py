@@ -10,6 +10,7 @@ target measurement.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -325,18 +326,6 @@ class ProtocolParams:
         if self.p ** self.n > SEQUENCE_CAP:
             raise ValueError("p**n exceeds the desk-scale cap")
 
-    @property
-    def rate_r(self) -> float:
-        return self.l / self.n * np.log2(self.p)
-
-    @property
-    def rate_r1(self) -> float:
-        return self.k / self.n * np.log2(self.p)
-
-    @property
-    def rate_c(self) -> float:
-        return np.log2(self.num_mu) / self.n
-
 
 @dataclass
 class SideData:
@@ -534,43 +523,101 @@ def assemble_overall(instance: ProtocolInstance, p_zw: StochasticMap) -> dict:
     return _spread_over_outputs(word_ops, p_ext, instance.params.n)
 
 
-def target_overall(m: Povm, p_zw: StochasticMap, n: int) -> dict:
+class ProductTarget(Mapping):
+    """The target T_z = T_{z_1} (x) ... (x) T_{z_n}, z in Z^n, kept as its single-copy factors.
+
+    ``target[z]`` builds the dense tensor product on demand; ``apply`` and
+    ``traces`` give T_z @ vecs and Tr{T_z mat} without forming any T_z.
+    """
+
+    def __init__(self, singles, n: int):
+        self.singles = tuple(np.asarray(s, dtype=complex) for s in singles)
+        self.n = n
+
+    def __contains__(self, z) -> bool:
+        return (isinstance(z, tuple) and len(z) == self.n
+                and all(zj in range(len(self.singles)) for zj in z))
+
+    def __getitem__(self, z) -> np.ndarray:
+        if z not in self:
+            raise KeyError(z)
+        return kron_all([self.singles[zj] for zj in z])
+
+    def __iter__(self):
+        return itertools.product(range(len(self.singles)), repeat=self.n)
+
+    def __len__(self) -> int:
+        return len(self.singles) ** self.n
+
+    def apply(self, z, vecs: np.ndarray) -> np.ndarray:
+        """T_z @ vecs, one register at a time, without forming T_z."""
+        d = self.singles[0].shape[0]
+        t = vecs.reshape((d,) * self.n + (vecs.shape[1],))
+        for j, zj in enumerate(z):
+            t = np.moveaxis(np.tensordot(self.singles[zj], t, axes=([1], [j])), 0, j)
+        return t.reshape(vecs.shape)
+
+    def traces(self, mat) -> np.ndarray:
+        """Tr{T_z mat} for every z, as an array indexed by the tuple z.
+
+        Contracts one register at a time, O(|Z| d**(2n)) in all.
+        """
+        d = self.singles[0].shape[0]
+        singles = np.stack(self.singles)
+        t = np.asarray(mat, dtype=complex).T[None]      # t[., i, j] = mat[j, i]
+        for _ in range(self.n):
+            rest = t.shape[1] // d
+            t = t.reshape(t.shape[0], d, rest, d, rest)
+            t = np.tensordot(t, singles, axes=([1, 3], [1, 2])).transpose(0, 3, 1, 2)
+            t = t.reshape(-1, rest, rest)
+        return t.reshape((len(self.singles),) * self.n)
+
+
+def target_overall(m: Povm, p_zw: StochasticMap, n: int) -> ProductTarget:
     """(M composed with P_{Z|W})^{(x) n}: the measurement being simulated."""
     (nw,) = p_zw.input_sizes
     if nw < len(m):
         raise ValueError("P_{Z|W} must cover every POVM outcome")
-    nz = p_zw.output_size
-    singles = []
-    for z in range(nz):
-        op = np.zeros_like(m.elements[0])
-        for w, lam in enumerate(m.elements):
-            pr = p_zw(z, w)
-            if pr:
-                op = op + pr * lam
-        singles.append(op)
-    return {z: kron_all([singles[zj] for zj in z])
-            for z in itertools.product(range(nz), repeat=n)}
+    singles = [sum((p_zw(z, w) * lam for w, lam in enumerate(m.elements)),
+                   np.zeros_like(m.elements[0]))
+               for z in range(p_zw.output_size)]
+    return ProductTarget(singles, n)
 
 
-def faithfulness(rho_n, target: dict, candidate: dict) -> float:
+def _sandwich(target: Mapping, z, w: np.ndarray):
+    """W^dagger T_z W, or 0 for a z outside the target."""
+    if z not in target:
+        return 0
+    tw = target.apply(z, w) if isinstance(target, ProductTarget) else target[z] @ w
+    return w.conj().T @ tw
+
+
+def faithfulness(rho_n, target: Mapping, candidate: Mapping) -> float:
     """The faithfulness figure K of a candidate sub-POVM against a target.
 
     K = sum_z ||sqrt(rho)(T_z - C_z)sqrt(rho)||_1 + Tr{(I - sum_z C_z) rho},
-    evaluated on the n-copy state ``rho_n``.  A z with no candidate operator
-    contributes Tr{T_z rho}, which is its trace norm because T_z >= 0.
+    evaluated on the n-copy state ``rho_n`` through its support: with
+    rho = W W^dagger, W = V_+ sqrt(lambda_+) over the eigenvalues above the
+    eigensolver's rounding floor, each trace norm is that of the r x r
+    operator W^dagger (T_z - C_z) W (r = rank rho; exact, as sqrt(rho) =
+    V_+ W^dagger and V_+ is an isometry), and the completion term is
+    sum lambda_+ - sum_z Tr{W^dagger C_z W}.  A z with no candidate operator
+    contributes Tr{T_z rho}, which is its trace norm because T_z >= 0.  A
+    ``ProductTarget`` is never expanded into dense T_z.
     """
     mat = rho_n.mat if isinstance(rho_n, DensityOperator) else np.asarray(rho_n, dtype=complex)
-    root = psd_sqrt(mat)
-    total_candidate = np.zeros_like(mat)
-    k = 0.0
+    vals, vecs = np.linalg.eigh(hermitian_part(mat))
+    keep = vals > mat.shape[0] * np.finfo(float).eps * max(float(vals[-1]), 0.0)
+    w = vecs[:, keep] * np.sqrt(vals[keep])
+    traces = target.traces(mat) if isinstance(target, ProductTarget) else None
+    k = float(vals[keep].sum())
     for z in set(target) | set(candidate):
         c = candidate.get(z)
         if c is None:
-            k += float(np.vdot(mat, target[z]).real)
+            k += float((np.vdot(mat, target[z]) if traces is None else traces[z]).real)
             continue
-        total_candidate = total_candidate + c
-        k += hermitian_trace_norm(root @ (target.get(z, 0) - c) @ root)
-    k += float(np.trace(mat).real - np.vdot(mat, total_candidate).real)
+        wc = w.conj().T @ (c @ w)
+        k += hermitian_trace_norm(_sandwich(target, z, w) - wc) - float(np.trace(wc).real)
     return k
 
 
@@ -687,6 +734,6 @@ def _sum_povm(m_a: Povm, m_b: Povm, p: int) -> Povm:
 
 
 def target_overall_distributed(m_a: Povm, m_b: Povm, p_zw: StochasticMap,
-                               p: int, n: int) -> dict:
+                               p: int, n: int) -> ProductTarget:
     """(M_AB composed with P_{Z|W})^{(x) n} in the interleaved (AB)^n ordering."""
     return target_overall(_sum_povm(m_a, m_b, p), extend_map_to_field(p_zw, p), n)

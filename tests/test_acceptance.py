@@ -2,6 +2,7 @@
 PASS/FAIL line with its measured runtime (run with -s to see them inline).
 """
 
+import json
 import time
 
 import numpy as np
@@ -15,7 +16,7 @@ from conftest import (
     random_psd,
 )
 from povmsim import lab, protocol, regions
-from povmsim.cli import bundled_example_path, default_covering_instance, load_problem
+from povmsim.cli import bundled_example_path, default_covering_instance, load_problem, main
 from povmsim.codes import pairwise_independence_check, three_way_dependence_report
 from povmsim.cq import StochasticMap
 from povmsim.linalg import DensityOperator, Povm, kron_power
@@ -273,3 +274,24 @@ def test_protocol_sanity():
             f"faithfulness(target,target) <= {max(abs(v) for v in self_k):.1e}, "
             f"median K: n=2 -> {medians[2]:.4f}, n=5 -> {medians[5]:.4f} (non-increasing)",
             elapsed, 600.0)
+
+
+def test_distributed_faithfulness_pinned(tmp_path):
+    # K of the distributed protocol at n = 4 on both bundled problems, as
+    # recorded for the benchmark's dist_n4 ops with op seeds 0 and 1.
+    t0 = time.perf_counter()
+    base = ["simulate", "--mode", "distributed", "--n", "4", "--k", "1", "--l", "1",
+            "--l2", "1", "--N", "2", "--N2", "2", "--delta", "0.5"]
+    cases = [(1, [], 0, 0.7078394880000027), (2, ["--p", "3"], 1, 1.8871551971821832)]
+    errors = []
+    for ident, extra, seed, want in cases:
+        out = tmp_path / f"dist{ident}.json"
+        rc = main(base + extra + ["--spec", bundled_example_path(ident), "--seed", str(seed),
+                                  "--out", str(out)])
+        k = json.loads(out.read_text())["K"] if rc == 0 else float("nan")
+        errors.append(abs(k - want))
+    ok = all(err <= 1e-9 for err in errors)
+    elapsed = time.perf_counter() - t0
+    _report("distributed faithfulness", ok,
+            f"example1 and example2 at n=4: |K - pinned| = "
+            f"{errors[0]:.1e}, {errors[1]:.1e} (<= 1e-9)", elapsed, 60.0)

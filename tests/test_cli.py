@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from povmsim.cli import (
+    EXIT_BAD_PROTOCOL,
     EXIT_NEEDS_L2,
     EXIT_NO_SPEC,
     EXIT_NOT_PRIME,
@@ -149,6 +150,25 @@ def test_simulate_missing_spec_file(tmp_path):
     assert run(SIMULATE + ["--spec", str(missing), "--out", str(out)]) == EXIT_NO_SPEC
     assert str(missing) in json.loads(out.read_text())["error"]
     assert len({0, 1, 2, EXIT_NOT_PRIME, EXIT_NEEDS_L2, EXIT_NO_SPEC}) == 6
+
+
+@pytest.mark.parametrize("extra, phrase", [
+    (["--delta", "1.5"], "delta"),
+    (["--spec", bundled_example_path(2), "--p", "2"], "larger than the field"),
+    (["--n", "13"], "cap"),
+])
+def test_simulate_refuses_bad_protocol_input(tmp_path, extra, phrase):
+    out = tmp_path / "err.json"
+    assert run(SIMULATE + extra + ["--out", str(out)]) == EXIT_BAD_PROTOCOL
+    assert phrase in json.loads(out.read_text())["error"]
+    assert EXIT_BAD_PROTOCOL not in {0, 1, 2, EXIT_NOT_PRIME, EXIT_NEEDS_L2, EXIT_NO_SPEC}
+
+
+def test_rates_missing_spec_file(tmp_path):
+    out = tmp_path / "err.json"
+    missing = tmp_path / "absent.json"
+    assert run(["rates", "--spec", str(missing), "--out", str(out)]) == EXIT_NO_SPEC
+    assert str(missing) in json.loads(out.read_text())["error"]
 
 
 def test_covering_command(tmp_path):

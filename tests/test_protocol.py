@@ -11,6 +11,7 @@ from povmsim.linalg import (
     DensityOperator,
     Povm,
     hermitian_part,
+    kron_all,
     kron_power,
     max_eigenvalue,
     min_eigenvalue,
@@ -481,6 +482,83 @@ def test_faithfulness_absent_candidate_is_target_trace(seed):
                for z in set(target) | set(candidate))
     want += 1.0 - np.trace(sum(candidate.values()) @ rho.mat).real
     assert faithfulness(rho, target, candidate) == pytest.approx(want, abs=1e-10)
+
+
+def _dense_faithfulness(rho_n, target, candidate):
+    """Reference K with the dense square root of rho_n and SVD trace norms."""
+    root = psd_sqrt(rho_n)
+    k = sum(trace_norm(root @ (target.get(z, 0) - candidate.get(z, 0)) @ root)
+            for z in set(target) | set(candidate))
+    total = sum(candidate.values(), np.zeros_like(rho_n))
+    return k + np.trace(rho_n).real - np.vdot(rho_n, total).real
+
+
+def _state_with_spectrum(rng, eigs):
+    u = random_unitary(rng, len(eigs))
+    return DensityOperator((u * np.asarray(eigs, dtype=float)) @ u.conj().T, (len(eigs),))
+
+
+@given(st.integers(0, 10_000), st.sampled_from(["rank1", "rank2", "near_pure"]))
+@settings(max_examples=20, deadline=None)
+def test_faithfulness_matches_dense_reference(seed, kind):
+    # K on the support of rho_n against the dense-root formula, on rank-deficient
+    # states and on a near-pure qubit whose smallest eigenvalue product (1e-12)
+    # lies below a 1e-10 relative cutoff.
+    rng = np.random.default_rng(seed)
+    if kind == "rank1":
+        rho, n = _state_with_spectrum(rng, [1.0, 0.0, 0.0]), 2
+    elif kind == "rank2":
+        a = rng.uniform(0.1, 0.9)
+        rho, n = _state_with_spectrum(rng, [a, 1.0 - a, 0.0]), 2
+    else:
+        rho, n = _state_with_spectrum(rng, [1.0 - 1e-4, 1e-4]), 3
+    m = random_complete_povm(rng, rho.dim, 2)
+    p_zw = StochasticMap((2,), 3, rng.dirichlet(np.ones(3), size=2))
+    tgt = target_overall(m, p_zw, n)
+    dense_tgt = {z: tgt[z] for z in tgt}
+    zs = list(dense_tgt)
+    picked = rng.choice(len(zs), size=len(zs) // 2, replace=False)
+    dim_n = rho.dim ** n
+    cand = {zs[i]: dense_tgt[zs[i]] * rng.uniform(0.5, 1.0)
+            + random_psd(rng, dim_n) / (8 * dim_n) for i in picked}
+    rho_n = kron_power(rho.mat, n)
+    want = _dense_faithfulness(rho_n, dense_tgt, cand)
+    assert faithfulness(rho_n, tgt, cand) == pytest.approx(want, abs=1e-10)
+    assert faithfulness(rho_n, dense_tgt, cand) == pytest.approx(want, abs=1e-10)
+    assert abs(faithfulness(rho_n, tgt, tgt)) <= 1e-9
+
+
+def test_faithfulness_keeps_tiny_eigenvalues():
+    # The 1e-12 eigenvector of a near-pure qubit's third tensor power stays in
+    # the support: an operator living only there still adds its mass to K.
+    eps = 1e-4
+    rho = _state_with_spectrum(np.random.default_rng(7), [1.0 - eps, eps])
+    rho_n = kron_power(rho.mat, 3)
+    vals, vecs = np.linalg.eigh(rho_n)
+    tail = np.outer(vecs[:, 0], vecs[:, 0].conj())
+    assert vals[0] == pytest.approx(eps ** 3, rel=1e-3)
+    zero = np.zeros_like(tail)
+    gap = faithfulness(rho_n, {0: tail}, {0: zero}) - faithfulness(rho_n, {0: zero}, {0: zero})
+    assert gap == pytest.approx(eps ** 3, rel=1e-3)
+
+
+@pytest.mark.parametrize("d, nz, n", [(2, 3, 3), (3, 2, 2)])
+def test_product_target_matches_dense(d, nz, n):
+    rng = np.random.default_rng(d * 10 + n)
+    singles = [random_psd(rng, d) for _ in range(nz)]
+    tgt = protocol.ProductTarget(singles, n)
+    assert len(tgt) == len(list(tgt)) == nz ** n
+    assert (0,) * (n + 1) not in tgt and (nz,) * n not in tgt
+    herm = random_density(rng, d ** n).mat          # not a tensor product
+    general = rng.standard_normal((d ** n, d ** n)) + 1j * rng.standard_normal((d ** n, d ** n))
+    herm_traces, general_traces = tgt.traces(herm), tgt.traces(general)
+    vecs = general[:, :3]
+    for z in itertools.product(range(nz), repeat=n):
+        t_z = kron_all([singles[j] for j in z])
+        assert np.allclose(tgt[z], t_z, atol=1e-12)
+        assert np.allclose(tgt.apply(z, vecs), t_z @ vecs, atol=1e-10)
+        assert herm_traces[z] == pytest.approx(np.vdot(herm, t_z), abs=1e-10)
+        assert general_traces[z] == pytest.approx(np.trace(t_z @ general), abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
