@@ -48,7 +48,11 @@ def _map_from_json(d: dict) -> StochasticMap:
 
 
 def load_problem(source) -> ProblemSpec:
-    d = source if isinstance(source, dict) else json.loads(open(source).read())
+    if isinstance(source, dict):
+        d = source
+    else:
+        with open(source) as fh:
+            d = json.load(fh)
     rho = DensityOperator(mat_from_json(d["rho"]), tuple(d["dims"]))
     m_a = _povm_from_json(d["m_a"])
     m_b = _povm_from_json(d["m_b"])
@@ -99,10 +103,9 @@ def _validate_problem(spec: ProblemSpec, tol: float) -> dict:
 
 
 def cmd_rates(args) -> int:
-    try:
-        spec = load_problem(args.spec)
-    except OSError as exc:
-        return _refuse(f"cannot read the problem file: {exc}", EXIT_NO_SPEC, args.out)
+    spec, refused = _load_spec(args.spec, args.out)
+    if refused is not None:
+        return refused
     checks = _validate_problem(spec, args.tolerance)
     if not (checks["separable_ok"] and checks["sum_structure_ok"]):
         _emit({"error": "problem validation failed", "checks": checks}, args.out)
@@ -191,11 +194,25 @@ EXIT_NOT_PRIME = 3
 EXIT_NEEDS_L2 = 4
 EXIT_NO_SPEC = 5
 EXIT_BAD_PROTOCOL = 6    # the protocol construction rejected its parameters
+EXIT_BAD_SPEC = 7        # the problem file is not valid JSON or not a valid problem
 
 
 def _refuse(message: str, code: int, out_path: str | None) -> int:
     _emit({"error": message}, out_path)
     return code
+
+
+def _load_spec(path: str, out_path: str | None):
+    """(problem, None), or (None, exit code) once an unreadable or malformed file is refused."""
+    try:
+        return load_problem(path), None
+    except OSError as exc:
+        return None, _refuse(f"cannot read the problem file: {exc}", EXIT_NO_SPEC, out_path)
+    except (LookupError, TypeError, ValueError) as exc:
+        # JSON decode errors and the state and POVM checks are ValueErrors;
+        # a missing key or a wrongly shaped entry gives a LookupError or TypeError.
+        return None, _refuse(f"malformed problem file {path}: {type(exc).__name__}: {exc}",
+                             EXIT_BAD_SPEC, out_path)
 
 
 def _run_protocol(args, spec):
@@ -213,7 +230,7 @@ def _run_protocol(args, spec):
         candidate = protocol.assemble_overall(inst, p_zw)
         target = protocol.target_overall(
             m, protocol.extend_map_to_field(p_zw, params.p), params.n)
-        rho_n = protocol.kron_power(rho.mat, params.n)
+        rho_n = protocol.TensorPower(rho, params.n)
         bins_stats = {
             "typical_words": len(inst.tset.members),
             "typical_mass": inst.tset.mass,
@@ -224,7 +241,7 @@ def _run_protocol(args, spec):
         candidate = protocol.assemble_overall_distributed(inst, spec.p_zw)
         target = protocol.target_overall_distributed(
             spec.m_a, spec.m_b, spec.p_zw, params.p, params.n)
-        rho_n = protocol.kron_power(spec.rho_ab.mat, params.n)
+        rho_n = protocol.TensorPower(spec.rho_ab, params.n)
         bins_stats = {
             "typical_words_w": len(inst.tset_w.members),
             "typical_mass_w": inst.tset_w.mass,
@@ -246,10 +263,9 @@ def cmd_simulate(args) -> int:
         return _refuse("--mode distributed needs --l2 and --N2", EXIT_NEEDS_L2, args.out)
     spec = None
     if args.spec or args.mode == "distributed":
-        try:
-            spec = load_problem(args.spec or bundled_example_path(1))
-        except OSError as exc:
-            return _refuse(f"cannot read the problem file: {exc}", EXIT_NO_SPEC, args.out)
+        spec, refused = _load_spec(args.spec or bundled_example_path(1), args.out)
+        if refused is not None:
+            return refused
     try:
         params, inst, k_value, bins_stats = _run_protocol(args, spec)
     except ValueError as exc:

@@ -9,6 +9,7 @@ target measurement.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -492,25 +493,33 @@ def _word_weight_ops(mus, num_mu: int):
     return ops
 
 
-def _spread_over_outputs(word_ops: dict, p_ext: StochasticMap, n: int):
-    """Apply P^n_{Z|W} to word-indexed operators; None spreads uniformly.
-
-    Zero operators and outputs of zero probability are not stored.
-    """
+def _output_grid(p_ext: StochasticMap, n: int) -> np.ndarray:
+    """All output sequences z in Z^n, one per row, in lexicographic order."""
     nz = p_ext.output_size
     if nz ** n > DIM_CAP:
         raise ValueError("|Z|**n exceeds the dense-operator cap")
-    zs = all_vectors(n, nz)
+    return all_vectors(n, nz)
+
+
+def _output_probs(word, p_ext: StochasticMap, zs: np.ndarray) -> np.ndarray:
+    """P^n_{Z|W}(z | word) for every row z of ``zs``; None spreads uniformly."""
+    if word is None:
+        return np.full(zs.shape[0], 1.0 / zs.shape[0])
+    return np.prod(p_ext.probs[np.asarray(word), zs], axis=1)
+
+
+def _spread_over_outputs(word_ops: dict, p_ext: StochasticMap, n: int):
+    """Apply P^n_{Z|W} to word-indexed operators.
+
+    Zero operators and outputs of zero probability are not stored.
+    """
+    zs = _output_grid(p_ext, n)
     keys = list(map(tuple, zs.tolist()))
     out: dict = {}
     for word, op in word_ops.items():
         if not np.any(op):
             continue
-        if word is None:
-            probs = np.full(len(keys), 1.0 / nz ** n)
-        else:
-            probs = np.prod(p_ext.probs[np.asarray(word), zs], axis=1)
-        for z, pr in zip(keys, probs):
+        for z, pr in zip(keys, _output_probs(word, p_ext, zs)):
             if pr > 0.0:
                 _add_to(out, z, op * pr)
     return out
@@ -560,10 +569,15 @@ class ProductTarget(Mapping):
     def traces(self, mat) -> np.ndarray:
         """Tr{T_z mat} for every z, as an array indexed by the tuple z.
 
-        Contracts one register at a time, O(|Z| d**(2n)) in all.
+        For a ``TensorPower`` of n copies this is the product of the
+        single-copy traces; otherwise ``mat`` is contracted one register at a
+        time, O(|Z| d**(2n)) in all.
         """
-        d = self.singles[0].shape[0]
         singles = np.stack(self.singles)
+        if isinstance(mat, TensorPower) and mat.n == self.n:
+            per_copy = np.einsum("zij,ji->z", singles, mat.single)
+            return functools.reduce(np.multiply.outer, [per_copy] * self.n)
+        d = self.singles[0].shape[0]
         t = np.asarray(mat, dtype=complex).T[None]      # t[., i, j] = mat[j, i]
         for _ in range(self.n):
             rest = t.shape[1] // d
@@ -584,6 +598,36 @@ def target_overall(m: Povm, p_zw: StochasticMap, n: int) -> ProductTarget:
     return ProductTarget(singles, n)
 
 
+class TensorPower:
+    """The n-copy state rho^{(x) n}, kept as its single copy rho.
+
+    A dense n-copy state is the case n = 1.
+    """
+
+    def __init__(self, single, n: int):
+        mat = single.mat if isinstance(single, DensityOperator) else single
+        self.single = hermitian_part(mat)
+        self.n = n
+
+    def dense(self) -> np.ndarray:
+        return self.single if self.n == 1 else kron_power(self.single, self.n)
+
+    def support(self) -> tuple:
+        """(W, sum lambda_+) with rho^{(x) n} = W W^dagger on its numerical support.
+
+        One eigendecomposition of the single copy: the columns of W are the
+        tensor products of single-copy eigenvectors whose eigenvalue product
+        lambda clears the eigensolver's rounding floor dim * eps * lambda_max
+        (dim = d**n), each scaled by sqrt(lambda).
+        """
+        vals, vecs = np.linalg.eigh(self.single)
+        idx = all_vectors(self.n, vals.size)
+        lam = np.prod(vals[idx], axis=1)
+        keep = lam > lam.size * np.finfo(float).eps * max(float(lam.max()), 0.0)
+        return (_kron_columns([vecs] * self.n, idx[keep]) * np.sqrt(lam[keep]),
+                float(lam[keep].sum()))
+
+
 def _sandwich(target: Mapping, z, w: np.ndarray):
     """W^dagger T_z W, or 0 for a z outside the target."""
     if z not in target:
@@ -592,33 +636,39 @@ def _sandwich(target: Mapping, z, w: np.ndarray):
     return w.conj().T @ tw
 
 
+def _candidate_sandwiches(candidate: Mapping, w: np.ndarray):
+    """(z, W^dagger C_z W) for every output z of the candidate."""
+    if isinstance(candidate, DistributedCandidate):
+        return candidate.sandwiches(w)
+    return ((z, w.conj().T @ (c @ w)) for z, c in candidate.items())
+
+
 def faithfulness(rho_n, target: Mapping, candidate: Mapping) -> float:
     """The faithfulness figure K of a candidate sub-POVM against a target.
 
     K = sum_z ||sqrt(rho)(T_z - C_z)sqrt(rho)||_1 + Tr{(I - sum_z C_z) rho},
-    evaluated on the n-copy state ``rho_n`` through its support: with
-    rho = W W^dagger, W = V_+ sqrt(lambda_+) over the eigenvalues above the
-    eigensolver's rounding floor, each trace norm is that of the r x r
-    operator W^dagger (T_z - C_z) W (r = rank rho; exact, as sqrt(rho) =
-    V_+ W^dagger and V_+ is an isometry), and the completion term is
+    evaluated on the n-copy state ``rho_n`` (a ``TensorPower`` or a dense
+    matrix) through its support: with rho = W W^dagger (see
+    ``TensorPower.support``), each trace norm is that of the r x r operator
+    W^dagger (T_z - C_z) W (r = rank rho; exact, as sqrt(rho) = V_+ W^dagger
+    and V_+ is an isometry), and the completion term is
     sum lambda_+ - sum_z Tr{W^dagger C_z W}.  A z with no candidate operator
     contributes Tr{T_z rho}, which is its trace norm because T_z >= 0.  A
-    ``ProductTarget`` is never expanded into dense T_z.
+    ``ProductTarget`` is never expanded into dense T_z, a
+    ``DistributedCandidate`` never into dense C_z.
     """
-    mat = rho_n.mat if isinstance(rho_n, DensityOperator) else np.asarray(rho_n, dtype=complex)
-    vals, vecs = np.linalg.eigh(hermitian_part(mat))
-    keep = vals > mat.shape[0] * np.finfo(float).eps * max(float(vals[-1]), 0.0)
-    w = vecs[:, keep] * np.sqrt(vals[keep])
-    traces = target.traces(mat) if isinstance(target, ProductTarget) else None
-    k = float(vals[keep].sum())
-    for z in set(target) | set(candidate):
-        c = candidate.get(z)
-        if c is None:
-            k += float((np.vdot(mat, target[z]) if traces is None else traces[z]).real)
-            continue
-        wc = w.conj().T @ (c @ w)
+    state = rho_n if isinstance(rho_n, TensorPower) else TensorPower(rho_n, 1)
+    w, k = state.support()
+    seen = set()
+    for z, wc in _candidate_sandwiches(candidate, w):
+        seen.add(z)
         k += hermitian_trace_norm(_sandwich(target, z, w) - wc) - float(np.trace(wc).real)
-    return k
+    absent = [z for z in target if z not in seen]
+    if isinstance(target, ProductTarget):
+        traces = target.traces(state if state.n == target.n else state.dense())
+        return k + sum(float(traces[z].real) for z in absent)
+    mat = state.dense()
+    return k + sum(float(np.vdot(mat, target[z]).real) for z in absent)
 
 
 # ---------------------------------------------------------------------------
@@ -704,23 +754,93 @@ def _interleave_ab(op: np.ndarray, da: int, db: int, n: int) -> np.ndarray:
     return permute_registers(op, dims, order)
 
 
-def assemble_overall_distributed(inst: DistributedInstance, p_zw: StochasticMap) -> dict:
-    """Overall sub-POVM {Lambda_hat_{z^n}} on (H_A (x) H_B)^{(x) n}."""
+class DistributedCandidate(Mapping):
+    """The distributed overall sub-POVM, kept as its per-side operators.
+
+    C_z = sum_word P^n_{Z|W}(z | word) C_word on (H_A (x) H_B)^{(x) n}, where
+    C_word = weight * sum over the word's message pairs (a, b) of
+    A_a (x) B_b: ``ops_a`` stacks the completion and bin operators of every
+    mu1 on A^n, ``ops_b`` those of every mu2 on B^n, and ``weight`` is
+    1/(N1 N2).  Pairs with a zero operator, and words left without a pair,
+    are not stored; the keys are the z of positive probability under a
+    stored word.  ``candidate[z]`` builds the dense operator in the
+    interleaved (AB)^n ordering; ``sandwiches`` gives every W^dagger C_z W
+    without forming it.
+    """
+
+    def __init__(self, ops_a, ops_b, word_pairs: dict, weight: float,
+                 p_ext: StochasticMap, n: int, dims: tuple):
+        self.ops_a = np.asarray(ops_a)
+        self.ops_b = np.asarray(ops_b)
+        words = list(word_pairs)
+        counts = np.zeros((len(words), len(self.ops_a), len(self.ops_b)))
+        for k, w in enumerate(words):
+            for a, b in word_pairs[w]:
+                counts[k, a, b] += 1.0
+        counts[:, ~self.ops_a.any(axis=(1, 2))] = 0.0
+        counts[:, :, ~self.ops_b.any(axis=(1, 2))] = 0.0
+        stored = counts.any(axis=(1, 2))
+        self.counts = counts[stored]        # (word, a, b) -> times the pair (a, b) decodes to it
+        self.weight = weight
+        self.n = n
+        self.dims = tuple(dims)
+        zs = _output_grid(p_ext, n)
+        probs = np.array([_output_probs(w, p_ext, zs)
+                          for w, keep in zip(words, stored) if keep]).reshape(-1, len(zs))
+        live = probs.sum(axis=0) > 0.0
+        self.probs = probs[:, live]                     # (word, output) -> P^n(z | word)
+        self._column = {z: col for col, z in enumerate(map(tuple, zs[live].tolist()))}
+
+    def __contains__(self, z) -> bool:
+        return z in self._column
+
+    def __getitem__(self, z) -> np.ndarray:
+        coeff = np.tensordot(self.probs[:, self._column[z]] * self.weight, self.counts, axes=1)
+        half = np.tensordot(coeff, self.ops_b, axes=([1], [0]))        # (a, k, l)
+        op = np.tensordot(self.ops_a, half, axes=([0], [0])).transpose(0, 2, 1, 3)
+        dim = op.shape[0] * op.shape[1]
+        return _interleave_ab(op.reshape(dim, dim), *self.dims, self.n)
+
+    def __iter__(self):
+        return iter(self._column)
+
+    def __len__(self) -> int:
+        return len(self._column)
+
+    def sandwiches(self, w: np.ndarray):
+        """(z, W^dagger C_z W) for every key z; W acts on (H_A (x) H_B)^{(x) n}, (AB)^n order.
+
+        With W read as (A^n, B^n, r), L_a = (A_a (x) I) W and R_b = (I (x) B_b) W
+        give W^dagger (A_a (x) B_b) W = L_a^dagger R_b, so a word's
+        W^dagger C_word W is weight * sum_a L_a^dagger (sum_b counts[a, b] R_b);
+        these are spread over z by P^n_{Z|W} one z at a time.
+        """
+        da, db = self.dims
+        n, r = self.n, w.shape[1]
+        order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)) + [2 * n]
+        t = w.reshape((da, db) * n + (r,)).transpose(order).reshape(da ** n, db ** n, r)
+        left = np.einsum("iab,bcr->iacr", self.ops_a, t, optimize=True).conj()
+        right = np.einsum("jcd,adr->jacr", self.ops_b, t, optimize=True)
+        s_words = np.array([np.tensordot(left, np.tensordot(m, right, axes=1),
+                                         axes=([0, 1, 2], [0, 1, 2])) for m in self.counts])
+        for z, col in self._column.items():
+            yield z, np.tensordot(self.probs[:, col] * self.weight, s_words, axes=1)
+
+
+def assemble_overall_distributed(inst: DistributedInstance,
+                                 p_zw: StochasticMap) -> DistributedCandidate:
+    """Overall sub-POVM {Lambda_hat_{z^n}} on (H_A (x) H_B)^{(x) n}, in factored form."""
     params = inst.params
-    p_ext = extend_map_to_field(p_zw, params.p)
-    n = params.n
-    da, db = inst.rho_ab.register_dims
-    n1, n2 = params.num_mu, params.num_mu2
-    word_ops: dict = {}
-    for i1, sa in enumerate(inst.side_a):
-        ops_a = [sa.completion] + sa.bin_ops
-        for i2, sb in enumerate(inst.side_b):
-            ops_b = [sb.completion] + sb.bin_ops
-            table = inst.decode_tables[(i1, i2)]
-            for (i, j), word in table.items():
-                _add_to(word_ops, word, np.kron(ops_a[i], ops_b[j]) / (n1 * n2))
-    word_ops = {w: _interleave_ab(op, da, db, n) for w, op in word_ops.items()}
-    return _spread_over_outputs(word_ops, p_ext, n)
+    ops_a = [op for s in inst.side_a for op in [s.completion] + s.bin_ops]
+    ops_b = [op for s in inst.side_b for op in [s.completion] + s.bin_ops]
+    per_a, per_b = len(ops_a) // len(inst.side_a), len(ops_b) // len(inst.side_b)
+    word_pairs: dict = {}
+    for (i1, i2), table in inst.decode_tables.items():
+        for (i, j), word in table.items():
+            word_pairs.setdefault(word, []).append((i1 * per_a + i, i2 * per_b + j))
+    return DistributedCandidate(ops_a, ops_b, word_pairs, 1.0 / (params.num_mu * params.num_mu2),
+                                extend_map_to_field(p_zw, params.p), params.n,
+                                inst.rho_ab.register_dims)
 
 
 def _sum_povm(m_a: Povm, m_b: Povm, p: int) -> Povm:

@@ -278,11 +278,15 @@ def test_protocol_sanity():
 
 def test_distributed_faithfulness_pinned(tmp_path):
     # K of the distributed protocol at n = 4 on both bundled problems, as
-    # recorded for the benchmark's dist_n4 ops with op seeds 0 and 1.
+    # recorded for the benchmark's dist_n4 ops with op seeds 0 and 1, and at
+    # n = 5 on example1, where K moves with n (n = 3 and n = 4 both give
+    # 0.70784 from a single typical W-word).
     t0 = time.perf_counter()
-    base = ["simulate", "--mode", "distributed", "--n", "4", "--k", "1", "--l", "1",
+    base = ["simulate", "--mode", "distributed", "--k", "1", "--l", "1",
             "--l2", "1", "--N", "2", "--N2", "2", "--delta", "0.5"]
-    cases = [(1, [], 0, 0.7078394880000027), (2, ["--p", "3"], 1, 1.8871551971821832)]
+    cases = [(1, ["--n", "4"], 0, 0.7078394880000027),
+             (2, ["--n", "4", "--p", "3"], 1, 1.8871551971821832),
+             (1, ["--n", "5"], 0, 0.7754521602255053)]
     errors = []
     for ident, extra, seed, want in cases:
         out = tmp_path / f"dist{ident}.json"
@@ -293,5 +297,5 @@ def test_distributed_faithfulness_pinned(tmp_path):
     ok = all(err <= 1e-9 for err in errors)
     elapsed = time.perf_counter() - t0
     _report("distributed faithfulness", ok,
-            f"example1 and example2 at n=4: |K - pinned| = "
-            f"{errors[0]:.1e}, {errors[1]:.1e} (<= 1e-9)", elapsed, 60.0)
+            f"example1 and example2 at n=4, example1 at n=5: |K - pinned| = "
+            f"{errors[0]:.1e}, {errors[1]:.1e}, {errors[2]:.1e} (<= 1e-9)", elapsed, 60.0)

@@ -5,6 +5,7 @@ import pytest
 
 from povmsim.cli import (
     EXIT_BAD_PROTOCOL,
+    EXIT_BAD_SPEC,
     EXIT_NEEDS_L2,
     EXIT_NO_SPEC,
     EXIT_NOT_PRIME,
@@ -169,6 +170,32 @@ def test_rates_missing_spec_file(tmp_path):
     missing = tmp_path / "absent.json"
     assert run(["rates", "--spec", str(missing), "--out", str(out)]) == EXIT_NO_SPEC
     assert str(missing) in json.loads(out.read_text())["error"]
+
+
+def _malformed_spec(case: str) -> str:
+    if case == "not_json":
+        return "# A markdown file, not a problem file\n"
+    spec = json.loads(open(bundled_example_path(1)).read())
+    if case == "missing_key":
+        del spec["rho"]
+    else:                                   # a Hermitian rho with eigenvalue -0.5
+        spec["rho"] = [[[1.5 if i == j == 0 else -0.5 if i == j == 3 else 0.0, 0.0]
+                        for j in range(4)] for i in range(4)]
+    return json.dumps(spec)
+
+
+@pytest.mark.parametrize("command", [SIMULATE, ["rates"]], ids=["simulate", "rates"])
+@pytest.mark.parametrize("case, phrase", [("not_json", "JSONDecodeError"),
+                                          ("missing_key", "KeyError: 'rho'"),
+                                          ("non_psd", "not PSD")])
+def test_malformed_spec_file_is_refused(tmp_path, command, case, phrase):
+    spec = tmp_path / "problem.json"
+    spec.write_text(_malformed_spec(case))
+    out = tmp_path / "err.json"
+    assert run(command + ["--spec", str(spec), "--out", str(out)]) == EXIT_BAD_SPEC
+    assert phrase in json.loads(out.read_text())["error"]
+    assert EXIT_BAD_SPEC not in {0, 1, 2, EXIT_NOT_PRIME, EXIT_NEEDS_L2, EXIT_NO_SPEC,
+                                 EXIT_BAD_PROTOCOL}
 
 
 def test_covering_command(tmp_path):

@@ -15,6 +15,7 @@ from povmsim.linalg import (
     kron_power,
     max_eigenvalue,
     min_eigenvalue,
+    permute_registers,
     psd_pinv_sqrt,
     psd_sqrt,
     trace_norm,
@@ -22,6 +23,7 @@ from povmsim.linalg import (
 from povmsim.protocol import (
     CanonicalEnsemble,
     ProtocolParams,
+    TensorPower,
     assemble_overall,
     assemble_overall_distributed,
     build_distributed_instance,
@@ -385,6 +387,69 @@ def test_distributed_overall_complete_and_k_reported(example1):
     assert 0.0 <= k <= 2.0 + 1e-9   # desk-scale value logged, not asserted
 
 
+def test_distributed_candidate_matches_kron_reference(example1):
+    # The factored candidate against the kron-and-interleave construction,
+    # spread over the outputs by P^n_{Z|W}, read off the decode tables.
+    n = 2
+    params = ProtocolParams(n=n, k=1, l=1, p=2, num_mu=2, eta=0.1, delta=0.5,
+                            seed=1, l2=1, num_mu2=2)
+    inst = build_distributed_instance(params, example1.m_a, example1.m_b, example1.rho_ab)
+    cand = assemble_overall_distributed(inst, example1.p_zw)
+    p_ext = protocol.extend_map_to_field(example1.p_zw, params.p)
+    dims = [2] * n + [2] * n
+    zs = list(itertools.product(range(p_ext.output_size), repeat=n))
+    ref = {}
+    for (i1, i2), table in inst.decode_tables.items():
+        ops_a = [inst.side_a[i1].completion] + inst.side_a[i1].bin_ops
+        ops_b = [inst.side_b[i2].completion] + inst.side_b[i2].bin_ops
+        for (i, j), word in table.items():
+            op = permute_registers(np.kron(ops_a[i], ops_b[j]), dims, [0, 2, 1, 3]) / 4
+            if not np.any(op):
+                continue
+            for z in zs:
+                pr = (1.0 / len(zs) if word is None
+                      else np.prod([p_ext.probs[w, zj] for w, zj in zip(word, z)]))
+                if pr > 0.0:
+                    ref[z] = ref.get(z, 0) + pr * op
+    assert ref and set(cand) == set(ref) and len(cand) == len(ref)
+    rng = np.random.default_rng(0)
+    w = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
+    sandwiches = dict(cand.sandwiches(w))
+    assert set(sandwiches) == set(ref)
+    for z, op in ref.items():
+        assert np.allclose(cand[z], op, atol=1e-12)
+        assert np.allclose(sandwiches[z], w.conj().T @ op @ w, atol=1e-12)
+
+
+def test_distributed_candidate_on_generic_side_operators():
+    # The bundled problems' side operators are identities and zeros at n = 2;
+    # generic ones on unequal registers (d_A = 2, d_B = 3) check the
+    # interleaving, the zero-pair and zero-probability rules and sandwiches.
+    rng = np.random.default_rng(11)
+    n, da, db = 2, 2, 3
+    ops_a = [random_psd(rng, da ** n) for _ in range(3)] + [np.zeros((da ** n, da ** n))]
+    ops_b = [random_psd(rng, db ** n) for _ in range(2)]
+    word_pairs = {(0, 1): [(0, 0), (1, 1), (3, 0)], (1, 1): [(2, 1), (0, 1)], (1, 0): [(3, 1)]}
+    p_ext = StochasticMap((2,), 3, np.array([[0.5, 0.5, 0.0], [0.2, 0.0, 0.8]]))
+    cand = protocol.DistributedCandidate(ops_a, ops_b, word_pairs, 0.25, p_ext, n, (da, db))
+    ref = {}
+    for word, pairs in word_pairs.items():
+        op = 0.25 * sum(permute_registers(np.kron(ops_a[a], ops_b[b]), [da] * n + [db] * n,
+                                          [0, 2, 1, 3]) for a, b in pairs)
+        for z in itertools.product(range(3), repeat=n):
+            pr = p_ext.probs[word[0], z[0]] * p_ext.probs[word[1], z[1]]
+            if pr > 0.0 and np.any(op):
+                ref[z] = ref.get(z, 0) + pr * op
+    assert set(cand) == set(ref) == set(itertools.product((0, 1, 2), (0, 2)))
+    w = rng.standard_normal((36, 5)) + 1j * rng.standard_normal((36, 5))
+    sandwiches = dict(cand.sandwiches(w))
+    assert set(sandwiches) == set(ref)
+    for z, op in ref.items():
+        assert np.allclose(cand[z], op, atol=1e-12)
+        assert np.allclose(sandwiches[z], w.conj().T @ op @ w, atol=1e-10)
+    assert (0, 1) not in cand
+
+
 def test_distributed_needs_l2():
     with pytest.raises(ValueError):
         build_distributed_instance(
@@ -525,6 +590,8 @@ def test_faithfulness_matches_dense_reference(seed, kind):
     want = _dense_faithfulness(rho_n, dense_tgt, cand)
     assert faithfulness(rho_n, tgt, cand) == pytest.approx(want, abs=1e-10)
     assert faithfulness(rho_n, dense_tgt, cand) == pytest.approx(want, abs=1e-10)
+    assert faithfulness(TensorPower(rho, n), tgt, cand) == pytest.approx(want, abs=1e-10)
+    assert faithfulness(TensorPower(rho, n), dense_tgt, cand) == pytest.approx(want, abs=1e-10)
     assert abs(faithfulness(rho_n, tgt, tgt)) <= 1e-9
 
 
@@ -538,8 +605,9 @@ def test_faithfulness_keeps_tiny_eigenvalues():
     tail = np.outer(vecs[:, 0], vecs[:, 0].conj())
     assert vals[0] == pytest.approx(eps ** 3, rel=1e-3)
     zero = np.zeros_like(tail)
-    gap = faithfulness(rho_n, {0: tail}, {0: zero}) - faithfulness(rho_n, {0: zero}, {0: zero})
-    assert gap == pytest.approx(eps ** 3, rel=1e-3)
+    for state in (rho_n, TensorPower(rho, 3)):
+        gap = faithfulness(state, {0: tail}, {0: zero}) - faithfulness(state, {0: zero}, {0: zero})
+        assert gap == pytest.approx(eps ** 3, rel=1e-3)
 
 
 @pytest.mark.parametrize("d, nz, n", [(2, 3, 3), (3, 2, 2)])
@@ -610,5 +678,12 @@ def test_distributed_invariants_generic(seed, rank_one):
     _assert_side_invariants(inst.side_a + inst.side_b, 4)
     p_zw = StochasticMap((2,), 2, rng.dirichlet(np.ones(2), size=2))
     tgt = target_overall_distributed(m_a, m_b, p_zw, 2, 2)
-    k = faithfulness(kron_power(rho_ab.mat, 2), tgt, assemble_overall_distributed(inst, p_zw))
+    cand = assemble_overall_distributed(inst, p_zw)
+    k = faithfulness(kron_power(rho_ab.mat, 2), tgt, cand)
     assert -1e-9 <= k <= 2.0 + 1e-9
+    # The mixed rho_ab gives a support of rank 16: the factored candidate and
+    # the tensor-power state agree with the dense candidate and state.
+    dense_cand = {z: cand[z] for z in cand}
+    assert faithfulness(TensorPower(rho_ab, 2), tgt, cand) == pytest.approx(k, abs=1e-10)
+    assert faithfulness(TensorPower(rho_ab, 2), tgt, dense_cand) == pytest.approx(k, abs=1e-10)
+    assert faithfulness(kron_power(rho_ab.mat, 2), tgt, dense_cand) == pytest.approx(k, abs=1e-10)
