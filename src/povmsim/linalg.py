@@ -295,27 +295,11 @@ def psd_pinv_sqrt(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     return hermitian_part((vecs * inv) @ vecs.conj().T)
 
 
-def pruning_projector(x, base: np.ndarray | None = None, tol: float = 1e-10) -> np.ndarray:
-    """Projector onto the non-negative eigenspace of (base - x).
-
-    With ``base=None`` the base is the identity.  With an explicit projector
-    ``base``, the computation is restricted to range(base) and the result is a
-    subprojector of ``base``.
-    """
+def pruning_projector(x, tol: float = 1e-10) -> np.ndarray:
+    """Projector onto the non-negative eigenspace of (I - x)."""
     x = hermitian_part(x)
-    if base is None:
-        vals, vecs = np.linalg.eigh(np.eye(x.shape[0]) - x)
-        keep = vals >= -tol
-        v = vecs[:, keep]
-        return hermitian_part(v @ v.conj().T)
-    bvals, bvecs = eigh(base)
-    basis = bvecs[:, bvals > 0.5]            # orthonormal basis of range(base)
-    r = basis.shape[1]
-    if r == 0:
-        return np.zeros_like(x)
-    m = np.eye(r) - hermitian_part(basis.conj().T @ x @ basis)
-    vals, vecs = np.linalg.eigh(m)
-    v = basis @ vecs[:, vals >= -tol]
+    vals, vecs = np.linalg.eigh(np.eye(x.shape[0]) - x)
+    v = vecs[:, vals >= -tol]
     return hermitian_part(v @ v.conj().T)
 
 

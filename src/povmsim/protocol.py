@@ -34,10 +34,8 @@ from .linalg import (
     hermitian_trace_norm,
     kron_all,
     kron_power,
-    max_eigenvalue,
     partial_trace,
     permute_registers,
-    pruning_projector,
     psd_sqrt,
 )
 
@@ -328,9 +326,64 @@ class ProtocolParams:
             raise ValueError("p**n exceeds the desk-scale cap")
 
 
+def _gram(f: np.ndarray) -> np.ndarray:
+    """F F^dagger."""
+    return hermitian_part(f @ f.conj().T)
+
+
+def _hstack(factors, dim: int) -> np.ndarray:
+    """The factors side by side, as one matrix with ``dim`` rows (no columns if there are none)."""
+    return np.concatenate([np.zeros((dim, 0), dtype=complex), *factors], axis=1)
+
+
+def _sigma_factor(factors: dict, gamma: dict, dim: int) -> np.ndarray:
+    """Y = [sqrt(gamma_w) X_w], so that Sigma = sum_w gamma_w Abar_w = Y Y^dagger."""
+    return _hstack([np.sqrt(gamma[w]) * x for w, x in factors.items()], dim)
+
+
+def _cut_directions(y: np.ndarray) -> np.ndarray:
+    """The eigenvectors of Y Y^dagger with eigenvalue above 1 + PRUNE_TOL.
+
+    They are the left singular vectors of Y with squared singular value above
+    1 + PRUNE_TOL.
+    """
+    vecs, s, _ = np.linalg.svd(y, full_matrices=False)
+    return vecs[:, s ** 2 > 1.0 + PRUNE_TOL]
+
+
+class _Grams(Mapping):
+    """word -> F_w F_w^dagger over a dict of factors F_w; a Gram is built only when indexed."""
+
+    def __init__(self, factors: dict):
+        self.factors = factors
+
+    def __contains__(self, w) -> bool:
+        return w in self.factors
+
+    def __getitem__(self, w) -> np.ndarray:
+        return _gram(self.factors[w])
+
+    def __iter__(self):
+        return iter(self.factors)
+
+    def __len__(self) -> int:
+        return len(self.factors)
+
+
 @dataclass
 class SideData:
-    """Operators derived from one code realization (G, h^(mu)) on one side.
+    """Operators derived from one code realization (G, h^(mu)) on one side, kept as factors.
+
+    With Y = [sqrt(gamma_w) X_w] over the code's built words, Sigma = Y Y^dagger.
+    Pruning cuts V_cut, the left singular vectors of Y with squared singular
+    value above 1 + PRUNE_TOL: Pi_mu = Pi_rho - V_cut V_cut^dagger, which is
+    the projector onto the non-negative eigenspace of Pi_rho - Sigma on
+    range(Pi_rho), as range(Y) lies in range(Pi_rho).  The pruned
+    A_w = F_w F_w^dagger with F_w = Pi_mu X_w; bin i is G_i G_i^dagger, where
+    G_i puts the F_w of the bin's words side by side (a repeated word
+    repeats its columns); the completion is I - G G^dagger, with G every G_i
+    side by side.  ``sigma``, ``pi_mu``, ``a_ops``, ``bin_ops`` and
+    ``completion`` build the dense operators on access.
 
     Point-to-point fills the decoder fields; the distributed construction
     decodes pairs of sides jointly and leaves them empty.
@@ -338,14 +391,43 @@ class SideData:
 
     code: UccCode
     gamma: dict                 # word tuple -> multiplicity
-    sigma: np.ndarray           # sum_w gamma_w Abar_w
-    pi_mu: np.ndarray           # pruning projector on range(Pi_rho)
-    a_ops: dict                 # word tuple -> pruned A_w, for the code's built words
-    bin_ops: list               # p**l bin operators Gamma_i
-    completion: np.ndarray      # I - sum_i Gamma_i
-    defect: float               # max(0, lambda_max(sum_i Gamma_i - I))
+    factors: dict               # word tuple -> X_w, for the code's built words
+    typical: np.ndarray         # U, with Pi_rho = U U^dagger
+    v_cut: np.ndarray           # the directions the pruning removes, orthonormal columns
+    a_factors: dict             # word tuple -> F_w = Pi_mu X_w
+    bin_factors: list           # p**l bin factors G_i
+    defect: float               # max(0, s_max(G)^2 - 1) = max(0, lambda_max(sum_i Gamma_i - I))
     decode_table: list = field(default_factory=list)  # message -> word; 0 is completion
     collisions: int = 0         # bins whose typical-decoding set had >= 2 entries
+
+    @property
+    def dim(self) -> int:
+        return self.typical.shape[0]
+
+    @property
+    def sigma(self) -> np.ndarray:
+        """sum_w gamma_w Abar_w."""
+        return _gram(_sigma_factor(self.factors, self.gamma, self.dim))
+
+    @property
+    def pi_mu(self) -> np.ndarray:
+        """The pruning projector, a subprojector of Pi_rho."""
+        return _gram(self.typical) - _gram(self.v_cut)
+
+    @property
+    def a_ops(self) -> Mapping:
+        """word tuple -> pruned A_w, for the code's built words."""
+        return _Grams(self.a_factors)
+
+    @property
+    def bin_ops(self) -> list:
+        """The bin operators Gamma_i."""
+        return [_gram(g) for g in self.bin_factors]
+
+    @property
+    def completion(self) -> np.ndarray:
+        """I - sum_i Gamma_i."""
+        return hermitian_part(np.eye(self.dim) - _gram(_hstack(self.bin_factors, self.dim)))
 
 
 def _bin_words(code: UccCode) -> list:
@@ -360,39 +442,35 @@ def _decode(words, accept, w0):
     return (found[0] if len(found) == 1 else w0), int(len(found) >= 2)
 
 
-def _code_side(code: UccCode, gamma: dict, factors: dict, abar: dict,
-               pi_rho: np.ndarray) -> SideData:
-    dim_n = pi_rho.shape[0]
-    zero = np.zeros((dim_n, dim_n), dtype=complex)
-    eye = np.eye(dim_n)
-    words = [w for w in factors if w in gamma]
-    sigma = sum((gamma[w] * abar[w] for w in words), zero)
-    pi_mu = pruning_projector(sigma, base=pi_rho, tol=PRUNE_TOL)
-    a_ops = {}
-    for w in words:
-        y = pi_mu @ factors[w]
-        a_ops[w] = hermitian_part(y @ y.conj().T)
-    bin_ops = [sum((a_ops[w] for w in ws if w in a_ops), zero) for ws in _bin_words(code)]
-    total = sum(bin_ops, zero)
-    return SideData(code, gamma, sigma, pi_mu, a_ops, bin_ops, hermitian_part(eye - total),
-                    max(0.0, max_eigenvalue(total - eye)))
+def _code_side(code: UccCode, gamma: dict, factors: dict, typical: np.ndarray) -> SideData:
+    dim = typical.shape[0]
+    own = {w: x for w, x in factors.items() if w in gamma}
+    v_cut = _cut_directions(_sigma_factor(own, gamma, dim))
+    v_adj = v_cut.conj().T
+    a_factors = {w: x - v_cut @ (v_adj @ x) for w, x in own.items()}
+    bin_factors = [_hstack([a_factors[w] for w in ws if w in a_factors], dim)
+                   for ws in _bin_words(code)]
+    g = _hstack(bin_factors, dim)
+    top = np.linalg.norm(g, 2) if g.shape[1] else 0.0    # no built word: G has no columns
+    return SideData(code, gamma, own, typical, v_cut, a_factors, bin_factors,
+                    max(0.0, float(top) ** 2 - 1.0))
 
 
 def _build_side(ens: CanonicalEnsemble, tset: TypicalSet, rho_mat: np.ndarray, codes: list,
                params: ProtocolParams, kl: int) -> tuple:
-    """Pi_rho, the Abar_w table and the pruned per-code operators of one side.
+    """U (Pi_rho = U U^dagger), the X_w table and the pruned per-code operators of one side.
 
-    Abar_w is built only for typical, positive-weight words that occur in some
-    code, in factored form: Abar_w = X_w X_w^dagger with
-    X_w = Q B_w[:, keep] sqrt(eig c_w), where Q = (rho^{-1/2})^{(x) n} Pi_rho,
-    B_w is the eigenbasis of rho_hat_{w^n}, keep its conditional typical
-    columns and c_w = lambda_{w^n} p^n / ((1 + eta) p^kl).  A code's A_w is
-    (Pi_mu X_w)(Pi_mu X_w)^dagger, for the words of that code only.
+    X_w is built only for typical, positive-weight words that occur in some
+    code: Abar_w = X_w X_w^dagger with X_w = Q B_w[:, keep] sqrt(eig c_w),
+    where Q = (rho^{-1/2})^{(x) n} Pi_rho = U diag(inv) U^dagger is applied
+    through U, B_w is the eigenbasis of rho_hat_{w^n}, keep its conditional
+    typical columns and c_w = lambda_{w^n} p^n / ((1 + eta) p^kl).  Each
+    code's operators are kept as factors (see ``SideData``), for the words
+    of that code only.
     """
     n = params.n
     u, inv = _typical_factor(rho_mat, n, params.delta)
-    pi_rho = hermitian_part(u @ u.conj().T)
-    q = hermitian_part((u * inv) @ u.conj().T)
+    u_inv, u_adj = u * inv, u.conj().T
     norm = params.p ** n / ((1.0 + params.eta) * params.p ** kl)
     gammas = [multiplicity_table(c) for c in codes]
     used = set().union(*gammas)
@@ -403,10 +481,10 @@ def _build_side(ens: CanonicalEnsemble, tset: TypicalSet, rho_mat: np.ndarray, c
         lam = ens.weight_of(w)
         if w in used and lam > 0.0:
             cols, eig = _cond_typical_columns(spectra, w, params.delta, idx)
-            factors[w] = q @ (cols * np.sqrt(np.clip(eig, 0.0, None) * (norm * lam)))
-    abar = {w: hermitian_part(x @ x.conj().T) for w, x in factors.items()}
-    sides = [_code_side(c, g, factors, abar, pi_rho) for c, g in zip(codes, gammas)]
-    return pi_rho, abar, sides
+            x = cols * np.sqrt(np.clip(eig, 0.0, None) * (norm * lam))
+            factors[w] = u_inv @ (u_adj @ x)
+    sides = [_code_side(c, g, factors, u) for c, g in zip(codes, gammas)]
+    return u, factors, sides
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +498,7 @@ class ProtocolInstance:
     ens: CanonicalEnsemble      # padded to F_p
     tset: TypicalSet
     pi_rho: np.ndarray
-    abar: dict                  # word tuple -> unpruned Abar_w (typical words of some code)
+    abar: Mapping               # word tuple -> unpruned Abar_w (typical words of some code)
     w0: tuple | None            # lexicographically smallest non-typical word, or None
     mus: list                   # SideData per mu, with its decoder
     sub_povm_defect: float      # max over mu of lambda_max(sum_i Gamma_i - I)
@@ -448,15 +526,15 @@ def build_instance(params: ProtocolParams, m: Povm, rho: DensityOperator) -> Pro
     tset = typical_set(ens.weights, n, params.delta)
     codes = sample_ensemble(CodeEnsembleSpec(p, n, params.k, params.l,
                                              params.num_mu, params.seed))
-    pi_rho, abar, mus = _build_side(ens, tset, rho.mat, codes, params, params.k + params.l)
+    u, factors, mus = _build_side(ens, tset, rho.mat, codes, params, params.k + params.l)
     w0 = _lex_smallest_outside(tset, p, n)
     for mu in mus:
         mu.decode_table = [w0]
         for words in _bin_words(mu.code):
-            word, clash = _decode(words, mu.a_ops, w0)
+            word, clash = _decode(words, mu.a_factors, w0)
             mu.decode_table.append(word)
             mu.collisions += clash
-    return ProtocolInstance(params, m, rho, ens, tset, pi_rho, abar, w0, mus,
+    return ProtocolInstance(params, m, rho, ens, tset, _gram(u), _Grams(factors), w0, mus,
                             float(max(mu.defect for mu in mus)),
                             sum(mu.collisions for mu in mus))
 
@@ -480,19 +558,6 @@ def extend_map_to_field(p_zw: StochasticMap, p: int) -> StochasticMap:
     return StochasticMap((p,), p_zw.output_size, np.vstack([p_zw.probs, pad]))
 
 
-def _add_to(ops: dict, key, op) -> None:
-    ops[key] = ops[key] + op if key in ops else op
-
-
-def _word_weight_ops(mus, num_mu: int):
-    """(1/N) sum_mu sum_{m: F(m)=w} Gamma_m, grouped by decoded word."""
-    ops: dict = {}
-    for mu in mus:
-        for word, op in zip(mu.decode_table, [mu.completion] + mu.bin_ops):
-            _add_to(ops, word, op / num_mu)
-    return ops
-
-
 def _output_grid(p_ext: StochasticMap, n: int) -> np.ndarray:
     """All output sequences z in Z^n, one per row, in lexicographic order."""
     nz = p_ext.output_size
@@ -508,28 +573,116 @@ def _output_probs(word, p_ext: StochasticMap, zs: np.ndarray) -> np.ndarray:
     return np.prod(p_ext.probs[np.asarray(word), zs], axis=1)
 
 
-def _spread_over_outputs(word_ops: dict, p_ext: StochasticMap, n: int):
-    """Apply P^n_{Z|W} to word-indexed operators.
+class _SpreadCandidate(Mapping):
+    """An overall sub-POVM C_z = sum_word P^n_{Z|W}(z | word) C_word, kept per decoded word.
 
-    Zero operators and outputs of zero probability are not stored.
+    A subclass gives ``word_sandwiches(w)``, W^dagger C_word W for every
+    stored word in the order of ``words``, and ``combine(c)``, the dense
+    sum_word c[word] C_word.  The keys are the z of positive probability
+    under a stored word.  ``candidate[z]`` builds the dense C_z on demand
+    from the factors, weighted by P^n_{Z|W}(z | .); ``sandwiches`` gives
+    every W^dagger C_z W without forming it.
     """
-    zs = _output_grid(p_ext, n)
-    keys = list(map(tuple, zs.tolist()))
-    out: dict = {}
-    for word, op in word_ops.items():
-        if not np.any(op):
-            continue
-        for z, pr in zip(keys, _output_probs(word, p_ext, zs)):
-            if pr > 0.0:
-                _add_to(out, z, op * pr)
-    return out
+
+    def __init__(self, words: list, p_ext: StochasticMap, n: int, dim: int):
+        zs = _output_grid(p_ext, n)
+        probs = np.array([_output_probs(w, p_ext, zs) for w in words]).reshape(-1, len(zs))
+        live = probs.sum(axis=0) > 0.0
+        self.probs = probs[:, live]                     # (word, output) -> P^n(z | word)
+        self._column = {z: col for col, z in enumerate(map(tuple, zs[live].tolist()))}
+        self.dim = dim
+
+    def __contains__(self, z) -> bool:
+        return z in self._column
+
+    def __getitem__(self, z) -> np.ndarray:
+        return self.combine(self.probs[:, self._column[z]])
+
+    def __iter__(self):
+        return iter(self._column)
+
+    def __len__(self) -> int:
+        return len(self._column)
+
+    def word_sandwiches(self, w: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def combine(self, c: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def sandwiches(self, w: np.ndarray):
+        """(z, W^dagger C_z W) for every key z, spread over z one z at a time."""
+        s_words = self.word_sandwiches(w)
+        for z, col in self._column.items():
+            yield z, np.tensordot(self.probs[:, col], s_words, axes=1)
 
 
-def assemble_overall(instance: ProtocolInstance, p_zw: StochasticMap) -> dict:
-    """The overall sub-POVM {Lambda_hat_{z^n}} of the protocol (complete by construction)."""
-    p_ext = extend_map_to_field(p_zw, instance.params.p)
-    word_ops = _word_weight_ops(instance.mus, instance.params.num_mu)
-    return _spread_over_outputs(word_ops, p_ext, instance.params.n)
+class P2PCandidate(_SpreadCandidate):
+    """The point-to-point overall sub-POVM, kept as the bin factors of every mu.
+
+    C_word = (1/N) sum_mu [the completion I - G G^dagger if the word is mu's
+    w0, plus G_i G_i^dagger for every bin i of mu decoded to the word].  A bin
+    whose factor G_i is empty or zero is not stored, nor a word left without
+    an operator.
+    """
+
+    def __init__(self, mus: list, p_ext: StochasticMap, n: int):
+        index: dict = {}    # word -> its row in probs
+        self.parts = []     # per mu: (kept G_i side by side, completion row, row -> its columns)
+        for mu in mus:
+            comp = index.setdefault(mu.decode_table[0], len(index))
+            kept, columns, start = [], {}, 0
+            for word, g in zip(mu.decode_table[1:], mu.bin_factors):
+                if g.any():
+                    row = index.setdefault(word, len(index))
+                    columns.setdefault(row, []).extend(range(start, start + g.shape[1]))
+                    start += g.shape[1]
+                    kept.append(g)
+            self.parts.append((_hstack(kept, mu.dim), comp, columns))
+        self.weight = 1.0 / len(mus)
+        super().__init__(list(index), p_ext, n, mus[0].dim)
+
+    def word_sandwiches(self, w: np.ndarray) -> np.ndarray:
+        """W^dagger C_word W per stored word.
+
+        With P = G^dagger W, bin i gives P_i^dagger P_i (P_i its rows of P)
+        and the completion W^dagger W - P^dagger P.
+        """
+        r = w.shape[1]
+        gram = w.conj().T @ w
+        out = np.zeros((len(self.probs), r, r), dtype=complex)
+        for g, comp, columns in self.parts:
+            p = g.conj().T @ w
+            out[comp] += gram
+            out[comp] -= p.conj().T @ p
+            for row, cols in columns.items():
+                out[row] += p[cols].conj().T @ p[cols]
+        out *= self.weight
+        return out
+
+    def combine(self, c: np.ndarray) -> np.ndarray:
+        """sum_word c[word] C_word, dense.
+
+        Per mu, c_0 I + G diag(c[word of the column] - c_0) G^dagger, with c_0
+        the weight of mu's w0.
+        """
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for g, comp, columns in self.parts:
+            scale = np.full(g.shape[1], -c[comp])
+            for row, cols in columns.items():
+                scale[cols] += c[row]
+            out += (g * scale) @ g.conj().T
+            out[np.diag_indices(self.dim)] += c[comp]
+        return hermitian_part(self.weight * out)
+
+
+def assemble_overall(instance: ProtocolInstance, p_zw: StochasticMap) -> P2PCandidate:
+    """The overall sub-POVM {Lambda_hat_{z^n}} of the protocol (complete by construction).
+
+    Kept in factored form; ``candidate[z]`` builds a dense operator on demand.
+    """
+    return P2PCandidate(instance.mus, extend_map_to_field(p_zw, instance.params.p),
+                        instance.params.n)
 
 
 class ProductTarget(Mapping):
@@ -561,9 +714,9 @@ class ProductTarget(Mapping):
     def apply(self, z, vecs: np.ndarray) -> np.ndarray:
         """T_z @ vecs, one register at a time, without forming T_z."""
         d = self.singles[0].shape[0]
-        t = vecs.reshape((d,) * self.n + (vecs.shape[1],))
+        t = vecs
         for j, zj in enumerate(z):
-            t = np.moveaxis(np.tensordot(self.singles[zj], t, axes=([1], [j])), 0, j)
+            t = np.matmul(self.singles[zj], t.reshape(d ** j, d, -1))
         return t.reshape(vecs.shape)
 
     def traces(self, mat) -> np.ndarray:
@@ -638,7 +791,7 @@ def _sandwich(target: Mapping, z, w: np.ndarray):
 
 def _candidate_sandwiches(candidate: Mapping, w: np.ndarray):
     """(z, W^dagger C_z W) for every output z of the candidate."""
-    if isinstance(candidate, DistributedCandidate):
+    if isinstance(candidate, _SpreadCandidate):
         return candidate.sandwiches(w)
     return ((z, w.conj().T @ (c @ w)) for z, c in candidate.items())
 
@@ -654,7 +807,7 @@ def faithfulness(rho_n, target: Mapping, candidate: Mapping) -> float:
     and V_+ is an isometry), and the completion term is
     sum lambda_+ - sum_z Tr{W^dagger C_z W}.  A z with no candidate operator
     contributes Tr{T_z rho}, which is its trace norm because T_z >= 0.  A
-    ``ProductTarget`` is never expanded into dense T_z, a
+    ``ProductTarget`` is never expanded into dense T_z, a ``P2PCandidate`` or
     ``DistributedCandidate`` never into dense C_z.
     """
     state = rho_n if isinstance(rho_n, TensorPower) else TensorPower(rho_n, 1)
@@ -745,16 +898,7 @@ def decode_distributed(inst: DistributedInstance, i: int, j: int,
     return inst.decode_tables[(mu1, mu2)][(i, j)]
 
 
-def _interleave_ab(op: np.ndarray, da: int, db: int, n: int) -> np.ndarray:
-    """Reorder A^n (x) B^n into (A B)^n to match rho_AB^{(x) n}."""
-    dims = [da] * n + [db] * n
-    order = []
-    for j in range(n):
-        order += [j, n + j]
-    return permute_registers(op, dims, order)
-
-
-class DistributedCandidate(Mapping):
+class DistributedCandidate(_SpreadCandidate):
     """The distributed overall sub-POVM, kept as its per-side operators.
 
     C_z = sum_word P^n_{Z|W}(z | word) C_word on (H_A (x) H_B)^{(x) n}, where
@@ -762,10 +906,8 @@ class DistributedCandidate(Mapping):
     A_a (x) B_b: ``ops_a`` stacks the completion and bin operators of every
     mu1 on A^n, ``ops_b`` those of every mu2 on B^n, and ``weight`` is
     1/(N1 N2).  Pairs with a zero operator, and words left without a pair,
-    are not stored; the keys are the z of positive probability under a
-    stored word.  ``candidate[z]`` builds the dense operator in the
-    interleaved (AB)^n ordering; ``sandwiches`` gives every W^dagger C_z W
-    without forming it.
+    are not stored.  Dense operators, like W, are in the interleaved (AB)^n
+    ordering.
     """
 
     def __init__(self, ops_a, ops_b, word_pairs: dict, weight: float,
@@ -784,36 +926,15 @@ class DistributedCandidate(Mapping):
         self.weight = weight
         self.n = n
         self.dims = tuple(dims)
-        zs = _output_grid(p_ext, n)
-        probs = np.array([_output_probs(w, p_ext, zs)
-                          for w, keep in zip(words, stored) if keep]).reshape(-1, len(zs))
-        live = probs.sum(axis=0) > 0.0
-        self.probs = probs[:, live]                     # (word, output) -> P^n(z | word)
-        self._column = {z: col for col, z in enumerate(map(tuple, zs[live].tolist()))}
+        super().__init__([w for w, keep in zip(words, stored) if keep], p_ext, n,
+                         (self.dims[0] * self.dims[1]) ** n)
 
-    def __contains__(self, z) -> bool:
-        return z in self._column
-
-    def __getitem__(self, z) -> np.ndarray:
-        coeff = np.tensordot(self.probs[:, self._column[z]] * self.weight, self.counts, axes=1)
-        half = np.tensordot(coeff, self.ops_b, axes=([1], [0]))        # (a, k, l)
-        op = np.tensordot(self.ops_a, half, axes=([0], [0])).transpose(0, 2, 1, 3)
-        dim = op.shape[0] * op.shape[1]
-        return _interleave_ab(op.reshape(dim, dim), *self.dims, self.n)
-
-    def __iter__(self):
-        return iter(self._column)
-
-    def __len__(self) -> int:
-        return len(self._column)
-
-    def sandwiches(self, w: np.ndarray):
-        """(z, W^dagger C_z W) for every key z; W acts on (H_A (x) H_B)^{(x) n}, (AB)^n order.
+    def word_sandwiches(self, w: np.ndarray) -> np.ndarray:
+        """W^dagger C_word W per stored word; W acts on (H_A (x) H_B)^{(x) n}, (AB)^n order.
 
         With W read as (A^n, B^n, r), L_a = (A_a (x) I) W and R_b = (I (x) B_b) W
         give W^dagger (A_a (x) B_b) W = L_a^dagger R_b, so a word's
-        W^dagger C_word W is weight * sum_a L_a^dagger (sum_b counts[a, b] R_b);
-        these are spread over z by P^n_{Z|W} one z at a time.
+        W^dagger C_word W is weight * sum_a L_a^dagger (sum_b counts[a, b] R_b).
         """
         da, db = self.dims
         n, r = self.n, w.shape[1]
@@ -821,10 +942,23 @@ class DistributedCandidate(Mapping):
         t = w.reshape((da, db) * n + (r,)).transpose(order).reshape(da ** n, db ** n, r)
         left = np.einsum("iab,bcr->iacr", self.ops_a, t, optimize=True).conj()
         right = np.einsum("jcd,adr->jacr", self.ops_b, t, optimize=True)
-        s_words = np.array([np.tensordot(left, np.tensordot(m, right, axes=1),
-                                         axes=([0, 1, 2], [0, 1, 2])) for m in self.counts])
-        for z, col in self._column.items():
-            yield z, np.tensordot(self.probs[:, col] * self.weight, s_words, axes=1)
+        s_words = [np.tensordot(left, np.tensordot(m, right, axes=1), axes=([0, 1, 2], [0, 1, 2]))
+                   for m in self.counts]
+        return self.weight * np.array(s_words).reshape(-1, r, r)
+
+    def combine(self, c: np.ndarray) -> np.ndarray:
+        """sum_word c[word] C_word, dense: weight * sum_{a,b} m[a, b] A_a (x) B_b, m = c . counts.
+
+        Only the A_a with a nonzero row of m enter; the result is in (AB)^n order.
+        """
+        da, db = self.dims
+        n = self.n
+        m = self.weight * np.tensordot(c, self.counts, axes=1)
+        rows = np.flatnonzero(m.any(axis=1))
+        right = np.tensordot(m[rows], self.ops_b, axes=1)
+        op = np.einsum("aij,akl->ikjl", self.ops_a[rows], right).reshape(self.dim, self.dim)
+        order = [r for j in range(n) for r in (j, n + j)]
+        return permute_registers(op, [da] * n + [db] * n, order)
 
 
 def assemble_overall_distributed(inst: DistributedInstance,

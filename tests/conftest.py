@@ -57,6 +57,18 @@ def random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def rotated_qubit_problem():
+    """(rho, M): a qubit state and a projective measurement in a basis rotated against it.
+
+    The post-states are pure and do not commute with rho.  With n = 4, k = 0,
+    l = 3, p = 2, N = 2, eta = 0.1, delta = 0.6 and seed 1, pruning cuts 1 and
+    2 directions and 12 of the 16 bins are nonzero.
+    """
+    rho = DensityOperator(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]), (2,))
+    u = random_unitary(np.random.default_rng(5), 2)
+    return rho, Povm(tuple(np.outer(u[:, i], u[:, i].conj()) for i in range(2)))
+
+
 def random_consistent_quantities(rng, p=None):
     """A random InfoQuantities vector whose classical entries are the entropies
     of one underlying joint distribution on F_p x F_p (so the identities that

@@ -14,6 +14,7 @@ from conftest import (
     random_density,
     random_hermitian,
     random_psd,
+    rotated_qubit_problem,
 )
 from povmsim import lab, protocol, regions
 from povmsim.cli import bundled_example_path, default_covering_instance, load_problem, main
@@ -274,6 +275,23 @@ def test_protocol_sanity():
             f"faithfulness(target,target) <= {max(abs(v) for v in self_k):.1e}, "
             f"median K: n=2 -> {medians[2]:.4f}, n=5 -> {medians[5]:.4f} (non-increasing)",
             elapsed, 600.0)
+
+
+def test_p2p_faithfulness_pinned():
+    # K of the point-to-point protocol where pruning is partial and 12 of 16
+    # bins are nonzero; on the default and bundled problems every bin is 0,
+    # so their K sees only the completion.
+    t0 = time.perf_counter()
+    rho, m = rotated_qubit_problem()
+    params = protocol.ProtocolParams(n=4, k=0, l=3, p=2, num_mu=2, eta=0.1, delta=0.6, seed=1)
+    inst = protocol.build_instance(params, m, rho)
+    p_zw = StochasticMap((2,), 2, np.array([[0.9, 0.1], [0.2, 0.8]]))
+    k = protocol.faithfulness(protocol.TensorPower(rho, 4), protocol.target_overall(m, p_zw, 4),
+                              protocol.assemble_overall(inst, p_zw))
+    err = abs(k - 1.2029705627041585)
+    elapsed = time.perf_counter() - t0
+    _report("p2p faithfulness", err <= 1e-9,
+            f"rotated qubit at n=4: |K - pinned| = {err:.1e} (<= 1e-9)", elapsed, 60.0)
 
 
 def test_distributed_faithfulness_pinned(tmp_path):

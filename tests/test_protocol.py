@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_complete_povm, random_density, random_psd, random_unitary
+from conftest import (
+    random_complete_povm,
+    random_density,
+    random_psd,
+    random_unitary,
+    rotated_qubit_problem,
+)
 from povmsim import protocol
 from povmsim.cq import StochasticMap
 from povmsim.linalg import (
@@ -533,6 +539,133 @@ def test_factored_abar_matches_cut_post_state():
         assert np.linalg.norm(op - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+@pytest.fixture(scope="module")
+def rotated_instance():
+    rho, m = rotated_qubit_problem()
+    params = ProtocolParams(n=4, k=0, l=3, p=2, num_mu=2, eta=0.1, delta=0.6, seed=1)
+    return build_instance(params, m, rho)
+
+
+def test_factored_side_matches_dense_construction(rotated_instance):
+    # The dense construction: Pi_mu from eigh of I - B^dagger Sigma B on
+    # range(Pi_rho), A_w the Gram of Pi_mu X_w, bins, completion and defect
+    # sums of those.  On the default and bundled problems every bin is 0;
+    # here pruning is partial and bins survive.
+    inst = rotated_instance
+    eye = np.eye(inst.dim_n)
+    vals, vecs = np.linalg.eigh(inst.pi_rho)
+    basis = vecs[:, vals > 0.5]
+    cuts, live_bins, defect = [], 0, 0.0
+    for mu in inst.mus:
+        sigma = sum(mu.gamma[w] * inst.abar[w] for w in mu.a_ops)
+        vals, vecs = np.linalg.eigh(np.eye(basis.shape[1]) - basis.conj().T @ sigma @ basis)
+        v = basis @ vecs[:, vals >= -protocol.PRUNE_TOL]
+        pi_mu = v @ v.conj().T
+        a_ops = {w: pi_mu @ x @ (pi_mu @ x).conj().T for w, x in mu.factors.items()}
+        bins = [a_ops.get(tuple(int(x) for x in h), 0 * eye) for h in mu.code.h]  # k = 0
+        total = sum(bins)
+        defect = max(defect, max(0.0, max_eigenvalue(total - eye)))
+        cuts.append(basis.shape[1] - v.shape[1])
+        live_bins += sum(np.linalg.norm(b) > 1e-6 for b in bins)
+        assert np.allclose(mu.sigma, sigma, atol=1e-10)
+        assert np.allclose(mu.pi_mu, pi_mu, atol=1e-10)
+        assert set(mu.a_ops) == set(a_ops)
+        for w, op in a_ops.items():
+            assert np.allclose(mu.a_ops[w], op, atol=1e-10)
+        assert len(mu.bin_ops) == len(bins)
+        for got, want in zip(mu.bin_ops, bins):
+            assert np.allclose(got, want, atol=1e-10)
+        assert np.allclose(mu.completion, eye - total, atol=1e-10)
+    assert cuts == [1, 2] and live_bins == 12
+    assert inst.sub_povm_defect == pytest.approx(defect, abs=1e-10)
+
+
+def test_code_without_built_words_has_zero_defect():
+    # At n = 4 and delta = 0.25 only 6 of the 16 words are typical; with two
+    # words per code, mu = 1 builds none, so its Y and G have no columns.
+    params = ProtocolParams(n=4, k=0, l=1, p=2, num_mu=2, eta=0.1, delta=0.25, seed=1)
+    inst = build_instance(params, BASIS, MIXED)
+    assert [len(mu.factors) for mu in inst.mus] == [1, 0]
+    empty = inst.mus[1]
+    assert empty.v_cut.shape == (16, 0) and empty.defect == 0.0
+    assert all(g.shape == (16, 0) for g in empty.bin_factors)
+    assert np.allclose(empty.completion, np.eye(16))
+    assert inst.sub_povm_defect == 0.0
+    cand = assemble_overall(inst, IDENT_MAP)
+    target = target_overall(BASIS, IDENT_MAP, 4)
+    k = faithfulness(TensorPower(MIXED, 4), target, cand)
+    assert k == pytest.approx(faithfulness(TensorPower(MIXED, 4), target,
+                                           {z: cand[z] for z in cand}), abs=1e-10)
+
+
+@pytest.fixture(scope="module")
+def completion_only_instance():
+    # Like the default problem at n = 8: every bin is 0, some of them with
+    # columns that pruning zeroed.
+    return build_instance(ProtocolParams(n=3, k=0, l=2, p=2, num_mu=1, eta=0.1, delta=0.7,
+                                         seed=1), BASIS, MIXED)
+
+
+@pytest.mark.parametrize("instance, probs", [("rotated_instance", [[0.9, 0.1], [0.2, 0.8]]),
+                                             ("completion_only_instance", np.eye(2))])
+def test_p2p_candidate_matches_dense_reference(request, instance, probs):
+    # The factored candidate against (1/N) sum_mu of the dense completion and
+    # bins grouped by decoded word, spread over the outputs by P^n_{Z|W}.
+    # Under the identity map a zero bin's word would show up as an extra key.
+    inst = request.getfixturevalue(instance)
+    n = inst.params.n
+    p_zw = StochasticMap((2,), 2, np.asarray(probs, dtype=float))
+    cand = assemble_overall(inst, p_zw)
+    word_ops = {}
+    for mu in inst.mus:
+        for word, op in zip(mu.decode_table, [mu.completion] + mu.bin_ops):
+            word_ops[word] = word_ops.get(word, 0) + op / len(inst.mus)
+    ref = {}
+    for word, op in word_ops.items():
+        for z in itertools.product(range(2), repeat=n):
+            pr = np.prod([p_zw.probs[w, zj] for w, zj in zip(word, z)])
+            if np.any(op) and pr > 0.0:
+                ref[z] = ref.get(z, 0) + pr * op
+    assert set(cand) == set(ref) and len(cand) == len(ref)
+    rng = np.random.default_rng(0)
+    w = rng.standard_normal((inst.dim_n, 3)) + 1j * rng.standard_normal((inst.dim_n, 3))
+    sandwiches = dict(cand.sandwiches(w))
+    assert set(sandwiches) == set(ref)
+    for z, op in ref.items():
+        assert np.allclose(cand[z], op, atol=1e-12)
+        assert np.allclose(sandwiches[z], w.conj().T @ op @ w, atol=1e-10)
+
+
+def _assert_no_subnormals(arrays):
+    tiny = np.finfo(float).tiny
+    for a in arrays:
+        parts = np.abs(np.concatenate([np.real(a).ravel(), np.imag(a).ravel()]))
+        assert not np.any((parts > 0) & (parts < tiny))
+
+
+def _side_arrays(sides):
+    for s in sides:
+        yield s.typical
+        yield s.v_cut
+        yield from s.factors.values()
+        yield from s.a_factors.values()
+        yield from s.bin_factors
+
+
+def test_factors_carry_no_subnormals(example1, example2, rotated_instance):
+    # No dust below the smallest normal double may reach LAPACK from the side
+    # factors, the cut directions or the support factor of rho^{(x) n}.
+    inst = rotated_instance
+    _assert_no_subnormals(_side_arrays(inst.mus))
+    _assert_no_subnormals([TensorPower(inst.rho, inst.params.n).support()[0]])
+    for spec, p in ((example1, 2), (example2, 3)):
+        params = ProtocolParams(n=5, k=1, l=1, p=p, num_mu=2, eta=0.1, delta=0.5,
+                                seed=0, l2=1, num_mu2=2)
+        dist = build_distributed_instance(params, spec.m_a, spec.m_b, spec.rho_ab)
+        _assert_no_subnormals(_side_arrays(dist.side_a + dist.side_b))
+        _assert_no_subnormals([TensorPower(spec.rho_ab, 5).support()[0]])
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=20, deadline=None)
 def test_faithfulness_absent_candidate_is_target_trace(seed):
@@ -660,9 +793,16 @@ def test_p2p_invariants_generic(seed, p, rank_one):
     p_zw = StochasticMap((p,), 2, rng.dirichlet(np.ones(2), size=p))
     tgt = target_overall(m, p_zw, n)
     rho_n = kron_power(rho.mat, n)
-    k = faithfulness(rho_n, tgt, assemble_overall(inst, p_zw))
+    cand = assemble_overall(inst, p_zw)
+    k = faithfulness(rho_n, tgt, cand)
     assert -1e-9 <= k <= 2.0 + 1e-9
     assert abs(faithfulness(rho_n, tgt, tgt)) <= 1e-9
+    # The factored candidate and the tensor-power state agree with the dense
+    # candidate and state.
+    dense_cand = {z: cand[z] for z in cand}
+    assert faithfulness(TensorPower(rho, n), tgt, cand) == pytest.approx(k, abs=1e-10)
+    assert faithfulness(TensorPower(rho, n), tgt, dense_cand) == pytest.approx(k, abs=1e-10)
+    assert faithfulness(rho_n, tgt, dense_cand) == pytest.approx(k, abs=1e-10)
 
 
 @given(st.integers(0, 10_000), st.booleans())
