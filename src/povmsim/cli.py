@@ -137,7 +137,7 @@ REPORTED_VALUES = {
 def cmd_example(args) -> int:
     ident = args.id
     if ident == 3:
-        return _run_surface(args.grid, args.out or "example3_surface.csv")
+        return _run_surface(args.grid, 1.0, args.out, "example3_surface.csv")
     spec = load_problem(bundled_example_path(ident))
     checks = _validate_problem(spec, args.tolerance)
     q = regions.compute_distributed_quantities(
@@ -157,29 +157,38 @@ def cmd_example(args) -> int:
     return 0 if ok else 1
 
 
-def _run_surface(grid: int, out_path: str, span: float = 1.0) -> int:
+def _run_surface(grid: int, span: float, out: str | None, default_out: str) -> int:
+    """Scan the Bell state and write the CSV to ``out`` (or ``default_out``).
+
+    A grid with no valid point is refused with a JSON error to ``out``, or
+    to standard output when no ``--out`` was given.
+    """
+    if grid < 1:
+        return _refuse(f"--grid {grid} must be >= 1", EXIT_BAD_EXPERIMENT, out)
     bell = np.zeros((4, 4), dtype=complex)
     for i in (0, 3):
         for j in (0, 3):
             bell[i, j] = 0.5
     rho = DensityOperator(bell, (2, 2))
     axis = regions.symmetric_axis(grid, span)
-    points = regions.surface_scan(rho, (axis, axis, axis))
-    rows = regions.surface_to_csv_rows(points)
+    scan = regions.surface_scan(rho, (axis, axis, axis))
+    valid = int(scan.valid.sum())
+    if not valid:
+        return _refuse(f"the --grid {grid} --span {span} grid has no valid POVM point",
+                       EXIT_BAD_EXPERIMENT, out)
+    out_path = out or default_out
     with open(out_path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
-    gains = np.array([pt.gain if pt.valid else np.nan for pt in points])
-    valid = int(np.sum([pt.valid for pt in points]))
-    finite = gains[np.isfinite(gains)]
-    sign_change = bool(finite.size and finite.min() < 0 < finite.max())
-    print(f"surface scan: {len(points)} points, {valid} valid, "
+        fh.write("\n".join(regions.surface_to_csv_rows(scan)) + "\n")
+    finite = scan.gain[scan.valid]
+    sign_change = bool(finite.min() < 0 < finite.max())
+    print(f"surface scan: {len(scan)} points, {valid} valid, "
           f"gain range [{finite.min():.4f}, {finite.max():.4f}], "
           f"sign change: {sign_change}, csv: {out_path}")
     return 0 if sign_change else 1
 
 
 def cmd_surface(args) -> int:
-    return _run_surface(args.grid, args.out or "surface.csv", span=args.span)
+    return _run_surface(args.grid, args.span, args.out, "surface.csv")
 
 
 def _default_p2p_problem():
@@ -195,6 +204,7 @@ EXIT_NEEDS_L2 = 4
 EXIT_NO_SPEC = 5
 EXIT_BAD_PROTOCOL = 6    # the protocol construction rejected its parameters
 EXIT_BAD_SPEC = 7        # the problem file is not valid JSON or not a valid problem
+EXIT_BAD_EXPERIMENT = 8  # a lab command (surface, covering, pruning, ucc) rejected its parameters
 
 
 def _refuse(message: str, code: int, out_path: str | None) -> int:
@@ -304,12 +314,16 @@ def default_covering_instance(m: int) -> lab.CoveringInstance:
 
 
 def cmd_covering(args) -> int:
-    inst = default_covering_instance(args.M)
-    if args.sampler == "ucc":
-        sampler = lab.ucc_code_sampler(inst, p=2, n=2, k=args.k, l=args.l)
-    else:
-        sampler = lab.iid_code_sampler(inst)
-    rep = lab.covering_experiment(inst, trials=args.trials, seed=args.seed, sampler=sampler)
+    try:
+        inst = default_covering_instance(args.M)
+        if args.sampler == "ucc":
+            sampler = lab.ucc_code_sampler(inst, p=2, n=2, k=args.k, l=args.l)
+        else:
+            sampler = lab.iid_code_sampler(inst)
+        rep = lab.covering_experiment(inst, trials=args.trials, seed=args.seed,
+                                      sampler=sampler)
+    except ValueError as exc:
+        return _refuse(str(exc), EXIT_BAD_EXPERIMENT, args.out)
     _emit({"bound": rep.bound, "empirical_mean": rep.empirical_mean,
            "stderr": rep.stderr, "trials": rep.trials, "seed": rep.seed,
            "pass": rep.passed, "extras": rep.extras, "sampler": args.sampler}, args.out)
@@ -317,9 +331,12 @@ def cmd_covering(args) -> int:
 
 
 def cmd_pruning(args) -> int:
-    sampler = lab.ScaledWishartSampler(args.dim, args.shots, (1.0 - args.eta) / 2.0)
-    rep = lab.pruning_inequality_experiment(sampler, trials=args.trials,
-                                            eta=args.eta, seed=args.seed)
+    try:
+        sampler = lab.ScaledWishartSampler(args.dim, args.shots, (1.0 - args.eta) / 2.0)
+        rep = lab.pruning_inequality_experiment(sampler, trials=args.trials,
+                                                eta=args.eta, seed=args.seed)
+    except ValueError as exc:
+        return _refuse(str(exc), EXIT_BAD_EXPERIMENT, args.out)
     ok = (rep.pathwise_violations == 0 and rep.markov_violations == 0
           and rep.aggregate_ok and rep.precondition_ok)
     _emit({"trials": rep.trials, "seed": rep.seed, "eta": rep.eta,
@@ -331,32 +348,38 @@ def cmd_pruning(args) -> int:
 
 
 def cmd_ucc(args) -> int:
-    out: dict = {}
-    ok = True
-    if args.check_pairwise:
-        rep = codes.pairwise_independence_check(args.p, args.n, args.k, args.l)
-        out["pairwise"] = {"ensembles": rep.num_ensembles,
-                           "worst_single_deviation": rep.worst_single_deviation,
-                           "worst_pair_deviation": rep.worst_pair_deviation,
-                           "exact": rep.exact}
-        ok = ok and rep.exact
-        if args.p >= 3 and args.k >= 1:
-            wit = codes.three_way_dependence_report(args.p, args.n, args.k, args.l)
-            out["three_way_witness"] = {
-                "fires": wit.fires,
-                "relation_coeffs": list(wit.relation_coeffs),
-                "max_joint_deviation": wit.max_joint_deviation,
-            }
-            ok = ok and wit.fires
-    else:
+    if not codes.is_prime(args.p):
+        return _refuse(f"--p {args.p} is not prime", EXIT_NOT_PRIME, args.out)
+    try:
+        out, ok = _ucc_report(args)
+    except ValueError as exc:
+        return _refuse(str(exc), EXIT_BAD_EXPERIMENT, args.out)
+    _emit(out, args.out)
+    return 0 if ok else 1
+
+
+def _ucc_report(args) -> tuple[dict, bool]:
+    if not args.check_pairwise:
         spec = codes.CodeEnsembleSpec(args.p, args.n, args.k, args.l, N=1, seed=args.seed)
         code = codes.sample_ensemble(spec)[0]
         table = codes.multiplicity_table(code)
-        out["code"] = codes.code_to_json(code)
-        out["multiplicity_sum"] = sum(table.values())
-        ok = sum(table.values()) == args.p ** (args.k + args.l)
-    _emit(out, args.out)
-    return 0 if ok else 1
+        return ({"code": codes.code_to_json(code), "multiplicity_sum": sum(table.values())},
+                sum(table.values()) == args.p ** (args.k + args.l))
+    rep = codes.pairwise_independence_check(args.p, args.n, args.k, args.l)
+    out: dict = {"pairwise": {"ensembles": rep.num_ensembles,
+                              "worst_single_deviation": rep.worst_single_deviation,
+                              "worst_pair_deviation": rep.worst_pair_deviation,
+                              "exact": rep.exact}}
+    ok = rep.exact
+    if args.p >= 3 and args.k >= 1:
+        wit = codes.three_way_dependence_report(args.p, args.n, args.k, args.l)
+        out["three_way_witness"] = {
+            "fires": wit.fires,
+            "relation_coeffs": list(wit.relation_coeffs),
+            "max_joint_deviation": wit.max_joint_deviation,
+        }
+        ok = ok and wit.fires
+    return out, ok
 
 
 def cmd_fm(args) -> int:

@@ -8,13 +8,13 @@ integers with mod-p reduction.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 ENUMERATION_CAP = 2 ** 20        # cap on p**n for exhaustive sequence enumeration
 EXHAUSTIVE_ENSEMBLE_CAP = 2 ** 24  # cap on the number of (G, h) ensembles enumerated
+ENSEMBLE_BLOCK = 2048             # (G, h) ensembles per stacked pass of the exhaustive checks
 
 
 def is_prime(p: int) -> bool:
@@ -30,15 +30,6 @@ def require_prime(p: int) -> int:
     if not is_prime(int(p)):
         raise ValueError(f"{p} is not prime")
     return int(p)
-
-
-def int_to_vec(x: int, length: int, p: int) -> np.ndarray:
-    """Base-p digits of x, most significant first, as a length-``length`` vector."""
-    out = np.zeros(length, dtype=np.int64)
-    for j in range(length - 1, -1, -1):
-        out[j] = x % p
-        x //= p
-    return out
 
 
 def vec_to_int(v, p: int) -> int:
@@ -188,14 +179,46 @@ class PairwiseReport:
     exact: bool
 
 
-def _iter_ensembles(p: int, n: int, k: int, l: int):
-    """Yield every (G, h) pair of the grand ensemble; the caller checks the cap."""
-    num_shifts = p ** l
-    for g_idx in itertools.product(range(p ** n), repeat=k):
-        G = np.stack([int_to_vec(x, n, p) for x in g_idx]) if k else np.zeros((0, n), dtype=np.int64)
-        for h_idx in itertools.product(range(p ** n), repeat=num_shifts):
-            h = np.stack([int_to_vec(x, n, p) for x in h_idx])
-            yield G, h
+def codeword_indices(G, h, p: int) -> np.ndarray:
+    """Flat codeword indices of a stack of UCCs, in ``all_codewords`` order.
+
+    ``G`` is (B, k, n) and ``h`` is (B, p**l, n); row b of the result holds the
+    p**(k+l) words a G_b + h_b(i), each as its base-p integer (most
+    significant digit first), shape (B, p**(k+l)).
+    """
+    G = np.asarray(G, dtype=np.int64)
+    h = np.asarray(h, dtype=np.int64)
+    size, k, n = G.shape
+    base = all_vectors(k, p) @ G                                   # (B, p^k, n)
+    words = base[:, :, None, :] + h[:, None, :, :]                 # (B, p^k, p^l, n)
+    words %= p
+    return words.reshape(size, -1, n) @ (p ** np.arange(n - 1, -1, -1, dtype=np.int64))
+
+
+def _grand_ensemble(p: int, n: int, k: int, l: int):
+    """Iterator over the grand ensemble's (G, h) stacks, ENSEMBLE_BLOCK at a time.
+
+    Ensemble e is the base-p digit string of e split into the k rows of G and
+    the p**l rows of h, so the blocks run through ``all_vectors`` order.  The
+    parameters and the cap are checked before the iterator is returned.
+    """
+    require_prime(p)
+    if n < 1 or k < 0 or l < 0:
+        raise ValueError("the grand ensemble needs n >= 1 and k, l >= 0")
+    digits = k * n + (p ** l) * n
+    total = p ** digits
+    if total > EXHAUSTIVE_ENSEMBLE_CAP:
+        raise ValueError(
+            f"exhaustive enumeration needs {total} ensembles, above the cap "
+            f"{EXHAUSTIVE_ENSEMBLE_CAP}")
+    place = p ** np.arange(digits - 1, -1, -1, dtype=np.int64)
+
+    def block(start: int):
+        idx = np.arange(start, min(start + ENSEMBLE_BLOCK, total), dtype=np.int64)
+        vecs = (idx[:, None] // place) % p
+        return vecs[:, :k * n].reshape(idx.size, k, n), vecs[:, k * n:].reshape(idx.size, p ** l, n)
+
+    return map(block, range(0, total, ENSEMBLE_BLOCK))
 
 
 def pairwise_independence_check(p: int, n: int, k: int, l: int) -> PairwiseReport:
@@ -206,33 +229,21 @@ def pairwise_independence_check(p: int, n: int, k: int, l: int) -> PairwiseRepor
     pair of distinct indices the joint distribution.  Reports worst integer
     deviations from the exactly uniform counts (0 when the facts hold).
     """
-    require_prime(p)
-    total = p ** (k * n + n * (p ** l))
-    if total > EXHAUSTIVE_ENSEMBLE_CAP:
-        raise ValueError(
-            f"exhaustive enumeration needs {total} ensembles, above the cap "
-            f"{EXHAUSTIVE_ENSEMBLE_CAP}")
+    blocks = _grand_ensemble(p, n, k, l)
     num_words = p ** (k + l)
     space = p ** n
-    a_all = all_vectors(k, p)
-    pow_vec = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    c1_idx, c2_idx = np.meshgrid(np.arange(num_words), np.arange(num_words), indexing="ij")
-    off_diag = c1_idx != c2_idx
-    c1_idx, c2_idx = c1_idx[off_diag], c2_idx[off_diag]
+    c1_idx, c2_idx = np.nonzero(~np.eye(num_words, dtype=bool))
     pair_base = (c1_idx * num_words + c2_idx) * space * space
-    single_keys = []
-    pair_keys = []
-    count = 0
-    for G, h in _iter_ensembles(p, n, k, l):
-        count += 1
-        words = ((a_all @ G)[:, None, :] + h[None, :, :]) % p
-        flat = words.reshape(num_words, n) @ pow_vec
-        single_keys.append(np.arange(num_words) * space + flat)
-        pair_keys.append(pair_base + flat[c1_idx] * space + flat[c2_idx])
-    assert count == total
-    singles = np.bincount(np.concatenate(single_keys), minlength=num_words * space)
-    pairs = np.bincount(np.concatenate(pair_keys),
-                        minlength=num_words * num_words * space * space)
+    singles = np.zeros(num_words * space, dtype=np.int64)
+    pairs = np.zeros(num_words * num_words * space * space, dtype=np.int64)
+    total = 0
+    for G, h in blocks:
+        flat = codeword_indices(G, h, p)                              # (B, num_words)
+        total += flat.shape[0]
+        singles += np.bincount((np.arange(num_words) * space + flat).ravel(),
+                               minlength=singles.size)
+        pairs += np.bincount((pair_base + flat[:, c1_idx] * space + flat[:, c2_idx]).ravel(),
+                             minlength=pairs.size)
     exp_single = total // space
     exp_pair = total // (space * space)
     dev_single = int(np.max(np.abs(singles - exp_single)))
@@ -270,29 +281,29 @@ def three_way_dependence_report(p: int, n: int, k: int, l: int) -> DependenceWit
     require_prime(p)
     if p < 3 or k < 1:
         raise ValueError("a three-codeword dependence witness needs p >= 3 and k >= 1")
-    total = p ** (k * n + n * (p ** l))
-    if total > EXHAUSTIVE_ENSEMBLE_CAP:
-        raise ValueError("instance too large for exhaustive verification")
-    a0 = np.zeros(k, dtype=np.int64)
-    a1 = np.zeros(k, dtype=np.int64); a1[0] = 1
-    a2 = np.zeros(k, dtype=np.int64); a2[0] = 2
+    blocks = _grand_ensemble(p, n, k, l)
+    # a = 0, e_1 and 2 e_1 with coset 0; a = j e_1 is word row j p^(k-1) p^l.
+    a_ints = (0, p ** (k - 1), 2 * p ** (k - 1))
+    rows = [a * p ** l for a in a_ints]
     coeffs = (1, (-2) % p, 1)    # W(0,i) - 2 W(1,i) + W(2,i) = 0 mod p
     space = p ** n
-    joint = np.zeros((space, space, space), dtype=np.int64)
+    place = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    joint = np.zeros(space ** 3, dtype=np.int64)
     holds = True
-    pow_vec = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    for G, h in _iter_ensembles(p, n, k, l):
-        w0 = (a0 @ G + h[0]) % p
-        w1 = (a1 @ G + h[0]) % p
-        w2 = (a2 @ G + h[0]) % p
-        if np.any((coeffs[0] * w0 + coeffs[1] * w1 + coeffs[2] * w2) % p != 0):
+    total = 0
+    for G, h in blocks:
+        flat = codeword_indices(G, h, p)[:, rows]                     # (B, 3)
+        total += flat.shape[0]
+        digits = (flat[:, :, None] // place) % p                      # (B, 3, n)
+        if np.any(np.tensordot(digits, coeffs, axes=([1], [0])) % p != 0):
             holds = False
-        joint[int(w0 @ pow_vec), int(w1 @ pow_vec), int(w2 @ pow_vec)] += 1
+        joint += np.bincount(flat @ np.array([space * space, space, 1]),
+                             minlength=joint.size)
     expected = total / space ** 3
     dev = float(np.max(np.abs(joint - expected)))
     return DependenceWitness(
         p, n, k, l,
-        triple=((vec_to_int(a0, p), 0), (vec_to_int(a1, p), 0), (vec_to_int(a2, p), 0)),
+        triple=tuple((a, 0) for a in a_ints),
         relation_coeffs=coeffs,
         relation_holds_always=holds,
         max_joint_deviation=dev,

@@ -10,17 +10,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codes import all_vectors, require_prime
+from .codes import codeword_indices, require_prime
 from .linalg import (
     DensityOperator,
     Povm,
     hermitian_part,
     max_eigenvalue,
     partial_trace_mat,
-    pruning_projector,
     psd_sqrt,
     trace_norm,
 )
+
+TRIAL_BLOCK = 256     # Monte-Carlo trials per stacked numpy pass
 
 
 @dataclass(frozen=True)
@@ -126,14 +127,19 @@ def check_covering_hypotheses(inst: CoveringInstance, slack: float = 1e-9) -> Hy
 
 
 # -- code samplers ----------------------------------------------------------
+#
+# A code sampler is a callable sample(rng, size) -> (size, X) integer array:
+# row t holds how often each letter occurs among the M codewords of trial t.
+# Drawing a block of trials at once consumes the generator's stream exactly
+# as drawing the trials one after another would.
 
 def iid_code_sampler(inst: CoveringInstance):
     """Fully independent codewords from mu, returned as occupation counts."""
     mu = inst.mu
     m = inst.m
 
-    def sample(rng: np.random.Generator) -> np.ndarray:
-        return rng.multinomial(m, mu)
+    def sample(rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.multinomial(m, mu, size=size)
 
     return sample
 
@@ -147,17 +153,27 @@ def ucc_code_sampler(inst: CoveringInstance, p: int, n: int, k: int, l: int):
         raise ValueError("UCC sampler needs M = p**(k+l)")
     if np.max(np.abs(inst.mu - 1.0 / inst.alphabet_size)) > 1e-12:
         raise ValueError("UCC sampler needs a uniform sampling distribution")
-    a_all = all_vectors(k, p)
-    pow_vec = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    letters = inst.alphabet_size
 
-    def sample(rng: np.random.Generator) -> np.ndarray:
-        g = rng.integers(0, p, size=(k, n))
-        h = rng.integers(0, p, size=(p ** l, n))
-        words = ((a_all @ g)[:, None, :] + h[None, :, :]) % p
-        flat = words.reshape(-1, n) @ pow_vec
-        return np.bincount(flat, minlength=inst.alphabet_size)
+    def sample(rng: np.random.Generator, size: int) -> np.ndarray:
+        # Per trial: G is k*n draws, then h is p**l * n draws.
+        draws = rng.integers(0, p, size=(size, k * n + p ** l * n))
+        flat = codeword_indices(draws[:, :k * n].reshape(size, k, n),
+                                draws[:, k * n:].reshape(size, p ** l, n), p)
+        flat += letters * np.arange(size)[:, None]
+        return np.bincount(flat.ravel(), minlength=size * letters).reshape(size, letters)
 
     return sample
+
+
+def _blocks(trials: int):
+    """Sizes of the TRIAL_BLOCK-trial blocks that make up ``trials``."""
+    return [min(TRIAL_BLOCK, trials - start) for start in range(0, trials, TRIAL_BLOCK)]
+
+
+def _require_trials(trials: int) -> None:
+    if trials < 2:
+        raise ValueError(f"trials must be >= 2 for a standard error, got {trials}")
 
 
 @dataclass(frozen=True)
@@ -178,23 +194,21 @@ def covering_experiment(inst: CoveringInstance, trials: int, seed: int,
     The pass criterion allows 3 standard errors of statistical slack on top of
     the bound, which controls an expectation rather than single samples.
     """
-    if inst.m == 0:
-        raise ValueError("M must be positive")
+    _require_trials(trials)
     if sampler is None:
         sampler = iid_code_sampler(inst)
     rng = np.random.default_rng(seed)
-    target_raw = inst.sigma()
     tilde = inst.sigma_tilde()
-    target_cut = np.einsum("x,xij->ij", inst.lam, tilde)
+    targets = np.stack([inst.sigma(), np.einsum("x,xij->ij", inst.lam, tilde)])
+    states = np.stack([inst.sigmas, tilde])                          # (2, X, d, d)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(inst.mu > 0, inst.lam / np.where(inst.mu > 0, inst.mu, 1.0), 0.0)
-    raw_devs = np.empty(trials)
-    cut_devs = np.empty(trials)
-    for t in range(trials):
-        counts = sampler(rng)
-        weights = counts * ratio / inst.m
-        raw_devs[t] = trace_norm(target_raw - np.einsum("x,xij->ij", weights, inst.sigmas))
-        cut_devs[t] = trace_norm(target_cut - np.einsum("x,xij->ij", weights, tilde))
+    devs = []                                                        # (2, size) per block
+    for size in _blocks(trials):
+        weights = sampler(rng, size) * ratio / inst.m                # (size, X)
+        gaps = targets[:, None] - np.einsum("tx,vxij->vtij", weights, states)
+        devs.append(np.linalg.svd(gaps, compute_uv=False).sum(axis=-1))
+    raw_devs, cut_devs = np.concatenate(devs, axis=1)
     raw_mean, cut_mean = float(raw_devs.mean()), float(cut_devs.mean())
     raw_se = float(raw_devs.std(ddof=1) / np.sqrt(trials))
     cut_se = float(cut_devs.std(ddof=1) / np.sqrt(trials))
@@ -209,6 +223,10 @@ def covering_experiment(inst: CoveringInstance, trials: int, seed: int,
 
 
 # -- pruning trace inequalities ----------------------------------------------
+#
+# A pruning sampler has ``mean`` (E[X], d x d) and sample(rng, size), which
+# returns a (size, d, d) stack of samples, Hermitian up to rounding (the
+# experiment takes their Hermitian part).
 
 @dataclass(frozen=True)
 class ScaledWishartSampler:
@@ -218,14 +236,19 @@ class ScaledWishartSampler:
     shots: int
     scale: float
 
+    def __post_init__(self):
+        if self.dim < 1 or self.shots < 1:
+            raise ValueError("the Wishart sampler needs dim >= 1 and shots >= 1")
+
     @property
     def mean(self) -> np.ndarray:
         return self.scale * np.eye(self.dim)
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        g = (rng.standard_normal((self.dim, self.shots))
-             + 1j * rng.standard_normal((self.dim, self.shots))) / np.sqrt(2)
-        return hermitian_part((self.scale / self.shots) * (g @ g.conj().T))
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        # Per sample: the real parts of g, then its imaginary parts.
+        z = rng.standard_normal((size, 2, self.dim, self.shots))
+        g = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)
+        return (self.scale / self.shots) * (g @ g.conj().swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -243,28 +266,36 @@ class PruningReport:
 
 def pruning_inequality_experiment(sampler, trials: int, eta: float,
                                   seed: int = 0) -> PruningReport:
-    """Pathwise and aggregate pruning inequalities on random PSD samples."""
+    """Pathwise and aggregate pruning inequalities on random PSD samples.
+
+    P projects onto the eigenvalues >= -1e-10 of I - X, so Tr{I-P} counts the
+    eigenvalues of X above 1 by that margin; X not<= I means an eigenvalue of
+    X - I above 1e-12.  Both come from one eigvalsh of each stacked I - X.
+    """
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
+    _require_trials(trials)
     rng = np.random.default_rng(seed)
-    pre_ok = max_eigenvalue(sampler.mean - (1.0 - eta) * np.eye(sampler.mean.shape[0])) <= 1e-9
     mean_x = sampler.mean
-    cuts = np.empty(trials)
-    diffs = np.empty(trials)    # Tr{I-P} - (1/eta)||X - E[X]||_1 per trial
+    eye = np.eye(mean_x.shape[0])
+    pre_ok = max_eigenvalue(mean_x - (1.0 - eta) * eye) <= 1e-9
+    cuts, diffs = [], []   # Tr{I-P} and Tr{I-P} - (1/eta)||X - E[X]||_1 per trial
     path_viol = 0
     markov_viol = 0
-    for t in range(trials):
-        x = sampler.sample(rng)
-        proj = pruning_projector(x)
-        cut = float(np.trace(np.eye(x.shape[0]) - proj).real)
-        cuts[t] = cut
-        if cut > float(np.trace(x).real) + 1e-9:
-            path_viol += 1
-        not_below_identity = max_eigenvalue(x - np.eye(x.shape[0])) > 1e-12
-        if float(not_below_identity) > cut + 1e-9:
-            markov_viol += 1
-        diffs[t] = cut - trace_norm(x - mean_x) / eta
-    se = float(diffs.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    for size in _blocks(trials):
+        x = sampler.sample(rng, size)
+        x = (x + x.conj().swapaxes(-1, -2)) / 2
+        spec = np.linalg.eigvalsh(eye - x)                            # (size, d)
+        cut = np.count_nonzero(spec < -1e-10, axis=1).astype(float)
+        trace_x = np.trace(x, axis1=1, axis2=2).real
+        path_viol += int(np.count_nonzero(cut > trace_x + 1e-9))
+        not_below_identity = (-spec[:, 0] > 1e-12).astype(float)
+        markov_viol += int(np.count_nonzero(not_below_identity > cut + 1e-9))
+        gap_norm = np.abs(np.linalg.eigvalsh(x - mean_x)).sum(axis=1)
+        cuts.append(cut)
+        diffs.append(cut - gap_norm / eta)
+    cuts, diffs = np.concatenate(cuts), np.concatenate(diffs)
+    se = float(diffs.std(ddof=1) / np.sqrt(trials))
     aggregate_ok = float(diffs.mean()) <= 3 * se
     return PruningReport(trials, seed, eta, path_viol, markov_viol,
                          float(cuts.mean()),

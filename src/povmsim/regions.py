@@ -23,7 +23,7 @@ from .cq import (
     rename_register,
     with_derived_register,
 )
-from .linalg import DensityOperator, Povm, entropy_bits, trace_norm
+from .linalg import LOG2, DensityOperator, Povm, trace_norm
 
 MEMBERSHIP_SLACK = 1e-9
 
@@ -382,8 +382,46 @@ class SurfacePoint:
     gain: float   # nan when invalid
 
 
-def _theta_povm_element(t1: float, t2: float, t3: float) -> np.ndarray:
-    return np.array([[t1, t2 + 1j * t3], [t2 - 1j * t3, 1.0 - t1]], dtype=complex)
+@dataclass(frozen=True)
+class SurfaceScan:
+    """The scanned grid in columns, theta3 varying fastest, then theta2, then theta1.
+
+    ``axes`` holds the three theta grids; ``theta1``/``theta2``/``theta3`` are
+    the per-point columns.  Indexing and iteration give ``SurfacePoint``s.
+    """
+
+    axes: tuple            # (theta1 grid, theta2 grid, theta3 grid)
+    valid: np.ndarray      # (P,) bool
+    gain: np.ndarray       # (P,) float, nan where invalid
+
+    def _column(self, i: int) -> np.ndarray:
+        return np.meshgrid(*self.axes, indexing="ij")[i].ravel()
+
+    @property
+    def theta1(self) -> np.ndarray:
+        return self._column(0)
+
+    @property
+    def theta2(self) -> np.ndarray:
+        return self._column(1)
+
+    @property
+    def theta3(self) -> np.ndarray:
+        return self._column(2)
+
+    def __len__(self) -> int:
+        return self.valid.size
+
+    def __getitem__(self, i: int) -> SurfacePoint:
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"point {i} outside a scan of {len(self)}")
+        i1, i2, i3 = np.unravel_index(i % len(self), tuple(a.size for a in self.axes))
+        return SurfacePoint(float(self.axes[0][i1]), float(self.axes[1][i2]),
+                            float(self.axes[2][i3]), bool(self.valid[i]),
+                            float(self.gain[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 def symmetric_axis(points: int, span: float = 1.0) -> np.ndarray:
@@ -398,53 +436,68 @@ def symmetric_axis(points: int, span: float = 1.0) -> np.ndarray:
     return np.concatenate([-half[:0:-1], half])
 
 
+def _entropy_bits_rows(probs: np.ndarray) -> np.ndarray:
+    """``entropy_bits`` of each row, with the same 1e-15 floor."""
+    keep = probs > 1e-15
+    terms = np.where(keep, probs * np.log(np.where(keep, probs, 1.0)), 0.0)
+    return -terms.sum(axis=-1) / LOG2
+
+
 def surface_scan(rho_ab: DensityOperator, theta_grid, p_zst=None,
-                 field_p: int = 3) -> list[SurfacePoint]:
+                 field_p: int = 3) -> SurfaceScan:
     """Gain indicator over a (theta1, theta2, theta3) grid of two-outcome POVMs.
 
     Each theta triple parametrizes Lambda_0 = [[t1, t2+i t3], [t2-i t3, 1-t1]]
     with Lambda_1 = I - Lambda_0; both must be PSD for a valid point.  U and V
     are the outcomes embedded in F_p (default F_3, the OR-structure embedding)
     and the indicator is 2 S(U+V) - S(U,V) of the exact joint outcome
-    distribution.  ``p_zst`` is accepted for interface uniformity; the
-    indicator does not depend on it.  Invalid points are flagged, not dropped.
+    distribution Tr{(Lambda_s (x) Lambda_t) rho_AB}.  ``p_zst`` is accepted for
+    interface uniformity; the indicator does not depend on it.  Invalid points
+    are flagged, not dropped.
     """
-    t1s, t2s, t3s = (np.asarray(g, dtype=float) for g in theta_grid)
-    rho = rho_ab.mat
+    axes = tuple(np.asarray(g, dtype=float).ravel() for g in theta_grid)
     da, db = rho_ab.register_dims
     if (da, db) != (2, 2):
         raise ValueError("the theta parametrization is for two-qubit states")
-    out = []
-    for t1 in t1s:
-        for t2 in t2s:
-            for t3 in t3s:
-                lam0 = _theta_povm_element(t1, t2, t3)
-                # PSD of lam0 and I - lam0: diagonal in [0,1] and det >= 0.
-                det = t1 * (1.0 - t1) - (t2 * t2 + t3 * t3)
-                if not (0.0 <= t1 <= 1.0 and det >= 0.0):
-                    out.append(SurfacePoint(t1, t2, t3, False, float("nan")))
-                    continue
-                lam1 = np.eye(2) - lam0
-                joint = np.zeros((2, 2))
-                for s, ls in enumerate((lam0, lam1)):
-                    for t, lt in enumerate((lam0, lam1)):
-                        joint[s, t] = float(np.trace(np.kron(ls, lt) @ rho).real)
-                joint = np.clip(joint, 0.0, None)
-                joint /= joint.sum()
-                wdist = np.zeros(field_p)
-                for s in range(2):
-                    for t in range(2):
-                        wdist[(s + t) % field_p] += joint[s, t]
-                gain = 2.0 * entropy_bits(wdist) - entropy_bits(joint)
-                out.append(SurfacePoint(float(t1), float(t2), float(t3), True, gain))
-    return out
+    t1, t2, t3 = (c.ravel() for c in np.meshgrid(*axes, indexing="ij"))
+    # PSD of Lambda_0 and I - Lambda_0: diagonal in [0,1] and det >= 0.
+    det = t1 * (1.0 - t1) - (t2 * t2 + t3 * t3)
+    valid = (0.0 <= t1) & (t1 <= 1.0) & (det >= 0.0)
+    t1, t2, t3 = t1[valid], t2[valid], t3[valid]
+    lam0 = np.empty((t1.size, 2, 2), dtype=complex)
+    lam0[:, 0, 0] = t1
+    lam0[:, 0, 1] = t2 + 1j * t3
+    lam0[:, 1, 0] = t2 - 1j * t3
+    lam0[:, 1, 1] = 1.0 - t1
+    lam = np.stack([lam0, np.eye(2) - lam0], axis=1)          # (P, 2, 2, 2)
+    # Tr{(L_s (x) L_t) rho} = sum L_s[a, c] L_t[b, d] rho[(c, d), (a, b)].
+    joint = np.einsum("psac,ptbd,cdab->pst", lam, lam,
+                      rho_ab.mat.reshape(2, 2, 2, 2), optimize=True).real
+    joint = np.clip(joint, 0.0, None).reshape(-1, 4)
+    joint /= joint.sum(axis=1, keepdims=True)
+    wdist = np.zeros((joint.shape[0], field_p))
+    for s in range(2):
+        for t in range(2):
+            wdist[:, (s + t) % field_p] += joint[:, 2 * s + t]
+    gain = np.full(valid.size, np.nan)
+    gain[valid] = 2.0 * _entropy_bits_rows(wdist) - _entropy_bits_rows(joint)
+    return SurfaceScan(axes, valid, gain)
 
 
-def surface_to_csv_rows(points) -> list[str]:
+def surface_to_csv_rows(scan: SurfaceScan) -> list[str]:
+    """Header plus one row per point; each axis value is formatted once."""
+    cols = [["%.6f" % v for v in axis.tolist()] for axis in scan.axes]
+    flags = np.where(scan.valid, "1,", "0,").tolist()
+    gains = iter(["%.12f" % g for g in scan.gain[scan.valid].tolist()])
     rows = ["theta1,theta2,theta3,valid,gain_indicator"]
-    for pt in points:
-        gain = "" if not pt.valid else f"{pt.gain:.12f}"
-        rows.append(f"{pt.theta1:.6f},{pt.theta2:.6f},{pt.theta3:.6f},{int(pt.valid)},{gain}")
+    i = 0
+    for a in cols[0]:
+        for b in cols[1]:
+            prefix = f"{a},{b},"
+            for c in cols[2]:
+                flag = flags[i]
+                rows.append(prefix + c + "," + flag + (next(gains) if flag == "1," else ""))
+                i += 1
     return rows
 
 

@@ -1,0 +1,157 @@
+"""Per-trial, per-point and per-ensemble loop references for the batched lab paths.
+
+Each function here is the straightforward loop that ``lab``, ``regions`` and
+``codes`` replace with stacked numpy passes: one random draw, one small
+eigendecomposition or one trace per trial, grid point or ensemble.  The
+tests compare the batched results against them.
+"""
+
+import itertools
+
+import numpy as np
+
+from povmsim.linalg import entropy_bits, max_eigenvalue, pruning_projector, trace_norm
+
+
+def _all_a(p, k):
+    """Every a in F_p^k, lexicographic, shape (p**k, k)."""
+    return np.array(list(itertools.product(range(p), repeat=k)), dtype=np.int64).reshape(p ** k, k)
+
+
+# -- covering ------------------------------------------------------------------
+
+def iid_draw(inst):
+    """One trial of the i.i.d. sampler: occupation counts of M draws from mu."""
+    return lambda rng: rng.multinomial(inst.m, inst.mu)
+
+
+def ucc_draw(inst, p, n, k, l):
+    """One trial of the UCC sampler: a fresh G, then a fresh shift table h."""
+    a_all = _all_a(p, k)
+    pow_vec = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+    def draw(rng):
+        g = rng.integers(0, p, size=(k, n))
+        h = rng.integers(0, p, size=(p ** l, n))
+        words = ((a_all @ g)[:, None, :] + h[None, :, :]) % p
+        return np.bincount(words.reshape(-1, n) @ pow_vec, minlength=inst.alphabet_size)
+
+    return draw
+
+
+def covering_loop(inst, trials, seed, draw):
+    """(raw deviations, cut deviations), one trace norm per trial and version."""
+    rng = np.random.default_rng(seed)
+    tilde = inst.sigma_tilde()
+    target_raw = inst.sigma()
+    target_cut = np.einsum("x,xij->ij", inst.lam, tilde)
+    ratio = np.where(inst.mu > 0, inst.lam / np.where(inst.mu > 0, inst.mu, 1.0), 0.0)
+    raw, cut = np.empty(trials), np.empty(trials)
+    for t in range(trials):
+        weights = draw(rng) * ratio / inst.m
+        raw[t] = trace_norm(target_raw - np.einsum("x,xij->ij", weights, inst.sigmas))
+        cut[t] = trace_norm(target_cut - np.einsum("x,xij->ij", weights, tilde))
+    return raw, cut
+
+
+# -- pruning -------------------------------------------------------------------
+
+def wishart_draw(sampler):
+    """One trial of ScaledWishartSampler: the real parts of g, then the imaginary."""
+    def draw(rng):
+        g = (rng.standard_normal((sampler.dim, sampler.shots))
+             + 1j * rng.standard_normal((sampler.dim, sampler.shots))) / np.sqrt(2)
+        return (sampler.scale / sampler.shots) * (g @ g.conj().T)
+    return draw
+
+
+def pruning_loop(mean, trials, eta, seed, draw):
+    """Per-trial pruning projector, pathwise and Markov checks, and trace norm."""
+    rng = np.random.default_rng(seed)
+    cuts, diffs = np.empty(trials), np.empty(trials)
+    path_viol = markov_viol = 0
+    for t in range(trials):
+        x = draw(rng)
+        eye = np.eye(x.shape[0])
+        cut = float(np.trace(eye - pruning_projector(x)).real)
+        cuts[t] = cut
+        if cut > float(np.trace(x).real) + 1e-9:
+            path_viol += 1
+        if float(max_eigenvalue(x - eye) > 1e-12) > cut + 1e-9:
+            markov_viol += 1
+        diffs[t] = cut - trace_norm(x - mean) / eta
+    se = float(diffs.std(ddof=1) / np.sqrt(trials))
+    return {"pathwise_violations": path_viol, "markov_violations": markov_viol,
+            "mean_cut": float(cuts.mean()), "mean_bound": float(cuts.mean() - diffs.mean()),
+            "aggregate_ok": bool(diffs.mean() <= 3 * se)}
+
+
+# -- surface scan --------------------------------------------------------------
+
+def surface_point(rho, t1, t2, t3, field_p=3):
+    """(valid, gain) of one theta triple from Tr{(L_s (x) L_t) rho}."""
+    det = t1 * (1.0 - t1) - (t2 * t2 + t3 * t3)
+    if not (0.0 <= t1 <= 1.0 and det >= 0.0):
+        return False, float("nan")
+    lam0 = np.array([[t1, t2 + 1j * t3], [t2 - 1j * t3, 1.0 - t1]], dtype=complex)
+    lams = (lam0, np.eye(2) - lam0)
+    joint = np.array([[np.trace(np.kron(ls, lt) @ rho).real for lt in lams] for ls in lams])
+    joint = np.clip(joint, 0.0, None)
+    joint /= joint.sum()
+    wdist = np.zeros(field_p)
+    for s in range(2):
+        for t in range(2):
+            wdist[(s + t) % field_p] += joint[s, t]
+    return True, 2.0 * entropy_bits(wdist) - entropy_bits(joint)
+
+
+# -- code ensembles ------------------------------------------------------------
+
+def grand_ensemble(p, n, k, l):
+    """Every (G, h) of the grand ensemble, one at a time."""
+    vecs = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64)
+    for g_rows in itertools.product(range(p ** n), repeat=k):
+        G = vecs[list(g_rows)].reshape(k, n)
+        for h_rows in itertools.product(range(p ** n), repeat=p ** l):
+            yield G, vecs[list(h_rows)]
+
+
+def _words(G, h, p):
+    a_all = _all_a(p, G.shape[0])
+    return (((a_all @ G)[:, None, :] + h[None, :, :]) % p).reshape(-1, G.shape[1])
+
+
+def pairwise_deviations(p, n, k, l):
+    """(ensembles, worst single deviation, worst pair deviation) by brute force."""
+    num_words, space = p ** (k + l), p ** n
+    pow_vec = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    singles = np.zeros((num_words, space), dtype=np.int64)
+    pairs = np.zeros((num_words, num_words, space, space), dtype=np.int64)
+    total = 0
+    for G, h in grand_ensemble(p, n, k, l):
+        total += 1
+        flat = _words(G, h, p) @ pow_vec
+        singles[np.arange(num_words), flat] += 1
+        for i in range(num_words):
+            for j in range(num_words):
+                if i != j:
+                    pairs[i, j, flat[i], flat[j]] += 1
+    off = ~np.eye(num_words, dtype=bool)
+    dev_pair = int(np.abs(pairs[off] - total // space ** 2).max()) if num_words > 1 else 0
+    return total, int(np.abs(singles - total // space).max()), dev_pair
+
+
+def three_way_counts(p, n, k, l):
+    """(relation holds on every ensemble, max |joint count - uniform|) by brute force."""
+    space = p ** n
+    pow_vec = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    rows = [j * p ** (k - 1) * p ** l for j in range(3)]     # a = 0, e_1, 2 e_1; coset 0
+    joint = np.zeros((space,) * 3, dtype=np.int64)
+    holds = True
+    total = 0
+    for G, h in grand_ensemble(p, n, k, l):
+        total += 1
+        w0, w1, w2 = _words(G, h, p)[rows]
+        holds = holds and not np.any((w0 - 2 * w1 + w2) % p)
+        joint[w0 @ pow_vec, w1 @ pow_vec, w2 @ pow_vec] += 1
+    return holds, float(np.abs(joint - total / space ** 3).max())

@@ -1,9 +1,14 @@
+import ast
+import hashlib
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from povmsim.cli import (
+    EXIT_BAD_EXPERIMENT,
     EXIT_BAD_PROTOCOL,
     EXIT_BAD_SPEC,
     EXIT_NEEDS_L2,
@@ -196,6 +201,60 @@ def test_malformed_spec_file_is_refused(tmp_path, command, case, phrase):
     assert phrase in json.loads(out.read_text())["error"]
     assert EXIT_BAD_SPEC not in {0, 1, 2, EXIT_NOT_PRIME, EXIT_NEEDS_L2, EXIT_NO_SPEC,
                                  EXIT_BAD_PROTOCOL}
+
+
+@pytest.mark.parametrize("argv, phrase", [
+    (["surface", "--grid", "2"], "no valid POVM point"),
+    (["covering", "--M", "0"], "M must be >= 1"),
+    (["covering", "--trials", "1"], "trials must be >= 2"),
+    (["covering", "--sampler", "ucc", "--M", "16", "--k", "1", "--l", "1"], "M = p**(k+l)"),
+    (["pruning", "--eta", "1.5"], "eta must lie in (0, 1)"),
+    (["pruning", "--trials", "0"], "trials must be >= 2"),
+    (["ucc", "--p", "2", "--n", "5", "--k", "3", "--l", "3", "--check-pairwise"], "above the cap"),
+], ids=["surface-no-valid-point", "covering-M0", "covering-trials1", "covering-ucc-M",
+        "pruning-eta", "pruning-trials0", "ucc-over-cap"])
+def test_lab_commands_refuse_bad_experiments(tmp_path, argv, phrase):
+    out = tmp_path / "err.json"
+    assert run(argv + ["--out", str(out)]) == EXIT_BAD_EXPERIMENT
+    assert phrase in json.loads(out.read_text())["error"]
+    assert EXIT_BAD_EXPERIMENT not in {0, 1, 2, EXIT_NOT_PRIME, EXIT_NEEDS_L2, EXIT_NO_SPEC,
+                                       EXIT_BAD_PROTOCOL, EXIT_BAD_SPEC}
+
+
+def test_ucc_refuses_non_prime_p(tmp_path):
+    out = tmp_path / "err.json"
+    assert run(["ucc", "--p", "4", "--n", "2", "--k", "1", "--l", "1", "--check-pairwise",
+                "--out", str(out)]) == EXIT_NOT_PRIME
+    assert "not prime" in json.loads(out.read_text())["error"]
+
+
+def test_surface_refusal_without_out_prints_json(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["surface", "--grid", "2"]) == EXIT_BAD_EXPERIMENT
+    assert "error" in json.loads(capsys.readouterr().out)
+    assert not (tmp_path / "surface.csv").exists()
+
+
+def test_surface_csv_pinned(tmp_path):
+    out = tmp_path / "scan.csv"
+    assert run(["surface", "--grid", "9", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "7440b463e06c3dbaeaa1563d19d79f75fdb3a851228eefd176fc9f71f648a4f6"
+
+
+def test_benchmark_wrapped_names_exist():
+    # The benchmark's tracer replaces these names at run time; a missing one
+    # crashes a traced run.  WRAPPED is read from the source, not imported.
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    tree = ast.parse(spans.read_text())
+    wrapped = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "WRAPPED" for t in node.targets))
+    assert {"linalg", "lab", "codes", "regions", "cli"} <= set(wrapped)
+    for layer, names in wrapped.items():
+        module = importlib.import_module(f"povmsim.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"
 
 
 def test_covering_command(tmp_path):

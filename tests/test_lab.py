@@ -148,8 +148,8 @@ def test_covering_reproducible():
 def test_pruning_deterministic_zero():
     class Zero:
         mean = np.zeros((2, 2))
-        def sample(self, rng):
-            return np.zeros((2, 2))
+        def sample(self, rng, size):
+            return np.zeros((size, 2, 2))
     rep = pruning_inequality_experiment(Zero(), trials=5, eta=0.5, seed=0)
     assert rep.pathwise_violations == 0
     assert rep.mean_cut == pytest.approx(0.0)
@@ -160,8 +160,8 @@ def test_pruning_hand_eigencalc():
     # one direction so Tr{I-P} = 1 <= Tr{X} = 2.
     class Fixed:
         mean = np.diag([0.4, 0.4])
-        def sample(self, rng):
-            return np.diag([2.0, 0.0]).astype(complex)
+        def sample(self, rng, size):
+            return np.tile(np.diag([2.0, 0.0]).astype(complex), (size, 1, 1))
     rep = pruning_inequality_experiment(Fixed(), trials=3, eta=0.5, seed=0)
     assert rep.pathwise_violations == 0
     assert rep.markov_violations == 0
