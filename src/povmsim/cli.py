@@ -8,6 +8,7 @@ deterministic under --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -158,20 +159,20 @@ def cmd_example(args) -> int:
 
 
 def _run_surface(grid: int, span: float, out: str | None, default_out: str) -> int:
-    """Scan the Bell state and write the CSV to ``out`` (or ``default_out``).
+    """Scan the state of ``example3.json`` and write the CSV to ``out`` (or ``default_out``).
 
-    A grid with no valid point is refused with a JSON error to ``out``, or
-    to standard output when no ``--out`` was given.
+    The file gives the state (``rho``, ``dims``) and the field F_p that the
+    outcomes are embedded in; the grid comes from the flags.  A grid with no
+    valid point is refused with a JSON error to ``out``, or to standard
+    output when no ``--out`` was given.
     """
     if grid < 1:
         return _refuse(f"--grid {grid} must be >= 1", EXIT_BAD_EXPERIMENT, out)
-    bell = np.zeros((4, 4), dtype=complex)
-    for i in (0, 3):
-        for j in (0, 3):
-            bell[i, j] = 0.5
-    rho = DensityOperator(bell, (2, 2))
+    with open(bundled_example_path(3)) as fh:
+        d = json.load(fh)
+    rho = DensityOperator(mat_from_json(d["rho"]), tuple(d["dims"]))
     axis = regions.symmetric_axis(grid, span)
-    scan = regions.surface_scan(rho, (axis, axis, axis))
+    scan = regions.surface_scan(rho, (axis, axis, axis), field_p=int(d["p"]))
     valid = int(scan.valid.sum())
     if not valid:
         return _refuse(f"the --grid {grid} --span {span} grid has no valid POVM point",
@@ -465,8 +466,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser tree, built on the first call and shared by every later ``main``."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

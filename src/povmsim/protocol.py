@@ -446,8 +446,10 @@ def _code_side(code: UccCode, gamma: dict, factors: dict, typical: np.ndarray) -
     dim = typical.shape[0]
     own = {w: x for w, x in factors.items() if w in gamma}
     v_cut = _cut_directions(_sigma_factor(own, gamma, dim))
-    v_adj = v_cut.conj().T
-    a_factors = {w: x - v_cut @ (v_adj @ x) for w, x in own.items()}
+    x = _hstack(own.values(), dim)
+    f = x - v_cut @ (v_cut.conj().T @ x)     # every F_w side by side, in one product
+    ends = np.cumsum([x_w.shape[1] for x_w in own.values()])
+    a_factors = dict(zip(own, np.split(f, ends[:-1], axis=1)))
     bin_factors = [_hstack([a_factors[w] for w in ws if w in a_factors], dim)
                    for ws in _bin_words(code)]
     g = _hstack(bin_factors, dim)
@@ -467,22 +469,34 @@ def _build_side(ens: CanonicalEnsemble, tset: TypicalSet, rho_mat: np.ndarray, c
     typical columns and c_w = lambda_{w^n} p^n / ((1 + eta) p^kl).  Each
     code's operators are kept as factors (see ``SideData``), for the words
     of that code only.
+
+    X_w depends on w only through its type up to a reordering of the
+    registers, as Pi_rho and Q are invariant under register permutations:
+    X_w is built once for the sorted word of its type class and every other
+    word of the class permutes that factor's register axes.
     """
-    n = params.n
+    n, d = params.n, rho_mat.shape[0]
     u, inv = _typical_factor(rho_mat, n, params.delta)
     u_inv, u_adj = u * inv, u.conj().T
     norm = params.p ** n / ((1.0 + params.eta) * params.p ** kl)
     gammas = [multiplicity_table(c) for c in codes]
     used = set().union(*gammas)
     spectra = [_spectrum(s) for s in ens.post_states]
-    idx = all_vectors(n, rho_mat.shape[0])
+    idx = all_vectors(n, d)
+    by_type = {}    # sorted word -> its X, read as (d,) * n + (columns,)
     factors = {}
     for w in tset.members:
-        lam = ens.weight_of(w)
-        if w in used and lam > 0.0:
-            cols, eig = _cond_typical_columns(spectra, w, params.delta, idx)
-            x = cols * np.sqrt(np.clip(eig, 0.0, None) * (norm * lam))
-            factors[w] = u_inv @ (u_adj @ x)
+        if w not in used or ens.weight_of(w) <= 0.0:
+            continue
+        order = np.argsort(w, kind="stable")
+        rep = tuple(w[j] for j in order)
+        if rep not in by_type:
+            cols, eig = _cond_typical_columns(spectra, rep, params.delta, idx)
+            x = cols * np.sqrt(np.clip(eig, 0.0, None) * (norm * ens.weight_of(rep)))
+            by_type[rep] = (u_inv @ (u_adj @ x)).reshape((d,) * n + (x.shape[1],))
+        # Register j of the sorted word holds the letter at w's position order[j].
+        x = by_type[rep]
+        factors[w] = x.transpose(tuple(np.argsort(order)) + (n,)).reshape(d ** n, x.shape[-1])
     sides = [_code_side(c, g, factors, u) for c, g in zip(codes, gammas)]
     return u, factors, sides
 
@@ -497,7 +511,7 @@ class ProtocolInstance:
     rho: DensityOperator
     ens: CanonicalEnsemble      # padded to F_p
     tset: TypicalSet
-    pi_rho: np.ndarray
+    typical: np.ndarray         # U, with Pi_rho = U U^dagger
     abar: Mapping               # word tuple -> unpruned Abar_w (typical words of some code)
     w0: tuple | None            # lexicographically smallest non-typical word, or None
     mus: list                   # SideData per mu, with its decoder
@@ -507,6 +521,11 @@ class ProtocolInstance:
     @property
     def dim_n(self) -> int:
         return self.rho.dim ** self.params.n
+
+    @property
+    def pi_rho(self) -> np.ndarray:
+        """The typical projector Pi_rho, dense."""
+        return _gram(self.typical)
 
 
 def _lex_smallest_outside(tset: TypicalSet, p: int, n: int):
@@ -534,7 +553,7 @@ def build_instance(params: ProtocolParams, m: Povm, rho: DensityOperator) -> Pro
             word, clash = _decode(words, mu.a_factors, w0)
             mu.decode_table.append(word)
             mu.collisions += clash
-    return ProtocolInstance(params, m, rho, ens, tset, _gram(u), _Grams(factors), w0, mus,
+    return ProtocolInstance(params, m, rho, ens, tset, u, _Grams(factors), w0, mus,
                             float(max(mu.defect for mu in mus)),
                             sum(mu.collisions for mu in mus))
 

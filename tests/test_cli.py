@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from povmsim import cli, regions
 from povmsim.cli import (
     EXIT_BAD_EXPERIMENT,
     EXIT_BAD_PROTOCOL,
@@ -170,6 +171,35 @@ def test_simulate_refuses_bad_protocol_input(tmp_path, extra, phrase):
     assert EXIT_BAD_PROTOCOL not in {0, 1, 2, EXIT_NOT_PRIME, EXIT_NEEDS_L2, EXIT_NO_SPEC}
 
 
+def test_reused_parser_keeps_no_value_between_calls(tmp_path, monkeypatch):
+    # main builds its argparse tree once per process; no flag of one call may
+    # reach the next, and bad arguments still exit with code 2.
+    out = tmp_path / "sim.json"
+    assert run(["simulate", "--mode", "distributed", "--n", "2", "--k", "1", "--l", "1",
+                "--l2", "1", "--N", "2", "--N2", "2", "--delta", "0.5", "--eta", "0.2",
+                "--spec", bundled_example_path(2), "--p", "3", "--seed", "4",
+                "--out", str(out)]) == 0
+    first = json.loads(out.read_text())
+    assert first["params"]["l2"] == 1 and first["params"]["N2"] == 2
+    monkeypatch.setattr(cli, "build_parser", None)     # a rebuilt tree would fail here
+    assert run(SIMULATE + ["--out", str(out)]) == 0
+    second = json.loads(out.read_text())
+    assert second["params"] == {"n": 2, "k": 0, "l": 1, "p": 2, "N": 1, "eta": 0.1,
+                                "delta": 0.2, "seed": 0, "mode": "p2p",
+                                "l2": None, "N2": None}
+    assert "typical_words" in second["bins_stats"]          # the default problem, no --spec
+    for bad in (["simulate", "--n", "2", "--k", "0"],         # --l missing
+                ["simulate", "--mode", "joint"] + SIMULATE[1:],
+                ["surface", "--grid", "three"],
+                ["nosuch"]):
+        with pytest.raises(SystemExit) as exc:
+            run(bad)
+        assert exc.value.code == 2
+    assert run(["surface", "--grid", "5", "--out", str(tmp_path / "s.csv")]) == 0
+    assert run(SIMULATE + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == second
+
+
 def test_rates_missing_spec_file(tmp_path):
     out = tmp_path / "err.json"
     missing = tmp_path / "absent.json"
@@ -240,6 +270,26 @@ def test_surface_csv_pinned(tmp_path):
     assert run(["surface", "--grid", "9", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         "7440b463e06c3dbaeaa1563d19d79f75fdb3a851228eefd176fc9f71f648a4f6"
+
+
+def test_surface_reads_state_and_field_from_example3(tmp_path, monkeypatch):
+    # The scanned state and the field F_p come from example3.json: a copy
+    # with p = 2 gives the F_2 scan of the same state.
+    spec = json.loads(open(bundled_example_path(3)).read())
+    spec["p"] = 2
+    path = tmp_path / "example3.json"
+    path.write_text(json.dumps(spec))
+    bundled = cli.bundled_example_path
+    monkeypatch.setattr(cli, "bundled_example_path",
+                        lambda ident: str(path) if ident == 3 else bundled(ident))
+    out = tmp_path / "scan.csv"
+    run(["surface", "--grid", "5", "--out", str(out)])
+    axis = regions.symmetric_axis(5, 1.0)
+    rho = cli.DensityOperator(cli.mat_from_json(spec["rho"]), tuple(spec["dims"]))
+    want = regions.surface_scan(rho, (axis, axis, axis), field_p=2)
+    assert out.read_text() == "\n".join(regions.surface_to_csv_rows(want)) + "\n"
+    default = regions.surface_scan(rho, (axis, axis, axis), field_p=3)
+    assert not np.allclose(want.gain[want.valid], default.gain[default.valid])
 
 
 def test_benchmark_wrapped_names_exist():

@@ -580,6 +580,58 @@ def test_factored_side_matches_dense_construction(rotated_instance):
     assert inst.sub_povm_defect == pytest.approx(defect, abs=1e-10)
 
 
+def _generic_two_letter_problem():
+    """(rho, M): a qubit state and a noisy two-outcome measurement rotated against it.
+
+    The two post-states have distinct, non-degenerate spectra (about
+    (0.31, 0.69) and (0.30, 0.70)) and different eigenbases.  With n = 5,
+    k = 0, l = 4, p = 2, N = 2, eta = 0.1, delta = 0.7 and seed 2, 12 built
+    words in two type classes have nonempty conditional typical projectors.
+    """
+    rho = DensityOperator(np.array([[0.6, 0.1 - 0.05j], [0.1 + 0.05j, 0.4]]), (2,))
+    u = random_unitary(np.random.default_rng(3), 2)
+    lam0 = u @ np.diag([0.65, 0.4]) @ u.conj().T
+    return rho, Povm((lam0, np.eye(2) - lam0))
+
+
+@pytest.mark.parametrize("problem, params", [
+    (rotated_qubit_problem, ProtocolParams(n=4, k=0, l=3, p=2, num_mu=2, eta=0.1,
+                                           delta=0.6, seed=1)),
+    (_generic_two_letter_problem, ProtocolParams(n=5, k=0, l=4, p=2, num_mu=2, eta=0.1,
+                                                 delta=0.7, seed=2)),
+])
+def test_type_class_sharing_matches_per_word_construction(monkeypatch, problem, params):
+    # The build makes X_w once per type class and permutes its registers for
+    # the other words of the class; every Abar_w must equal the one built
+    # from w's own conditional typical columns.
+    rho, m = problem()
+    per_word = protocol._cond_typical_columns
+    calls = []
+    monkeypatch.setattr(protocol, "_cond_typical_columns",
+                        lambda *a: calls.append(a[1]) or per_word(*a))
+    inst = build_instance(params, m, rho)
+    n, d = params.n, rho.dim
+    types = {tuple(sorted(w)) for w in inst.abar}
+    assert len(calls) == len(types)
+    assert {tuple(w) for w in calls} == types
+    # Two words of one type with their letters in different places and
+    # nonempty factors, one of them sorted by a permutation that is not its
+    # own inverse.
+    live = [w for w in inst.abar if inst.abar.factors[w].shape[1]]
+    assert len({tuple(sorted(w)) for w in live}) < len(live)
+    assert any(not np.array_equal(np.argsort(np.argsort(w)), np.argsort(w)) for w in live)
+    u, inv = protocol._typical_factor(rho.mat, n, params.delta)
+    spectra = [protocol._spectrum(s) for s in inst.ens.post_states]
+    idx = protocol.all_vectors(n, d)
+    norm = params.p ** n / ((1 + params.eta) * params.p ** (params.k + params.l))
+    for w, got in inst.abar.items():
+        cols, eig = per_word(spectra, w, params.delta, idx)
+        x = cols * np.sqrt(np.clip(eig, 0.0, None) * (norm * inst.ens.weight_of(w)))
+        x = (u * inv) @ (u.conj().T @ x)
+        want = x @ x.conj().T
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
 def test_code_without_built_words_has_zero_defect():
     # At n = 4 and delta = 0.25 only 6 of the 16 words are typical; with two
     # words per code, mu = 1 builds none, so its Y and G have no columns.
