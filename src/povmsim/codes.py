@@ -8,6 +8,7 @@ integers with mod-p reduction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +40,19 @@ def vec_to_int(v, p: int) -> int:
     return out
 
 
+@functools.lru_cache(maxsize=16)
 def all_vectors(length: int, p: int) -> np.ndarray:
-    """All p**length vectors over F_p in lexicographic order, shape (p**length, length)."""
+    """All p**length vectors over F_p in lexicographic order, shape (p**length, length).
+
+    Cached and read-only: callers index into the table but never write it.
+    """
     if length == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    grids = np.meshgrid(*([np.arange(p)] * length), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
+        out = np.zeros((1, 0), dtype=np.int64)
+    else:
+        grids = np.meshgrid(*([np.arange(p)] * length), indexing="ij")
+        out = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
+    out.setflags(write=False)
+    return out
 
 
 def coset_code(G, B, p: int) -> np.ndarray:

@@ -35,7 +35,6 @@ from .linalg import (
     kron_all,
     kron_power,
     partial_trace,
-    permute_registers,
     psd_sqrt,
 )
 
@@ -322,8 +321,14 @@ class ProtocolParams:
             raise ValueError("eta must lie in (0, 1)")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
+        if (self.l2 is not None and self.l2 < 0) or (self.num_mu2 is not None
+                                                     and self.num_mu2 < 1):
+            raise ValueError("invalid distributed sizes: need l2 >= 0 and num_mu2 >= 1")
         if self.p ** self.n > SEQUENCE_CAP:
             raise ValueError("p**n exceeds the desk-scale cap")
+        for name, l in (("l", self.l), ("l2", self.l2)):
+            if l is not None and self.p ** (self.k + l) > SEQUENCE_CAP:
+                raise ValueError(f"p**(k+{name}) exceeds the desk-scale cap")
 
 
 def _gram(f: np.ndarray) -> np.ndarray:
@@ -382,8 +387,7 @@ class SideData:
     A_w = F_w F_w^dagger with F_w = Pi_mu X_w; bin i is G_i G_i^dagger, where
     G_i puts the F_w of the bin's words side by side (a repeated word
     repeats its columns); the completion is I - G G^dagger, with G every G_i
-    side by side.  ``sigma``, ``pi_mu``, ``a_ops``, ``bin_ops`` and
-    ``completion`` build the dense operators on access.
+    side by side.  ``a_ops`` builds the dense A_w on access.
 
     Point-to-point fills the decoder fields; the distributed construction
     decodes pairs of sides jointly and leaves them empty.
@@ -401,33 +405,9 @@ class SideData:
     collisions: int = 0         # bins whose typical-decoding set had >= 2 entries
 
     @property
-    def dim(self) -> int:
-        return self.typical.shape[0]
-
-    @property
-    def sigma(self) -> np.ndarray:
-        """sum_w gamma_w Abar_w."""
-        return _gram(_sigma_factor(self.factors, self.gamma, self.dim))
-
-    @property
-    def pi_mu(self) -> np.ndarray:
-        """The pruning projector, a subprojector of Pi_rho."""
-        return _gram(self.typical) - _gram(self.v_cut)
-
-    @property
     def a_ops(self) -> Mapping:
         """word tuple -> pruned A_w, for the code's built words."""
         return _Grams(self.a_factors)
-
-    @property
-    def bin_ops(self) -> list:
-        """The bin operators Gamma_i."""
-        return [_gram(g) for g in self.bin_factors]
-
-    @property
-    def completion(self) -> np.ndarray:
-        """I - sum_i Gamma_i."""
-        return hermitian_part(np.eye(self.dim) - _gram(_hstack(self.bin_factors, self.dim)))
 
 
 def _bin_words(code: UccCode) -> list:
@@ -522,11 +502,6 @@ class ProtocolInstance:
     def dim_n(self) -> int:
         return self.rho.dim ** self.params.n
 
-    @property
-    def pi_rho(self) -> np.ndarray:
-        """The typical projector Pi_rho, dense."""
-        return _gram(self.typical)
-
 
 def _lex_smallest_outside(tset: TypicalSet, p: int, n: int):
     members = set(tset.members)
@@ -592,24 +567,126 @@ def _output_probs(word, p_ext: StochasticMap, zs: np.ndarray) -> np.ndarray:
     return np.prod(p_ext.probs[np.asarray(word), zs], axis=1)
 
 
-class _SpreadCandidate(Mapping):
-    """An overall sub-POVM C_z = sum_word P^n_{Z|W}(z | word) C_word, kept per decoded word.
+@dataclass(frozen=True)
+class _SideForm:
+    """One side's messages, kept as the nonzero bin factors G of every mu side by side.
 
-    A subclass gives ``word_sandwiches(w)``, W^dagger C_word W for every
-    stored word in the order of ``words``, and ``combine(c)``, the dense
-    sum_word c[word] C_word.  The keys are the z of positive probability
-    under a stored word.  ``candidate[z]`` builds the dense C_z on demand
-    from the factors, weighted by P^n_{Z|W}(z | .); ``sandwiches`` gives
-    every W^dagger C_z W without forming it.
+    Each mu has a completion message and then one message per bin, numbered
+    on across the mus.  Message m has the operator
+    [comp[m]] I + sign_m G[:, lo[m]:hi[m]] G[:, lo[m]:hi[m]]^dagger: a bin's
+    own columns with sign +1, or for a completion every column of its mu with
+    sign -1 (the completion I - G_mu G_mu^dagger).  A zero bin keeps no
+    column, and is not live.
     """
 
-    def __init__(self, words: list, p_ext: StochasticMap, n: int, dim: int):
+    g: np.ndarray
+    lo: np.ndarray      # message -> its first column of g
+    hi: np.ndarray      # message -> one past its last column
+    comp: np.ndarray    # message -> whether it is a completion
+
+    @property
+    def live(self) -> np.ndarray:
+        return self.comp | (self.hi > self.lo)
+
+
+def _side_form(bin_lists, dim: int) -> _SideForm:
+    """The side form of per-mu lists of bin factors G_i, each with ``dim`` rows."""
+    bins = [g for mu in bin_lists for g in mu]
+    widths = np.array([g.shape[1] for g in bins], dtype=np.int64)
+    g = _hstack(bins, dim)
+    nonzero = np.concatenate([[0], np.cumsum(g.any(axis=0))])    # nonzero columns so far
+    ends = np.cumsum(widths)
+    live = nonzero[ends] > nonzero[ends - widths]
+    ends = np.concatenate([[0], np.cumsum(widths * live)])       # bin i: [ends[i], ends[i + 1])
+    first = np.cumsum([0] + [len(mu) for mu in bin_lists])      # each mu's first bin
+    at = first[:-1]
+    return _SideForm(g[:, np.repeat(live, widths)], np.insert(ends[:-1], at, ends[at]),
+                     np.insert(ends[1:], at, ends[first[1:]]),
+                     np.insert(np.zeros(len(bins), dtype=bool), at, True))
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """arange(lo[k], hi[k]) for every k, one after the other."""
+    widths = hi - lo
+    return np.repeat(lo - np.cumsum(widths) + widths, widths) + np.arange(widths.sum())
+
+
+def _merge(idx: np.ndarray, vals: np.ndarray) -> tuple:
+    """The distinct entries of ``idx`` with their summed ``vals``; entries summing to 0 dropped."""
+    u, inv = np.unique(idx, return_inverse=True)
+    c = np.bincount(inv.ravel(), weights=vals, minlength=u.size)
+    return u[c != 0.0], c[c != 0.0]
+
+
+def _word_entries(word, lo_a, hi_a, lo_b, hi_b, vals, width: int, num_words: int) -> tuple:
+    """Per word, the summed values over the blocks [lo_a, hi_a) x [lo_b, hi_b) of its pairs.
+
+    Pair k adds vals[k] at every index i * width + j of its block for word[k].
+    Returns (word, index, value) of the nonzero sums, sorted by word, and each
+    word's slice bounds into them.
+    """
+    rows = np.repeat(np.arange(word.size), hi_a - lo_a)      # the pair of each row
+    cols = (hi_b - lo_b)[rows]
+    pair = np.repeat(rows, cols)
+    flat = np.repeat(_ranges(lo_a, hi_a), cols) * width + _ranges(lo_b[rows], hi_b[rows])
+    span = int(flat.max()) + 1 if flat.size else 1
+    key, c = _merge(word[pair] * span + flat, vals[pair])
+    return key // span, key % span, c, np.searchsorted(key, np.arange(num_words + 1) * span)
+
+
+class FactoredCandidate(Mapping):
+    """The overall sub-POVM C_z = sum_word P^n_{Z|W}(z | word) C_word of either topology.
+
+    C_word = weight * sum over the word's message pairs (a, b) of A_a (x) B_b
+    on (H_A (x) H_B)^{(x) n}, with the messages of each side in its
+    ``_SideForm`` over the bin factors G (side A) and H (side B).  With
+    A_a = alpha_a I + G S_a G^dagger and B_b = beta_b I + H T_b H^dagger,
+    C_word = alpha I + (G diag(c_A) G^dagger) (x) I + I (x) (H diag(c_B) H^dagger)
+    + (G (x) H) diag(c_AB) (G (x) H)^dagger, and each word keeps these four
+    coefficients, over its own columns only.  Point-to-point is the case of a
+    trivial B side: dimension 1 and one message, the operator 1.  ``bins_a``
+    and ``bins_b`` list each mu's bin factors; ``word_pairs`` maps a decoded
+    word to its message pairs.  Pairs with a zero bin, and words left without
+    a pair, are not stored.
+
+    The keys are the z of positive probability under a stored word.
+    ``candidate[z]`` builds the dense C_z on demand; ``sandwiches`` gives every
+    W^dagger C_z W without forming it.  Dense operators, like W, are in the
+    interleaved (AB)^n ordering.
+    """
+
+    def __init__(self, bins_a, bins_b, word_pairs: dict, weight: float,
+                 p_ext: StochasticMap, n: int, dims: tuple):
+        self.n, self.dims = n, tuple(dims)
+        a = _side_form(bins_a, self.dims[0] ** n)
+        b = _side_form(bins_b, self.dims[1] ** n)
+        self.g_adj, self.h_adj = (np.ascontiguousarray(s.g.conj().T) for s in (a, b))
+        words = list(word_pairs)
+        ids = np.repeat(np.arange(len(words)), [len(v) for v in word_pairs.values()])
+        x, y = np.fromiter(itertools.chain.from_iterable(
+            itertools.chain.from_iterable(word_pairs.values())), dtype=np.int64).reshape(-1, 2).T
+        keep = a.live[x] & b.live[y]
+        stored, ids = np.unique(ids[keep], return_inverse=True)
+        x, y, ids = x[keep], y[keep], ids.ravel()
+        self.words = [words[i] for i in stored]
+        ca, cb = a.comp[x], b.comp[y]
+        self.alpha = weight * np.bincount(ids, weights=ca & cb, minlength=len(stored))
+        sa, sb = np.where(ca, -1.0, 1.0), np.where(cb, -1.0, 1.0)
+        lo_a, hi_a, lo_b, hi_b = a.lo[x], a.hi[x], b.lo[y], b.hi[y]
+        zero, one = np.zeros_like(x), np.ones_like(x)   # one row for the side a term leaves out
+        nb = b.g.shape[1]
+        self.terms = [                 # c_A, c_B and c_AB: (word, column, value, bounds)
+            _word_entries(ids[s], *(v[s] for v in blocks), width, len(stored))
+            for s, blocks, width in (
+                (cb, (lo_a, hi_a, zero, one, weight * sa), 1),   # pairs with a B completion
+                (ca, (zero, one, lo_b, hi_b, weight * sb), nb),  # pairs with an A completion
+                (slice(None), (lo_a, hi_a, lo_b, hi_b, weight * sa * sb), nb))]
         zs = _output_grid(p_ext, n)
-        probs = np.array([_output_probs(w, p_ext, zs) for w in words]).reshape(-1, len(zs))
+        probs = np.array([_output_probs(w, p_ext, zs) for w in self.words]).reshape(-1, len(zs))
         live = probs.sum(axis=0) > 0.0
         self.probs = probs[:, live]                     # (word, output) -> P^n(z | word)
         self._column = {z: col for col, z in enumerate(map(tuple, zs[live].tolist()))}
-        self.dim = dim
+        self.dim = a.g.shape[0] * b.g.shape[0]
 
     def __contains__(self, z) -> bool:
         return z in self._column
@@ -623,85 +700,65 @@ class _SpreadCandidate(Mapping):
     def __len__(self) -> int:
         return len(self._column)
 
-    def word_sandwiches(self, w: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def _projections(self, w: np.ndarray) -> tuple:
+        """W^dagger W, G^dagger W, H^dagger W and (G (x) H)^dagger W, W read as (A^n, B^n, r)."""
+        da, db = self.dims
+        n, r = self.n, w.shape[1]
+        order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)) + [2 * n]
+        t = w.reshape((da, db) * n + (r,)).transpose(order)
+        t = np.ascontiguousarray(t).reshape(da ** n, db ** n, r)
+        pa = (self.g_adj @ t.reshape(da ** n, -1)).reshape(-1, db ** n, r)
+        pb = np.tensordot(self.h_adj, t, axes=(1, 1))
+        pab = np.tensordot(self.h_adj, pa, axes=(1, 1)).transpose(1, 0, 2).reshape(-1, 1, r)
+        return w.conj().T @ w, (pa, pb, pab)
+
+    def _word(self, k: int) -> tuple:
+        """alpha and the (columns, values) of c_A, c_B and c_AB of stored word k."""
+        return self.alpha[k], [(col[s[k]:s[k + 1]], c[s[k]:s[k + 1]])
+                               for _, col, c, s in self.terms]
+
+    @staticmethod
+    def _apply(proj: tuple, alpha: float, terms: list) -> np.ndarray:
+        """W^dagger C W for C given by its four coefficients, from ``_projections(W)``."""
+        gram, parts = proj
+        r = gram.shape[0]
+        out = alpha * gram
+        for p, (idx, c) in zip(parts, terms):
+            if idx.size:
+                q = p[idx].reshape(-1, r)
+                out = out + (q.conj().T * np.repeat(c, p.shape[1])) @ q
+        return out
 
     def combine(self, c: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """sum_word c[word] C_word, dense: I sandwiched by the c-weighted word coefficients."""
+        terms = [_merge(col, c[word] * vals) for word, col, vals, _ in self.terms]
+        eye = self._projections(np.eye(self.dim))
+        return hermitian_part(self._apply(eye, c @ self.alpha, terms))
 
     def sandwiches(self, w: np.ndarray):
         """(z, W^dagger C_z W) for every key z, spread over z one z at a time."""
-        s_words = self.word_sandwiches(w)
+        proj = self._projections(w)
+        r = w.shape[1]
+        s_words = np.array([self._apply(proj, *self._word(k))
+                            for k in range(len(self.words))]).reshape(-1, r, r)
         for z, col in self._column.items():
             yield z, np.tensordot(self.probs[:, col], s_words, axes=1)
 
 
-class P2PCandidate(_SpreadCandidate):
-    """The point-to-point overall sub-POVM, kept as the bin factors of every mu.
-
-    C_word = (1/N) sum_mu [the completion I - G G^dagger if the word is mu's
-    w0, plus G_i G_i^dagger for every bin i of mu decoded to the word].  A bin
-    whose factor G_i is empty or zero is not stored, nor a word left without
-    an operator.
-    """
-
-    def __init__(self, mus: list, p_ext: StochasticMap, n: int):
-        index: dict = {}    # word -> its row in probs
-        self.parts = []     # per mu: (kept G_i side by side, completion row, row -> its columns)
-        for mu in mus:
-            comp = index.setdefault(mu.decode_table[0], len(index))
-            kept, columns, start = [], {}, 0
-            for word, g in zip(mu.decode_table[1:], mu.bin_factors):
-                if g.any():
-                    row = index.setdefault(word, len(index))
-                    columns.setdefault(row, []).extend(range(start, start + g.shape[1]))
-                    start += g.shape[1]
-                    kept.append(g)
-            self.parts.append((_hstack(kept, mu.dim), comp, columns))
-        self.weight = 1.0 / len(mus)
-        super().__init__(list(index), p_ext, n, mus[0].dim)
-
-    def word_sandwiches(self, w: np.ndarray) -> np.ndarray:
-        """W^dagger C_word W per stored word.
-
-        With P = G^dagger W, bin i gives P_i^dagger P_i (P_i its rows of P)
-        and the completion W^dagger W - P^dagger P.
-        """
-        r = w.shape[1]
-        gram = w.conj().T @ w
-        out = np.zeros((len(self.probs), r, r), dtype=complex)
-        for g, comp, columns in self.parts:
-            p = g.conj().T @ w
-            out[comp] += gram
-            out[comp] -= p.conj().T @ p
-            for row, cols in columns.items():
-                out[row] += p[cols].conj().T @ p[cols]
-        out *= self.weight
-        return out
-
-    def combine(self, c: np.ndarray) -> np.ndarray:
-        """sum_word c[word] C_word, dense.
-
-        Per mu, c_0 I + G diag(c[word of the column] - c_0) G^dagger, with c_0
-        the weight of mu's w0.
-        """
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for g, comp, columns in self.parts:
-            scale = np.full(g.shape[1], -c[comp])
-            for row, cols in columns.items():
-                scale[cols] += c[row]
-            out += (g * scale) @ g.conj().T
-            out[np.diag_indices(self.dim)] += c[comp]
-        return hermitian_part(self.weight * out)
-
-
-def assemble_overall(instance: ProtocolInstance, p_zw: StochasticMap) -> P2PCandidate:
+def assemble_overall(instance: ProtocolInstance, p_zw: StochasticMap) -> FactoredCandidate:
     """The overall sub-POVM {Lambda_hat_{z^n}} of the protocol (complete by construction).
 
-    Kept in factored form; ``candidate[z]`` builds a dense operator on demand.
+    The distributed candidate with a trivial B side: message i of mu is mu (1 + p**l) + i.
     """
-    return P2PCandidate(instance.mus, extend_map_to_field(p_zw, instance.params.p),
-                        instance.params.n)
+    params, mus = instance.params, instance.mus
+    per = 1 + params.p ** params.l
+    word_pairs: dict = {}
+    for i1, mu in enumerate(mus):
+        for i, word in enumerate(mu.decode_table):
+            word_pairs.setdefault(word, []).append((i1 * per + i, 0))
+    return FactoredCandidate([mu.bin_factors for mu in mus], [[]], word_pairs, 1.0 / len(mus),
+                             extend_map_to_field(p_zw, params.p), params.n,
+                             (instance.rho.dim, 1))
 
 
 class ProductTarget(Mapping):
@@ -810,7 +867,7 @@ def _sandwich(target: Mapping, z, w: np.ndarray):
 
 def _candidate_sandwiches(candidate: Mapping, w: np.ndarray):
     """(z, W^dagger C_z W) for every output z of the candidate."""
-    if isinstance(candidate, _SpreadCandidate):
+    if isinstance(candidate, FactoredCandidate):
         return candidate.sandwiches(w)
     return ((z, w.conj().T @ (c @ w)) for z, c in candidate.items())
 
@@ -826,8 +883,8 @@ def faithfulness(rho_n, target: Mapping, candidate: Mapping) -> float:
     and V_+ is an isometry), and the completion term is
     sum lambda_+ - sum_z Tr{W^dagger C_z W}.  A z with no candidate operator
     contributes Tr{T_z rho}, which is its trace norm because T_z >= 0.  A
-    ``ProductTarget`` is never expanded into dense T_z, a ``P2PCandidate`` or
-    ``DistributedCandidate`` never into dense C_z.
+    ``ProductTarget`` is never expanded into dense T_z, and a
+    ``FactoredCandidate`` (either topology) never into dense C_z.
     """
     state = rho_n if isinstance(rho_n, TensorPower) else TensorPower(rho_n, 1)
     w, k = state.support()
@@ -917,83 +974,20 @@ def decode_distributed(inst: DistributedInstance, i: int, j: int,
     return inst.decode_tables[(mu1, mu2)][(i, j)]
 
 
-class DistributedCandidate(_SpreadCandidate):
-    """The distributed overall sub-POVM, kept as its per-side operators.
-
-    C_z = sum_word P^n_{Z|W}(z | word) C_word on (H_A (x) H_B)^{(x) n}, where
-    C_word = weight * sum over the word's message pairs (a, b) of
-    A_a (x) B_b: ``ops_a`` stacks the completion and bin operators of every
-    mu1 on A^n, ``ops_b`` those of every mu2 on B^n, and ``weight`` is
-    1/(N1 N2).  Pairs with a zero operator, and words left without a pair,
-    are not stored.  Dense operators, like W, are in the interleaved (AB)^n
-    ordering.
-    """
-
-    def __init__(self, ops_a, ops_b, word_pairs: dict, weight: float,
-                 p_ext: StochasticMap, n: int, dims: tuple):
-        self.ops_a = np.asarray(ops_a)
-        self.ops_b = np.asarray(ops_b)
-        words = list(word_pairs)
-        counts = np.zeros((len(words), len(self.ops_a), len(self.ops_b)))
-        for k, w in enumerate(words):
-            for a, b in word_pairs[w]:
-                counts[k, a, b] += 1.0
-        counts[:, ~self.ops_a.any(axis=(1, 2))] = 0.0
-        counts[:, :, ~self.ops_b.any(axis=(1, 2))] = 0.0
-        stored = counts.any(axis=(1, 2))
-        self.counts = counts[stored]        # (word, a, b) -> times the pair (a, b) decodes to it
-        self.weight = weight
-        self.n = n
-        self.dims = tuple(dims)
-        super().__init__([w for w, keep in zip(words, stored) if keep], p_ext, n,
-                         (self.dims[0] * self.dims[1]) ** n)
-
-    def word_sandwiches(self, w: np.ndarray) -> np.ndarray:
-        """W^dagger C_word W per stored word; W acts on (H_A (x) H_B)^{(x) n}, (AB)^n order.
-
-        With W read as (A^n, B^n, r), L_a = (A_a (x) I) W and R_b = (I (x) B_b) W
-        give W^dagger (A_a (x) B_b) W = L_a^dagger R_b, so a word's
-        W^dagger C_word W is weight * sum_a L_a^dagger (sum_b counts[a, b] R_b).
-        """
-        da, db = self.dims
-        n, r = self.n, w.shape[1]
-        order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)) + [2 * n]
-        t = w.reshape((da, db) * n + (r,)).transpose(order).reshape(da ** n, db ** n, r)
-        left = np.einsum("iab,bcr->iacr", self.ops_a, t, optimize=True).conj()
-        right = np.einsum("jcd,adr->jacr", self.ops_b, t, optimize=True)
-        s_words = [np.tensordot(left, np.tensordot(m, right, axes=1), axes=([0, 1, 2], [0, 1, 2]))
-                   for m in self.counts]
-        return self.weight * np.array(s_words).reshape(-1, r, r)
-
-    def combine(self, c: np.ndarray) -> np.ndarray:
-        """sum_word c[word] C_word, dense: weight * sum_{a,b} m[a, b] A_a (x) B_b, m = c . counts.
-
-        Only the A_a with a nonzero row of m enter; the result is in (AB)^n order.
-        """
-        da, db = self.dims
-        n = self.n
-        m = self.weight * np.tensordot(c, self.counts, axes=1)
-        rows = np.flatnonzero(m.any(axis=1))
-        right = np.tensordot(m[rows], self.ops_b, axes=1)
-        op = np.einsum("aij,akl->ikjl", self.ops_a[rows], right).reshape(self.dim, self.dim)
-        order = [r for j in range(n) for r in (j, n + j)]
-        return permute_registers(op, [da] * n + [db] * n, order)
-
-
 def assemble_overall_distributed(inst: DistributedInstance,
-                                 p_zw: StochasticMap) -> DistributedCandidate:
+                                 p_zw: StochasticMap) -> FactoredCandidate:
     """Overall sub-POVM {Lambda_hat_{z^n}} on (H_A (x) H_B)^{(x) n}, in factored form."""
     params = inst.params
-    ops_a = [op for s in inst.side_a for op in [s.completion] + s.bin_ops]
-    ops_b = [op for s in inst.side_b for op in [s.completion] + s.bin_ops]
-    per_a, per_b = len(ops_a) // len(inst.side_a), len(ops_b) // len(inst.side_b)
+    per_a, per_b = 1 + params.p ** params.l, 1 + params.p ** params.l2
     word_pairs: dict = {}
     for (i1, i2), table in inst.decode_tables.items():
         for (i, j), word in table.items():
             word_pairs.setdefault(word, []).append((i1 * per_a + i, i2 * per_b + j))
-    return DistributedCandidate(ops_a, ops_b, word_pairs, 1.0 / (params.num_mu * params.num_mu2),
-                                extend_map_to_field(p_zw, params.p), params.n,
-                                inst.rho_ab.register_dims)
+    return FactoredCandidate([s.bin_factors for s in inst.side_a],
+                             [s.bin_factors for s in inst.side_b], word_pairs,
+                             1.0 / (params.num_mu * params.num_mu2),
+                             extend_map_to_field(p_zw, params.p), params.n,
+                             inst.rho_ab.register_dims)
 
 
 def _sum_povm(m_a: Povm, m_b: Povm, p: int) -> Povm:

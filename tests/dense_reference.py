@@ -1,0 +1,36 @@
+"""Dense d**n x d**n operators of a built protocol, formed from its factors.
+
+The library keeps every side operator as a low-rank factor; the tests check
+the construction's invariants on these dense forms.
+"""
+
+import numpy as np
+
+from povmsim.linalg import hermitian_part
+from povmsim.protocol import _gram, _hstack, _sigma_factor
+
+
+def sigma(side) -> np.ndarray:
+    """sum_w gamma_w Abar_w of one side's code."""
+    return _gram(_sigma_factor(side.factors, side.gamma, side.typical.shape[0]))
+
+
+def pi_mu(side) -> np.ndarray:
+    """The pruning projector Pi_rho - V_cut V_cut^dagger, a subprojector of Pi_rho."""
+    return _gram(side.typical) - _gram(side.v_cut)
+
+
+def bin_ops(side) -> list:
+    """The bin operators Gamma_i = G_i G_i^dagger."""
+    return [_gram(g) for g in side.bin_factors]
+
+
+def completion(side) -> np.ndarray:
+    """I - sum_i Gamma_i."""
+    dim = side.typical.shape[0]
+    return hermitian_part(np.eye(dim) - _gram(_hstack(side.bin_factors, dim)))
+
+
+def pi_rho(instance) -> np.ndarray:
+    """The typical projector Pi_rho = U U^dagger of a point-to-point instance."""
+    return _gram(instance.typical)

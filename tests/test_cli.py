@@ -163,6 +163,9 @@ def test_simulate_missing_spec_file(tmp_path):
     (["--delta", "1.5"], "delta"),
     (["--spec", bundled_example_path(2), "--p", "2"], "larger than the field"),
     (["--n", "13"], "cap"),
+    (["--mode", "distributed", "--l2", "1", "--N2", "0"], "distributed sizes"),
+    (["--mode", "distributed", "--l2", "-1", "--N2", "1"], "distributed sizes"),
+    (["--l", "30"], "p**(k+l) exceeds"),
 ])
 def test_simulate_refuses_bad_protocol_input(tmp_path, extra, phrase):
     out = tmp_path / "err.json"

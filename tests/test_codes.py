@@ -6,6 +6,7 @@ from povmsim.codes import (
     CodeEnsembleSpec,
     UccCode,
     all_codewords,
+    all_vectors,
     bins,
     coset_code,
     is_prime,
@@ -21,6 +22,16 @@ from povmsim.codes import (
 
 def test_is_prime():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def test_all_vectors_cached_and_read_only():
+    # The index tables are shared between callers, so none may write them.
+    table = all_vectors(3, 2)
+    assert all_vectors(3, 2) is table
+    assert table.tolist() == [[a, b, c] for a in range(2) for b in range(2) for c in range(2)]
+    assert not table.flags.writeable and not all_vectors(0, 5).flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
 
 
 def test_coset_code_zero_generator():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dense_reference as dense
 from conftest import (
     random_complete_povm,
     random_density,
@@ -197,30 +198,30 @@ def test_instance_bins_plus_completion_is_identity(small_instance):
     inst = small_instance
     eye = np.eye(inst.dim_n)
     for mu in inst.mus:
-        total = sum(mu.bin_ops) + mu.completion
+        total = sum(dense.bin_ops(mu)) + dense.completion(mu)
         assert np.max(np.abs(total - eye)) < 1e-10
 
 
 def test_instance_pruned_sigma_bounded(small_instance):
     for mu in small_instance.mus:
-        pruned = mu.pi_mu @ mu.sigma @ mu.pi_mu
+        pruned = dense.pi_mu(mu) @ dense.sigma(mu) @ dense.pi_mu(mu)
         assert max_eigenvalue(pruned) <= 1.0 + 1e-9
 
 
 def test_instance_pruning_projector_properties(small_instance):
     inst = small_instance
     for mu in inst.mus:
-        p = mu.pi_mu
+        p = dense.pi_mu(mu)
         assert np.max(np.abs(p @ p - p)) < 1e-9           # idempotent
         assert np.max(np.abs(p - p.conj().T)) < 1e-12      # Hermitian
-        assert np.max(np.abs(p @ inst.pi_rho - p)) < 1e-9  # subprojector of Pi_rho
+        assert np.max(np.abs(p @ dense.pi_rho(inst) - p)) < 1e-9  # subprojector of Pi_rho
 
 
 def test_instance_bin_rearrangement_identity(small_instance):
     # sum over bins of Gamma_i = sum_w gamma_w A_w exactly.
     for mu in small_instance.mus:
         direct = sum(mu.gamma.get(w, 0) * op for w, op in mu.a_ops.items())
-        assert np.max(np.abs(sum(mu.bin_ops) - direct)) < 1e-10
+        assert np.max(np.abs(sum(dense.bin_ops(mu)) - direct)) < 1e-10
 
 
 def test_instance_sub_povm_defect(small_instance):
@@ -245,7 +246,7 @@ def test_expected_sigma_dominated_by_pi_rho():
     samples = []
     for seed in range(60):
         inst = build_instance(trend_params(3, seed=seed), BASIS, MIXED)
-        samples.append(inst.mus[0].sigma)
+        samples.append(dense.sigma(inst.mus[0]))
     mean = sum(samples) / len(samples)
     peaks = np.array([max_eigenvalue(s) for s in samples])
     slack = 3 * peaks.std(ddof=1) / np.sqrt(len(samples))
@@ -377,7 +378,7 @@ def test_distributed_sides_are_sub_povms(example1):
     assert inst.sub_povm_defect <= 1e-9
     for side in (inst.side_a, inst.side_b):
         for s in side:
-            total = sum(s.bin_ops)
+            total = sum(dense.bin_ops(s))
             assert max_eigenvalue(total - np.eye(total.shape[0])) <= 1e-9
 
 
@@ -406,8 +407,8 @@ def test_distributed_candidate_matches_kron_reference(example1):
     zs = list(itertools.product(range(p_ext.output_size), repeat=n))
     ref = {}
     for (i1, i2), table in inst.decode_tables.items():
-        ops_a = [inst.side_a[i1].completion] + inst.side_a[i1].bin_ops
-        ops_b = [inst.side_b[i2].completion] + inst.side_b[i2].bin_ops
+        ops_a = [dense.completion(inst.side_a[i1])] + dense.bin_ops(inst.side_a[i1])
+        ops_b = [dense.completion(inst.side_b[i2])] + dense.bin_ops(inst.side_b[i2])
         for (i, j), word in table.items():
             op = permute_registers(np.kron(ops_a[i], ops_b[j]), dims, [0, 2, 1, 3]) / 4
             if not np.any(op):
@@ -428,16 +429,34 @@ def test_distributed_candidate_matches_kron_reference(example1):
 
 
 def test_distributed_candidate_on_generic_side_operators():
-    # The bundled problems' side operators are identities and zeros at n = 2;
-    # generic ones on unequal registers (d_A = 2, d_B = 3) check the
-    # interleaving, the zero-pair and zero-probability rules and sandwiches.
+    # No bundled problem pairs two nonzero bins, so none reaches the
+    # G (x) H cross term; generic bin factors on unequal registers
+    # (d_A = 2, d_B = 3) check it, the interleaving, the zero-bin and
+    # zero-probability rules and the sandwiches.
     rng = np.random.default_rng(11)
     n, da, db = 2, 2, 3
-    ops_a = [random_psd(rng, da ** n) for _ in range(3)] + [np.zeros((da ** n, da ** n))]
-    ops_b = [random_psd(rng, db ** n) for _ in range(2)]
-    word_pairs = {(0, 1): [(0, 0), (1, 1), (3, 0)], (1, 1): [(2, 1), (0, 1)], (1, 0): [(3, 1)]}
+
+    def factor(dim, cols):
+        return (rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))) / 4
+
+    # A: mu 0 has messages 0 (completion), 1 and 2 (a zero bin), mu 1 has 3, 4 and 5;
+    # B: one mu with messages 0, 1 and 2.
+    bins_a = [[factor(da ** n, 2), np.zeros((da ** n, 1))],
+              [factor(da ** n, 1), factor(da ** n, 3)]]
+    bins_b = [[factor(db ** n, 2), factor(db ** n, 1)]]
+
+    def messages(bin_lists, dim):
+        ops = []
+        for bins in bin_lists:
+            grams = [g @ g.conj().T for g in bins]
+            ops += [np.eye(dim) - sum(grams)] + grams
+        return ops
+
+    ops_a, ops_b = messages(bins_a, da ** n), messages(bins_b, db ** n)
+    word_pairs = {(0, 1): [(0, 0), (1, 1), (2, 0)], (1, 1): [(4, 2), (3, 1), (0, 2)],
+                  (1, 0): [(2, 1)]}
     p_ext = StochasticMap((2,), 3, np.array([[0.5, 0.5, 0.0], [0.2, 0.0, 0.8]]))
-    cand = protocol.DistributedCandidate(ops_a, ops_b, word_pairs, 0.25, p_ext, n, (da, db))
+    cand = protocol.FactoredCandidate(bins_a, bins_b, word_pairs, 0.25, p_ext, n, (da, db))
     ref = {}
     for word, pairs in word_pairs.items():
         op = 0.25 * sum(permute_registers(np.kron(ops_a[a], ops_b[b]), [da] * n + [db] * n,
@@ -452,7 +471,7 @@ def test_distributed_candidate_on_generic_side_operators():
     assert set(sandwiches) == set(ref)
     for z, op in ref.items():
         assert np.allclose(cand[z], op, atol=1e-12)
-        assert np.allclose(sandwiches[z], w.conj().T @ op @ w, atol=1e-10)
+        assert np.allclose(sandwiches[z], w.conj().T @ op @ w, atol=1e-12)
     assert (0, 1) not in cand
 
 
@@ -533,7 +552,7 @@ def test_factored_abar_matches_cut_post_state():
     norm = params.p ** n / ((1 + params.eta) * params.p ** (params.k + params.l))
     assert inst.abar
     for w, op in inst.abar.items():
-        cut = cut_post_state(inst.ens, inst.pi_rho, w, params.delta)
+        cut = cut_post_state(inst.ens, dense.pi_rho(inst), w, params.delta)
         ref = hermitian_part(s @ cut @ s) * (norm * inst.ens.weight_of(w))
         assert np.linalg.norm(ref) > 1e-6
         assert np.linalg.norm(op - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -553,7 +572,7 @@ def test_factored_side_matches_dense_construction(rotated_instance):
     # here pruning is partial and bins survive.
     inst = rotated_instance
     eye = np.eye(inst.dim_n)
-    vals, vecs = np.linalg.eigh(inst.pi_rho)
+    vals, vecs = np.linalg.eigh(dense.pi_rho(inst))
     basis = vecs[:, vals > 0.5]
     cuts, live_bins, defect = [], 0, 0.0
     for mu in inst.mus:
@@ -567,15 +586,15 @@ def test_factored_side_matches_dense_construction(rotated_instance):
         defect = max(defect, max(0.0, max_eigenvalue(total - eye)))
         cuts.append(basis.shape[1] - v.shape[1])
         live_bins += sum(np.linalg.norm(b) > 1e-6 for b in bins)
-        assert np.allclose(mu.sigma, sigma, atol=1e-10)
-        assert np.allclose(mu.pi_mu, pi_mu, atol=1e-10)
+        assert np.allclose(dense.sigma(mu), sigma, atol=1e-10)
+        assert np.allclose(dense.pi_mu(mu), pi_mu, atol=1e-10)
         assert set(mu.a_ops) == set(a_ops)
         for w, op in a_ops.items():
             assert np.allclose(mu.a_ops[w], op, atol=1e-10)
-        assert len(mu.bin_ops) == len(bins)
-        for got, want in zip(mu.bin_ops, bins):
+        assert len(dense.bin_ops(mu)) == len(bins)
+        for got, want in zip(dense.bin_ops(mu), bins):
             assert np.allclose(got, want, atol=1e-10)
-        assert np.allclose(mu.completion, eye - total, atol=1e-10)
+        assert np.allclose(dense.completion(mu), eye - total, atol=1e-10)
     assert cuts == [1, 2] and live_bins == 12
     assert inst.sub_povm_defect == pytest.approx(defect, abs=1e-10)
 
@@ -641,7 +660,7 @@ def test_code_without_built_words_has_zero_defect():
     empty = inst.mus[1]
     assert empty.v_cut.shape == (16, 0) and empty.defect == 0.0
     assert all(g.shape == (16, 0) for g in empty.bin_factors)
-    assert np.allclose(empty.completion, np.eye(16))
+    assert np.allclose(dense.completion(empty), np.eye(16))
     assert inst.sub_povm_defect == 0.0
     cand = assemble_overall(inst, IDENT_MAP)
     target = target_overall(BASIS, IDENT_MAP, 4)
@@ -670,7 +689,7 @@ def test_p2p_candidate_matches_dense_reference(request, instance, probs):
     cand = assemble_overall(inst, p_zw)
     word_ops = {}
     for mu in inst.mus:
-        for word, op in zip(mu.decode_table, [mu.completion] + mu.bin_ops):
+        for word, op in zip(mu.decode_table, [dense.completion(mu)] + dense.bin_ops(mu)):
             word_ops[word] = word_ops.get(word, 0) + op / len(inst.mus)
     ref = {}
     for word, op in word_ops.items():
@@ -826,9 +845,9 @@ def _rank_one_povm(rng, dim, num):
 def _assert_side_invariants(sides, dim):
     eye = np.eye(dim)
     for s in sides:
-        assert np.max(np.abs(sum(s.bin_ops) + s.completion - eye)) < 1e-9
+        assert np.max(np.abs(sum(dense.bin_ops(s)) + dense.completion(s) - eye)) < 1e-9
         for a in s.a_ops.values():
-            assert min_eigenvalue(s.pi_mu - a) >= -1e-9
+            assert min_eigenvalue(dense.pi_mu(s) - a) >= -1e-9
 
 
 @given(st.integers(0, 10_000), st.sampled_from([2, 3]), st.booleans())
