@@ -104,7 +104,7 @@ def _validate_problem(spec: ProblemSpec, tol: float) -> dict:
 
 
 def cmd_rates(args) -> int:
-    spec, refused = _load_spec(args.spec, args.out)
+    spec, refused = _load_file(load_problem, args.spec, "problem", args.out)
     if refused is not None:
         return refused
     checks = _validate_problem(spec, args.tolerance)
@@ -204,8 +204,8 @@ EXIT_NOT_PRIME = 3
 EXIT_NEEDS_L2 = 4
 EXIT_NO_SPEC = 5
 EXIT_BAD_PROTOCOL = 6    # the protocol construction rejected its parameters
-EXIT_BAD_SPEC = 7        # the problem file is not valid JSON or not a valid problem
-EXIT_BAD_EXPERIMENT = 8  # a lab command (surface, covering, pruning, ucc) rejected its parameters
+EXIT_BAD_SPEC = 7        # the problem or region file is not valid JSON or not a valid one
+EXIT_BAD_EXPERIMENT = 8  # surface, covering, pruning, ucc or fm rejected its parameters
 
 
 def _refuse(message: str, code: int, out_path: str | None) -> int:
@@ -213,17 +213,22 @@ def _refuse(message: str, code: int, out_path: str | None) -> int:
     return code
 
 
-def _load_spec(path: str, out_path: str | None):
-    """(problem, None), or (None, exit code) once an unreadable or malformed file is refused."""
+def _load_file(load, path: str, what: str, out_path: str | None):
+    """(load(path), None), or (None, exit code) once an unreadable or malformed file is refused."""
     try:
-        return load_problem(path), None
+        return load(path), None
     except OSError as exc:
-        return None, _refuse(f"cannot read the problem file: {exc}", EXIT_NO_SPEC, out_path)
+        return None, _refuse(f"cannot read the {what} file: {exc}", EXIT_NO_SPEC, out_path)
     except (LookupError, TypeError, ValueError) as exc:
-        # JSON decode errors and the state and POVM checks are ValueErrors;
-        # a missing key or a wrongly shaped entry gives a LookupError or TypeError.
-        return None, _refuse(f"malformed problem file {path}: {type(exc).__name__}: {exc}",
+        # JSON decode errors and the content checks are ValueErrors; a missing
+        # key or a wrongly shaped entry gives a LookupError or TypeError.
+        return None, _refuse(f"malformed {what} file {path}: {type(exc).__name__}: {exc}",
                              EXIT_BAD_SPEC, out_path)
+
+
+def _load_region(path: str) -> regions.RateRegion:
+    with open(path) as fh:
+        return regions.region_from_json(json.load(fh))
 
 
 def _run_protocol(args, spec):
@@ -274,7 +279,8 @@ def cmd_simulate(args) -> int:
         return _refuse("--mode distributed needs --l2 and --N2", EXIT_NEEDS_L2, args.out)
     spec = None
     if args.spec or args.mode == "distributed":
-        spec, refused = _load_spec(args.spec or bundled_example_path(1), args.out)
+        spec, refused = _load_file(load_problem, args.spec or bundled_example_path(1),
+                                   "problem", args.out)
         if refused is not None:
             return refused
     try:
@@ -384,9 +390,13 @@ def _ucc_report(args) -> tuple[dict, bool]:
 
 
 def cmd_fm(args) -> int:
-    with open(args.region) as fh:
-        region = regions.region_from_json(json.load(fh))
-    result = regions.fourier_motzkin_eliminate(region, args.eliminate)
+    region, refused = _load_file(_load_region, args.region, "region", args.out)
+    if refused is not None:
+        return refused
+    try:
+        result = regions.fourier_motzkin_eliminate(region, args.eliminate)
+    except ValueError as exc:
+        return _refuse(str(exc), EXIT_BAD_EXPERIMENT, args.out)
     _emit(regions.region_to_json(result), args.out)
     return 0
 

@@ -190,17 +190,24 @@ class PairwiseReport:
 def codeword_indices(G, h, p: int) -> np.ndarray:
     """Flat codeword indices of a stack of UCCs, in ``all_codewords`` order.
 
-    ``G`` is (B, k, n) and ``h`` is (B, p**l, n); row b of the result holds the
-    p**(k+l) words a G_b + h_b(i), each as its base-p integer (most
-    significant digit first), shape (B, p**(k+l)).
+    ``G`` is (B, k, n) and ``h`` is (B, p**l, n), entries in [0, p); row b of
+    the result holds the p**(k+l) words a G_b + h_b(i), each as its base-p
+    integer (most significant digit first), shape (B, p**(k+l)), int64.
+    Digit j of a word is (a G_b)_j mod p plus h_b(i)_j, at most 2p - 2, so
+    one conditional subtract in int16 reduces it; Horner's rule then builds
+    the index one digit at a time.
     """
-    G = np.asarray(G, dtype=np.int64)
-    h = np.asarray(h, dtype=np.int64)
-    size, k, n = G.shape
-    base = all_vectors(k, p) @ G                                   # (B, p^k, n)
-    words = base[:, :, None, :] + h[:, None, :, :]                 # (B, p^k, p^l, n)
-    words %= p
-    return words.reshape(size, -1, n) @ (p ** np.arange(n - 1, -1, -1, dtype=np.int64))
+    size, k, n = np.shape(G)
+    base = ((all_vectors(k, p) @ np.asarray(G, dtype=np.int64)) % p).astype(np.int16)
+    h = np.asarray(h, dtype=np.int16)
+    p16 = np.int16(p)
+    flat = np.zeros((size, base.shape[1], h.shape[1]), dtype=np.int64)
+    for j in range(n):
+        digit = base[:, :, None, j] + h[:, None, :, j]               # (B, p^k, p^l)
+        digit -= p16 * (digit >= p16)
+        flat *= p
+        flat += digit
+    return flat.reshape(size, -1)
 
 
 def _grand_ensemble(p: int, n: int, k: int, l: int):
@@ -214,11 +221,13 @@ def _grand_ensemble(p: int, n: int, k: int, l: int):
     if n < 1 or k < 0 or l < 0:
         raise ValueError("the grand ensemble needs n >= 1 and k, l >= 0")
     digits = k * n + (p ** l) * n
-    total = p ** digits
-    if total > EXHAUSTIVE_ENSEMBLE_CAP:
+    # p >= 2, so p**digits is over the cap once digits reaches the cap's bit
+    # length; the count itself is named, never written out in decimal.
+    if digits >= EXHAUSTIVE_ENSEMBLE_CAP.bit_length() or p ** digits > EXHAUSTIVE_ENSEMBLE_CAP:
         raise ValueError(
-            f"exhaustive enumeration needs {total} ensembles, above the cap "
+            f"exhaustive enumeration needs {p}**{digits} ensembles, above the cap "
             f"{EXHAUSTIVE_ENSEMBLE_CAP}")
+    total = p ** digits
     place = p ** np.arange(digits - 1, -1, -1, dtype=np.int64)
 
     def block(start: int):

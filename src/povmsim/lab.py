@@ -198,7 +198,10 @@ def covering_experiment(inst: CoveringInstance, trials: int, seed: int,
     if sampler is None:
         sampler = iid_code_sampler(inst)
     rng = np.random.default_rng(seed)
+    # Hermitian states and real weights make every gap Hermitian, so its
+    # trace norm is the absolute sum of its spectrum, read from one triangle.
     tilde = inst.sigma_tilde()
+    tilde = (tilde + tilde.conj().swapaxes(-1, -2)) / 2
     targets = np.stack([inst.sigma(), np.einsum("x,xij->ij", inst.lam, tilde)])
     states = np.stack([inst.sigmas, tilde])                          # (2, X, d, d)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -207,7 +210,7 @@ def covering_experiment(inst: CoveringInstance, trials: int, seed: int,
     for size in _blocks(trials):
         weights = sampler(rng, size) * ratio / inst.m                # (size, X)
         gaps = targets[:, None] - np.einsum("tx,vxij->vtij", weights, states)
-        devs.append(np.linalg.svd(gaps, compute_uv=False).sum(axis=-1))
+        devs.append(np.abs(np.linalg.eigvalsh(gaps)).sum(axis=-1))
     raw_devs, cut_devs = np.concatenate(devs, axis=1)
     raw_mean, cut_mean = float(raw_devs.mean()), float(cut_devs.mean())
     raw_se = float(raw_devs.std(ddof=1) / np.sqrt(trials))
@@ -270,7 +273,10 @@ def pruning_inequality_experiment(sampler, trials: int, eta: float,
 
     P projects onto the eigenvalues >= -1e-10 of I - X, so Tr{I-P} counts the
     eigenvalues of X above 1 by that margin; X not<= I means an eigenvalue of
-    X - I above 1e-12.  Both come from one eigvalsh of each stacked I - X.
+    X - I above 1e-12.  Both come from one eigvalsh of each stacked X, as
+    spec(I - X) = 1 - spec(X).  When E[X] = s I exactly, the same spectrum
+    gives ||X - E[X]||_1 = sum_i |lambda_i(X) - s|; any other mean costs a
+    second eigvalsh, of X - E[X].
     """
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
@@ -279,19 +285,25 @@ def pruning_inequality_experiment(sampler, trials: int, eta: float,
     mean_x = sampler.mean
     eye = np.eye(mean_x.shape[0])
     pre_ok = max_eigenvalue(mean_x - (1.0 - eta) * eye) <= 1e-9
+    scale = mean_x[0, 0].real
+    scalar_mean = np.array_equal(mean_x, scale * eye)
     cuts, diffs = [], []   # Tr{I-P} and Tr{I-P} - (1/eta)||X - E[X]||_1 per trial
     path_viol = 0
     markov_viol = 0
     for size in _blocks(trials):
         x = sampler.sample(rng, size)
         x = (x + x.conj().swapaxes(-1, -2)) / 2
-        spec = np.linalg.eigvalsh(eye - x)                            # (size, d)
-        cut = np.count_nonzero(spec < -1e-10, axis=1).astype(float)
+        spec = np.linalg.eigvalsh(x)                                  # (size, d), ascending
+        excess = spec - 1.0                                           # spec(X - I)
+        cut = np.count_nonzero(excess > 1e-10, axis=1).astype(float)
         trace_x = np.trace(x, axis1=1, axis2=2).real
         path_viol += int(np.count_nonzero(cut > trace_x + 1e-9))
-        not_below_identity = (-spec[:, 0] > 1e-12).astype(float)
+        not_below_identity = (excess[:, -1] > 1e-12).astype(float)
         markov_viol += int(np.count_nonzero(not_below_identity > cut + 1e-9))
-        gap_norm = np.abs(np.linalg.eigvalsh(x - mean_x)).sum(axis=1)
+        if scalar_mean:
+            gap_norm = np.abs(spec - scale).sum(axis=1)
+        else:
+            gap_norm = np.abs(np.linalg.eigvalsh(x - mean_x)).sum(axis=1)
         cuts.append(cut)
         diffs.append(cut - gap_norm / eta)
     cuts, diffs = np.concatenate(cuts), np.concatenate(diffs)

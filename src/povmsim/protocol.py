@@ -428,11 +428,15 @@ def _code_side(code: UccCode, gamma: dict, factors: dict, typical: np.ndarray) -
     v_cut = _cut_directions(_sigma_factor(own, gamma, dim))
     x = _hstack(own.values(), dim)
     f = x - v_cut @ (v_cut.conj().T @ x)     # every F_w side by side, in one product
-    ends = np.cumsum([x_w.shape[1] for x_w in own.values()])
-    a_factors = dict(zip(own, np.split(f, ends[:-1], axis=1)))
-    bin_factors = [_hstack([a_factors[w] for w in ws if w in a_factors], dim)
-                   for ws in _bin_words(code)]
-    g = _hstack(bin_factors, dim)
+    ends = np.cumsum([0] + [x_w.shape[1] for x_w in own.values()]).tolist()
+    cols = {w: range(a, b) for w, a, b in zip(own, ends[:-1], ends[1:])}
+    a_factors = {w: f[:, c.start:c.stop] for w, c in cols.items()}
+    # One gather puts every bin's columns of f side by side as G (a repeated
+    # word repeats its columns); each G_i is a column slice of G.
+    per_bin = [[i for w in ws if w in cols for i in cols[w]] for ws in _bin_words(code)]
+    g = f[:, list(itertools.chain.from_iterable(per_bin))]
+    bounds = list(itertools.accumulate(map(len, per_bin), initial=0))
+    bin_factors = [g[:, a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     top = np.linalg.norm(g, 2) if g.shape[1] else 0.0    # no built word: G has no columns
     return SideData(code, gamma, own, typical, v_cut, a_factors, bin_factors,
                     max(0.0, float(top) ** 2 - 1.0))

@@ -514,5 +514,5 @@ def region_to_json(region: RateRegion) -> dict:
 
 
 def region_from_json(d: dict) -> RateRegion:
-    ineqs = tuple(LinearInequality(e["coeffs"], e["const"]) for e in d["inequalities"])
+    ineqs = tuple(LinearInequality(dict(e["coeffs"]), e["const"]) for e in d["inequalities"])
     return RateRegion(tuple(d["variables"]), ineqs, feasible=bool(d.get("feasible", True)))

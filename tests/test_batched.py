@@ -82,7 +82,9 @@ class _HermitianSpectrumSampler:
     checks' thresholds, so pathwise and Markov violations both occur."""
 
     values = np.array([2.0, -3.0, 1.0 + 5e-11, 1.0 + 1e-13, 0.5, 0.0])
-    mean = np.diag([0.4, 0.3, 0.2]).astype(complex)
+
+    def __init__(self, mean):
+        self.mean = np.asarray(mean, dtype=complex)
 
     def draw(self, rng):
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -94,12 +96,34 @@ class _HermitianSpectrumSampler:
         return np.stack([self.draw(rng) for _ in range(size)])
 
 
-def test_pruning_violation_counts_match_loop():
-    sampler = _HermitianSpectrumSampler()
+def _check_violation_counts(monkeypatch, mean, spectra_per_block):
+    """The report equals the loop reference, taking ``spectra_per_block`` eigvalsh per block."""
+    sampler = _HermitianSpectrumSampler(mean)
+    stacked = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            stacked.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     rep = lab.pruning_inequality_experiment(sampler, TRIALS, 0.4, 5)
+    monkeypatch.undo()
+    assert len(stacked) == spectra_per_block * len(lab._blocks(TRIALS))
     want = ref.pruning_loop(sampler.mean, TRIALS, 0.4, 5, sampler.draw)
     assert want["pathwise_violations"] > 0 and want["markov_violations"] > 0
     _assert_pruning_matches(rep, want)
+
+
+def test_pruning_violation_counts_match_loop(monkeypatch):
+    # A mean that is not a multiple of I costs a second spectrum, of X - E[X].
+    _check_violation_counts(monkeypatch, np.diag([0.4, 0.3, 0.2]), 2)
+
+
+def test_pruning_scalar_mean_takes_one_spectrum(monkeypatch):
+    # E[X] = s I: ||X - s I||_1 is read off the spectrum of X.
+    _check_violation_counts(monkeypatch, 0.3 * np.eye(3), 1)
 
 
 def test_reports_do_not_depend_on_the_trial_block(monkeypatch):

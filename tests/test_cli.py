@@ -19,6 +19,7 @@ from povmsim.cli import (
     load_problem,
     main,
 )
+from povmsim.codes import EXHAUSTIVE_ENSEMBLE_CAP
 
 
 def run(args):
@@ -244,8 +245,10 @@ def test_malformed_spec_file_is_refused(tmp_path, command, case, phrase):
     (["pruning", "--eta", "1.5"], "eta must lie in (0, 1)"),
     (["pruning", "--trials", "0"], "trials must be >= 2"),
     (["ucc", "--p", "2", "--n", "5", "--k", "3", "--l", "3", "--check-pairwise"], "above the cap"),
+    (["ucc", "--p", "3", "--n", "2", "--k", "1", "--l", "9", "--check-pairwise"],
+     f"needs 3**39368 ensembles, above the cap {EXHAUSTIVE_ENSEMBLE_CAP}"),
 ], ids=["surface-no-valid-point", "covering-M0", "covering-trials1", "covering-ucc-M",
-        "pruning-eta", "pruning-trials0", "ucc-over-cap"])
+        "pruning-eta", "pruning-trials0", "ucc-over-cap", "ucc-over-cap-astronomical"])
 def test_lab_commands_refuse_bad_experiments(tmp_path, argv, phrase):
     out = tmp_path / "err.json"
     assert run(argv + ["--out", str(out)]) == EXIT_BAD_EXPERIMENT
@@ -354,6 +357,24 @@ def test_fm_command(tmp_path):
     got = json.loads(out.read_text())
     assert got["variables"] == ["R1"]
     assert got["inequalities"] == [{"coeffs": {"R1": 1.0}, "const": 2.0}]
+
+
+@pytest.mark.parametrize("content, code, phrase", [
+    (None, EXIT_NO_SPEC, "cannot read the region file"),
+    ("# A markdown file, not a region file\n", EXIT_BAD_SPEC, "JSONDecodeError"),
+    ('{"variables": ["Rt"]}', EXIT_BAD_SPEC, "KeyError: 'inequalities'"),
+    ('{"variables": ["Rt"], "inequalities": [{"coeffs": [1], "const": 0}]}', EXIT_BAD_SPEC,
+     "TypeError"),
+    ('{"variables": ["R1"], "inequalities": [{"coeffs": {"R1": 1}, "const": 0}]}',
+     EXIT_BAD_EXPERIMENT, "'Rt' not declared"),
+], ids=["missing", "not-json", "missing-key", "coeffs-not-a-map", "unknown-variable"])
+def test_fm_refuses_a_bad_region_file(tmp_path, content, code, phrase):
+    src = tmp_path / "region.json"
+    if content is not None:
+        src.write_text(content)
+    out = tmp_path / "err.json"
+    assert run(["fm", "--region", str(src), "--eliminate", "Rt", "--out", str(out)]) == code
+    assert phrase in json.loads(out.read_text())["error"]
 
 
 def test_cli_determinism(tmp_path):

@@ -8,6 +8,7 @@ from povmsim.codes import (
     all_codewords,
     all_vectors,
     bins,
+    codeword_indices,
     coset_code,
     is_prime,
     multiplicity,
@@ -166,6 +167,23 @@ def test_pairwise_check_2211():
 def test_pairwise_check_refuses_large():
     with pytest.raises(ValueError):
         pairwise_independence_check(2, 5, 3, 3)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n,k,l", [(3, 1, 1), (2, 2, 0), (1, 0, 2)])
+def test_codeword_indices_match_all_codewords(p, n, k, l):
+    rng = np.random.default_rng(p * 100 + n * 10 + k)
+    size = 6
+    G = rng.integers(0, p, size=(size, k, n))
+    h = rng.integers(0, p, size=(size, p ** l, n))
+    G[0], h[0] = 1, p - 1      # for k >= 1, a = (p - 1, 0, ...) gives every digit sum 2p - 2
+    got = codeword_indices(G, h, p)
+    assert got.dtype == np.int64 and got.shape == (size, p ** (k + l))
+    want = [[vec_to_int(w, p) for w in all_codewords(UccCode(p, n, k, l, g, hb))]
+            for g, hb in zip(G, h)]
+    np.testing.assert_array_equal(got, want)
+    digit_sums = (all_vectors(k, p) @ G[0] % p)[:, None, :] + h[0]
+    assert digit_sums.max() == (2 * p - 2 if k else p - 1)
 
 
 def test_three_way_witness_fires_for_p3():
