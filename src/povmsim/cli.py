@@ -231,10 +231,10 @@ def _load_region(path: str) -> regions.RateRegion:
         return regions.region_from_json(json.load(fh))
 
 
-def _run_protocol(args, spec):
-    """Build the protocol for ``args``; returns (params, instance, K, bins_stats)."""
+def _run_protocol(args, spec, p: int):
+    """Build the protocol for ``args`` over F_p; returns (params, instance, K, bins_stats)."""
     params = protocol.ProtocolParams(
-        n=args.n, k=args.k, l=args.l, p=args.p, num_mu=args.N,
+        n=args.n, k=args.k, l=args.l, p=p, num_mu=args.N,
         eta=args.eta, delta=args.delta, seed=args.seed,
         l2=args.l2, num_mu2=args.N2)
     if args.mode == "p2p":
@@ -271,9 +271,10 @@ def cmd_simulate(args) -> int:
 
     With ``--spec``, p2p simulates rho_A = Tr_B rho_AB measured by the file's
     m_a, followed by its p_zw; distributed uses the whole problem (example1
-    when no file is given).
+    when no file is given).  The field is the problem file's p, or F_2 for the
+    default p2p problem; a ``--p`` that disagrees with the file is refused.
     """
-    if not codes.is_prime(args.p):
+    if args.p is not None and not codes.is_prime(args.p):
         return _refuse(f"--p {args.p} is not prime", EXIT_NOT_PRIME, args.out)
     if args.mode == "distributed" and (args.l2 is None or args.N2 is None):
         return _refuse("--mode distributed needs --l2 and --N2", EXIT_NEEDS_L2, args.out)
@@ -283,8 +284,14 @@ def cmd_simulate(args) -> int:
                                    "problem", args.out)
         if refused is not None:
             return refused
+    p = args.p if args.p is not None else (spec.p if spec else 2)
+    if spec and p != spec.p:
+        (inputs,) = spec.p_zw.input_sizes
+        reason = f": its p_zw is larger than the field F_{p}" if inputs > p else ""
+        return _refuse(f"--p {p} does not match the problem file's p = {spec.p}{reason}",
+                       EXIT_BAD_PROTOCOL, args.out)
     try:
-        params, inst, k_value, bins_stats = _run_protocol(args, spec)
+        params, inst, k_value, bins_stats = _run_protocol(args, spec, p)
     except ValueError as exc:
         return _refuse(str(exc), EXIT_BAD_PROTOCOL, args.out)
     defect = inst.sub_povm_defect
@@ -432,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--p", type=int, default=2)
+    p.add_argument("--p", type=int, default=None,
+                   help="the prime field; default the problem file's p, else 2")
     p.add_argument("--N", type=int, default=1)
     p.add_argument("--eta", type=float, default=0.1)
     p.add_argument("--delta", type=float, default=0.2)

@@ -62,11 +62,6 @@ def trace_norm(a) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
-def hermitian_trace_norm(a) -> float:
-    """Trace norm of a Hermitian matrix: the sum of |eigenvalues| of its Hermitian part."""
-    return float(np.abs(np.linalg.eigvalsh(hermitian_part(a))).sum())
-
-
 def entropy_bits(probs) -> float:
     """Shannon entropy in bits, with 0 log 0 = 0 and tiny negatives clipped."""
     p = np.asarray(probs, dtype=float).ravel()

@@ -19,8 +19,8 @@ import numpy as np
 from .codes import (
     CodeEnsembleSpec,
     UccCode,
-    all_codewords,
     all_vectors,
+    codeword_indices,
     multiplicity_table,
     require_prime,
     sample_ensemble,
@@ -31,7 +31,6 @@ from .linalg import (
     DensityOperator,
     Povm,
     hermitian_part,
-    hermitian_trace_norm,
     kron_all,
     kron_power,
     partial_trace,
@@ -410,10 +409,20 @@ class SideData:
         return _Grams(self.a_factors)
 
 
-def _bin_words(code: UccCode) -> list:
-    """Per bin i, the codeword tuples a G + h(i) in the sweep order of a."""
-    words = all_codewords(code).reshape(code.p ** code.k, code.num_bins, code.n)
-    return [list(map(tuple, words[:, i].tolist())) for i in range(code.num_bins)]
+def _bin_hits(code: UccCode, words: list) -> np.ndarray:
+    """Where each codeword a G + h(i) sits in the list ``words``, or -1 when it is not listed.
+
+    Row i is bin i, its entries in the sweep order of a; shape (p**l, p**k).
+    Words are matched by their base-p indices (``codeword_indices``).
+    """
+    flat = codeword_indices(code.G[None], code.h[None], code.p)[0]
+    flat = flat.reshape(code.p ** code.k, code.num_bins).T
+    if not words:
+        return np.full(flat.shape, -1)
+    known = np.array(words, dtype=np.int64) @ (code.p ** np.arange(code.n - 1, -1, -1))
+    order = np.argsort(known)
+    hit = order[np.searchsorted(known, flat, sorter=order).clip(max=known.size - 1)]
+    return np.where(known[hit] == flat, hit, -1)
 
 
 def _decode(words, accept, w0):
@@ -428,14 +437,15 @@ def _code_side(code: UccCode, gamma: dict, factors: dict, typical: np.ndarray) -
     v_cut = _cut_directions(_sigma_factor(own, gamma, dim))
     x = _hstack(own.values(), dim)
     f = x - v_cut @ (v_cut.conj().T @ x)     # every F_w side by side, in one product
-    ends = np.cumsum([0] + [x_w.shape[1] for x_w in own.values()]).tolist()
-    cols = {w: range(a, b) for w, a, b in zip(own, ends[:-1], ends[1:])}
-    a_factors = {w: f[:, c.start:c.stop] for w, c in cols.items()}
+    widths = np.array([x_w.shape[1] for x_w in own.values()] + [0], dtype=np.int64)
+    ends = np.cumsum(widths)                  # the trailing 0 width serves unlisted words
+    a_factors = {w: f[:, e - c:e] for w, c, e in zip(own, widths.tolist(), ends.tolist())}
     # One gather puts every bin's columns of f side by side as G (a repeated
     # word repeats its columns); each G_i is a column slice of G.
-    per_bin = [[i for w in ws if w in cols for i in cols[w]] for ws in _bin_words(code)]
-    g = f[:, list(itertools.chain.from_iterable(per_bin))]
-    bounds = list(itertools.accumulate(map(len, per_bin), initial=0))
+    hits = _bin_hits(code, list(own))
+    found = hits[hits >= 0]
+    g = f[:, _ranges(ends[found] - widths[found], ends[found])]
+    bounds = np.concatenate([[0], np.cumsum(widths[hits].sum(axis=1))]).tolist()
     bin_factors = [g[:, a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     top = np.linalg.norm(g, 2) if g.shape[1] else 0.0    # no built word: G has no columns
     return SideData(code, gamma, own, typical, v_cut, a_factors, bin_factors,
@@ -527,11 +537,13 @@ def build_instance(params: ProtocolParams, m: Povm, rho: DensityOperator) -> Pro
     u, factors, mus = _build_side(ens, tset, rho.mat, codes, params, params.k + params.l)
     w0 = _lex_smallest_outside(tset, p, n)
     for mu in mus:
-        mu.decode_table = [w0]
-        for words in _bin_words(mu.code):
-            word, clash = _decode(words, mu.a_factors, w0)
-            mu.decode_table.append(word)
-            mu.collisions += clash
+        # A bin decodes to its single built word, else to w0; >= 2 is a collision.
+        words = list(mu.a_factors)
+        hits = _bin_hits(mu.code, words)
+        count = (hits >= 0).sum(axis=1)
+        mu.decode_table = [w0] + [words[j] if c == 1 else w0
+                                  for j, c in zip(hits.max(axis=1).tolist(), count.tolist())]
+        mu.collisions = int((count >= 2).sum())
     return ProtocolInstance(params, m, rho, ens, tset, u, _Grams(factors), w0, mus,
                             float(max(mu.defect for mu in mus)),
                             sum(mu.collisions for mu in mus))
@@ -601,12 +613,19 @@ def _side_form(bin_lists, dim: int) -> _SideForm:
     nonzero = np.concatenate([[0], np.cumsum(g.any(axis=0))])    # nonzero columns so far
     ends = np.cumsum(widths)
     live = nonzero[ends] > nonzero[ends - widths]
+    if not live.all():
+        g = g[:, np.repeat(live, widths)]
     ends = np.concatenate([[0], np.cumsum(widths * live)])       # bin i: [ends[i], ends[i + 1])
-    first = np.cumsum([0] + [len(mu) for mu in bin_lists])      # each mu's first bin
-    at = first[:-1]
-    return _SideForm(g[:, np.repeat(live, widths)], np.insert(ends[:-1], at, ends[at]),
-                     np.insert(ends[1:], at, ends[first[1:]]),
-                     np.insert(np.zeros(len(bins), dtype=bool), at, True))
+    # Messages run mu by mu: the mu's completion, then its bins.  A bin's
+    # message reads its own columns, a completion those of all its mu's bins.
+    counts = np.array([len(mu) for mu in bin_lists], dtype=np.int64)
+    first = np.concatenate([[0], np.cumsum(counts)])            # each mu's first bin
+    comp = np.zeros(len(bins) + counts.size, dtype=bool)
+    comp[first[:-1] + np.arange(counts.size)] = True
+    lo, hi = np.empty((2, comp.size), dtype=np.int64)
+    lo[~comp], hi[~comp] = ends[:-1], ends[1:]
+    lo[comp], hi[comp] = ends[first[:-1]], ends[first[1:]]
+    return _SideForm(g, lo, hi, comp)
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -629,6 +648,9 @@ def _word_entries(word, lo_a, hi_a, lo_b, hi_b, vals, width: int, num_words: int
     Returns (word, index, value) of the nonzero sums, sorted by word, and each
     word's slice bounds into them.
     """
+    if not np.any((hi_a - lo_a) * (hi_b - lo_b)):            # no pair reaches a column
+        return (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),
+                                                     np.zeros(num_words + 1, dtype=np.int64))
     rows = np.repeat(np.arange(word.size), hi_a - lo_a)      # the pair of each row
     cols = (hi_b - lo_b)[rows]
     pair = np.repeat(rows, cols)
@@ -705,7 +727,7 @@ class FactoredCandidate(Mapping):
         return len(self._column)
 
     def _projections(self, w: np.ndarray) -> tuple:
-        """W^dagger W, G^dagger W, H^dagger W and (G (x) H)^dagger W, W read as (A^n, B^n, r)."""
+        """G^dagger W, H^dagger W and (G (x) H)^dagger W, W read as (A^n, B^n, r)."""
         da, db = self.dims
         n, r = self.n, w.shape[1]
         order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)) + [2 * n]
@@ -714,7 +736,7 @@ class FactoredCandidate(Mapping):
         pa = (self.g_adj @ t.reshape(da ** n, -1)).reshape(-1, db ** n, r)
         pb = np.tensordot(self.h_adj, t, axes=(1, 1))
         pab = np.tensordot(self.h_adj, pa, axes=(1, 1)).transpose(1, 0, 2).reshape(-1, 1, r)
-        return w.conj().T @ w, (pa, pb, pab)
+        return pa, pb, pab
 
     def _word(self, k: int) -> tuple:
         """alpha and the (columns, values) of c_A, c_B and c_AB of stored word k."""
@@ -722,9 +744,8 @@ class FactoredCandidate(Mapping):
                                for _, col, c, s in self.terms]
 
     @staticmethod
-    def _apply(proj: tuple, alpha: float, terms: list) -> np.ndarray:
-        """W^dagger C W for C given by its four coefficients, from ``_projections(W)``."""
-        gram, parts = proj
+    def _apply(gram: np.ndarray, parts: tuple, alpha: float, terms: list) -> np.ndarray:
+        """W^dagger C W for C given by its four coefficients, from W^dagger W and ``_projections(W)``."""
         r = gram.shape[0]
         out = alpha * gram
         for p, (idx, c) in zip(parts, terms):
@@ -736,15 +757,23 @@ class FactoredCandidate(Mapping):
     def combine(self, c: np.ndarray) -> np.ndarray:
         """sum_word c[word] C_word, dense: I sandwiched by the c-weighted word coefficients."""
         terms = [_merge(col, c[word] * vals) for word, col, vals, _ in self.terms]
-        eye = self._projections(np.eye(self.dim))
-        return hermitian_part(self._apply(eye, c @ self.alpha, terms))
+        eye = np.eye(self.dim)
+        return hermitian_part(self._apply(eye, self._projections(eye), c @ self.alpha, terms))
+
+    def word_sandwiches(self, gram: np.ndarray, w) -> np.ndarray:
+        """W^dagger C_word W of every stored word, stacked, given W^dagger W.
+
+        ``w()`` gives the dense W; it is called only when a side keeps bin
+        columns, as only then do G^dagger W and H^dagger W enter.
+        """
+        parts = self._projections(w()) if self.g_adj.size or self.h_adj.size else ()
+        r = gram.shape[0]
+        return np.array([self._apply(gram, parts, *self._word(k))
+                         for k in range(len(self.words))]).reshape(-1, r, r)
 
     def sandwiches(self, w: np.ndarray):
         """(z, W^dagger C_z W) for every key z, spread over z one z at a time."""
-        proj = self._projections(w)
-        r = w.shape[1]
-        s_words = np.array([self._apply(proj, *self._word(k))
-                            for k in range(len(self.words))]).reshape(-1, r, r)
+        s_words = self.word_sandwiches(w.conj().T @ w, lambda: w)
         for z, col in self._column.items():
             yield z, np.tensordot(self.probs[:, col], s_words, axes=1)
 
@@ -846,34 +875,107 @@ class TensorPower:
         return self.single if self.n == 1 else kron_power(self.single, self.n)
 
     def support(self) -> tuple:
-        """(W, sum lambda_+) with rho^{(x) n} = W W^dagger on its numerical support.
+        """(W, sum lambda_+) with rho^{(x) n} = W W^dagger on its numerical support."""
+        sup = _Support(self)
+        return sup.w, sup.total
 
-        One eigendecomposition of the single copy: the columns of W are the
-        tensor products of single-copy eigenvectors whose eigenvalue product
-        lambda clears the eigensolver's rounding floor dim * eps * lambda_max
-        (dim = d**n), each scaled by sqrt(lambda).
-        """
-        vals, vecs = np.linalg.eigh(self.single)
-        idx = all_vectors(self.n, vals.size)
+
+class _Support:
+    """rho^{(x) n} = W W^dagger on its numerical support, kept as single-copy data.
+
+    One eigendecomposition rho = V Lambda V^dagger of the single copy: the
+    columns of W are the tensor products of the columns of V sqrt(Lambda) at
+    the index tuples ``idx`` (lexicographic order) whose eigenvalue product
+    lambda clears the eigensolver's rounding floor dim * eps * lambda_max
+    (dim = d**n).  ``w`` forms the dense d**n x r factor on first use;
+    ``sandwiches`` never does.
+    """
+
+    def __init__(self, state: TensorPower):
+        vals, self.vecs = np.linalg.eigh(state.single)
+        self.n, d = state.n, vals.size
+        idx = all_vectors(self.n, d)
         lam = np.prod(vals[idx], axis=1)
         keep = lam > lam.size * np.finfo(float).eps * max(float(lam.max()), 0.0)
-        return (_kron_columns([vecs] * self.n, idx[keep]) * np.sqrt(lam[keep]),
-                float(lam[keep].sum()))
+        self.idx, self.total = idx[keep], float(lam[keep].sum())
+        self.rank = self.idx.shape[0]
+        self.roots = np.sqrt(np.clip(vals, 0.0, None))
+        # Registers are added last to first.  Per register j, which entries of
+        # (d letters) x (kept suffixes from register j + 1) are kept suffixes
+        # from register j; None when all are.
+        self.levels = []
+        prev = np.zeros(1, dtype=np.int64)
+        for j in range(self.n - 1, -1, -1):
+            codes = np.unique(self.idx[:, j:] @ d ** np.arange(self.n - 1 - j, -1, -1))
+            grid = (np.arange(d)[:, None] * d ** (self.n - 1 - j) + prev).ravel()
+            self.levels.append(None if codes.size == grid.size
+                               else np.searchsorted(grid, codes))
+            prev = codes
+
+    @functools.cached_property
+    def w(self) -> np.ndarray:
+        return _kron_columns([self.vecs * self.roots] * self.n, self.idx)
+
+    def sandwiches(self, singles: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        """W^dagger (S_{z_1} (x) ... (x) S_{z_n}) W for every row z of ``zs``, stacked.
+
+        With single-copy blocks B_s = sqrt(Lambda) V^dagger S_s V sqrt(Lambda),
+        this is the kept sub-block of B_{z_1} (x) ... (x) B_{z_n}, built one
+        register at a time, last to first, from the kept suffixes (the block
+        is the outer factor, so the long axis stays innermost).
+        """
+        blocks = (self.vecs.conj().T @ singles @ self.vecs) * np.outer(self.roots, self.roots)
+        zs = np.asarray(zs, dtype=np.int64).reshape(-1, self.n)
+        out = np.ones((zs.shape[0], 1, 1), dtype=blocks.dtype)
+        for j, sel in zip(range(self.n - 1, -1, -1), self.levels):
+            b = blocks[zs[:, j]]
+            m = out.shape[1] * b.shape[1]
+            out = (b[:, :, None, :, None] * out[:, None, :, None, :]).reshape(-1, m, m)
+            if sel is not None:
+                out = out[:, sel[:, None], sel]
+        return out
+
+    def gram(self) -> np.ndarray:
+        """W^dagger W, the case S = I."""
+        eye = np.eye(self.vecs.shape[0])[None]
+        return self.sandwiches(eye, np.zeros(self.n, dtype=np.int64))[0]
 
 
-def _sandwich(target: Mapping, z, w: np.ndarray):
-    """W^dagger T_z W, or 0 for a z outside the target."""
-    if z not in target:
-        return 0
-    tw = target.apply(z, w) if isinstance(target, ProductTarget) else target[z] @ w
-    return w.conj().T @ tw
+SPECTRUM_BLOCK = 2 ** 16    # entries of one stacked (keys, r, r) batch of trace norms
 
 
-def _candidate_sandwiches(candidate: Mapping, w: np.ndarray):
-    """(z, W^dagger C_z W) for every output z of the candidate."""
+def _trace_norms(d: np.ndarray) -> np.ndarray:
+    """||D_k||_1 of every Hermitian D_k in a stack, read from one triangle; real when D is."""
+    if not np.any(d.imag):
+        d = d.real
+    return np.abs(np.linalg.eigvalsh(d)).sum(axis=-1)
+
+
+def _target_sandwiches(target: Mapping, state: TensorPower, support: _Support):
+    """zs -> the stacked W^dagger T_z W of the outputs zs.
+
+    A ``ProductTarget`` on as many registers as the state is sandwiched from
+    single-copy blocks; any other target is applied to the dense W, a z
+    outside it giving 0.
+    """
+    if isinstance(target, ProductTarget) and target.n == state.n:
+        singles = np.stack(target.singles)
+        return lambda zs: support.sandwiches(singles, zs)
+    apply = target.apply if isinstance(target, ProductTarget) else (lambda z, w: target[z] @ w)
+    r = support.rank
+    return lambda zs: np.array([support.w.conj().T @ apply(z, support.w) if z in target
+                                else np.zeros((r, r)) for z in zs]).reshape(-1, r, r)
+
+
+def _candidate_sandwiches(candidate: Mapping, support: _Support) -> tuple:
+    """(keys, stack): stack(lo, hi) is W^dagger C_z W for keys[lo:hi], stacked."""
+    keys = list(candidate)
     if isinstance(candidate, FactoredCandidate):
-        return candidate.sandwiches(w)
-    return ((z, w.conj().T @ (c @ w)) for z, c in candidate.items())
+        s_words = candidate.word_sandwiches(support.gram(), lambda: support.w)
+        return keys, lambda lo, hi: np.tensordot(candidate.probs[:, lo:hi].T, s_words, axes=1)
+    ops = [candidate[z] for z in keys]
+    return keys, lambda lo, hi: np.array([support.w.conj().T @ (c @ support.w)
+                                          for c in ops[lo:hi]])
 
 
 def faithfulness(rho_n, target: Mapping, candidate: Mapping) -> float:
@@ -881,21 +983,30 @@ def faithfulness(rho_n, target: Mapping, candidate: Mapping) -> float:
 
     K = sum_z ||sqrt(rho)(T_z - C_z)sqrt(rho)||_1 + Tr{(I - sum_z C_z) rho},
     evaluated on the n-copy state ``rho_n`` (a ``TensorPower`` or a dense
-    matrix) through its support: with rho = W W^dagger (see
-    ``TensorPower.support``), each trace norm is that of the r x r operator
-    W^dagger (T_z - C_z) W (r = rank rho; exact, as sqrt(rho) = V_+ W^dagger
-    and V_+ is an isometry), and the completion term is
-    sum lambda_+ - sum_z Tr{W^dagger C_z W}.  A z with no candidate operator
-    contributes Tr{T_z rho}, which is its trace norm because T_z >= 0.  A
-    ``ProductTarget`` is never expanded into dense T_z, and a
-    ``FactoredCandidate`` (either topology) never into dense C_z.
+    matrix) through its support: with rho = W W^dagger (see ``_Support``),
+    each trace norm is that of the r x r operator W^dagger (T_z - C_z) W
+    (r = rank rho; exact, as sqrt(rho) = V_+ W^dagger and V_+ is an
+    isometry), and the completion term is sum lambda_+ - sum_z Tr{W^dagger C_z W}.
+    The trace norms are taken as one stacked eigvalsh per chunk of at most
+    SPECTRUM_BLOCK entries.  A z with no candidate operator contributes
+    Tr{T_z rho}, which is its trace norm because T_z >= 0.  A ``ProductTarget``
+    of a ``TensorPower`` is sandwiched from single-copy blocks, and a
+    ``FactoredCandidate`` (either topology) is never expanded into dense C_z.
     """
     state = rho_n if isinstance(rho_n, TensorPower) else TensorPower(rho_n, 1)
-    w, k = state.support()
-    seen = set()
-    for z, wc in _candidate_sandwiches(candidate, w):
-        seen.add(z)
-        k += hermitian_trace_norm(_sandwich(target, z, w) - wc) - float(np.trace(wc).real)
+    support = _Support(state)
+    target_block = _target_sandwiches(target, state, support)
+    keys, candidate_block = _candidate_sandwiches(candidate, support)
+    k = support.total
+    step = max(1, SPECTRUM_BLOCK // support.rank ** 2)
+    for lo in range(0, len(keys), step):
+        c = candidate_block(lo, lo + step)
+        k -= float(np.trace(c, axis1=1, axis2=2).real.sum())
+        gap = target_block(keys[lo:lo + step])
+        gap -= c
+        del c                   # freed before the solver takes its workspace
+        k += float(_trace_norms(gap).sum())
+    seen = set(keys)
     absent = [z for z in target if z not in seen]
     if isinstance(target, ProductTarget):
         traces = target.traces(state if state.n == target.n else state.dense())

@@ -123,15 +123,17 @@ def test_simulate_distributed(tmp_path):
     assert 0.0 <= report["K"] <= 2.0 + 1e-9
 
 
-@pytest.mark.parametrize("ident, extra", [(1, []), (2, ["--p", "3"])])
+@pytest.mark.parametrize("ident, extra", [(1, []), (2, ["--p", "3"]), (2, [])])
 def test_simulate_p2p_spec(tmp_path, ident, extra):
-    # p2p on a problem file simulates m_a on rho_A = Tr_B rho_AB, then p_zw.
+    # p2p on a problem file simulates m_a on rho_A = Tr_B rho_AB, then p_zw,
+    # over the file's field unless --p names the same one.
     out = tmp_path / "simp.json"
     code = run(["simulate", "--mode", "p2p", "--spec", bundled_example_path(ident),
                 "--n", "2", "--k", "0", "--l", "2", "--N", "2", "--delta", "0.5",
                 "--out", str(out)] + extra)
     assert code == 0
     report = json.loads(out.read_text())
+    assert report["params"]["p"] == {1: 2, 2: 3}[ident]
     assert report["subpovm_defect"] <= 1e-9
     assert 0.0 <= report["K"] <= 2.0 + 1e-9
 
@@ -167,6 +169,8 @@ def test_simulate_missing_spec_file(tmp_path):
     (["--mode", "distributed", "--l2", "1", "--N2", "0"], "distributed sizes"),
     (["--mode", "distributed", "--l2", "-1", "--N2", "1"], "distributed sizes"),
     (["--l", "30"], "p**(k+l) exceeds"),
+    (["--mode", "distributed", "--l2", "1", "--N2", "2", "--spec", bundled_example_path(1),
+      "--p", "5"], "does not match the problem file's p = 2"),
 ])
 def test_simulate_refuses_bad_protocol_input(tmp_path, extra, phrase):
     out = tmp_path / "err.json"

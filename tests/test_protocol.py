@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from conftest import (
     rotated_qubit_problem,
 )
 from povmsim import protocol
+from povmsim.codes import UccCode, all_codewords
+from povmsim.cli import main
 from povmsim.cq import StochasticMap
 from povmsim.linalg import (
     DensityOperator,
@@ -473,6 +476,11 @@ def test_distributed_candidate_on_generic_side_operators():
         assert np.allclose(cand[z], op, atol=1e-12)
         assert np.allclose(sandwiches[z], w.conj().T @ op @ w, atol=1e-12)
     assert (0, 1) not in cand
+    # The support of a mixed state on the interleaved registers, with the
+    # target and the candidate's W^dagger W taken from single-copy blocks.
+    rho_ab = random_density(rng, da * db, (da, db))
+    tgt = protocol.ProductTarget([random_psd(rng, da * db) / 8 for _ in range(3)], n)
+    _assert_product_form_matches_apply(TensorPower(rho_ab, n), tgt, cand)
 
 
 def test_distributed_needs_l2():
@@ -705,6 +713,147 @@ def test_p2p_candidate_matches_dense_reference(request, instance, probs):
     for z, op in ref.items():
         assert np.allclose(cand[z], op, atol=1e-12)
         assert np.allclose(sandwiches[z], w.conj().T @ op @ w, atol=1e-10)
+
+
+@pytest.mark.parametrize("p, n, k, l", [(2, 4, 0, 3), (2, 4, 2, 1), (3, 3, 1, 1)])
+def test_bin_hits_match_word_tuples(p, n, k, l):
+    # Each bin's codewords looked up by base-p index, against a dict of word
+    # tuples; with k = 2 the two rows of G are equal, so bins repeat words.
+    rng = np.random.default_rng(100 * p + 10 * n + k)
+    g = rng.integers(0, p, size=(k, n))
+    g[1:] = g[:1]
+    code = UccCode(p, n, k, l, g, rng.integers(0, p, size=(p ** l, n)))
+    codewords = all_codewords(code)
+    distinct = np.unique(codewords, axis=0)
+    picked = distinct[rng.choice(len(distinct), size=len(distinct) // 2, replace=False)]
+    words = sorted({tuple(w) for w in picked.tolist() + rng.integers(0, p, (4, n)).tolist()},
+                   key=lambda w: rng.random())
+    where = {w: i for i, w in enumerate(words)}
+    per_bin = codewords.reshape(p ** k, p ** l, n).transpose(1, 0, 2).tolist()
+    want = [[where.get(tuple(w), -1) for w in bin_words] for bin_words in per_bin]
+    hits = protocol._bin_hits(code, words)
+    assert hits.shape == (p ** l, p ** k) and np.array_equal(hits, want)
+    assert (hits >= 0).any() and (hits < 0).any()
+    assert np.array_equal(protocol._bin_hits(code, []), np.full(hits.shape, -1))
+
+
+def _assert_product_form_matches_apply(state, target, candidate=None):
+    """Single-copy-block sandwiches against T_z applied to the dense support factor W.
+
+    Checks W^dagger T_z W for every z, W^dagger W and, for a factored
+    candidate, every W^dagger C_z W, each to 1e-12 of its scale.
+    """
+    sup = protocol._Support(state)
+    w = sup.w
+
+    def close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    zs = list(target)
+    close(protocol._target_sandwiches(target, state, sup)(zs),
+          np.array([w.conj().T @ target.apply(z, w) for z in zs]))
+    close(sup.gram(), w.conj().T @ w)
+    if candidate is not None:
+        keys, block = protocol._candidate_sandwiches(candidate, sup)
+        want = dict(candidate.sandwiches(w))
+        close(block(0, len(keys)), np.array([want[z] for z in keys]))
+
+
+def _support_case(name, example1, rotated_instance):
+    """(state, target, candidate or None) of one product-form sandwich case."""
+    rng = np.random.default_rng(23)
+    if name == "bell":       # rank 1: every level keeps one prefix
+        params = ProtocolParams(n=3, k=1, l=1, p=2, num_mu=2, eta=0.1, delta=0.5,
+                                seed=0, l2=1, num_mu2=2)
+        inst = build_distributed_instance(params, example1.m_a, example1.m_b, example1.rho_ab)
+        return (TensorPower(example1.rho_ab, 3),
+                target_overall_distributed(example1.m_a, example1.m_b, example1.p_zw, 2, 3),
+                assemble_overall_distributed(inst, example1.p_zw))
+    if name == "rotated":    # full rank, complex, live bins
+        rho, m = rotated_qubit_problem()
+        p_zw = StochasticMap((2,), 2, np.array([[0.9, 0.1], [0.2, 0.8]]))
+        return (TensorPower(rho, 4), target_overall(m, p_zw, 4),
+                assemble_overall(rotated_instance, p_zw))
+    dim, n = {"mixed_qubit": (2, 4), "mixed_two_qubit": (4, 3), "rank2_qutrit": (3, 3)}[name]
+    if name == "rank2_qutrit":   # some prefixes kept, some dropped
+        rho = _state_with_spectrum(rng, [0.7, 0.3, 0.0])
+    else:
+        rho = random_density(rng, dim)
+    m = random_complete_povm(rng, dim, 2)
+    p_zw = StochasticMap((2,), 3, rng.dirichlet(np.ones(3), size=2))
+    return TensorPower(rho, n), target_overall(m, p_zw, n), None
+
+
+@pytest.mark.parametrize("name", ["bell", "rotated", "mixed_qubit", "mixed_two_qubit",
+                                  "rank2_qutrit"])
+def test_product_form_sandwiches_match_apply(name, example1, rotated_instance):
+    state, target, candidate = _support_case(name, example1, rotated_instance)
+    if name == "rotated":
+        assert sum(np.any(g) for mu in rotated_instance.mus for g in mu.bin_factors) > 0
+    _assert_product_form_matches_apply(state, target, candidate)
+
+
+def _counting_eigvalsh(monkeypatch, as_complex=False):
+    """Patch np.linalg.eigvalsh to record the dtype and stack size of every call."""
+    eigvalsh, seen = np.linalg.eigvalsh, []
+
+    def wrapped(a, *args, **kwargs):
+        seen.append((a.dtype, a.shape[0] if a.ndim == 3 else 1))
+        return eigvalsh(a.astype(complex) if as_complex else a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", wrapped)
+    return seen
+
+
+@pytest.mark.parametrize("name, real", [("default", True), ("rotated", False)])
+def test_k_real_solver_equals_complex_solver(monkeypatch, rotated_instance, name, real):
+    # The maximally mixed qubit gives T_z - C_z with an exactly zero imaginary
+    # part, which takes the real solver; the rotated instance does not.
+    if name == "default":
+        params = ProtocolParams(n=5, k=0, l=4, p=2, num_mu=2, eta=0.1, delta=0.7, seed=0)
+        args = (TensorPower(MIXED, 5), target_overall(BASIS, IDENT_MAP, 5),
+                assemble_overall(build_instance(params, BASIS, MIXED), IDENT_MAP))
+    else:
+        rho, m = rotated_qubit_problem()
+        p_zw = StochasticMap((2,), 2, np.array([[0.9, 0.1], [0.2, 0.8]]))
+        args = (TensorPower(rho, 4), target_overall(m, p_zw, 4),
+                assemble_overall(rotated_instance, p_zw))
+    with monkeypatch.context() as patch:
+        seen = _counting_eigvalsh(patch)
+        k = faithfulness(*args)
+    assert seen and all((dtype.kind == "f") == real for dtype, _ in seen)
+    with monkeypatch.context() as patch:
+        _counting_eigvalsh(patch, as_complex=True)
+        assert abs(faithfulness(*args) - k) <= 1e-12
+
+
+def test_k_unchanged_with_one_key_per_chunk(monkeypatch, rotated_instance):
+    rho, m = rotated_qubit_problem()
+    p_zw = StochasticMap((2,), 2, np.array([[0.9, 0.1], [0.2, 0.8]]))
+    cand = assemble_overall(rotated_instance, p_zw)
+    tgt = target_overall(m, p_zw, 4)
+    cases = [(cand, tgt), ({z: cand[z] for z in cand}, {z: tgt[z] for z in tgt})]
+    ks = [faithfulness(TensorPower(rho, 4), c, t) for c, t in cases]
+    monkeypatch.setattr(protocol, "SPECTRUM_BLOCK", 1)
+    seen = _counting_eigvalsh(monkeypatch)
+    for (c, t), k in zip(cases, ks):
+        assert abs(faithfulness(TensorPower(rho, 4), c, t) - k) <= 1e-12
+    assert len(seen) == 2 * len(cand) == 32 and {size for _, size in seen} == {1}
+
+
+def test_p2p_n8_op_uses_single_copy_blocks(tmp_path, monkeypatch):
+    # The benchmark's point-to-point op (maximally mixed qubit, r = 256, every
+    # bin 0) takes K from single-copy blocks: no T_z is applied and no
+    # d**n x r support factor is formed.
+    def refuse(*args):
+        raise AssertionError("the dense path was taken")
+
+    monkeypatch.setattr(protocol.ProductTarget, "apply", refuse)
+    monkeypatch.setattr(protocol._Support, "w", property(refuse))
+    out = tmp_path / "k.json"
+    assert main(["simulate", "--mode", "p2p", "--n", "8", "--k", "0", "--l", "6", "--N", "2",
+                 "--delta", "0.7", "--seed", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["K"] == pytest.approx(1.9921875, abs=1e-12)
 
 
 def _assert_no_subnormals(arrays):
