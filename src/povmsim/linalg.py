@@ -105,19 +105,6 @@ def partial_trace_mat(mat, dims, keep) -> np.ndarray:
     return t.reshape(d_keep, d_keep)
 
 
-def permute_registers(mat, dims, order) -> np.ndarray:
-    """Reorder tensor registers of a square operator: new register j is old ``order[j]``."""
-    m = as_complex_matrix(mat)
-    dims = list(dims)
-    n = len(dims)
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"order {order} is not a permutation of {n} registers")
-    t = m.reshape(dims + dims)
-    perm = list(order) + [n + i for i in order]
-    d = int(np.prod(dims))
-    return t.transpose(perm).reshape(d, d)
-
-
 @dataclass(frozen=True)
 class DensityOperator:
     """Unit-trace PSD operator with an ordered list of subsystem dimensions."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -387,9 +387,6 @@ class SideData:
     G_i puts the F_w of the bin's words side by side (a repeated word
     repeats its columns); the completion is I - G G^dagger, with G every G_i
     side by side.  ``a_ops`` builds the dense A_w on access.
-
-    Point-to-point fills the decoder fields; the distributed construction
-    decodes pairs of sides jointly and leaves them empty.
     """
 
     code: UccCode
@@ -400,8 +397,6 @@ class SideData:
     a_factors: dict             # word tuple -> F_w = Pi_mu X_w
     bin_factors: list           # p**l bin factors G_i
     defect: float               # max(0, s_max(G)^2 - 1) = max(0, lambda_max(sum_i Gamma_i - I))
-    decode_table: list = field(default_factory=list)  # message -> word; 0 is completion
-    collisions: int = 0         # bins whose typical-decoding set had >= 2 entries
 
     @property
     def a_ops(self) -> Mapping:
@@ -425,10 +420,18 @@ def _bin_hits(code: UccCode, words: list) -> np.ndarray:
     return np.where(known[hit] == flat, hit, -1)
 
 
-def _decode(words, accept, w0):
-    """The single accepted word among ``words`` (else w0), and whether >= 2 were accepted."""
-    found = [w for w in words if w in accept]
-    return (found[0] if len(found) == 1 else w0), int(len(found) >= 2)
+def _decode_table(code: UccCode, accept: list, w0) -> tuple:
+    """(message -> word, collisions) of one code, its codewords looked up in ``accept``.
+
+    Message 0, the completion, decodes to w0; message i + 1 is bin i, which
+    decodes to its single accepted codeword, else to w0.  A bin with two or
+    more accepted codewords (a repeated codeword counting twice) is a collision.
+    """
+    hits = _bin_hits(code, accept)
+    count = (hits >= 0).sum(axis=1)
+    table = [w0] + [accept[j] if c == 1 else w0
+                    for j, c in zip(hits.max(axis=1).tolist(), count.tolist())]
+    return table, int((count >= 2).sum())
 
 
 def _code_side(code: UccCode, gamma: dict, factors: dict, typical: np.ndarray) -> SideData:
@@ -447,7 +450,7 @@ def _code_side(code: UccCode, gamma: dict, factors: dict, typical: np.ndarray) -
     g = f[:, _ranges(ends[found] - widths[found], ends[found])]
     bounds = np.concatenate([[0], np.cumsum(widths[hits].sum(axis=1))]).tolist()
     bin_factors = [g[:, a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    top = np.linalg.norm(g, 2) if g.shape[1] else 0.0    # no built word: G has no columns
+    top = np.linalg.norm(g, 2) if g.any() else 0.0    # a zero (or column-free) G needs no SVD
     return SideData(code, gamma, own, typical, v_cut, a_factors, bin_factors,
                     max(0.0, float(top) ** 2 - 1.0))
 
@@ -477,12 +480,12 @@ def _build_side(ens: CanonicalEnsemble, tset: TypicalSet, rho_mat: np.ndarray, c
     used = set().union(*gammas)
     spectra = [_spectrum(s) for s in ens.post_states]
     idx = all_vectors(n, d)
+    words = [w for w in tset.members if w in used and ens.weight_of(w) > 0.0]
+    # Per word, the positions that sort its letters, and the inverse permutation.
+    orders = np.argsort(np.array(words, dtype=np.int64).reshape(-1, n), axis=1, kind="stable")
     by_type = {}    # sorted word -> its X, read as (d,) * n + (columns,)
     factors = {}
-    for w in tset.members:
-        if w not in used or ens.weight_of(w) <= 0.0:
-            continue
-        order = np.argsort(w, kind="stable")
+    for w, order, back in zip(words, orders.tolist(), np.argsort(orders, axis=1).tolist()):
         rep = tuple(w[j] for j in order)
         if rep not in by_type:
             cols, eig = _cond_typical_columns(spectra, rep, params.delta, idx)
@@ -490,7 +493,7 @@ def _build_side(ens: CanonicalEnsemble, tset: TypicalSet, rho_mat: np.ndarray, c
             by_type[rep] = (u_inv @ (u_adj @ x)).reshape((d,) * n + (x.shape[1],))
         # Register j of the sorted word holds the letter at w's position order[j].
         x = by_type[rep]
-        factors[w] = x.transpose(tuple(np.argsort(order)) + (n,)).reshape(d ** n, x.shape[-1])
+        factors[w] = x.transpose(tuple(back) + (n,)).reshape(d ** n, x.shape[-1])
     sides = [_code_side(c, g, factors, u) for c, g in zip(codes, gammas)]
     return u, factors, sides
 
@@ -508,7 +511,8 @@ class ProtocolInstance:
     typical: np.ndarray         # U, with Pi_rho = U U^dagger
     abar: Mapping               # word tuple -> unpruned Abar_w (typical words of some code)
     w0: tuple | None            # lexicographically smallest non-typical word, or None
-    mus: list                   # SideData per mu, with its decoder
+    mus: list                   # SideData per mu
+    decode_tables: dict         # (mu, 0) -> dict (i, 0) -> word (messages incl. 0)
     sub_povm_defect: float      # max over mu of lambda_max(sum_i Gamma_i - I)
     decoder_collisions: int
 
@@ -536,25 +540,30 @@ def build_instance(params: ProtocolParams, m: Povm, rho: DensityOperator) -> Pro
                                              params.num_mu, params.seed))
     u, factors, mus = _build_side(ens, tset, rho.mat, codes, params, params.k + params.l)
     w0 = _lex_smallest_outside(tset, p, n)
-    for mu in mus:
-        # A bin decodes to its single built word, else to w0; >= 2 is a collision.
-        words = list(mu.a_factors)
-        hits = _bin_hits(mu.code, words)
-        count = (hits >= 0).sum(axis=1)
-        mu.decode_table = [w0] + [words[j] if c == 1 else w0
-                                  for j, c in zip(hits.max(axis=1).tolist(), count.tolist())]
-        mu.collisions = int((count >= 2).sum())
+    # A bin decodes to its single built word; B is trivial, with the one message 0.
+    built = list(factors)
+    decode_tables, collisions = {}, 0
+    for i1, mu in enumerate(mus):
+        table, clashes = _decode_table(mu.code, built, w0)
+        decode_tables[(i1, 0)] = {(i, 0): word for i, word in enumerate(table)}
+        collisions += clashes
     return ProtocolInstance(params, m, rho, ens, tset, u, _Grams(factors), w0, mus,
-                            float(max(mu.defect for mu in mus)),
-                            sum(mu.collisions for mu in mus))
+                            decode_tables, float(max(mu.defect for mu in mus)), collisions)
+
+
+def _lookup(decode_tables: dict, mus: tuple, messages: tuple, sides: int):
+    """decode_tables[mus][messages]; a ValueError names a bad index by its first ``sides`` parts."""
+    show = (lambda t: t[0]) if sides == 1 else (lambda t: t)
+    if mus not in decode_tables:
+        raise ValueError(f"mu {show(mus)} out of range")
+    if messages not in decode_tables[mus]:
+        raise ValueError(f"message {show(messages)} out of range")
+    return decode_tables[mus][messages]
 
 
 def decode_p2p(instance: ProtocolInstance, message: int, mu: int = 0):
     """Message 0 is the completion outcome (decoded to w0); 1..p**l are bins."""
-    table = instance.mus[mu].decode_table
-    if not 0 <= message < len(table):
-        raise ValueError(f"message {message} out of range")
-    return table[message]
+    return _lookup(instance.decode_tables, (mu, 0), (message, 0), 1)
 
 
 def extend_map_to_field(p_zw: StochasticMap, p: int) -> StochasticMap:
@@ -778,20 +787,29 @@ class FactoredCandidate(Mapping):
             yield z, np.tensordot(self.probs[:, col], s_words, axes=1)
 
 
+def _candidate(decode_tables: dict, bins_a: list, bins_b: list, p_zw: StochasticMap,
+               params: ProtocolParams, dims: tuple) -> FactoredCandidate:
+    """The candidate of decode tables (mu1, mu2) -> (i, j) -> word, all (mu1, mu2) weighted alike.
+
+    ``bins_a`` and ``bins_b`` list each mu's bin factors; message i of mu1 is
+    message mu1 (1 + p**l) + i of side A, and likewise on side B.
+    """
+    per_a, per_b = 1 + len(bins_a[0]), 1 + len(bins_b[0])
+    word_pairs: dict = {}
+    for (i1, i2), table in decode_tables.items():
+        for (i, j), word in table.items():
+            word_pairs.setdefault(word, []).append((i1 * per_a + i, i2 * per_b + j))
+    return FactoredCandidate(bins_a, bins_b, word_pairs, 1.0 / len(decode_tables),
+                             extend_map_to_field(p_zw, params.p), params.n, dims)
+
+
 def assemble_overall(instance: ProtocolInstance, p_zw: StochasticMap) -> FactoredCandidate:
     """The overall sub-POVM {Lambda_hat_{z^n}} of the protocol (complete by construction).
 
-    The distributed candidate with a trivial B side: message i of mu is mu (1 + p**l) + i.
+    The distributed candidate with a trivial B side: one mu of no bins.
     """
-    params, mus = instance.params, instance.mus
-    per = 1 + params.p ** params.l
-    word_pairs: dict = {}
-    for i1, mu in enumerate(mus):
-        for i, word in enumerate(mu.decode_table):
-            word_pairs.setdefault(word, []).append((i1 * per + i, 0))
-    return FactoredCandidate([mu.bin_factors for mu in mus], [[]], word_pairs, 1.0 / len(mus),
-                             extend_map_to_field(p_zw, params.p), params.n,
-                             (instance.rho.dim, 1))
+    return _candidate(instance.decode_tables, [mu.bin_factors for mu in instance.mus], [[]],
+                      p_zw, instance.params, (instance.rho.dim, 1))
 
 
 class ProductTarget(Mapping):
@@ -1064,19 +1082,19 @@ def build_distributed_instance(params: ProtocolParams, m_a: Povm, m_b: Povm,
     _, _, side_a = _build_side(ens_a, tset_a, rho_a.mat, codes_a, params, k + params.l)
     _, _, side_b = _build_side(ens_b, tset_b, rho_b.mat, codes_b, params, k + params.l2)
 
-    members_w = set(tset_w.members)
-    base = (all_vectors(k, p) @ g) % p
-    decode_tables = {}
-    collisions = 0
-    for i1, ca in enumerate(codes_a):
-        for i2, cb in enumerate(codes_b):
-            table = {ij: w0 for ij in itertools.product(range(ca.num_bins + 1),
-                                                        range(cb.num_bins + 1))}
-            for i, j in itertools.product(range(ca.num_bins), range(cb.num_bins)):
-                words = map(tuple, ((base + ca.h[i] + cb.h[j]) % p).tolist())
-                table[(i + 1, j + 1)], clash = _decode(words, members_w, w0)
-                collisions += clash
-            decode_tables[(i1, i2)] = table
+    # Bin pair (i, j) holds the words a G + h_A(i) + h_B(j): bin i p**l2 + j of
+    # the sum code (k, l + l2), message (i - 1) p**l2 + j of its decode table.
+    accept = list(tset_w.members)
+    decode_tables, collisions = {}, 0
+    for (i1, ca), (i2, cb) in itertools.product(enumerate(codes_a), enumerate(codes_b)):
+        shifts = (ca.h[:, None] + cb.h[None]).reshape(-1, n)
+        table, clashes = _decode_table(UccCode(p, n, k, params.l + params.l2, g, shifts),
+                                       accept, w0)
+        nb = cb.num_bins
+        decode_tables[(i1, i2)] = {(i, j): table[(i - 1) * nb + j] if i and j else w0
+                                   for i, j in itertools.product(range(ca.num_bins + 1),
+                                                                 range(nb + 1))}
+        collisions += clashes
     defect = max(s.defect for s in side_a + side_b)
     return DistributedInstance(params, m_a, m_b, rho_ab, ens_a, ens_b,
                                tset_a, tset_b, tset_w, w0, side_a, side_b,
@@ -1086,23 +1104,15 @@ def build_distributed_instance(params: ProtocolParams, m_a: Povm, m_b: Povm,
 def decode_distributed(inst: DistributedInstance, i: int, j: int,
                        mu1: int = 0, mu2: int = 0):
     """Messages (i, j) with 0 meaning the completion outcome on that side."""
-    return inst.decode_tables[(mu1, mu2)][(i, j)]
+    return _lookup(inst.decode_tables, (mu1, mu2), (i, j), 2)
 
 
 def assemble_overall_distributed(inst: DistributedInstance,
                                  p_zw: StochasticMap) -> FactoredCandidate:
     """Overall sub-POVM {Lambda_hat_{z^n}} on (H_A (x) H_B)^{(x) n}, in factored form."""
-    params = inst.params
-    per_a, per_b = 1 + params.p ** params.l, 1 + params.p ** params.l2
-    word_pairs: dict = {}
-    for (i1, i2), table in inst.decode_tables.items():
-        for (i, j), word in table.items():
-            word_pairs.setdefault(word, []).append((i1 * per_a + i, i2 * per_b + j))
-    return FactoredCandidate([s.bin_factors for s in inst.side_a],
-                             [s.bin_factors for s in inst.side_b], word_pairs,
-                             1.0 / (params.num_mu * params.num_mu2),
-                             extend_map_to_field(p_zw, params.p), params.n,
-                             inst.rho_ab.register_dims)
+    return _candidate(inst.decode_tables, [s.bin_factors for s in inst.side_a],
+                      [s.bin_factors for s in inst.side_b], p_zw, inst.params,
+                      inst.rho_ab.register_dims)
 
 
 def _sum_povm(m_a: Povm, m_b: Povm, p: int) -> Povm:

@@ -1,7 +1,8 @@
 """Dense d**n x d**n operators of a built protocol, formed from its factors.
 
 The library keeps every side operator as a low-rank factor; the tests check
-the construction's invariants on these dense forms.
+the construction's invariants on these dense forms.  ``permute_registers``
+builds the interleaved (AB)^n ordering of a dense A^n (x) B^n operator.
 """
 
 import numpy as np
@@ -34,3 +35,16 @@ def completion(side) -> np.ndarray:
 def pi_rho(instance) -> np.ndarray:
     """The typical projector Pi_rho = U U^dagger of a point-to-point instance."""
     return _gram(instance.typical)
+
+
+def permute_registers(mat, dims, order) -> np.ndarray:
+    """Reorder tensor registers of a square operator: new register j is old ``order[j]``."""
+    m = np.asarray(mat, dtype=complex)
+    dims = list(dims)
+    n = len(dims)
+    if sorted(order) != list(range(n)):
+        raise ValueError(f"order {order} is not a permutation of {n} registers")
+    t = m.reshape(dims + dims)
+    perm = list(order) + [n + i for i in order]
+    d = int(np.prod(dims))
+    return t.transpose(perm).reshape(d, d)

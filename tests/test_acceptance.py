@@ -298,22 +298,26 @@ def test_distributed_faithfulness_pinned(tmp_path):
     # K of the distributed protocol at n = 4 on both bundled problems, as
     # recorded for the benchmark's dist_n4 ops with op seeds 0 and 1, and at
     # n = 5 on example1, where K moves with n (n = 3 and n = 4 both give
-    # 0.70784 from a single typical W-word).
+    # 0.70784 from a single typical W-word).  The last case, example2 at
+    # n = 3 with k = 2 and l2 = 0, has one decoder collision.
     t0 = time.perf_counter()
-    base = ["simulate", "--mode", "distributed", "--k", "1", "--l", "1",
-            "--l2", "1", "--N", "2", "--N2", "2", "--delta", "0.5"]
-    cases = [(1, ["--n", "4"], 0, 0.7078394880000027),
-             (2, ["--n", "4", "--p", "3"], 1, 1.8871551971821832),
-             (1, ["--n", "5"], 0, 0.7754521602255053)]
-    errors = []
-    for ident, extra, seed, want in cases:
-        out = tmp_path / f"dist{ident}.json"
-        rc = main(base + extra + ["--spec", bundled_example_path(ident), "--seed", str(seed),
-                                  "--out", str(out)])
-        k = json.loads(out.read_text())["K"] if rc == 0 else float("nan")
-        errors.append(abs(k - want))
-    ok = all(err <= 1e-9 for err in errors)
+    dist4 = ["--k", "1", "--l", "1", "--l2", "1", "--N", "2", "--N2", "2", "--delta", "0.5"]
+    cases = [(1, dist4 + ["--n", "4"], 0, 0.7078394880000027, 0),
+             (2, dist4 + ["--n", "4", "--p", "3"], 1, 1.8871551971821832, 0),
+             (1, dist4 + ["--n", "5"], 0, 0.7754521602255053, 0),
+             (2, ["--n", "3", "--k", "2", "--l", "1", "--l2", "0", "--N", "2", "--N2", "1",
+                  "--delta", "0.9"], 0, 1.8838546603989665, 1)]
+    errors, collisions_ok = [], True
+    for case, (ident, extra, seed, want, collisions) in enumerate(cases):
+        out = tmp_path / f"dist{case}.json"
+        rc = main(["simulate", "--mode", "distributed", *extra, "--spec",
+                   bundled_example_path(ident), "--seed", str(seed), "--out", str(out)])
+        res = json.loads(out.read_text()) if rc == 0 else {}
+        errors.append(abs(res.get("K", float("nan")) - want))
+        collisions_ok &= res.get("decoder_collisions") == collisions
+    ok = all(err <= 1e-9 for err in errors) and collisions_ok
     elapsed = time.perf_counter() - t0
     _report("distributed faithfulness", ok,
-            f"example1 and example2 at n=4, example1 at n=5: |K - pinned| = "
-            f"{errors[0]:.1e}, {errors[1]:.1e}, {errors[2]:.1e} (<= 1e-9)", elapsed, 60.0)
+            f"example1 and example2 at n=4, example1 at n=5, example2 at n=3 with a "
+            f"collision: |K - pinned| = {', '.join(f'{e:.1e}' for e in errors)} (<= 1e-9), "
+            f"collision counts as pinned: {collisions_ok}", elapsed, 60.0)

@@ -9,7 +9,6 @@ from povmsim.linalg import (
     PureState,
     partial_trace,
     partial_trace_mat,
-    permute_registers,
     psd_pinv_sqrt,
     psd_sqrt,
     purify,
@@ -254,13 +253,6 @@ def test_pruning_projector_examples():
     # X = 2|0><0|: the eigenvalue-2 direction is pruned.
     p = pruning_projector(2 * KET0)
     assert np.allclose(p, KET1, atol=1e-12)
-
-
-def test_permute_registers_swap():
-    rng = np.random.default_rng(9)
-    a, b = random_psd(rng, 2), random_psd(rng, 3)
-    swapped = permute_registers(np.kron(a, b), (2, 3), (1, 0))
-    assert np.allclose(swapped, np.kron(b, a), atol=1e-12)
 
 
 def test_pure_state_norm_validation():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from povmsim.linalg import (
     kron_power,
     max_eigenvalue,
     min_eigenvalue,
-    permute_registers,
     psd_pinv_sqrt,
     psd_sqrt,
     trace_norm,
@@ -298,12 +298,34 @@ def test_decode_collision_goes_to_w0():
     assert typical_bins, "seed produced no typical shifts"
     for i in typical_bins:
         assert decode_p2p(inst, i + 1) == inst.w0
-    assert mu.collisions == len(typical_bins)
+    assert inst.decoder_collisions == len(typical_bins)
 
 
-def test_decode_out_of_range(small_instance):
-    with pytest.raises(ValueError):
-        decode_p2p(small_instance, 10 ** 6)
+@pytest.fixture(scope="module")
+def product_distributed_instance():
+    rho = DensityOperator(np.kron(np.eye(2) / 2, np.eye(2) / 2), (2, 2))
+    params = ProtocolParams(n=2, k=1, l=1, p=2, num_mu=1, eta=0.1, delta=0.7,
+                            seed=2, l2=1, num_mu2=1)
+    return build_distributed_instance(params, BASIS, BASIS, rho)
+
+
+@pytest.mark.parametrize("topology, index, named", [
+    ("p2p", dict(message=-1), "message -1"),
+    ("p2p", dict(message=10 ** 6), "message 1000000"),
+    ("p2p", dict(message=1, mu=5), "mu 5"),
+    ("distributed", dict(i=-1, j=1), "message (-1, 1)"),
+    ("distributed", dict(i=0, j=99), "message (0, 99)"),
+    ("distributed", dict(i=1, j=1, mu1=5), "mu (5, 0)"),
+    ("distributed", dict(i=1, j=1, mu2=1), "mu (0, 1)"),
+], ids=["p2p-negative-message", "p2p-large-message", "p2p-mu", "distributed-negative-message",
+        "distributed-large-message", "distributed-mu1", "distributed-mu2"])
+def test_decode_out_of_range(small_instance, product_distributed_instance, topology, index,
+                             named):
+    # Both decoders read the shared decode tables and name the bad index.
+    decode, inst = ((decode_p2p, small_instance) if topology == "p2p"
+                    else (decode_distributed, product_distributed_instance))
+    with pytest.raises(ValueError, match=re.escape(f"{named} out of range")):
+        decode(inst, **index)
 
 
 # ---------------------------------------------------------------------------
@@ -353,25 +375,37 @@ def test_faithfulness_trend_smoke():
 # ---------------------------------------------------------------------------
 # Distributed construction.
 
-def test_distributed_product_projective_decoder():
-    # Projective factor measurements on a product state: every bin pair with a
-    # unique typical sum decodes to it (enumeration oracle).
+@pytest.mark.parametrize("p", [2, 3], ids=lambda p: f"p{p}")
+@pytest.mark.parametrize("k", [0, 1, 2], ids=lambda k: f"k{k}")
+def test_distributed_product_projective_decoder(p, k):
+    # Projective factor measurements on a product state: in every (mu1, mu2)
+    # table, a bin pair with exactly one typical word a G + h_A(i) + h_B(j)
+    # decodes to it, else to w0, and two or more are a collision
+    # (enumeration oracle).  At delta_hat = 0.3 p some words are typical.
     rho = DensityOperator(np.kron(np.eye(2) / 2, np.eye(2) / 2), (2, 2))
-    params = ProtocolParams(n=2, k=1, l=1, p=2, num_mu=1, eta=0.1, delta=0.7,
-                            seed=2, l2=1, num_mu2=1)
+    params = ProtocolParams(n=3, k=k, l=1, p=p, num_mu=2, eta=0.1, delta=0.3,
+                            seed=2, l2=1, num_mu2=2)
     inst = build_distributed_instance(params, BASIS, BASIS, rho)
-    ca = inst.side_a[0].code
-    cb = inst.side_b[0].code
     members = set(inst.tset_w.members)
-    for i in range(ca.num_bins):
-        for j in range(cb.num_bins):
+    assert members and inst.w0 is not None
+    collisions = 0
+    for (mu1, sa), (mu2, sb) in itertools.product(enumerate(inst.side_a),
+                                                  enumerate(inst.side_b)):
+        ca, cb = sa.code, sb.code
+        for i, j in itertools.product(range(ca.num_bins), range(cb.num_bins)):
             found = []
-            for a in range(2):
-                w = tuple((a * ca.G[0] + ca.h[i] + cb.h[j]) % 2)
+            for a in itertools.product(range(p), repeat=k):
+                w = tuple(int(x) for x in (np.array(a, dtype=np.int64) @ ca.G
+                                           + ca.h[i] + cb.h[j]) % p)
                 if w in members:
                     found.append(w)
+            collisions += len(found) >= 2
             want = found[0] if len(found) == 1 else inst.w0
-            assert decode_distributed(inst, i + 1, j + 1) == want
+            assert decode_distributed(inst, i + 1, j + 1, mu1, mu2) == want
+        for i, j in itertools.product(range(ca.num_bins + 1), range(cb.num_bins + 1)):
+            if not (i and j):       # a completion on either side
+                assert decode_distributed(inst, i, j, mu1, mu2) == inst.w0
+    assert inst.decoder_collisions == collisions
 
 
 def test_distributed_sides_are_sub_povms(example1):
@@ -397,38 +431,73 @@ def test_distributed_overall_complete_and_k_reported(example1):
     assert 0.0 <= k <= 2.0 + 1e-9   # desk-scale value logged, not asserted
 
 
+def test_permute_registers_swap():
+    rng = np.random.default_rng(9)
+    a, b = random_psd(rng, 2), random_psd(rng, 3)
+    swapped = dense.permute_registers(np.kron(a, b), (2, 3), (1, 0))
+    assert np.allclose(swapped, np.kron(b, a), atol=1e-12)
+
+
+def _rotated_rank_one_problem():
+    """(rho_AB, M_A, M_B): sqrt(0.8)|00> + sqrt(0.2)|11> in qubit bases rotated by 0.3 and 0.9 rad.
+
+    The post-states are pure, so the bins are live: at n = 3, k = 0,
+    l = l2 = 2, N = N2 = 2, delta = 0.7 and seed 1, 2 + 2 of the A bins and
+    3 + 3 of the B bins are nonzero.
+    """
+    psi = np.array([np.sqrt(0.8), 0.0, 0.0, np.sqrt(0.2)])
+
+    def rotated(theta):
+        v = np.array([np.cos(theta), np.sin(theta)])
+        ket = np.outer(v, v).astype(complex)
+        return Povm((ket, np.eye(2) - ket))
+
+    return DensityOperator(np.outer(psi, psi).astype(complex), (2, 2)), rotated(0.3), rotated(0.9)
+
+
 def test_distributed_candidate_matches_kron_reference(example1):
     # The factored candidate against the kron-and-interleave construction,
-    # spread over the outputs by P^n_{Z|W}, read off the decode tables.
-    n = 2
-    params = ProtocolParams(n=n, k=1, l=1, p=2, num_mu=2, eta=0.1, delta=0.5,
-                            seed=1, l2=1, num_mu2=2)
-    inst = build_distributed_instance(params, example1.m_a, example1.m_b, example1.rho_ab)
-    cand = assemble_overall_distributed(inst, example1.p_zw)
-    p_ext = protocol.extend_map_to_field(example1.p_zw, params.p)
-    dims = [2] * n + [2] * n
-    zs = list(itertools.product(range(p_ext.output_size), repeat=n))
-    ref = {}
-    for (i1, i2), table in inst.decode_tables.items():
-        ops_a = [dense.completion(inst.side_a[i1])] + dense.bin_ops(inst.side_a[i1])
-        ops_b = [dense.completion(inst.side_b[i2])] + dense.bin_ops(inst.side_b[i2])
-        for (i, j), word in table.items():
-            op = permute_registers(np.kron(ops_a[i], ops_b[j]), dims, [0, 2, 1, 3]) / 4
-            if not np.any(op):
-                continue
-            for z in zs:
-                pr = (1.0 / len(zs) if word is None
-                      else np.prod([p_ext.probs[w, zj] for w, zj in zip(word, z)]))
-                if pr > 0.0:
-                    ref[z] = ref.get(z, 0) + pr * op
-    assert ref and set(cand) == set(ref) and len(cand) == len(ref)
-    rng = np.random.default_rng(0)
-    w = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
-    sandwiches = dict(cand.sandwiches(w))
-    assert set(sandwiches) == set(ref)
-    for z, op in ref.items():
-        assert np.allclose(cand[z], op, atol=1e-12)
-        assert np.allclose(sandwiches[z], w.conj().T @ op @ w, atol=1e-12)
+    # spread over the outputs by P^n_{Z|W}, read off the decode tables.  On
+    # example1 every bin is 0; the rank-one problem has live bins on both
+    # sides, so the message numbering of every (mu1, mu2) and the G (x) H
+    # cross term are reached through the decoder.
+    rho, m_a, m_b = _rotated_rank_one_problem()
+    cases = [(example1.rho_ab, example1.m_a, example1.m_b,
+              ProtocolParams(n=2, k=1, l=1, p=2, num_mu=2, eta=0.1, delta=0.5,
+                             seed=1, l2=1, num_mu2=2), [0, 0, 0, 0]),
+             (rho, m_a, m_b, ProtocolParams(n=3, k=0, l=2, p=2, num_mu=2, eta=0.1, delta=0.7,
+                                            seed=1, l2=2, num_mu2=2), [2, 2, 3, 3])]
+    for rho_ab, m_a, m_b, params, live in cases:
+        n = params.n
+        inst = build_distributed_instance(params, m_a, m_b, rho_ab)
+        assert [sum(bool(np.any(g)) for g in s.bin_factors)
+                for s in inst.side_a + inst.side_b] == live
+        cand = assemble_overall_distributed(inst, example1.p_zw)
+        p_ext = protocol.extend_map_to_field(example1.p_zw, params.p)
+        dims = [2] * n + [2] * n
+        interleave = [r for j in range(n) for r in (j, n + j)]
+        zs = list(itertools.product(range(p_ext.output_size), repeat=n))
+        ref = {}
+        for (i1, i2), table in inst.decode_tables.items():
+            ops_a = [dense.completion(inst.side_a[i1])] + dense.bin_ops(inst.side_a[i1])
+            ops_b = [dense.completion(inst.side_b[i2])] + dense.bin_ops(inst.side_b[i2])
+            for (i, j), word in table.items():
+                op = dense.permute_registers(np.kron(ops_a[i], ops_b[j]), dims, interleave) / 4
+                if not np.any(op):
+                    continue
+                for z in zs:
+                    pr = (1.0 / len(zs) if word is None
+                          else np.prod([p_ext.probs[w, zj] for w, zj in zip(word, z)]))
+                    if pr > 0.0:
+                        ref[z] = ref.get(z, 0) + pr * op
+        assert ref and set(cand) == set(ref) and len(cand) == len(ref)
+        rng = np.random.default_rng(0)
+        w = rng.standard_normal((4 ** n, 3)) + 1j * rng.standard_normal((4 ** n, 3))
+        sandwiches = dict(cand.sandwiches(w))
+        assert set(sandwiches) == set(ref)
+        for z, op in ref.items():
+            assert np.allclose(cand[z], op, atol=1e-12)
+            assert np.allclose(sandwiches[z], w.conj().T @ op @ w, atol=1e-12)
 
 
 def test_distributed_candidate_on_generic_side_operators():
@@ -462,7 +531,7 @@ def test_distributed_candidate_on_generic_side_operators():
     cand = protocol.FactoredCandidate(bins_a, bins_b, word_pairs, 0.25, p_ext, n, (da, db))
     ref = {}
     for word, pairs in word_pairs.items():
-        op = 0.25 * sum(permute_registers(np.kron(ops_a[a], ops_b[b]), [da] * n + [db] * n,
+        op = 0.25 * sum(dense.permute_registers(np.kron(ops_a[a], ops_b[b]), [da] * n + [db] * n,
                                           [0, 2, 1, 3]) for a, b in pairs)
         for z in itertools.product(range(3), repeat=n):
             pr = p_ext.probs[word[0], z[0]] * p_ext.probs[word[1], z[1]]
@@ -696,8 +765,9 @@ def test_p2p_candidate_matches_dense_reference(request, instance, probs):
     p_zw = StochasticMap((2,), 2, np.asarray(probs, dtype=float))
     cand = assemble_overall(inst, p_zw)
     word_ops = {}
-    for mu in inst.mus:
-        for word, op in zip(mu.decode_table, [dense.completion(mu)] + dense.bin_ops(mu)):
+    for i1, mu in enumerate(inst.mus):
+        for word, op in zip(inst.decode_tables[(i1, 0)].values(),
+                            [dense.completion(mu)] + dense.bin_ops(mu)):
             word_ops[word] = word_ops.get(word, 0) + op / len(inst.mus)
     ref = {}
     for word, op in word_ops.items():
