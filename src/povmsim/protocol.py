@@ -325,7 +325,8 @@ class ProtocolParams:
             raise ValueError("invalid distributed sizes: need l2 >= 0 and num_mu2 >= 1")
         if self.p ** self.n > SEQUENCE_CAP:
             raise ValueError("p**n exceeds the desk-scale cap")
-        for name, l in (("l", self.l), ("l2", self.l2)):
+        # The distributed decoder enumerates the sum code, of p**(k+l+l2) words.
+        for name, l in (("l", self.l), ("l2", self.l2), ("l+l2", self.l + (self.l2 or 0))):
             if l is not None and self.p ** (self.k + l) > SEQUENCE_CAP:
                 raise ValueError(f"p**(k+{name}) exceeds the desk-scale cap")
 
@@ -408,30 +409,36 @@ def _bin_hits(code: UccCode, words: list) -> np.ndarray:
     """Where each codeword a G + h(i) sits in the list ``words``, or -1 when it is not listed.
 
     Row i is bin i, its entries in the sweep order of a; shape (p**l, p**k).
+    """
+    return _stacked_hits(code.G[None], code.h[None], code.p, words)[0]
+
+
+def _stacked_hits(g: np.ndarray, h: np.ndarray, p: int, words: list) -> np.ndarray:
+    """``_bin_hits`` of a stack of codes (G_b, h_b), shape (B, bins, p**k).
+
     Words are matched by their base-p indices (``codeword_indices``).
     """
-    flat = codeword_indices(code.G[None], code.h[None], code.p)[0]
-    flat = flat.reshape(code.p ** code.k, code.num_bins).T
+    flat = codeword_indices(g, h, p).reshape(h.shape[0], -1, h.shape[1]).transpose(0, 2, 1)
     if not words:
         return np.full(flat.shape, -1)
-    known = np.array(words, dtype=np.int64) @ (code.p ** np.arange(code.n - 1, -1, -1))
+    known = np.array(words, dtype=np.int64) @ (p ** np.arange(h.shape[2] - 1, -1, -1))
     order = np.argsort(known)
     hit = order[np.searchsorted(known, flat, sorter=order).clip(max=known.size - 1)]
     return np.where(known[hit] == flat, hit, -1)
 
 
-def _decode_table(code: UccCode, accept: list, w0) -> tuple:
-    """(message -> word, collisions) of one code, its codewords looked up in ``accept``.
+def _decode_bins(g: np.ndarray, h: np.ndarray, p: int, accept: list, w0) -> tuple:
+    """(per code, bin -> word; collisions) of a stack of codes, codewords looked up in ``accept``.
 
-    Message 0, the completion, decodes to w0; message i + 1 is bin i, which
-    decodes to its single accepted codeword, else to w0.  A bin with two or
-    more accepted codewords (a repeated codeword counting twice) is a collision.
+    A bin decodes to its single accepted codeword, else to w0.  A bin with two
+    or more accepted codewords (a repeated codeword counting twice) is a
+    collision.
     """
-    hits = _bin_hits(code, accept)
-    count = (hits >= 0).sum(axis=1)
-    table = [w0] + [accept[j] if c == 1 else w0
-                    for j, c in zip(hits.max(axis=1).tolist(), count.tolist())]
-    return table, int((count >= 2).sum())
+    hits = _stacked_hits(g, h, p, accept)
+    count = (hits >= 0).sum(axis=2)
+    listed = accept + [w0]
+    pick = np.where(count == 1, hits.max(axis=2), len(accept))
+    return [[listed[j] for j in row] for row in pick.tolist()], int((count >= 2).sum())
 
 
 def _code_side(code: UccCode, gamma: dict, factors: dict, typical: np.ndarray) -> SideData:
@@ -512,7 +519,8 @@ class ProtocolInstance:
     abar: Mapping               # word tuple -> unpruned Abar_w (typical words of some code)
     w0: tuple | None            # lexicographically smallest non-typical word, or None
     mus: list                   # SideData per mu
-    decode_tables: dict         # (mu, 0) -> dict (i, 0) -> word (messages incl. 0)
+    decode_tables: dict         # (mu, 0) -> dict (i, 1) -> word: A message i (0 the completion)
+                                # with B's one bin
     sub_povm_defect: float      # max over mu of lambda_max(sum_i Gamma_i - I)
     decoder_collisions: int
 
@@ -540,13 +548,12 @@ def build_instance(params: ProtocolParams, m: Povm, rho: DensityOperator) -> Pro
                                              params.num_mu, params.seed))
     u, factors, mus = _build_side(ens, tset, rho.mat, codes, params, params.k + params.l)
     w0 = _lex_smallest_outside(tset, p, n)
-    # A bin decodes to its single built word; B is trivial, with the one message 0.
-    built = list(factors)
-    decode_tables, collisions = {}, 0
-    for i1, mu in enumerate(mus):
-        table, clashes = _decode_table(mu.code, built, w0)
-        decode_tables[(i1, 0)] = {(i, 0): word for i, word in enumerate(table)}
-        collisions += clashes
+    # A bin decodes to its single built word.  Message i of side A is the
+    # completion (i = 0) or bin i - 1; side B has one mu and one bin, message 1.
+    tables, collisions = _decode_bins(np.stack([c.G for c in codes]),
+                                      np.stack([c.h for c in codes]), p, list(factors), w0)
+    decode_tables = {(i1, 0): {(i, 1): word for i, word in enumerate([w0] + table)}
+                     for i1, table in enumerate(tables)}
     return ProtocolInstance(params, m, rho, ens, tset, u, _Grams(factors), w0, mus,
                             decode_tables, float(max(mu.defect for mu in mus)), collisions)
 
@@ -563,7 +570,7 @@ def _lookup(decode_tables: dict, mus: tuple, messages: tuple, sides: int):
 
 def decode_p2p(instance: ProtocolInstance, message: int, mu: int = 0):
     """Message 0 is the completion outcome (decoded to w0); 1..p**l are bins."""
-    return _lookup(instance.decode_tables, (mu, 0), (message, 0), 1)
+    return _lookup(instance.decode_tables, (mu, 0), (message, 1), 1)
 
 
 def extend_map_to_field(p_zw: StochasticMap, p: int) -> StochasticMap:
@@ -592,49 +599,17 @@ def _output_probs(word, p_ext: StochasticMap, zs: np.ndarray) -> np.ndarray:
     return np.prod(p_ext.probs[np.asarray(word), zs], axis=1)
 
 
-@dataclass(frozen=True)
-class _SideForm:
-    """One side's messages, kept as the nonzero bin factors G of every mu side by side.
+def _live_columns(bin_lists, dim: int) -> tuple:
+    """(G, ends): the nonzero bin factors of every mu side by side, with ``dim`` rows.
 
-    Each mu has a completion message and then one message per bin, numbered
-    on across the mus.  Message m has the operator
-    [comp[m]] I + sign_m G[:, lo[m]:hi[m]] G[:, lo[m]:hi[m]]^dagger: a bin's
-    own columns with sign +1, or for a completion every column of its mu with
-    sign -1 (the completion I - G_mu G_mu^dagger).  A zero bin keeps no
-    column, and is not live.
+    Bins are numbered on across the mus; bin i has the columns
+    [ends[i], ends[i + 1]) of G, none when it has no nonzero column.
     """
-
-    g: np.ndarray
-    lo: np.ndarray      # message -> its first column of g
-    hi: np.ndarray      # message -> one past its last column
-    comp: np.ndarray    # message -> whether it is a completion
-
-    @property
-    def live(self) -> np.ndarray:
-        return self.comp | (self.hi > self.lo)
-
-
-def _side_form(bin_lists, dim: int) -> _SideForm:
-    """The side form of per-mu lists of bin factors G_i, each with ``dim`` rows."""
     bins = [g for mu in bin_lists for g in mu]
-    widths = np.array([g.shape[1] for g in bins], dtype=np.int64)
-    g = _hstack(bins, dim)
-    nonzero = np.concatenate([[0], np.cumsum(g.any(axis=0))])    # nonzero columns so far
-    ends = np.cumsum(widths)
-    live = nonzero[ends] > nonzero[ends - widths]
-    if not live.all():
-        g = g[:, np.repeat(live, widths)]
-    ends = np.concatenate([[0], np.cumsum(widths * live)])       # bin i: [ends[i], ends[i + 1])
-    # Messages run mu by mu: the mu's completion, then its bins.  A bin's
-    # message reads its own columns, a completion those of all its mu's bins.
-    counts = np.array([len(mu) for mu in bin_lists], dtype=np.int64)
-    first = np.concatenate([[0], np.cumsum(counts)])            # each mu's first bin
-    comp = np.zeros(len(bins) + counts.size, dtype=bool)
-    comp[first[:-1] + np.arange(counts.size)] = True
-    lo, hi = np.empty((2, comp.size), dtype=np.int64)
-    lo[~comp], hi[~comp] = ends[:-1], ends[1:]
-    lo[comp], hi[comp] = ends[first[:-1]], ends[first[1:]]
-    return _SideForm(g, lo, hi, comp)
+    live = [bool(g.any()) for g in bins]
+    widths = [g.shape[1] * keep for g, keep in zip(bins, live)]
+    return (_hstack([g for g, keep in zip(bins, live) if keep], dim),
+            np.cumsum([0] + widths, dtype=np.int64))
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -643,46 +618,28 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.repeat(lo - np.cumsum(widths) + widths, widths) + np.arange(widths.sum())
 
 
-def _merge(idx: np.ndarray, vals: np.ndarray) -> tuple:
-    """The distinct entries of ``idx`` with their summed ``vals``; entries summing to 0 dropped."""
-    u, inv = np.unique(idx, return_inverse=True)
-    c = np.bincount(inv.ravel(), weights=vals, minlength=u.size)
-    return u[c != 0.0], c[c != 0.0]
-
-
-def _word_entries(word, lo_a, hi_a, lo_b, hi_b, vals, width: int, num_words: int) -> tuple:
-    """Per word, the summed values over the blocks [lo_a, hi_a) x [lo_b, hi_b) of its pairs.
-
-    Pair k adds vals[k] at every index i * width + j of its block for word[k].
-    Returns (word, index, value) of the nonzero sums, sorted by word, and each
-    word's slice bounds into them.
-    """
-    if not np.any((hi_a - lo_a) * (hi_b - lo_b)):            # no pair reaches a column
-        return (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),
-                                                     np.zeros(num_words + 1, dtype=np.int64))
-    rows = np.repeat(np.arange(word.size), hi_a - lo_a)      # the pair of each row
-    cols = (hi_b - lo_b)[rows]
-    pair = np.repeat(rows, cols)
-    flat = np.repeat(_ranges(lo_a, hi_a), cols) * width + _ranges(lo_b[rows], hi_b[rows])
-    span = int(flat.max()) + 1 if flat.size else 1
-    key, c = _merge(word[pair] * span + flat, vals[pair])
-    return key // span, key % span, c, np.searchsorted(key, np.arange(num_words + 1) * span)
+def _block_columns(lo_a, hi_a, lo_b, hi_b, width: int) -> np.ndarray:
+    """The indices i * width + j of the blocks [lo_a, hi_a) x [lo_b, hi_b), block after block."""
+    rows = np.repeat(np.arange(lo_a.size), hi_a - lo_a)      # the block of each row
+    return (np.repeat(_ranges(lo_a, hi_a), (hi_b - lo_b)[rows]) * width
+            + _ranges(lo_b[rows], hi_b[rows]))
 
 
 class FactoredCandidate(Mapping):
     """The overall sub-POVM C_z = sum_word P^n_{Z|W}(z | word) C_word of either topology.
 
-    C_word = weight * sum over the word's message pairs (a, b) of A_a (x) B_b
-    on (H_A (x) H_B)^{(x) n}, with the messages of each side in its
-    ``_SideForm`` over the bin factors G (side A) and H (side B).  With
-    A_a = alpha_a I + G S_a G^dagger and B_b = beta_b I + H T_b H^dagger,
-    C_word = alpha I + (G diag(c_A) G^dagger) (x) I + I (x) (H diag(c_B) H^dagger)
-    + (G (x) H) diag(c_AB) (G (x) H)^dagger, and each word keeps these four
-    coefficients, over its own columns only.  Point-to-point is the case of a
-    trivial B side: dimension 1 and one message, the operator 1.  ``bins_a``
-    and ``bins_b`` list each mu's bin factors; ``word_pairs`` maps a decoded
-    word to its message pairs.  Pairs with a zero bin, and words left without
-    a pair, are not stored.
+    ``decode_tables`` maps every (mu1, mu2), all weighted alike, to its
+    message pairs (i, j) -> word; message 0 of a side is its completion and
+    message i >= 1 its bin i - 1, with the bin factors G_i (side A) and H_j
+    (side B) of each mu listed in ``bins_a`` and ``bins_b``.  A side's
+    outcomes add up to I and every pair with a completion decodes to w0, so
+    C_w0 = I - sum over the other words of C_word, and a word other than w0
+    keeps only its bin pairs: C_word = (G (x) H) diag(c) (G (x) H)^dagger on
+    (H_A (x) H_B)^{(x) n}, with G and H the nonzero bin factors side by side
+    and c = 1 / (N1 N2) on the Kronecker columns of the word's bin pairs, 0
+    elsewhere.  Point-to-point is the case of a B side of dimension 1 with
+    one bin, the number 1, whose completion is 0.  A word other than w0 with
+    no nonzero bin pair is not stored.
 
     The keys are the z of positive probability under a stored word.
     ``candidate[z]`` builds the dense C_z on demand; ``sandwiches`` gives every
@@ -690,38 +647,37 @@ class FactoredCandidate(Mapping):
     interleaved (AB)^n ordering.
     """
 
-    def __init__(self, bins_a, bins_b, word_pairs: dict, weight: float,
+    def __init__(self, decode_tables: dict, w0, bins_a, bins_b,
                  p_ext: StochasticMap, n: int, dims: tuple):
         self.n, self.dims = n, tuple(dims)
-        a = _side_form(bins_a, self.dims[0] ** n)
-        b = _side_form(bins_b, self.dims[1] ** n)
-        self.g_adj, self.h_adj = (np.ascontiguousarray(s.g.conj().T) for s in (a, b))
-        words = list(word_pairs)
-        ids = np.repeat(np.arange(len(words)), [len(v) for v in word_pairs.values()])
-        x, y = np.fromiter(itertools.chain.from_iterable(
-            itertools.chain.from_iterable(word_pairs.values())), dtype=np.int64).reshape(-1, 2).T
-        keep = a.live[x] & b.live[y]
-        stored, ids = np.unique(ids[keep], return_inverse=True)
-        x, y, ids = x[keep], y[keep], ids.ravel()
-        self.words = [words[i] for i in stored]
-        ca, cb = a.comp[x], b.comp[y]
-        self.alpha = weight * np.bincount(ids, weights=ca & cb, minlength=len(stored))
-        sa, sb = np.where(ca, -1.0, 1.0), np.where(cb, -1.0, 1.0)
-        lo_a, hi_a, lo_b, hi_b = a.lo[x], a.hi[x], b.lo[y], b.hi[y]
-        zero, one = np.zeros_like(x), np.ones_like(x)   # one row for the side a term leaves out
-        nb = b.g.shape[1]
-        self.terms = [                 # c_A, c_B and c_AB: (word, column, value, bounds)
-            _word_entries(ids[s], *(v[s] for v in blocks), width, len(stored))
-            for s, blocks, width in (
-                (cb, (lo_a, hi_a, zero, one, weight * sa), 1),   # pairs with a B completion
-                (ca, (zero, one, lo_b, hi_b, weight * sb), nb),  # pairs with an A completion
-                (slice(None), (lo_a, hi_a, lo_b, hi_b, weight * sa * sb), nb))]
+        g, ends_a = _live_columns(bins_a, self.dims[0] ** n)
+        h, ends_b = _live_columns(bins_b, self.dims[1] ** n)
+        self.g_adj, self.h_adj = (np.ascontiguousarray(f.conj().T) for f in (g, h))
+        self.weight = 1.0 / len(decode_tables)
+        # Each bin pair decoding to a word other than w0, as (word, bin of A, bin of B).
+        first_a, first_b = ([0] + np.cumsum([len(mu) for mu in bins]).tolist()
+                            for bins in (bins_a, bins_b))
+        index, rows = {}, []
+        for (i1, i2), table in decode_tables.items():
+            for (i, j), word in table.items():
+                if i and j and word != w0:
+                    rows.append((index.setdefault(word, len(index)),
+                                 first_a[i1] + i - 1, first_b[i2] + j - 1))
+        ids, x, y = np.array(sorted(rows), dtype=np.int64).reshape(-1, 3).T    # word by word
+        lo_a, hi_a, lo_b, hi_b = ends_a[x], ends_a[x + 1], ends_b[y], ends_b[y + 1]
+        self.cols = _block_columns(lo_a, hi_a, lo_b, hi_b, h.shape[1])
+        sizes = np.bincount(ids, weights=(hi_a - lo_a) * (hi_b - lo_b),
+                            minlength=len(index)).astype(np.int64)
+        stored = np.flatnonzero(sizes)
+        words = list(index)
+        self.words = [w0] + [words[k] for k in stored]
+        self.bounds = np.cumsum([0] + sizes[stored].tolist(), dtype=np.int64)
         zs = _output_grid(p_ext, n)
         probs = np.array([_output_probs(w, p_ext, zs) for w in self.words]).reshape(-1, len(zs))
         live = probs.sum(axis=0) > 0.0
         self.probs = probs[:, live]                     # (word, output) -> P^n(z | word)
         self._column = {z: col for col, z in enumerate(map(tuple, zs[live].tolist()))}
-        self.dim = a.g.shape[0] * b.g.shape[0]
+        self.dim = g.shape[0] * h.shape[0]
 
     def __contains__(self, z) -> bool:
         return z in self._column
@@ -735,50 +691,34 @@ class FactoredCandidate(Mapping):
     def __len__(self) -> int:
         return len(self._column)
 
-    def _projections(self, w: np.ndarray) -> tuple:
-        """G^dagger W, H^dagger W and (G (x) H)^dagger W, W read as (A^n, B^n, r)."""
+    def _projections(self, w: np.ndarray) -> np.ndarray:
+        """The rows of (G (x) H)^dagger W that the stored words use, word by word."""
         da, db = self.dims
         n, r = self.n, w.shape[1]
         order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)) + [2 * n]
         t = w.reshape((da, db) * n + (r,)).transpose(order)
         t = np.ascontiguousarray(t).reshape(da ** n, db ** n, r)
         pa = (self.g_adj @ t.reshape(da ** n, -1)).reshape(-1, db ** n, r)
-        pb = np.tensordot(self.h_adj, t, axes=(1, 1))
-        pab = np.tensordot(self.h_adj, pa, axes=(1, 1)).transpose(1, 0, 2).reshape(-1, 1, r)
-        return pa, pb, pab
-
-    def _word(self, k: int) -> tuple:
-        """alpha and the (columns, values) of c_A, c_B and c_AB of stored word k."""
-        return self.alpha[k], [(col[s[k]:s[k + 1]], c[s[k]:s[k + 1]])
-                               for _, col, c, s in self.terms]
-
-    @staticmethod
-    def _apply(gram: np.ndarray, parts: tuple, alpha: float, terms: list) -> np.ndarray:
-        """W^dagger C W for C given by its four coefficients, from W^dagger W and ``_projections(W)``."""
-        r = gram.shape[0]
-        out = alpha * gram
-        for p, (idx, c) in zip(parts, terms):
-            if idx.size:
-                q = p[idx].reshape(-1, r)
-                out = out + (q.conj().T * np.repeat(c, p.shape[1])) @ q
-        return out
+        pab = np.tensordot(self.h_adj, pa, axes=(1, 1)).transpose(1, 0, 2).reshape(-1, r)
+        return pab[self.cols]
 
     def combine(self, c: np.ndarray) -> np.ndarray:
-        """sum_word c[word] C_word, dense: I sandwiched by the c-weighted word coefficients."""
-        terms = [_merge(col, c[word] * vals) for word, col, vals, _ in self.terms]
+        """sum_word c[word] C_word = c[w0] I + sum_(word != w0) (c[word] - c[w0]) C_word, dense."""
         eye = np.eye(self.dim)
-        return hermitian_part(self._apply(eye, self._projections(eye), c @ self.alpha, terms))
+        q = self._projections(eye)
+        v = np.repeat(self.weight * (c[1:] - c[0]), np.diff(self.bounds))
+        return hermitian_part(c[0] * eye + (q.conj().T * v) @ q)
 
     def word_sandwiches(self, gram: np.ndarray, w) -> np.ndarray:
-        """W^dagger C_word W of every stored word, stacked, given W^dagger W.
+        """W^dagger C_word W of every stored word, w0 first, stacked, given W^dagger W.
 
-        ``w()`` gives the dense W; it is called only when a side keeps bin
-        columns, as only then do G^dagger W and H^dagger W enter.
+        ``w()`` gives the dense W; it is called only when a word other than
+        w0 is stored, as only then does (G (x) H)^dagger W enter.
         """
-        parts = self._projections(w()) if self.g_adj.size or self.h_adj.size else ()
-        r = gram.shape[0]
-        return np.array([self._apply(gram, parts, *self._word(k))
-                         for k in range(len(self.words))]).reshape(-1, r, r)
+        q = self._projections(w()) if self.cols.size else None
+        others = [self.weight * (q[a:b].conj().T @ q[a:b])
+                  for a, b in zip(self.bounds[:-1].tolist(), self.bounds[1:].tolist())]
+        return np.array([gram - sum(others)] + others)
 
     def sandwiches(self, w: np.ndarray):
         """(z, W^dagger C_z W) for every key z, spread over z one z at a time."""
@@ -787,29 +727,15 @@ class FactoredCandidate(Mapping):
             yield z, np.tensordot(self.probs[:, col], s_words, axes=1)
 
 
-def _candidate(decode_tables: dict, bins_a: list, bins_b: list, p_zw: StochasticMap,
-               params: ProtocolParams, dims: tuple) -> FactoredCandidate:
-    """The candidate of decode tables (mu1, mu2) -> (i, j) -> word, all (mu1, mu2) weighted alike.
-
-    ``bins_a`` and ``bins_b`` list each mu's bin factors; message i of mu1 is
-    message mu1 (1 + p**l) + i of side A, and likewise on side B.
-    """
-    per_a, per_b = 1 + len(bins_a[0]), 1 + len(bins_b[0])
-    word_pairs: dict = {}
-    for (i1, i2), table in decode_tables.items():
-        for (i, j), word in table.items():
-            word_pairs.setdefault(word, []).append((i1 * per_a + i, i2 * per_b + j))
-    return FactoredCandidate(bins_a, bins_b, word_pairs, 1.0 / len(decode_tables),
-                             extend_map_to_field(p_zw, params.p), params.n, dims)
-
-
 def assemble_overall(instance: ProtocolInstance, p_zw: StochasticMap) -> FactoredCandidate:
     """The overall sub-POVM {Lambda_hat_{z^n}} of the protocol (complete by construction).
 
-    The distributed candidate with a trivial B side: one mu of no bins.
+    The distributed candidate with a B side of dimension 1: one mu, one bin, the number 1.
     """
-    return _candidate(instance.decode_tables, [mu.bin_factors for mu in instance.mus], [[]],
-                      p_zw, instance.params, (instance.rho.dim, 1))
+    return FactoredCandidate(instance.decode_tables, instance.w0,
+                             [mu.bin_factors for mu in instance.mus], [[np.ones((1, 1))]],
+                             extend_map_to_field(p_zw, instance.params.p), instance.params.n,
+                             (instance.rho.dim, 1))
 
 
 class ProductTarget(Mapping):
@@ -1050,7 +976,7 @@ class DistributedInstance:
     w0: tuple | None
     side_a: list                # SideData per mu1
     side_b: list                # SideData per mu2
-    decode_tables: dict         # (mu1, mu2) -> dict (i, j) -> word (messages incl. 0)
+    decode_tables: dict         # (mu1, mu2) -> dict (i, j) -> word (message 0 the completion)
     sub_povm_defect: float
     decoder_collisions: int
 
@@ -1083,18 +1009,17 @@ def build_distributed_instance(params: ProtocolParams, m_a: Povm, m_b: Povm,
     _, _, side_b = _build_side(ens_b, tset_b, rho_b.mat, codes_b, params, k + params.l2)
 
     # Bin pair (i, j) holds the words a G + h_A(i) + h_B(j): bin i p**l2 + j of
-    # the sum code (k, l + l2), message (i - 1) p**l2 + j of its decode table.
-    accept = list(tset_w.members)
-    decode_tables, collisions = {}, 0
-    for (i1, ca), (i2, cb) in itertools.product(enumerate(codes_a), enumerate(codes_b)):
-        shifts = (ca.h[:, None] + cb.h[None]).reshape(-1, n)
-        table, clashes = _decode_table(UccCode(p, n, k, params.l + params.l2, g, shifts),
-                                       accept, w0)
-        nb = cb.num_bins
-        decode_tables[(i1, i2)] = {(i, j): table[(i - 1) * nb + j] if i and j else w0
-                                   for i, j in itertools.product(range(ca.num_bins + 1),
-                                                                 range(nb + 1))}
-        collisions += clashes
+    # the sum code (k, l + l2), one code per (mu1, mu2), decoded in one stack.
+    h_a, h_b = np.stack([c.h for c in codes_a]), np.stack([c.h for c in codes_b])
+    na, nb = h_a.shape[1], h_b.shape[1]
+    shifts = (h_a[:, None, :, None] + h_b[None, :, None, :]) % p
+    tables, collisions = _decode_bins(
+        np.broadcast_to(g, (params.num_mu * params.num_mu2, k, n)),
+        shifts.reshape(-1, na * nb, n), p, list(tset_w.members), w0)
+    decode_tables = {divmod(c, params.num_mu2): {
+        (i, j): table[(i - 1) * nb + j - 1] if i and j else w0
+        for i, j in itertools.product(range(na + 1), range(nb + 1))}
+        for c, table in enumerate(tables)}
     defect = max(s.defect for s in side_a + side_b)
     return DistributedInstance(params, m_a, m_b, rho_ab, ens_a, ens_b,
                                tset_a, tset_b, tset_w, w0, side_a, side_b,
@@ -1110,9 +1035,10 @@ def decode_distributed(inst: DistributedInstance, i: int, j: int,
 def assemble_overall_distributed(inst: DistributedInstance,
                                  p_zw: StochasticMap) -> FactoredCandidate:
     """Overall sub-POVM {Lambda_hat_{z^n}} on (H_A (x) H_B)^{(x) n}, in factored form."""
-    return _candidate(inst.decode_tables, [s.bin_factors for s in inst.side_a],
-                      [s.bin_factors for s in inst.side_b], p_zw, inst.params,
-                      inst.rho_ab.register_dims)
+    return FactoredCandidate(inst.decode_tables, inst.w0, [s.bin_factors for s in inst.side_a],
+                             [s.bin_factors for s in inst.side_b],
+                             extend_map_to_field(p_zw, inst.params.p), inst.params.n,
+                             inst.rho_ab.register_dims)
 
 
 def _sum_povm(m_a: Povm, m_b: Povm, p: int) -> Povm:

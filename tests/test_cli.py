@@ -171,6 +171,8 @@ def test_simulate_missing_spec_file(tmp_path):
     (["--l", "30"], "p**(k+l) exceeds"),
     (["--mode", "distributed", "--l2", "1", "--N2", "2", "--spec", bundled_example_path(1),
       "--p", "5"], "does not match the problem file's p = 2"),
+    (["--mode", "distributed", "--n", "2", "--k", "0", "--l", "20", "--l2", "20", "--N", "1",
+      "--N2", "1", "--delta", "0.5"], "p**(k+l+l2) exceeds"),
 ])
 def test_simulate_refuses_bad_protocol_input(tmp_path, extra, phrase):
     out = tmp_path / "err.json"

@@ -375,17 +375,13 @@ def test_faithfulness_trend_smoke():
 # ---------------------------------------------------------------------------
 # Distributed construction.
 
-@pytest.mark.parametrize("p", [2, 3], ids=lambda p: f"p{p}")
-@pytest.mark.parametrize("k", [0, 1, 2], ids=lambda k: f"k{k}")
-def test_distributed_product_projective_decoder(p, k):
-    # Projective factor measurements on a product state: in every (mu1, mu2)
-    # table, a bin pair with exactly one typical word a G + h_A(i) + h_B(j)
-    # decodes to it, else to w0, and two or more are a collision
-    # (enumeration oracle).  At delta_hat = 0.3 p some words are typical.
+def _check_projective_decoder(p, k, num_mu, num_mu2):
+    """Every (mu1, mu2) decode table of a product state against the enumeration oracle."""
     rho = DensityOperator(np.kron(np.eye(2) / 2, np.eye(2) / 2), (2, 2))
-    params = ProtocolParams(n=3, k=k, l=1, p=p, num_mu=2, eta=0.1, delta=0.3,
-                            seed=2, l2=1, num_mu2=2)
+    params = ProtocolParams(n=3, k=k, l=1, p=p, num_mu=num_mu, eta=0.1, delta=0.3,
+                            seed=2, l2=1, num_mu2=num_mu2)
     inst = build_distributed_instance(params, BASIS, BASIS, rho)
+    assert set(inst.decode_tables) == set(itertools.product(range(num_mu), range(num_mu2)))
     members = set(inst.tset_w.members)
     assert members and inst.w0 is not None
     collisions = 0
@@ -406,6 +402,23 @@ def test_distributed_product_projective_decoder(p, k):
             if not (i and j):       # a completion on either side
                 assert decode_distributed(inst, i, j, mu1, mu2) == inst.w0
     assert inst.decoder_collisions == collisions
+
+
+@pytest.mark.parametrize("p", [2, 3], ids=lambda p: f"p{p}")
+@pytest.mark.parametrize("k", [0, 1, 2], ids=lambda k: f"k{k}")
+def test_distributed_product_projective_decoder(p, k):
+    # Projective factor measurements on a product state: in every (mu1, mu2)
+    # table, a bin pair with exactly one typical word a G + h_A(i) + h_B(j)
+    # decodes to it, else to w0, and two or more are a collision
+    # (enumeration oracle).  At delta_hat = 0.3 p some words are typical.
+    _check_projective_decoder(p, k, 2, 2)
+
+
+def test_distributed_decoder_with_unequal_mu_counts():
+    # The N1 N2 sum codes are decoded in one stack, mu1-major; with N1 != N2
+    # a wrong stride would pair the wrong shift tables.
+    _check_projective_decoder(2, 1, 3, 2)
+    _check_projective_decoder(3, 1, 1, 3)
 
 
 def test_distributed_sides_are_sub_povms(example1):
@@ -504,47 +517,65 @@ def test_distributed_candidate_on_generic_side_operators():
     # No bundled problem pairs two nonzero bins, so none reaches the
     # G (x) H cross term; generic bin factors on unequal registers
     # (d_A = 2, d_B = 3) check it, the interleaving, the zero-bin and
-    # zero-probability rules and the sandwiches.
+    # zero-probability rules and the sandwiches.  The factors are large
+    # enough that the bins overshoot I: C_w0 = I - sum of the other words
+    # is an identity of the decode tables, not of positivity.
     rng = np.random.default_rng(11)
     n, da, db = 2, 2, 3
 
     def factor(dim, cols):
-        return (rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))) / 4
+        return (rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))) / 2
 
-    # A: mu 0 has messages 0 (completion), 1 and 2 (a zero bin), mu 1 has 3, 4 and 5;
-    # B: one mu with messages 0, 1 and 2.
+    # A: mu 0 has bins 1 and 2 (a zero bin), mu 1 bins 1 and 2; B: mu 0 has
+    # bins 1 and 2, mu 1 bins 1 to 3.  Message 0 is a side's completion.
     bins_a = [[factor(da ** n, 2), np.zeros((da ** n, 1))],
               [factor(da ** n, 1), factor(da ** n, 3)]]
-    bins_b = [[factor(db ** n, 2), factor(db ** n, 1)]]
+    bins_b = [[factor(db ** n, 2), factor(db ** n, 1)],
+              [factor(db ** n, 1), factor(db ** n, 2), factor(db ** n, 1)]]
+    assert max(max_eigenvalue(sum(g @ g.conj().T for g in bins) - np.eye(bins[0].shape[0]))
+               for bins in bins_a + bins_b) > 0.1
 
-    def messages(bin_lists, dim):
-        ops = []
-        for bins in bin_lists:
-            grams = [g @ g.conj().T for g in bins]
-            ops += [np.eye(dim) - sum(grams)] + grams
-        return ops
+    def messages(bins, dim):
+        grams = [g @ g.conj().T for g in bins]
+        return [np.eye(dim) - sum(grams)] + grams
 
-    ops_a, ops_b = messages(bins_a, da ** n), messages(bins_b, db ** n)
-    word_pairs = {(0, 1): [(0, 0), (1, 1), (2, 0)], (1, 1): [(4, 2), (3, 1), (0, 2)],
-                  (1, 0): [(2, 1)]}
+    # Complete decode tables: a completion on either side decodes to w0, the
+    # bin pairs cycle through w0 and two other words, and word (1, 0) is
+    # decoded only from the zero bin.
+    w0, cycle = (0, 1), itertools.cycle([(1, 1), (0, 0), (0, 1)])
+    tables = {}
+    for mu1, mu2 in itertools.product(range(2), range(2)):
+        tables[(mu1, mu2)] = {
+            (i, j): (w0 if not (i and j) else (1, 0) if (mu1, i) == (0, 2) else next(cycle))
+            for i, j in itertools.product(range(3), range(len(bins_b[mu2]) + 1))}
     p_ext = StochasticMap((2,), 3, np.array([[0.5, 0.5, 0.0], [0.2, 0.0, 0.8]]))
-    cand = protocol.FactoredCandidate(bins_a, bins_b, word_pairs, 0.25, p_ext, n, (da, db))
+    cand = protocol.FactoredCandidate(tables, w0, bins_a, bins_b, p_ext, n, (da, db))
+    word_ops = {}
+    for (mu1, mu2), table in tables.items():
+        ops_a, ops_b = messages(bins_a[mu1], da ** n), messages(bins_b[mu2], db ** n)
+        for (i, j), word in table.items():
+            op = dense.permute_registers(np.kron(ops_a[i], ops_b[j]), [da] * n + [db] * n,
+                                         [0, 2, 1, 3])
+            word_ops[word] = word_ops.get(word, 0) + op / len(tables)
+    assert not np.any(word_ops[(1, 0)])
+    assert np.allclose(sum(word_ops.values()), np.eye(36), atol=1e-12)
     ref = {}
-    for word, pairs in word_pairs.items():
-        op = 0.25 * sum(dense.permute_registers(np.kron(ops_a[a], ops_b[b]), [da] * n + [db] * n,
-                                          [0, 2, 1, 3]) for a, b in pairs)
+    for word, op in word_ops.items():
         for z in itertools.product(range(3), repeat=n):
             pr = p_ext.probs[word[0], z[0]] * p_ext.probs[word[1], z[1]]
             if pr > 0.0 and np.any(op):
                 ref[z] = ref.get(z, 0) + pr * op
-    assert set(cand) == set(ref) == set(itertools.product((0, 1, 2), (0, 2)))
+    assert set(cand) == set(ref) == set(itertools.product(range(3), repeat=n)) - {(2, 1)}
     w = rng.standard_normal((36, 5)) + 1j * rng.standard_normal((36, 5))
     sandwiches = dict(cand.sandwiches(w))
     assert set(sandwiches) == set(ref)
+
+    def close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
     for z, op in ref.items():
-        assert np.allclose(cand[z], op, atol=1e-12)
-        assert np.allclose(sandwiches[z], w.conj().T @ op @ w, atol=1e-12)
-    assert (0, 1) not in cand
+        close(cand[z], op)
+        close(sandwiches[z], w.conj().T @ op @ w)
     # The support of a mixed state on the interleaved registers, with the
     # target and the candidate's W^dagger W taken from single-copy blocks.
     rho_ab = random_density(rng, da * db, (da, db))
@@ -1090,6 +1121,7 @@ def test_p2p_invariants_generic(seed, p, rank_one):
     # The factored candidate and the tensor-power state agree with the dense
     # candidate and state.
     dense_cand = {z: cand[z] for z in cand}
+    assert np.max(np.abs(sum(dense_cand.values()) - np.eye(inst.dim_n))) <= 1e-9
     assert faithfulness(TensorPower(rho, n), tgt, cand) == pytest.approx(k, abs=1e-10)
     assert faithfulness(TensorPower(rho, n), tgt, dense_cand) == pytest.approx(k, abs=1e-10)
     assert faithfulness(rho_n, tgt, dense_cand) == pytest.approx(k, abs=1e-10)
@@ -1114,6 +1146,7 @@ def test_distributed_invariants_generic(seed, rank_one):
     # The mixed rho_ab gives a support of rank 16: the factored candidate and
     # the tensor-power state agree with the dense candidate and state.
     dense_cand = {z: cand[z] for z in cand}
+    assert np.max(np.abs(sum(dense_cand.values()) - np.eye(16))) <= 1e-9
     assert faithfulness(TensorPower(rho_ab, 2), tgt, cand) == pytest.approx(k, abs=1e-10)
     assert faithfulness(TensorPower(rho_ab, 2), tgt, dense_cand) == pytest.approx(k, abs=1e-10)
     assert faithfulness(kron_power(rho_ab.mat, 2), tgt, dense_cand) == pytest.approx(k, abs=1e-10)
