@@ -179,7 +179,7 @@ def _run_surface(grid: int, span: float, out: str | None, default_out: str) -> i
                        EXIT_BAD_EXPERIMENT, out)
     out_path = out or default_out
     with open(out_path, "w") as fh:
-        fh.write("\n".join(regions.surface_to_csv_rows(scan)) + "\n")
+        fh.write(regions.surface_to_csv(scan))
     finite = scan.gain[scan.valid]
     sign_change = bool(finite.min() < 0 < finite.max())
     print(f"surface scan: {len(scan)} points, {valid} valid, "

@@ -190,14 +190,26 @@ class _Spectrum:
     group_probs: np.ndarray
 
 
+def _real_if_exact(mat) -> np.ndarray:
+    """``mat`` as a real array when its imaginary part is exactly 0, else as it is.
+
+    Applied where eigenbases and target blocks are taken, so a real problem
+    runs in real arithmetic throughout and a complex one as before.
+    """
+    mat = np.asarray(mat)
+    if np.iscomplexobj(mat) and not mat.imag.any():
+        return np.ascontiguousarray(mat.real)
+    return mat
+
+
 def _spectrum(mat) -> _Spectrum:
-    vals, vecs = np.linalg.eigh(hermitian_part(mat))
+    vals, vecs = np.linalg.eigh(_real_if_exact(hermitian_part(mat)))
     return _Spectrum(vals, vecs, *_eigen_groups(vals))
 
 
 def _kron_columns(mats, cols: np.ndarray) -> np.ndarray:
     """The columns of kron_all(mats) indexed by the rows of ``cols`` (one index per factor)."""
-    out = np.ones((1, cols.shape[0]), dtype=complex)
+    out = np.ones((1, cols.shape[0]), dtype=np.result_type(*mats))
     for j, m in enumerate(mats):
         out = (out[:, None, :] * m[:, cols[:, j]][None, :, :]).reshape(
             out.shape[0] * m.shape[0], cols.shape[0])
@@ -337,8 +349,11 @@ def _gram(f: np.ndarray) -> np.ndarray:
 
 
 def _hstack(factors, dim: int) -> np.ndarray:
-    """The factors side by side, as one matrix with ``dim`` rows (no columns if there are none)."""
-    return np.concatenate([np.zeros((dim, 0), dtype=complex), *factors], axis=1)
+    """The factors side by side, as one matrix with ``dim`` rows (no columns if there are none).
+
+    Its dtype is that of the factors (real when there are none).
+    """
+    return np.concatenate([np.zeros((dim, 0)), *factors], axis=1)
 
 
 def _sigma_factor(factors: dict, gamma: dict, dim: int) -> np.ndarray:
@@ -347,13 +362,17 @@ def _sigma_factor(factors: dict, gamma: dict, dim: int) -> np.ndarray:
 
 
 def _cut_directions(y: np.ndarray) -> np.ndarray:
-    """The eigenvectors of Y Y^dagger with eigenvalue above 1 + PRUNE_TOL.
+    """The eigenvectors of Y Y^dagger with eigenvalue above 1 + PRUNE_TOL, orthonormal.
 
-    They are the left singular vectors of Y with squared singular value above
-    1 + PRUNE_TOL.
+    They come from the small Gram Y^dagger Y: for each of its eigenpairs
+    (s**2, v) with s**2 above 1 + PRUNE_TOL, Y v / s is a unit eigenvector of
+    Y Y^dagger with the same eigenvalue.  A Y without columns cuts nothing.
     """
-    vecs, s, _ = np.linalg.svd(y, full_matrices=False)
-    return vecs[:, s ** 2 > 1.0 + PRUNE_TOL]
+    if not y.shape[1]:
+        return y
+    s2, v = np.linalg.eigh(y.conj().T @ y)
+    keep = s2 > 1.0 + PRUNE_TOL
+    return (y @ v[:, keep]) / np.sqrt(s2[keep])
 
 
 class _Grams(Mapping):
@@ -427,18 +446,72 @@ def _stacked_hits(g: np.ndarray, h: np.ndarray, p: int, words: list) -> np.ndarr
     return np.where(known[hit] == flat, hit, -1)
 
 
-def _decode_bins(g: np.ndarray, h: np.ndarray, p: int, accept: list, w0) -> tuple:
-    """(per code, bin -> word; collisions) of a stack of codes, codewords looked up in ``accept``.
+class DecodeTable(Mapping):
+    """Message pair (i, j) -> decoded word of one (mu1, mu2), stored sparse.
+
+    Message 0 of a side is its completion and message i >= 1 its bin i - 1;
+    ``messages`` holds the range of each side's messages (point-to-point has
+    B's one bin, message 1, only).  Only the bin pairs that decode to a word
+    other than w0 are stored: row k of ``pairs`` is a pair (i, j), both >= 1,
+    that decodes to ``words[which[k]]``, a word other than w0, the rows in
+    ascending order.  Every other pair in range decodes to w0.  The keys are
+    every pair in range, in lexicographic order; a key out of range is
+    missing.
+    """
+
+    def __init__(self, messages: tuple, w0, words: list, pairs, which):
+        self.messages, self.w0, self.words = tuple(messages), w0, words
+        self.pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        self.which = np.asarray(which, dtype=np.int64).reshape(-1)
+        self.keys = self.pairs[:, 0] * self.messages[1].stop + self.pairs[:, 1]    # ascending
+
+    def _key(self, pair) -> int | None:
+        """i * (last message of B + 1) + j of a message pair (i, j) in range, else None."""
+        if not (isinstance(pair, tuple) and len(pair) == 2
+                and all(isinstance(m, (int, np.integer)) for m in pair)
+                and all(m in r for m, r in zip(pair, self.messages))):
+            return None
+        return int(pair[0]) * self.messages[1].stop + int(pair[1])
+
+    def __contains__(self, pair) -> bool:
+        return self._key(pair) is not None
+
+    def __getitem__(self, pair):
+        key = self._key(pair)
+        if key is None:
+            raise KeyError(pair)
+        k = int(np.searchsorted(self.keys, key))
+        return (self.words[self.which[k]] if k < self.keys.size and self.keys[k] == key
+                else self.w0)
+
+    def __iter__(self):
+        return itertools.product(*self.messages)
+
+    def __len__(self) -> int:
+        return len(self.messages[0]) * len(self.messages[1])
+
+
+def _decode_tables(g: np.ndarray, h: np.ndarray, p: int, accept: list, w0,
+                   num_mu2: int, messages_b: range) -> tuple:
+    """(decode tables, collisions) of a stack of codes, codewords looked up in ``accept``.
 
     A bin decodes to its single accepted codeword, else to w0.  A bin with two
     or more accepted codewords (a repeated codeword counting twice) is a
-    collision.
+    collision.  Code c of the stack is the table of (mu1, mu2) =
+    divmod(c, num_mu2), and its bin b the bin pair (b // bins_b, b % bins_b)
+    of messages one higher, with B's messages ``messages_b`` (bins_b bins).
     """
+    bins_b = messages_b.stop - 1
     hits = _stacked_hits(g, h, p, accept)
     count = (hits >= 0).sum(axis=2)
-    listed = accept + [w0]
-    pick = np.where(count == 1, hits.max(axis=2), len(accept))
-    return [[listed[j] for j in row] for row in pick.tolist()], int((count >= 2).sum())
+    code, bins = np.nonzero(count == 1)
+    which = hits.max(axis=2)[code, bins]
+    pairs = np.stack(divmod(bins, bins_b), axis=1) + 1
+    ends = np.searchsorted(code, np.arange(h.shape[0] + 1)).tolist()
+    messages = (range(h.shape[1] // bins_b + 1), messages_b)
+    tables = {divmod(c, num_mu2): DecodeTable(messages, w0, accept, pairs[a:b], which[a:b])
+              for c, (a, b) in enumerate(zip(ends[:-1], ends[1:]))}
+    return tables, int((count >= 2).sum())
 
 
 def _code_side(code: UccCode, gamma: dict, factors: dict, typical: np.ndarray) -> SideData:
@@ -519,8 +592,8 @@ class ProtocolInstance:
     abar: Mapping               # word tuple -> unpruned Abar_w (typical words of some code)
     w0: tuple | None            # lexicographically smallest non-typical word, or None
     mus: list                   # SideData per mu
-    decode_tables: dict         # (mu, 0) -> dict (i, 1) -> word: A message i (0 the completion)
-                                # with B's one bin
+    decode_tables: dict         # (mu, 0) -> DecodeTable (i, 1) -> word: A message i (0 the
+                                # completion) with B's one bin
     sub_povm_defect: float      # max over mu of lambda_max(sum_i Gamma_i - I)
     decoder_collisions: int
 
@@ -550,10 +623,9 @@ def build_instance(params: ProtocolParams, m: Povm, rho: DensityOperator) -> Pro
     w0 = _lex_smallest_outside(tset, p, n)
     # A bin decodes to its single built word.  Message i of side A is the
     # completion (i = 0) or bin i - 1; side B has one mu and one bin, message 1.
-    tables, collisions = _decode_bins(np.stack([c.G for c in codes]),
-                                      np.stack([c.h for c in codes]), p, list(factors), w0)
-    decode_tables = {(i1, 0): {(i, 1): word for i, word in enumerate([w0] + table)}
-                     for i1, table in enumerate(tables)}
+    decode_tables, collisions = _decode_tables(np.stack([c.G for c in codes]),
+                                               np.stack([c.h for c in codes]), p,
+                                               list(factors), w0, 1, range(1, 2))
     return ProtocolInstance(params, m, rho, ens, tset, u, _Grams(factors), w0, mus,
                             decode_tables, float(max(mu.defect for mu in mus)), collisions)
 
@@ -629,17 +701,18 @@ class FactoredCandidate(Mapping):
     """The overall sub-POVM C_z = sum_word P^n_{Z|W}(z | word) C_word of either topology.
 
     ``decode_tables`` maps every (mu1, mu2), all weighted alike, to its
-    message pairs (i, j) -> word; message 0 of a side is its completion and
-    message i >= 1 its bin i - 1, with the bin factors G_i (side A) and H_j
-    (side B) of each mu listed in ``bins_a`` and ``bins_b``.  A side's
+    ``DecodeTable`` of message pairs (i, j) -> word; message 0 of a side is its
+    completion and message i >= 1 its bin i - 1, with the bin factors G_i
+    (side A) and H_j (side B) of each mu listed in ``bins_a`` and ``bins_b``.  A side's
     outcomes add up to I and every pair with a completion decodes to w0, so
     C_w0 = I - sum over the other words of C_word, and a word other than w0
     keeps only its bin pairs: C_word = (G (x) H) diag(c) (G (x) H)^dagger on
     (H_A (x) H_B)^{(x) n}, with G and H the nonzero bin factors side by side
     and c = 1 / (N1 N2) on the Kronecker columns of the word's bin pairs, 0
     elsewhere.  Point-to-point is the case of a B side of dimension 1 with
-    one bin, the number 1, whose completion is 0.  A word other than w0 with
-    no nonzero bin pair is not stored.
+    one bin, the number 1, whose completion is 0.  Only the pairs each table
+    stores are walked, and a word other than w0 with no nonzero bin pair is
+    not stored.
 
     The keys are the z of positive probability under a stored word.
     ``candidate[z]`` builds the dense C_z on demand; ``sandwiches`` gives every
@@ -654,16 +727,20 @@ class FactoredCandidate(Mapping):
         h, ends_b = _live_columns(bins_b, self.dims[1] ** n)
         self.g_adj, self.h_adj = (np.ascontiguousarray(f.conj().T) for f in (g, h))
         self.weight = 1.0 / len(decode_tables)
-        # Each bin pair decoding to a word other than w0, as (word, bin of A, bin of B).
+        # Each pair of nonzero bins decoding to a word other than w0, as (word,
+        # bin of A, bin of B); there is none unless both sides have one.
         first_a, first_b = ([0] + np.cumsum([len(mu) for mu in bins]).tolist()
                             for bins in (bins_a, bins_b))
-        index, rows = {}, []
-        for (i1, i2), table in decode_tables.items():
-            for (i, j), word in table.items():
-                if i and j and word != w0:
-                    rows.append((index.setdefault(word, len(index)),
-                                 first_a[i1] + i - 1, first_b[i2] + j - 1))
-        ids, x, y = np.array(sorted(rows), dtype=np.int64).reshape(-1, 3).T    # word by word
+        live_a, live_b = np.diff(ends_a) > 0, np.diff(ends_b) > 0
+        index, rows = {}, [np.zeros((0, 3), dtype=np.int64)]
+        for (i1, i2), table in decode_tables.items() if g.shape[1] and h.shape[1] else ():
+            used = np.flatnonzero(np.bincount(table.which, minlength=len(table.words)))
+            ids = np.zeros(len(table.words), dtype=np.int64)
+            ids[used] = [index.setdefault(table.words[k], len(index)) for k in used.tolist()]
+            x, y = first_a[i1] + table.pairs[:, 0] - 1, first_b[i2] + table.pairs[:, 1] - 1
+            rows.append(np.column_stack([ids[table.which], x, y])[live_a[x] & live_b[y]])
+        rows = np.concatenate(rows)
+        ids, x, y = rows[np.lexsort(rows.T[::-1])].T    # word by word
         lo_a, hi_a, lo_b, hi_b = ends_a[x], ends_a[x + 1], ends_b[y], ends_b[y + 1]
         self.cols = _block_columns(lo_a, hi_a, lo_b, hi_b, h.shape[1])
         sizes = np.bincount(ids, weights=(hi_a - lo_a) * (hi_b - lo_b),
@@ -746,7 +823,7 @@ class ProductTarget(Mapping):
     """
 
     def __init__(self, singles, n: int):
-        self.singles = tuple(np.asarray(s, dtype=complex) for s in singles)
+        self.singles = tuple(_real_if_exact(np.asarray(s, dtype=complex)) for s in singles)
         self.n = n
 
     def __contains__(self, z) -> bool:
@@ -836,7 +913,7 @@ class _Support:
     """
 
     def __init__(self, state: TensorPower):
-        vals, self.vecs = np.linalg.eigh(state.single)
+        vals, self.vecs = np.linalg.eigh(_real_if_exact(state.single))
         self.n, d = state.n, vals.size
         idx = all_vectors(self.n, d)
         lam = np.prod(vals[idx], axis=1)
@@ -890,9 +967,7 @@ SPECTRUM_BLOCK = 2 ** 16    # entries of one stacked (keys, r, r) batch of trace
 
 def _trace_norms(d: np.ndarray) -> np.ndarray:
     """||D_k||_1 of every Hermitian D_k in a stack, read from one triangle; real when D is."""
-    if not np.any(d.imag):
-        d = d.real
-    return np.abs(np.linalg.eigvalsh(d)).sum(axis=-1)
+    return np.abs(np.linalg.eigvalsh(_real_if_exact(d))).sum(axis=-1)
 
 
 def _target_sandwiches(target: Mapping, state: TensorPower, support: _Support):
@@ -947,6 +1022,7 @@ def faithfulness(rho_n, target: Mapping, candidate: Mapping) -> float:
         c = candidate_block(lo, lo + step)
         k -= float(np.trace(c, axis1=1, axis2=2).real.sum())
         gap = target_block(keys[lo:lo + step])
+        gap = gap.astype(np.result_type(gap, c), copy=False)    # real only when both are
         gap -= c
         del c                   # freed before the solver takes its workspace
         k += float(_trace_norms(gap).sum())
@@ -976,7 +1052,8 @@ class DistributedInstance:
     w0: tuple | None
     side_a: list                # SideData per mu1
     side_b: list                # SideData per mu2
-    decode_tables: dict         # (mu1, mu2) -> dict (i, j) -> word (message 0 the completion)
+    decode_tables: dict         # (mu1, mu2) -> DecodeTable (i, j) -> word (message 0 the
+                                # completion)
     sub_povm_defect: float
     decoder_collisions: int
 
@@ -1013,13 +1090,10 @@ def build_distributed_instance(params: ProtocolParams, m_a: Povm, m_b: Povm,
     h_a, h_b = np.stack([c.h for c in codes_a]), np.stack([c.h for c in codes_b])
     na, nb = h_a.shape[1], h_b.shape[1]
     shifts = (h_a[:, None, :, None] + h_b[None, :, None, :]) % p
-    tables, collisions = _decode_bins(
+    decode_tables, collisions = _decode_tables(
         np.broadcast_to(g, (params.num_mu * params.num_mu2, k, n)),
-        shifts.reshape(-1, na * nb, n), p, list(tset_w.members), w0)
-    decode_tables = {divmod(c, params.num_mu2): {
-        (i, j): table[(i - 1) * nb + j - 1] if i and j else w0
-        for i, j in itertools.product(range(na + 1), range(nb + 1))}
-        for c, table in enumerate(tables)}
+        shifts.reshape(-1, na * nb, n), p, list(tset_w.members), w0, params.num_mu2,
+        range(nb + 1))
     defect = max(s.defect for s in side_a + side_b)
     return DistributedInstance(params, m_a, m_b, rho_ab, ens_a, ens_b,
                                tset_a, tset_b, tset_w, w0, side_a, side_b,

@@ -484,21 +484,33 @@ def surface_scan(rho_ab: DensityOperator, theta_grid, p_zst=None,
     return SurfaceScan(axes, valid, gain)
 
 
-def surface_to_csv_rows(scan: SurfaceScan) -> list[str]:
-    """Header plus one row per point; each axis value is formatted once."""
+def surface_to_csv(scan: SurfaceScan) -> str:
+    """The scan as CSV text: a header, then one line per point, each ending in a newline.
+
+    Each axis value is formatted once.  The rows of one (theta1, theta2)
+    group differ only in their tails "theta3,valid,gain", so a group is one
+    join of its tails on its "theta1,theta2," prefix.  A group with no valid
+    point joins the precomputed invalid tails as they are.
+    """
     cols = [["%.6f" % v for v in axis.tolist()] for axis in scan.axes]
-    flags = np.where(scan.valid, "1,", "0,").tolist()
-    gains = iter(["%.12f" % g for g in scan.gain[scan.valid].tolist()])
-    rows = ["theta1,theta2,theta3,valid,gain_indicator"]
-    i = 0
-    for a in cols[0]:
-        for b in cols[1]:
-            prefix = f"{a},{b},"
-            for c in cols[2]:
-                flag = flags[i]
-                rows.append(prefix + c + "," + flag + (next(gains) if flag == "1," else ""))
-                i += 1
-    return rows
+    n3 = len(cols[2])
+    invalid = [c + ",0,\n" for c in cols[2]]
+    at = np.flatnonzero(scan.valid)
+    pos = (at % n3).tolist()
+    tails = [cols[2][i] + ",1," + "%.12f" % g + "\n"
+             for i, g in zip(pos, scan.gain[at].tolist())]
+    # The valid points of group g are at[ends[g]:ends[g + 1]].
+    ends = np.searchsorted(at // n3, np.arange(len(cols[0]) * len(cols[1]) + 1)).tolist()
+    out = ["theta1,theta2,theta3,valid,gain_indicator\n"]
+    groups = (f"{a},{b}," for a in cols[0] for b in cols[1])
+    for prefix, lo, hi in zip(groups, ends[:-1], ends[1:]):
+        group = invalid
+        if hi > lo:
+            group = invalid.copy()
+            for k in range(lo, hi):
+                group[pos[k]] = tails[k]
+        out.append(prefix + prefix.join(group))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,21 @@
 
 The library keeps every side operator as a low-rank factor; the tests check
 the construction's invariants on these dense forms.  ``permute_registers``
-builds the interleaved (AB)^n ordering of a dense A^n (x) B^n operator.
+builds the interleaved (AB)^n ordering of a dense A^n (x) B^n operator, and
+``svd_cut_directions`` is the SVD form of the pruning's cut, which the
+library takes from the Gram of Y.
 """
 
 import numpy as np
 
 from povmsim.linalg import hermitian_part
-from povmsim.protocol import _gram, _hstack, _sigma_factor
+from povmsim.protocol import PRUNE_TOL, _gram, _hstack, _sigma_factor
+
+
+def svd_cut_directions(y) -> np.ndarray:
+    """The left singular vectors of Y with squared singular value above 1 + PRUNE_TOL."""
+    vecs, s, _ = np.linalg.svd(y, full_matrices=False)
+    return vecs[:, s ** 2 > 1.0 + PRUNE_TOL]
 
 
 def sigma(side) -> np.ndarray:

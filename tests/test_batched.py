@@ -190,7 +190,7 @@ def test_surface_csv_rows_match_per_row_format(bell_state):
     want = ["theta1,theta2,theta3,valid,gain_indicator"] + [
         f"{p.theta1:.6f},{p.theta2:.6f},{p.theta3:.6f},{int(p.valid)},"
         + (f"{p.gain:.12f}" if p.valid else "") for p in scan]
-    assert regions.surface_to_csv_rows(scan) == want
+    assert regions.surface_to_csv(scan) == "\n".join(want) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,14 @@ def test_surface_csv_pinned(tmp_path):
         "7440b463e06c3dbaeaa1563d19d79f75fdb3a851228eefd176fc9f71f648a4f6"
 
 
+def test_surface_csv_pinned_grid41(tmp_path):
+    # The benchmark's grid: 68 921 rows, 4 149 of them valid.
+    out = tmp_path / "scan.csv"
+    assert run(["surface", "--grid", "41", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "c8a46f29bdac7719f8110dacc1d7596851f5420751c6bfb9efecae576610cfa5"
+
+
 def test_surface_reads_state_and_field_from_example3(tmp_path, monkeypatch):
     # The scanned state and the field F_p come from example3.json: a copy
     # with p = 2 gives the F_2 scan of the same state.
@@ -299,7 +307,7 @@ def test_surface_reads_state_and_field_from_example3(tmp_path, monkeypatch):
     axis = regions.symmetric_axis(5, 1.0)
     rho = cli.DensityOperator(cli.mat_from_json(spec["rho"]), tuple(spec["dims"]))
     want = regions.surface_scan(rho, (axis, axis, axis), field_p=2)
-    assert out.read_text() == "\n".join(regions.surface_to_csv_rows(want)) + "\n"
+    assert out.read_text() == regions.surface_to_csv(want)
     default = regions.surface_scan(rho, (axis, axis, axis), field_p=3)
     assert not np.allclose(want.gain[want.valid], default.gain[default.valid])
 

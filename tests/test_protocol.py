@@ -16,7 +16,7 @@ from conftest import (
 )
 from povmsim import protocol
 from povmsim.codes import UccCode, all_codewords
-from povmsim.cli import main
+from povmsim.cli import _default_p2p_problem, main
 from povmsim.cq import StochasticMap
 from povmsim.linalg import (
     DensityOperator,
@@ -421,6 +421,43 @@ def test_distributed_decoder_with_unequal_mu_counts():
     _check_projective_decoder(3, 1, 1, 3)
 
 
+def test_decode_table_stores_only_words_other_than_w0():
+    # A table keeps the bin pairs decoding to a word other than w0; every
+    # other pair in range reads as w0, and the keys run over every pair.
+    w0, words = (0, 0), [(1, 0), (0, 1)]
+    table = protocol.DecodeTable((range(3), range(4)), w0, words, [[1, 1], [2, 3]], [0, 1])
+    assert list(table) == list(itertools.product(range(3), range(4))) and len(table) == 12
+    assert table[(1, 1)] == (1, 0) and table[(2, 3)] == (0, 1)
+    assert [word for word in table.values()].count(w0) == 10
+    assert table[(0, 2)] == table[(2, 0)] == table[(1, 2)] == w0
+    for missing in [(3, 0), (0, 4), (-1, 1), (1,), (1.0, 1), "ab"]:
+        assert missing not in table
+        with pytest.raises(KeyError):
+            table[missing]
+    p2p = protocol.DecodeTable((range(3), range(1, 2)), w0, words, [[2, 1]], [0])
+    assert list(p2p.items()) == [((0, 1), w0), ((1, 1), w0), ((2, 1), (1, 0))]
+    assert (1, 0) not in p2p
+
+
+def test_distributed_sum_code_at_the_cap(tmp_path, monkeypatch):
+    # 2**20 bin pairs, one typical W-word: about a quarter of the pairs decode
+    # to it and are stored, the rest read as w0.  K is pinned bit for bit.
+    built = []
+
+    def build(*args):
+        built.append(build_distributed_instance(*args))
+        return built[-1]
+
+    monkeypatch.setattr(protocol, "build_distributed_instance", build)
+    out = tmp_path / "k.json"
+    assert main(["simulate", "--mode", "distributed", "--n", "2", "--k", "0", "--l", "10",
+                 "--l2", "10", "--N", "1", "--N2", "1", "--delta", "0.5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["K"] == 0.7078394879999999
+    (table,) = built[0].decode_tables.values()
+    assert len(table) == 1025 ** 2 and table.pairs.shape == (261734, 2)
+    assert {table.words[k] for k in table.which.tolist()} == {(0, 0)} != {built[0].w0}
+
+
 def test_distributed_sides_are_sub_povms(example1):
     params = ProtocolParams(n=2, k=1, l=1, p=2, num_mu=2, eta=0.1, delta=0.5,
                             seed=1, l2=1, num_mu2=2)
@@ -548,8 +585,17 @@ def test_distributed_candidate_on_generic_side_operators():
         tables[(mu1, mu2)] = {
             (i, j): (w0 if not (i and j) else (1, 0) if (mu1, i) == (0, 2) else next(cycle))
             for i, j in itertools.product(range(3), range(len(bins_b[mu2]) + 1))}
+    # The constructor takes them sparse: only the bin pairs decoding to a word
+    # other than w0 are stored, and every other pair reads as w0.
+    sparse = {}
+    for mus, table in tables.items():
+        stored = [(ij, word) for ij, word in table.items() if ij[0] and ij[1] and word != w0]
+        sparse[mus] = protocol.DecodeTable((range(3), range(len(bins_b[mus[1]]) + 1)), w0,
+                                           [word for _, word in stored],
+                                           [ij for ij, _ in stored], range(len(stored)))
+        assert list(sparse[mus].items()) == list(table.items())
     p_ext = StochasticMap((2,), 3, np.array([[0.5, 0.5, 0.0], [0.2, 0.0, 0.8]]))
-    cand = protocol.FactoredCandidate(tables, w0, bins_a, bins_b, p_ext, n, (da, db))
+    cand = protocol.FactoredCandidate(sparse, w0, bins_a, bins_b, p_ext, n, (da, db))
     word_ops = {}
     for (mu1, mu2), table in tables.items():
         ops_a, ops_b = messages(bins_a[mu1], da ** n), messages(bins_b[mu2], db ** n)
@@ -945,16 +991,29 @@ def test_k_unchanged_with_one_key_per_chunk(monkeypatch, rotated_instance):
 def test_p2p_n8_op_uses_single_copy_blocks(tmp_path, monkeypatch):
     # The benchmark's point-to-point op (maximally mixed qubit, r = 256, every
     # bin 0) takes K from single-copy blocks: no T_z is applied and no
-    # d**n x r support factor is formed.
-    def refuse(*args):
+    # d**n x r support factor is formed.  The pruning cut comes from the Gram
+    # of Y, with no SVD, and still leaves every bin exactly 0.
+    def refuse(*args, **kwargs):
         raise AssertionError("the dense path was taken")
+
+    built = []
+
+    def build(*args):
+        built.append(build_instance(*args))
+        return built[-1]
 
     monkeypatch.setattr(protocol.ProductTarget, "apply", refuse)
     monkeypatch.setattr(protocol._Support, "w", property(refuse))
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(protocol, "build_instance", build)
     out = tmp_path / "k.json"
-    assert main(["simulate", "--mode", "p2p", "--n", "8", "--k", "0", "--l", "6", "--N", "2",
-                 "--delta", "0.7", "--seed", "0", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["K"] == pytest.approx(1.9921875, abs=1e-12)
+    for seed in range(8):
+        assert main(["simulate", "--mode", "p2p", "--n", "8", "--k", "0", "--l", "6",
+                     "--N", "2", "--delta", "0.7", "--seed", str(seed), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["K"] == pytest.approx(1.9921875, abs=1e-12)
+        assert all(mu.v_cut.shape[1] and not np.any(g)
+                   for mu in built[-1].mus for g in mu.bin_factors)
+    assert len(built) == 8
 
 
 def _assert_no_subnormals(arrays):
@@ -1150,3 +1209,114 @@ def test_distributed_invariants_generic(seed, rank_one):
     assert faithfulness(TensorPower(rho_ab, 2), tgt, cand) == pytest.approx(k, abs=1e-10)
     assert faithfulness(TensorPower(rho_ab, 2), tgt, dense_cand) == pytest.approx(k, abs=1e-10)
     assert faithfulness(kron_power(rho_ab.mat, 2), tgt, dense_cand) == pytest.approx(k, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# The pruning cut from the Gram of Y, and real arithmetic for real problems.
+
+def _tall(rng, rows, s2, real):
+    """A rows x len(s2) matrix with squared singular values s2 and random singular vectors."""
+    def isometry(m, c):
+        a = rng.standard_normal((m, c))
+        if not real:
+            a = a + 1j * rng.standard_normal((m, c))
+        return np.linalg.qr(a)[0]
+
+    c = len(s2)
+    return isometry(rows, c) * np.sqrt(s2) @ isometry(c, c).conj().T
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("s2", [
+    [1 + protocol.PRUNE_TOL + 1e-8, 0.3, 0.6, 2.5, 4.0],
+    [1 + protocol.PRUNE_TOL - 1e-8, 0.3, 0.6, 2.5, 4.0],
+    [2.0, 2.0, 2.0, 0.5, 0.5, 1.7],
+    [],
+], ids=["above-threshold", "below-threshold", "repeated", "empty"])
+def test_gram_cut_matches_svd_cut(real, s2):
+    # The cut directions span the same space as the SVD's, at a singular
+    # value 1e-8 from the threshold on either side, at repeated values and
+    # with no column.  Each Y has one value near the threshold: two values
+    # 2e-8 apart fix their singular vectors only to about eps / 2e-8, by
+    # either method.
+    rng = np.random.default_rng(len(s2) + 10 * real)
+    y = _tall(rng, 64, s2, real) if s2 else np.zeros((64, 0), dtype=float if real else complex)
+    got, want = protocol._cut_directions(y), dense.svd_cut_directions(y)
+    assert got.shape == want.shape
+    assert got.dtype == (np.float64 if real else np.complex128)
+    assert np.max(np.abs(got @ got.conj().T - want @ want.conj().T), initial=0.0) <= 1e-12
+    assert np.allclose(got.conj().T @ got, np.eye(got.shape[1]), atol=1e-12)
+
+
+def test_gram_cut_of_a_scaled_partial_permutation_is_exact():
+    # The shape of every Y of the benchmark's point-to-point op: each column a
+    # scaled unit vector on its own row.  The cut directions are then exact
+    # unit vectors, so F = X - V (V^dagger X) is exactly 0 on the cut columns.
+    rng = np.random.default_rng(3)
+    rows = rng.permutation(256)[:60]
+    scales = rng.uniform(0.2, 3.0, size=60)
+    y = np.zeros((256, 60))
+    y[rows, np.arange(60)] = scales
+    v = protocol._cut_directions(y)
+    cut = scales ** 2 > 1.0 + protocol.PRUNE_TOL
+    assert v.shape[1] == cut.sum() > 0
+    assert set(np.abs(v).ravel().tolist()) == {0.0, 1.0}
+    assert sorted(np.flatnonzero(np.abs(v).sum(axis=1)).tolist()) == sorted(rows[cut].tolist())
+    f = y - v @ (v.T @ y)
+    assert not np.any(f[:, cut]) and np.array_equal(f[:, ~cut], y[:, ~cut])
+
+
+def _default_p2p_k(n, seed):
+    """(instance, K) of the default problem at n, l = n - 2, N = 2, delta = 0.7."""
+    rho, m, p_zw = _default_p2p_problem()
+    params = ProtocolParams(n=n, k=0, l=n - 2, p=2, num_mu=2, delta=0.7, seed=seed)
+    inst = build_instance(params, m, rho)
+    cand = assemble_overall(inst, p_zw)
+    tgt = target_overall(m, protocol.extend_map_to_field(p_zw, params.p), params.n)
+    return inst, faithfulness(TensorPower(rho, params.n), tgt, cand)
+
+
+def test_real_problem_stays_real(rotated_instance):
+    # A real problem runs in real arithmetic from the typical factor through
+    # the bins and the support; a complex one stays complex.
+    rho, m, p_zw = _default_p2p_problem()
+    inst, _ = _default_p2p_k(6, 0)
+    tgt = target_overall(m, protocol.extend_map_to_field(p_zw, 2), 6)
+    support = protocol._Support(TensorPower(rho, 6))
+    real = [inst.typical, support.vecs, support.w, *tgt.singles]
+    for mu in inst.mus:
+        real += [mu.v_cut, *mu.factors.values(), *mu.a_factors.values(), *mu.bin_factors]
+    assert {a.dtype for a in real} == {np.dtype(np.float64)}
+    rho_r, _ = rotated_qubit_problem()
+    complex_ = [rotated_instance.typical, protocol._Support(TensorPower(rho_r, 4)).vecs]
+    for mu in rotated_instance.mus:
+        complex_ += [*mu.factors.values(), *mu.bin_factors]
+    assert {a.dtype for a in complex_} == {np.dtype(np.complex128)}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_real_path_k_matches_complex_path(monkeypatch, n):
+    # K of the default problem in real arithmetic against the same run kept
+    # complex (the rule switched off), at op seeds 0-3.
+    ks, dtypes = [], []
+    for keep_complex in (False, True):
+        if keep_complex:
+            monkeypatch.setattr(protocol, "_real_if_exact", np.asarray)
+        runs = [_default_p2p_k(n, seed) for seed in range(4)]
+        ks.append([k for _, k in runs])
+        dtypes.append(runs[0][0].typical.dtype)
+    assert dtypes == [np.float64, np.complex128]
+    assert np.max(np.abs(np.subtract(*ks))) <= 1e-12
+
+
+def test_faithfulness_mixes_real_and_complex_blocks():
+    # A real state and target against a candidate of complex dtype: the real
+    # target blocks are promoted, not updated in place.
+    rho, m, p_zw = _default_p2p_problem()
+    params = ProtocolParams(n=4, k=0, l=2, p=2, num_mu=2, delta=0.7, seed=0)
+    cand = assemble_overall(build_instance(params, m, rho), p_zw)
+    tgt = target_overall(m, p_zw, 4)
+    assert tgt.singles[0].dtype == np.float64
+    k = faithfulness(TensorPower(rho, 4), tgt, cand)
+    k_complex = faithfulness(TensorPower(rho, 4), tgt, {z: cand[z].astype(complex) for z in cand})
+    assert abs(k - k_complex) <= 1e-12
