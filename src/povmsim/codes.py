@@ -187,6 +187,11 @@ class PairwiseReport:
     exact: bool
 
 
+def digit_dtype(p: int) -> np.dtype:
+    """The integer type of a sum of two digits of F_p: int16 while 2p - 2 fits, else int32."""
+    return np.dtype(np.int16 if 2 * p - 2 <= np.iinfo(np.int16).max else np.int32)
+
+
 def codeword_indices(G, h, p: int) -> np.ndarray:
     """Flat codeword indices of a stack of UCCs, in ``all_codewords`` order.
 
@@ -194,17 +199,18 @@ def codeword_indices(G, h, p: int) -> np.ndarray:
     the result holds the p**(k+l) words a G_b + h_b(i), each as its base-p
     integer (most significant digit first), shape (B, p**(k+l)), int64.
     Digit j of a word is (a G_b)_j mod p plus h_b(i)_j, at most 2p - 2, so
-    one conditional subtract in int16 reduces it; Horner's rule then builds
-    the index one digit at a time.
+    one conditional subtract in ``digit_dtype(p)`` reduces it; Horner's rule
+    then builds the index one digit at a time.
     """
     size, k, n = np.shape(G)
-    base = ((all_vectors(k, p) @ np.asarray(G, dtype=np.int64)) % p).astype(np.int16)
-    h = np.asarray(h, dtype=np.int16)
-    p16 = np.int16(p)
+    dtype = digit_dtype(p)
+    base = ((all_vectors(k, p) @ np.asarray(G, dtype=np.int64)) % p).astype(dtype)
+    h = np.asarray(h, dtype=dtype)
+    p_d = dtype.type(p)
     flat = np.zeros((size, base.shape[1], h.shape[1]), dtype=np.int64)
     for j in range(n):
         digit = base[:, :, None, j] + h[:, None, :, j]               # (B, p^k, p^l)
-        digit -= p16 * (digit >= p16)
+        digit -= p_d * (digit >= p_d)
         flat *= p
         flat += digit
     return flat.reshape(size, -1)

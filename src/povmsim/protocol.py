@@ -21,6 +21,7 @@ from .codes import (
     UccCode,
     all_vectors,
     codeword_indices,
+    digit_dtype,
     multiplicity_table,
     require_prime,
     sample_ensemble,
@@ -442,8 +443,11 @@ def _stacked_hits(g: np.ndarray, h: np.ndarray, p: int, words: list) -> np.ndarr
         return np.full(flat.shape, -1)
     known = np.array(words, dtype=np.int64) @ (p ** np.arange(h.shape[2] - 1, -1, -1))
     order = np.argsort(known)
-    hit = order[np.searchsorted(known, flat, sorter=order).clip(max=known.size - 1)]
-    return np.where(known[hit] == flat, hit, -1)
+    hit = np.searchsorted(known, flat, sorter=order)
+    np.minimum(hit, known.size - 1, out=hit)
+    hit = order[hit]
+    hit[known[hit] != flat] = -1
+    return hit
 
 
 class DecodeTable(Mapping):
@@ -505,13 +509,15 @@ def _decode_tables(g: np.ndarray, h: np.ndarray, p: int, accept: list, w0,
     hits = _stacked_hits(g, h, p, accept)
     count = (hits >= 0).sum(axis=2)
     code, bins = np.nonzero(count == 1)
-    which = hits.max(axis=2)[code, bins]
+    which = hits[code, bins].max(axis=1)
+    collisions = int((count >= 2).sum())
+    del hits, count                 # freed before the stored pairs are built
     pairs = np.stack(divmod(bins, bins_b), axis=1) + 1
     ends = np.searchsorted(code, np.arange(h.shape[0] + 1)).tolist()
     messages = (range(h.shape[1] // bins_b + 1), messages_b)
     tables = {divmod(c, num_mu2): DecodeTable(messages, w0, accept, pairs[a:b], which[a:b])
               for c, (a, b) in enumerate(zip(ends[:-1], ends[1:]))}
-    return tables, int((count >= 2).sum())
+    return tables, collisions
 
 
 def _code_side(code: UccCode, gamma: dict, factors: dict, typical: np.ndarray) -> SideData:
@@ -921,31 +927,67 @@ class _Support:
         self.idx, self.total = idx[keep], float(lam[keep].sum())
         self.rank = self.idx.shape[0]
         self.roots = np.sqrt(np.clip(vals, 0.0, None))
-        # Registers are added last to first.  Per register j, which entries of
-        # (d letters) x (kept suffixes from register j + 1) are kept suffixes
-        # from register j; None when all are.
-        self.levels = []
+
+    @functools.cached_property
+    def levels(self) -> list:
+        """Which entries of (d letters) x (kept suffixes from register j + 1) are kept suffixes.
+
+        One entry per register j, last to first: the kept suffixes from
+        register j, or None when all are.
+        """
+        d, levels = self.roots.size, []
         prev = np.zeros(1, dtype=np.int64)
         for j in range(self.n - 1, -1, -1):
             codes = np.unique(self.idx[:, j:] @ d ** np.arange(self.n - 1 - j, -1, -1))
             grid = (np.arange(d)[:, None] * d ** (self.n - 1 - j) + prev).ravel()
-            self.levels.append(None if codes.size == grid.size
-                               else np.searchsorted(grid, codes))
+            levels.append(None if codes.size == grid.size else np.searchsorted(grid, codes))
             prev = codes
+        return levels
 
     @functools.cached_property
     def w(self) -> np.ndarray:
         return _kron_columns([self.vecs * self.roots] * self.n, self.idx)
 
+    def blocks(self, singles: np.ndarray) -> np.ndarray:
+        """The single-copy blocks sqrt(Lambda) V^dagger S V sqrt(Lambda) of a stack of S."""
+        return (self.vecs.conj().T @ singles @ self.vecs) * np.outer(self.roots, self.roots)
+
+    def diagonals(self, singles: np.ndarray) -> np.ndarray | None:
+        """The real diagonals of the blocks of ``singles``, or None when one is not diagonal.
+
+        A block counts as diagonal when its entries between two different
+        letters of the kept index tuples are exactly 0; no other entry
+        reaches W^dagger S W.  The diagonal's imaginary part is dropped, as
+        the Hermitian solver it stands in for reads only the real part.
+        """
+        blocks = self.blocks(singles)
+        used = np.unique(self.idx)
+        off = blocks[:, used[:, None], used]
+        off[:, np.arange(used.size), np.arange(used.size)] = 0
+        return None if off.any() else np.diagonal(blocks, axis1=1, axis2=2).real
+
+    def diagonal_sandwiches(self, diagonals: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        """The diagonal of W^dagger (S_{z_1} (x) ... (x) S_{z_n}) W for every row z, stacked.
+
+        The r-vector case of ``sandwiches`` when every block B_s is diagonal,
+        with ``diagonals`` from ``diagonals``: entry k is the product over the
+        registers j of the diagonal of B_{z_j} at idx[k, j], multiplied in the
+        order ``sandwiches`` uses.
+        """
+        out = np.ones((zs.shape[0], self.rank))
+        for j in range(self.n - 1, -1, -1):
+            out = diagonals[zs[:, j, None], self.idx[:, j]] * out
+        return out
+
     def sandwiches(self, singles: np.ndarray, zs: np.ndarray) -> np.ndarray:
         """W^dagger (S_{z_1} (x) ... (x) S_{z_n}) W for every row z of ``zs``, stacked.
 
-        With single-copy blocks B_s = sqrt(Lambda) V^dagger S_s V sqrt(Lambda),
-        this is the kept sub-block of B_{z_1} (x) ... (x) B_{z_n}, built one
-        register at a time, last to first, from the kept suffixes (the block
-        is the outer factor, so the long axis stays innermost).
+        With the single-copy blocks B_s of ``blocks``, this is the kept
+        sub-block of B_{z_1} (x) ... (x) B_{z_n}, built one register at a
+        time, last to first, from the kept suffixes (the block is the outer
+        factor, so the long axis stays innermost).
         """
-        blocks = (self.vecs.conj().T @ singles @ self.vecs) * np.outer(self.roots, self.roots)
+        blocks = self.blocks(singles)
         zs = np.asarray(zs, dtype=np.int64).reshape(-1, self.n)
         out = np.ones((zs.shape[0], 1, 1), dtype=blocks.dtype)
         for j, sel in zip(range(self.n - 1, -1, -1), self.levels):
@@ -997,6 +1039,69 @@ def _candidate_sandwiches(candidate: Mapping, support: _Support) -> tuple:
                                           for c in ops[lo:hi]])
 
 
+def _dense_terms(target: Mapping, state: TensorPower, candidate: Mapping,
+                 support: _Support) -> list:
+    """(sum Tr{W^dagger C_z W}, sum ||W^dagger (T_z - C_z) W||_1) per chunk of keys.
+
+    The r x r operators are formed and their trace norms taken as one stacked
+    eigvalsh per chunk of at most SPECTRUM_BLOCK entries.
+    """
+    target_block = _target_sandwiches(target, state, support)
+    keys, candidate_block = _candidate_sandwiches(candidate, support)
+    step = max(1, SPECTRUM_BLOCK // support.rank ** 2)
+    terms = []
+    for lo in range(0, len(keys), step):
+        c = candidate_block(lo, lo + step)
+        mass = float(np.trace(c, axis1=1, axis2=2).real.sum())
+        gap = target_block(keys[lo:lo + step])
+        gap = gap.astype(np.result_type(gap, c), copy=False)    # real only when both are
+        gap -= c
+        del c                   # freed before the solver takes its workspace
+        terms.append((mass, float(_trace_norms(gap).sum())))
+    return terms
+
+
+def _diagonal_terms(target: Mapping, candidate: Mapping, support: _Support) -> list | None:
+    """The terms of ``_dense_terms`` from r-vectors when every gap is diagonal, else None.
+
+    That is the case of a ``ProductTarget`` on the state's registers, a
+    ``FactoredCandidate`` that stores w0 only, so C_z = c_z I, and
+    single-copy blocks of every T_z and of I that are diagonal (see
+    ``_Support.diagonals``).  Then W^dagger (T_z - C_z) W = diag(t_z - c_z lam),
+    with t_z and lam the diagonals of W^dagger T_z W and W^dagger W, so its
+    trace norm is sum |t_z - c_z lam| and Tr{W^dagger C_z W} = c_z sum(lam).
+    """
+    if not (isinstance(target, ProductTarget) and target.n == support.n
+            and isinstance(candidate, FactoredCandidate) and len(candidate.words) == 1):
+        return None
+    singles = support.diagonals(np.stack(target.singles))
+    eye = support.diagonals(np.eye(support.vecs.shape[0])[None])
+    if singles is None or eye is None:
+        return None
+    zs = np.array(list(candidate), dtype=np.int64).reshape(-1, support.n)
+    lam = support.diagonal_sandwiches(eye, np.zeros((1, support.n), dtype=np.int64))[0]
+    step = max(1, SPECTRUM_BLOCK // support.rank)
+    terms = []
+    for lo in range(0, zs.shape[0], step):
+        c = candidate.probs[0, lo:lo + step]
+        gap = support.diagonal_sandwiches(singles, zs[lo:lo + step]) - c[:, None] * lam
+        terms.append((float((c * lam.sum()).sum()), float(np.abs(gap).sum())))
+    return terms
+
+
+def _absent_mass(target: Mapping, state: TensorPower, keys: list) -> float:
+    """sum Tr{T_z rho} over the outputs z of the target that are not keys of the candidate."""
+    if isinstance(target, ProductTarget):
+        traces = target.traces(state if state.n == target.n else state.dense())
+        absent = np.ones(traces.shape, dtype=bool)
+        seen = np.array([z for z in keys if z in target], dtype=np.int64).reshape(-1, target.n)
+        absent[tuple(seen.T)] = False
+        return float(traces[absent].real.sum())
+    seen = set(keys)
+    mat = state.dense()
+    return sum(float(np.vdot(mat, target[z]).real) for z in target if z not in seen)
+
+
 def faithfulness(rho_n, target: Mapping, candidate: Mapping) -> float:
     """The faithfulness figure K of a candidate sub-POVM against a target.
 
@@ -1006,33 +1111,25 @@ def faithfulness(rho_n, target: Mapping, candidate: Mapping) -> float:
     each trace norm is that of the r x r operator W^dagger (T_z - C_z) W
     (r = rank rho; exact, as sqrt(rho) = V_+ W^dagger and V_+ is an
     isometry), and the completion term is sum lambda_+ - sum_z Tr{W^dagger C_z W}.
-    The trace norms are taken as one stacked eigvalsh per chunk of at most
-    SPECTRUM_BLOCK entries.  A z with no candidate operator contributes
-    Tr{T_z rho}, which is its trace norm because T_z >= 0.  A ``ProductTarget``
-    of a ``TensorPower`` is sandwiched from single-copy blocks, and a
-    ``FactoredCandidate`` (either topology) is never expanded into dense C_z.
+    When every W^dagger (T_z - C_z) W is diagonal (a constant candidate on a
+    commuting target, see ``_diagonal_terms``) K comes from r-vectors with no
+    solver; otherwise the trace norms are taken as one stacked eigvalsh per
+    chunk of at most SPECTRUM_BLOCK entries.  A z with no candidate operator
+    contributes Tr{T_z rho}, which is its trace norm because T_z >= 0.  A
+    ``ProductTarget`` of a ``TensorPower`` is sandwiched from single-copy
+    blocks, and a ``FactoredCandidate`` (either topology) is never expanded
+    into dense C_z.
     """
     state = rho_n if isinstance(rho_n, TensorPower) else TensorPower(rho_n, 1)
     support = _Support(state)
-    target_block = _target_sandwiches(target, state, support)
-    keys, candidate_block = _candidate_sandwiches(candidate, support)
+    terms = _diagonal_terms(target, candidate, support)
+    if terms is None:
+        terms = _dense_terms(target, state, candidate, support)
     k = support.total
-    step = max(1, SPECTRUM_BLOCK // support.rank ** 2)
-    for lo in range(0, len(keys), step):
-        c = candidate_block(lo, lo + step)
-        k -= float(np.trace(c, axis1=1, axis2=2).real.sum())
-        gap = target_block(keys[lo:lo + step])
-        gap = gap.astype(np.result_type(gap, c), copy=False)    # real only when both are
-        gap -= c
-        del c                   # freed before the solver takes its workspace
-        k += float(_trace_norms(gap).sum())
-    seen = set(keys)
-    absent = [z for z in target if z not in seen]
-    if isinstance(target, ProductTarget):
-        traces = target.traces(state if state.n == target.n else state.dense())
-        return k + sum(float(traces[z].real) for z in absent)
-    mat = state.dense()
-    return k + sum(float(np.vdot(mat, target[z]).real) for z in absent)
+    for mass, norms in terms:
+        k -= mass
+        k += norms
+    return k + _absent_mass(target, state, list(candidate))
 
 
 # ---------------------------------------------------------------------------
@@ -1087,9 +1184,12 @@ def build_distributed_instance(params: ProtocolParams, m_a: Povm, m_b: Povm,
 
     # Bin pair (i, j) holds the words a G + h_A(i) + h_B(j): bin i p**l2 + j of
     # the sum code (k, l + l2), one code per (mu1, mu2), decoded in one stack.
-    h_a, h_b = np.stack([c.h for c in codes_a]), np.stack([c.h for c in codes_b])
+    # The shifts are digit sums, held in the narrow type ``codeword_indices`` reads.
+    h_a, h_b = (np.stack([c.h for c in codes]).astype(digit_dtype(p))
+                for codes in (codes_a, codes_b))
     na, nb = h_a.shape[1], h_b.shape[1]
-    shifts = (h_a[:, None, :, None] + h_b[None, :, None, :]) % p
+    shifts = h_a[:, None, :, None] + h_b[None, :, None, :]
+    shifts %= p
     decode_tables, collisions = _decode_tables(
         np.broadcast_to(g, (params.num_mu * params.num_mu2, k, n)),
         shifts.reshape(-1, na * nb, n), p, list(tset_w.members), w0, params.num_mu2,

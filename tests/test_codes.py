@@ -169,8 +169,11 @@ def test_pairwise_check_refuses_large():
         pairwise_independence_check(2, 5, 3, 3)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-@pytest.mark.parametrize("n,k,l", [(3, 1, 1), (2, 2, 0), (1, 0, 2)])
+@pytest.mark.parametrize("n,k,l,p", [
+    *[(n, k, l, p) for n, k, l in [(3, 1, 1), (2, 2, 0), (1, 0, 2)] for p in [2, 3, 5, 7]],
+    # Digit sums past the int16 range (2p - 2 > 32767), and p itself past it.
+    *[(1, 1, 0, p) for p in [16411, 32771]],
+])
 def test_codeword_indices_match_all_codewords(p, n, k, l):
     rng = np.random.default_rng(p * 100 + n * 10 + k)
     size = 6

@@ -955,11 +955,14 @@ def _counting_eigvalsh(monkeypatch, as_complex=False):
 @pytest.mark.parametrize("name, real", [("default", True), ("rotated", False)])
 def test_k_real_solver_equals_complex_solver(monkeypatch, rotated_instance, name, real):
     # The maximally mixed qubit gives T_z - C_z with an exactly zero imaginary
-    # part, which takes the real solver; the rotated instance does not.
+    # part, which takes the real solver; the rotated instance does not.  The
+    # default candidate is passed dense: in factored form its gaps are
+    # diagonal and need no solver.
     if name == "default":
         params = ProtocolParams(n=5, k=0, l=4, p=2, num_mu=2, eta=0.1, delta=0.7, seed=0)
+        cand = assemble_overall(build_instance(params, BASIS, MIXED), IDENT_MAP)
         args = (TensorPower(MIXED, 5), target_overall(BASIS, IDENT_MAP, 5),
-                assemble_overall(build_instance(params, BASIS, MIXED), IDENT_MAP))
+                {z: cand[z] for z in cand})
     else:
         rho, m = rotated_qubit_problem()
         p_zw = StochasticMap((2,), 2, np.array([[0.9, 0.1], [0.2, 0.8]]))
@@ -990,11 +993,20 @@ def test_k_unchanged_with_one_key_per_chunk(monkeypatch, rotated_instance):
 
 def test_p2p_n8_op_uses_single_copy_blocks(tmp_path, monkeypatch):
     # The benchmark's point-to-point op (maximally mixed qubit, r = 256, every
-    # bin 0) takes K from single-copy blocks: no T_z is applied and no
-    # d**n x r support factor is formed.  The pruning cut comes from the Gram
-    # of Y, with no SVD, and still leaves every bin exactly 0.
+    # bin 0) takes K from the diagonals of single-copy blocks: no T_z is
+    # applied, no d**n x r support factor or r x r sandwich is formed and no
+    # eigvalsh is taken beyond the 2 x 2 ones that check the input state and
+    # POVM.  The pruning cut comes from the Gram of Y, with no SVD, and still
+    # leaves every bin exactly 0.
     def refuse(*args, **kwargs):
         raise AssertionError("the dense path was taken")
+
+    eigvalsh = np.linalg.eigvalsh
+
+    def single_copy_eigvalsh(a, *args, **kwargs):
+        if np.shape(a)[-1] > 2:
+            refuse()
+        return eigvalsh(a, *args, **kwargs)
 
     built = []
 
@@ -1005,6 +1017,8 @@ def test_p2p_n8_op_uses_single_copy_blocks(tmp_path, monkeypatch):
     monkeypatch.setattr(protocol.ProductTarget, "apply", refuse)
     monkeypatch.setattr(protocol._Support, "w", property(refuse))
     monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", single_copy_eigvalsh)
+    monkeypatch.setattr(protocol._Support, "sandwiches", refuse)
     monkeypatch.setattr(protocol, "build_instance", build)
     out = tmp_path / "k.json"
     for seed in range(8):
@@ -1209,6 +1223,47 @@ def test_distributed_invariants_generic(seed, rank_one):
     assert faithfulness(TensorPower(rho_ab, 2), tgt, cand) == pytest.approx(k, abs=1e-10)
     assert faithfulness(TensorPower(rho_ab, 2), tgt, dense_cand) == pytest.approx(k, abs=1e-10)
     assert faithfulness(kron_power(rho_ab.mat, 2), tgt, dense_cand) == pytest.approx(k, abs=1e-10)
+
+
+CLASSICAL = DensityOperator(np.diag([0.7, 0.3]), (2,))
+SKEW_MAP = StochasticMap((2,), 2, np.array([[0.8, 0.2], [0.3, 0.7]]))
+
+
+def _diagonal_route_case(name, n, example1, example2):
+    """(state, target, factored candidate) of one case of the diagonal route."""
+    if name.startswith("classical"):
+        # l = n stores words other than w0; l = 1 stores none.
+        params = ProtocolParams(n=n, k=0, l=n if name == "classical_live" else 1, p=2,
+                                num_mu=2, eta=0.1, delta=0.6, seed=1)
+        inst = build_instance(params, BASIS, CLASSICAL)
+        return (TensorPower(CLASSICAL, n), target_overall(BASIS, SKEW_MAP, n),
+                assemble_overall(inst, SKEW_MAP))
+    ex = {"example1": example1, "example2": example2}[name]
+    params = ProtocolParams(n=n, k=1, l=1, p=ex.p, num_mu=2, eta=0.1, delta=0.5,
+                            seed=0, l2=1, num_mu2=2)
+    inst = build_distributed_instance(params, ex.m_a, ex.m_b, ex.rho_ab)
+    return (TensorPower(ex.rho_ab, n),
+            target_overall_distributed(ex.m_a, ex.m_b, ex.p_zw, ex.p, n),
+            assemble_overall_distributed(inst, ex.p_zw))
+
+
+@pytest.mark.parametrize("name, n", [("classical", n) for n in range(2, 7)]
+                         + [(ex, n) for ex in ("example1", "example2") for n in range(2, 5)]
+                         + [("classical_live", 4)])
+def test_diagonal_route_matches_dense_candidate(monkeypatch, example1, example2, name, n):
+    # A constant candidate on a commuting target (a classical qubit measured in
+    # its eigenbasis, P^n(z | w0) unequal over z) or on a rank-one state takes
+    # K from r-vectors with no solver; a candidate that stores a word other
+    # than w0 keeps the dense route.  Either way K is that of the dense
+    # candidate.
+    state, tgt, cand = _diagonal_route_case(name, n, example1, example2)
+    live = name == "classical_live"
+    assert (len(cand.words) > 1) == live
+    with monkeypatch.context() as patch:
+        seen = _counting_eigvalsh(patch)
+        k = faithfulness(state, tgt, cand)
+    assert bool(seen) == live
+    assert abs(k - faithfulness(state, tgt, {z: cand[z] for z in cand})) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
