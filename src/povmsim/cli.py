@@ -414,17 +414,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tolerance", type=float, default=1e-9)
         p.add_argument("--out", type=str, default=None)
+
+    def tolerance(p):
+        p.add_argument("--tolerance", type=float, default=1e-9,
+                       help="residual allowed in the separable-decomposition check")
 
     p = sub.add_parser("rates", help="rate region + baseline comparison for a problem file")
     p.add_argument("--spec", required=True)
+    tolerance(p)
     common(p)
     p.set_defaults(func=cmd_rates)
 
     p = sub.add_parser("example", help="run a bundled example and compare to reported values")
     p.add_argument("--id", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--grid", type=int, default=21)
+    tolerance(p)
     common(p)
     p.set_defaults(func=cmd_example)
 

@@ -18,6 +18,14 @@ EXHAUSTIVE_ENSEMBLE_CAP = 2 ** 24  # cap on the number of (G, h) ensembles enume
 ENSEMBLE_BLOCK = 2048             # (G, h) ensembles per stacked pass of the exhaustive checks
 
 
+def _over_cap(p: int, e: int, cap: int) -> bool:
+    """p**e > cap for a prime p, without forming p**e once e reaches the cap's bit length.
+
+    p >= 2, so p**e > cap whenever e >= cap.bit_length().
+    """
+    return e >= cap.bit_length() or p ** e > cap
+
+
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -160,8 +168,13 @@ class CodeEnsembleSpec:
         require_prime(self.p)
         if self.N < 1:
             raise ValueError("N must be >= 1")
-        if self.p ** self.n > ENUMERATION_CAP:
-            raise ValueError(f"p**n = {self.p ** self.n} exceeds the desk-scale cap")
+        if self.n < 1 or self.k < 0 or self.l < 0:
+            raise ValueError("a code needs n >= 1 and k, l >= 0")
+        if _over_cap(self.p, self.n, ENUMERATION_CAP):
+            raise ValueError(f"p**n = {self.p}**{self.n} exceeds the desk-scale cap")
+        if _over_cap(self.p, self.k + self.l, ENUMERATION_CAP):
+            raise ValueError(f"p**(k+l) = {self.p}**{self.k + self.l} codewords exceed the "
+                             f"desk-scale cap {ENUMERATION_CAP}")
 
 
 def sample_ensemble(spec: CodeEnsembleSpec) -> list[UccCode]:
@@ -227,9 +240,8 @@ def _grand_ensemble(p: int, n: int, k: int, l: int):
     if n < 1 or k < 0 or l < 0:
         raise ValueError("the grand ensemble needs n >= 1 and k, l >= 0")
     digits = k * n + (p ** l) * n
-    # p >= 2, so p**digits is over the cap once digits reaches the cap's bit
-    # length; the count itself is named, never written out in decimal.
-    if digits >= EXHAUSTIVE_ENSEMBLE_CAP.bit_length() or p ** digits > EXHAUSTIVE_ENSEMBLE_CAP:
+    # The count itself is named, never written out in decimal.
+    if _over_cap(p, digits, EXHAUSTIVE_ENSEMBLE_CAP):
         raise ValueError(
             f"exhaustive enumeration needs {p}**{digits} ensembles, above the cap "
             f"{EXHAUSTIVE_ENSEMBLE_CAP}")

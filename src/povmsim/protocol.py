@@ -166,19 +166,11 @@ def _eigen_groups(vals, rel_tol: float = 1e-8):
     vals = np.asarray(vals, dtype=float)
     scale = max(float(np.max(np.abs(vals))), 1e-300)
     order = np.argsort(vals)
-    ids = np.empty(vals.size, dtype=np.int64)
-    probs = []
-    current = -1
-    last = None
-    for idx in order:
-        v = vals[idx]
-        if last is None or v - last > rel_tol * scale:
-            current += 1
-            probs.append(0.0)
-        ids[idx] = current
-        probs[current] += max(v, 0.0)
-        last = v
-    return ids, np.array(probs)
+    ranked = vals[order]
+    ids = np.zeros(vals.size, dtype=np.int64)
+    ids[order[1:]] = np.cumsum(np.diff(ranked) > rel_tol * scale)
+    # Each group's probability sums its clipped values in ascending order.
+    return ids, np.bincount(ids[order], weights=np.maximum(ranked, 0.0))
 
 
 @dataclass(frozen=True)
@@ -433,7 +425,7 @@ def _bin_hits(code: UccCode, words: list) -> np.ndarray:
     return _stacked_hits(code.G[None], code.h[None], code.p, words)[0]
 
 
-def _stacked_hits(g: np.ndarray, h: np.ndarray, p: int, words: list) -> np.ndarray:
+def _stacked_hits(g: np.ndarray, h: np.ndarray, p: int, words) -> np.ndarray:
     """``_bin_hits`` of a stack of codes (G_b, h_b), shape (B, bins, p**k).
 
     Words are matched by their base-p indices (``codeword_indices``).
@@ -450,74 +442,18 @@ def _stacked_hits(g: np.ndarray, h: np.ndarray, p: int, words: list) -> np.ndarr
     return hit
 
 
-class DecodeTable(Mapping):
-    """Message pair (i, j) -> decoded word of one (mu1, mu2), stored sparse.
+def _decode(hits: np.ndarray) -> tuple:
+    """(decoded, collisions) of the ``_stacked_hits`` of a stack of codes.
 
-    Message 0 of a side is its completion and message i >= 1 its bin i - 1;
-    ``messages`` holds the range of each side's messages (point-to-point has
-    B's one bin, message 1, only).  Only the bin pairs that decode to a word
-    other than w0 are stored: row k of ``pairs`` is a pair (i, j), both >= 1,
-    that decodes to ``words[which[k]]``, a word other than w0, the rows in
-    ascending order.  Every other pair in range decodes to w0.  The keys are
-    every pair in range, in lexicographic order; a key out of range is
-    missing.
+    A bin decodes to its single accepted codeword, by its index in the word
+    list, else to -1, which stands for w0.  A bin with two or more accepted
+    codewords (a repeated codeword counting twice) is a collision.  Built in
+    place, so that no array larger than ``hits`` is formed.
     """
-
-    def __init__(self, messages: tuple, w0, words: list, pairs, which):
-        self.messages, self.w0, self.words = tuple(messages), w0, words
-        self.pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        self.which = np.asarray(which, dtype=np.int64).reshape(-1)
-        self.keys = self.pairs[:, 0] * self.messages[1].stop + self.pairs[:, 1]    # ascending
-
-    def _key(self, pair) -> int | None:
-        """i * (last message of B + 1) + j of a message pair (i, j) in range, else None."""
-        if not (isinstance(pair, tuple) and len(pair) == 2
-                and all(isinstance(m, (int, np.integer)) for m in pair)
-                and all(m in r for m, r in zip(pair, self.messages))):
-            return None
-        return int(pair[0]) * self.messages[1].stop + int(pair[1])
-
-    def __contains__(self, pair) -> bool:
-        return self._key(pair) is not None
-
-    def __getitem__(self, pair):
-        key = self._key(pair)
-        if key is None:
-            raise KeyError(pair)
-        k = int(np.searchsorted(self.keys, key))
-        return (self.words[self.which[k]] if k < self.keys.size and self.keys[k] == key
-                else self.w0)
-
-    def __iter__(self):
-        return itertools.product(*self.messages)
-
-    def __len__(self) -> int:
-        return len(self.messages[0]) * len(self.messages[1])
-
-
-def _decode_tables(g: np.ndarray, h: np.ndarray, p: int, accept: list, w0,
-                   num_mu2: int, messages_b: range) -> tuple:
-    """(decode tables, collisions) of a stack of codes, codewords looked up in ``accept``.
-
-    A bin decodes to its single accepted codeword, else to w0.  A bin with two
-    or more accepted codewords (a repeated codeword counting twice) is a
-    collision.  Code c of the stack is the table of (mu1, mu2) =
-    divmod(c, num_mu2), and its bin b the bin pair (b // bins_b, b % bins_b)
-    of messages one higher, with B's messages ``messages_b`` (bins_b bins).
-    """
-    bins_b = messages_b.stop - 1
-    hits = _stacked_hits(g, h, p, accept)
-    count = (hits >= 0).sum(axis=2)
-    code, bins = np.nonzero(count == 1)
-    which = hits[code, bins].max(axis=1)
-    collisions = int((count >= 2).sum())
-    del hits, count                 # freed before the stored pairs are built
-    pairs = np.stack(divmod(bins, bins_b), axis=1) + 1
-    ends = np.searchsorted(code, np.arange(h.shape[0] + 1)).tolist()
-    messages = (range(h.shape[1] // bins_b + 1), messages_b)
-    tables = {divmod(c, num_mu2): DecodeTable(messages, w0, accept, pairs[a:b], which[a:b])
-              for c, (a, b) in enumerate(zip(ends[:-1], ends[1:]))}
-    return tables, collisions
+    count = (hits >= 0).sum(axis=-1, dtype=np.int32)
+    decoded = hits.max(axis=-1)
+    decoded[count != 1] = -1
+    return decoded, int((count >= 2).sum())
 
 
 def _code_side(code: UccCode, gamma: dict, factors: dict, typical: np.ndarray) -> SideData:
@@ -598,8 +534,8 @@ class ProtocolInstance:
     abar: Mapping               # word tuple -> unpruned Abar_w (typical words of some code)
     w0: tuple | None            # lexicographically smallest non-typical word, or None
     mus: list                   # SideData per mu
-    decode_tables: dict         # (mu, 0) -> DecodeTable (i, 1) -> word: A message i (0 the
-                                # completion) with B's one bin
+    decoded: np.ndarray         # (N, 1, bins, 1): the index in words of bin i's word, -1 for w0
+    words: tuple                # the built words
     sub_povm_defect: float      # max over mu of lambda_max(sum_i Gamma_i - I)
     decoder_collisions: int
 
@@ -626,29 +562,42 @@ def build_instance(params: ProtocolParams, m: Povm, rho: DensityOperator) -> Pro
     codes = sample_ensemble(CodeEnsembleSpec(p, n, params.k, params.l,
                                              params.num_mu, params.seed))
     u, factors, mus = _build_side(ens, tset, rho.mat, codes, params, params.k + params.l)
-    w0 = _lex_smallest_outside(tset, p, n)
-    # A bin decodes to its single built word.  Message i of side A is the
-    # completion (i = 0) or bin i - 1; side B has one mu and one bin, message 1.
-    decode_tables, collisions = _decode_tables(np.stack([c.G for c in codes]),
-                                               np.stack([c.h for c in codes]), p,
-                                               list(factors), w0, 1, range(1, 2))
-    return ProtocolInstance(params, m, rho, ens, tset, u, _Grams(factors), w0, mus,
-                            decode_tables, float(max(mu.defect for mu in mus)), collisions)
+    # A bin decodes to its single built word; side B has one mu and one bin.
+    words = tuple(factors)
+    decoded, collisions = _decode(_stacked_hits(np.stack([c.G for c in codes]),
+                                                np.stack([c.h for c in codes]), p, words))
+    return ProtocolInstance(params, m, rho, ens, tset, u, _Grams(factors),
+                            _lex_smallest_outside(tset, p, n), mus,
+                            decoded.reshape(len(codes), 1, -1, 1), words,
+                            float(max(mu.defect for mu in mus)), collisions)
 
 
-def _lookup(decode_tables: dict, mus: tuple, messages: tuple, sides: int):
-    """decode_tables[mus][messages]; a ValueError names a bad index by its first ``sides`` parts."""
+def _in_range(index: tuple, stops) -> bool:
+    """Whether each part of ``index`` is an integer in range(stop) of its own stop."""
+    return all(isinstance(i, (int, np.integer)) and 0 <= i < stop
+               for i, stop in zip(index, stops))
+
+
+def _lookup(inst, mus: tuple, messages: tuple, sides: int):
+    """The word that message pair (i, j) of (mu1, mu2) decodes to.
+
+    Message 0 of a side is its completion, which decodes to w0, and message
+    i >= 1 its bin i - 1.  A ValueError names a bad index by its first
+    ``sides`` parts.
+    """
     show = (lambda t: t[0]) if sides == 1 else (lambda t: t)
-    if mus not in decode_tables:
+    if not _in_range(mus, inst.decoded.shape[:2]):
         raise ValueError(f"mu {show(mus)} out of range")
-    if messages not in decode_tables[mus]:
+    if not _in_range(messages, np.add(inst.decoded.shape[2:], 1)):
         raise ValueError(f"message {show(messages)} out of range")
-    return decode_tables[mus][messages]
+    i, j = messages
+    k = inst.decoded[mus + (i - 1, j - 1)] if i and j else -1
+    return inst.words[k] if k >= 0 else inst.w0
 
 
 def decode_p2p(instance: ProtocolInstance, message: int, mu: int = 0):
     """Message 0 is the completion outcome (decoded to w0); 1..p**l are bins."""
-    return _lookup(instance.decode_tables, (mu, 0), (message, 1), 1)
+    return _lookup(instance, (mu, 0), (message, 1), 1)
 
 
 def extend_map_to_field(p_zw: StochasticMap, p: int) -> StochasticMap:
@@ -706,19 +655,19 @@ def _block_columns(lo_a, hi_a, lo_b, hi_b, width: int) -> np.ndarray:
 class FactoredCandidate(Mapping):
     """The overall sub-POVM C_z = sum_word P^n_{Z|W}(z | word) C_word of either topology.
 
-    ``decode_tables`` maps every (mu1, mu2), all weighted alike, to its
-    ``DecodeTable`` of message pairs (i, j) -> word; message 0 of a side is its
-    completion and message i >= 1 its bin i - 1, with the bin factors G_i
-    (side A) and H_j (side B) of each mu listed in ``bins_a`` and ``bins_b``.  A side's
-    outcomes add up to I and every pair with a completion decodes to w0, so
-    C_w0 = I - sum over the other words of C_word, and a word other than w0
-    keeps only its bin pairs: C_word = (G (x) H) diag(c) (G (x) H)^dagger on
-    (H_A (x) H_B)^{(x) n}, with G and H the nonzero bin factors side by side
-    and c = 1 / (N1 N2) on the Kronecker columns of the word's bin pairs, 0
-    elsewhere.  Point-to-point is the case of a B side of dimension 1 with
-    one bin, the number 1, whose completion is 0.  Only the pairs each table
-    stores are walked, and a word other than w0 with no nonzero bin pair is
-    not stored.
+    ``decoded[mu1, mu2, i, j]`` is the index in ``words`` of the word that bin
+    i of A and bin j of B decode to under (mu1, mu2), all weighted alike, or
+    -1 for w0; the bin factors G_i (side A) and H_j (side B) of each mu are
+    listed in ``bins_a`` and ``bins_b``, decoded.shape[2] and decoded.shape[3]
+    per mu.  A side's outcomes, its completion and its bins, add up to I and
+    every pair with a completion decodes to w0, so C_w0 = I - sum over the
+    other words of C_word, and a word other than w0 keeps only its bin pairs:
+    C_word = (G (x) H) diag(c) (G (x) H)^dagger on (H_A (x) H_B)^{(x) n},
+    with G and H the nonzero bin factors side by side and c = 1 / (N1 N2) on
+    the Kronecker columns of the word's bin pairs, 0 elsewhere.
+    Point-to-point is the case of a B side of dimension 1 with one bin, the
+    number 1, whose completion is 0.  A word other than w0 with no nonzero
+    bin pair is not stored.
 
     The keys are the z of positive probability under a stored word.
     ``candidate[z]`` builds the dense C_z on demand; ``sandwiches`` gives every
@@ -726,34 +675,25 @@ class FactoredCandidate(Mapping):
     interleaved (AB)^n ordering.
     """
 
-    def __init__(self, decode_tables: dict, w0, bins_a, bins_b,
+    def __init__(self, decoded: np.ndarray, words, w0, bins_a, bins_b,
                  p_ext: StochasticMap, n: int, dims: tuple):
         self.n, self.dims = n, tuple(dims)
         g, ends_a = _live_columns(bins_a, self.dims[0] ** n)
         h, ends_b = _live_columns(bins_b, self.dims[1] ** n)
         self.g_adj, self.h_adj = (np.ascontiguousarray(f.conj().T) for f in (g, h))
-        self.weight = 1.0 / len(decode_tables)
+        num_mu, num_mu2, num_a, num_b = decoded.shape
+        self.weight = 1.0 / (num_mu * num_mu2)
         # Each pair of nonzero bins decoding to a word other than w0, as (word,
-        # bin of A, bin of B); there is none unless both sides have one.
-        first_a, first_b = ([0] + np.cumsum([len(mu) for mu in bins]).tolist()
-                            for bins in (bins_a, bins_b))
-        live_a, live_b = np.diff(ends_a) > 0, np.diff(ends_b) > 0
-        index, rows = {}, [np.zeros((0, 3), dtype=np.int64)]
-        for (i1, i2), table in decode_tables.items() if g.shape[1] and h.shape[1] else ():
-            used = np.flatnonzero(np.bincount(table.which, minlength=len(table.words)))
-            ids = np.zeros(len(table.words), dtype=np.int64)
-            ids[used] = [index.setdefault(table.words[k], len(index)) for k in used.tolist()]
-            x, y = first_a[i1] + table.pairs[:, 0] - 1, first_b[i2] + table.pairs[:, 1] - 1
-            rows.append(np.column_stack([ids[table.which], x, y])[live_a[x] & live_b[y]])
-        rows = np.concatenate(rows)
-        ids, x, y = rows[np.lexsort(rows.T[::-1])].T    # word by word
+        # bin of A, bin of B), word by word; bins are numbered on across the mus.
+        mu1, mu2, i, j = pairs = np.nonzero(decoded >= 0)
+        rows = np.stack([decoded[pairs], mu1 * num_a + i, mu2 * num_b + j])
+        rows = rows[:, (np.diff(ends_a) > 0)[rows[1]] & (np.diff(ends_b) > 0)[rows[2]]]
+        ids, x, y = rows[:, np.lexsort(rows[::-1])]
         lo_a, hi_a, lo_b, hi_b = ends_a[x], ends_a[x + 1], ends_b[y], ends_b[y + 1]
         self.cols = _block_columns(lo_a, hi_a, lo_b, hi_b, h.shape[1])
-        sizes = np.bincount(ids, weights=(hi_a - lo_a) * (hi_b - lo_b),
-                            minlength=len(index)).astype(np.int64)
+        sizes = np.bincount(ids, weights=(hi_a - lo_a) * (hi_b - lo_b)).astype(np.int64)
         stored = np.flatnonzero(sizes)
-        words = list(index)
-        self.words = [w0] + [words[k] for k in stored]
+        self.words = [w0] + [words[k] for k in stored.tolist()]
         self.bounds = np.cumsum([0] + sizes[stored].tolist(), dtype=np.int64)
         zs = _output_grid(p_ext, n)
         probs = np.array([_output_probs(w, p_ext, zs) for w in self.words]).reshape(-1, len(zs))
@@ -815,7 +755,7 @@ def assemble_overall(instance: ProtocolInstance, p_zw: StochasticMap) -> Factore
 
     The distributed candidate with a B side of dimension 1: one mu, one bin, the number 1.
     """
-    return FactoredCandidate(instance.decode_tables, instance.w0,
+    return FactoredCandidate(instance.decoded, instance.words, instance.w0,
                              [mu.bin_factors for mu in instance.mus], [[np.ones((1, 1))]],
                              extend_map_to_field(p_zw, instance.params.p), instance.params.n,
                              (instance.rho.dim, 1))
@@ -1149,8 +1089,9 @@ class DistributedInstance:
     w0: tuple | None
     side_a: list                # SideData per mu1
     side_b: list                # SideData per mu2
-    decode_tables: dict         # (mu1, mu2) -> DecodeTable (i, j) -> word (message 0 the
-                                # completion)
+    decoded: np.ndarray         # (N1, N2, bins_A, bins_B): the index in words of the word
+                                # of bin pair (i, j), -1 for w0
+    words: tuple                # tset_w.members
     sub_povm_defect: float
     decoder_collisions: int
 
@@ -1190,26 +1131,27 @@ def build_distributed_instance(params: ProtocolParams, m_a: Povm, m_b: Povm,
     na, nb = h_a.shape[1], h_b.shape[1]
     shifts = h_a[:, None, :, None] + h_b[None, :, None, :]
     shifts %= p
-    decode_tables, collisions = _decode_tables(
+    decoded, collisions = _decode(_stacked_hits(
         np.broadcast_to(g, (params.num_mu * params.num_mu2, k, n)),
-        shifts.reshape(-1, na * nb, n), p, list(tset_w.members), w0, params.num_mu2,
-        range(nb + 1))
+        shifts.reshape(-1, na * nb, n), p, tset_w.members))
     defect = max(s.defect for s in side_a + side_b)
     return DistributedInstance(params, m_a, m_b, rho_ab, ens_a, ens_b,
                                tset_a, tset_b, tset_w, w0, side_a, side_b,
-                               decode_tables, float(defect), collisions)
+                               decoded.reshape(params.num_mu, params.num_mu2, na, nb),
+                               tset_w.members, float(defect), collisions)
 
 
 def decode_distributed(inst: DistributedInstance, i: int, j: int,
                        mu1: int = 0, mu2: int = 0):
     """Messages (i, j) with 0 meaning the completion outcome on that side."""
-    return _lookup(inst.decode_tables, (mu1, mu2), (i, j), 2)
+    return _lookup(inst, (mu1, mu2), (i, j), 2)
 
 
 def assemble_overall_distributed(inst: DistributedInstance,
                                  p_zw: StochasticMap) -> FactoredCandidate:
     """Overall sub-POVM {Lambda_hat_{z^n}} on (H_A (x) H_B)^{(x) n}, in factored form."""
-    return FactoredCandidate(inst.decode_tables, inst.w0, [s.bin_factors for s in inst.side_a],
+    return FactoredCandidate(inst.decoded, inst.words, inst.w0,
+                             [s.bin_factors for s in inst.side_a],
                              [s.bin_factors for s in inst.side_b],
                              extend_map_to_field(p_zw, inst.params.p), inst.params.n,
                              inst.rho_ab.register_dims)

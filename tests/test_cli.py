@@ -210,6 +210,30 @@ def test_reused_parser_keeps_no_value_between_calls(tmp_path, monkeypatch):
     assert json.loads(out.read_text()) == second
 
 
+@pytest.mark.parametrize("argv", [
+    ["surface", "--grid", "5"],
+    SIMULATE,
+    ["covering"],
+    ["pruning"],
+    ["ucc", "--p", "2", "--n", "2", "--k", "0", "--l", "1"],
+    ["fm", "--region", "region.json", "--eliminate", "R1"],
+], ids=lambda argv: argv[0])
+def test_tolerance_is_refused_where_it_is_not_read(capsys, argv):
+    # Only rates and example read --tolerance; every other command refuses it.
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--tolerance", "1e-6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+
+
+def test_tolerance_reaches_the_separable_check(tmp_path):
+    out = tmp_path / "rates.json"
+    assert run(["rates", "--spec", bundled_example_path(1), "--tolerance", "-1",
+                "--out", str(out)]) == 1
+    assert not json.loads(out.read_text())["checks"]["separable_ok"]
+    assert run(["example", "--id", "1", "--tolerance", "-1", "--out", str(out)]) == 1
+
+
 def test_rates_missing_spec_file(tmp_path):
     out = tmp_path / "err.json"
     missing = tmp_path / "absent.json"
@@ -253,8 +277,13 @@ def test_malformed_spec_file_is_refused(tmp_path, command, case, phrase):
     (["ucc", "--p", "2", "--n", "5", "--k", "3", "--l", "3", "--check-pairwise"], "above the cap"),
     (["ucc", "--p", "3", "--n", "2", "--k", "1", "--l", "9", "--check-pairwise"],
      f"needs 3**39368 ensembles, above the cap {EXHAUSTIVE_ENSEMBLE_CAP}"),
+    (["ucc", "--p", "2", "--n", "2", "--k", "0", "--l", "-1"], "k, l >= 0"),
+    (["ucc", "--p", "2", "--n", "2", "--k", "0", "--l", "45"],
+     "2**45 codewords exceed the desk-scale cap"),
+    (["ucc", "--p", "2", "--n", "0", "--k", "0", "--l", "0"], "n >= 1"),
 ], ids=["surface-no-valid-point", "covering-M0", "covering-trials1", "covering-ucc-M",
-        "pruning-eta", "pruning-trials0", "ucc-over-cap", "ucc-over-cap-astronomical"])
+        "pruning-eta", "pruning-trials0", "ucc-over-cap", "ucc-over-cap-astronomical",
+        "ucc-negative-l", "ucc-emit-over-cap", "ucc-zero-n"])
 def test_lab_commands_refuse_bad_experiments(tmp_path, argv, phrase):
     out = tmp_path / "err.json"
     assert run(argv + ["--out", str(out)]) == EXIT_BAD_EXPERIMENT

@@ -1,6 +1,8 @@
 import itertools
 import json
 import re
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -317,11 +319,13 @@ def product_distributed_instance():
     ("distributed", dict(i=0, j=99), "message (0, 99)"),
     ("distributed", dict(i=1, j=1, mu1=5), "mu (5, 0)"),
     ("distributed", dict(i=1, j=1, mu2=1), "mu (0, 1)"),
+    ("distributed", dict(i=1.0, j=1), "message (1.0, 1)"),
 ], ids=["p2p-negative-message", "p2p-large-message", "p2p-mu", "distributed-negative-message",
-        "distributed-large-message", "distributed-mu1", "distributed-mu2"])
+        "distributed-large-message", "distributed-mu1", "distributed-mu2",
+        "distributed-float-message"])
 def test_decode_out_of_range(small_instance, product_distributed_instance, topology, index,
                              named):
-    # Both decoders read the shared decode tables and name the bad index.
+    # Both decoders read the shared decoded array and name the bad index.
     decode, inst = ((decode_p2p, small_instance) if topology == "p2p"
                     else (decode_distributed, product_distributed_instance))
     with pytest.raises(ValueError, match=re.escape(f"{named} out of range")):
@@ -376,12 +380,12 @@ def test_faithfulness_trend_smoke():
 # Distributed construction.
 
 def _check_projective_decoder(p, k, num_mu, num_mu2):
-    """Every (mu1, mu2) decode table of a product state against the enumeration oracle."""
+    """Every (mu1, mu2) of the decoder of a product state against the enumeration oracle."""
     rho = DensityOperator(np.kron(np.eye(2) / 2, np.eye(2) / 2), (2, 2))
     params = ProtocolParams(n=3, k=k, l=1, p=p, num_mu=num_mu, eta=0.1, delta=0.3,
                             seed=2, l2=1, num_mu2=num_mu2)
     inst = build_distributed_instance(params, BASIS, BASIS, rho)
-    assert set(inst.decode_tables) == set(itertools.product(range(num_mu), range(num_mu2)))
+    assert inst.decoded.shape == (num_mu, num_mu2, p, p)
     members = set(inst.tset_w.members)
     assert members and inst.w0 is not None
     collisions = 0
@@ -421,27 +425,24 @@ def test_distributed_decoder_with_unequal_mu_counts():
     _check_projective_decoder(3, 1, 1, 3)
 
 
-def test_decode_table_stores_only_words_other_than_w0():
-    # A table keeps the bin pairs decoding to a word other than w0; every
-    # other pair in range reads as w0, and the keys run over every pair.
-    w0, words = (0, 0), [(1, 0), (0, 1)]
-    table = protocol.DecodeTable((range(3), range(4)), w0, words, [[1, 1], [2, 3]], [0, 1])
-    assert list(table) == list(itertools.product(range(3), range(4))) and len(table) == 12
-    assert table[(1, 1)] == (1, 0) and table[(2, 3)] == (0, 1)
-    assert [word for word in table.values()].count(w0) == 10
-    assert table[(0, 2)] == table[(2, 0)] == table[(1, 2)] == w0
-    for missing in [(3, 0), (0, 4), (-1, 1), (1,), (1.0, 1), "ab"]:
-        assert missing not in table
-        with pytest.raises(KeyError):
-            table[missing]
-    p2p = protocol.DecodeTable((range(3), range(1, 2)), w0, words, [[2, 1]], [0])
-    assert list(p2p.items()) == [((0, 1), w0), ((1, 1), w0), ((2, 1), (1, 0))]
-    assert (1, 0) not in p2p
+def test_decode_keeps_single_hits_and_counts_collisions():
+    # Per bin, the indices of its accepted codewords (-1 for none): a bin
+    # with one hit decodes to it, one with none to -1 (w0), and one with two
+    # hits, or one word hit twice, is a collision that decodes to -1.
+    hits = np.array([[[-1, -1], [3, -1], [-1, 0]],
+                     [[2, 5], [4, 4], [-1, 1]]])
+    decoded, collisions = protocol._decode(hits)
+    assert decoded.tolist() == [[-1, 3, 0], [-1, -1, 1]]
+    assert collisions == 2
+    decoded, collisions = protocol._decode(np.full((2, 4, 1), -1))
+    assert decoded.tolist() == [[-1] * 4] * 2 and collisions == 0
 
 
 def test_distributed_sum_code_at_the_cap(tmp_path, monkeypatch):
     # 2**20 bin pairs, one typical W-word: about a quarter of the pairs decode
-    # to it and are stored, the rest read as w0.  K is pinned bit for bit.
+    # to it, the rest to w0.  K is pinned bit for bit.  The traced allocations
+    # peak at 31-33 MB, in the lookup of every bin's codeword; the decoded
+    # array is 8 MB.
     built = []
 
     def build(*args):
@@ -450,12 +451,19 @@ def test_distributed_sum_code_at_the_cap(tmp_path, monkeypatch):
 
     monkeypatch.setattr(protocol, "build_distributed_instance", build)
     out = tmp_path / "k.json"
-    assert main(["simulate", "--mode", "distributed", "--n", "2", "--k", "0", "--l", "10",
-                 "--l2", "10", "--N", "1", "--N2", "1", "--delta", "0.5", "--out", str(out)]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--mode", "distributed", "--n", "2", "--k", "0", "--l", "10",
+                     "--l2", "10", "--N", "1", "--N2", "1", "--delta", "0.5",
+                     "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 34e6
     assert json.loads(out.read_text())["K"] == 0.7078394879999999
-    (table,) = built[0].decode_tables.values()
-    assert len(table) == 1025 ** 2 and table.pairs.shape == (261734, 2)
-    assert {table.words[k] for k in table.which.tolist()} == {(0, 0)} != {built[0].w0}
+    decoded, words = built[0].decoded, built[0].words
+    assert decoded.shape == (1, 1, 1024, 1024) and np.count_nonzero(decoded >= 0) == 261734
+    assert {words[k] for k in decoded[decoded >= 0].tolist()} == {(0, 0)} != {built[0].w0}
 
 
 def test_distributed_sides_are_sub_povms(example1):
@@ -507,16 +515,19 @@ def _rotated_rank_one_problem():
 
 def test_distributed_candidate_matches_kron_reference(example1):
     # The factored candidate against the kron-and-interleave construction,
-    # spread over the outputs by P^n_{Z|W}, read off the decode tables.  On
+    # spread over the outputs by P^n_{Z|W}, read off the decoder.  On
     # example1 every bin is 0; the rank-one problem has live bins on both
     # sides, so the message numbering of every (mu1, mu2) and the G (x) H
-    # cross term are reached through the decoder.
+    # cross term are reached through the decoder.  With N1 != N2, mixing up
+    # mu1 and mu2 in the bins' numbering across the mus shows.
     rho, m_a, m_b = _rotated_rank_one_problem()
     cases = [(example1.rho_ab, example1.m_a, example1.m_b,
               ProtocolParams(n=2, k=1, l=1, p=2, num_mu=2, eta=0.1, delta=0.5,
                              seed=1, l2=1, num_mu2=2), [0, 0, 0, 0]),
              (rho, m_a, m_b, ProtocolParams(n=3, k=0, l=2, p=2, num_mu=2, eta=0.1, delta=0.7,
-                                            seed=1, l2=2, num_mu2=2), [2, 2, 3, 3])]
+                                            seed=1, l2=2, num_mu2=2), [2, 2, 3, 3]),
+             (rho, m_a, m_b, ProtocolParams(n=3, k=0, l=2, p=2, num_mu=3, eta=0.1, delta=0.7,
+                                            seed=1, l2=2, num_mu2=2), [2, 2, 3, 3, 4])]
     for rho_ab, m_a, m_b, params, live in cases:
         n = params.n
         inst = build_distributed_instance(params, m_a, m_b, rho_ab)
@@ -528,11 +539,14 @@ def test_distributed_candidate_matches_kron_reference(example1):
         interleave = [r for j in range(n) for r in (j, n + j)]
         zs = list(itertools.product(range(p_ext.output_size), repeat=n))
         ref = {}
-        for (i1, i2), table in inst.decode_tables.items():
+        num_mus = params.num_mu * params.num_mu2
+        for i1, i2 in itertools.product(range(params.num_mu), range(params.num_mu2)):
             ops_a = [dense.completion(inst.side_a[i1])] + dense.bin_ops(inst.side_a[i1])
             ops_b = [dense.completion(inst.side_b[i2])] + dense.bin_ops(inst.side_b[i2])
-            for (i, j), word in table.items():
-                op = dense.permute_registers(np.kron(ops_a[i], ops_b[j]), dims, interleave) / 4
+            for i, j in itertools.product(range(len(ops_a)), range(len(ops_b))):
+                word = decode_distributed(inst, i, j, i1, i2)
+                op = dense.permute_registers(np.kron(ops_a[i], ops_b[j]), dims,
+                                             interleave) / num_mus
                 if not np.any(op):
                     continue
                 for z in zs:
@@ -556,7 +570,7 @@ def test_distributed_candidate_on_generic_side_operators():
     # (d_A = 2, d_B = 3) check it, the interleaving, the zero-bin and
     # zero-probability rules and the sandwiches.  The factors are large
     # enough that the bins overshoot I: C_w0 = I - sum of the other words
-    # is an identity of the decode tables, not of positivity.
+    # is an identity of the decoder, not of positivity.
     rng = np.random.default_rng(11)
     n, da, db = 2, 2, 3
 
@@ -576,8 +590,8 @@ def test_distributed_candidate_on_generic_side_operators():
         grams = [g @ g.conj().T for g in bins]
         return [np.eye(dim) - sum(grams)] + grams
 
-    # Complete decode tables: a completion on either side decodes to w0, the
-    # bin pairs cycle through w0 and two other words, and word (1, 0) is
+    # Every message pair's word: a completion on either side decodes to w0,
+    # the bin pairs cycle through w0 and two other words, and word (1, 0) is
     # decoded only from the zero bin.
     w0, cycle = (0, 1), itertools.cycle([(1, 1), (0, 0), (0, 1)])
     tables = {}
@@ -585,17 +599,22 @@ def test_distributed_candidate_on_generic_side_operators():
         tables[(mu1, mu2)] = {
             (i, j): (w0 if not (i and j) else (1, 0) if (mu1, i) == (0, 2) else next(cycle))
             for i, j in itertools.product(range(3), range(len(bins_b[mu2]) + 1))}
-    # The constructor takes them sparse: only the bin pairs decoding to a word
-    # other than w0 are stored, and every other pair reads as w0.
-    sparse = {}
-    for mus, table in tables.items():
-        stored = [(ij, word) for ij, word in table.items() if ij[0] and ij[1] and word != w0]
-        sparse[mus] = protocol.DecodeTable((range(3), range(len(bins_b[mus[1]]) + 1)), w0,
-                                           [word for _, word in stored],
-                                           [ij for ij, _ in stored], range(len(stored)))
-        assert list(sparse[mus].items()) == list(table.items())
+    # The constructor takes them as one array of bin pairs, the index of the
+    # decoded word in a word list or -1 for w0.  Every mu of a side has as
+    # many bins as the array, so B's mu 0 gets a third bin, a zero one that
+    # decodes to w0.
+    words = [(1, 1), (0, 0), (1, 0)]
+    decoded = np.full((2, 2, 2, 3), -1)
+    for (mu1, mu2), table in tables.items():
+        for (i, j), word in table.items():
+            if i and j and word != w0:
+                decoded[mu1, mu2, i - 1, j - 1] = words.index(word)
+    inst = SimpleNamespace(decoded=decoded, words=words, w0=w0)
+    for (mu1, mu2), table in tables.items():
+        assert {ij: protocol._lookup(inst, (mu1, mu2), ij, 2) for ij in table} == table
     p_ext = StochasticMap((2,), 3, np.array([[0.5, 0.5, 0.0], [0.2, 0.0, 0.8]]))
-    cand = protocol.FactoredCandidate(sparse, w0, bins_a, bins_b, p_ext, n, (da, db))
+    padded_b = [bins_b[0] + [np.zeros((db ** n, 1))], bins_b[1]]
+    cand = protocol.FactoredCandidate(decoded, words, w0, bins_a, padded_b, p_ext, n, (da, db))
     word_ops = {}
     for (mu1, mu2), table in tables.items():
         ops_a, ops_b = messages(bins_a[mu1], da ** n), messages(bins_b[mu2], db ** n)
@@ -843,8 +862,8 @@ def test_p2p_candidate_matches_dense_reference(request, instance, probs):
     cand = assemble_overall(inst, p_zw)
     word_ops = {}
     for i1, mu in enumerate(inst.mus):
-        for word, op in zip(inst.decode_tables[(i1, 0)].values(),
-                            [dense.completion(mu)] + dense.bin_ops(mu)):
+        for i, op in enumerate([dense.completion(mu)] + dense.bin_ops(mu)):
+            word = decode_p2p(inst, i, mu=i1)
             word_ops[word] = word_ops.get(word, 0) + op / len(inst.mus)
     ref = {}
     for word, op in word_ops.items():
