@@ -248,8 +248,8 @@ def _run_protocol(args, spec, p: int):
             m, protocol.extend_map_to_field(p_zw, params.p), params.n)
         rho_n = protocol.TensorPower(rho, params.n)
         bins_stats = {
-            "typical_words": len(inst.tset.members),
-            "typical_mass": inst.tset.mass,
+            "typical_words": len(inst.tset_w.members),
+            "typical_mass": inst.tset_w.mass,
             "bins_per_mu": params.p ** params.l,
         }
     else:

@@ -11,20 +11,20 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codes import (
-    CodeEnsembleSpec,
     UccCode,
+    _over_cap,
     all_vectors,
     codeword_indices,
     digit_dtype,
     multiplicity_table,
     require_prime,
-    sample_ensemble,
 )
 from .cq import StochasticMap
 from .linalg import (
@@ -328,11 +328,12 @@ class ProtocolParams:
         if (self.l2 is not None and self.l2 < 0) or (self.num_mu2 is not None
                                                      and self.num_mu2 < 1):
             raise ValueError("invalid distributed sizes: need l2 >= 0 and num_mu2 >= 1")
-        if self.p ** self.n > SEQUENCE_CAP:
+        # Bit-length tests, so an absurd block length is refused without forming p**n.
+        if _over_cap(self.p, self.n, SEQUENCE_CAP):
             raise ValueError("p**n exceeds the desk-scale cap")
         # The distributed decoder enumerates the sum code, of p**(k+l+l2) words.
         for name, l in (("l", self.l), ("l2", self.l2), ("l+l2", self.l + (self.l2 or 0))):
-            if l is not None and self.p ** (self.k + l) > SEQUENCE_CAP:
+            if l is not None and _over_cap(self.p, self.k + l, SEQUENCE_CAP):
                 raise ValueError(f"p**(k+{name}) exceeds the desk-scale cap")
 
 
@@ -477,15 +478,24 @@ def _code_side(code: UccCode, gamma: dict, factors: dict, typical: np.ndarray) -
                     max(0.0, float(top) ** 2 - 1.0))
 
 
-def _build_side(ens: CanonicalEnsemble, tset: TypicalSet, rho_mat: np.ndarray, codes: list,
-               params: ProtocolParams, kl: int) -> tuple:
-    """U (Pi_rho = U U^dagger), the X_w table and the pruned per-code operators of one side.
+@dataclass
+class Side:
+    """One party of the protocol: its state, ensemble and typical set, and its codes' operators."""
+
+    rho: DensityOperator        # the party's reduced state
+    ens: CanonicalEnsemble      # padded to F_p
+    tset: TypicalSet
+    mus: list                   # SideData per mu
+
+
+def _build_side(params: ProtocolParams, m: Povm, rho: DensityOperator, codes: list) -> Side:
+    """The ensemble, typical set and pruned per-code operators of one side.
 
     X_w is built only for typical, positive-weight words that occur in some
     code: Abar_w = X_w X_w^dagger with X_w = Q B_w[:, keep] sqrt(eig c_w),
     where Q = (rho^{-1/2})^{(x) n} Pi_rho = U diag(inv) U^dagger is applied
     through U, B_w is the eigenbasis of rho_hat_{w^n}, keep its conditional
-    typical columns and c_w = lambda_{w^n} p^n / ((1 + eta) p^kl).  Each
+    typical columns and c_w = lambda_{w^n} p^n / ((1 + eta) p^(k+l)).  Each
     code's operators are kept as factors (see ``SideData``), for the words
     of that code only.
 
@@ -494,10 +504,12 @@ def _build_side(ens: CanonicalEnsemble, tset: TypicalSet, rho_mat: np.ndarray, c
     X_w is built once for the sorted word of its type class and every other
     word of the class permutes that factor's register axes.
     """
-    n, d = params.n, rho_mat.shape[0]
-    u, inv = _typical_factor(rho_mat, n, params.delta)
+    ens = pad_ensemble(canonical_ensemble(m, rho), params.p)
+    tset = typical_set(ens.weights, params.n, params.delta)
+    n, d = params.n, rho.dim
+    u, inv = _typical_factor(rho.mat, n, params.delta)
     u_inv, u_adj = u * inv, u.conj().T
-    norm = params.p ** n / ((1.0 + params.eta) * params.p ** kl)
+    norm = params.p ** n / ((1.0 + params.eta) * params.p ** (codes[0].k + codes[0].l))
     gammas = [multiplicity_table(c) for c in codes]
     used = set().union(*gammas)
     spectra = [_spectrum(s) for s in ens.post_states]
@@ -516,32 +528,53 @@ def _build_side(ens: CanonicalEnsemble, tset: TypicalSet, rho_mat: np.ndarray, c
         # Register j of the sorted word holds the letter at w's position order[j].
         x = by_type[rep]
         factors[w] = x.transpose(tuple(back) + (n,)).reshape(d ** n, x.shape[-1])
-    sides = [_code_side(c, g, factors, u) for c, g in zip(codes, gammas)]
-    return u, factors, sides
+    return Side(rho, ens, tset, [_code_side(c, g, factors, u) for c, g in zip(codes, gammas)])
 
 
 # ---------------------------------------------------------------------------
-# Point-to-point construction.
+# The protocol instance: one or more sides and the joint decoder.
 
 @dataclass
-class ProtocolInstance:
+class Instance:
+    """The protocol over a tuple of sides sharing one generator matrix G, with its decoder.
+
+    Point-to-point is the case of one side, distributed the case of two.  A
+    tuple of bins, one of one code per side, holds the words
+    a G + h_1(i_1) + h_2(i_2) + ...: a bin of the sum code, whose shift is
+    the sum of the sides' shifts.  It decodes to its single word in
+    ``tset_w``, else to w0, and two or more such words are a collision.
+    ``decoded`` has one mu axis and then one bin axis per side: the index in
+    ``words`` of the word of bins (i_1, ...) under (mu_1, ...), -1 for w0.
+    """
+
     params: ProtocolParams
-    povm: Povm
-    rho: DensityOperator
-    ens: CanonicalEnsemble      # padded to F_p
-    tset: TypicalSet
-    typical: np.ndarray         # U, with Pi_rho = U U^dagger
-    abar: Mapping               # word tuple -> unpruned Abar_w (typical words of some code)
-    w0: tuple | None            # lexicographically smallest non-typical word, or None
-    mus: list                   # SideData per mu
-    decoded: np.ndarray         # (N, 1, bins, 1): the index in words of bin i's word, -1 for w0
-    words: tuple                # the built words
-    sub_povm_defect: float      # max over mu of lambda_max(sum_i Gamma_i - I)
+    sides: tuple                # Side per party
+    tset_w: TypicalSet          # the accepted words: those of W = U + V (+ ...), p2p the side's own
+    w0: tuple | None            # lexicographically smallest word outside tset_w, or None
+    decoded: np.ndarray         # (N_1, ..., bins_1, ...)
+    sub_povm_defect: float      # max over every side's mus of lambda_max(sum_i Gamma_i - I)
     decoder_collisions: int
 
     @property
-    def dim_n(self) -> int:
-        return self.rho.dim ** self.params.n
+    def words(self) -> tuple:
+        return self.tset_w.members
+
+    # Read by the benchmark's span tracer, perfbench/spans.py.
+    @property
+    def mus(self) -> list:
+        return self.sides[0].mus
+
+    @property
+    def abar(self) -> Mapping:      # word tuple -> unpruned Abar_w of side A
+        return _Grams({w: x for mu in self.mus for w, x in mu.factors.items()})
+
+    @property
+    def side_a(self) -> list:
+        return self.sides[0].mus
+
+    @property
+    def side_b(self) -> list:
+        return self.sides[1].mus
 
 
 def _lex_smallest_outside(tset: TypicalSet, p: int, n: int):
@@ -553,23 +586,67 @@ def _lex_smallest_outside(tset: TypicalSet, p: int, n: int):
     return None
 
 
-def build_instance(params: ProtocolParams, m: Povm, rho: DensityOperator) -> ProtocolInstance:
-    """Construct the point-to-point structured sub-POVMs for every mu."""
-    n, p = params.n, params.p
-    _check_dim(rho.dim, n)
-    ens = pad_ensemble(canonical_ensemble(m, rho), p)
-    tset = typical_set(ens.weights, n, params.delta)
-    codes = sample_ensemble(CodeEnsembleSpec(p, n, params.k, params.l,
-                                             params.num_mu, params.seed))
-    u, factors, mus = _build_side(ens, tset, rho.mat, codes, params, params.k + params.l)
-    # A bin decodes to its single built word; side B has one mu and one bin.
-    words = tuple(factors)
-    decoded, collisions = _decode(_stacked_hits(np.stack([c.G for c in codes]),
-                                                np.stack([c.h for c in codes]), p, words))
-    return ProtocolInstance(params, m, rho, ens, tset, u, _Grams(factors),
-                            _lex_smallest_outside(tset, p, n), mus,
-                            decoded.reshape(len(codes), 1, -1, 1), words,
-                            float(max(mu.defect for mu in mus)), collisions)
+def _build(params: ProtocolParams, povms, states, w_law=None) -> Instance:
+    """The ``Instance`` with one side per (POVM, state).
+
+    Side 0 has l and num_mu codes, side 1 l2 and num_mu2.  G is drawn first
+    and then each side's shift tables, side after side, so side 0's codes
+    are those of ``sample_ensemble``.  ``tset_w`` is the typical set of W's
+    law ``w_law`` at delta_hat = p * delta, or the one side's own when it is None.
+    """
+    n, p, k = params.n, params.p, params.k
+    sizes = [(params.l, params.num_mu), (params.l2, params.num_mu2)][:len(states)]
+    rng = np.random.default_rng(params.seed)
+    g = rng.integers(0, p, size=(k, n))
+    codes = [[UccCode(p, n, k, l, g, rng.integers(0, p, size=(p ** l, n))) for _ in range(num)]
+             for l, num in sizes]
+    sides = tuple(_build_side(params, m, rho, c) for m, rho, c in zip(povms, states, codes))
+    tset_w = sides[0].tset if w_law is None else typical_set(w_law, n, p * params.delta)
+    # The sum codes' shifts, axes (N_1, ..., bins_1, ..., n), added side by
+    # side; they are digit sums, held in the narrow type ``codeword_indices`` reads.
+    count = len(codes)
+    shifts = np.zeros(n, dtype=digit_dtype(p))
+    for s, side_codes in enumerate(codes):
+        shape = [1] * 2 * count + [n]
+        shape[s], shape[count + s] = len(side_codes), side_codes[0].num_bins
+        shifts = shifts + np.stack([c.h for c in side_codes]).astype(shifts.dtype).reshape(shape)
+        shifts %= p
+    num_codes = math.prod(shifts.shape[:count])
+    decoded, collisions = _decode(_stacked_hits(
+        np.broadcast_to(g, (num_codes, k, n)), shifts.reshape(num_codes, -1, n), p,
+        tset_w.members))
+    return Instance(params, sides, tset_w, _lex_smallest_outside(tset_w, p, n),
+                    decoded.reshape(shifts.shape[:-1]),
+                    float(max(mu.defect for side in sides for mu in side.mus)), collisions)
+
+
+def build_instance(params: ProtocolParams, m: Povm, rho: DensityOperator) -> Instance:
+    """Construct the point-to-point structured sub-POVMs for every mu: the one-side protocol."""
+    _check_dim(rho.dim, params.n)
+    return _build(params, [m], [rho])
+
+
+def build_distributed_instance(params: ProtocolParams, m_a: Povm, m_b: Povm,
+                               rho_ab: DensityOperator) -> Instance:
+    """Two pruned sub-POVM families sharing one generator matrix, plus the joint decoder."""
+    if params.l2 is None or params.num_mu2 is None:
+        raise ValueError("distributed build needs l2 and num_mu2")
+    states = [partial_trace(rho_ab, traced=[1]), partial_trace(rho_ab, traced=[0])]
+    if (states[0].dim * states[1].dim) ** params.n > DIM_CAP:
+        raise ValueError("joint dimension exceeds the dense-operator cap")
+    lam_w = [float(np.trace(el @ rho_ab.mat).real)
+             for el in _sum_povm(m_a, m_b, params.p).elements]
+    return _build(params, [m_a, m_b], states, lam_w)
+
+
+def _sum_povm(m_a: Povm, m_b: Povm, p: int) -> Povm:
+    """The measurement of W = U + V over F_p on H_A (x) H_B."""
+    d = m_a.dim * m_b.dim
+    els = [np.zeros((d, d), dtype=complex) for _ in range(p)]
+    for u, lam_u in enumerate(m_a.elements):
+        for v, lam_v in enumerate(m_b.elements):
+            els[(u + v) % p] = els[(u + v) % p] + np.kron(lam_u, lam_v)
+    return Povm(tuple(els))
 
 
 def _in_range(index: tuple, stops) -> bool:
@@ -578,27 +655,35 @@ def _in_range(index: tuple, stops) -> bool:
                for i, stop in zip(index, stops))
 
 
-def _lookup(inst, mus: tuple, messages: tuple, sides: int):
-    """The word that message pair (i, j) of (mu1, mu2) decodes to.
+def _lookup(inst, mus: tuple, messages: tuple):
+    """The word that one message per side decodes to under one mu per side.
 
     Message 0 of a side is its completion, which decodes to w0, and message
-    i >= 1 its bin i - 1.  A ValueError names a bad index by its first
-    ``sides`` parts.
+    i >= 1 its bin i - 1.  A ValueError names a bad index, as a number when
+    there is one side.
     """
-    show = (lambda t: t[0]) if sides == 1 else (lambda t: t)
-    if not _in_range(mus, inst.decoded.shape[:2]):
+    count = len(mus)
+    show = (lambda t: t[0]) if count == 1 else (lambda t: t)
+    if not _in_range(mus, inst.decoded.shape[:count]):
         raise ValueError(f"mu {show(mus)} out of range")
-    if not _in_range(messages, np.add(inst.decoded.shape[2:], 1)):
+    if not _in_range(messages, np.add(inst.decoded.shape[count:], 1)):
         raise ValueError(f"message {show(messages)} out of range")
-    i, j = messages
-    k = inst.decoded[mus + (i - 1, j - 1)] if i and j else -1
+    k = inst.decoded[mus + tuple(i - 1 for i in messages)] if all(messages) else -1
     return inst.words[k] if k >= 0 else inst.w0
 
 
-def decode_p2p(instance: ProtocolInstance, message: int, mu: int = 0):
+def decode_p2p(instance: Instance, message: int, mu: int = 0):
     """Message 0 is the completion outcome (decoded to w0); 1..p**l are bins."""
-    return _lookup(instance, (mu, 0), (message, 1), 1)
+    return _lookup(instance, (mu,), (message,))
 
+
+def decode_distributed(inst: Instance, i: int, j: int, mu1: int = 0, mu2: int = 0):
+    """Messages (i, j) with 0 meaning the completion outcome on that side."""
+    return _lookup(inst, (mu1, mu2), (i, j))
+
+
+# ---------------------------------------------------------------------------
+# The overall sub-POVM, the target measurement and the faithfulness figure.
 
 def extend_map_to_field(p_zw: StochasticMap, p: int) -> StochasticMap:
     """Extend P_{Z|W} from |W| letters to all of F_p with uniform rows."""
@@ -645,62 +730,61 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.repeat(lo - np.cumsum(widths) + widths, widths) + np.arange(widths.sum())
 
 
-def _block_columns(lo_a, hi_a, lo_b, hi_b, width: int) -> np.ndarray:
-    """The indices i * width + j of the blocks [lo_a, hi_a) x [lo_b, hi_b), block after block."""
-    rows = np.repeat(np.arange(lo_a.size), hi_a - lo_a)      # the block of each row
-    return (np.repeat(_ranges(lo_a, hi_a), (hi_b - lo_b)[rows]) * width
-            + _ranges(lo_b[rows], hi_b[rows]))
-
-
 class FactoredCandidate(Mapping):
-    """The overall sub-POVM C_z = sum_word P^n_{Z|W}(z | word) C_word of either topology.
+    """The overall sub-POVM C_z = sum_word P^n_{Z|W}(z | word) C_word of the protocol.
 
-    ``decoded[mu1, mu2, i, j]`` is the index in ``words`` of the word that bin
-    i of A and bin j of B decode to under (mu1, mu2), all weighted alike, or
-    -1 for w0; the bin factors G_i (side A) and H_j (side B) of each mu are
-    listed in ``bins_a`` and ``bins_b``, decoded.shape[2] and decoded.shape[3]
-    per mu.  A side's outcomes, its completion and its bins, add up to I and
-    every pair with a completion decodes to w0, so C_w0 = I - sum over the
-    other words of C_word, and a word other than w0 keeps only its bin pairs:
-    C_word = (G (x) H) diag(c) (G (x) H)^dagger on (H_A (x) H_B)^{(x) n},
-    with G and H the nonzero bin factors side by side and c = 1 / (N1 N2) on
-    the Kronecker columns of the word's bin pairs, 0 elsewhere.
-    Point-to-point is the case of a B side of dimension 1 with one bin, the
-    number 1, whose completion is 0.  A word other than w0 with no nonzero
-    bin pair is not stored.
+    ``decoded`` has one mu axis and then one bin axis per side: the index in
+    ``words`` of the word that bins (i_1, i_2, ...) decode to under
+    (mu_1, mu_2, ...), all weighted alike, or -1 for w0.  ``bins`` lists, per
+    side and per mu, that side's bin factors G_i, as many per mu as its bin
+    axis.  A side's outcomes, its completion and its bins, add up to I and
+    every tuple with a completion decodes to w0, so C_w0 = I - sum over the
+    other words of C_word, and a word other than w0 keeps only its bin tuples:
+    C_word = F diag(c) F^dagger on (H_1 (x) H_2 (x) ...)^{(x) n}, with
+    F = G_1 (x) G_2 (x) ..., G_s side s's nonzero bin factors side by side,
+    and c = 1 / (N_1 N_2 ...) on the Kronecker columns of the word's bin
+    tuples, 0 elsewhere.  A word other than w0 with no nonzero bin tuple is
+    not stored.
 
     The keys are the z of positive probability under a stored word.
     ``candidate[z]`` builds the dense C_z on demand; ``sandwiches`` gives every
     W^dagger C_z W without forming it.  Dense operators, like W, are in the
-    interleaved (AB)^n ordering.
+    interleaved (H_1 H_2 ...)^n ordering, ``dims`` giving each side's register.
     """
 
-    def __init__(self, decoded: np.ndarray, words, w0, bins_a, bins_b,
-                 p_ext: StochasticMap, n: int, dims: tuple):
+    def __init__(self, decoded: np.ndarray, words, w0, bins, p_ext: StochasticMap, n: int,
+                 dims: tuple):
         self.n, self.dims = n, tuple(dims)
-        g, ends_a = _live_columns(bins_a, self.dims[0] ** n)
-        h, ends_b = _live_columns(bins_b, self.dims[1] ** n)
-        self.g_adj, self.h_adj = (np.ascontiguousarray(f.conj().T) for f in (g, h))
-        num_mu, num_mu2, num_a, num_b = decoded.shape
-        self.weight = 1.0 / (num_mu * num_mu2)
-        # Each pair of nonzero bins decoding to a word other than w0, as (word,
-        # bin of A, bin of B), word by word; bins are numbered on across the mus.
-        mu1, mu2, i, j = pairs = np.nonzero(decoded >= 0)
-        rows = np.stack([decoded[pairs], mu1 * num_a + i, mu2 * num_b + j])
-        rows = rows[:, (np.diff(ends_a) > 0)[rows[1]] & (np.diff(ends_b) > 0)[rows[2]]]
-        ids, x, y = rows[:, np.lexsort(rows[::-1])]
-        lo_a, hi_a, lo_b, hi_b = ends_a[x], ends_a[x + 1], ends_b[y], ends_b[y + 1]
-        self.cols = _block_columns(lo_a, hi_a, lo_b, hi_b, h.shape[1])
-        sizes = np.bincount(ids, weights=(hi_a - lo_a) * (hi_b - lo_b)).astype(np.int64)
+        count = len(self.dims)
+        live = [_live_columns(b, d ** n) for b, d in zip(bins, self.dims)]
+        self.adjs = [np.ascontiguousarray(g.conj().T) for g, _ in live]
+        self.weight = 1.0 / math.prod(decoded.shape[:count])
+        # Each tuple of nonzero bins decoding to a word other than w0, as (word,
+        # bin of each side), word by word; a side's bins are numbered on across its mus.
+        index, num_bins = np.nonzero(decoded >= 0), decoded.shape[count:]
+        rows = np.stack([decoded[index]] + [index[s] * num_bins[s] + index[count + s]
+                                            for s in range(count)])
+        for s, (_, ends) in enumerate(live):
+            rows = rows[:, (np.diff(ends) > 0)[rows[1 + s]]]
+        ids, *picks = rows[:, np.lexsort(rows[::-1])]
+        # The Kronecker columns of the tuples, tuple after tuple, folded side by
+        # side: each column so far is followed by the tuple's columns of the next side.
+        owner, cols = np.arange(ids.size), np.zeros(ids.size, dtype=np.int64)
+        for (g, ends), x in zip(live, picks):
+            lo, hi = ends[x][owner], ends[x + 1][owner]
+            cols = np.repeat(cols, hi - lo) * g.shape[1] + _ranges(lo, hi)
+            owner = np.repeat(owner, hi - lo)
+        self.cols = cols
+        sizes = np.bincount(ids[owner])
         stored = np.flatnonzero(sizes)
         self.words = [w0] + [words[k] for k in stored.tolist()]
         self.bounds = np.cumsum([0] + sizes[stored].tolist(), dtype=np.int64)
         zs = _output_grid(p_ext, n)
         probs = np.array([_output_probs(w, p_ext, zs) for w in self.words]).reshape(-1, len(zs))
-        live = probs.sum(axis=0) > 0.0
-        self.probs = probs[:, live]                     # (word, output) -> P^n(z | word)
-        self._column = {z: col for col, z in enumerate(map(tuple, zs[live].tolist()))}
-        self.dim = g.shape[0] * h.shape[0]
+        keys = probs.sum(axis=0) > 0.0
+        self.probs = probs[:, keys]                     # (word, output) -> P^n(z | word)
+        self._column = {z: col for col, z in enumerate(map(tuple, zs[keys].tolist()))}
+        self.dim = math.prod(g.shape[0] for g, _ in live)
 
     def __contains__(self, z) -> bool:
         return z in self._column
@@ -715,15 +799,15 @@ class FactoredCandidate(Mapping):
         return len(self._column)
 
     def _projections(self, w: np.ndarray) -> np.ndarray:
-        """The rows of (G (x) H)^dagger W that the stored words use, word by word."""
-        da, db = self.dims
-        n, r = self.n, w.shape[1]
-        order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)) + [2 * n]
-        t = w.reshape((da, db) * n + (r,)).transpose(order)
-        t = np.ascontiguousarray(t).reshape(da ** n, db ** n, r)
-        pa = (self.g_adj @ t.reshape(da ** n, -1)).reshape(-1, db ** n, r)
-        pab = np.tensordot(self.h_adj, pa, axes=(1, 1)).transpose(1, 0, 2).reshape(-1, r)
-        return pab[self.cols]
+        """The rows of F^dagger W that the stored words use, word by word."""
+        n, r, count = self.n, w.shape[1], len(self.dims)
+        # Gather the n registers of each side, then contract one axis per side.
+        order = [j * count + s for s in range(count) for j in range(n)] + [count * n]
+        t = np.ascontiguousarray(w.reshape(self.dims * n + (r,)).transpose(order))
+        t = t.reshape([d ** n for d in self.dims] + [r])
+        for s, adj in enumerate(self.adjs):
+            t = np.moveaxis(np.tensordot(adj, t, axes=(1, s)), 0, s)
+        return t.reshape(-1, r)[self.cols]
 
     def combine(self, c: np.ndarray) -> np.ndarray:
         """sum_word c[word] C_word = c[w0] I + sum_(word != w0) (c[word] - c[w0]) C_word, dense."""
@@ -736,7 +820,7 @@ class FactoredCandidate(Mapping):
         """W^dagger C_word W of every stored word, w0 first, stacked, given W^dagger W.
 
         ``w()`` gives the dense W; it is called only when a word other than
-        w0 is stored, as only then does (G (x) H)^dagger W enter.
+        w0 is stored, as only then does F^dagger W enter.
         """
         q = self._projections(w()) if self.cols.size else None
         others = [self.weight * (q[a:b].conj().T @ q[a:b])
@@ -750,15 +834,19 @@ class FactoredCandidate(Mapping):
             yield z, np.tensordot(self.probs[:, col], s_words, axes=1)
 
 
-def assemble_overall(instance: ProtocolInstance, p_zw: StochasticMap) -> FactoredCandidate:
-    """The overall sub-POVM {Lambda_hat_{z^n}} of the protocol (complete by construction).
+def assemble_overall(instance: Instance, p_zw: StochasticMap) -> FactoredCandidate:
+    """The overall sub-POVM {Lambda_hat_{z^n}} of the protocol, in factored form.
 
-    The distributed candidate with a B side of dimension 1: one mu, one bin, the number 1.
+    It acts on (H_1 (x) H_2 (x) ...)^{(x) n}, one register per side, and is
+    complete by construction.
     """
     return FactoredCandidate(instance.decoded, instance.words, instance.w0,
-                             [mu.bin_factors for mu in instance.mus], [[np.ones((1, 1))]],
+                             [[mu.bin_factors for mu in side.mus] for side in instance.sides],
                              extend_map_to_field(p_zw, instance.params.p), instance.params.n,
-                             (instance.rho.dim, 1))
+                             [side.rho.dim for side in instance.sides])
+
+
+assemble_overall_distributed = assemble_overall
 
 
 class ProductTarget(Mapping):
@@ -825,6 +913,12 @@ def target_overall(m: Povm, p_zw: StochasticMap, n: int) -> ProductTarget:
                    np.zeros_like(m.elements[0]))
                for z in range(p_zw.output_size)]
     return ProductTarget(singles, n)
+
+
+def target_overall_distributed(m_a: Povm, m_b: Povm, p_zw: StochasticMap,
+                               p: int, n: int) -> ProductTarget:
+    """(M_AB composed with P_{Z|W})^{(x) n} in the interleaved (AB)^n ordering."""
+    return target_overall(_sum_povm(m_a, m_b, p), extend_map_to_field(p_zw, p), n)
 
 
 class TensorPower:
@@ -1057,8 +1151,7 @@ def faithfulness(rho_n, target: Mapping, candidate: Mapping) -> float:
     chunk of at most SPECTRUM_BLOCK entries.  A z with no candidate operator
     contributes Tr{T_z rho}, which is its trace norm because T_z >= 0.  A
     ``ProductTarget`` of a ``TensorPower`` is sandwiched from single-copy
-    blocks, and a ``FactoredCandidate`` (either topology) is never expanded
-    into dense C_z.
+    blocks, and a ``FactoredCandidate`` is never expanded into dense C_z.
     """
     state = rho_n if isinstance(rho_n, TensorPower) else TensorPower(rho_n, 1)
     support = _Support(state)
@@ -1071,103 +1164,3 @@ def faithfulness(rho_n, target: Mapping, candidate: Mapping) -> float:
         k += norms
     return k + _absent_mass(target, state, list(candidate))
 
-
-# ---------------------------------------------------------------------------
-# Distributed construction.
-
-@dataclass
-class DistributedInstance:
-    params: ProtocolParams
-    m_a: Povm
-    m_b: Povm
-    rho_ab: DensityOperator
-    ens_a: CanonicalEnsemble
-    ens_b: CanonicalEnsemble
-    tset_a: TypicalSet
-    tset_b: TypicalSet
-    tset_w: TypicalSet          # typical set of W = U + V at delta_hat = p * delta
-    w0: tuple | None
-    side_a: list                # SideData per mu1
-    side_b: list                # SideData per mu2
-    decoded: np.ndarray         # (N1, N2, bins_A, bins_B): the index in words of the word
-                                # of bin pair (i, j), -1 for w0
-    words: tuple                # tset_w.members
-    sub_povm_defect: float
-    decoder_collisions: int
-
-
-def build_distributed_instance(params: ProtocolParams, m_a: Povm, m_b: Povm,
-                               rho_ab: DensityOperator) -> DistributedInstance:
-    """Two pruned sub-POVM families sharing one generator matrix, plus the joint decoder."""
-    if params.l2 is None or params.num_mu2 is None:
-        raise ValueError("distributed build needs l2 and num_mu2")
-    n, p, k = params.n, params.p, params.k
-    rho_a = partial_trace(rho_ab, traced=[1])
-    rho_b = partial_trace(rho_ab, traced=[0])
-    if (rho_a.dim * rho_b.dim) ** n > DIM_CAP:
-        raise ValueError("joint dimension exceeds the dense-operator cap")
-    ens_a = pad_ensemble(canonical_ensemble(m_a, rho_a), p)
-    ens_b = pad_ensemble(canonical_ensemble(m_b, rho_b), p)
-    tset_a = typical_set(ens_a.weights, n, params.delta)
-    tset_b = typical_set(ens_b.weights, n, params.delta)
-    lam_w = [float(np.trace(el @ rho_ab.mat).real) for el in _sum_povm(m_a, m_b, p).elements]
-    tset_w = typical_set(lam_w, n, p * params.delta)
-    w0 = _lex_smallest_outside(tset_w, p, n)
-
-    rng = np.random.default_rng(params.seed)
-    g = rng.integers(0, p, size=(k, n))
-    codes_a = [UccCode(p, n, k, params.l, g, rng.integers(0, p, size=(p ** params.l, n)))
-               for _ in range(params.num_mu)]
-    codes_b = [UccCode(p, n, k, params.l2, g, rng.integers(0, p, size=(p ** params.l2, n)))
-               for _ in range(params.num_mu2)]
-    _, _, side_a = _build_side(ens_a, tset_a, rho_a.mat, codes_a, params, k + params.l)
-    _, _, side_b = _build_side(ens_b, tset_b, rho_b.mat, codes_b, params, k + params.l2)
-
-    # Bin pair (i, j) holds the words a G + h_A(i) + h_B(j): bin i p**l2 + j of
-    # the sum code (k, l + l2), one code per (mu1, mu2), decoded in one stack.
-    # The shifts are digit sums, held in the narrow type ``codeword_indices`` reads.
-    h_a, h_b = (np.stack([c.h for c in codes]).astype(digit_dtype(p))
-                for codes in (codes_a, codes_b))
-    na, nb = h_a.shape[1], h_b.shape[1]
-    shifts = h_a[:, None, :, None] + h_b[None, :, None, :]
-    shifts %= p
-    decoded, collisions = _decode(_stacked_hits(
-        np.broadcast_to(g, (params.num_mu * params.num_mu2, k, n)),
-        shifts.reshape(-1, na * nb, n), p, tset_w.members))
-    defect = max(s.defect for s in side_a + side_b)
-    return DistributedInstance(params, m_a, m_b, rho_ab, ens_a, ens_b,
-                               tset_a, tset_b, tset_w, w0, side_a, side_b,
-                               decoded.reshape(params.num_mu, params.num_mu2, na, nb),
-                               tset_w.members, float(defect), collisions)
-
-
-def decode_distributed(inst: DistributedInstance, i: int, j: int,
-                       mu1: int = 0, mu2: int = 0):
-    """Messages (i, j) with 0 meaning the completion outcome on that side."""
-    return _lookup(inst, (mu1, mu2), (i, j), 2)
-
-
-def assemble_overall_distributed(inst: DistributedInstance,
-                                 p_zw: StochasticMap) -> FactoredCandidate:
-    """Overall sub-POVM {Lambda_hat_{z^n}} on (H_A (x) H_B)^{(x) n}, in factored form."""
-    return FactoredCandidate(inst.decoded, inst.words, inst.w0,
-                             [s.bin_factors for s in inst.side_a],
-                             [s.bin_factors for s in inst.side_b],
-                             extend_map_to_field(p_zw, inst.params.p), inst.params.n,
-                             inst.rho_ab.register_dims)
-
-
-def _sum_povm(m_a: Povm, m_b: Povm, p: int) -> Povm:
-    """The measurement of W = U + V over F_p on H_A (x) H_B."""
-    d = m_a.dim * m_b.dim
-    els = [np.zeros((d, d), dtype=complex) for _ in range(p)]
-    for u, lam_u in enumerate(m_a.elements):
-        for v, lam_v in enumerate(m_b.elements):
-            els[(u + v) % p] = els[(u + v) % p] + np.kron(lam_u, lam_v)
-    return Povm(tuple(els))
-
-
-def target_overall_distributed(m_a: Povm, m_b: Povm, p_zw: StochasticMap,
-                               p: int, n: int) -> ProductTarget:
-    """(M_AB composed with P_{Z|W})^{(x) n} in the interleaved (AB)^n ordering."""
-    return target_overall(_sum_povm(m_a, m_b, p), extend_map_to_field(p_zw, p), n)

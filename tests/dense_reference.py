@@ -42,7 +42,7 @@ def completion(side) -> np.ndarray:
 
 def pi_rho(instance) -> np.ndarray:
     """The typical projector Pi_rho = U U^dagger of a point-to-point instance."""
-    return _gram(instance.typical)
+    return _gram(instance.mus[0].typical)
 
 
 def permute_registers(mat, dims, order) -> np.ndarray:

@@ -298,15 +298,20 @@ def test_distributed_faithfulness_pinned(tmp_path):
     # K of the distributed protocol at n = 4 on both bundled problems, as
     # recorded for the benchmark's dist_n4 ops with op seeds 0 and 1, and at
     # n = 5 on example1, where K moves with n (n = 3 and n = 4 both give
-    # 0.70784 from a single typical W-word).  The last case, example2 at
-    # n = 3 with k = 2 and l2 = 0, has one decoder collision.
+    # 0.70784 from a single typical W-word).  Example2 at n = 3 with k = 2
+    # and l2 = 0 has one decoder collision.  The rank-one example4 at n = 4
+    # and 5 stores words other than w0, so its K reaches the cross term of
+    # the candidate's side projections.
     t0 = time.perf_counter()
     dist4 = ["--k", "1", "--l", "1", "--l2", "1", "--N", "2", "--N2", "2", "--delta", "0.5"]
+    live = ["--k", "0", "--l", "2", "--l2", "2", "--N", "2", "--N2", "2", "--delta", "0.7"]
     cases = [(1, dist4 + ["--n", "4"], 0, 0.7078394880000027, 0),
              (2, dist4 + ["--n", "4", "--p", "3"], 1, 1.8871551971821832, 0),
              (1, dist4 + ["--n", "5"], 0, 0.7754521602255053, 0),
              (2, ["--n", "3", "--k", "2", "--l", "1", "--l2", "0", "--N", "2", "--N2", "1",
-                  "--delta", "0.9"], 0, 1.8838546603989665, 1)]
+                  "--delta", "0.9"], 0, 1.8838546603989665, 1),
+             (4, live + ["--n", "4"], 1, 0.8217104446281065, 0),
+             (4, live + ["--n", "5"], 1, 0.8567071272636283, 0)]
     errors, collisions_ok = [], True
     for case, (ident, extra, seed, want, collisions) in enumerate(cases):
         out = tmp_path / f"dist{case}.json"
@@ -319,5 +324,6 @@ def test_distributed_faithfulness_pinned(tmp_path):
     elapsed = time.perf_counter() - t0
     _report("distributed faithfulness", ok,
             f"example1 and example2 at n=4, example1 at n=5, example2 at n=3 with a "
-            f"collision: |K - pinned| = {', '.join(f'{e:.1e}' for e in errors)} (<= 1e-9), "
+            f"collision, example4 at n=4 and 5: "
+            f"|K - pinned| = {', '.join(f'{e:.1e}' for e in errors)} (<= 1e-9), "
             f"collision counts as pinned: {collisions_ok}", elapsed, 60.0)

@@ -138,6 +138,36 @@ def test_simulate_p2p_spec(tmp_path, ident, extra):
     assert 0.0 <= report["K"] <= 2.0 + 1e-9
 
 
+def _problem_files() -> list:
+    """The bundled problem files that give the factor measurements m_a and m_b."""
+    folder = Path(bundled_example_path(1)).parent
+    return sorted(f.name for f in folder.glob("example*.json")
+                  if {"m_a", "m_b"} <= set(json.loads(f.read_text())))
+
+
+def test_problem_files_are_found():
+    assert {"example1.json", "example2.json", "example4.json"} <= set(_problem_files())
+
+
+@pytest.mark.parametrize("name", _problem_files())
+@pytest.mark.parametrize("command", [["rates"], ["simulate", "--mode", "p2p"],
+                                     ["simulate", "--mode", "distributed"]],
+                         ids=["rates", "p2p", "distributed"])
+def test_every_bundled_problem_runs(tmp_path, name, command):
+    # A new problem file is covered without a new test.
+    spec = str(Path(bundled_example_path(1)).parent / name)
+    out = tmp_path / "out.json"
+    sizes = ([] if command == ["rates"] else
+             ["--n", "2", "--k", "1", "--l", "1", "--l2", "1", "--N", "2", "--N2", "2",
+              "--delta", "0.5"])
+    assert run(command + ["--spec", spec, *sizes, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    if command == ["rates"]:
+        assert report["checks"]["separable_ok"] and report["checks"]["sum_structure_ok"]
+    else:
+        assert report["subpovm_defect"] <= 1e-9 and 0.0 <= report["K"] <= 2.0 + 1e-9
+
+
 SIMULATE = ["simulate", "--n", "2", "--k", "0", "--l", "1"]
 
 

@@ -1,6 +1,8 @@
 import itertools
 import json
+import math
 import re
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -17,8 +19,14 @@ from conftest import (
     rotated_qubit_problem,
 )
 from povmsim import protocol
-from povmsim.codes import UccCode, all_codewords
-from povmsim.cli import _default_p2p_problem, main
+from povmsim.codes import CodeEnsembleSpec, UccCode, all_codewords, sample_ensemble
+from povmsim.cli import (
+    EXIT_BAD_PROTOCOL,
+    _default_p2p_problem,
+    bundled_example_path,
+    load_problem,
+    main,
+)
 from povmsim.cq import StochasticMap
 from povmsim.linalg import (
     DensityOperator,
@@ -201,7 +209,7 @@ def small_instance():
 
 def test_instance_bins_plus_completion_is_identity(small_instance):
     inst = small_instance
-    eye = np.eye(inst.dim_n)
+    eye = np.eye(inst.mus[0].typical.shape[0])
     for mu in inst.mus:
         total = sum(dense.bin_ops(mu)) + dense.completion(mu)
         assert np.max(np.abs(total - eye)) < 1e-10
@@ -262,9 +270,9 @@ def test_expected_sigma_dominated_by_pi_rho():
 def test_off_typical_abar_vanishes(small_instance):
     inst = small_instance
     for w in inst.abar:
-        assert inst.tset.is_member(w)
+        assert inst.sides[0].tset.is_member(w)
     non_typical = tuple(0 for _ in range(inst.params.n))
-    if not inst.tset.is_member(non_typical):
+    if not inst.sides[0].tset.is_member(non_typical):
         assert non_typical not in inst.abar
 
 
@@ -280,7 +288,7 @@ def test_decode_unique_typical_bin(small_instance):
     for mu_idx, mu in enumerate(inst.mus):
         for i in range(mu.code.num_bins):
             word = tuple(int(x) for x in mu.code.h[i])  # k = 0: singleton bins
-            want = word if inst.tset.is_member(word) else inst.w0
+            want = word if inst.sides[0].tset.is_member(word) else inst.w0
             assert decode_p2p(inst, i + 1, mu=mu_idx) == want
 
 
@@ -296,7 +304,7 @@ def test_decode_collision_goes_to_w0():
     mu = inst.mus[0]
     assert not np.any(mu.code.G)
     typical_bins = [i for i in range(mu.code.num_bins)
-                    if inst.tset.is_member(tuple(int(x) for x in mu.code.h[i]))]
+                    if inst.sides[0].tset.is_member(tuple(int(x) for x in mu.code.h[i]))]
     assert typical_bins, "seed produced no typical shifts"
     for i in typical_bins:
         assert decode_p2p(inst, i + 1) == inst.w0
@@ -338,7 +346,7 @@ def test_decode_out_of_range(small_instance, product_distributed_instance, topol
 def test_assemble_overall_is_complete(small_instance):
     out = assemble_overall(small_instance, IDENT_MAP)
     total = sum(out.values())
-    assert np.max(np.abs(total - np.eye(small_instance.dim_n))) < 1e-9
+    assert np.max(np.abs(total - np.eye(small_instance.mus[0].typical.shape[0]))) < 1e-9
 
 
 def test_assemble_degenerate_map_single_operator(small_instance):
@@ -346,7 +354,7 @@ def test_assemble_degenerate_map_single_operator(small_instance):
     out = assemble_overall(small_instance, p_zw)
     key = tuple(0 for _ in range(small_instance.params.n))
     assert set(out) == {key}
-    assert np.max(np.abs(out[key] - np.eye(small_instance.dim_n))) < 1e-9
+    assert np.max(np.abs(out[key] - np.eye(small_instance.mus[0].typical.shape[0]))) < 1e-9
 
 
 def test_faithfulness_self_is_zero():
@@ -497,20 +505,15 @@ def test_permute_registers_swap():
 
 
 def _rotated_rank_one_problem():
-    """(rho_AB, M_A, M_B): sqrt(0.8)|00> + sqrt(0.2)|11> in qubit bases rotated by 0.3 and 0.9 rad.
+    """(rho_AB, M_A, M_B) of the bundled example4.
 
+    sqrt(0.8)|00> + sqrt(0.2)|11> in qubit bases rotated by 0.3 and 0.9 rad.
     The post-states are pure, so the bins are live: at n = 3, k = 0,
     l = l2 = 2, N = N2 = 2, delta = 0.7 and seed 1, 2 + 2 of the A bins and
     3 + 3 of the B bins are nonzero.
     """
-    psi = np.array([np.sqrt(0.8), 0.0, 0.0, np.sqrt(0.2)])
-
-    def rotated(theta):
-        v = np.array([np.cos(theta), np.sin(theta)])
-        ket = np.outer(v, v).astype(complex)
-        return Povm((ket, np.eye(2) - ket))
-
-    return DensityOperator(np.outer(psi, psi).astype(complex), (2, 2)), rotated(0.3), rotated(0.9)
+    spec = load_problem(bundled_example_path(4))
+    return spec.rho_ab, spec.m_a, spec.m_b
 
 
 def test_distributed_candidate_matches_kron_reference(example1):
@@ -564,66 +567,77 @@ def test_distributed_candidate_matches_kron_reference(example1):
             assert np.allclose(sandwiches[z], w.conj().T @ op @ w, atol=1e-12)
 
 
-def test_distributed_candidate_on_generic_side_operators():
-    # No bundled problem pairs two nonzero bins, so none reaches the
-    # G (x) H cross term; generic bin factors on unequal registers
-    # (d_A = 2, d_B = 3) check it, the interleaving, the zero-bin and
-    # zero-probability rules and the sandwiches.  The factors are large
-    # enough that the bins overshoot I: C_w0 = I - sum of the other words
-    # is an identity of the decoder, not of positivity.
+# Per side: its register dimension and, per mu, the column count of each bin,
+# 0 for a zero bin of one column.  Every mu of a side has as many bins as the
+# decoded array's bin axis, so B's mu 0 ends in a zero bin.
+GENERIC_SIDES = [(2, [[2, 0], [1, 3]]),
+                 (3, [[2, 1, 0], [1, 2, 1]]),
+                 (2, [[1, 2], [2, 0]])]
+
+
+def _check_generic_candidate(num_sides):
+    """The factored candidate of generic sides against the kron-and-interleave reference.
+
+    Generic bin factors on unequal registers check the Kronecker cross
+    terms, the interleaving, the zero-bin and zero-probability rules and the
+    sandwiches.  The factors are large enough that the bins overshoot I:
+    C_w0 = I - sum of the other words is an identity of the decoder, not of
+    positivity.
+    """
     rng = np.random.default_rng(11)
-    n, da, db = 2, 2, 3
+    n, sides = 2, GENERIC_SIDES[:num_sides]
+    dims = [d for d, _ in sides]
 
     def factor(dim, cols):
+        if not cols:
+            return np.zeros((dim, 1))
         return (rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))) / 2
 
-    # A: mu 0 has bins 1 and 2 (a zero bin), mu 1 bins 1 and 2; B: mu 0 has
-    # bins 1 and 2, mu 1 bins 1 to 3.  Message 0 is a side's completion.
-    bins_a = [[factor(da ** n, 2), np.zeros((da ** n, 1))],
-              [factor(da ** n, 1), factor(da ** n, 3)]]
-    bins_b = [[factor(db ** n, 2), factor(db ** n, 1)],
-              [factor(db ** n, 1), factor(db ** n, 2), factor(db ** n, 1)]]
-    assert max(max_eigenvalue(sum(g @ g.conj().T for g in bins) - np.eye(bins[0].shape[0]))
-               for bins in bins_a + bins_b) > 0.1
+    bins = [[[factor(d ** n, c) for c in mu] for mu in mus] for d, mus in sides]
+    assert max(max_eigenvalue(sum(g @ g.conj().T for g in b) - np.eye(b[0].shape[0]))
+               for side in bins for b in side) > 0.1
 
-    def messages(bins, dim):
-        grams = [g @ g.conj().T for g in bins]
+    def messages(side_bins, dim):
+        grams = [g @ g.conj().T for g in side_bins]
         return [np.eye(dim) - sum(grams)] + grams
 
-    # Every message pair's word: a completion on either side decodes to w0,
-    # the bin pairs cycle through w0 and two other words, and word (1, 0) is
-    # decoded only from the zero bin.
+    # Every message tuple's word: a completion on any side decodes to w0, the
+    # bin tuples cycle through w0 and two other words, and word (1, 0) is
+    # decoded only from A's zero bin, message 2 of its mu 0.
     w0, cycle = (0, 1), itertools.cycle([(1, 1), (0, 0), (0, 1)])
+    num_mus = tuple(len(side) for side in bins)
+    num_bins = tuple(len(side[0]) for side in bins)
     tables = {}
-    for mu1, mu2 in itertools.product(range(2), range(2)):
-        tables[(mu1, mu2)] = {
-            (i, j): (w0 if not (i and j) else (1, 0) if (mu1, i) == (0, 2) else next(cycle))
-            for i, j in itertools.product(range(3), range(len(bins_b[mu2]) + 1))}
-    # The constructor takes them as one array of bin pairs, the index of the
-    # decoded word in a word list or -1 for w0.  Every mu of a side has as
-    # many bins as the array, so B's mu 0 gets a third bin, a zero one that
-    # decodes to w0.
+    for mus in itertools.product(*map(range, num_mus)):
+        tables[mus] = {
+            msgs: (w0 if not all(msgs) else (1, 0) if (mus[0], msgs[0]) == (0, 2)
+                   else next(cycle))
+            for msgs in itertools.product(*(range(b + 1) for b in num_bins))}
+    # The constructor takes them as one array of bin tuples, the index of the
+    # decoded word in a word list or -1 for w0.
     words = [(1, 1), (0, 0), (1, 0)]
-    decoded = np.full((2, 2, 2, 3), -1)
-    for (mu1, mu2), table in tables.items():
-        for (i, j), word in table.items():
-            if i and j and word != w0:
-                decoded[mu1, mu2, i - 1, j - 1] = words.index(word)
+    decoded = np.full(num_mus + num_bins, -1)
+    for mus, table in tables.items():
+        for msgs, word in table.items():
+            if all(msgs) and word != w0:
+                decoded[mus + tuple(i - 1 for i in msgs)] = words.index(word)
     inst = SimpleNamespace(decoded=decoded, words=words, w0=w0)
-    for (mu1, mu2), table in tables.items():
-        assert {ij: protocol._lookup(inst, (mu1, mu2), ij, 2) for ij in table} == table
+    for mus, table in tables.items():
+        assert {msgs: protocol._lookup(inst, mus, msgs) for msgs in table} == table
     p_ext = StochasticMap((2,), 3, np.array([[0.5, 0.5, 0.0], [0.2, 0.0, 0.8]]))
-    padded_b = [bins_b[0] + [np.zeros((db ** n, 1))], bins_b[1]]
-    cand = protocol.FactoredCandidate(decoded, words, w0, bins_a, padded_b, p_ext, n, (da, db))
+    cand = protocol.FactoredCandidate(decoded, words, w0, bins, p_ext, n, dims)
+    registers = [d for d in dims for _ in range(n)]
+    interleave = [s * n + j for j in range(n) for s in range(num_sides)]
     word_ops = {}
-    for (mu1, mu2), table in tables.items():
-        ops_a, ops_b = messages(bins_a[mu1], da ** n), messages(bins_b[mu2], db ** n)
-        for (i, j), word in table.items():
-            op = dense.permute_registers(np.kron(ops_a[i], ops_b[j]), [da] * n + [db] * n,
-                                         [0, 2, 1, 3])
+    for mus, table in tables.items():
+        ops = [messages(side[mu], d ** n) for side, mu, d in zip(bins, mus, dims)]
+        for msgs, word in table.items():
+            op = dense.permute_registers(kron_all([o[i] for o, i in zip(ops, msgs)]),
+                                         registers, interleave)
             word_ops[word] = word_ops.get(word, 0) + op / len(tables)
+    dim = math.prod(dims) ** n
     assert not np.any(word_ops[(1, 0)])
-    assert np.allclose(sum(word_ops.values()), np.eye(36), atol=1e-12)
+    assert np.allclose(sum(word_ops.values()), np.eye(dim), atol=1e-12)
     ref = {}
     for word, op in word_ops.items():
         for z in itertools.product(range(3), repeat=n):
@@ -631,7 +645,7 @@ def test_distributed_candidate_on_generic_side_operators():
             if pr > 0.0 and np.any(op):
                 ref[z] = ref.get(z, 0) + pr * op
     assert set(cand) == set(ref) == set(itertools.product(range(3), repeat=n)) - {(2, 1)}
-    w = rng.standard_normal((36, 5)) + 1j * rng.standard_normal((36, 5))
+    w = rng.standard_normal((dim, 5)) + 1j * rng.standard_normal((dim, 5))
     sandwiches = dict(cand.sandwiches(w))
     assert set(sandwiches) == set(ref)
 
@@ -643,9 +657,22 @@ def test_distributed_candidate_on_generic_side_operators():
         close(sandwiches[z], w.conj().T @ op @ w)
     # The support of a mixed state on the interleaved registers, with the
     # target and the candidate's W^dagger W taken from single-copy blocks.
-    rho_ab = random_density(rng, da * db, (da, db))
-    tgt = protocol.ProductTarget([random_psd(rng, da * db) / 8 for _ in range(3)], n)
-    _assert_product_form_matches_apply(TensorPower(rho_ab, n), tgt, cand)
+    rho = random_density(rng, math.prod(dims), tuple(dims))
+    tgt = protocol.ProductTarget([random_psd(rng, math.prod(dims)) / 8 for _ in range(3)], n)
+    _assert_product_form_matches_apply(TensorPower(rho, n), tgt, cand)
+
+
+def test_distributed_candidate_on_generic_side_operators():
+    # No bundled problem pairs two generic bins on unequal registers
+    # (d_A = 2, d_B = 3); these reach the G (x) H cross term.
+    _check_generic_candidate(2)
+
+
+@pytest.mark.parametrize("num_sides", [1, 3])
+def test_candidate_on_generic_operators_of_one_and_three_sides(num_sides):
+    # One side is the point-to-point candidate; three sides fold the
+    # Kronecker columns over a third register (d_C = 2).
+    _check_generic_candidate(num_sides)
 
 
 def test_distributed_needs_l2():
@@ -662,6 +689,43 @@ def test_params_validation():
         ProtocolParams(n=2, k=0, l=1, p=2, num_mu=1, eta=1.5)
     with pytest.raises(ValueError):
         ProtocolParams(n=2, k=0, l=1, p=2, num_mu=1, delta=0.0)
+
+
+def test_absurd_block_length_is_refused_at_once(tmp_path):
+    # The caps are bit-length tests: no p**n is formed for n = 10**7.
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=re.escape("p**n exceeds the desk-scale cap")):
+        ProtocolParams(n=10 ** 7, k=0, l=1, p=3, num_mu=1)
+    assert time.perf_counter() - t0 < 0.5
+    out = tmp_path / "err.json"
+    assert main(["simulate", "--p", "3", "--n", "30000000", "--k", "0", "--l", "1",
+                 "--spec", bundled_example_path(2), "--out", str(out)]) == EXIT_BAD_PROTOCOL
+    assert json.loads(out.read_text())["error"] == "p**n exceeds the desk-scale cap"
+
+
+@pytest.mark.parametrize("topology", ["p2p", "distributed"])
+def test_side_a_codes_are_those_of_sample_ensemble(topology):
+    # G is drawn first and then each side's shift tables, side after side:
+    # side A's codes are the ensemble's in either topology, and side B's
+    # shift tables are the next draws of the same stream.
+    params = ProtocolParams(n=3, k=1, l=2, p=3, num_mu=3, eta=0.1, delta=0.5, seed=7,
+                            l2=1, num_mu2=2)
+    if topology == "p2p":
+        inst = build_instance(params, BASIS, MIXED)
+    else:
+        rho = DensityOperator(np.kron(np.eye(2) / 2, np.eye(2) / 2), (2, 2))
+        inst = build_distributed_instance(params, BASIS, BASIS, rho)
+    want = sample_ensemble(CodeEnsembleSpec(3, 3, 1, 2, 3, seed=7))
+    assert len(inst.mus) == len(want)
+    for mu, code in zip(inst.mus, want):
+        assert np.array_equal(mu.code.G, code.G) and np.array_equal(mu.code.h, code.h)
+    if topology == "distributed":
+        rng = np.random.default_rng(7)
+        for shape in [(1, 3)] + [(9, 3)] * 3:        # G and side A's shift tables
+            rng.integers(0, 3, size=shape)
+        for mu in inst.side_b:
+            assert np.array_equal(mu.code.G, want[0].G)
+            assert np.array_equal(mu.code.h, rng.integers(0, 3, size=(3, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -725,8 +789,8 @@ def test_factored_abar_matches_cut_post_state():
     norm = params.p ** n / ((1 + params.eta) * params.p ** (params.k + params.l))
     assert inst.abar
     for w, op in inst.abar.items():
-        cut = cut_post_state(inst.ens, dense.pi_rho(inst), w, params.delta)
-        ref = hermitian_part(s @ cut @ s) * (norm * inst.ens.weight_of(w))
+        cut = cut_post_state(inst.sides[0].ens, dense.pi_rho(inst), w, params.delta)
+        ref = hermitian_part(s @ cut @ s) * (norm * inst.sides[0].ens.weight_of(w))
         assert np.linalg.norm(ref) > 1e-6
         assert np.linalg.norm(op - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -744,7 +808,7 @@ def test_factored_side_matches_dense_construction(rotated_instance):
     # sums of those.  On the default and bundled problems every bin is 0;
     # here pruning is partial and bins survive.
     inst = rotated_instance
-    eye = np.eye(inst.dim_n)
+    eye = np.eye(inst.mus[0].typical.shape[0])
     vals, vecs = np.linalg.eigh(dense.pi_rho(inst))
     basis = vecs[:, vals > 0.5]
     cuts, live_bins, defect = [], 0, 0.0
@@ -813,12 +877,12 @@ def test_type_class_sharing_matches_per_word_construction(monkeypatch, problem, 
     assert len({tuple(sorted(w)) for w in live}) < len(live)
     assert any(not np.array_equal(np.argsort(np.argsort(w)), np.argsort(w)) for w in live)
     u, inv = protocol._typical_factor(rho.mat, n, params.delta)
-    spectra = [protocol._spectrum(s) for s in inst.ens.post_states]
+    spectra = [protocol._spectrum(s) for s in inst.sides[0].ens.post_states]
     idx = protocol.all_vectors(n, d)
     norm = params.p ** n / ((1 + params.eta) * params.p ** (params.k + params.l))
     for w, got in inst.abar.items():
         cols, eig = per_word(spectra, w, params.delta, idx)
-        x = cols * np.sqrt(np.clip(eig, 0.0, None) * (norm * inst.ens.weight_of(w)))
+        x = cols * np.sqrt(np.clip(eig, 0.0, None) * (norm * inst.sides[0].ens.weight_of(w)))
         x = (u * inv) @ (u.conj().T @ x)
         want = x @ x.conj().T
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
@@ -873,7 +937,8 @@ def test_p2p_candidate_matches_dense_reference(request, instance, probs):
                 ref[z] = ref.get(z, 0) + pr * op
     assert set(cand) == set(ref) and len(cand) == len(ref)
     rng = np.random.default_rng(0)
-    w = rng.standard_normal((inst.dim_n, 3)) + 1j * rng.standard_normal((inst.dim_n, 3))
+    dim = inst.mus[0].typical.shape[0]
+    w = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
     sandwiches = dict(cand.sandwiches(w))
     assert set(sandwiches) == set(ref)
     for z, op in ref.items():
@@ -1070,7 +1135,7 @@ def test_factors_carry_no_subnormals(example1, example2, rotated_instance):
     # factors, the cut directions or the support factor of rho^{(x) n}.
     inst = rotated_instance
     _assert_no_subnormals(_side_arrays(inst.mus))
-    _assert_no_subnormals([TensorPower(inst.rho, inst.params.n).support()[0]])
+    _assert_no_subnormals([TensorPower(inst.sides[0].rho, inst.params.n).support()[0]])
     for spec, p in ((example1, 2), (example2, 3)):
         params = ProtocolParams(n=5, k=1, l=1, p=p, num_mu=2, eta=0.1, delta=0.5,
                                 seed=0, l2=1, num_mu2=2)
@@ -1202,7 +1267,7 @@ def test_p2p_invariants_generic(seed, p, rank_one):
     params = ProtocolParams(n=n, k=int(rng.integers(0, 2)), l=2, p=p, num_mu=2,
                             eta=0.1, delta=0.6, seed=seed)
     inst = build_instance(params, m, rho)
-    _assert_side_invariants(inst.mus, inst.dim_n)
+    _assert_side_invariants(inst.mus, inst.mus[0].typical.shape[0])
     p_zw = StochasticMap((p,), 2, rng.dirichlet(np.ones(2), size=p))
     tgt = target_overall(m, p_zw, n)
     rho_n = kron_power(rho.mat, n)
@@ -1213,7 +1278,7 @@ def test_p2p_invariants_generic(seed, p, rank_one):
     # The factored candidate and the tensor-power state agree with the dense
     # candidate and state.
     dense_cand = {z: cand[z] for z in cand}
-    assert np.max(np.abs(sum(dense_cand.values()) - np.eye(inst.dim_n))) <= 1e-9
+    assert np.max(np.abs(sum(dense_cand.values()) - np.eye(inst.mus[0].typical.shape[0]))) <= 1e-9
     assert faithfulness(TensorPower(rho, n), tgt, cand) == pytest.approx(k, abs=1e-10)
     assert faithfulness(TensorPower(rho, n), tgt, dense_cand) == pytest.approx(k, abs=1e-10)
     assert faithfulness(rho_n, tgt, dense_cand) == pytest.approx(k, abs=1e-10)
@@ -1357,12 +1422,12 @@ def test_real_problem_stays_real(rotated_instance):
     inst, _ = _default_p2p_k(6, 0)
     tgt = target_overall(m, protocol.extend_map_to_field(p_zw, 2), 6)
     support = protocol._Support(TensorPower(rho, 6))
-    real = [inst.typical, support.vecs, support.w, *tgt.singles]
+    real = [inst.mus[0].typical, support.vecs, support.w, *tgt.singles]
     for mu in inst.mus:
         real += [mu.v_cut, *mu.factors.values(), *mu.a_factors.values(), *mu.bin_factors]
     assert {a.dtype for a in real} == {np.dtype(np.float64)}
     rho_r, _ = rotated_qubit_problem()
-    complex_ = [rotated_instance.typical, protocol._Support(TensorPower(rho_r, 4)).vecs]
+    complex_ = [rotated_instance.mus[0].typical, protocol._Support(TensorPower(rho_r, 4)).vecs]
     for mu in rotated_instance.mus:
         complex_ += [*mu.factors.values(), *mu.bin_factors]
     assert {a.dtype for a in complex_} == {np.dtype(np.complex128)}
@@ -1378,7 +1443,7 @@ def test_real_path_k_matches_complex_path(monkeypatch, n):
             monkeypatch.setattr(protocol, "_real_if_exact", np.asarray)
         runs = [_default_p2p_k(n, seed) for seed in range(4)]
         ks.append([k for _, k in runs])
-        dtypes.append(runs[0][0].typical.dtype)
+        dtypes.append(runs[0][0].mus[0].typical.dtype)
     assert dtypes == [np.float64, np.complex128]
     assert np.max(np.abs(np.subtract(*ks))) <= 1e-12
 
