@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codes import codeword_indices, require_prime
+from .codes import ENUMERATION_CAP, _over_cap, all_vectors, require_prime
 from .linalg import (
     DensityOperator,
     Povm,
@@ -145,23 +145,55 @@ def iid_code_sampler(inst: CoveringInstance):
 
 
 def ucc_code_sampler(inst: CoveringInstance, p: int, n: int, k: int, l: int):
-    """Pairwise-independent codewords from a fresh (G, h); mu must be uniform."""
+    """Pairwise-independent codewords from a fresh (G, h); mu must be uniform.
+
+    The p**(k+l) codewords are the cosets aG + h(i), so letter x occurs
+    sum_y image(y) shift(x - y) times, where image counts the p**k words aG
+    and shift the p**l words h(i).  Each trial therefore costs p**k + p**l
+    word indices and an L x L product over the letters (L = p**n), not
+    p**(k+l) words.  Trials are drawn in row chunks of at most
+    ``ENUMERATION_CAP`` entries per array.
+    """
     require_prime(p)
     if p ** n != inst.alphabet_size:
         raise ValueError("UCC sampler needs |alphabet| = p**n")
+    if _over_cap(p, k + l, ENUMERATION_CAP):
+        raise ValueError(f"p**(k+l) = {p}**{k + l} codewords exceed the "
+                         f"desk-scale cap {ENUMERATION_CAP}")
     if p ** (k + l) != inst.m:
         raise ValueError("UCC sampler needs M = p**(k+l)")
     if np.max(np.abs(inst.mu - 1.0 / inst.alphabet_size)) > 1e-12:
         raise ValueError("UCC sampler needs a uniform sampling distribution")
     letters = inst.alphabet_size
+    if letters ** 2 > ENUMERATION_CAP:
+        raise ValueError(f"the UCC sampler's {letters} x {letters} letter-difference table "
+                         f"exceeds the desk-scale cap {ENUMERATION_CAP}")
+    vectors = all_vectors(n, p)
+    coefficients = all_vectors(k, p)
+    place = p ** np.arange(n - 1, -1, -1)
+    difference = ((vectors[:, None] - vectors[None]) % p) @ place    # [x, y] = letter x - y
+    draws_per_trial = k * n + p ** l * n
+    rows = max(1, ENUMERATION_CAP // (draws_per_trial + p ** k * n + letters ** 2))
+
+    def letter_counts(words: np.ndarray) -> np.ndarray:
+        """(t, L) occurrences of each letter among the (t, m, n) words."""
+        flat = np.zeros(words.shape[:2], dtype=np.int64)
+        for j in range(n):
+            flat *= p
+            flat += words[..., j]
+        flat += letters * np.arange(len(words))[:, None]
+        return np.bincount(flat.ravel(), minlength=len(words) * letters).reshape(-1, letters)
 
     def sample(rng: np.random.Generator, size: int) -> np.ndarray:
-        # Per trial: G is k*n draws, then h is p**l * n draws.
-        draws = rng.integers(0, p, size=(size, k * n + p ** l * n))
-        flat = codeword_indices(draws[:, :k * n].reshape(size, k, n),
-                                draws[:, k * n:].reshape(size, p ** l, n), p)
-        flat += letters * np.arange(size)[:, None]
-        return np.bincount(flat.ravel(), minlength=size * letters).reshape(size, letters)
+        counts = np.empty((size, letters), dtype=np.int64)
+        for start in range(0, size, rows):
+            t = min(rows, size - start)
+            # Per trial: G is k*n draws, then h is p**l * n draws.
+            draws = rng.integers(0, p, size=(t, draws_per_trial))
+            image = letter_counts((coefficients @ draws[:, :k * n].reshape(t, k, n)) % p)
+            shift = letter_counts(draws[:, k * n:].reshape(t, p ** l, n))
+            counts[start:start + t] = np.einsum("ty,txy->tx", image, shift[:, difference])
+        return counts
 
     return sample
 
@@ -174,6 +206,21 @@ def _blocks(trials: int):
 def _require_trials(trials: int) -> None:
     if trials < 2:
         raise ValueError(f"trials must be >= 2 for a standard error, got {trials}")
+
+
+def _hermitian_trace_norms(a: np.ndarray) -> np.ndarray:
+    """||A||_1 of each Hermitian matrix in a stack, read from its lower triangle.
+
+    A 2 x 2 Hermitian A has eigenvalues t +- r, where t = (a00 + a11)/2 and
+    r = hypot((a00 - a11)/2, |a10|), so ||A||_1 = 2 max(|t|, r) without a
+    LAPACK call.  Larger matrices take the absolute sum of their spectrum.
+    """
+    if a.shape[-1] != 2:
+        return np.abs(np.linalg.eigvalsh(a)).sum(axis=-1)
+    a00, a11 = a[..., 0, 0].real, a[..., 1, 1].real
+    t = (a00 + a11) / 2
+    r = np.hypot((a00 - a11) / 2, np.abs(a[..., 1, 0]))
+    return 2 * np.maximum(np.abs(t), r)
 
 
 @dataclass(frozen=True)
@@ -199,7 +246,8 @@ def covering_experiment(inst: CoveringInstance, trials: int, seed: int,
         sampler = iid_code_sampler(inst)
     rng = np.random.default_rng(seed)
     # Hermitian states and real weights make every gap Hermitian, so its
-    # trace norm is the absolute sum of its spectrum, read from one triangle.
+    # trace norm is the absolute sum of its spectrum, read from the lower
+    # triangle: in closed form for qubits, by one stacked eigvalsh otherwise.
     tilde = inst.sigma_tilde()
     tilde = (tilde + tilde.conj().swapaxes(-1, -2)) / 2
     targets = np.stack([inst.sigma(), np.einsum("x,xij->ij", inst.lam, tilde)])
@@ -210,7 +258,7 @@ def covering_experiment(inst: CoveringInstance, trials: int, seed: int,
     for size in _blocks(trials):
         weights = sampler(rng, size) * ratio / inst.m                # (size, X)
         gaps = targets[:, None] - np.einsum("tx,vxij->vtij", weights, states)
-        devs.append(np.abs(np.linalg.eigvalsh(gaps)).sum(axis=-1))
+        devs.append(_hermitian_trace_norms(gaps))
     raw_devs, cut_devs = np.concatenate(devs, axis=1)
     raw_mean, cut_mean = float(raw_devs.mean()), float(cut_devs.mean())
     raw_se = float(raw_devs.std(ddof=1) / np.sqrt(trials))

@@ -48,7 +48,10 @@ def test_covering_matches_loop(seed, sampler_name):
                               and cut.mean() <= rep.extras["cut_bound"] + 3 * cut_se)
 
 
-@pytest.mark.parametrize("p,n,k,l", [(2, 2, 2, 2), (2, 2, 0, 3), (3, 1, 1, 0)])
+# With p = 2, x - y = y - x over F_2^n, so a letter-difference table read
+# backwards passes every p = 2 case; the p > 2 cases catch it.
+@pytest.mark.parametrize("p,n,k,l", [(2, 2, 2, 2), (2, 2, 0, 3), (3, 1, 1, 0),
+                                     (3, 2, 1, 1), (5, 1, 1, 1), (3, 2, 0, 2)])
 def test_code_sampler_counts_equal_per_trial_draws(p, n, k, l):
     inst = default_covering_instance(p ** (k + l))
     if p ** n != inst.alphabet_size:
@@ -63,6 +66,74 @@ def test_code_sampler_counts_equal_per_trial_draws(p, n, k, l):
         want = np.stack([draw(rng) for _ in range(50)])
         assert got.shape == (50, inst.alphabet_size)
         np.testing.assert_array_equal(got, want)
+
+
+def test_ucc_sampler_row_chunks_do_not_change_counts(monkeypatch):
+    # A cap that fits 3 trials per chunk splits a block into row chunks; the
+    # counts equal one draw per trial all the same.
+    inst = default_covering_instance(16)
+    draw = ref.ucc_draw(inst, 2, 2, 2, 2)
+    rng = np.random.default_rng(4)
+    want = np.stack([draw(rng) for _ in range(10)])
+    monkeypatch.setattr(lab, "ENUMERATION_CAP", 3 * (2 * 2 + 4 * 2 + 4 * 2 + 16))
+    got = lab.ucc_code_sampler(inst, 2, 2, 2, 2)(np.random.default_rng(4), 10)
+    np.testing.assert_array_equal(got, want)
+
+
+def _hermitian_stack(rng, size, d):
+    a = rng.standard_normal((size, d, d)) + 1j * rng.standard_normal((size, d, d))
+    return (a + a.conj().swapaxes(-1, -2)) / 2
+
+
+def test_qubit_trace_norms_match_the_spectrum():
+    rng = np.random.default_rng(13)
+    v = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
+    stacks = {
+        "random": _hermitian_stack(rng, 1000, 2),
+        "zero": np.zeros((3, 2, 2), dtype=complex),
+        "multiples of I": rng.standard_normal(50)[:, None, None] * np.eye(2),
+        "rank one": v[:, :, None] * v[:, None, :].conj(),
+        "tiny": 1e-150 * _hermitian_stack(rng, 200, 2),
+        "huge": 1e150 * _hermitian_stack(rng, 200, 2),
+    }
+    # Only the lower triangle is read, as eigvalsh reads it.
+    stacks["upper triangle ignored"] = stacks["random"].copy()
+    stacks["upper triangle ignored"][:, 0, 1] = 7.0 + 3.0j
+    for name, a in stacks.items():
+        want = np.abs(np.linalg.eigvalsh(a)).sum(-1)
+        np.testing.assert_allclose(lab._hermitian_trace_norms(a), want, rtol=1e-14, atol=0,
+                                   err_msg=name)
+
+
+def _count_spectra(monkeypatch, inst):
+    """Stacked eigvalsh calls made by one covering run of TRIALS trials."""
+    stacked = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        stacked.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    lab.covering_experiment(inst, TRIALS, 3)
+    monkeypatch.undo()
+    return stacked
+
+
+def test_covering_takes_qubit_norms_in_closed_form(monkeypatch):
+    assert _count_spectra(monkeypatch, default_covering_instance(16)) == []
+
+
+def test_covering_takes_one_spectrum_per_block_above_qubits(monkeypatch):
+    rng = np.random.default_rng(15)
+    lam = np.full(4, 0.25)
+    sigmas = np.stack([random_density(rng, 3).mat for _ in range(4)])
+    eye = np.eye(3, dtype=complex)
+    inst = lab.CoveringInstance(lam, sigmas, lam.copy(), eye, np.stack([eye] * 4),
+                                eps=0.0, d=1.0, big_d=3.0, m=16)
+    stacked = _count_spectra(monkeypatch, inst)
+    assert len(stacked) == len(lab._blocks(TRIALS))
+    assert all(shape[-2:] == (3, 3) for shape in stacked)
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,8 @@ def test_malformed_spec_file_is_refused(tmp_path, command, case, phrase):
     (["covering", "--M", "0"], "M must be >= 1"),
     (["covering", "--trials", "1"], "trials must be >= 2"),
     (["covering", "--sampler", "ucc", "--M", "16", "--k", "1", "--l", "1"], "M = p**(k+l)"),
+    (["covering", "--sampler", "ucc", "--M", "1099511627776", "--k", "0", "--l", "40",
+      "--trials", "2"], "2**40 codewords exceed the desk-scale cap"),
     (["pruning", "--eta", "1.5"], "eta must lie in (0, 1)"),
     (["pruning", "--trials", "0"], "trials must be >= 2"),
     (["ucc", "--p", "2", "--n", "5", "--k", "3", "--l", "3", "--check-pairwise"], "above the cap"),
@@ -312,6 +314,7 @@ def test_malformed_spec_file_is_refused(tmp_path, command, case, phrase):
      "2**45 codewords exceed the desk-scale cap"),
     (["ucc", "--p", "2", "--n", "0", "--k", "0", "--l", "0"], "n >= 1"),
 ], ids=["surface-no-valid-point", "covering-M0", "covering-trials1", "covering-ucc-M",
+         "covering-ucc-over-cap",
         "pruning-eta", "pruning-trials0", "ucc-over-cap", "ucc-over-cap-astronomical",
         "ucc-negative-l", "ucc-emit-over-cap", "ucc-zero-n"])
 def test_lab_commands_refuse_bad_experiments(tmp_path, argv, phrase):

@@ -133,6 +133,14 @@ def test_ucc_sampler_validation():
         ucc_code_sampler(inst, 3, 2, 1, 1)     # alphabet mismatch
     with pytest.raises(ValueError):
         ucc_code_sampler(inst, 2, 2, 1, 1)     # M mismatch
+    letters = 2 ** 11
+    lam = np.full(letters, 1.0 / letters)
+    eye = np.eye(2, dtype=complex)
+    wide = CoveringInstance(lam, np.broadcast_to(eye / 2, (letters, 2, 2)), lam, eye,
+                            np.broadcast_to(eye, (letters, 2, 2)),
+                            eps=0.0, d=2.0, big_d=2.0, m=4)
+    with pytest.raises(ValueError, match="letter-difference table"):
+        ucc_code_sampler(wide, 2, 11, 1, 1)    # L x L table above the cap
 
 
 def test_covering_reproducible():
