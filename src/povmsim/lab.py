@@ -21,7 +21,8 @@ from .linalg import (
     trace_norm,
 )
 
-TRIAL_BLOCK = 256     # Monte-Carlo trials per stacked numpy pass
+TRIAL_BLOCK = 1024    # Monte-Carlo trials per stacked numpy pass
+CUT_MARGIN, ABOVE_I_MARGIN = 1e-10, 1e-12   # pruning: spec(X) - 1 above these is cut / X not<= I
 
 
 @dataclass(frozen=True)
@@ -198,14 +199,65 @@ def ucc_code_sampler(inst: CoveringInstance, p: int, n: int, k: int, l: int):
     return sample
 
 
-def _blocks(trials: int):
-    """Sizes of the TRIAL_BLOCK-trial blocks that make up ``trials``."""
-    return [min(TRIAL_BLOCK, trials - start) for start in range(0, trials, TRIAL_BLOCK)]
+def _blocks(trials: int, block: int = TRIAL_BLOCK):
+    """Sizes of the blocks of at most min(block, TRIAL_BLOCK) trials that make up ``trials``."""
+    block = max(1, min(block, TRIAL_BLOCK))
+    return [min(block, trials - start) for start in range(0, trials, block)]
 
 
 def _require_trials(trials: int) -> None:
     if trials < 2:
         raise ValueError(f"trials must be >= 2 for a standard error, got {trials}")
+
+
+def _hermitian_spectra(a: np.ndarray, thresholds=()) -> np.ndarray:
+    """Ascending eigenvalues of each Hermitian matrix in a stack, read from its lower triangle.
+
+    A 4 x 4 stack is solved in closed form, trial axis last: with m = Tr X / 4 and
+    s = ||X - m I||_F, A = (X - m I)/s has the characteristic polynomial
+    x^4 + p x^2 + q x + r (from Tr A^2, A^3, A^4), whose resolvent cubic, solved in
+    trigonometric form, has the roots (x_1 + x_j)^2; two Newton steps polish the x_i.
+    A trial is certified when the last Newton step is below 1e-11 (it stays larger
+    near a double root that rounding split into a complex pair), its eigenvalues
+    are more than 1e-3 s apart and more than 1e-8 (|m| + s) from each of
+    ``thresholds``.  Other trials, and stacks of any other size, take eigvalsh.
+    """
+    if a.shape[-1] != 4:
+        return np.linalg.eigvalsh(a)
+    shape, a = a.shape[:-1], a.reshape(-1, 4, 4)
+    i, j = np.indices((4, 4))
+    at, low = a.transpose(1, 2, 0), (np.maximum(i, j), np.minimum(i, j))
+    w = np.stack([at.real[low], at.imag[low]])           # (2, 4, 4, t), the lower triangle mirrored
+    w[1] *= np.sign(i - j)[..., None]
+    m = np.trace(w[0]) / 4
+    w[0, range(4), range(4)] -= m
+    with np.errstate(all="ignore"):                # s = 0 or inf: NaN roots, never certified
+        s = np.sqrt(np.einsum("cijt,cijt->t", w, w))
+        w /= s                                     # A = R + iS with (R, S) = w
+        n = np.einsum("ikt,jkt->ijt", *w)          # N = R S^T, so A^2 = R R^T + S S^T + i(N^T - N)
+        b = np.empty_like(w)
+        np.einsum("cikt,cjkt->ijt", w, w, out=b[0])
+        np.subtract(n.swapaxes(0, 1), n, out=b[1])
+        p2, p3, p4 = np.trace(b[0]), np.einsum("cijt,cijt->t", w, b), np.einsum("cijt,cijt->t", b, b)
+        p, q, r = -p2 / 2, -p3 / 3, p2 ** 2 / 8 - p4 / 4
+        rho = np.sqrt(p ** 2 / 9 + 4 * r / 3)
+        theta = np.arccos(np.clip((p * p * p / 27 - 4 * p * r / 3 + q ** 2 / 2) / rho ** 3, -1, 1))
+        z = 2 * rho * np.cos(theta / 3 - 2 * np.pi / 3 * np.arange(3)[:, None]) - 2 * p / 3
+        u = np.sqrt(np.maximum(z, 0))                 # u_0 >= u_1 >= u_2: ascending roots below
+        u[2] = np.copysign(u[2], -q)
+        x = np.array([[-1, -1, 1], [-1, 1, -1], [1, -1, -1], [1, 1, 1]]) / 2 @ u
+        for _ in range(2):
+            x2 = x * x
+            step = (((x2 + p) * x + q) * x + r) / ((4 * x2 + 2 * p) * x + q)
+            x -= step
+        spec = m + s * x
+        ok = (np.abs(step) < 1e-11).all(axis=0) & (np.diff(spec, axis=0).min(axis=0) > 1e-3 * s)
+    for level in thresholds:
+        ok &= np.abs(spec - level).min(axis=0) > 1e-8 * (np.abs(m) + s)
+    spec = spec.T
+    if not ok.all():
+        spec[~ok] = np.linalg.eigvalsh(a[~ok])
+    return spec.reshape(shape)
 
 
 def _hermitian_trace_norms(a: np.ndarray) -> np.ndarray:
@@ -216,7 +268,7 @@ def _hermitian_trace_norms(a: np.ndarray) -> np.ndarray:
     LAPACK call.  Larger matrices take the absolute sum of their spectrum.
     """
     if a.shape[-1] != 2:
-        return np.abs(np.linalg.eigvalsh(a)).sum(axis=-1)
+        return np.abs(_hermitian_spectra(a)).sum(axis=-1)
     a00, a11 = a[..., 0, 0].real, a[..., 1, 1].real
     t = (a00 + a11) / 2
     r = np.hypot((a00 - a11) / 2, np.abs(a[..., 1, 0]))
@@ -247,7 +299,8 @@ def covering_experiment(inst: CoveringInstance, trials: int, seed: int,
     rng = np.random.default_rng(seed)
     # Hermitian states and real weights make every gap Hermitian, so its
     # trace norm is the absolute sum of its spectrum, read from the lower
-    # triangle: in closed form for qubits, by one stacked eigvalsh otherwise.
+    # triangle: in closed form for d = 2 and d = 4 (certified, with an eigvalsh
+    # fallback), by one stacked eigvalsh for any other d.
     tilde = inst.sigma_tilde()
     tilde = (tilde + tilde.conj().swapaxes(-1, -2)) / 2
     targets = np.stack([inst.sigma(), np.einsum("x,xij->ij", inst.lam, tilde)])
@@ -276,8 +329,8 @@ def covering_experiment(inst: CoveringInstance, trials: int, seed: int,
 # -- pruning trace inequalities ----------------------------------------------
 #
 # A pruning sampler has ``mean`` (E[X], d x d) and sample(rng, size), which
-# returns a (size, d, d) stack of samples, Hermitian up to rounding (the
-# experiment takes their Hermitian part).
+# returns a (size, d, d) stack of Hermitian samples; the experiment reads
+# their lower triangles.
 
 @dataclass(frozen=True)
 class ScaledWishartSampler:
@@ -290,16 +343,29 @@ class ScaledWishartSampler:
     def __post_init__(self):
         if self.dim < 1 or self.shots < 1:
             raise ValueError("the Wishart sampler needs dim >= 1 and shots >= 1")
+        if max(2 * self.dim * self.shots, self.dim ** 2) > ENUMERATION_CAP:
+            raise ValueError(f"one Wishart sample with dim {self.dim} and shots {self.shots} "
+                             f"exceeds the desk-scale cap {ENUMERATION_CAP}")
 
     @property
     def mean(self) -> np.ndarray:
         return self.scale * np.eye(self.dim)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        # Per sample: the real parts of g, then its imaginary parts.
-        z = rng.standard_normal((size, 2, self.dim, self.shots))
-        g = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)
-        return (self.scale / self.shots) * (g @ g.conj().swapaxes(-1, -2))
+        # Per sample: zr = sqrt(2) Re g, then zi = sqrt(2) Im g, drawn in row chunks of at
+        # most ENUMERATION_CAP entries (same stream).  Built trial axis last,
+        # X = f (zr zr^T + zi zi^T) + i f (C - C^T) with C = zi zr^T, f = scale/(2 shots).
+        d, f = self.dim, self.scale / (2 * self.shots)
+        rows = ENUMERATION_CAP // max(2 * d * self.shots, d * d)
+        x = np.empty((d, d, size), dtype=complex)
+        for start in range(0, size, rows):
+            t = slice(start, min(start + rows, size))
+            z = rng.standard_normal((t.stop - start, 2, d, self.shots))
+            z = np.ascontiguousarray(z.transpose(1, 2, 3, 0))
+            x.real[..., t] = f * np.einsum("cikt,cjkt->ijt", z, z)
+            c = np.einsum("ikt,jkt->ijt", z[1], z[0])
+            x.imag[..., t] = f * (c - c.swapaxes(0, 1))
+        return x.transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -319,12 +385,12 @@ def pruning_inequality_experiment(sampler, trials: int, eta: float,
                                   seed: int = 0) -> PruningReport:
     """Pathwise and aggregate pruning inequalities on random PSD samples.
 
-    P projects onto the eigenvalues >= -1e-10 of I - X, so Tr{I-P} counts the
-    eigenvalues of X above 1 by that margin; X not<= I means an eigenvalue of
-    X - I above 1e-12.  Both come from one eigvalsh of each stacked X, as
+    P projects onto the eigenvalues >= -CUT_MARGIN of I - X, so Tr{I-P} counts
+    the eigenvalues of X above 1 by that margin; X not<= I means an eigenvalue
+    of X - I above ABOVE_I_MARGIN.  Both come from one stacked spectrum of X, as
     spec(I - X) = 1 - spec(X).  When E[X] = s I exactly, the same spectrum
     gives ||X - E[X]||_1 = sum_i |lambda_i(X) - s|; any other mean costs a
-    second eigvalsh, of X - E[X].
+    second spectrum, of X - E[X].
     """
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
@@ -338,20 +404,19 @@ def pruning_inequality_experiment(sampler, trials: int, eta: float,
     cuts, diffs = [], []   # Tr{I-P} and Tr{I-P} - (1/eta)||X - E[X]||_1 per trial
     path_viol = 0
     markov_viol = 0
-    for size in _blocks(trials):
+    for size in _blocks(trials, ENUMERATION_CAP // mean_x.size):   # <= cap entries of X
         x = sampler.sample(rng, size)
-        x = (x + x.conj().swapaxes(-1, -2)) / 2
-        spec = np.linalg.eigvalsh(x)                                  # (size, d), ascending
+        spec = _hermitian_spectra(x, (1 + CUT_MARGIN, 1 + ABOVE_I_MARGIN))  # (size, d), ascending
         excess = spec - 1.0                                           # spec(X - I)
-        cut = np.count_nonzero(excess > 1e-10, axis=1).astype(float)
+        cut = np.count_nonzero(excess > CUT_MARGIN, axis=1).astype(float)
         trace_x = np.trace(x, axis1=1, axis2=2).real
         path_viol += int(np.count_nonzero(cut > trace_x + 1e-9))
-        not_below_identity = (excess[:, -1] > 1e-12).astype(float)
+        not_below_identity = (excess[:, -1] > ABOVE_I_MARGIN).astype(float)
         markov_viol += int(np.count_nonzero(not_below_identity > cut + 1e-9))
         if scalar_mean:
             gap_norm = np.abs(spec - scale).sum(axis=1)
         else:
-            gap_norm = np.abs(np.linalg.eigvalsh(x - mean_x)).sum(axis=1)
+            gap_norm = np.abs(_hermitian_spectra(x - mean_x)).sum(axis=1)
         cuts.append(cut)
         diffs.append(cut - gap_norm / eta)
     cuts, diffs = np.concatenate(cuts), np.concatenate(diffs)

@@ -156,11 +156,13 @@ class _HermitianSpectrumSampler:
 
     def __init__(self, mean):
         self.mean = np.asarray(mean, dtype=complex)
+        self.dim = len(self.mean)
 
     def draw(self, rng):
-        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        d = self.dim
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         u, _ = np.linalg.qr(g)
-        x = (u * self.values[rng.integers(0, self.values.size, 3)]) @ u.conj().T
+        x = (u * self.values[rng.integers(0, self.values.size, d)]) @ u.conj().T
         return (x + x.conj().T) / 2
 
     def sample(self, rng, size):
@@ -195,6 +197,115 @@ def test_pruning_violation_counts_match_loop(monkeypatch):
 def test_pruning_scalar_mean_takes_one_spectrum(monkeypatch):
     # E[X] = s I: ||X - s I||_1 is read off the spectrum of X.
     _check_violation_counts(monkeypatch, 0.3 * np.eye(3), 1)
+
+
+def _count_4x4_spectra(monkeypatch, run):
+    """run() and the number of trials in each stacked 4 x 4 eigvalsh call it made."""
+    stacked = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        if np.ndim(a) >= 3 and np.shape(a)[-2:] == (4, 4):
+            stacked.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    result = run()
+    monkeypatch.undo()
+    return result, stacked
+
+
+@pytest.mark.parametrize("mean,spectra", [(np.diag([0.4, 0.3, 0.2, 0.1]), 2),
+                                          (0.3 * np.eye(4), 1)],
+                         ids=["general-mean", "scalar-mean"])
+def test_pruning_4x4_closed_form_hands_uncertain_trials_to_eigvalsh(monkeypatch, mean, spectra):
+    # Repeated eigenvalues, and eigenvalues 5e-11 and 1e-13 above 1, straddle
+    # the cut (1 + 1e-10) and the X <= I check (1 + 1e-12): the closed form
+    # must not decide those trials.  Trials of four distinct values far from
+    # the thresholds stay in closed form.
+    sampler = _HermitianSpectrumSampler(mean)
+    rep, stacked = _count_4x4_spectra(
+        monkeypatch, lambda: lab.pruning_inequality_experiment(sampler, TRIALS, 0.4, 5))
+    want = ref.pruning_loop(sampler.mean, TRIALS, 0.4, 5, sampler.draw)
+    assert want["pathwise_violations"] > 0 and want["markov_violations"] > 0
+    _assert_pruning_matches(rep, want)
+    assert 0 < len(stacked) <= spectra * len(lab._blocks(TRIALS))
+    assert 0 < sum(stacked) < spectra * TRIALS
+
+
+def _with_spectra(u, values):
+    """U diag(values) U^dagger for each unitary U of a stack."""
+    return (u * values[:, None, :]) @ u.conj().swapaxes(-1, -2)
+
+
+def test_hermitian_spectra_match_eigvalsh():
+    rng = np.random.default_rng(17)
+    u = np.linalg.qr(_hermitian_stack(rng, 300, 4))[0]
+    v = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
+    levels = (1 + 1e-10, 1 + 1e-12)
+    near = 1 + np.array([1e-10, 1e-12, 5e-11, 1e-13, -1e-13, 1e-10 + 1e-15])
+    stacks = {
+        "random": _hermitian_stack(rng, 2000, 4),
+        "zero": np.zeros((3, 4, 4), dtype=complex),
+        "multiples of I": rng.standard_normal(50)[:, None, None] * np.eye(4),
+        "rank one": v[:, :, None] * v[:, None, :].conj(),
+        "degenerate": _with_spectra(u, np.tile([1.0, 1.0, 2.0, -3.0], (300, 1))),
+        "at the thresholds": _with_spectra(u, np.column_stack(
+            [rng.choice(near, 300), rng.uniform(-2, 3, (300, 3))])),
+        "tiny": 1e-150 * _hermitian_stack(rng, 200, 4),
+        "huge": 1e150 * _hermitian_stack(rng, 200, 4),
+        "stacked twice": _hermitian_stack(rng, 20, 4).reshape(2, 10, 4, 4),
+    }
+    # Only the lower triangle is read, as eigvalsh reads it.
+    stacks["upper triangle ignored"] = stacks["random"].copy()
+    stacks["upper triangle ignored"][:, 0, 1:] = 7.0 + 3.0j
+    stacks["upper triangle ignored"][::2, 1, 3] = np.nan
+    for name, a in stacks.items():
+        want = np.linalg.eigvalsh(a)
+        got = lab._hermitian_spectra(a, levels)
+        assert got.shape == want.shape, name
+        scale = np.abs(want).max(axis=-1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale), name
+        for level in levels:
+            np.testing.assert_array_equal(got > level, want > level, err_msg=name)
+
+
+def test_wishart_pruning_takes_no_eigvalsh(monkeypatch):
+    sampler = lab.ScaledWishartSampler(4, 6, 0.35)
+    _, stacked = _count_4x4_spectra(
+        monkeypatch, lambda: lab.pruning_inequality_experiment(sampler, 10000, 0.3, 0))
+    assert stacked == []
+
+
+@pytest.mark.parametrize("dim,shots", [(4, 6), (3, 2), (1, 1), (5, 9)])
+def test_wishart_samples_match_per_trial_draws(dim, shots):
+    sampler = lab.ScaledWishartSampler(dim, shots, 0.35)
+    rng = np.random.default_rng(8)
+    got = np.concatenate([sampler.sample(rng, size) for size in (lab.TRIAL_BLOCK, 37, 1)])
+    draw, rng = ref.wishart_draw(sampler), np.random.default_rng(8)
+    want = np.stack([draw(rng) for _ in range(len(got))])
+    err = np.abs(got - want).max(axis=(1, 2))
+    assert np.all(err <= 1e-15 * np.abs(want).max(axis=(1, 2)))
+    # Exactly Hermitian: the lower triangle is the conjugated upper one.
+    np.testing.assert_array_equal(got, got.conj().swapaxes(-1, -2))
+
+
+def test_wishart_row_chunks_do_not_change_samples_or_reports(monkeypatch):
+    sampler = lab.ScaledWishartSampler(4, 6, 0.35)
+
+    def run():
+        samples = sampler.sample(np.random.default_rng(3), 100)
+        return samples, _pruning_fields(lab.pruning_inequality_experiment(sampler, 300, 0.3, 2))
+
+    default = run()
+    monkeypatch.setattr(lab, "ENUMERATION_CAP", 100)    # 2-trial chunks, 6-trial blocks
+    sizes, sample = [], lab.ScaledWishartSampler.sample
+    monkeypatch.setattr(lab.ScaledWishartSampler, "sample",
+                        lambda self, rng, size: sizes.append(size) or sample(self, rng, size))
+    small = run()
+    assert max(sizes[1:]) == 100 // 16
+    np.testing.assert_allclose(small[0], default[0], rtol=1e-15, atol=0)
+    assert default[1] == pytest.approx(small[1], abs=1e-12)
 
 
 def test_reports_do_not_depend_on_the_trial_block(monkeypatch):

@@ -306,6 +306,8 @@ def test_malformed_spec_file_is_refused(tmp_path, command, case, phrase):
       "--trials", "2"], "2**40 codewords exceed the desk-scale cap"),
     (["pruning", "--eta", "1.5"], "eta must lie in (0, 1)"),
     (["pruning", "--trials", "0"], "trials must be >= 2"),
+    (["pruning", "--dim", "1000000", "--trials", "2"], "exceeds the desk-scale cap"),
+    (["pruning", "--shots", "200000", "--trials", "2"], "exceeds the desk-scale cap"),
     (["ucc", "--p", "2", "--n", "5", "--k", "3", "--l", "3", "--check-pairwise"], "above the cap"),
     (["ucc", "--p", "3", "--n", "2", "--k", "1", "--l", "9", "--check-pairwise"],
      f"needs 3**39368 ensembles, above the cap {EXHAUSTIVE_ENSEMBLE_CAP}"),
@@ -315,7 +317,8 @@ def test_malformed_spec_file_is_refused(tmp_path, command, case, phrase):
     (["ucc", "--p", "2", "--n", "0", "--k", "0", "--l", "0"], "n >= 1"),
 ], ids=["surface-no-valid-point", "covering-M0", "covering-trials1", "covering-ucc-M",
          "covering-ucc-over-cap",
-        "pruning-eta", "pruning-trials0", "ucc-over-cap", "ucc-over-cap-astronomical",
+        "pruning-eta", "pruning-trials0", "pruning-dim-over-cap", "pruning-shots-over-cap",
+        "ucc-over-cap", "ucc-over-cap-astronomical",
         "ucc-negative-l", "ucc-emit-over-cap", "ucc-zero-n"])
 def test_lab_commands_refuse_bad_experiments(tmp_path, argv, phrase):
     out = tmp_path / "err.json"
@@ -403,6 +406,14 @@ def test_pruning_command(tmp_path):
     assert run(["pruning", "--trials", "500", "--eta", "0.3", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["pass"] and report["pathwise_violations"] == 0
+
+
+@pytest.mark.parametrize("argv", [["--dim", "40"], ["--shots", "1000"]], ids=["dim40", "shots1000"])
+def test_pruning_command_takes_sizes_beyond_one_block(tmp_path, argv):
+    # A full block of such samples would exceed the cap; the blocks shrink instead.
+    out = tmp_path / "prune.json"
+    assert run(["pruning", "--trials", "3", *argv, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["trials"] == 3
 
 
 def test_ucc_emit_and_check(tmp_path):
