@@ -140,14 +140,12 @@ def multiplicity(code: UccCode, w) -> int:
     w = np.asarray(w, dtype=np.int64)
     if w.shape != (code.n,):
         raise ValueError(f"word length {w.shape} != ({code.n},)")
-    words = all_codewords(code)
-    return int(np.sum(np.all(words == w % code.p, axis=1)))
+    return multiplicity_table(code).get(tuple((w % code.p).tolist()), 0)
 
 
 def multiplicity_table(code: UccCode) -> dict:
     """Map word tuple -> multiplicity, with sum of values = p**(k+l)."""
-    words, counts = np.unique(all_codewords(code), axis=0, return_counts=True)
-    return dict(zip(map(tuple, words.tolist()), counts.tolist()))
+    return word_counts(codeword_indices(code.G[None], code.h[None], code.p), code.p, code.n)
 
 
 def bins(code: UccCode) -> dict:
@@ -227,6 +225,13 @@ def codeword_indices(G, h, p: int) -> np.ndarray:
         flat *= p
         flat += digit
     return flat.reshape(size, -1)
+
+
+def word_counts(indices, p: int, n: int) -> dict:
+    """Map word tuple -> how often its base-p index (``codeword_indices``) occurs, ascending."""
+    found, counts = np.unique(indices, return_counts=True)
+    digits = np.stack(np.unravel_index(found, (p,) * n), axis=1)
+    return dict(zip(map(tuple, digits.tolist()), counts.tolist()))
 
 
 def _grand_ensemble(p: int, n: int, k: int, l: int):

@@ -23,8 +23,8 @@ from .codes import (
     all_vectors,
     codeword_indices,
     digit_dtype,
-    multiplicity_table,
     require_prime,
+    word_counts,
 )
 from .cq import StochasticMap
 from .linalg import (
@@ -331,10 +331,11 @@ class ProtocolParams:
         # Bit-length tests, so an absurd block length is refused without forming p**n.
         if _over_cap(self.p, self.n, SEQUENCE_CAP):
             raise ValueError("p**n exceeds the desk-scale cap")
-        # The distributed decoder enumerates the sum code, of p**(k+l+l2) words.
-        for name, l in (("l", self.l), ("l2", self.l2), ("l+l2", self.l + (self.l2 or 0))):
-            if l is not None and _over_cap(self.p, self.k + l, SEQUENCE_CAP):
-                raise ValueError(f"p**(k+{name}) exceeds the desk-scale cap")
+        # The decoder holds one entry per codeword of each sum code: N1 N2 p**(k+l+l2).
+        mus, e = self.num_mu * (self.num_mu2 or 1), self.k + self.l + (self.l2 or 0)
+        if _over_cap(self.p, e, SEQUENCE_CAP // mus):
+            name = "N p**(k+l)" if self.l2 is None else "N1 N2 p**(k+l+l2)"
+            raise ValueError(f"{name} exceeds the desk-scale cap: {mus} * {self.p}**{e} entries")
 
 
 def _gram(f: np.ndarray) -> np.ndarray:
@@ -418,33 +419,21 @@ class SideData:
         return _Grams(self.a_factors)
 
 
-def _bin_hits(code: UccCode, words: list) -> np.ndarray:
-    """Where each codeword a G + h(i) sits in the list ``words``, or -1 when it is not listed.
-
-    Row i is bin i, its entries in the sweep order of a; shape (p**l, p**k).
-    """
-    return _stacked_hits(code.G[None], code.h[None], code.p, words)[0]
+def _bin_indices(g: np.ndarray, h: np.ndarray, p: int) -> np.ndarray:
+    """``codeword_indices`` of a stack of codes bin by bin: (b, i, a) holds a G_b + h_b(i)."""
+    return codeword_indices(g, h, p).reshape(h.shape[0], -1, h.shape[1]).transpose(0, 2, 1)
 
 
-def _stacked_hits(g: np.ndarray, h: np.ndarray, p: int, words) -> np.ndarray:
-    """``_bin_hits`` of a stack of codes (G_b, h_b), shape (B, bins, p**k).
-
-    Words are matched by their base-p indices (``codeword_indices``).
-    """
-    flat = codeword_indices(g, h, p).reshape(h.shape[0], -1, h.shape[1]).transpose(0, 2, 1)
-    if not words:
-        return np.full(flat.shape, -1)
-    known = np.array(words, dtype=np.int64) @ (p ** np.arange(h.shape[2] - 1, -1, -1))
-    order = np.argsort(known)
-    hit = np.searchsorted(known, flat, sorter=order)
-    np.minimum(hit, known.size - 1, out=hit)
-    hit = order[hit]
-    hit[known[hit] != flat] = -1
-    return hit
+def _slots(words, p: int, n: int) -> np.ndarray:
+    """Each word's position in ``words`` by base-p index, -1 if not listed: p**n int32 entries."""
+    slot = np.full(p ** n, -1, dtype=np.int32)
+    at = np.ravel_multi_index(np.array(words, dtype=np.int64).reshape(-1, n).T, (p,) * n)
+    slot[at] = np.arange(len(words), dtype=np.int32)
+    return slot
 
 
 def _decode(hits: np.ndarray) -> tuple:
-    """(decoded, collisions) of the ``_stacked_hits`` of a stack of codes.
+    """(decoded, collisions) of the bin hits of a stack of codes, shape (B, bins, p**k).
 
     A bin decodes to its single accepted codeword, by its index in the word
     list, else to -1, which stands for w0.  A bin with two or more accepted
@@ -457,18 +446,21 @@ def _decode(hits: np.ndarray) -> tuple:
     return decoded, int((count >= 2).sum())
 
 
-def _code_side(code: UccCode, gamma: dict, factors: dict, typical: np.ndarray) -> SideData:
+def _code_side(code: UccCode, gamma: dict, factors: dict, hits: np.ndarray,
+               typical: np.ndarray) -> SideData:
+    """One code's pruned operators; ``hits`` places its codewords in ``factors``, -1 if absent."""
     dim = typical.shape[0]
     own = {w: x for w, x in factors.items() if w in gamma}
     v_cut = _cut_directions(_sigma_factor(own, gamma, dim))
     x = _hstack(own.values(), dim)
     f = x - v_cut @ (v_cut.conj().T @ x)     # every F_w side by side, in one product
-    widths = np.array([x_w.shape[1] for x_w in own.values()] + [0], dtype=np.int64)
-    ends = np.cumsum(widths)                  # the trailing 0 width serves unlisted words
-    a_factors = {w: f[:, e - c:e] for w, c, e in zip(own, widths.tolist(), ends.tolist())}
+    # Columns by position in ``factors``, 0 for another code's word; a last 0 serves hit -1.
+    widths = np.array([x_w.shape[1] * (w in gamma) for w, x_w in factors.items()] + [0])
+    ends = np.cumsum(widths)
+    a_factors = {w: f[:, e - c:e] for w, c, e in zip(factors, widths.tolist(), ends.tolist())
+                 if w in gamma}
     # One gather puts every bin's columns of f side by side as G (a repeated
     # word repeats its columns); each G_i is a column slice of G.
-    hits = _bin_hits(code, list(own))
     found = hits[hits >= 0]
     g = f[:, _ranges(ends[found] - widths[found], ends[found])]
     bounds = np.concatenate([[0], np.cumsum(widths[hits].sum(axis=1))]).tolist()
@@ -491,13 +483,14 @@ class Side:
 def _build_side(params: ProtocolParams, m: Povm, rho: DensityOperator, codes: list) -> Side:
     """The ensemble, typical set and pruned per-code operators of one side.
 
-    X_w is built only for typical, positive-weight words that occur in some
-    code: Abar_w = X_w X_w^dagger with X_w = Q B_w[:, keep] sqrt(eig c_w),
-    where Q = (rho^{-1/2})^{(x) n} Pi_rho = U diag(inv) U^dagger is applied
-    through U, B_w is the eigenbasis of rho_hat_{w^n}, keep its conditional
-    typical columns and c_w = lambda_{w^n} p^n / ((1 + eta) p^(k+l)).  Each
-    code's operators are kept as factors (see ``SideData``), for the words
-    of that code only.
+    One enumeration of every code's codewords gives the gamma_w and the bin
+    hits.  X_w is built only for typical words that occur in some code:
+    Abar_w = X_w X_w^dagger with X_w = Q B_w[:, keep] sqrt(eig c_w), where
+    Q = (rho^{-1/2})^{(x) n} Pi_rho = U diag(inv) U^dagger is applied through
+    U, B_w is the eigenbasis of rho_hat_{w^n}, keep its conditional typical
+    columns and c_w = lambda_{w^n} p^n / ((1 + eta) p^(k+l)).  Each code's
+    operators are kept as factors (see ``SideData``), for the words of that
+    code only.
 
     X_w depends on w only through its type up to a reordering of the
     registers, as Pi_rho and Q are invariant under register permutations:
@@ -506,15 +499,16 @@ def _build_side(params: ProtocolParams, m: Povm, rho: DensityOperator, codes: li
     """
     ens = pad_ensemble(canonical_ensemble(m, rho), params.p)
     tset = typical_set(ens.weights, params.n, params.delta)
-    n, d = params.n, rho.dim
+    n, d, p = params.n, rho.dim, params.p
     u, inv = _typical_factor(rho.mat, n, params.delta)
     u_inv, u_adj = u * inv, u.conj().T
-    norm = params.p ** n / ((1.0 + params.eta) * params.p ** (codes[0].k + codes[0].l))
-    gammas = [multiplicity_table(c) for c in codes]
+    norm = p ** n / ((1.0 + params.eta) * p ** (codes[0].k + codes[0].l))
+    indices = _bin_indices(np.stack([c.G for c in codes]), np.stack([c.h for c in codes]), p)
+    gammas = [word_counts(i, p, n) for i in indices]
     used = set().union(*gammas)
     spectra = [_spectrum(s) for s in ens.post_states]
     idx = all_vectors(n, d)
-    words = [w for w in tset.members if w in used and ens.weight_of(w) > 0.0]
+    words = [w for w in tset.members if w in used]
     # Per word, the positions that sort its letters, and the inverse permutation.
     orders = np.argsort(np.array(words, dtype=np.int64).reshape(-1, n), axis=1, kind="stable")
     by_type = {}    # sorted word -> its X, read as (d,) * n + (columns,)
@@ -528,7 +522,9 @@ def _build_side(params: ProtocolParams, m: Povm, rho: DensityOperator, codes: li
         # Register j of the sorted word holds the letter at w's position order[j].
         x = by_type[rep]
         factors[w] = x.transpose(tuple(back) + (n,)).reshape(d ** n, x.shape[-1])
-    return Side(rho, ens, tset, [_code_side(c, g, factors, u) for c, g in zip(codes, gammas)])
+    hits = _slots(words, p, n)[indices]
+    return Side(rho, ens, tset, [_code_side(c, g, factors, h, u)
+                                 for c, g, h in zip(codes, gammas, hits)])
 
 
 # ---------------------------------------------------------------------------
@@ -577,15 +573,6 @@ class Instance:
         return self.sides[1].mus
 
 
-def _lex_smallest_outside(tset: TypicalSet, p: int, n: int):
-    members = set(tset.members)
-    for row in all_vectors(n, p):
-        t = tuple(int(x) for x in row)
-        if t not in members:
-            return t
-    return None
-
-
 def _build(params: ProtocolParams, povms, states, w_law=None) -> Instance:
     """The ``Instance`` with one side per (POVM, state).
 
@@ -612,11 +599,12 @@ def _build(params: ProtocolParams, povms, states, w_law=None) -> Instance:
         shifts = shifts + np.stack([c.h for c in side_codes]).astype(shifts.dtype).reshape(shape)
         shifts %= p
     num_codes = math.prod(shifts.shape[:count])
-    decoded, collisions = _decode(_stacked_hits(
-        np.broadcast_to(g, (num_codes, k, n)), shifts.reshape(num_codes, -1, n), p,
-        tset_w.members))
-    return Instance(params, sides, tset_w, _lex_smallest_outside(tset_w, p, n),
-                    decoded.reshape(shifts.shape[:-1]),
+    slot = _slots(tset_w.members, p, n)
+    decoded, collisions = _decode(slot[_bin_indices(
+        np.broadcast_to(g, (num_codes, k, n)), shifts.reshape(num_codes, -1, n), p)])
+    first = int(np.argmax(slot < 0))        # w0, the first word by index outside tset_w
+    w0 = tuple(map(int, np.unravel_index(first, (p,) * n))) if slot[first] < 0 else None
+    return Instance(params, sides, tset_w, w0, decoded.reshape(shifts.shape[:-1]),
                     float(max(mu.defect for side in sides for mu in side.mus)), collisions)
 
 
@@ -660,9 +648,11 @@ def _lookup(inst, mus: tuple, messages: tuple):
 
     Message 0 of a side is its completion, which decodes to w0, and message
     i >= 1 its bin i - 1.  A ValueError names a bad index, as a number when
-    there is one side.
+    there is one side, or a number of mus that is not the number of sides.
     """
-    count = len(mus)
+    count = inst.decoded.ndim // 2          # one mu axis and one bin axis per side
+    if len(mus) != count:
+        raise ValueError(f"{len(mus)} mu index(es) for an instance of {count} side(s)")
     show = (lambda t: t[0]) if count == 1 else (lambda t: t)
     if not _in_range(mus, inst.decoded.shape[:count]):
         raise ValueError(f"mu {show(mus)} out of range")
@@ -974,7 +964,9 @@ class _Support:
         for j in range(self.n - 1, -1, -1):
             codes = np.unique(self.idx[:, j:] @ d ** np.arange(self.n - 1 - j, -1, -1))
             grid = (np.arange(d)[:, None] * d ** (self.n - 1 - j) + prev).ravel()
-            levels.append(None if codes.size == grid.size else np.searchsorted(grid, codes))
+            kept = np.zeros(d ** (self.n - j), dtype=bool)
+            kept[codes] = True
+            levels.append(None if codes.size == grid.size else np.flatnonzero(kept[grid]))
             prev = codes
         return levels
 

@@ -46,7 +46,7 @@ def test_rates_example2(tmp_path):
 
 def test_rates_trivial_identity_povms(tmp_path):
     # M = {I} on both sides: every information bound collapses to zero.
-    spec = json.loads(open(bundled_example_path(1)).read())
+    spec = json.loads(Path(bundled_example_path(1)).read_text())
     eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     spec["m_a"] = {"outcomes": [0], "elements": [eye]}
     spec["m_b"] = {"outcomes": [0], "elements": [eye]}
@@ -68,7 +68,7 @@ def test_rates_trivial_identity_povms(tmp_path):
 
 
 def test_rates_rejects_bad_decomposition(tmp_path):
-    spec = json.loads(open(bundled_example_path(1)).read())
+    spec = json.loads(Path(bundled_example_path(1)).read_text())
     spec["m_ab"]["elements"][0][0][0][0] += 0.05
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(spec))
@@ -203,6 +203,11 @@ def test_simulate_missing_spec_file(tmp_path):
       "--p", "5"], "does not match the problem file's p = 2"),
     (["--mode", "distributed", "--n", "2", "--k", "0", "--l", "20", "--l2", "20", "--N", "1",
       "--N2", "1", "--delta", "0.5"], "p**(k+l+l2) exceeds"),
+    # The decoder's entries count every tuple of mus: the sum code at the cap
+    # is refused with two mus, and 300000 mus of 4 words each are refused too.
+    (["--mode", "distributed", "--n", "2", "--k", "0", "--l", "10", "--l2", "10", "--N", "2",
+      "--N2", "1", "--delta", "0.5"], "N1 N2 p**(k+l+l2) exceeds"),
+    (["--n", "3", "--k", "0", "--l", "2", "--N", "300000"], "N p**(k+l) exceeds"),
 ])
 def test_simulate_refuses_bad_protocol_input(tmp_path, extra, phrase):
     out = tmp_path / "err.json"
@@ -274,7 +279,7 @@ def test_rates_missing_spec_file(tmp_path):
 def _malformed_spec(case: str) -> str:
     if case == "not_json":
         return "# A markdown file, not a problem file\n"
-    spec = json.loads(open(bundled_example_path(1)).read())
+    spec = json.loads(Path(bundled_example_path(1)).read_text())
     if case == "missing_key":
         del spec["rho"]
     else:                                   # a Hermitian rho with eigenvalue -0.5
@@ -360,7 +365,7 @@ def test_surface_csv_pinned_grid41(tmp_path):
 def test_surface_reads_state_and_field_from_example3(tmp_path, monkeypatch):
     # The scanned state and the field F_p come from example3.json: a copy
     # with p = 2 gives the F_2 scan of the same state.
-    spec = json.loads(open(bundled_example_path(3)).read())
+    spec = json.loads(Path(bundled_example_path(3)).read_text())
     spec["p"] = 2
     path = tmp_path / "example3.json"
     path.write_text(json.dumps(spec))

@@ -18,7 +18,7 @@ from conftest import (
     random_unitary,
     rotated_qubit_problem,
 )
-from povmsim import protocol
+from povmsim import codes, protocol
 from povmsim.codes import CodeEnsembleSpec, UccCode, all_codewords, sample_ensemble
 from povmsim.cli import (
     EXIT_BAD_PROTOCOL,
@@ -36,6 +36,7 @@ from povmsim.linalg import (
     kron_power,
     max_eigenvalue,
     min_eigenvalue,
+    partial_trace,
     psd_pinv_sqrt,
     psd_sqrt,
     trace_norm,
@@ -340,6 +341,61 @@ def test_decode_out_of_range(small_instance, product_distributed_instance, topol
         decode(inst, **index)
 
 
+def test_decode_refuses_the_other_topology(small_instance, product_distributed_instance):
+    # Each front end reads one mu per side of its own topology; on the other
+    # one it names both counts.
+    with pytest.raises(ValueError, match=re.escape("1 mu index(es) for an instance of 2 side(s)")):
+        decode_p2p(product_distributed_instance, 1)
+    with pytest.raises(ValueError, match=re.escape("2 mu index(es) for an instance of 1 side(s)")):
+        decode_distributed(small_instance, 1, 1)
+
+
+@pytest.mark.parametrize("mode, example, n, delta", [
+    ("p2p", None, 3, 0.3), ("p2p", None, 4, 0.7), ("p2p", 2, 3, 0.5),
+    ("distributed", 1, 3, 0.5), ("distributed", 2, 2, 0.5),
+    ("distributed", 4, 2, 0.9), ("distributed", 4, 3, 0.9),
+])
+def test_w0_is_the_first_word_outside_tset_w(mode, example, n, delta):
+    # w0 against a lexicographic scan of F_p^n.  example4 at delta 0.9 puts
+    # every word in tset_w, so there w0 is None.
+    if example is None:
+        rho, m, _ = _default_p2p_problem()
+        p = 2
+    else:
+        spec = load_problem(bundled_example_path(example))
+        rho, m, p = partial_trace(spec.rho_ab, traced=[1]), spec.m_a, spec.p
+    params = ProtocolParams(n=n, k=0, l=1, p=p, num_mu=2, delta=delta, seed=3, l2=1, num_mu2=1)
+    inst = (build_instance(params, m, rho) if mode == "p2p"
+            else build_distributed_instance(params, spec.m_a, spec.m_b, spec.rho_ab))
+    members = set(inst.tset_w.members)
+    want = next((w for w in itertools.product(range(p), repeat=n) if w not in members), None)
+    assert inst.w0 == want
+    assert (want is None) == (example == 4) == (len(members) == p ** n)
+
+
+@pytest.mark.parametrize("mode", ["p2p", "distributed"])
+def test_one_codeword_enumeration_per_side_and_one_for_the_decoder(monkeypatch, example1, mode):
+    # Each side enumerates all of its codes' codewords in one stacked call, and
+    # the decoder all sum codes in one more; the row-wise word table is never built.
+    calls = []
+    real = codes.codeword_indices
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    def refuse(*args):
+        raise AssertionError("all_codewords called")
+
+    for module in (codes, protocol):
+        monkeypatch.setattr(module, "codeword_indices", spy)
+    monkeypatch.setattr(codes, "all_codewords", refuse)
+    params = ProtocolParams(n=3, k=1, l=1, p=2, num_mu=3, delta=0.5, seed=1, l2=2, num_mu2=2)
+    inst = (build_instance(params, BASIS, MIXED) if mode == "p2p"
+            else build_distributed_instance(params, example1.m_a, example1.m_b, example1.rho_ab))
+    assert len(calls) == len(inst.sides) + 1
+
+
 # ---------------------------------------------------------------------------
 # Overall sub-POVM and faithfulness.
 
@@ -449,8 +505,8 @@ def test_decode_keeps_single_hits_and_counts_collisions():
 def test_distributed_sum_code_at_the_cap(tmp_path, monkeypatch):
     # 2**20 bin pairs, one typical W-word: about a quarter of the pairs decode
     # to it, the rest to w0.  K is pinned bit for bit.  The traced allocations
-    # peak at 31-33 MB, in the lookup of every bin's codeword; the decoded
-    # array is 8 MB.
+    # peak at about 26.5 MB, in FactoredCandidate; the decoder's stage peaks
+    # at about 20 MB, and the decoded array (int32) is 4 MB.
     built = []
 
     def build(*args):
@@ -948,8 +1004,9 @@ def test_p2p_candidate_matches_dense_reference(request, instance, probs):
 
 @pytest.mark.parametrize("p, n, k, l", [(2, 4, 0, 3), (2, 4, 2, 1), (3, 3, 1, 1)])
 def test_bin_hits_match_word_tuples(p, n, k, l):
-    # Each bin's codewords looked up by base-p index, against a dict of word
-    # tuples; with k = 2 the two rows of G are equal, so bins repeat words.
+    # Each bin's codewords looked up by base-p index in the position table of
+    # a word list, against a dict of word tuples; with k = 2 the two rows of
+    # G are equal, so bins repeat words.
     rng = np.random.default_rng(100 * p + 10 * n + k)
     g = rng.integers(0, p, size=(k, n))
     g[1:] = g[:1]
@@ -962,10 +1019,11 @@ def test_bin_hits_match_word_tuples(p, n, k, l):
     where = {w: i for i, w in enumerate(words)}
     per_bin = codewords.reshape(p ** k, p ** l, n).transpose(1, 0, 2).tolist()
     want = [[where.get(tuple(w), -1) for w in bin_words] for bin_words in per_bin]
-    hits = protocol._bin_hits(code, words)
+    indices = protocol._bin_indices(code.G[None], code.h[None], p)
+    hits = protocol._slots(words, p, n)[indices][0]
     assert hits.shape == (p ** l, p ** k) and np.array_equal(hits, want)
     assert (hits >= 0).any() and (hits < 0).any()
-    assert np.array_equal(protocol._bin_hits(code, []), np.full(hits.shape, -1))
+    assert np.array_equal(protocol._slots([], p, n)[indices][0], np.full(hits.shape, -1))
 
 
 def _assert_product_form_matches_apply(state, target, candidate=None):
