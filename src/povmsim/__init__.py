@@ -27,9 +27,11 @@ from .cq import (
     build_sigma2,
     build_sigma3,
     build_sigma_p2p,
+    compose,
     cq_mutual_information,
     entropy_of,
     measure_to_cq,
+    regroup,
     relabel_classical,
 )
 from .codes import (

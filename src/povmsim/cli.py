@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from . import codes, lab, protocol, regions
-from .cq import StochasticMap
+from .cq import StochasticMap, compose
 from .linalg import DensityOperator, Povm, mat_from_json, partial_trace
 
 
@@ -49,6 +49,7 @@ def _map_from_json(d: dict) -> StochasticMap:
 
 
 def load_problem(source) -> ProblemSpec:
+    """The problem of a file or dict; ``m_ab`` defaults to ``compose((m_a, m_b), p_zst)``."""
     if isinstance(source, dict):
         d = source
     else:
@@ -58,17 +59,10 @@ def load_problem(source) -> ProblemSpec:
     m_a = _povm_from_json(d["m_a"])
     m_b = _povm_from_json(d["m_b"])
     p_zst = _map_from_json(d["p_zst"])
-    if "m_ab" in d:
-        m_ab = _povm_from_json(d["m_ab"])
-    else:
-        els = []
-        for z in range(p_zst.output_size):
-            op = np.zeros((m_a.dim * m_b.dim, m_a.dim * m_b.dim), dtype=complex)
-            for s, ls in enumerate(m_a.elements):
-                for t, lt in enumerate(m_b.elements):
-                    op = op + p_zst(z, s, t) * np.kron(ls, lt)
-            els.append(op)
-        m_ab = Povm(tuple(els))
+    if p_zst.input_sizes != (len(m_a), len(m_b)):
+        raise ValueError(f"p_zst inputs {p_zst.input_sizes} do not match the POVM "
+                         f"outcome counts ({len(m_a)}, {len(m_b)})")
+    m_ab = _povm_from_json(d["m_ab"]) if "m_ab" in d else compose((m_a, m_b), p_zst)
     return ProblemSpec(rho, m_a, m_b, m_ab, p_zst, int(d["p"]),
                        tuple(int(x) for x in d["f_s"]),
                        tuple(int(x) for x in d["f_t"]),
@@ -168,6 +162,8 @@ def _run_surface(grid: int, span: float, out: str | None, default_out: str) -> i
     """
     if grid < 1:
         return _refuse(f"--grid {grid} must be >= 1", EXIT_BAD_EXPERIMENT, out)
+    if not 0.0 < span < np.inf:
+        return _refuse(f"--span {span} must be a positive finite number", EXIT_BAD_EXPERIMENT, out)
     with open(bundled_example_path(3)) as fh:
         d = json.load(fh)
     rho = DensityOperator(mat_from_json(d["rho"]), tuple(d["dims"]))

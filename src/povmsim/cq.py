@@ -7,6 +7,7 @@ are computed blockwise, which is exact for block-diagonal structure.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,24 @@ class StochasticMap:
         return np.asarray(self.probs[tuple(ins)])
 
 
+def compose(povms, channel: StochasticMap) -> Povm:
+    """The POVM of z: sum_x P(z | x_1, ..., x_k) Lambda^1_{x_1} (x) ... (x) Lambda^k_{x_k}.
+
+    Input j of ``channel`` may have more letters than POVM j has outcomes
+    (letters no outcome reaches are never read), but not fewer.
+    """
+    povms = tuple(povms)
+    counts = tuple(len(m) for m in povms)
+    if len(channel.input_sizes) != len(counts) or any(
+            c > size for c, size in zip(counts, channel.input_sizes)):
+        raise ValueError(f"stochastic map inputs {channel.input_sizes} do not cover "
+                         f"the POVM outcomes {counts}")
+    products = np.array([kron_all(els)
+                         for els in itertools.product(*(m.elements for m in povms))])
+    rows = channel.probs[tuple(slice(c) for c in counts)].reshape(len(products), -1)
+    return Povm(tuple(np.tensordot(rows, products, axes=(0, 0))))
+
+
 @dataclass(frozen=True)
 class CqState:
     """Hybrid state: classical label tuples indexing PSD blocks on quantum registers."""
@@ -106,12 +125,6 @@ class CqState:
 
     def quantum_dims(self):
         return [d for _, d in self.quantum]
-
-    def classical_size(self, name: str) -> int:
-        for n, s in self.classical:
-            if n == name:
-                return s
-        raise KeyError(name)
 
     def quantum_marginal(self) -> np.ndarray:
         """Sum of all blocks: the reduced state on the joint quantum registers."""
@@ -169,6 +182,22 @@ def build_sigma2(rho_ab: DensityOperator, m_b: Povm) -> CqState:
                          outcome_name="T", quantum_names=["R", "A"])
 
 
+def _sigma(rho: np.ndarray, povms, channel: StochasticMap, names) -> CqState:
+    """sum_{x,z} sqrt(rho)(Lambda_{x_1} (x) ...)sqrt(rho) P(z|x) |x,z><x,z|.
+
+    The classical registers are ``names`` (one per POVM) and Z, the quantum one is R.
+    """
+    root = psd_sqrt(rho)
+    blocks = {}
+    for x in itertools.product(*(range(len(m)) for m in povms)):
+        core = root @ kron_all([m.elements[i] for m, i in zip(povms, x)]) @ root
+        for z, w in enumerate(channel.row(*x)):
+            if w > 0.0:
+                blocks[x + (z,)] = core * w
+    classical = tuple(zip(names, map(len, povms))) + (("Z", channel.output_size),)
+    return CqState(classical, (("R", rho.shape[0]),), blocks)
+
+
 def build_sigma3(rho_ab: DensityOperator, m_a: Povm, m_b: Povm,
                  p_zst: StochasticMap) -> CqState:
     """sum_{s,t,z} sqrt(rho)(Lambda_s (x) Lambda_t)sqrt(rho) P(z|s,t) |s,t,z><s,t,z|."""
@@ -180,20 +209,7 @@ def build_sigma3(rho_ab: DensityOperator, m_a: Povm, m_b: Povm,
     if p_zst.input_sizes != (len(m_a), len(m_b)):
         raise ValueError(f"stochastic map inputs {p_zst.input_sizes} != "
                          f"({len(m_a)}, {len(m_b)})")
-    root = psd_sqrt(rho_ab.mat)
-    blocks = {}
-    for s, lam_s in enumerate(m_a.elements):
-        for t, lam_t in enumerate(m_b.elements):
-            core = root @ np.kron(lam_s, lam_t) @ root
-            for z in range(p_zst.output_size):
-                w = p_zst(z, s, t)
-                if w > 0.0:
-                    blocks[(s, t, z)] = core * w
-    return CqState(
-        classical=(("S", len(m_a)), ("T", len(m_b)), ("Z", p_zst.output_size)),
-        quantum=(("R", da * db),),
-        blocks=blocks,
-    )
+    return _sigma(rho_ab.mat, (m_a, m_b), p_zst, ("S", "T"))
 
 
 def build_sigma_p2p(rho: DensityOperator, m: Povm, p_zw: StochasticMap) -> CqState:
@@ -202,19 +218,17 @@ def build_sigma_p2p(rho: DensityOperator, m: Povm, p_zw: StochasticMap) -> CqSta
         raise ValueError("POVM dimension does not match the state")
     if p_zw.input_sizes != (len(m),):
         raise ValueError(f"stochastic map inputs {p_zw.input_sizes} != ({len(m)},)")
-    root = psd_sqrt(rho.mat)
+    return _sigma(rho.mat, (m,), p_zw, ("W",))
+
+
+def regroup(cq: CqState, classical, relabel) -> CqState:
+    """The state with each label replaced by ``relabel(label)`` under the
+    classical registers ``classical``, blocks whose new labels collide summed."""
     blocks = {}
-    for w, lam in enumerate(m.elements):
-        core = root @ lam @ root
-        for z in range(p_zw.output_size):
-            pr = p_zw(z, w)
-            if pr > 0.0:
-                blocks[(w, z)] = core * pr
-    return CqState(
-        classical=(("W", len(m)), ("Z", p_zw.output_size)),
-        quantum=(("R", rho.dim),),
-        blocks=blocks,
-    )
+    for label, block in cq.blocks.items():
+        new = tuple(relabel(label))
+        blocks[new] = blocks[new] + block if new in blocks else block
+    return CqState(classical=tuple(classical), quantum=cq.quantum, blocks=blocks)
 
 
 def relabel_classical(cq: CqState, register: str, f, new_size: int | None = None) -> CqState:
@@ -228,21 +242,9 @@ def relabel_classical(cq: CqState, register: str, f, new_size: int | None = None
     out_size = int(new_size) if new_size is not None else max(table) + 1
     if any(not 0 <= y < out_size for y in table):
         raise ValueError(f"relabeling image exceeds alphabet size {out_size}")
-    blocks = {}
-    for label, block in cq.blocks.items():
-        new_label = label[:idx] + (table[label[idx]],) + label[idx + 1:]
-        if new_label in blocks:
-            blocks[new_label] = blocks[new_label] + block
-        else:
-            blocks[new_label] = np.array(block)
     classical = (cq.classical[:idx] + ((register, out_size),) + cq.classical[idx + 1:])
-    return CqState(classical=classical, quantum=cq.quantum, blocks=blocks)
-
-
-def rename_register(cq: CqState, old: str, new: str) -> CqState:
-    classical = tuple((new if n == old else n, s) for n, s in cq.classical)
-    quantum = tuple((new if n == old else n, d) for n, d in cq.quantum)
-    return CqState(classical=classical, quantum=quantum, blocks=dict(cq.blocks))
+    return regroup(cq, classical,
+                   lambda label: label[:idx] + (table[label[idx]],) + label[idx + 1:])
 
 
 def with_derived_register(cq: CqState, name: str, size: int, fn) -> CqState:
@@ -251,18 +253,12 @@ def with_derived_register(cq: CqState, name: str, size: int, fn) -> CqState:
     ``fn`` receives the full current label tuple and returns the new symbol;
     used for W = U + V over F_p.
     """
-    blocks = {}
-    for label, block in cq.blocks.items():
+    def derive(label):
         y = int(fn(label))
         if not 0 <= y < size:
             raise ValueError(f"derived symbol {y} outside alphabet of size {size}")
-        new_label = label + (y,)
-        if new_label in blocks:
-            blocks[new_label] = blocks[new_label] + block
-        else:
-            blocks[new_label] = np.array(block)
-    return CqState(classical=cq.classical + ((name, size),),
-                   quantum=cq.quantum, blocks=blocks)
+        return label + (y,)
+    return regroup(cq, cq.classical + ((name, size),), derive)
 
 
 def _reduced_spectrum(cq: CqState, registers) -> np.ndarray:

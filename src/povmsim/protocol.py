@@ -26,7 +26,7 @@ from .codes import (
     require_prime,
     word_counts,
 )
-from .cq import StochasticMap
+from .cq import StochasticMap, compose
 from .linalg import (
     EIG_CUTOFF,
     DensityOperator,
@@ -629,12 +629,8 @@ def build_distributed_instance(params: ProtocolParams, m_a: Povm, m_b: Povm,
 
 def _sum_povm(m_a: Povm, m_b: Povm, p: int) -> Povm:
     """The measurement of W = U + V over F_p on H_A (x) H_B."""
-    d = m_a.dim * m_b.dim
-    els = [np.zeros((d, d), dtype=complex) for _ in range(p)]
-    for u, lam_u in enumerate(m_a.elements):
-        for v, lam_v in enumerate(m_b.elements):
-            els[(u + v) % p] = els[(u + v) % p] + np.kron(lam_u, lam_v)
-    return Povm(tuple(els))
+    u, v = np.ogrid[:len(m_a), :len(m_b)]
+    return compose((m_a, m_b), StochasticMap((len(m_a), len(m_b)), p, np.eye(p)[(u + v) % p]))
 
 
 def _in_range(index: tuple, stops) -> bool:
@@ -750,12 +746,15 @@ class FactoredCandidate(Mapping):
         self.adjs = [np.ascontiguousarray(g.conj().T) for g, _ in live]
         self.weight = 1.0 / math.prod(decoded.shape[:count])
         # Each tuple of nonzero bins decoding to a word other than w0, as (word,
-        # bin of each side), word by word; a side's bins are numbered on across its mus.
-        index, num_bins = np.nonzero(decoded >= 0), decoded.shape[count:]
+        # bin of each side), word by word; a side's bins are numbered on across its
+        # mus, and its live bins are masked on its (mu, bin) axes before np.nonzero.
+        keep, num_bins = decoded >= 0, decoded.shape[count:]
+        for s, (_, ends) in enumerate(live):
+            shape = [size if a in (s, count + s) else 1 for a, size in enumerate(decoded.shape)]
+            keep &= (np.diff(ends) > 0).reshape(shape)
+        index = np.nonzero(keep)
         rows = np.stack([decoded[index]] + [index[s] * num_bins[s] + index[count + s]
                                             for s in range(count)])
-        for s, (_, ends) in enumerate(live):
-            rows = rows[:, (np.diff(ends) > 0)[rows[1 + s]]]
         ids, *picks = rows[:, np.lexsort(rows[::-1])]
         # The Kronecker columns of the tuples, tuple after tuple, folded side by
         # side: each column so far is followed by the tuple's columns of the next side.
@@ -899,10 +898,7 @@ def target_overall(m: Povm, p_zw: StochasticMap, n: int) -> ProductTarget:
     (nw,) = p_zw.input_sizes
     if nw < len(m):
         raise ValueError("P_{Z|W} must cover every POVM outcome")
-    singles = [sum((p_zw(z, w) * lam for w, lam in enumerate(m.elements)),
-                   np.zeros_like(m.elements[0]))
-               for z in range(p_zw.output_size)]
-    return ProductTarget(singles, n)
+    return ProductTarget(compose((m,), p_zw).elements, n)
 
 
 def target_overall_distributed(m_a: Povm, m_b: Povm, p_zw: StochasticMap,

@@ -17,11 +17,10 @@ from .cq import (
     build_sigma2,
     build_sigma3,
     build_sigma_p2p,
+    compose,
     cq_mutual_information,
     entropy_of,
-    relabel_classical,
-    rename_register,
-    with_derived_register,
+    regroup,
 )
 from .linalg import LOG2, DensityOperator, Povm, trace_norm
 
@@ -190,16 +189,14 @@ class InfoQuantities:
 def compute_distributed_quantities(rho_ab: DensityOperator, m_a: Povm, m_b: Povm,
                                    p_zst: StochasticMap, p: int,
                                    f_s, f_t) -> InfoQuantities:
-    """Build sigma_1, sigma_2, sigma_3, map S,T into F_p, and read off the
-    distributed-region information terms."""
-    s1 = relabel_classical(build_sigma1(rho_ab, m_a), "S", f_s, new_size=p)
-    s1 = rename_register(s1, "S", "U")
-    s2 = relabel_classical(build_sigma2(rho_ab, m_b), "T", f_t, new_size=p)
-    s2 = rename_register(s2, "T", "V")
-    s3 = build_sigma3(rho_ab, m_a, m_b, p_zst)
-    s3 = rename_register(relabel_classical(s3, "S", f_s, new_size=p), "S", "U")
-    s3 = rename_register(relabel_classical(s3, "T", f_t, new_size=p), "T", "V")
-    s3 = with_derived_register(s3, "W", p, lambda lab: (lab[0] + lab[1]) % p)
+    """Build sigma_1, sigma_2, sigma_3, map S,T into F_p as U, V (and W = U + V
+    in sigma_3), and read off the distributed-region information terms."""
+    fs, ft = _field_table(f_s, len(m_a), p).tolist(), _field_table(f_t, len(m_b), p).tolist()
+    s1 = regroup(build_sigma1(rho_ab, m_a), (("U", p),), lambda lab: (fs[lab[0]],))
+    s2 = regroup(build_sigma2(rho_ab, m_b), (("V", p),), lambda lab: (ft[lab[0]],))
+    s3 = regroup(build_sigma3(rho_ab, m_a, m_b, p_zst),
+                 (("U", p), ("V", p), ("Z", p_zst.output_size), ("W", p)),
+                 lambda lab: (fs[lab[0]], ft[lab[1]], lab[2], (fs[lab[0]] + ft[lab[1]]) % p))
     return InfoQuantities(
         i_u_rb=cq_mutual_information(s1, {"U"}, {"R", "B"}),
         i_v_ra=cq_mutual_information(s2, {"V"}, {"R", "A"}),
@@ -338,17 +335,19 @@ def check_separable_decomposition(m_ab: Povm, m_a: Povm, m_b: Povm,
         raise ValueError("stochastic map alphabets do not match the POVMs")
     if m_ab.dim != m_a.dim * m_b.dim:
         raise ValueError("joint POVM dimension is not the product of the factors")
-    residuals = []
-    for z, lam_ab in enumerate(m_ab.elements):
-        acc = np.zeros_like(lam_ab)
-        for s, lam_s in enumerate(m_a.elements):
-            for t, lam_t in enumerate(m_b.elements):
-                w = p_zst(z, s, t)
-                if w:
-                    acc = acc + w * np.kron(lam_s, lam_t)
-        residuals.append(trace_norm(lam_ab - acc))
+    residuals = [trace_norm(lam_ab - lam)
+                 for lam_ab, lam in zip(m_ab.elements, compose((m_a, m_b), p_zst).elements)]
     mx = max(residuals)
     return DecompositionReport(tuple(residuals), float(mx), mx <= tol)
+
+
+def _field_table(f, size: int, p: int) -> np.ndarray:
+    """[f(0), ..., f(size - 1)] of a label map given as a sequence or a callable, in F_p."""
+    table = np.array([int(f(x)) if callable(f) else int(f[x]) for x in range(size)],
+                     dtype=np.int64)
+    if np.any((table < 0) | (table >= p)):
+        raise ValueError("label maps must land in F_p")
+    return table
 
 
 def check_sum_structure(p_zst: StochasticMap, f_s, f_t, p: int,
@@ -357,17 +356,8 @@ def check_sum_structure(p_zst: StochasticMap, f_s, f_t, p: int,
     ns, nt = p_zst.input_sizes
     if p_zw.input_sizes != (p,) or p_zw.output_size != p_zst.output_size:
         raise ValueError("P_{Z|W} must be defined on all of F_p with matching outputs")
-    fs = [int(f_s[s]) if not callable(f_s) else int(f_s(s)) for s in range(ns)]
-    ft = [int(f_t[t]) if not callable(f_t) else int(f_t(t)) for t in range(nt)]
-    if any(not 0 <= u < p for u in fs) or any(not 0 <= v < p for v in ft):
-        raise ValueError("label maps must land in F_p")
-    for s in range(ns):
-        for t in range(nt):
-            w = (fs[s] + ft[t]) % p
-            for z in range(p_zst.output_size):
-                if abs(p_zst(z, s, t) - p_zw(z, w)) > atol:
-                    return False
-    return True
+    w = (_field_table(f_s, ns, p)[:, None] + _field_table(f_t, nt, p)) % p
+    return not np.any(np.abs(p_zst.probs - p_zw.probs[w]) > atol)
 
 
 # ---------------------------------------------------------------------------
@@ -443,17 +433,15 @@ def _entropy_bits_rows(probs: np.ndarray) -> np.ndarray:
     return -terms.sum(axis=-1) / LOG2
 
 
-def surface_scan(rho_ab: DensityOperator, theta_grid, p_zst=None,
-                 field_p: int = 3) -> SurfaceScan:
+def surface_scan(rho_ab: DensityOperator, theta_grid, field_p: int = 3) -> SurfaceScan:
     """Gain indicator over a (theta1, theta2, theta3) grid of two-outcome POVMs.
 
     Each theta triple parametrizes Lambda_0 = [[t1, t2+i t3], [t2-i t3, 1-t1]]
     with Lambda_1 = I - Lambda_0; both must be PSD for a valid point.  U and V
     are the outcomes embedded in F_p (default F_3, the OR-structure embedding)
     and the indicator is 2 S(U+V) - S(U,V) of the exact joint outcome
-    distribution Tr{(Lambda_s (x) Lambda_t) rho_AB}.  ``p_zst`` is accepted for
-    interface uniformity; the indicator does not depend on it.  Invalid points
-    are flagged, not dropped.
+    distribution Tr{(Lambda_s (x) Lambda_t) rho_AB}.  Invalid points are
+    flagged, not dropped.
     """
     axes = tuple(np.asarray(g, dtype=float).ravel() for g in theta_grid)
     da, db = rho_ab.register_dims

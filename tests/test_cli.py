@@ -302,8 +302,29 @@ def test_malformed_spec_file_is_refused(tmp_path, command, case, phrase):
                                  EXIT_BAD_PROTOCOL}
 
 
+@pytest.mark.parametrize("command", [SIMULATE + ["--mode", "distributed", "--l2", "1",
+                                                "--N2", "1"], ["rates"]],
+                         ids=["simulate", "rates"])
+@pytest.mark.parametrize("sizes", [[1, 2], [3, 2]], ids=["fewer-letters", "more-letters"])
+def test_problem_without_m_ab_needs_matching_p_zst(tmp_path, command, sizes):
+    # Without m_ab the joint POVM is composed from m_a, m_b and p_zst, so
+    # p_zst must take one letter per outcome of each factor POVM.
+    spec = json.loads(Path(bundled_example_path(1)).read_text())
+    del spec["m_ab"]
+    spec["p_zst"] = {"input_sizes": sizes, "output_size": 2,
+                     "rows": [[0.5, 0.5]] * (sizes[0] * sizes[1])}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "err.json"
+    assert run(command + ["--spec", str(path), "--out", str(out)]) == EXIT_BAD_SPEC
+    error = json.loads(out.read_text())["error"]
+    assert f"p_zst inputs ({sizes[0]}, 2)" in error and "(2, 2)" in error
+
+
 @pytest.mark.parametrize("argv, phrase", [
     (["surface", "--grid", "2"], "no valid POVM point"),
+    (["surface", "--grid", "3", "--span", "0"], "--span 0.0 must be a positive finite number"),
+    (["surface", "--grid", "3", "--span", "-1"], "--span -1.0 must be a positive"),
     (["covering", "--M", "0"], "M must be >= 1"),
     (["covering", "--trials", "1"], "trials must be >= 2"),
     (["covering", "--sampler", "ucc", "--M", "16", "--k", "1", "--l", "1"], "M = p**(k+l)"),
@@ -320,7 +341,8 @@ def test_malformed_spec_file_is_refused(tmp_path, command, case, phrase):
     (["ucc", "--p", "2", "--n", "2", "--k", "0", "--l", "45"],
      "2**45 codewords exceed the desk-scale cap"),
     (["ucc", "--p", "2", "--n", "0", "--k", "0", "--l", "0"], "n >= 1"),
-], ids=["surface-no-valid-point", "covering-M0", "covering-trials1", "covering-ucc-M",
+], ids=["surface-no-valid-point", "surface-zero-span", "surface-negative-span",
+        "covering-M0", "covering-trials1", "covering-ucc-M",
          "covering-ucc-over-cap",
         "pruning-eta", "pruning-trials0", "pruning-dim-over-cap", "pruning-shots-over-cap",
         "ucc-over-cap", "ucc-over-cap-astronomical",

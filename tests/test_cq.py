@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,15 @@ from povmsim.cq import (
     build_sigma2,
     build_sigma3,
     build_sigma_p2p,
+    compose,
     cq_mutual_information,
     entropy_of,
     measure_to_cq,
+    regroup,
     relabel_classical,
     with_derived_register,
 )
-from povmsim.linalg import DensityOperator, Povm, purify, von_neumann_entropy
+from povmsim.linalg import DensityOperator, Povm, purify, validate_povm, von_neumann_entropy
 
 BASIS = Povm((np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)))
 
@@ -164,6 +168,75 @@ def test_relabel_preserves_trace_never_raises_entropy(example1):
         total = sum(np.trace(b).real for b in out.blocks.values())
         assert total == pytest.approx(1.0, abs=1e-9)
         assert entropy_of(out, {"T"}) <= entropy_of(cq, {"T"}) + 1e-9
+
+
+def _random_map(rng, input_sizes, output_size):
+    rows = rng.random(tuple(input_sizes) + (output_size,))
+    return StochasticMap(tuple(input_sizes), output_size, rows / rows.sum(axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("counts, extra", [((3,), 0), ((2, 3), 0), ((2, 2, 3), 0),
+                                           ((2,), 2), ((2, 3), 1)],
+                         ids=["one", "two", "three", "one-extra-letters", "two-extra-letters"])
+def test_compose_matches_a_loop(counts, extra):
+    # Oracle: the sum over every outcome tuple x of P(z|x) times the Kronecker
+    # product, term by term.  With ``extra`` the last input has letters no
+    # outcome reaches; they must not enter.
+    rng = np.random.default_rng(sum(counts) + 10 * extra)
+    povms = [random_complete_povm(rng, 2, c) for c in counts]
+    sizes = counts[:-1] + (counts[-1] + extra,)
+    channel = _random_map(rng, sizes, 3)
+    got = compose(povms, channel)
+    dim = 2 ** len(counts)
+    want = [np.zeros((dim, dim), dtype=complex) for _ in range(3)]
+    for x in itertools.product(*(range(c) for c in counts)):
+        prod = np.eye(1)
+        for m, i in zip(povms, x):
+            prod = np.kron(prod, m.elements[i])
+        for z in range(3):
+            want[z] += channel(z, *x) * prod
+    assert len(got) == 3 and got.dim == dim
+    for g, w in zip(got.elements, want):
+        assert np.max(np.abs(g - w)) < 1e-13
+    assert validate_povm(got).ok
+
+
+def test_compose_refuses_more_outcomes_than_letters():
+    rng = np.random.default_rng(15)
+    povms = (random_complete_povm(rng, 2, 3), random_complete_povm(rng, 2, 2))
+    with pytest.raises(ValueError, match=r"inputs \(2, 2\) do not cover the POVM outcomes \(3, "):
+        compose(povms, _random_map(rng, (2, 2), 2))
+    with pytest.raises(ValueError, match="do not cover"):
+        compose(povms[:1], _random_map(rng, (3, 2), 2))
+
+
+@pytest.mark.parametrize("name, p", [("example1", 2), ("example2", 3)])
+def test_one_regroup_matches_the_relabel_chain(request, name, p):
+    # sigma_3 regrouped in one call to (U, V, Z, W) equals the chain relabel S,
+    # relabel T, derive W, block by block.
+    ex = request.getfixturevalue(name)
+    cq = build_sigma3(ex.rho_ab, ex.m_a, ex.m_b, ex.p_zst)
+    chain = relabel_classical(cq, "S", ex.f_s, new_size=p)
+    chain = relabel_classical(chain, "T", ex.f_t, new_size=p)
+    chain = with_derived_register(chain, "W", p, lambda lab: (lab[0] + lab[1]) % p)
+    fs, ft = ex.f_s, ex.f_t
+    one = regroup(cq, (("U", p), ("V", p), ("Z", ex.p_zst.output_size), ("W", p)),
+                  lambda lab: (fs[lab[0]], ft[lab[1]], lab[2], (fs[lab[0]] + ft[lab[1]]) % p))
+    assert one.classical_names() == ["U", "V", "Z", "W"]
+    assert [s for _, s in one.classical] == [s for _, s in chain.classical]
+    assert list(one.blocks) == list(chain.blocks)
+    for label, block in chain.blocks.items():
+        assert np.max(np.abs(one.blocks[label] - block)) < 1e-12
+
+
+def test_regroup_sums_colliding_blocks(example1):
+    cq = build_sigma3(example1.rho_ab, example1.m_a, example1.m_b, example1.p_zst)
+    out = regroup(cq, (("Z", 2),), lambda lab: (lab[2],))
+    for z in range(2):
+        want = sum(b for lab, b in cq.blocks.items() if lab[2] == z)
+        assert np.max(np.abs(out.blocks[(z,)] - want)) < 1e-15
+    with pytest.raises(ValueError, match="outside declared alphabets"):
+        regroup(cq, (("Z", 1),), lambda lab: (lab[2],))
 
 
 def test_entropy_empty_subset(example1):
