@@ -76,7 +76,7 @@ def bundled_example_path(ident: int) -> str:
 
 
 def _emit(obj, out_path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -101,7 +101,10 @@ def cmd_rates(args) -> int:
     spec, refused = _load_file(load_problem, args.spec, "problem", args.out)
     if refused is not None:
         return refused
-    checks = _validate_problem(spec, args.tolerance)
+    try:
+        checks = _validate_problem(spec, args.tolerance)
+    except ValueError as exc:
+        return _refuse(f"problem check failed: {exc}", EXIT_BAD_SPEC, args.out)
     if not (checks["separable_ok"] and checks["sum_structure_ok"]):
         _emit({"error": "problem validation failed", "checks": checks}, args.out)
         return 1
@@ -229,10 +232,9 @@ def _load_region(path: str) -> regions.RateRegion:
 
 def _run_protocol(args, spec, p: int):
     """Build the protocol for ``args`` over F_p; returns (params, instance, K, bins_stats)."""
-    params = protocol.ProtocolParams(
-        n=args.n, k=args.k, l=args.l, p=p, num_mu=args.N,
-        eta=args.eta, delta=args.delta, seed=args.seed,
-        l2=args.l2, num_mu2=args.N2)
+    sides = [(args.l, args.N)] + ([(args.l2, args.N2)] if args.mode == "distributed" else [])
+    params = protocol.ProtocolParams(n=args.n, k=args.k, p=p, sides=sides,
+                                     eta=args.eta, delta=args.delta, seed=args.seed)
     if args.mode == "p2p":
         if spec:
             rho, m, p_zw = partial_trace(spec.rho_ab, traced=[1]), spec.m_a, spec.p_zw
@@ -246,7 +248,7 @@ def _run_protocol(args, spec, p: int):
         bins_stats = {
             "typical_words": len(inst.tset_w.members),
             "typical_mass": inst.tset_w.mass,
-            "bins_per_mu": params.p ** params.l,
+            "bins_per_mu": params.p ** params.sides[0][0],
         }
     else:
         inst = protocol.build_distributed_instance(params, spec.m_a, spec.m_b, spec.rho_ab)
@@ -257,7 +259,7 @@ def _run_protocol(args, spec, p: int):
         bins_stats = {
             "typical_words_w": len(inst.tset_w.members),
             "typical_mass_w": inst.tset_w.mass,
-            "bins_per_mu": [params.p ** params.l, params.p ** (params.l2 or 0)],
+            "bins_per_mu": [params.p ** l for l, _ in params.sides],
         }
     return params, inst, protocol.faithfulness(rho_n, target, candidate), bins_stats
 
@@ -291,11 +293,11 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         return _refuse(str(exc), EXIT_BAD_PROTOCOL, args.out)
     defect = inst.sub_povm_defect
+    (l, num), (l2, num2) = params.sides + ((None, None),) * (2 - len(params.sides))
     _emit({
-        "params": {"n": params.n, "k": params.k, "l": params.l, "p": params.p,
-                   "N": params.num_mu, "eta": params.eta, "delta": params.delta,
-                   "seed": params.seed, "mode": args.mode,
-                   "l2": params.l2, "N2": params.num_mu2},
+        "params": {"n": params.n, "k": params.k, "l": l, "p": params.p, "N": num,
+                   "eta": params.eta, "delta": params.delta, "seed": params.seed,
+                   "mode": args.mode, "l2": l2, "N2": num2},
         "K": k_value,
         "subpovm_defect": defect,
         "bins_stats": bins_stats,

@@ -25,6 +25,7 @@ from .linalg import (
     partial_trace_mat,
     psd_sqrt,
     purify,
+    require_finite,
 )
 
 
@@ -38,7 +39,7 @@ class StochasticMap:
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.input_sizes)
-        p = np.asarray(self.probs, dtype=float)
+        p = require_finite(np.asarray(self.probs, dtype=float), "stochastic map")
         if p.shape != sizes + (int(self.output_size),):
             raise ValueError(f"probs shape {p.shape} != {sizes + (self.output_size,)}")
         if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):

@@ -33,6 +33,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def require_finite(a, what: str):
+    """``a`` itself, once every entry is checked to be finite (not NaN or inf)."""
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} has non-finite entries")
+    return a
+
+
 def hermitian_part(a) -> np.ndarray:
     """(A + A†)/2, applied before every eigendecomposition to suppress drift."""
     m = as_complex_matrix(a)
@@ -114,7 +121,7 @@ class DensityOperator:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        m = hermitian_part(self.mat)
+        m = hermitian_part(require_finite(self.mat, "density operator"))
         dims = tuple(int(d) for d in self.register_dims)
         if int(np.prod(dims)) != m.shape[0]:
             raise ValueError(f"register dims {dims} do not match matrix dim {m.shape[0]}")
@@ -169,7 +176,8 @@ class Povm:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        els = tuple(_frozen(as_complex_matrix(e)) for e in self.elements)
+        els = tuple(_frozen(require_finite(as_complex_matrix(e), "POVM element"))
+                    for e in self.elements)
         if not els:
             raise ValueError("a POVM needs at least one element")
         d = els[0].shape[0]

@@ -302,39 +302,40 @@ def cut_post_state(ens: CanonicalEnsemble, pi_rho: np.ndarray, w_seq,
 class ProtocolParams:
     """Block length, code sizes, shared randomness, and slack parameters.
 
-    Point-to-point uses (n, k, l, p, num_mu); the distributed variant reads l
-    as l1/num_mu as N1 and additionally uses l2/num_mu2.
+    ``sides`` holds one (l, N) pair per party: its codes have p**l bins, and
+    it draws N of them.  Point-to-point has one side, distributed two.
     """
 
     n: int
     k: int
-    l: int
     p: int
-    num_mu: int
+    sides: tuple
     eta: float = 0.1
     delta: float = 0.2
     seed: int = 0
-    l2: int | None = None
-    num_mu2: int | None = None
 
     def __post_init__(self):
         require_prime(self.p)
-        if self.n < 1 or self.k < 0 or self.l < 0 or self.num_mu < 1:
+        sides = tuple((int(l), int(num)) for l, num in self.sides)
+        object.__setattr__(self, "sides", sides)
+        bad = [s for s, (l, num) in enumerate(sides) if l < 0 or num < 1]
+        if self.n < 1 or self.k < 0 or not sides or 0 in bad:
             raise ValueError("invalid protocol sizes")
+        if bad:
+            raise ValueError(f"invalid distributed sizes of side {bad[0] + 1}: need l >= 0, N >= 1")
         if not 0.0 < self.eta < 1.0:
             raise ValueError("eta must lie in (0, 1)")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if (self.l2 is not None and self.l2 < 0) or (self.num_mu2 is not None
-                                                     and self.num_mu2 < 1):
-            raise ValueError("invalid distributed sizes: need l2 >= 0 and num_mu2 >= 1")
         # Bit-length tests, so an absurd block length is refused without forming p**n.
         if _over_cap(self.p, self.n, SEQUENCE_CAP):
             raise ValueError("p**n exceeds the desk-scale cap")
-        # The decoder holds one entry per codeword of each sum code: N1 N2 p**(k+l+l2).
-        mus, e = self.num_mu * (self.num_mu2 or 1), self.k + self.l + (self.l2 or 0)
+        # The decoder holds one entry per codeword of each sum code: N_1 ... p**(k+l_1+...).
+        mus, e = math.prod(num for _, num in sides), self.k + sum(l for l, _ in sides)
         if _over_cap(self.p, e, SEQUENCE_CAP // mus):
-            name = "N p**(k+l)" if self.l2 is None else "N1 N2 p**(k+l+l2)"
+            tags = [str(s + 1) for s in range(len(sides))] if len(sides) > 1 else [""]
+            ls = "".join("+l" + t for t in tags[1:])
+            name = " ".join("N" + t for t in tags) + f" p**(k+l{ls})"
             raise ValueError(f"{name} exceeds the desk-scale cap: {mus} * {self.p}**{e} entries")
 
 
@@ -573,25 +574,31 @@ class Instance:
         return self.sides[1].mus
 
 
-def _build(params: ProtocolParams, povms, states, w_law=None) -> Instance:
-    """The ``Instance`` with one side per (POVM, state).
+def _build(params: ProtocolParams, povms, rho: DensityOperator) -> Instance:
+    """The ``Instance`` of the joint state ``rho``, with one side per POVM and (l, N) pair.
 
-    Side 0 has l and num_mu codes, side 1 l2 and num_mu2.  G is drawn first
-    and then each side's shift tables, side after side, so side 0's codes
-    are those of ``sample_ensemble``.  ``tset_w`` is the typical set of W's
-    law ``w_law`` at delta_hat = p * delta, or the one side's own when it is None.
+    With more than one side, side s measures register s of ``rho``; one side
+    measures all of it.  G is drawn first and then each side's shift tables,
+    side after side, so side 0's codes are those of ``sample_ensemble``.
+    ``tset_w`` is the one side's own typical set, or else the typical set of
+    the law of W, the sum of the sides' letters, at delta_hat = p * delta.
     """
     n, p, k = params.n, params.p, params.k
-    sizes = [(params.l, params.num_mu), (params.l2, params.num_mu2)][:len(states)]
+    count = len(params.sides)
+    if len(povms) != count:
+        raise ValueError(f"{len(povms)} POVM(s) for {count} side(s) of code sizes")
+    _check_dim(rho.dim, n)
+    states = [partial_trace(rho, [t for t in range(count) if t != s]) for s in range(count)]
     rng = np.random.default_rng(params.seed)
     g = rng.integers(0, p, size=(k, n))
     codes = [[UccCode(p, n, k, l, g, rng.integers(0, p, size=(p ** l, n))) for _ in range(num)]
-             for l, num in sizes]
-    sides = tuple(_build_side(params, m, rho, c) for m, rho, c in zip(povms, states, codes))
-    tset_w = sides[0].tset if w_law is None else typical_set(w_law, n, p * params.delta)
+             for l, num in params.sides]
+    sides = tuple(_build_side(params, m, state, c) for m, state, c in zip(povms, states, codes))
+    tset_w = sides[0].tset if count == 1 else typical_set(
+        [float(np.trace(el @ rho.mat).real) for el in _sum_povm(povms, p).elements],
+        n, p * params.delta)
     # The sum codes' shifts, axes (N_1, ..., bins_1, ..., n), added side by
     # side; they are digit sums, held in the narrow type ``codeword_indices`` reads.
-    count = len(codes)
     shifts = np.zeros(n, dtype=digit_dtype(p))
     for s, side_codes in enumerate(codes):
         shape = [1] * 2 * count + [n]
@@ -610,27 +617,19 @@ def _build(params: ProtocolParams, povms, states, w_law=None) -> Instance:
 
 def build_instance(params: ProtocolParams, m: Povm, rho: DensityOperator) -> Instance:
     """Construct the point-to-point structured sub-POVMs for every mu: the one-side protocol."""
-    _check_dim(rho.dim, params.n)
-    return _build(params, [m], [rho])
+    return _build(params, [m], rho)
 
 
 def build_distributed_instance(params: ProtocolParams, m_a: Povm, m_b: Povm,
                                rho_ab: DensityOperator) -> Instance:
     """Two pruned sub-POVM families sharing one generator matrix, plus the joint decoder."""
-    if params.l2 is None or params.num_mu2 is None:
-        raise ValueError("distributed build needs l2 and num_mu2")
-    states = [partial_trace(rho_ab, traced=[1]), partial_trace(rho_ab, traced=[0])]
-    if (states[0].dim * states[1].dim) ** params.n > DIM_CAP:
-        raise ValueError("joint dimension exceeds the dense-operator cap")
-    lam_w = [float(np.trace(el @ rho_ab.mat).real)
-             for el in _sum_povm(m_a, m_b, params.p).elements]
-    return _build(params, [m_a, m_b], states, lam_w)
+    return _build(params, [m_a, m_b], rho_ab)
 
 
-def _sum_povm(m_a: Povm, m_b: Povm, p: int) -> Povm:
-    """The measurement of W = U + V over F_p on H_A (x) H_B."""
-    u, v = np.ogrid[:len(m_a), :len(m_b)]
-    return compose((m_a, m_b), StochasticMap((len(m_a), len(m_b)), p, np.eye(p)[(u + v) % p]))
+def _sum_povm(povms, p: int) -> Povm:
+    """The measurement of W, the sum of the POVMs' letters over F_p, on their joint space."""
+    counts = tuple(len(m) for m in povms)
+    return compose(povms, StochasticMap(counts, p, np.eye(p)[np.indices(counts).sum(axis=0) % p]))
 
 
 def _in_range(index: tuple, stops) -> bool:
@@ -904,7 +903,7 @@ def target_overall(m: Povm, p_zw: StochasticMap, n: int) -> ProductTarget:
 def target_overall_distributed(m_a: Povm, m_b: Povm, p_zw: StochasticMap,
                                p: int, n: int) -> ProductTarget:
     """(M_AB composed with P_{Z|W})^{(x) n} in the interleaved (AB)^n ordering."""
-    return target_overall(_sum_povm(m_a, m_b, p), extend_map_to_field(p_zw, p), n)
+    return target_overall(_sum_povm((m_a, m_b), p), extend_map_to_field(p_zw, p), n)
 
 
 class TensorPower:

@@ -22,7 +22,7 @@ from .cq import (
     entropy_of,
     regroup,
 )
-from .linalg import LOG2, DensityOperator, Povm, trace_norm
+from .linalg import LOG2, DensityOperator, Povm, require_finite, trace_norm
 
 MEMBERSHIP_SLACK = 1e-9
 
@@ -35,6 +35,7 @@ class LinearInequality:
     const: float
 
     def __post_init__(self):
+        require_finite(np.array([self.const, *self.coeffs.values()], dtype=float), "inequality")
         clean = {str(v): float(c) for v, c in self.coeffs.items() if abs(c) > 0.0}
         if not clean:
             raise ValueError("inequality needs at least one nonzero coefficient")

@@ -255,7 +255,7 @@ def test_protocol_sanity():
             continue
         ks = []
         for seed in range(20):
-            params = protocol.ProtocolParams(n=n, k=0, l=2 * n, p=2, num_mu=num_mu,
+            params = protocol.ProtocolParams(n=n, k=0, p=2, sides=((2 * n, num_mu),),
                                              eta=0.1, delta=0.7, seed=seed)
             inst = protocol.build_instance(params, m, rho)
             worst_defect = max(worst_defect, inst.sub_povm_defect)
@@ -283,7 +283,7 @@ def test_p2p_faithfulness_pinned():
     # so their K sees only the completion.
     t0 = time.perf_counter()
     rho, m = rotated_qubit_problem()
-    params = protocol.ProtocolParams(n=4, k=0, l=3, p=2, num_mu=2, eta=0.1, delta=0.6, seed=1)
+    params = protocol.ProtocolParams(n=4, k=0, p=2, sides=((3, 2),), eta=0.1, delta=0.6, seed=1)
     inst = protocol.build_instance(params, m, rho)
     p_zw = StochasticMap((2,), 2, np.array([[0.9, 0.1], [0.2, 0.8]]))
     k = protocol.faithfulness(protocol.TensorPower(rho, 4), protocol.target_overall(m, p_zw, 4),

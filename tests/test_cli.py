@@ -216,6 +216,17 @@ def test_simulate_refuses_bad_protocol_input(tmp_path, extra, phrase):
     assert EXIT_BAD_PROTOCOL not in {0, 1, 2, EXIT_NOT_PRIME, EXIT_NEEDS_L2, EXIT_NO_SPEC}
 
 
+@pytest.mark.parametrize("l2, n2", [("20", "1"), ("1", "2")])
+def test_p2p_builds_one_side(tmp_path, l2, n2):
+    # --l2 and --N2 size the second side of the distributed mode.  p2p builds
+    # one side: they enter neither its decoder cap nor its params echo.
+    out = tmp_path / "sim.json"
+    assert run(SIMULATE + ["--l2", l2, "--N2", n2, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["params"]["l2"] is None and report["params"]["N2"] is None
+    assert report["bins_stats"]["bins_per_mu"] == 2
+
+
 def test_reused_parser_keeps_no_value_between_calls(tmp_path, monkeypatch):
     # main builds its argparse tree once per process; no flag of one call may
     # reach the next, and bad arguments still exit with code 2.
@@ -300,6 +311,44 @@ def test_malformed_spec_file_is_refused(tmp_path, command, case, phrase):
     assert phrase in json.loads(out.read_text())["error"]
     assert EXIT_BAD_SPEC not in {0, 1, 2, EXIT_NOT_PRIME, EXIT_NEEDS_L2, EXIT_NO_SPEC,
                                  EXIT_BAD_PROTOCOL}
+
+
+@pytest.mark.parametrize("key, value, phrase", [
+    ("f_s", [0, 5], "label maps must land in F_p"),
+    ("p_zw", {"input_sizes": [1], "output_size": 2, "rows": [[0.5, 0.5]]}, "all of F_p"),
+])
+def test_rates_refuses_a_check_that_raises(tmp_path, key, value, phrase):
+    spec = json.loads(Path(bundled_example_path(1)).read_text())
+    spec[key] = value
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "err.json"
+    assert run(["rates", "--spec", str(path), "--out", str(out)]) == EXIT_BAD_SPEC
+    assert phrase in json.loads(out.read_text())["error"]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"the output holds the non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("command", [["rates"], SIMULATE + ["--mode", "p2p"],
+                                     SIMULATE + ["--mode", "distributed", "--l2", "1",
+                                                 "--N2", "1"]],
+                         ids=["rates", "p2p", "distributed"])
+@pytest.mark.parametrize("entry", ["rho", "m_a", "p_zw"])
+def test_non_finite_input_is_refused(tmp_path, command, entry):
+    # json.load reads NaN, and every comparison with NaN is false; the
+    # operators and maps refuse it where they are built.
+    spec = json.loads(Path(bundled_example_path(1)).read_text())
+    row = {"rho": spec["rho"][0][0], "m_a": spec["m_a"]["elements"][0][0][0],
+           "p_zw": spec["p_zw"]["rows"][0]}[entry]
+    row[0] = float("nan")
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "err.json"
+    assert run(command + ["--spec", str(path), "--out", str(out)]) == EXIT_BAD_SPEC
+    error = json.loads(out.read_text(), parse_constant=_refuse_constant)["error"]
+    assert "non-finite" in error
 
 
 @pytest.mark.parametrize("command", [SIMULATE + ["--mode", "distributed", "--l2", "1",
@@ -481,7 +530,10 @@ def test_fm_command(tmp_path):
      "TypeError"),
     ('{"variables": ["R1"], "inequalities": [{"coeffs": {"R1": 1}, "const": 0}]}',
      EXIT_BAD_EXPERIMENT, "'Rt' not declared"),
-], ids=["missing", "not-json", "missing-key", "coeffs-not-a-map", "unknown-variable"])
+    ('{"variables": ["Rt"], "inequalities": [{"coeffs": {"Rt": 1}, "const": NaN}]}',
+     EXIT_BAD_SPEC, "non-finite"),
+], ids=["missing", "not-json", "missing-key", "coeffs-not-a-map", "unknown-variable",
+        "non-finite"])
 def test_fm_refuses_a_bad_region_file(tmp_path, content, code, phrase):
     src = tmp_path / "region.json"
     if content is not None:

@@ -68,8 +68,8 @@ IDENT_MAP = StochasticMap((2,), 2, np.eye(2))
 
 
 def trend_params(n, seed=0):
-    return ProtocolParams(n=n, k=0, l=2 * n, p=2,
-                          num_mu={2: 2, 3: 4, 4: 4, 5: 8}[n],
+    return ProtocolParams(n=n, k=0, p=2,
+                          sides=((2 * n, {2: 2, 3: 4, 4: 4, 5: 8}[n]),),
                           eta=0.1, delta=0.7, seed=seed)
 
 
@@ -245,7 +245,7 @@ def test_instance_sub_povm_defect(small_instance):
 def test_instance_alpha_gamma_uniform_full_cover():
     # lambda uniform, k+l = n: every word covered once by a full-rank G sweep,
     # so alpha_w * gamma_w = lambda_w / (1 + eta) exactly.
-    params = ProtocolParams(n=2, k=2, l=0, p=2, num_mu=1, eta=0.1, delta=0.9, seed=3)
+    params = ProtocolParams(n=2, k=2, p=2, sides=((0, 1),), eta=0.1, delta=0.9, seed=3)
     inst = build_instance(params, BASIS, MIXED)
     mu = inst.mus[0]
     if np.linalg.matrix_rank(mu.code.G % 2) == 2:   # seed 3 gives full rank
@@ -299,8 +299,7 @@ def test_decode_collision_goes_to_w0():
     zero_g_seed = next(
         seed for seed in range(200)
         if not np.any(np.random.default_rng(seed).integers(0, 2, size=(1, 2))))
-    params = ProtocolParams(n=2, k=1, l=2, p=2, num_mu=1, eta=0.1, delta=0.7,
-                            seed=zero_g_seed)
+    params = ProtocolParams(n=2, k=1, p=2, sides=((2, 1),), eta=0.1, delta=0.7, seed=zero_g_seed)
     inst = build_instance(params, BASIS, MIXED)
     mu = inst.mus[0]
     assert not np.any(mu.code.G)
@@ -315,8 +314,7 @@ def test_decode_collision_goes_to_w0():
 @pytest.fixture(scope="module")
 def product_distributed_instance():
     rho = DensityOperator(np.kron(np.eye(2) / 2, np.eye(2) / 2), (2, 2))
-    params = ProtocolParams(n=2, k=1, l=1, p=2, num_mu=1, eta=0.1, delta=0.7,
-                            seed=2, l2=1, num_mu2=1)
+    params = ProtocolParams(n=2, k=1, p=2, sides=((1, 1), (1, 1)), eta=0.1, delta=0.7, seed=2)
     return build_distributed_instance(params, BASIS, BASIS, rho)
 
 
@@ -364,7 +362,8 @@ def test_w0_is_the_first_word_outside_tset_w(mode, example, n, delta):
     else:
         spec = load_problem(bundled_example_path(example))
         rho, m, p = partial_trace(spec.rho_ab, traced=[1]), spec.m_a, spec.p
-    params = ProtocolParams(n=n, k=0, l=1, p=p, num_mu=2, delta=delta, seed=3, l2=1, num_mu2=1)
+    params = ProtocolParams(n=n, k=0, p=p, sides=((1, 2), (1, 1))[:1 if mode == "p2p" else 2],
+                            delta=delta, seed=3)
     inst = (build_instance(params, m, rho) if mode == "p2p"
             else build_distributed_instance(params, spec.m_a, spec.m_b, spec.rho_ab))
     members = set(inst.tset_w.members)
@@ -390,7 +389,8 @@ def test_one_codeword_enumeration_per_side_and_one_for_the_decoder(monkeypatch, 
     for module in (codes, protocol):
         monkeypatch.setattr(module, "codeword_indices", spy)
     monkeypatch.setattr(codes, "all_codewords", refuse)
-    params = ProtocolParams(n=3, k=1, l=1, p=2, num_mu=3, delta=0.5, seed=1, l2=2, num_mu2=2)
+    params = ProtocolParams(n=3, k=1, p=2, sides=((1, 3), (2, 2))[:1 if mode == "p2p" else 2],
+                            delta=0.5, seed=1)
     inst = (build_instance(params, BASIS, MIXED) if mode == "p2p"
             else build_distributed_instance(params, example1.m_a, example1.m_b, example1.rho_ab))
     assert len(calls) == len(inst.sides) + 1
@@ -443,32 +443,38 @@ def test_faithfulness_trend_smoke():
 # ---------------------------------------------------------------------------
 # Distributed construction.
 
-def _check_projective_decoder(p, k, num_mu, num_mu2):
-    """Every (mu1, mu2) of the decoder of a product state against the enumeration oracle."""
-    rho = DensityOperator(np.kron(np.eye(2) / 2, np.eye(2) / 2), (2, 2))
-    params = ProtocolParams(n=3, k=k, l=1, p=p, num_mu=num_mu, eta=0.1, delta=0.3,
-                            seed=2, l2=1, num_mu2=num_mu2)
-    inst = build_distributed_instance(params, BASIS, BASIS, rho)
-    assert inst.decoded.shape == (num_mu, num_mu2, p, p)
+def _check_projective_decoder(p, k, num_mus):
+    """Every tuple of mus of the decoder of a maximally mixed product state against the
+    enumeration oracle, one qubit measured in ``BASIS`` per entry of ``num_mus``."""
+    count = len(num_mus)
+    rho = DensityOperator(np.eye(2 ** count) / 2 ** count, (2,) * count)
+    params = ProtocolParams(n=3, k=k, p=p, sides=tuple((1, num) for num in num_mus), eta=0.1,
+                            delta=0.3, seed=2)
+    inst = protocol._build(params, [BASIS] * count, rho)
+    assert inst.decoded.shape == tuple(num_mus) + (p,) * count
+    law = np.zeros(p)           # W, the sum of count uniform bits over F_p
+    for letters in itertools.product(range(2), repeat=count):
+        law[sum(letters) % p] += 0.5 ** count
+    assert np.allclose(inst.tset_w.probs, law, atol=1e-12)
     members = set(inst.tset_w.members)
     assert members and inst.w0 is not None
     collisions = 0
-    for (mu1, sa), (mu2, sb) in itertools.product(enumerate(inst.side_a),
-                                                  enumerate(inst.side_b)):
-        ca, cb = sa.code, sb.code
-        for i, j in itertools.product(range(ca.num_bins), range(cb.num_bins)):
+    for mus in itertools.product(*map(range, num_mus)):
+        side_codes = [inst.sides[s].mus[mu].code for s, mu in enumerate(mus)]
+        for bins in itertools.product(*(range(c.num_bins) for c in side_codes)):
+            shift = sum(c.h[i] for c, i in zip(side_codes, bins))
             found = []
             for a in itertools.product(range(p), repeat=k):
-                w = tuple(int(x) for x in (np.array(a, dtype=np.int64) @ ca.G
-                                           + ca.h[i] + cb.h[j]) % p)
+                w = tuple(int(x) for x in (np.array(a, dtype=np.int64) @ side_codes[0].G
+                                           + shift) % p)
                 if w in members:
                     found.append(w)
             collisions += len(found) >= 2
             want = found[0] if len(found) == 1 else inst.w0
-            assert decode_distributed(inst, i + 1, j + 1, mu1, mu2) == want
-        for i, j in itertools.product(range(ca.num_bins + 1), range(cb.num_bins + 1)):
-            if not (i and j):       # a completion on either side
-                assert decode_distributed(inst, i, j, mu1, mu2) == inst.w0
+            assert protocol._lookup(inst, mus, tuple(i + 1 for i in bins)) == want
+        for messages in itertools.product(*(range(c.num_bins + 1) for c in side_codes)):
+            if not all(messages):       # a completion on some side
+                assert protocol._lookup(inst, mus, messages) == inst.w0
     assert inst.decoder_collisions == collisions
 
 
@@ -479,14 +485,21 @@ def test_distributed_product_projective_decoder(p, k):
     # table, a bin pair with exactly one typical word a G + h_A(i) + h_B(j)
     # decodes to it, else to w0, and two or more are a collision
     # (enumeration oracle).  At delta_hat = 0.3 p some words are typical.
-    _check_projective_decoder(p, k, 2, 2)
+    _check_projective_decoder(p, k, (2, 2))
 
 
 def test_distributed_decoder_with_unequal_mu_counts():
     # The N1 N2 sum codes are decoded in one stack, mu1-major; with N1 != N2
     # a wrong stride would pair the wrong shift tables.
-    _check_projective_decoder(2, 1, 3, 2)
-    _check_projective_decoder(3, 1, 1, 3)
+    _check_projective_decoder(2, 1, (3, 2))
+    _check_projective_decoder(3, 1, (1, 3))
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 0)])
+def test_three_side_decoder(p, k):
+    # Three parties through the one builder: each bin triple decodes by the
+    # same rule, with W the sum of the three letters.
+    _check_projective_decoder(p, k, (2, 1, 2))
 
 
 def test_decode_keeps_single_hits_and_counts_collisions():
@@ -531,8 +544,7 @@ def test_distributed_sum_code_at_the_cap(tmp_path, monkeypatch):
 
 
 def test_distributed_sides_are_sub_povms(example1):
-    params = ProtocolParams(n=2, k=1, l=1, p=2, num_mu=2, eta=0.1, delta=0.5,
-                            seed=1, l2=1, num_mu2=2)
+    params = ProtocolParams(n=2, k=1, p=2, sides=((1, 2), (1, 2)), eta=0.1, delta=0.5, seed=1)
     inst = build_distributed_instance(params, example1.m_a, example1.m_b, example1.rho_ab)
     assert inst.sub_povm_defect <= 1e-9
     for side in (inst.side_a, inst.side_b):
@@ -542,8 +554,7 @@ def test_distributed_sides_are_sub_povms(example1):
 
 
 def test_distributed_overall_complete_and_k_reported(example1):
-    params = ProtocolParams(n=2, k=1, l=1, p=2, num_mu=2, eta=0.1, delta=0.5,
-                            seed=1, l2=1, num_mu2=2)
+    params = ProtocolParams(n=2, k=1, p=2, sides=((1, 2), (1, 2)), eta=0.1, delta=0.5, seed=1)
     inst = build_distributed_instance(params, example1.m_a, example1.m_b, example1.rho_ab)
     cand = assemble_overall_distributed(inst, example1.p_zw)
     total = sum(cand.values())
@@ -581,12 +592,12 @@ def test_distributed_candidate_matches_kron_reference(example1):
     # mu1 and mu2 in the bins' numbering across the mus shows.
     rho, m_a, m_b = _rotated_rank_one_problem()
     cases = [(example1.rho_ab, example1.m_a, example1.m_b,
-              ProtocolParams(n=2, k=1, l=1, p=2, num_mu=2, eta=0.1, delta=0.5,
-                             seed=1, l2=1, num_mu2=2), [0, 0, 0, 0]),
-             (rho, m_a, m_b, ProtocolParams(n=3, k=0, l=2, p=2, num_mu=2, eta=0.1, delta=0.7,
-                                            seed=1, l2=2, num_mu2=2), [2, 2, 3, 3]),
-             (rho, m_a, m_b, ProtocolParams(n=3, k=0, l=2, p=2, num_mu=3, eta=0.1, delta=0.7,
-                                            seed=1, l2=2, num_mu2=2), [2, 2, 3, 3, 4])]
+              ProtocolParams(n=2, k=1, p=2, sides=((1, 2), (1, 2)), eta=0.1, delta=0.5,
+                             seed=1), [0, 0, 0, 0]),
+             (rho, m_a, m_b, ProtocolParams(n=3, k=0, p=2, sides=((2, 2), (2, 2)), eta=0.1,
+                                            delta=0.7, seed=1), [2, 2, 3, 3]),
+             (rho, m_a, m_b, ProtocolParams(n=3, k=0, p=2, sides=((2, 3), (2, 2)), eta=0.1,
+                                            delta=0.7, seed=1), [2, 2, 3, 3, 4])]
     for rho_ab, m_a, m_b, params, live in cases:
         n = params.n
         inst = build_distributed_instance(params, m_a, m_b, rho_ab)
@@ -598,8 +609,9 @@ def test_distributed_candidate_matches_kron_reference(example1):
         interleave = [r for j in range(n) for r in (j, n + j)]
         zs = list(itertools.product(range(p_ext.output_size), repeat=n))
         ref = {}
-        num_mus = params.num_mu * params.num_mu2
-        for i1, i2 in itertools.product(range(params.num_mu), range(params.num_mu2)):
+        (_, num_mu), (_, num_mu2) = params.sides
+        num_mus = num_mu * num_mu2
+        for i1, i2 in itertools.product(range(num_mu), range(num_mu2)):
             ops_a = [dense.completion(inst.side_a[i1])] + dense.bin_ops(inst.side_a[i1])
             ops_b = [dense.completion(inst.side_b[i2])] + dense.bin_ops(inst.side_b[i2])
             for i, j in itertools.product(range(len(ops_a)), range(len(ops_b))):
@@ -734,24 +746,24 @@ def test_candidate_on_generic_operators_of_one_and_three_sides(num_sides):
 def test_distributed_needs_l2():
     with pytest.raises(ValueError):
         build_distributed_instance(
-            ProtocolParams(n=2, k=1, l=1, p=2, num_mu=1),
+            ProtocolParams(n=2, k=1, p=2, sides=((1, 1),)),
             BASIS, BASIS, DensityOperator(np.eye(4) / 4, (2, 2)))
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        ProtocolParams(n=2, k=0, l=1, p=4, num_mu=1)
+        ProtocolParams(n=2, k=0, p=4, sides=((1, 1),))
     with pytest.raises(ValueError):
-        ProtocolParams(n=2, k=0, l=1, p=2, num_mu=1, eta=1.5)
+        ProtocolParams(n=2, k=0, p=2, sides=((1, 1),), eta=1.5)
     with pytest.raises(ValueError):
-        ProtocolParams(n=2, k=0, l=1, p=2, num_mu=1, delta=0.0)
+        ProtocolParams(n=2, k=0, p=2, sides=((1, 1),), delta=0.0)
 
 
 def test_absurd_block_length_is_refused_at_once(tmp_path):
     # The caps are bit-length tests: no p**n is formed for n = 10**7.
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match=re.escape("p**n exceeds the desk-scale cap")):
-        ProtocolParams(n=10 ** 7, k=0, l=1, p=3, num_mu=1)
+        ProtocolParams(n=10 ** 7, k=0, p=3, sides=((1, 1),))
     assert time.perf_counter() - t0 < 0.5
     out = tmp_path / "err.json"
     assert main(["simulate", "--p", "3", "--n", "30000000", "--k", "0", "--l", "1",
@@ -764,8 +776,8 @@ def test_side_a_codes_are_those_of_sample_ensemble(topology):
     # G is drawn first and then each side's shift tables, side after side:
     # side A's codes are the ensemble's in either topology, and side B's
     # shift tables are the next draws of the same stream.
-    params = ProtocolParams(n=3, k=1, l=2, p=3, num_mu=3, eta=0.1, delta=0.5, seed=7,
-                            l2=1, num_mu2=2)
+    params = ProtocolParams(n=3, k=1, p=3, sides=((2, 3), (1, 2))[:1 if topology == "p2p" else 2],
+                            eta=0.1, delta=0.5, seed=7)
     if topology == "p2p":
         inst = build_instance(params, BASIS, MIXED)
     else:
@@ -839,10 +851,10 @@ def test_factored_abar_matches_cut_post_state():
     u = random_unitary(np.random.default_rng(5), 2)
     m = Povm(tuple(np.outer(u[:, i], u[:, i].conj()) for i in range(2)))
     n = 4
-    params = ProtocolParams(n=n, k=0, l=n, p=2, num_mu=4, eta=0.1, delta=0.6, seed=1)
+    params = ProtocolParams(n=n, k=0, p=2, sides=((n, 4),), eta=0.1, delta=0.6, seed=1)
     inst = build_instance(params, m, rho)
     s = kron_power(psd_pinv_sqrt(rho.mat), n)
-    norm = params.p ** n / ((1 + params.eta) * params.p ** (params.k + params.l))
+    norm = params.p ** n / ((1 + params.eta) * params.p ** (params.k + params.sides[0][0]))
     assert inst.abar
     for w, op in inst.abar.items():
         cut = cut_post_state(inst.sides[0].ens, dense.pi_rho(inst), w, params.delta)
@@ -854,7 +866,7 @@ def test_factored_abar_matches_cut_post_state():
 @pytest.fixture(scope="module")
 def rotated_instance():
     rho, m = rotated_qubit_problem()
-    params = ProtocolParams(n=4, k=0, l=3, p=2, num_mu=2, eta=0.1, delta=0.6, seed=1)
+    params = ProtocolParams(n=4, k=0, p=2, sides=((3, 2),), eta=0.1, delta=0.6, seed=1)
     return build_instance(params, m, rho)
 
 
@@ -907,9 +919,9 @@ def _generic_two_letter_problem():
 
 
 @pytest.mark.parametrize("problem, params", [
-    (rotated_qubit_problem, ProtocolParams(n=4, k=0, l=3, p=2, num_mu=2, eta=0.1,
-                                           delta=0.6, seed=1)),
-    (_generic_two_letter_problem, ProtocolParams(n=5, k=0, l=4, p=2, num_mu=2, eta=0.1,
+    (rotated_qubit_problem, ProtocolParams(n=4, k=0, p=2, sides=((3, 2),), eta=0.1, delta=0.6,
+                                           seed=1)),
+    (_generic_two_letter_problem, ProtocolParams(n=5, k=0, p=2, sides=((4, 2),), eta=0.1,
                                                  delta=0.7, seed=2)),
 ])
 def test_type_class_sharing_matches_per_word_construction(monkeypatch, problem, params):
@@ -935,7 +947,7 @@ def test_type_class_sharing_matches_per_word_construction(monkeypatch, problem, 
     u, inv = protocol._typical_factor(rho.mat, n, params.delta)
     spectra = [protocol._spectrum(s) for s in inst.sides[0].ens.post_states]
     idx = protocol.all_vectors(n, d)
-    norm = params.p ** n / ((1 + params.eta) * params.p ** (params.k + params.l))
+    norm = params.p ** n / ((1 + params.eta) * params.p ** (params.k + params.sides[0][0]))
     for w, got in inst.abar.items():
         cols, eig = per_word(spectra, w, params.delta, idx)
         x = cols * np.sqrt(np.clip(eig, 0.0, None) * (norm * inst.sides[0].ens.weight_of(w)))
@@ -947,7 +959,7 @@ def test_type_class_sharing_matches_per_word_construction(monkeypatch, problem, 
 def test_code_without_built_words_has_zero_defect():
     # At n = 4 and delta = 0.25 only 6 of the 16 words are typical; with two
     # words per code, mu = 1 builds none, so its Y and G have no columns.
-    params = ProtocolParams(n=4, k=0, l=1, p=2, num_mu=2, eta=0.1, delta=0.25, seed=1)
+    params = ProtocolParams(n=4, k=0, p=2, sides=((1, 2),), eta=0.1, delta=0.25, seed=1)
     inst = build_instance(params, BASIS, MIXED)
     assert [len(mu.factors) for mu in inst.mus] == [1, 0]
     empty = inst.mus[1]
@@ -966,7 +978,7 @@ def test_code_without_built_words_has_zero_defect():
 def completion_only_instance():
     # Like the default problem at n = 8: every bin is 0, some of them with
     # columns that pruning zeroed.
-    return build_instance(ProtocolParams(n=3, k=0, l=2, p=2, num_mu=1, eta=0.1, delta=0.7,
+    return build_instance(ProtocolParams(n=3, k=0, p=2, sides=((2, 1),), eta=0.1, delta=0.7,
                                          seed=1), BASIS, MIXED)
 
 
@@ -1052,8 +1064,7 @@ def _support_case(name, example1, rotated_instance):
     """(state, target, candidate or None) of one product-form sandwich case."""
     rng = np.random.default_rng(23)
     if name == "bell":       # rank 1: every level keeps one prefix
-        params = ProtocolParams(n=3, k=1, l=1, p=2, num_mu=2, eta=0.1, delta=0.5,
-                                seed=0, l2=1, num_mu2=2)
+        params = ProtocolParams(n=3, k=1, p=2, sides=((1, 2), (1, 2)), eta=0.1, delta=0.5, seed=0)
         inst = build_distributed_instance(params, example1.m_a, example1.m_b, example1.rho_ab)
         return (TensorPower(example1.rho_ab, 3),
                 target_overall_distributed(example1.m_a, example1.m_b, example1.p_zw, 2, 3),
@@ -1101,7 +1112,7 @@ def test_k_real_solver_equals_complex_solver(monkeypatch, rotated_instance, name
     # default candidate is passed dense: in factored form its gaps are
     # diagonal and need no solver.
     if name == "default":
-        params = ProtocolParams(n=5, k=0, l=4, p=2, num_mu=2, eta=0.1, delta=0.7, seed=0)
+        params = ProtocolParams(n=5, k=0, p=2, sides=((4, 2),), eta=0.1, delta=0.7, seed=0)
         cand = assemble_overall(build_instance(params, BASIS, MIXED), IDENT_MAP)
         args = (TensorPower(MIXED, 5), target_overall(BASIS, IDENT_MAP, 5),
                 {z: cand[z] for z in cand})
@@ -1195,8 +1206,7 @@ def test_factors_carry_no_subnormals(example1, example2, rotated_instance):
     _assert_no_subnormals(_side_arrays(inst.mus))
     _assert_no_subnormals([TensorPower(inst.sides[0].rho, inst.params.n).support()[0]])
     for spec, p in ((example1, 2), (example2, 3)):
-        params = ProtocolParams(n=5, k=1, l=1, p=p, num_mu=2, eta=0.1, delta=0.5,
-                                seed=0, l2=1, num_mu2=2)
+        params = ProtocolParams(n=5, k=1, p=p, sides=((1, 2), (1, 2)), eta=0.1, delta=0.5, seed=0)
         dist = build_distributed_instance(params, spec.m_a, spec.m_b, spec.rho_ab)
         _assert_no_subnormals(_side_arrays(dist.side_a + dist.side_b))
         _assert_no_subnormals([TensorPower(spec.rho_ab, 5).support()[0]])
@@ -1322,8 +1332,8 @@ def test_p2p_invariants_generic(seed, p, rank_one):
     rho = random_density(rng, 2)
     m = _rank_one_povm(rng, 2, p) if rank_one else random_complete_povm(rng, 2, p)
     n = 3
-    params = ProtocolParams(n=n, k=int(rng.integers(0, 2)), l=2, p=p, num_mu=2,
-                            eta=0.1, delta=0.6, seed=seed)
+    params = ProtocolParams(n=n, k=int(rng.integers(0, 2)), p=p, sides=((2, 2),), eta=0.1,
+                            delta=0.6, seed=seed)
     inst = build_instance(params, m, rho)
     _assert_side_invariants(inst.mus, inst.mus[0].typical.shape[0])
     p_zw = StochasticMap((p,), 2, rng.dirichlet(np.ones(2), size=p))
@@ -1349,8 +1359,7 @@ def test_distributed_invariants_generic(seed, rank_one):
     rho_ab = random_density(rng, 4, (2, 2))
     make = _rank_one_povm if rank_one else random_complete_povm
     m_a, m_b = make(rng, 2, 2), make(rng, 2, 2)
-    params = ProtocolParams(n=2, k=1, l=1, p=2, num_mu=2, eta=0.1, delta=0.5,
-                            seed=seed, l2=1, num_mu2=2)
+    params = ProtocolParams(n=2, k=1, p=2, sides=((1, 2), (1, 2)), eta=0.1, delta=0.5, seed=seed)
     inst = build_distributed_instance(params, m_a, m_b, rho_ab)
     _assert_side_invariants(inst.side_a + inst.side_b, 4)
     p_zw = StochasticMap((2,), 2, rng.dirichlet(np.ones(2), size=2))
@@ -1375,14 +1384,13 @@ def _diagonal_route_case(name, n, example1, example2):
     """(state, target, factored candidate) of one case of the diagonal route."""
     if name.startswith("classical"):
         # l = n stores words other than w0; l = 1 stores none.
-        params = ProtocolParams(n=n, k=0, l=n if name == "classical_live" else 1, p=2,
-                                num_mu=2, eta=0.1, delta=0.6, seed=1)
+        params = ProtocolParams(n=n, k=0, p=2, sides=((n if name == "classical_live" else 1, 2),),
+                                eta=0.1, delta=0.6, seed=1)
         inst = build_instance(params, BASIS, CLASSICAL)
         return (TensorPower(CLASSICAL, n), target_overall(BASIS, SKEW_MAP, n),
                 assemble_overall(inst, SKEW_MAP))
     ex = {"example1": example1, "example2": example2}[name]
-    params = ProtocolParams(n=n, k=1, l=1, p=ex.p, num_mu=2, eta=0.1, delta=0.5,
-                            seed=0, l2=1, num_mu2=2)
+    params = ProtocolParams(n=n, k=1, p=ex.p, sides=((1, 2), (1, 2)), eta=0.1, delta=0.5, seed=0)
     inst = build_distributed_instance(params, ex.m_a, ex.m_b, ex.rho_ab)
     return (TensorPower(ex.rho_ab, n),
             target_overall_distributed(ex.m_a, ex.m_b, ex.p_zw, ex.p, n),
@@ -1466,7 +1474,7 @@ def test_gram_cut_of_a_scaled_partial_permutation_is_exact():
 def _default_p2p_k(n, seed):
     """(instance, K) of the default problem at n, l = n - 2, N = 2, delta = 0.7."""
     rho, m, p_zw = _default_p2p_problem()
-    params = ProtocolParams(n=n, k=0, l=n - 2, p=2, num_mu=2, delta=0.7, seed=seed)
+    params = ProtocolParams(n=n, k=0, p=2, sides=((n - 2, 2),), delta=0.7, seed=seed)
     inst = build_instance(params, m, rho)
     cand = assemble_overall(inst, p_zw)
     tgt = target_overall(m, protocol.extend_map_to_field(p_zw, params.p), params.n)
@@ -1510,7 +1518,7 @@ def test_faithfulness_mixes_real_and_complex_blocks():
     # A real state and target against a candidate of complex dtype: the real
     # target blocks are promoted, not updated in place.
     rho, m, p_zw = _default_p2p_problem()
-    params = ProtocolParams(n=4, k=0, l=2, p=2, num_mu=2, delta=0.7, seed=0)
+    params = ProtocolParams(n=4, k=0, p=2, sides=((2, 2),), delta=0.7, seed=0)
     cand = assemble_overall(build_instance(params, m, rho), p_zw)
     tgt = target_overall(m, p_zw, 4)
     assert tgt.singles[0].dtype == np.float64
