@@ -18,7 +18,7 @@ import numpy as np
 
 from . import codes, lab, protocol, regions
 from .cq import StochasticMap, compose
-from .linalg import DensityOperator, Povm, mat_from_json, partial_trace
+from .linalg import DensityOperator, Povm, mat_from_json, partial_trace, validate_povm
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,11 @@ def _map_from_json(d: dict) -> StochasticMap:
 
 
 def load_problem(source) -> ProblemSpec:
-    """The problem of a file or dict; ``m_ab`` defaults to ``compose((m_a, m_b), p_zst)``."""
+    """The problem of a file or dict; ``m_ab`` defaults to ``compose((m_a, m_b), p_zst)``.
+
+    ``m_a`` and ``m_b`` must be POVMs on the two registers of ``rho``, and
+    ``f_s``/``f_t`` must map each of their outcomes into F_p.
+    """
     if isinstance(source, dict):
         d = source
     else:
@@ -58,15 +62,27 @@ def load_problem(source) -> ProblemSpec:
     rho = DensityOperator(mat_from_json(d["rho"]), tuple(d["dims"]))
     m_a = _povm_from_json(d["m_a"])
     m_b = _povm_from_json(d["m_b"])
+    for name, m in (("m_a", m_a), ("m_b", m_b)):
+        check = validate_povm(m)
+        if not check.ok:
+            raise ValueError(f"{name} is not a POVM: element PSD defects "
+                             f"{check.element_psd_defects}, completeness defect "
+                             f"{check.completeness_defect:.3e}")
+    if rho.register_dims != (m_a.dim, m_b.dim):
+        raise ValueError(f"rho's registers {rho.register_dims} are not those of m_a and m_b "
+                         f"({m_a.dim}, {m_b.dim})")
     p_zst = _map_from_json(d["p_zst"])
     if p_zst.input_sizes != (len(m_a), len(m_b)):
         raise ValueError(f"p_zst inputs {p_zst.input_sizes} do not match the POVM "
                          f"outcome counts ({len(m_a)}, {len(m_b)})")
     m_ab = _povm_from_json(d["m_ab"]) if "m_ab" in d else compose((m_a, m_b), p_zst)
-    return ProblemSpec(rho, m_a, m_b, m_ab, p_zst, int(d["p"]),
-                       tuple(int(x) for x in d["f_s"]),
-                       tuple(int(x) for x in d["f_t"]),
-                       _map_from_json(d["p_zw"]))
+    p = int(d["p"])
+    labels = []
+    for name, m in (("f_s", m_a), ("f_t", m_b)):
+        if len(d[name]) != len(m):
+            raise ValueError(f"{name} has {len(d[name])} entries for {len(m)} outcomes")
+        labels.append(tuple(regions._field_table(d[name], len(m), p).tolist()))
+    return ProblemSpec(rho, m_a, m_b, m_ab, p_zst, p, *labels, _map_from_json(d["p_zw"]))
 
 
 def bundled_example_path(ident: int) -> str:

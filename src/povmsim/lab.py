@@ -6,7 +6,7 @@ inequalities, and the bipartite sandwich-reduction inequality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,9 +80,6 @@ class CoveringInstance:
         """(X, d, d) cut states Pi Pi_x sigma_x Pi_x Pi."""
         cut = np.einsum("xab,xbc,xcd->xad", self.pi_x, self.sigmas, self.pi_x)
         return np.einsum("ab,xbc,cd->xad", self.pi, cut, self.pi)
-
-    def with_m(self, m: int) -> "CoveringInstance":
-        return replace(self, m=int(m))
 
     def bound_raw(self) -> float:
         return float(np.sqrt(self.kappa * self.big_d / (self.m * self.d))

@@ -732,8 +732,8 @@ class FactoredCandidate(Mapping):
     not stored.
 
     The keys are the z of positive probability under a stored word.
-    ``candidate[z]`` builds the dense C_z on demand; ``sandwiches`` gives every
-    W^dagger C_z W without forming it.  Dense operators, like W, are in the
+    ``candidate[z]`` builds the dense C_z on demand; ``word_sandwiches`` gives
+    every W^dagger C_word W without forming it.  Dense operators, like W, are in the
     interleaved (H_1 H_2 ...)^n ordering, ``dims`` giving each side's register.
     """
 
@@ -815,12 +815,6 @@ class FactoredCandidate(Mapping):
                   for a, b in zip(self.bounds[:-1].tolist(), self.bounds[1:].tolist())]
         return np.array([gram - sum(others)] + others)
 
-    def sandwiches(self, w: np.ndarray):
-        """(z, W^dagger C_z W) for every key z, spread over z one z at a time."""
-        s_words = self.word_sandwiches(w.conj().T @ w, lambda: w)
-        for z, col in self._column.items():
-            yield z, np.tensordot(self.probs[:, col], s_words, axes=1)
-
 
 def assemble_overall(instance: Instance, p_zw: StochasticMap) -> FactoredCandidate:
     """The overall sub-POVM {Lambda_hat_{z^n}} of the protocol, in factored form.
@@ -840,8 +834,8 @@ assemble_overall_distributed = assemble_overall
 class ProductTarget(Mapping):
     """The target T_z = T_{z_1} (x) ... (x) T_{z_n}, z in Z^n, kept as its single-copy factors.
 
-    ``target[z]`` builds the dense tensor product on demand; ``apply`` and
-    ``traces`` give T_z @ vecs and Tr{T_z mat} without forming any T_z.
+    ``target[z]`` builds the dense tensor product on demand; ``traces`` gives
+    every Tr{T_z rho^{(x) n}} without forming any T_z.
     """
 
     def __init__(self, singles, n: int):
@@ -863,33 +857,14 @@ class ProductTarget(Mapping):
     def __len__(self) -> int:
         return len(self.singles) ** self.n
 
-    def apply(self, z, vecs: np.ndarray) -> np.ndarray:
-        """T_z @ vecs, one register at a time, without forming T_z."""
-        d = self.singles[0].shape[0]
-        t = vecs
-        for j, zj in enumerate(z):
-            t = np.matmul(self.singles[zj], t.reshape(d ** j, d, -1))
-        return t.reshape(vecs.shape)
+    def traces(self, state: TensorPower) -> np.ndarray:
+        """Tr{T_z rho^{(x) n}} for every z, as an array indexed by the tuple z.
 
-    def traces(self, mat) -> np.ndarray:
-        """Tr{T_z mat} for every z, as an array indexed by the tuple z.
-
-        For a ``TensorPower`` of n copies this is the product of the
-        single-copy traces; otherwise ``mat`` is contracted one register at a
-        time, O(|Z| d**(2n)) in all.
+        ``state`` holds as many copies as the target has registers; each
+        trace is the product of the single-copy traces.
         """
-        singles = np.stack(self.singles)
-        if isinstance(mat, TensorPower) and mat.n == self.n:
-            per_copy = np.einsum("zij,ji->z", singles, mat.single)
-            return functools.reduce(np.multiply.outer, [per_copy] * self.n)
-        d = self.singles[0].shape[0]
-        t = np.asarray(mat, dtype=complex).T[None]      # t[., i, j] = mat[j, i]
-        for _ in range(self.n):
-            rest = t.shape[1] // d
-            t = t.reshape(t.shape[0], d, rest, d, rest)
-            t = np.tensordot(t, singles, axes=([1, 3], [1, 2])).transpose(0, 3, 1, 2)
-            t = t.reshape(-1, rest, rest)
-        return t.reshape((len(self.singles),) * self.n)
+        per_copy = np.einsum("zij,ji->z", np.stack(self.singles), state.single)
+        return functools.reduce(np.multiply.outer, [per_copy] * self.n)
 
 
 def target_overall(m: Povm, p_zw: StochasticMap, n: int) -> ProductTarget:
@@ -907,45 +882,31 @@ def target_overall_distributed(m_a: Povm, m_b: Povm, p_zw: StochasticMap,
 
 
 class TensorPower:
-    """The n-copy state rho^{(x) n}, kept as its single copy rho.
+    """The n-copy state rho^{(x) n} = W W^dagger on its numerical support, kept as single-copy data.
 
-    A dense n-copy state is the case n = 1.
+    A dense n-copy state is the case n = 1.  One eigendecomposition
+    rho = V Lambda V^dagger of the single copy, taken when the state is
+    built: the columns of W are the tensor products of the columns of
+    V sqrt(Lambda) at the index tuples ``idx`` (lexicographic order) whose
+    eigenvalue product lambda clears the eigensolver's rounding floor
+    dim * eps * lambda_max (dim = d**n).  ``w`` forms the dense d**n x r
+    factor on first use; ``sandwiches`` never does.
     """
 
     def __init__(self, single, n: int):
         mat = single.mat if isinstance(single, DensityOperator) else single
         self.single = hermitian_part(mat)
         self.n = n
-
-    def dense(self) -> np.ndarray:
-        return self.single if self.n == 1 else kron_power(self.single, self.n)
-
-    def support(self) -> tuple:
-        """(W, sum lambda_+) with rho^{(x) n} = W W^dagger on its numerical support."""
-        sup = _Support(self)
-        return sup.w, sup.total
-
-
-class _Support:
-    """rho^{(x) n} = W W^dagger on its numerical support, kept as single-copy data.
-
-    One eigendecomposition rho = V Lambda V^dagger of the single copy: the
-    columns of W are the tensor products of the columns of V sqrt(Lambda) at
-    the index tuples ``idx`` (lexicographic order) whose eigenvalue product
-    lambda clears the eigensolver's rounding floor dim * eps * lambda_max
-    (dim = d**n).  ``w`` forms the dense d**n x r factor on first use;
-    ``sandwiches`` never does.
-    """
-
-    def __init__(self, state: TensorPower):
-        vals, self.vecs = np.linalg.eigh(_real_if_exact(state.single))
-        self.n, d = state.n, vals.size
-        idx = all_vectors(self.n, d)
+        vals, self.vecs = np.linalg.eigh(_real_if_exact(self.single))
+        idx = all_vectors(n, vals.size)
         lam = np.prod(vals[idx], axis=1)
         keep = lam > lam.size * np.finfo(float).eps * max(float(lam.max()), 0.0)
         self.idx, self.total = idx[keep], float(lam[keep].sum())
         self.rank = self.idx.shape[0]
         self.roots = np.sqrt(np.clip(vals, 0.0, None))
+
+    def dense(self) -> np.ndarray:
+        return self.single if self.n == 1 else kron_power(self.single, self.n)
 
     @functools.cached_property
     def levels(self) -> list:
@@ -1033,43 +994,45 @@ def _trace_norms(d: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(_real_if_exact(d))).sum(axis=-1)
 
 
-def _target_sandwiches(target: Mapping, state: TensorPower, support: _Support):
+def _factored(target: Mapping, state: TensorPower) -> bool:
+    """Whether ``target`` is a ``ProductTarget`` on as many registers as ``state`` has copies."""
+    return isinstance(target, ProductTarget) and target.n == state.n
+
+
+def _target_sandwiches(target: Mapping, state: TensorPower):
     """zs -> the stacked W^dagger T_z W of the outputs zs.
 
     A ``ProductTarget`` on as many registers as the state is sandwiched from
     single-copy blocks; any other target is applied to the dense W, a z
     outside it giving 0.
     """
-    if isinstance(target, ProductTarget) and target.n == state.n:
+    if _factored(target, state):
         singles = np.stack(target.singles)
-        return lambda zs: support.sandwiches(singles, zs)
-    apply = target.apply if isinstance(target, ProductTarget) else (lambda z, w: target[z] @ w)
-    r = support.rank
-    return lambda zs: np.array([support.w.conj().T @ apply(z, support.w) if z in target
+        return lambda zs: state.sandwiches(singles, zs)
+    r = state.rank
+    return lambda zs: np.array([state.w.conj().T @ (target[z] @ state.w) if z in target
                                 else np.zeros((r, r)) for z in zs]).reshape(-1, r, r)
 
 
-def _candidate_sandwiches(candidate: Mapping, support: _Support) -> tuple:
+def _candidate_sandwiches(candidate: Mapping, state: TensorPower) -> tuple:
     """(keys, stack): stack(lo, hi) is W^dagger C_z W for keys[lo:hi], stacked."""
     keys = list(candidate)
     if isinstance(candidate, FactoredCandidate):
-        s_words = candidate.word_sandwiches(support.gram(), lambda: support.w)
+        s_words = candidate.word_sandwiches(state.gram(), lambda: state.w)
         return keys, lambda lo, hi: np.tensordot(candidate.probs[:, lo:hi].T, s_words, axes=1)
     ops = [candidate[z] for z in keys]
-    return keys, lambda lo, hi: np.array([support.w.conj().T @ (c @ support.w)
-                                          for c in ops[lo:hi]])
+    return keys, lambda lo, hi: np.array([state.w.conj().T @ (c @ state.w) for c in ops[lo:hi]])
 
 
-def _dense_terms(target: Mapping, state: TensorPower, candidate: Mapping,
-                 support: _Support) -> list:
+def _dense_terms(target: Mapping, state: TensorPower, candidate: Mapping) -> list:
     """(sum Tr{W^dagger C_z W}, sum ||W^dagger (T_z - C_z) W||_1) per chunk of keys.
 
     The r x r operators are formed and their trace norms taken as one stacked
     eigvalsh per chunk of at most SPECTRUM_BLOCK entries.
     """
-    target_block = _target_sandwiches(target, state, support)
-    keys, candidate_block = _candidate_sandwiches(candidate, support)
-    step = max(1, SPECTRUM_BLOCK // support.rank ** 2)
+    target_block = _target_sandwiches(target, state)
+    keys, candidate_block = _candidate_sandwiches(candidate, state)
+    step = max(1, SPECTRUM_BLOCK // state.rank ** 2)
     terms = []
     for lo in range(0, len(keys), step):
         c = candidate_block(lo, lo + step)
@@ -1082,38 +1045,38 @@ def _dense_terms(target: Mapping, state: TensorPower, candidate: Mapping,
     return terms
 
 
-def _diagonal_terms(target: Mapping, candidate: Mapping, support: _Support) -> list | None:
+def _diagonal_terms(target: Mapping, state: TensorPower, candidate: Mapping) -> list | None:
     """The terms of ``_dense_terms`` from r-vectors when every gap is diagonal, else None.
 
     That is the case of a ``ProductTarget`` on the state's registers, a
     ``FactoredCandidate`` that stores w0 only, so C_z = c_z I, and
     single-copy blocks of every T_z and of I that are diagonal (see
-    ``_Support.diagonals``).  Then W^dagger (T_z - C_z) W = diag(t_z - c_z lam),
+    ``TensorPower.diagonals``).  Then W^dagger (T_z - C_z) W = diag(t_z - c_z lam),
     with t_z and lam the diagonals of W^dagger T_z W and W^dagger W, so its
     trace norm is sum |t_z - c_z lam| and Tr{W^dagger C_z W} = c_z sum(lam).
     """
-    if not (isinstance(target, ProductTarget) and target.n == support.n
+    if not (_factored(target, state)
             and isinstance(candidate, FactoredCandidate) and len(candidate.words) == 1):
         return None
-    singles = support.diagonals(np.stack(target.singles))
-    eye = support.diagonals(np.eye(support.vecs.shape[0])[None])
+    singles = state.diagonals(np.stack(target.singles))
+    eye = state.diagonals(np.eye(state.vecs.shape[0])[None])
     if singles is None or eye is None:
         return None
-    zs = np.array(list(candidate), dtype=np.int64).reshape(-1, support.n)
-    lam = support.diagonal_sandwiches(eye, np.zeros((1, support.n), dtype=np.int64))[0]
-    step = max(1, SPECTRUM_BLOCK // support.rank)
+    zs = np.array(list(candidate), dtype=np.int64).reshape(-1, state.n)
+    lam = state.diagonal_sandwiches(eye, np.zeros((1, state.n), dtype=np.int64))[0]
+    step = max(1, SPECTRUM_BLOCK // state.rank)
     terms = []
     for lo in range(0, zs.shape[0], step):
         c = candidate.probs[0, lo:lo + step]
-        gap = support.diagonal_sandwiches(singles, zs[lo:lo + step]) - c[:, None] * lam
+        gap = state.diagonal_sandwiches(singles, zs[lo:lo + step]) - c[:, None] * lam
         terms.append((float((c * lam.sum()).sum()), float(np.abs(gap).sum())))
     return terms
 
 
 def _absent_mass(target: Mapping, state: TensorPower, keys: list) -> float:
     """sum Tr{T_z rho} over the outputs z of the target that are not keys of the candidate."""
-    if isinstance(target, ProductTarget):
-        traces = target.traces(state if state.n == target.n else state.dense())
+    if _factored(target, state):
+        traces = target.traces(state)
         absent = np.ones(traces.shape, dtype=bool)
         seen = np.array([z for z in keys if z in target], dtype=np.int64).reshape(-1, target.n)
         absent[tuple(seen.T)] = False
@@ -1127,27 +1090,28 @@ def faithfulness(rho_n, target: Mapping, candidate: Mapping) -> float:
     """The faithfulness figure K of a candidate sub-POVM against a target.
 
     K = sum_z ||sqrt(rho)(T_z - C_z)sqrt(rho)||_1 + Tr{(I - sum_z C_z) rho},
-    evaluated on the n-copy state ``rho_n`` (a ``TensorPower`` or a dense
-    matrix) through its support: with rho = W W^dagger (see ``_Support``),
-    each trace norm is that of the r x r operator W^dagger (T_z - C_z) W
-    (r = rank rho; exact, as sqrt(rho) = V_+ W^dagger and V_+ is an
-    isometry), and the completion term is sum lambda_+ - sum_z Tr{W^dagger C_z W}.
-    When every W^dagger (T_z - C_z) W is diagonal (a constant candidate on a
-    commuting target, see ``_diagonal_terms``) K comes from r-vectors with no
-    solver; otherwise the trace norms are taken as one stacked eigvalsh per
-    chunk of at most SPECTRUM_BLOCK entries.  A z with no candidate operator
-    contributes Tr{T_z rho}, which is its trace norm because T_z >= 0.  A
-    ``ProductTarget`` of a ``TensorPower`` is sandwiched from single-copy
-    blocks, and a ``FactoredCandidate`` is never expanded into dense C_z.
+    evaluated on the n-copy state ``rho_n`` (a ``TensorPower``, or a dense
+    matrix taken as a single copy) through its support: with rho = W W^dagger
+    (see ``TensorPower``), each trace norm is that of the r x r operator
+    W^dagger (T_z - C_z) W (r = rank rho; exact, as sqrt(rho) = V_+ W^dagger
+    and V_+ is an isometry), and the completion term is
+    sum lambda_+ - sum_z Tr{W^dagger C_z W}.  When every W^dagger (T_z - C_z) W
+    is diagonal (a constant candidate on a commuting target, see
+    ``_diagonal_terms``) K comes from r-vectors with no solver; otherwise the
+    trace norms are taken as one stacked eigvalsh per chunk of at most
+    SPECTRUM_BLOCK entries.  A z with no candidate operator contributes
+    Tr{T_z rho}, which is its trace norm because T_z >= 0.  A ``ProductTarget``
+    on as many registers as the state has copies is sandwiched and traced from
+    single-copy blocks; any other target, a ``ProductTarget`` on a dense
+    n-copy matrix included, is applied to the dense W.  A
+    ``FactoredCandidate`` is never expanded into dense C_z.
     """
     state = rho_n if isinstance(rho_n, TensorPower) else TensorPower(rho_n, 1)
-    support = _Support(state)
-    terms = _diagonal_terms(target, candidate, support)
+    terms = _diagonal_terms(target, state, candidate)
     if terms is None:
-        terms = _dense_terms(target, state, candidate, support)
-    k = support.total
+        terms = _dense_terms(target, state, candidate)
+    k = state.total
     for mass, norms in terms:
         k -= mass
         k += norms
     return k + _absent_mass(target, state, list(candidate))
-

@@ -20,7 +20,7 @@ from povmsim import lab, protocol, regions
 from povmsim.cli import bundled_example_path, default_covering_instance, load_problem, main
 from povmsim.codes import pairwise_independence_check, three_way_dependence_report
 from povmsim.cq import StochasticMap
-from povmsim.linalg import DensityOperator, Povm, kron_power
+from povmsim.linalg import DensityOperator, Povm, kron_power, partial_trace
 from povmsim.regions import (
     RateRegion,
     compute_distributed_quantities,
@@ -327,3 +327,46 @@ def test_distributed_faithfulness_pinned(tmp_path):
             f"collision, example4 at n=4 and 5: "
             f"|K - pinned| = {', '.join(f'{e:.1e}' for e in errors)} (<= 1e-9), "
             f"collision counts as pinned: {collisions_ok}", elapsed, 60.0)
+
+
+def test_p2p_example4_beats_constant_candidate(tmp_path, monkeypatch):
+    # simulate --mode p2p --spec example4 takes the dense K route with stored
+    # words other than w0.  Its K is pinned, and so is that of the constant
+    # candidate, which decodes every bin to w0 over the same instance; the
+    # protocol's K is the smaller.
+    t0 = time.perf_counter()
+    built, build_instance = [], protocol.build_instance
+
+    def build(*args):
+        built.append(build_instance(*args))
+        return built[-1]
+
+    monkeypatch.setattr(protocol, "build_instance", build)
+    spec = load_problem(bundled_example_path(4))
+    rho = partial_trace(spec.rho_ab, traced=[1])
+    p_ext = protocol.extend_map_to_field(spec.p_zw, spec.p)
+    cases = [(7, 0, 0.6463648072713626, 0.7707903236775389),
+             (7, 1, 0.6149648486982232, 0.7707903236775389),
+             (7, 2, 0.7052370404972658, 0.7707903236775389),
+             (8, 0, 0.6809218782017024, 0.8251238242585184)]
+    errors, below = [], True
+    for n, seed, want, want_constant in cases:
+        out = tmp_path / "k.json"
+        rc = main(["simulate", "--mode", "p2p", "--spec", bundled_example_path(4),
+                   "--n", str(n), "--k", "0", "--l", str(n), "--N", "2", "--delta", "0.6",
+                   "--seed", str(seed), "--out", str(out)])
+        k = json.loads(out.read_text())["K"] if rc == 0 else float("nan")
+        inst = built[-1]
+        constant = protocol.FactoredCandidate(
+            np.full_like(inst.decoded, -1), inst.words, inst.w0,
+            [[mu.bin_factors for mu in side.mus] for side in inst.sides], p_ext, n, [rho.dim])
+        k_constant = protocol.faithfulness(protocol.TensorPower(rho, n),
+                                           protocol.target_overall(spec.m_a, p_ext, n), constant)
+        errors += [abs(k - want), abs(k_constant - want_constant)]
+        below &= k < k_constant
+    ok = all(err <= 1e-9 for err in errors) and below and len(built) == len(cases)
+    elapsed = time.perf_counter() - t0
+    _report("p2p example4 against the constant candidate", ok,
+            f"n=7 at seeds 0-2 and n=8 at seed 0: |K - pinned|, |K_const - pinned| = "
+            f"{', '.join(f'{e:.1e}' for e in errors)} (<= 1e-9), K < K_const: {below}",
+            elapsed, 60.0)

@@ -370,6 +370,66 @@ def test_problem_without_m_ab_needs_matching_p_zst(tmp_path, command, sizes):
     assert f"p_zst inputs ({sizes[0]}, 2)" in error and "(2, 2)" in error
 
 
+def _diagonal(entries):
+    """A JSON complex matrix with ``entries`` on its diagonal."""
+    return [[[entries[i] if i == j else 0.0, 0.0] for j in range(len(entries))]
+            for i in range(len(entries))]
+
+
+# One mutation of example1.json each, as the key path of an entry and its new
+# value: non-finite, negative and out-of-range entries, wrong shapes, label
+# maps of the wrong length, POVM elements that are not PSD or do not add up
+# to I, and a wrong field.
+MUTANTS = {
+    "rho_nan": (("rho", 0, 0, 0), float("nan")),
+    "m_b_inf": (("m_b", "elements", 1, 1, 1, 1), float("-inf")),
+    "rho_negative": (("rho",), _diagonal([1.5, 0.0, 0.0, -0.5])),
+    "p_zst_negative": (("p_zst", "rows", 0), [-0.2, 1.2]),
+    "p_zw_out_of_range": (("p_zw", "rows", 1), [1.5, -0.5]),
+    "f_s_out_of_range": (("f_s",), [0, 2]),
+    "f_t_negative": (("f_t",), [0, -1]),
+    "f_s_short": (("f_s",), [0]),
+    "f_t_short": (("f_t",), [1]),
+    "f_s_long": (("f_s",), [0, 1, 1]),
+    "m_a_not_psd": (("m_a", "elements", 0, 0, 0), [-1.0, 0.0]),
+    "m_b_incomplete": (("m_b", "elements", 0), _diagonal([0.5, 0.5])),
+    "rho_shape": (("rho",), _diagonal([1 / 3] * 3)),
+    "one_register": (("dims",), [4]),
+    "p_zst_shape": (("p_zst", "output_size"), 3),
+    "p_3": (("p",), 3),
+    "p_4": (("p",), 4),
+}
+
+# Exit codes of rates, p2p simulate and distributed simulate where a mutant
+# loads; every other mutant is refused at load with EXIT_BAD_SPEC.  Under
+# p = 3 rates refuses p_zw, which is not defined on all of F_3, and simulate
+# extends it with uniform rows; p = 4 is no field for the protocol.
+LOADED = {"p_3": (EXIT_BAD_SPEC, 0, 0),
+          "p_4": (EXIT_BAD_SPEC, EXIT_BAD_PROTOCOL, EXIT_BAD_PROTOCOL)}
+
+
+@pytest.mark.parametrize("case", list(MUTANTS))
+def test_mutated_problem_file_exits_cleanly(tmp_path, capsys, case):
+    # Each command prints strict JSON and exits with its documented code,
+    # never with a traceback.
+    spec = json.loads(Path(bundled_example_path(1)).read_text())
+    (*keys, last), value = MUTANTS[case]
+    entry = spec
+    for key in keys:
+        entry = entry[key]
+    entry[last] = value
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(spec))
+    sizes = ["--n", "2", "--k", "1", "--l", "1", "--N", "1", "--delta", "0.5"]
+    codes = []
+    for command in (["rates"], ["simulate", "--mode", "p2p", *sizes],
+                    ["simulate", "--mode", "distributed", *sizes, "--l2", "1", "--N2", "1"]):
+        codes.append(run(command + ["--spec", str(path)]))
+        report = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+        assert (codes[-1] == 0) == ("error" not in report)
+    assert tuple(codes) == LOADED.get(case, (EXIT_BAD_SPEC,) * 3)
+
+
 @pytest.mark.parametrize("argv, phrase", [
     (["surface", "--grid", "2"], "no valid POVM point"),
     (["surface", "--grid", "3", "--span", "0"], "--span 0.0 must be a positive finite number"),

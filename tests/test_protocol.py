@@ -628,11 +628,17 @@ def test_distributed_candidate_matches_kron_reference(example1):
         assert ref and set(cand) == set(ref) and len(cand) == len(ref)
         rng = np.random.default_rng(0)
         w = rng.standard_normal((4 ** n, 3)) + 1j * rng.standard_normal((4 ** n, 3))
-        sandwiches = dict(cand.sandwiches(w))
+        sandwiches = _spread_sandwiches(cand, w)
         assert set(sandwiches) == set(ref)
         for z, op in ref.items():
             assert np.allclose(cand[z], op, atol=1e-12)
             assert np.allclose(sandwiches[z], w.conj().T @ op @ w, atol=1e-12)
+
+
+def _spread_sandwiches(cand, w):
+    """{z: W^dagger C_z W} of a factored candidate, its word sandwiches spread over z."""
+    s_words = cand.word_sandwiches(w.conj().T @ w, lambda: w)
+    return {z: np.tensordot(cand.probs[:, col], s_words, axes=1) for col, z in enumerate(cand)}
 
 
 # Per side: its register dimension and, per mu, the column count of each bin,
@@ -714,7 +720,7 @@ def _check_generic_candidate(num_sides):
                 ref[z] = ref.get(z, 0) + pr * op
     assert set(cand) == set(ref) == set(itertools.product(range(3), repeat=n)) - {(2, 1)}
     w = rng.standard_normal((dim, 5)) + 1j * rng.standard_normal((dim, 5))
-    sandwiches = dict(cand.sandwiches(w))
+    sandwiches = _spread_sandwiches(cand, w)
     assert set(sandwiches) == set(ref)
 
     def close(got, want):
@@ -1007,7 +1013,7 @@ def test_p2p_candidate_matches_dense_reference(request, instance, probs):
     rng = np.random.default_rng(0)
     dim = inst.mus[0].typical.shape[0]
     w = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
-    sandwiches = dict(cand.sandwiches(w))
+    sandwiches = _spread_sandwiches(cand, w)
     assert set(sandwiches) == set(ref)
     for z, op in ref.items():
         assert np.allclose(cand[z], op, atol=1e-12)
@@ -1044,20 +1050,18 @@ def _assert_product_form_matches_apply(state, target, candidate=None):
     Checks W^dagger T_z W for every z, W^dagger W and, for a factored
     candidate, every W^dagger C_z W, each to 1e-12 of its scale.
     """
-    sup = protocol._Support(state)
-    w = sup.w
+    w = state.w
 
     def close(got, want):
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
     zs = list(target)
-    close(protocol._target_sandwiches(target, state, sup)(zs),
-          np.array([w.conj().T @ target.apply(z, w) for z in zs]))
-    close(sup.gram(), w.conj().T @ w)
+    close(protocol._target_sandwiches(target, state)(zs),
+          np.array([w.conj().T @ (target[z] @ w) for z in zs]))
+    close(state.gram(), w.conj().T @ w)
     if candidate is not None:
-        keys, block = protocol._candidate_sandwiches(candidate, sup)
-        want = dict(candidate.sandwiches(w))
-        close(block(0, len(keys)), np.array([want[z] for z in keys]))
+        keys, block = protocol._candidate_sandwiches(candidate, state)
+        close(block(0, len(keys)), np.array([w.conj().T @ candidate[z] @ w for z in keys]))
 
 
 def _support_case(name, example1, rotated_instance):
@@ -1167,11 +1171,11 @@ def test_p2p_n8_op_uses_single_copy_blocks(tmp_path, monkeypatch):
         built.append(build_instance(*args))
         return built[-1]
 
-    monkeypatch.setattr(protocol.ProductTarget, "apply", refuse)
-    monkeypatch.setattr(protocol._Support, "w", property(refuse))
+    monkeypatch.setattr(protocol.ProductTarget, "__getitem__", refuse)
+    monkeypatch.setattr(protocol.TensorPower, "w", property(refuse))
     monkeypatch.setattr(np.linalg, "svd", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", single_copy_eigvalsh)
-    monkeypatch.setattr(protocol._Support, "sandwiches", refuse)
+    monkeypatch.setattr(protocol.TensorPower, "sandwiches", refuse)
     monkeypatch.setattr(protocol, "build_instance", build)
     out = tmp_path / "k.json"
     for seed in range(8):
@@ -1204,12 +1208,12 @@ def test_factors_carry_no_subnormals(example1, example2, rotated_instance):
     # factors, the cut directions or the support factor of rho^{(x) n}.
     inst = rotated_instance
     _assert_no_subnormals(_side_arrays(inst.mus))
-    _assert_no_subnormals([TensorPower(inst.sides[0].rho, inst.params.n).support()[0]])
+    _assert_no_subnormals([TensorPower(inst.sides[0].rho, inst.params.n).w])
     for spec, p in ((example1, 2), (example2, 3)):
         params = ProtocolParams(n=5, k=1, p=p, sides=((1, 2), (1, 2)), eta=0.1, delta=0.5, seed=0)
         dist = build_distributed_instance(params, spec.m_a, spec.m_b, spec.rho_ab)
         _assert_no_subnormals(_side_arrays(dist.side_a + dist.side_b))
-        _assert_no_subnormals([TensorPower(spec.rho_ab, 5).support()[0]])
+        _assert_no_subnormals([TensorPower(spec.rho_ab, 5).w])
 
 
 @given(st.integers(0, 10_000))
@@ -1296,16 +1300,12 @@ def test_product_target_matches_dense(d, nz, n):
     tgt = protocol.ProductTarget(singles, n)
     assert len(tgt) == len(list(tgt)) == nz ** n
     assert (0,) * (n + 1) not in tgt and (nz,) * n not in tgt
-    herm = random_density(rng, d ** n).mat          # not a tensor product
-    general = rng.standard_normal((d ** n, d ** n)) + 1j * rng.standard_normal((d ** n, d ** n))
-    herm_traces, general_traces = tgt.traces(herm), tgt.traces(general)
-    vecs = general[:, :3]
+    rho = random_density(rng, d).mat
+    traces, rho_n = tgt.traces(TensorPower(rho, n)), kron_power(rho, n)
     for z in itertools.product(range(nz), repeat=n):
         t_z = kron_all([singles[j] for j in z])
         assert np.allclose(tgt[z], t_z, atol=1e-12)
-        assert np.allclose(tgt.apply(z, vecs), t_z @ vecs, atol=1e-10)
-        assert herm_traces[z] == pytest.approx(np.vdot(herm, t_z), abs=1e-10)
-        assert general_traces[z] == pytest.approx(np.trace(t_z @ general), abs=1e-10)
+        assert traces[z] == pytest.approx(np.vdot(rho_n, t_z), abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -1487,13 +1487,13 @@ def test_real_problem_stays_real(rotated_instance):
     rho, m, p_zw = _default_p2p_problem()
     inst, _ = _default_p2p_k(6, 0)
     tgt = target_overall(m, protocol.extend_map_to_field(p_zw, 2), 6)
-    support = protocol._Support(TensorPower(rho, 6))
+    support = TensorPower(rho, 6)
     real = [inst.mus[0].typical, support.vecs, support.w, *tgt.singles]
     for mu in inst.mus:
         real += [mu.v_cut, *mu.factors.values(), *mu.a_factors.values(), *mu.bin_factors]
     assert {a.dtype for a in real} == {np.dtype(np.float64)}
     rho_r, _ = rotated_qubit_problem()
-    complex_ = [rotated_instance.mus[0].typical, protocol._Support(TensorPower(rho_r, 4)).vecs]
+    complex_ = [rotated_instance.mus[0].typical, TensorPower(rho_r, 4).vecs]
     for mu in rotated_instance.mus:
         complex_ += [*mu.factors.values(), *mu.bin_factors]
     assert {a.dtype for a in complex_} == {np.dtype(np.complex128)}
