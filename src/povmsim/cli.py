@@ -51,8 +51,9 @@ def _map_from_json(d: dict) -> StochasticMap:
 def load_problem(source) -> ProblemSpec:
     """The problem of a file or dict; ``m_ab`` defaults to ``compose((m_a, m_b), p_zst)``.
 
-    ``m_a`` and ``m_b`` must be POVMs on the two registers of ``rho``, and
-    ``f_s``/``f_t`` must map each of their outcomes into F_p.
+    ``m_a`` and ``m_b`` must be POVMs on the two registers of ``rho``,
+    ``f_s``/``f_t`` must map each of their outcomes into F_p for a prime
+    ``p``, and ``p_zw`` must be defined on all of F_p.
     """
     if isinstance(source, dict):
         d = source
@@ -77,12 +78,19 @@ def load_problem(source) -> ProblemSpec:
                          f"outcome counts ({len(m_a)}, {len(m_b)})")
     m_ab = _povm_from_json(d["m_ab"]) if "m_ab" in d else compose((m_a, m_b), p_zst)
     p = int(d["p"])
+    if p != d["p"]:
+        raise ValueError(f"p = {d['p']} is not an integer")
+    p_zw = _map_from_json(d["p_zw"])
+    if p_zw.input_sizes != (p,):
+        raise ValueError(f"p_zw must be defined on all of F_p for p = {p}, "
+                         f"not on inputs {p_zw.input_sizes}")
+    codes.require_prime(p)
     labels = []
     for name, m in (("f_s", m_a), ("f_t", m_b)):
         if len(d[name]) != len(m):
             raise ValueError(f"{name} has {len(d[name])} entries for {len(m)} outcomes")
         labels.append(tuple(regions._field_table(d[name], len(m), p).tolist()))
-    return ProblemSpec(rho, m_a, m_b, m_ab, p_zst, p, *labels, _map_from_json(d["p_zw"]))
+    return ProblemSpec(rho, m_a, m_b, m_ab, p_zst, p, *labels, p_zw)
 
 
 def bundled_example_path(ident: int) -> str:
@@ -300,8 +308,7 @@ def cmd_simulate(args) -> int:
             return refused
     p = args.p if args.p is not None else (spec.p if spec else 2)
     if spec and p != spec.p:
-        (inputs,) = spec.p_zw.input_sizes
-        reason = f": its p_zw is larger than the field F_{p}" if inputs > p else ""
+        reason = f": its p_zw is larger than the field F_{p}" if spec.p > p else ""
         return _refuse(f"--p {p} does not match the problem file's p = {spec.p}{reason}",
                        EXIT_BAD_PROTOCOL, args.out)
     try:

@@ -1,14 +1,15 @@
 """Classical-quantum hybrid states and measurement-induced auxiliary states.
 
 A CqState is a finite map from classical label tuples to positive operator
-blocks on named quantum registers.  Entropies of arbitrary register subsets
-are computed blockwise, which is exact for block-diagonal structure.
+blocks on named quantum registers, held as one stack.  Entropies of register
+subsets are computed over the whole stack, which is exact for block-diagonal
+structure, and memoised per subset.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,10 +20,6 @@ from .linalg import (
     PureState,
     as_complex_matrix,
     entropy_bits,
-    hermitian_part,
-    kron_all,
-    min_eigenvalue,
-    partial_trace_mat,
     psd_sqrt,
     purify,
     require_finite,
@@ -60,6 +57,15 @@ class StochasticMap:
         return np.asarray(self.probs[tuple(ins)])
 
 
+def _products(povms) -> np.ndarray:
+    """Lambda^1_{x_1} (x) ... (x) Lambda^k_{x_k} for every outcome tuple x, lexicographic."""
+    out = np.ones((1, 1, 1), dtype=complex)
+    for m in povms:
+        out = np.einsum("aij,bkl->abikjl", out, np.array(m.elements))
+        out = out.reshape(out.shape[0] * out.shape[1], out.shape[2] * out.shape[3], -1)
+    return out
+
+
 def compose(povms, channel: StochasticMap) -> Povm:
     """The POVM of z: sum_x P(z | x_1, ..., x_k) Lambda^1_{x_1} (x) ... (x) Lambda^k_{x_k}.
 
@@ -72,20 +78,40 @@ def compose(povms, channel: StochasticMap) -> Povm:
             c > size for c, size in zip(counts, channel.input_sizes)):
         raise ValueError(f"stochastic map inputs {channel.input_sizes} do not cover "
                          f"the POVM outcomes {counts}")
-    products = np.array([kron_all(els)
-                         for els in itertools.product(*(m.elements for m in povms))])
+    products = _products(povms)
     rows = channel.probs[tuple(slice(c) for c in counts)].reshape(len(products), -1)
     return Povm(tuple(np.tensordot(rows, products, axes=(0, 0))))
 
 
+def _hermitian(stack: np.ndarray) -> np.ndarray:
+    """(A + A†)/2 of every matrix in a stack."""
+    return (stack + stack.conj().swapaxes(-1, -2)) / 2
+
+
+def _group_sum(keys, stack: np.ndarray):
+    """The distinct ``keys`` in first-appearance order and the ``stack`` rows summed per key."""
+    index: dict = {}
+    inv = [index.setdefault(k, len(index)) for k in keys]
+    onehot = np.arange(len(index))[:, None] == np.array(inv, dtype=np.int64)
+    sums = onehot.astype(float) @ stack.reshape(len(inv), -1)
+    return list(index), sums.reshape((len(index),) + stack.shape[1:])
+
+
 @dataclass(frozen=True)
 class CqState:
-    """Hybrid state: classical label tuples indexing PSD blocks on quantum registers."""
+    """Hybrid state: classical label tuples indexing PSD blocks on quantum registers.
+
+    Row b of ``labels`` (B, c) and of ``stack`` (B, q, q) is entry b of ``blocks``.
+    """
 
     classical: tuple[tuple[str, int], ...]   # (name, alphabet size)
     quantum: tuple[tuple[str, int], ...]     # (name, dimension)
     blocks: dict
     tol: float = DEFAULT_TOL
+    labels: np.ndarray = field(init=False, repr=False, compare=False)
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    # Entropy (bits) per frozenset of register names; the state never changes.
+    _entropies: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cls = tuple((str(n), int(s)) for n, s in self.classical)
@@ -93,29 +119,36 @@ class CqState:
         names = [n for n, _ in cls] + [n for n, _ in qtm]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate register names in {names}")
-        qdim = int(np.prod([d for _, d in qtm])) if qtm else 1
-        total = 0.0
-        blocks = {}
+        qdim = math.prod(d for _, d in qtm)
+        labels, mats = [], []
         for label, block in self.blocks.items():
             label = tuple(int(x) for x in label)
             if len(label) != len(cls):
                 raise ValueError(f"label {label} does not match classical registers {cls}")
-            for x, (_, size) in zip(label, cls):
-                if not 0 <= x < size:
-                    raise ValueError(f"label {label} outside declared alphabets")
-            m = hermitian_part(as_complex_matrix(block))
+            m = as_complex_matrix(block)
             if m.shape[0] != qdim:
                 raise ValueError(f"block for {label} has dim {m.shape[0]}, expected {qdim}")
-            if min_eigenvalue(m) < -self.tol:
-                raise ValueError(f"block for {label} is not PSD")
-            m.setflags(write=False)
-            blocks[label] = m
-            total += float(np.trace(m).real)
+            labels.append(label)
+            mats.append(m)
+        lab = np.array(labels, dtype=np.int64).reshape(len(labels), len(cls))
+        outside = np.any((lab < 0) | (lab >= [s for _, s in cls]), axis=1)
+        if outside.any():
+            raise ValueError(f"label {labels[int(np.argmax(outside))]} outside declared alphabets")
+        stack = _hermitian(np.array(mats, dtype=complex).reshape(len(mats), qdim, qdim))
+        not_psd = np.linalg.eigvalsh(stack)[:, 0] < -self.tol
+        if not_psd.any():
+            raise ValueError(f"block for {labels[int(np.argmax(not_psd))]} is not PSD")
+        total = float(np.trace(stack, axis1=1, axis2=2).real.sum())
         if abs(total - 1.0) > max(self.tol, 1e-8):
             raise ValueError(f"total trace {total} != 1")
+        lab.setflags(write=False)
+        stack.setflags(write=False)
         object.__setattr__(self, "classical", cls)
         object.__setattr__(self, "quantum", qtm)
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", dict(zip(labels, stack)))
+        object.__setattr__(self, "labels", lab)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "_entropies", {})
 
     # -- register lookups ---------------------------------------------------
     def classical_names(self):
@@ -129,11 +162,7 @@ class CqState:
 
     def quantum_marginal(self) -> np.ndarray:
         """Sum of all blocks: the reduced state on the joint quantum registers."""
-        qdim = int(np.prod(self.quantum_dims())) if self.quantum else 1
-        out = np.zeros((qdim, qdim), dtype=complex)
-        for block in self.blocks.values():
-            out = out + block
-        return out
+        return self.stack.sum(axis=0)
 
 
 def measure_to_cq(psi: PureState, povm: Povm, measured: int,
@@ -148,22 +177,20 @@ def measure_to_cq(psi: PureState, povm: Povm, measured: int,
         raise ValueError(f"register index {measured} out of range")
     if povm.dim != dims[measured]:
         raise ValueError(f"POVM dim {povm.dim} != register dim {dims[measured]}")
-    dm = np.outer(psi.vec, psi.vec.conj())
     keep = [i for i in range(len(dims)) if i != measured]
     if not keep:
         raise ValueError("measuring the only register leaves no quantum remainder")
     if quantum_names is None:
         quantum_names = [f"q{i}" for i in keep]
-    d_before = int(np.prod(dims[:measured])) if measured else 1
-    d_after = int(np.prod(dims[measured + 1:])) if measured + 1 < len(dims) else 1
-    blocks = {}
-    for x, lam in enumerate(povm.elements):
-        full = kron_all([np.eye(d_before), lam, np.eye(d_after)])
-        blocks[(x,)] = hermitian_part(partial_trace_mat(full @ dm, dims, keep))
+    d_before, d_after = math.prod(dims[:measured]), math.prod(dims[measured + 1:])
+    v = psi.vec.reshape(d_before, dims[measured], d_after)
+    # Block x at ((i, k), (j, l)) is sum_{a, b} Lambda_x[a, b] psi[i, b, k] conj(psi[j, a, l]).
+    stack = np.einsum("xiak,jal->xikjl", np.einsum("xab,ibk->xiak", np.array(povm.elements), v),
+                      v.conj()).reshape(len(povm), d_before * d_after, -1)
     return CqState(
         classical=((outcome_name, len(povm)),),
         quantum=tuple((quantum_names[j], dims[i]) for j, i in enumerate(keep)),
-        blocks=blocks,
+        blocks={(x,): block for x, block in enumerate(stack)},
     )
 
 
@@ -189,12 +216,11 @@ def _sigma(rho: np.ndarray, povms, channel: StochasticMap, names) -> CqState:
     The classical registers are ``names`` (one per POVM) and Z, the quantum one is R.
     """
     root = psd_sqrt(rho)
-    blocks = {}
-    for x in itertools.product(*(range(len(m)) for m in povms)):
-        core = root @ kron_all([m.elements[i] for m, i in zip(povms, x)]) @ root
-        for z, w in enumerate(channel.row(*x)):
-            if w > 0.0:
-                blocks[x + (z,)] = core * w
+    cores = root @ _products(povms) @ root
+    rows = channel.probs.reshape(len(cores), -1)
+    x, z = np.nonzero(rows > 0.0)
+    labels = np.column_stack(np.unravel_index(x, [len(m) for m in povms]) + (z,))
+    blocks = dict(zip(map(tuple, labels.tolist()), cores[x] * rows[x, z][:, None, None]))
     classical = tuple(zip(names, map(len, povms))) + (("Z", channel.output_size),)
     return CqState(classical, (("R", rho.shape[0]),), blocks)
 
@@ -224,12 +250,11 @@ def build_sigma_p2p(rho: DensityOperator, m: Povm, p_zw: StochasticMap) -> CqSta
 
 def regroup(cq: CqState, classical, relabel) -> CqState:
     """The state with each label replaced by ``relabel(label)`` under the
-    classical registers ``classical``, blocks whose new labels collide summed."""
-    blocks = {}
-    for label, block in cq.blocks.items():
-        new = tuple(relabel(label))
-        blocks[new] = blocks[new] + block if new in blocks else block
-    return CqState(classical=tuple(classical), quantum=cq.quantum, blocks=blocks)
+    classical registers ``classical``, blocks whose new labels collide summed.
+    A sum of k blocks each within ``tol`` of PSD is within k * ``tol`` of it."""
+    labels, stack = _group_sum([tuple(relabel(label)) for label in cq.blocks], cq.stack)
+    return CqState(tuple(classical), cq.quantum, dict(zip(labels, stack)),
+                   tol=cq.tol * len(cq.blocks))
 
 
 def relabel_classical(cq: CqState, register: str, f, new_size: int | None = None) -> CqState:
@@ -263,38 +288,31 @@ def with_derived_register(cq: CqState, name: str, size: int, fn) -> CqState:
 
 
 def _reduced_spectrum(cq: CqState, registers) -> np.ndarray:
-    """Eigenvalues of the reduced state on the named registers (block-diagonal exact)."""
+    """Eigenvalues of the reduced state on the named registers (block-diagonal exact):
+    one partial trace of the stack, a sum per kept classical key, one stacked eigvalsh."""
     sel = set(registers)
-    known = set(cq.classical_names()) | set(cq.quantum_names())
-    unknown = sel - known
+    unknown = sel - set(cq.classical_names()) - set(cq.quantum_names())
     if unknown:
         raise KeyError(f"unknown registers {sorted(unknown)}")
     keep_c = [i for i, (n, _) in enumerate(cq.classical) if n in sel]
     keep_q = [i for i, (n, _) in enumerate(cq.quantum) if n in sel]
-    qdims = cq.quantum_dims()
-    acc: dict = {}
-    for label, block in cq.blocks.items():
-        key = tuple(label[i] for i in keep_c)
-        red = partial_trace_mat(block, qdims, keep_q) if qdims else np.array([[np.trace(block) if block.size else 0.0]])
-        if key in acc:
-            acc[key] = acc[key] + red
-        else:
-            acc[key] = np.array(red)
-    spectra = []
-    for red in acc.values():
-        if red.shape == (1, 1):
-            spectra.append(np.array([red[0, 0].real]))
-        else:
-            spectra.append(np.linalg.eigvalsh(hermitian_part(red)))
-    return np.concatenate(spectra) if spectra else np.array([1.0])
+    dims, b = cq.quantum_dims(), len(cq.stack)
+    n, d = len(dims), math.prod(dims[i] for i in keep_q)
+    # Axis 1 + i is the row of register i and 1 + n + i its column; a traced
+    # register reuses its row index as its column, so einsum sums the diagonal.
+    cols = [1 + n + i if i in keep_q else 1 + i for i in range(n)]
+    out = [0] + [1 + i for i in keep_q] + [1 + n + i for i in keep_q]
+    red = np.einsum(cq.stack.reshape([b] + dims * 2), [0, *range(1, n + 1), *cols], out)
+    _, red = _group_sum(map(tuple, cq.labels[:, keep_c].tolist()), red.reshape(b, d, d))
+    return red.real.ravel() if d == 1 else np.linalg.eigvalsh(_hermitian(red)).ravel()
 
 
 def entropy_of(cq: CqState, registers) -> float:
     """Entropy (bits) of the reduced state on a subset of named registers."""
-    registers = list(registers)
-    if not registers:
-        return 0.0
-    return entropy_bits(_reduced_spectrum(cq, registers))
+    key = frozenset(registers)
+    if key not in cq._entropies:
+        cq._entropies[key] = entropy_bits(_reduced_spectrum(cq, key)) if key else 0.0
+    return cq._entropies[key]
 
 
 def cq_mutual_information(cq: CqState, part1, part2) -> float:

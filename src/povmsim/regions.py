@@ -344,8 +344,10 @@ def check_separable_decomposition(m_ab: Povm, m_a: Povm, m_b: Povm,
 
 def _field_table(f, size: int, p: int) -> np.ndarray:
     """[f(0), ..., f(size - 1)] of a label map given as a sequence or a callable, in F_p."""
-    table = np.array([int(f(x)) if callable(f) else int(f[x]) for x in range(size)],
-                     dtype=np.int64)
+    values = [f(x) if callable(f) else f[x] for x in range(size)]
+    if any(int(v) != v for v in values):
+        raise ValueError(f"label maps must be integer-valued, got {values}")
+    table = np.array([int(v) for v in values], dtype=np.int64)
     if np.any((table < 0) | (table >= p)):
         raise ValueError("label maps must land in F_p")
     return table

@@ -1,8 +1,9 @@
 """Per-trial, per-point and per-ensemble loop references for the batched lab paths.
 
-Each function here is the straightforward loop that ``lab``, ``regions`` and
-``codes`` replace with stacked numpy passes: one random draw, one small
-eigendecomposition or one trace per trial, grid point or ensemble.  The
+Each function here is the straightforward loop that ``lab``, ``regions``,
+``codes`` and ``cq`` replace with stacked numpy passes: one random draw, one
+small eigendecomposition or one trace per trial, grid point, ensemble or cq
+block.  The
 tests compare the batched results against them.
 """
 
@@ -10,7 +11,14 @@ import itertools
 
 import numpy as np
 
-from povmsim.linalg import entropy_bits, max_eigenvalue, pruning_projector, trace_norm
+from povmsim.linalg import (
+    entropy_bits,
+    hermitian_part,
+    max_eigenvalue,
+    partial_trace_mat,
+    pruning_projector,
+    trace_norm,
+)
 
 
 def _all_a(p, k):
@@ -155,3 +163,22 @@ def three_way_counts(p, n, k, l):
         holds = holds and not np.any((w0 - 2 * w1 + w2) % p)
         joint[w0 @ pow_vec, w1 @ pow_vec, w2 @ pow_vec] += 1
     return holds, float(np.abs(joint - total / space ** 3).max())
+
+
+# -- cq entropies ----------------------------------------------------------------
+
+def cq_entropy(cq, registers):
+    """Entropy (bits) on the named registers: one partial trace per block, the
+    traced blocks summed per kept classical key, one eigvalsh per key."""
+    sel = set(registers)
+    if not sel:
+        return 0.0
+    keep_c = [i for i, (n, _) in enumerate(cq.classical) if n in sel]
+    keep_q = [i for i, (n, _) in enumerate(cq.quantum) if n in sel]
+    acc = {}
+    for label, block in cq.blocks.items():
+        key = tuple(label[i] for i in keep_c)
+        red = partial_trace_mat(block, cq.quantum_dims(), keep_q)
+        acc[key] = acc[key] + red if key in acc else red
+    return entropy_bits(np.concatenate([np.linalg.eigvalsh(hermitian_part(red))
+                                        for red in acc.values()]))

@@ -1,8 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import loop_reference as loops
+import povmsim.cq as cq_module
 from conftest import bell_matrix, random_complete_povm, random_density
 from povmsim.cq import (
     CqState,
@@ -290,3 +294,72 @@ def test_cq_mi_nonnegative_everywhere(example1):
         pick = list(rng.choice(names, size=2 + k, replace=False))
         part1, part2 = set(pick[:1 + k // 2]), set(pick[1 + k // 2:])
         assert cq_mutual_information(cq, part1, part2) >= -1e-9
+
+
+def _random_cq(rng, sizes, dims, count):
+    """``count`` distinct labels over alphabets ``sizes``, each with a random PSD
+    block of random rank on registers of dimensions ``dims``, trace 1 in all."""
+    labels = list(itertools.product(*map(range, sizes)))
+    q = math.prod(dims)
+    blocks = {}
+    for i in rng.choice(len(labels), size=count, replace=False):
+        shape = (q, rng.integers(1, q + 1))
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        blocks[labels[i]] = g @ g.conj().T
+    total = sum(np.trace(b).real for b in blocks.values())
+    return CqState(tuple((f"c{i}", s) for i, s in enumerate(sizes)),
+                   tuple((f"q{i}", d) for i, d in enumerate(dims)),
+                   {k: b / total for k, b in blocks.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_stacked_entropies_match_the_block_loop(data):
+    # Oracle: a partial trace and an eigvalsh per block, summed per kept key.
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    dims = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    count = data.draw(st.integers(1, math.prod(sizes)))
+    cq = _random_cq(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))),
+                    sizes, dims, count)
+    names = cq.classical_names() + cq.quantum_names()
+    subsets = data.draw(st.lists(st.sets(st.sampled_from(names)), min_size=1, max_size=4))
+    for registers in [set()] + subsets:
+        assert abs(entropy_of(cq, registers) - loops.cq_entropy(cq, registers)) < 1e-12
+
+
+def test_entropy_is_memoised_per_register_set(example1, monkeypatch):
+    cq = build_sigma3(example1.rho_ab, example1.m_a, example1.m_b, example1.p_zst)
+    first = entropy_of(cq, {"S", "R"})
+
+    def recompute(*_):
+        raise AssertionError("the memoised entropy was recomputed")
+
+    monkeypatch.setattr(cq_module, "_reduced_spectrum", recompute)
+    assert entropy_of(cq, ["R", "S"]) is first
+    fresh = build_sigma3(example1.rho_ab, example1.m_a, example1.m_b, example1.p_zst)
+    with pytest.raises(AssertionError, match="recomputed"):
+        entropy_of(fresh, {"S", "R"})
+
+
+def test_non_psd_block_is_refused_by_its_first_label():
+    good = np.eye(2) / 8
+    blocks = {(0,): good, (2,): np.diag([0.3, -0.05]), (1,): good,
+              (3,): np.diag([-0.1, 0.35])}
+    with pytest.raises(ValueError, match=r"^block for \(2,\) is not PSD$"):
+        CqState((("X", 4),), (("R", 2),), blocks)
+
+
+def test_regroup_of_a_valid_state_never_raises():
+    # Two blocks, each within tol of PSD along the same direction, sum to one
+    # twice as far out; the merged state is still accepted.
+    tol = 1e-6
+    edge = np.diag([0.5 + 6e-7, -6e-7])
+    cq = CqState((("X", 2),), (("R", 2),), {(0,): edge, (1,): edge}, tol=tol)
+    merged = regroup(cq, (("Y", 1),), lambda lab: (0,))
+    assert np.linalg.eigvalsh(merged.blocks[(0,)])[0] < -tol
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        cq = _random_cq(rng, (3, 2), (2, 2), 6)
+        table = rng.integers(0, 2, size=3)
+        out = regroup(cq, (("Y", 2), ("c1", 2)), lambda lab: (table[lab[0]], lab[1]))
+        assert np.max(np.abs(out.quantum_marginal() - cq.quantum_marginal())) < 1e-12

@@ -3,8 +3,9 @@ import pytest
 
 from conftest import random_consistent_quantities
 from povmsim import regions
+from povmsim.cli import bundled_example_path, load_problem
 from povmsim.cq import StochasticMap
-from povmsim.linalg import DensityOperator, Povm
+from povmsim.linalg import DensityOperator, Povm, partial_trace
 from povmsim.regions import (
     InfoQuantities,
     LinearInequality,
@@ -12,6 +13,7 @@ from povmsim.regions import (
     check_separable_decomposition,
     check_sum_structure,
     compute_distributed_quantities,
+    compute_p2p_quantities,
     fourier_motzkin_eliminate,
     gain_indicator,
     membership_disagreements,
@@ -317,3 +319,50 @@ def test_gain_swap_invariance(example1, q1):
     q_sw = compute_distributed_quantities(s.rho_ab, s.m_b, s.m_a, s.p_zst, s.p,
                                           s.f_t, s.f_s)
     assert gain_indicator(q_sw) == pytest.approx(gain_indicator(q1), abs=1e-9)
+
+# InfoQuantities of the bundled problems as the per-block cq loop computed them.
+REFERENCE_QUANTITIES = {
+    1: {
+        "i_u_rb": 0.781021114358617, "i_v_ra": 0.781021114358617,
+        "i_u_rz": 9.108463969731417e-07, "i_v_rz": 9.108463969731417e-07,
+        "i_uv_rz": 0.049227690889996456, "i_w_u": 1.2638740725101627e-05,
+        "i_w_v": 1.2638740725101627e-05, "i_u_v": 0.4845095113098674,
+        "s_u": 0.9999029333006983, "s_v": 0.9999029333006983, "s_uv": 1.5152963552915293,
+        "s_sum": 0.515406060731556, "i_u_rzv": 0.5337362913534669,
+        "i_v_rzu": 0.5337362913534669,
+    },
+    2: {
+        "i_u_rb": 0.9964257241095513, "i_v_ra": 0.9964257241095513,
+        "i_u_rz": 0.00011055680137017632, "i_v_rz": 0.00011055680137017632,
+        "i_uv_rz": 0.011853925172431667, "i_w_u": 0.009437840000000586,
+        "i_w_v": 0.009437840000000586, "i_u_v": 0.9229570893470251, "s_u": 1.0000000000000002,
+        "s_v": 1.0000000000000002, "s_uv": 1.0770429106529753, "s_sum": 0.08648075065297559,
+        "i_u_rzv": 0.9347004577180866, "i_v_rzu": 0.9347004577180866,
+    },
+    4: {
+        "i_u_rb": 0.7219280948873624, "i_v_ra": 0.7219280948873623,
+        "i_u_rz": 0.010712288240996903, "i_v_rz": 0.0337605553407927,
+        "i_uv_rz": 0.11134493677697144, "i_w_u": 0.07927101755105048,
+        "i_w_v": 0.2507651864656757, "i_u_v": 0.11227235262923974, "s_u": 0.815058849409967,
+        "s_v": 0.9865530183245921, "s_uv": 1.6893395151053194, "s_sum": 0.953551683246403,
+        "i_u_rzv": 0.18985673406541848, "i_v_rzu": 0.21290500116521427,
+    },
+}
+
+
+@pytest.mark.parametrize("ident", sorted(REFERENCE_QUANTITIES))
+def test_distributed_quantities_match_the_reference(ident):
+    spec = load_problem(bundled_example_path(ident))
+    q = compute_distributed_quantities(spec.rho_ab, spec.m_a, spec.m_b, spec.p_zst, spec.p,
+                                       spec.f_s, spec.f_t)
+    for name, want in REFERENCE_QUANTITIES[ident].items():
+        assert abs(getattr(q, name) - want) < 1e-12, name
+    assert q.log_p == np.log2(spec.p)
+
+
+def test_p2p_quantities_match_the_reference(example1):
+    q = compute_p2p_quantities(partial_trace(example1.rho_ab, traced=[1]), example1.m_a,
+                               example1.p_zw, example1.p)
+    want = {"i_w_r": 0.7810211143586168, "i_w_rz": 0.7975172819534895, "s_w": 0.999902933300698}
+    for name, value in want.items():
+        assert abs(getattr(q, name) - value) < 1e-12, name
