@@ -32,7 +32,6 @@ from .cq import (
     entropy_of,
     measure_to_cq,
     regroup,
-    relabel_classical,
 )
 from .codes import (
     CodeEnsembleSpec,

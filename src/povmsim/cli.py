@@ -21,7 +21,7 @@ from .cq import StochasticMap, compose
 from .linalg import DensityOperator, Povm, mat_from_json, partial_trace, validate_povm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """A distributed simulation problem: state, factor POVMs, and the maps."""
 
@@ -48,10 +48,20 @@ def _map_from_json(d: dict) -> StochasticMap:
     return StochasticMap(sizes, out, rows)
 
 
+def _require_povm(name: str, m: Povm) -> Povm:
+    check = validate_povm(m)
+    if not check.ok:
+        raise ValueError(f"{name} is not a POVM: element PSD defects "
+                         f"{check.element_psd_defects}, completeness defect "
+                         f"{check.completeness_defect:.3e}")
+    return m
+
+
 def load_problem(source) -> ProblemSpec:
     """The problem of a file or dict; ``m_ab`` defaults to ``compose((m_a, m_b), p_zst)``.
 
-    ``m_a`` and ``m_b`` must be POVMs on the two registers of ``rho``,
+    ``m_a`` and ``m_b`` must be POVMs on the two registers of ``rho``, a
+    given ``m_ab`` one on both with an outcome per letter of ``p_zst``,
     ``f_s``/``f_t`` must map each of their outcomes into F_p for a prime
     ``p``, and ``p_zw`` must be defined on all of F_p.
     """
@@ -61,14 +71,8 @@ def load_problem(source) -> ProblemSpec:
         with open(source) as fh:
             d = json.load(fh)
     rho = DensityOperator(mat_from_json(d["rho"]), tuple(d["dims"]))
-    m_a = _povm_from_json(d["m_a"])
-    m_b = _povm_from_json(d["m_b"])
-    for name, m in (("m_a", m_a), ("m_b", m_b)):
-        check = validate_povm(m)
-        if not check.ok:
-            raise ValueError(f"{name} is not a POVM: element PSD defects "
-                             f"{check.element_psd_defects}, completeness defect "
-                             f"{check.completeness_defect:.3e}")
+    m_a = _require_povm("m_a", _povm_from_json(d["m_a"]))
+    m_b = _require_povm("m_b", _povm_from_json(d["m_b"]))
     if rho.register_dims != (m_a.dim, m_b.dim):
         raise ValueError(f"rho's registers {rho.register_dims} are not those of m_a and m_b "
                          f"({m_a.dim}, {m_b.dim})")
@@ -76,7 +80,14 @@ def load_problem(source) -> ProblemSpec:
     if p_zst.input_sizes != (len(m_a), len(m_b)):
         raise ValueError(f"p_zst inputs {p_zst.input_sizes} do not match the POVM "
                          f"outcome counts ({len(m_a)}, {len(m_b)})")
-    m_ab = _povm_from_json(d["m_ab"]) if "m_ab" in d else compose((m_a, m_b), p_zst)
+    if "m_ab" not in d:
+        m_ab = compose((m_a, m_b), p_zst)
+    else:
+        m_ab = _povm_from_json(d["m_ab"])
+        if (m_ab.dim, len(m_ab)) != (m_a.dim * m_b.dim, p_zst.output_size):
+            raise ValueError(f"m_ab has {len(m_ab)} outcomes on dimension {m_ab.dim}, not "
+                             f"{p_zst.output_size} on {m_a.dim * m_b.dim}")
+        _require_povm("m_ab", m_ab)
     p = int(d["p"])
     if p != d["p"]:
         raise ValueError(f"p = {d['p']} is not an integer")

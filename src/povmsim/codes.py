@@ -26,6 +26,13 @@ def _over_cap(p: int, e: int, cap: int) -> bool:
     return e >= cap.bit_length() or p ** e > cap
 
 
+def _require_table(p: int, e: int, what: str) -> None:
+    """Refuse a table of p**e counters above ENUMERATION_CAP before it is allocated."""
+    if _over_cap(p, e, ENUMERATION_CAP):
+        raise ValueError(f"the {what} table needs {p}**{e} counters, above the cap "
+                         f"{ENUMERATION_CAP}")
+
+
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -75,7 +82,7 @@ def coset_code(G, B, p: int) -> np.ndarray:
     return (a @ G + B) % p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UccCode:
     """An (n, k, l, p) unionized coset code: generator G plus shift table h."""
 
@@ -270,6 +277,7 @@ def pairwise_independence_check(p: int, n: int, k: int, l: int) -> PairwiseRepor
     deviations from the exactly uniform counts (0 when the facts hold).
     """
     blocks = _grand_ensemble(p, n, k, l)
+    _require_table(p, 2 * (k + l + n), "pairwise")
     num_words = p ** (k + l)
     space = p ** n
     c1_idx, c2_idx = np.nonzero(~np.eye(num_words, dtype=bool))
@@ -322,6 +330,7 @@ def three_way_dependence_report(p: int, n: int, k: int, l: int) -> DependenceWit
     if p < 3 or k < 1:
         raise ValueError("a three-codeword dependence witness needs p >= 3 and k >= 1")
     blocks = _grand_ensemble(p, n, k, l)
+    _require_table(p, 3 * n, "three-way")
     # a = 0, e_1 and 2 e_1 with coset 0; a = j e_1 is word row j p^(k-1) p^l.
     a_ints = (0, p ** (k - 1), 2 * p ** (k - 1))
     rows = [a * p ** l for a in a_ints]

@@ -18,15 +18,13 @@ from .linalg import (
     DensityOperator,
     Povm,
     PureState,
-    as_complex_matrix,
     entropy_bits,
-    psd_sqrt,
     purify,
     require_finite,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StochasticMap:
     """Conditional distribution P(out | in_1, ..., in_k) with rows summing to 1."""
 
@@ -97,21 +95,20 @@ def _group_sum(keys, stack: np.ndarray):
     return list(index), sums.reshape((len(index),) + stack.shape[1:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CqState:
     """Hybrid state: classical label tuples indexing PSD blocks on quantum registers.
 
-    Row b of ``labels`` (B, c) and of ``stack`` (B, q, q) is entry b of ``blocks``.
+    Row b of ``labels`` (B, c) is the distinct label of block ``stack[b]`` (B, q, q).
     """
 
     classical: tuple[tuple[str, int], ...]   # (name, alphabet size)
     quantum: tuple[tuple[str, int], ...]     # (name, dimension)
-    blocks: dict
+    labels: np.ndarray
+    stack: np.ndarray
     tol: float = DEFAULT_TOL
-    labels: np.ndarray = field(init=False, repr=False, compare=False)
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
     # Entropy (bits) per frozenset of register names; the state never changes.
-    _entropies: dict = field(init=False, repr=False, compare=False)
+    _entropies: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         cls = tuple((str(n), int(s)) for n, s in self.classical)
@@ -120,24 +117,21 @@ class CqState:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate register names in {names}")
         qdim = math.prod(d for _, d in qtm)
-        labels, mats = [], []
-        for label, block in self.blocks.items():
-            label = tuple(int(x) for x in label)
-            if len(label) != len(cls):
-                raise ValueError(f"label {label} does not match classical registers {cls}")
-            m = as_complex_matrix(block)
-            if m.shape[0] != qdim:
-                raise ValueError(f"block for {label} has dim {m.shape[0]}, expected {qdim}")
-            labels.append(label)
-            mats.append(m)
-        lab = np.array(labels, dtype=np.int64).reshape(len(labels), len(cls))
+        lab = np.array(self.labels, dtype=np.int64)
+        stack = np.array(self.stack, dtype=complex)
+        if lab.ndim != 2 or lab.shape[1] != len(cls) or stack.shape != (len(lab), qdim, qdim):
+            raise ValueError(f"labels {lab.shape} and stack {stack.shape} do not match "
+                             f"classical registers {cls} and quantum dim {qdim}")
+        rows = list(map(tuple, lab.tolist()))
+        if len(set(rows)) != len(rows):
+            raise ValueError("labels repeat")
         outside = np.any((lab < 0) | (lab >= [s for _, s in cls]), axis=1)
         if outside.any():
-            raise ValueError(f"label {labels[int(np.argmax(outside))]} outside declared alphabets")
-        stack = _hermitian(np.array(mats, dtype=complex).reshape(len(mats), qdim, qdim))
+            raise ValueError(f"label {rows[int(np.argmax(outside))]} outside declared alphabets")
+        stack = _hermitian(stack)
         not_psd = np.linalg.eigvalsh(stack)[:, 0] < -self.tol
         if not_psd.any():
-            raise ValueError(f"block for {labels[int(np.argmax(not_psd))]} is not PSD")
+            raise ValueError(f"block for {rows[int(np.argmax(not_psd))]} is not PSD")
         total = float(np.trace(stack, axis1=1, axis2=2).real.sum())
         if abs(total - 1.0) > max(self.tol, 1e-8):
             raise ValueError(f"total trace {total} != 1")
@@ -145,10 +139,14 @@ class CqState:
         stack.setflags(write=False)
         object.__setattr__(self, "classical", cls)
         object.__setattr__(self, "quantum", qtm)
-        object.__setattr__(self, "blocks", dict(zip(labels, stack)))
         object.__setattr__(self, "labels", lab)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "_entropies", {})
+
+    @property
+    def blocks(self) -> dict:
+        """{label tuple: block}, built on each read over the read-only stack."""
+        return dict(zip(map(tuple, self.labels.tolist()), self.stack))
 
     # -- register lookups ---------------------------------------------------
     def classical_names(self):
@@ -187,11 +185,9 @@ def measure_to_cq(psi: PureState, povm: Povm, measured: int,
     # Block x at ((i, k), (j, l)) is sum_{a, b} Lambda_x[a, b] psi[i, b, k] conj(psi[j, a, l]).
     stack = np.einsum("xiak,jal->xikjl", np.einsum("xab,ibk->xiak", np.array(povm.elements), v),
                       v.conj()).reshape(len(povm), d_before * d_after, -1)
-    return CqState(
-        classical=((outcome_name, len(povm)),),
-        quantum=tuple((quantum_names[j], dims[i]) for j, i in enumerate(keep)),
-        blocks={(x,): block for x, block in enumerate(stack)},
-    )
+    return CqState(((outcome_name, len(povm)),),
+                   tuple((quantum_names[j], dims[i]) for j, i in enumerate(keep)),
+                   np.arange(len(povm))[:, None], stack)
 
 
 def build_sigma1(rho_ab: DensityOperator, m_a: Povm) -> CqState:
@@ -210,19 +206,17 @@ def build_sigma2(rho_ab: DensityOperator, m_b: Povm) -> CqState:
                          outcome_name="T", quantum_names=["R", "A"])
 
 
-def _sigma(rho: np.ndarray, povms, channel: StochasticMap, names) -> CqState:
+def _sigma(rho: DensityOperator, povms, channel: StochasticMap, names) -> CqState:
     """sum_{x,z} sqrt(rho)(Lambda_{x_1} (x) ...)sqrt(rho) P(z|x) |x,z><x,z|.
 
     The classical registers are ``names`` (one per POVM) and Z, the quantum one is R.
     """
-    root = psd_sqrt(rho)
-    cores = root @ _products(povms) @ root
+    cores = rho.root @ _products(povms) @ rho.root
     rows = channel.probs.reshape(len(cores), -1)
     x, z = np.nonzero(rows > 0.0)
     labels = np.column_stack(np.unravel_index(x, [len(m) for m in povms]) + (z,))
-    blocks = dict(zip(map(tuple, labels.tolist()), cores[x] * rows[x, z][:, None, None]))
     classical = tuple(zip(names, map(len, povms))) + (("Z", channel.output_size),)
-    return CqState(classical, (("R", rho.shape[0]),), blocks)
+    return CqState(classical, (("R", rho.dim),), labels, cores[x] * rows[x, z][:, None, None])
 
 
 def build_sigma3(rho_ab: DensityOperator, m_a: Povm, m_b: Povm,
@@ -236,7 +230,7 @@ def build_sigma3(rho_ab: DensityOperator, m_a: Povm, m_b: Povm,
     if p_zst.input_sizes != (len(m_a), len(m_b)):
         raise ValueError(f"stochastic map inputs {p_zst.input_sizes} != "
                          f"({len(m_a)}, {len(m_b)})")
-    return _sigma(rho_ab.mat, (m_a, m_b), p_zst, ("S", "T"))
+    return _sigma(rho_ab, (m_a, m_b), p_zst, ("S", "T"))
 
 
 def build_sigma_p2p(rho: DensityOperator, m: Povm, p_zw: StochasticMap) -> CqState:
@@ -245,46 +239,16 @@ def build_sigma_p2p(rho: DensityOperator, m: Povm, p_zw: StochasticMap) -> CqSta
         raise ValueError("POVM dimension does not match the state")
     if p_zw.input_sizes != (len(m),):
         raise ValueError(f"stochastic map inputs {p_zw.input_sizes} != ({len(m)},)")
-    return _sigma(rho.mat, (m,), p_zw, ("W",))
+    return _sigma(rho, (m,), p_zw, ("W",))
 
 
 def regroup(cq: CqState, classical, relabel) -> CqState:
     """The state with each label replaced by ``relabel(label)`` under the
     classical registers ``classical``, blocks whose new labels collide summed.
     A sum of k blocks each within ``tol`` of PSD is within k * ``tol`` of it."""
-    labels, stack = _group_sum([tuple(relabel(label)) for label in cq.blocks], cq.stack)
-    return CqState(tuple(classical), cq.quantum, dict(zip(labels, stack)),
-                   tol=cq.tol * len(cq.blocks))
-
-
-def relabel_classical(cq: CqState, register: str, f, new_size: int | None = None) -> CqState:
-    """Apply a total map to one classical register, summing blocks that collide."""
-    names = cq.classical_names()
-    if register not in names:
-        raise KeyError(f"no classical register named {register!r}")
-    idx = names.index(register)
-    size = cq.classical[idx][1]
-    table = [int(f[x]) if not callable(f) else int(f(x)) for x in range(size)]
-    out_size = int(new_size) if new_size is not None else max(table) + 1
-    if any(not 0 <= y < out_size for y in table):
-        raise ValueError(f"relabeling image exceeds alphabet size {out_size}")
-    classical = (cq.classical[:idx] + ((register, out_size),) + cq.classical[idx + 1:])
-    return regroup(cq, classical,
-                   lambda label: label[:idx] + (table[label[idx]],) + label[idx + 1:])
-
-
-def with_derived_register(cq: CqState, name: str, size: int, fn) -> CqState:
-    """Append a classical register computed deterministically from existing labels.
-
-    ``fn`` receives the full current label tuple and returns the new symbol;
-    used for W = U + V over F_p.
-    """
-    def derive(label):
-        y = int(fn(label))
-        if not 0 <= y < size:
-            raise ValueError(f"derived symbol {y} outside alphabet of size {size}")
-        return label + (y,)
-    return regroup(cq, cq.classical + ((name, size),), derive)
+    keys = [tuple(relabel(label)) for label in map(tuple, cq.labels.tolist())]
+    labels, stack = _group_sum(keys, cq.stack)
+    return CqState(tuple(classical), cq.quantum, labels, stack, tol=cq.tol * len(cq.labels))
 
 
 def _reduced_spectrum(cq: CqState, registers) -> np.ndarray:
@@ -321,13 +285,3 @@ def cq_mutual_information(cq: CqState, part1, part2) -> float:
     if s1 & s2:
         raise ValueError(f"register subsets overlap: {sorted(s1 & s2)}")
     return entropy_of(cq, s1) + entropy_of(cq, s2) - entropy_of(cq, s1 | s2)
-
-
-def cq_to_json(cq: CqState) -> dict:
-    from .linalg import mat_to_json
-    return {
-        "classical": [[n, s] for n, s in cq.classical],
-        "quantum": [[n, d] for n, d in cq.quantum],
-        "blocks": [{"label": list(label), "matrix": mat_to_json(block)}
-                   for label, block in sorted(cq.blocks.items())],
-    }

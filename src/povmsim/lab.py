@@ -25,7 +25,7 @@ TRIAL_BLOCK = 1024    # Monte-Carlo trials per stacked numpy pass
 CUT_MARGIN, ABOVE_I_MARGIN = 1e-10, 1e-12   # pruning: spec(X) - 1 above these is cut / X not<= I
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoveringInstance:
     """Ensemble, projectors, and scalars entering the covering bound.
 
@@ -453,7 +453,7 @@ def sandwich_reduction_check(rho_ab: DensityOperator, gamma_a, m_y,
     if gamma_a.shape != (da, da):
         raise ValueError("Gamma^A dimension mismatch")
     elements = list(m_y.elements) if isinstance(m_y, Povm) else [np.asarray(e) for e in m_y]
-    root_ab = psd_sqrt(rho_ab.mat)
+    root_ab = rho_ab.root
     lhs = 0.0
     total = np.zeros((db, db), dtype=complex)
     for lam in elements:

@@ -9,6 +9,7 @@ immutable after construction: arrays are copied in and marked read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -112,7 +113,7 @@ def partial_trace_mat(mat, dims, keep) -> np.ndarray:
     return t.reshape(d_keep, d_keep)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Unit-trace PSD operator with an ordered list of subsystem dimensions."""
 
@@ -137,8 +138,15 @@ class DensityOperator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
+    @cached_property
+    def root(self) -> np.ndarray:
+        """sqrt(mat), taken on the first read: the state never changes."""
+        root = psd_sqrt(self.mat, self.tol)
+        root.setflags(write=False)
+        return root
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unit vector with an ordered list of subsystem dimensions."""
 
@@ -167,7 +175,7 @@ class PureState:
         return DensityOperator(np.outer(self.vec, self.vec.conj()), self.register_dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """Ordered collection of PSD operators; completeness is checked by validate_povm."""
 
@@ -197,7 +205,7 @@ class Povm:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PovmValidation:
     mode: str
     element_psd_defects: tuple[float, ...]   # max(0, -min eigenvalue) per element
@@ -298,8 +306,7 @@ def purify(rho: DensityOperator) -> PureState:
 
     |Psi> = sum_i |i>_R (x) sqrt(rho)|i>, so Tr_R recovers rho exactly.
     """
-    root = psd_sqrt(rho.mat, tol=rho.tol)
-    vec = root.T.reshape(-1)
+    vec = rho.root.T.reshape(-1)
     vec = vec / np.linalg.norm(vec)
     return PureState(vec, (rho.dim,) + rho.register_dims, tol=max(rho.tol, 1e-8))
 

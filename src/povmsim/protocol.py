@@ -35,7 +35,6 @@ from .linalg import (
     kron_all,
     kron_power,
     partial_trace,
-    psd_sqrt,
 )
 
 SEQUENCE_CAP = 2 ** 20   # cap on p**n (sequence enumeration)
@@ -46,7 +45,7 @@ PRUNE_TOL = 1e-10
 # ---------------------------------------------------------------------------
 # Canonical ensemble and typicality.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalEnsemble:
     """Measurement-induced ensemble: weights and unit-trace post-states.
 
@@ -83,7 +82,7 @@ def canonical_ensemble(m: Povm, rho: DensityOperator) -> CanonicalEnsemble:
     """lambda_w = Tr{Lambda_w rho}; rho_hat_w = sqrt(rho) Lambda_w sqrt(rho) / lambda_w."""
     if m.dim != rho.dim:
         raise ValueError("POVM and state dimensions differ")
-    root = psd_sqrt(rho.mat)
+    root = rho.root
     weights, posts = [], []
     for lam in m.elements:
         w = float(np.trace(lam @ rho.mat).real)
@@ -136,7 +135,7 @@ def counts_are_typical(counts, probs, n: int, delta: float):
     return ok if ok.ndim else bool(ok)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TypicalSet:
     probs: np.ndarray
     n: int
@@ -173,7 +172,7 @@ def _eigen_groups(vals, rel_tol: float = 1e-8):
     return ids, np.bincount(ids[order], weights=np.maximum(ranked, 0.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Spectrum:
     """Eigen-decomposition of one Hermitian operator, with its eigenvalue groups."""
 
@@ -390,7 +389,7 @@ class _Grams(Mapping):
         return len(self.factors)
 
 
-@dataclass
+@dataclass(eq=False)
 class SideData:
     """Operators derived from one code realization (G, h^(mu)) on one side, kept as factors.
 
@@ -471,7 +470,7 @@ def _code_side(code: UccCode, gamma: dict, factors: dict, hits: np.ndarray,
                     max(0.0, float(top) ** 2 - 1.0))
 
 
-@dataclass
+@dataclass(eq=False)
 class Side:
     """One party of the protocol: its state, ensemble and typical set, and its codes' operators."""
 
@@ -531,7 +530,7 @@ def _build_side(params: ProtocolParams, m: Povm, rho: DensityOperator, codes: li
 # ---------------------------------------------------------------------------
 # The protocol instance: one or more sides and the joint decoder.
 
-@dataclass
+@dataclass(eq=False)
 class Instance:
     """The protocol over a tuple of sides sharing one generator matrix G, with its decoder.
 

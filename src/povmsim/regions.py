@@ -375,7 +375,7 @@ class SurfacePoint:
     gain: float   # nan when invalid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurfaceScan:
     """The scanned grid in columns, theta3 varying fastest, then theta2, then theta1.
 

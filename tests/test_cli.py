@@ -68,8 +68,10 @@ def test_rates_trivial_identity_povms(tmp_path):
 
 
 def test_rates_rejects_bad_decomposition(tmp_path):
+    # m_ab with its two outcomes swapped is still a POVM, but not the one
+    # that m_a, m_b and p_zst compose.
     spec = json.loads(Path(bundled_example_path(1)).read_text())
-    spec["m_ab"]["elements"][0][0][0][0] += 0.05
+    spec["m_ab"]["elements"].reverse()
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(spec))
     out = tmp_path / "bad_rates.json"
@@ -376,18 +378,20 @@ def _diagonal(entries):
             for i in range(len(entries))]
 
 
-# One mutation of example1.json each, as the key path of an entry and its new
-# value: non-finite, negative, fractional and out-of-range entries, wrong
-# shapes, label maps of the wrong length, POVM elements that are not PSD or do
-# not add up to I, a field that p_zw is not defined on (p = 3) and a p that is
-# no field (p = 4 or 2.5).  Every command refuses each of them at load.
+# One mutation of a problem file each, as the key path of an entry and its
+# new value (or a function of the file giving it): non-finite, negative,
+# fractional and out-of-range entries, wrong shapes, label maps of the wrong
+# length, POVM elements that are not PSD or do not add up to I, a field that
+# p_zw is not defined on (p = 3), a p that is no field (p = 4 or 2.5) and an
+# m_ab on the wrong dimension, incomplete or with an outcome count other
+# than p_zst's.  Every command refuses each of them at load.
 MUTANTS = {
     "rho_nan": (("rho", 0, 0, 0), float("nan")),
     "m_b_inf": (("m_b", "elements", 1, 1, 1, 1), float("-inf")),
     "rho_negative": (("rho",), _diagonal([1.5, 0.0, 0.0, -0.5])),
     "p_zst_negative": (("p_zst", "rows", 0), [-0.2, 1.2]),
     "p_zw_out_of_range": (("p_zw", "rows", 1), [1.5, -0.5]),
-    "f_s_out_of_range": (("f_s",), [0, 2]),
+    "f_s_out_of_range": (("f_s",), lambda d: [0, d["p"]]),
     "f_t_negative": (("f_t",), [0, -1]),
     "f_s_fractional": (("f_s",), [0, 1.5]),
     "f_s_short": (("f_s",), [0]),
@@ -401,29 +405,49 @@ MUTANTS = {
     "p_3": (("p",), 3),
     "p_4": (("p",), 4),
     "p_fractional": (("p",), 2.5),
+    "m_ab_dim": (("m_ab",), {"elements": [_diagonal([1.0, 0.0]), _diagonal([0.0, 1.0])]}),
+    "m_ab_incomplete": (("m_ab", "elements", 0), _diagonal([0.5] * 4)),
+    "m_ab_one_outcome": (("m_ab",), {"elements": [_diagonal([1.0] * 4)]}),
 }
+
+
+def _mutant(name: str, case: str) -> dict | None:
+    """Bundled problem ``name`` with mutation ``case``, or None where it does not
+    fit: its key path is not in the file, or the entry already holds the value."""
+    spec = json.loads(Path(bundled_example_path(int(name[-1]))).read_text())
+    (*keys, last), value = MUTANTS[case]
+    entry = spec
+    try:
+        for key in keys:
+            entry = entry[key]
+        old = entry[last]
+    except (KeyError, IndexError):
+        return None
+    entry[last] = value(spec) if callable(value) else value
+    return None if entry[last] == old else spec
 
 
 @pytest.mark.parametrize("case", list(MUTANTS))
 def test_mutated_problem_file_exits_cleanly(tmp_path, capsys, case):
     # Each command prints strict JSON and exits with its documented code,
-    # never with a traceback.
-    spec = json.loads(Path(bundled_example_path(1)).read_text())
-    (*keys, last), value = MUTANTS[case]
-    entry = spec
-    for key in keys:
-        entry = entry[key]
-    entry[last] = value
-    path = tmp_path / "problem.json"
-    path.write_text(json.dumps(spec))
+    # never with a traceback, on every bundled problem the mutation fits.
     sizes = ["--n", "2", "--k", "1", "--l", "1", "--N", "1", "--delta", "0.5"]
-    codes = []
-    for command in (["rates"], ["simulate", "--mode", "p2p", *sizes],
-                    ["simulate", "--mode", "distributed", *sizes, "--l2", "1", "--N2", "1"]):
-        codes.append(run(command + ["--spec", str(path)]))
-        report = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
-        assert (codes[-1] == 0) == ("error" not in report)
-    assert tuple(codes) == (EXIT_BAD_SPEC,) * 3
+    mutated = {}
+    for name in ("example1", "example2", "example4"):
+        spec = _mutant(name, case)
+        if spec is None:
+            continue
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(spec))
+        codes = []
+        for command in (["rates"], ["simulate", "--mode", "p2p", *sizes],
+                        ["simulate", "--mode", "distributed", *sizes, "--l2", "1", "--N2", "1"]):
+            codes.append(run(command + ["--spec", str(path)]))
+            report = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+            assert (codes[-1] == 0) == ("error" not in report)
+        mutated[name] = tuple(codes)
+    assert "example1" in mutated
+    assert mutated == dict.fromkeys(mutated, (EXIT_BAD_SPEC,) * 3)
 
 
 @pytest.mark.parametrize("argv, phrase", [
@@ -446,12 +470,17 @@ def test_mutated_problem_file_exits_cleanly(tmp_path, capsys, case):
     (["ucc", "--p", "2", "--n", "2", "--k", "0", "--l", "45"],
      "2**45 codewords exceed the desk-scale cap"),
     (["ucc", "--p", "2", "--n", "0", "--k", "0", "--l", "0"], "n >= 1"),
+    (["ucc", "--p", "5", "--n", "8", "--k", "0", "--l", "0", "--check-pairwise"],
+     "the pairwise table needs 5**16 counters, above the cap"),
+    (["ucc", "--p", "3", "--n", "6", "--k", "1", "--l", "0", "--check-pairwise"],
+     "the pairwise table needs 3**14 counters, above the cap"),
 ], ids=["surface-no-valid-point", "surface-zero-span", "surface-negative-span",
         "covering-M0", "covering-trials1", "covering-ucc-M",
          "covering-ucc-over-cap",
         "pruning-eta", "pruning-trials0", "pruning-dim-over-cap", "pruning-shots-over-cap",
         "ucc-over-cap", "ucc-over-cap-astronomical",
-        "ucc-negative-l", "ucc-emit-over-cap", "ucc-zero-n"])
+        "ucc-negative-l", "ucc-emit-over-cap", "ucc-zero-n",
+        "ucc-pairwise-table-over-cap", "ucc-pairwise-table-over-cap-p3"])
 def test_lab_commands_refuse_bad_experiments(tmp_path, argv, phrase):
     out = tmp_path / "err.json"
     assert run(argv + ["--out", str(out)]) == EXIT_BAD_EXPERIMENT

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from povmsim import codes
 from povmsim.codes import (
     CodeEnsembleSpec,
     UccCode,
@@ -194,6 +197,20 @@ def test_three_way_witness_fires_for_p3():
     assert wit.relation_holds_always
     assert wit.max_joint_deviation > 0
     assert wit.fires
+
+
+@pytest.mark.parametrize("check, args, phrase", [
+    (pairwise_independence_check, (5, 8, 0, 0), "pairwise table needs 5**16 counters"),
+    (three_way_dependence_report, (3, 5, 1, 0), "three-way table needs 3**15 counters"),
+], ids=["pairwise", "three-way"])
+def test_counter_tables_are_capped(monkeypatch, check, args, phrase):
+    # Both tables are refused before any counter array is allocated.
+    def refuse(*_, **__):
+        raise AssertionError("a counter table was allocated")
+
+    monkeypatch.setattr(codes.np, "zeros", refuse)
+    with pytest.raises(ValueError, match=rf"{re.escape(phrase)}, above the cap 1048576"):
+        check(*args)
 
 
 def test_three_way_witness_rejects_p2():

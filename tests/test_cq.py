@@ -20,12 +20,15 @@ from povmsim.cq import (
     entropy_of,
     measure_to_cq,
     regroup,
-    relabel_classical,
-    with_derived_register,
 )
 from povmsim.linalg import DensityOperator, Povm, purify, validate_povm, von_neumann_entropy
 
 BASIS = Povm((np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)))
+
+
+def _with_sum(cq, p):
+    """``cq`` with the register W = S + T mod p appended, from its first two labels."""
+    return regroup(cq, cq.classical + (("W", p),), lambda lab: lab + ((lab[0] + lab[1]) % p,))
 
 
 def test_measure_with_identity_povm(bell_state):
@@ -89,7 +92,7 @@ def test_sigma3_deterministic_z_is_copy(example1):
 
 def test_sigma3_example1_entropies(example1):
     cq = build_sigma3(example1.rho_ab, example1.m_a, example1.m_b, example1.p_zst)
-    cq = with_derived_register(cq, "W", 2, lambda lab: (lab[0] + lab[1]) % 2)
+    cq = _with_sum(cq, 2)
     assert entropy_of(cq, {"S", "T"}) == pytest.approx(1.5154, abs=5e-4)
     assert cq_mutual_information(cq, {"S"}, {"T"}) == pytest.approx(0.4844, abs=5e-4)
     assert entropy_of(cq, {"W"}) == pytest.approx(0.5155, abs=5e-4)
@@ -141,7 +144,7 @@ def test_sigma_p2p_maximally_mixed_basis():
 
 def test_relabel_identity_is_noop(example1):
     cq = build_sigma3(example1.rho_ab, example1.m_a, example1.m_b, example1.p_zst)
-    out = relabel_classical(cq, "S", [0, 1])
+    out = regroup(cq, cq.classical, lambda lab: ([0, 1][lab[0]],) + lab[1:])
     assert set(out.blocks) == set(cq.blocks)
     for k in cq.blocks:
         assert np.allclose(out.blocks[k], cq.blocks[k])
@@ -150,16 +153,15 @@ def test_relabel_identity_is_noop(example1):
 def test_relabel_embedding_f3(example2):
     # {0,1} embedded in F_3; the sum register W then lives on {0,1,2}.
     cq = build_sigma3(example2.rho_ab, example2.m_a, example2.m_b, example2.p_zst)
-    cq = relabel_classical(cq, "S", [0, 1], new_size=3)
-    cq = relabel_classical(cq, "T", [0, 1], new_size=3)
-    cq = with_derived_register(cq, "W", 3, lambda lab: (lab[0] + lab[1]) % 3)
+    cq = regroup(cq, (("S", 3), ("T", 3), ("Z", 2)), lambda lab: lab)
+    cq = _with_sum(cq, 3)
     assert 2.0 * entropy_of(cq, {"W"}) - entropy_of(cq, {"S", "T"}) == pytest.approx(
         -0.9039, abs=5e-4)
 
 
 def test_relabel_merge_all_zero_entropy(example1):
     cq = build_sigma3(example1.rho_ab, example1.m_a, example1.m_b, example1.p_zst)
-    out = relabel_classical(cq, "S", [0, 0], new_size=1)
+    out = regroup(cq, (("S", 1),) + cq.classical[1:], lambda lab: (0,) + lab[1:])
     assert entropy_of(out, {"S"}) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -168,7 +170,7 @@ def test_relabel_preserves_trace_never_raises_entropy(example1):
     cq = build_sigma3(example1.rho_ab, example1.m_a, example1.m_b, example1.p_zst)
     for _ in range(5):
         f = [int(rng.integers(0, 2)) for _ in range(2)]
-        out = relabel_classical(cq, "T", f, new_size=2)
+        out = regroup(cq, cq.classical, lambda lab: (lab[0], f[lab[1]], lab[2]))
         total = sum(np.trace(b).real for b in out.blocks.values())
         assert total == pytest.approx(1.0, abs=1e-9)
         assert entropy_of(out, {"T"}) <= entropy_of(cq, {"T"}) + 1e-9
@@ -220,10 +222,11 @@ def test_one_regroup_matches_the_relabel_chain(request, name, p):
     # relabel T, derive W, block by block.
     ex = request.getfixturevalue(name)
     cq = build_sigma3(ex.rho_ab, ex.m_a, ex.m_b, ex.p_zst)
-    chain = relabel_classical(cq, "S", ex.f_s, new_size=p)
-    chain = relabel_classical(chain, "T", ex.f_t, new_size=p)
-    chain = with_derived_register(chain, "W", p, lambda lab: (lab[0] + lab[1]) % p)
     fs, ft = ex.f_s, ex.f_t
+    chain = regroup(cq, (("S", p),) + cq.classical[1:], lambda lab: (fs[lab[0]],) + lab[1:])
+    chain = regroup(chain, (("S", p), ("T", p), ("Z", ex.p_zst.output_size)),
+                    lambda lab: (lab[0], ft[lab[1]], lab[2]))
+    chain = _with_sum(chain, p)
     one = regroup(cq, (("U", p), ("V", p), ("Z", ex.p_zst.output_size), ("W", p)),
                   lambda lab: (fs[lab[0]], ft[lab[1]], lab[2], (fs[lab[0]] + ft[lab[1]]) % p))
     assert one.classical_names() == ["U", "V", "Z", "W"]
@@ -256,7 +259,7 @@ def test_mutual_information_overlap_rejected(example1):
 
 def test_example1_identity_chain(example1):
     cq = build_sigma3(example1.rho_ab, example1.m_a, example1.m_b, example1.p_zst)
-    cq = with_derived_register(cq, "W", 2, lambda lab: (lab[0] + lab[1]) % 2)
+    cq = _with_sum(cq, 2)
     s_u, s_v = entropy_of(cq, {"S"}), entropy_of(cq, {"T"})
     s_w = entropy_of(cq, {"W"})
     i_uv = cq_mutual_information(cq, {"S"}, {"T"})
@@ -271,22 +274,9 @@ def test_stochastic_map_validation():
         StochasticMap((2,), 2, np.array([[1.5, -0.5], [0.5, 0.5]]))
 
 
-def test_cq_json_dump(example1):
-    from povmsim.cq import cq_to_json
-    from povmsim.linalg import mat_from_json
-    cq = build_sigma_p2p(DensityOperator(np.eye(2) / 2, (2,)), BASIS,
-                         StochasticMap((2,), 2, np.eye(2)))
-    d = cq_to_json(cq)
-    assert d["classical"] == [["W", 2], ["Z", 2]]
-    assert d["quantum"] == [["R", 2]]
-    for entry in d["blocks"]:
-        label = tuple(entry["label"])
-        assert np.allclose(mat_from_json(entry["matrix"]), cq.blocks[label])
-
-
 def test_cq_mi_nonnegative_everywhere(example1):
     cq = build_sigma3(example1.rho_ab, example1.m_a, example1.m_b, example1.p_zst)
-    cq = with_derived_register(cq, "W", 2, lambda lab: (lab[0] + lab[1]) % 2)
+    cq = _with_sum(cq, 2)
     names = ["S", "T", "Z", "W", "R"]
     rng = np.random.default_rng(14)
     for _ in range(10):
@@ -301,15 +291,16 @@ def _random_cq(rng, sizes, dims, count):
     block of random rank on registers of dimensions ``dims``, trace 1 in all."""
     labels = list(itertools.product(*map(range, sizes)))
     q = math.prod(dims)
-    blocks = {}
+    picked, stack = [], []
     for i in rng.choice(len(labels), size=count, replace=False):
         shape = (q, rng.integers(1, q + 1))
         g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        blocks[labels[i]] = g @ g.conj().T
-    total = sum(np.trace(b).real for b in blocks.values())
+        picked.append(labels[i])
+        stack.append(g @ g.conj().T)
+    total = sum(np.trace(b).real for b in stack)
     return CqState(tuple((f"c{i}", s) for i, s in enumerate(sizes)),
                    tuple((f"q{i}", d) for i, d in enumerate(dims)),
-                   {k: b / total for k, b in blocks.items()})
+                   picked, np.array(stack) / total)
 
 
 @settings(max_examples=60, deadline=None)
@@ -343,10 +334,9 @@ def test_entropy_is_memoised_per_register_set(example1, monkeypatch):
 
 def test_non_psd_block_is_refused_by_its_first_label():
     good = np.eye(2) / 8
-    blocks = {(0,): good, (2,): np.diag([0.3, -0.05]), (1,): good,
-              (3,): np.diag([-0.1, 0.35])}
+    stack = [good, np.diag([0.3, -0.05]), good, np.diag([-0.1, 0.35])]
     with pytest.raises(ValueError, match=r"^block for \(2,\) is not PSD$"):
-        CqState((("X", 4),), (("R", 2),), blocks)
+        CqState((("X", 4),), (("R", 2),), [[0], [2], [1], [3]], stack)
 
 
 def test_regroup_of_a_valid_state_never_raises():
@@ -354,7 +344,7 @@ def test_regroup_of_a_valid_state_never_raises():
     # twice as far out; the merged state is still accepted.
     tol = 1e-6
     edge = np.diag([0.5 + 6e-7, -6e-7])
-    cq = CqState((("X", 2),), (("R", 2),), {(0,): edge, (1,): edge}, tol=tol)
+    cq = CqState((("X", 2),), (("R", 2),), [[0], [1]], [edge, edge], tol=tol)
     merged = regroup(cq, (("Y", 1),), lambda lab: (0,))
     assert np.linalg.eigvalsh(merged.blocks[(0,)])[0] < -tol
     rng = np.random.default_rng(16)
@@ -363,3 +353,22 @@ def test_regroup_of_a_valid_state_never_raises():
         table = rng.integers(0, 2, size=3)
         out = regroup(cq, (("Y", 2), ("c1", 2)), lambda lab: (table[lab[0]], lab[1]))
         assert np.max(np.abs(out.quantum_marginal() - cq.quantum_marginal())) < 1e-12
+
+
+@pytest.mark.parametrize("labels, stack, phrase", [
+    ([[0], [0]], [np.eye(2) / 4] * 2, "labels repeat"),
+    ([[0, 1]], [np.eye(2) / 2], r"labels \(1, 2\) and stack \(1, 2, 2\) do not match"),
+    ([[0]], [np.eye(3) / 3], r"stack \(1, 3, 3\) do not match"),
+    ([[0], [1]], [np.eye(2) / 2], r"stack \(1, 2, 2\) do not match"),
+], ids=["repeated-label", "label-width", "block-dim", "block-count"])
+def test_cq_state_refuses_mismatched_arrays(labels, stack, phrase):
+    with pytest.raises(ValueError, match=phrase):
+        CqState((("X", 2),), (("R", 2),), labels, stack)
+
+
+def test_blocks_view_reads_the_stack(example1):
+    cq = build_sigma3(example1.rho_ab, example1.m_a, example1.m_b, example1.p_zst)
+    assert list(cq.blocks) == list(map(tuple, cq.labels.tolist()))
+    for block, row in zip(cq.blocks.values(), cq.stack):
+        assert block is not row and np.shares_memory(block, cq.stack)
+        assert not block.flags.writeable

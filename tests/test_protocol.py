@@ -24,13 +24,15 @@ from povmsim.cli import (
     EXIT_BAD_PROTOCOL,
     _default_p2p_problem,
     bundled_example_path,
+    default_covering_instance,
     load_problem,
     main,
 )
-from povmsim.cq import StochasticMap
+from povmsim.cq import StochasticMap, build_sigma_p2p
 from povmsim.linalg import (
     DensityOperator,
     Povm,
+    PureState,
     hermitian_part,
     kron_all,
     kron_power,
@@ -40,7 +42,9 @@ from povmsim.linalg import (
     psd_pinv_sqrt,
     psd_sqrt,
     trace_norm,
+    validate_povm,
 )
+from povmsim.regions import surface_scan
 from povmsim.protocol import (
     CanonicalEnsemble,
     ProtocolParams,
@@ -1525,3 +1529,41 @@ def test_faithfulness_mixes_real_and_complex_blocks():
     k = faithfulness(TensorPower(rho, 4), tgt, cand)
     k_complex = faithfulness(TensorPower(rho, 4), tgt, {z: cand[z].astype(complex) for z in cand})
     assert abs(k - k_complex) <= 1e-12
+
+
+def _small_instance():
+    params = ProtocolParams(n=2, k=1, p=2, sides=((1, 1),), delta=0.5)
+    return build_instance(params, BASIS, MIXED)
+
+
+# One builder per dataclass that holds numpy arrays; two calls build alike instances.
+ALIKE = {
+    "DensityOperator": lambda: DensityOperator(np.eye(2) / 2, (2,)),
+    "PureState": lambda: PureState(np.array([1.0, 0.0]), (2,)),
+    "Povm": lambda: Povm((np.eye(2),)),
+    "PovmValidation": lambda: validate_povm(BASIS, mode="sub_povm"),
+    "StochasticMap": lambda: StochasticMap((2,), 2, np.eye(2)),
+    "CqState": lambda: build_sigma_p2p(MIXED, BASIS, IDENT_MAP),
+    "UccCode": lambda: sample_ensemble(CodeEnsembleSpec(2, 3, 1, 1, N=1))[0],
+    "CanonicalEnsemble": lambda: canonical_ensemble(BASIS, MIXED),
+    "TypicalSet": lambda: typical_set([0.5, 0.5], 3, 0.2),
+    "_Spectrum": lambda: protocol._spectrum(np.eye(2)),
+    "SideData": lambda: _small_instance().sides[0].mus[0],
+    "Side": lambda: _small_instance().sides[0],
+    "Instance": _small_instance,
+    "CoveringInstance": lambda: default_covering_instance(4),
+    "SurfaceScan": lambda: surface_scan(DensityOperator(np.eye(4) / 4, (2, 2)),
+                                        ([0.4, 0.5], [0.0], [0.0])),
+    "ProblemSpec": lambda: load_problem(bundled_example_path(1)),
+}
+
+
+@pytest.mark.parametrize("build", ALIKE.values(), ids=ALIKE.keys())
+def test_equality_of_alike_instances_is_a_bool(build):
+    a, b = build(), build()
+    assert type(a).__name__ in ALIKE and a is not b
+    assert isinstance(a == b, bool) and a == a
+
+
+def test_protocol_params_compare_by_value():
+    assert ProtocolParams(n=2, k=1, p=2, sides=[(1, 1)]) == ProtocolParams(2, 1, 2, ((1, 1),))

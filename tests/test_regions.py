@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_consistent_quantities
-from povmsim import regions
+from povmsim import linalg, regions
 from povmsim.cli import bundled_example_path, load_problem
 from povmsim.cq import StochasticMap
 from povmsim.linalg import DensityOperator, Povm, partial_trace
@@ -280,7 +280,7 @@ def test_surface_scan_projective_point(bell_state):
 
 def test_surface_scan_matches_sigma3_pipeline(bell_state):
     # Oracle: the full sigma_3 pipeline at a handful of valid theta points.
-    from povmsim.cq import build_sigma3, entropy_of, relabel_classical, with_derived_register
+    from povmsim.cq import build_sigma3, entropy_of, regroup
     rng = np.random.default_rng(22)
     checked = 0
     while checked < 4:
@@ -292,9 +292,8 @@ def test_surface_scan_matches_sigma3_pipeline(bell_state):
         m = Povm((lam0, np.eye(2) - lam0))
         uniform = StochasticMap((2, 2), 2, np.full((2, 2, 2), 0.5))
         cq = build_sigma3(bell_state, m, m, uniform)
-        cq = relabel_classical(cq, "S", [0, 1], new_size=3)
-        cq = relabel_classical(cq, "T", [0, 1], new_size=3)
-        cq = with_derived_register(cq, "W", 3, lambda lab: (lab[0] + lab[1]) % 3)
+        cq = regroup(cq, (("S", 3), ("T", 3), ("Z", 2), ("W", 3)),
+                     lambda lab: lab + ((lab[0] + lab[1]) % 3,))
         want = 2 * entropy_of(cq, {"W"}) - entropy_of(cq, {"S", "T"})
         got = surface_scan(bell_state, ([t1], [t2], [t3]))[0].gain
         assert got == pytest.approx(want, abs=1e-9)
@@ -358,6 +357,20 @@ def test_distributed_quantities_match_the_reference(ident):
     for name, want in REFERENCE_QUANTITIES[ident].items():
         assert abs(getattr(q, name) - want) < 1e-12, name
     assert q.log_p == np.log2(spec.p)
+
+
+@pytest.mark.parametrize("ident", sorted(REFERENCE_QUANTITIES))
+def test_one_square_root_per_distributed_quantities(monkeypatch, ident):
+    # sigma_1 and sigma_2 purify rho_AB and sigma_3 sandwiches with its root:
+    # the three read the state's one cached root.
+    calls = []
+    real = linalg.psd_sqrt
+    monkeypatch.setattr(linalg, "psd_sqrt", lambda *a, **k: calls.append(1) or real(*a, **k))
+    spec = load_problem(bundled_example_path(ident))
+    assert calls == []
+    compute_distributed_quantities(spec.rho_ab, spec.m_a, spec.m_b, spec.p_zst, spec.p,
+                                   spec.f_s, spec.f_t)
+    assert len(calls) == 1
 
 
 def test_p2p_quantities_match_the_reference(example1):
