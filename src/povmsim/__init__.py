@@ -36,12 +36,8 @@ from .cq import (
 from .codes import (
     CodeEnsembleSpec,
     UccCode,
-    bins,
-    coset_code,
-    multiplicity,
     pairwise_independence_check,
     sample_ensemble,
-    ucc_codeword,
 )
 from .regions import (
     InfoQuantities,

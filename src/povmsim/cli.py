@@ -417,8 +417,8 @@ def _ucc_report(args) -> tuple[dict, bool]:
                               "worst_pair_deviation": rep.worst_pair_deviation,
                               "exact": rep.exact}}
     ok = rep.exact
-    if args.p >= 3 and args.k >= 1:
-        wit = codes.three_way_dependence_report(args.p, args.n, args.k, args.l)
+    wit = rep.witness
+    if wit is not None:
         out["three_way_witness"] = {
             "fires": wit.fires,
             "relation_coeffs": list(wit.relation_coeffs),

@@ -48,13 +48,6 @@ def require_prime(p: int) -> int:
     return int(p)
 
 
-def vec_to_int(v, p: int) -> int:
-    out = 0
-    for x in v:
-        out = out * p + int(x)
-    return out
-
-
 @functools.lru_cache(maxsize=16)
 def all_vectors(length: int, p: int) -> np.ndarray:
     """All p**length vectors over F_p in lexicographic order, shape (p**length, length).
@@ -68,18 +61,6 @@ def all_vectors(length: int, p: int) -> np.ndarray:
         out = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
     out.setflags(write=False)
     return out
-
-
-def coset_code(G, B, p: int) -> np.ndarray:
-    """All p**k codewords a G + B, ordered by the lexicographic sweep of a."""
-    require_prime(p)
-    G = np.asarray(G, dtype=np.int64) % p
-    B = np.asarray(B, dtype=np.int64) % p
-    k, n = G.shape
-    if B.shape != (n,):
-        raise ValueError(f"shift length {B.shape} != ({n},)")
-    a = all_vectors(k, p)
-    return (a @ G + B) % p
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,25 +96,6 @@ class UccCode:
         return self.p ** (self.k + self.l)
 
 
-def ucc_codeword(code: UccCode, a, i) -> np.ndarray:
-    """W(a, i) = a G + h(i).  ``a`` is a length-k vector, ``i`` a vector or flat index."""
-    a = np.asarray(a, dtype=np.int64)
-    if a.shape != (code.k,):
-        raise ValueError(f"a has shape {a.shape}, expected ({code.k},)")
-    if np.any(a < 0) or np.any(a >= code.p):
-        raise ValueError("a outside F_p")
-    if np.isscalar(i) or isinstance(i, (int, np.integer)):
-        idx = int(i)
-    else:
-        iv = np.asarray(i, dtype=np.int64)
-        if iv.shape != (code.l,):
-            raise ValueError(f"i has shape {iv.shape}, expected ({code.l},)")
-        idx = vec_to_int(iv, code.p)
-    if not 0 <= idx < code.num_bins:
-        raise ValueError(f"coset index {idx} out of range")
-    return (a @ code.G + code.h[idx]) % code.p
-
-
 def all_codewords(code: UccCode) -> np.ndarray:
     """All p**(k+l) codewords, row (a, i) in lexicographic (a-major) order."""
     a = all_vectors(code.k, code.p)
@@ -142,22 +104,9 @@ def all_codewords(code: UccCode) -> np.ndarray:
     return out.reshape(code.num_words, code.n)
 
 
-def multiplicity(code: UccCode, w) -> int:
-    """gamma_w = |{(a, i): W(a, i) = w}|."""
-    w = np.asarray(w, dtype=np.int64)
-    if w.shape != (code.n,):
-        raise ValueError(f"word length {w.shape} != ({code.n},)")
-    return multiplicity_table(code).get(tuple((w % code.p).tolist()), 0)
-
-
 def multiplicity_table(code: UccCode) -> dict:
     """Map word tuple -> multiplicity, with sum of values = p**(k+l)."""
     return word_counts(codeword_indices(code.G[None], code.h[None], code.p), code.p, code.n)
-
-
-def bins(code: UccCode) -> dict:
-    """Map coset index i -> the coset C(G, h(i)) as a (p**k, n) array."""
-    return {i: coset_code(code.G, code.h[i], code.p) for i in range(code.num_bins)}
 
 
 @dataclass(frozen=True)
@@ -191,18 +140,6 @@ def sample_ensemble(spec: CodeEnsembleSpec) -> list[UccCode]:
                 rng.integers(0, spec.p, size=(spec.p ** spec.l, spec.n)))
         for _ in range(spec.N)
     ]
-
-
-@dataclass(frozen=True)
-class PairwiseReport:
-    p: int
-    n: int
-    k: int
-    l: int
-    num_ensembles: int
-    worst_single_deviation: int   # max |count - expected| over codewords and values
-    worst_pair_deviation: int     # same over ordered index pairs and value pairs
-    exact: bool
 
 
 def digit_dtype(p: int) -> np.dtype:
@@ -268,48 +205,8 @@ def _grand_ensemble(p: int, n: int, k: int, l: int):
     return map(block, range(0, total, ENSEMBLE_BLOCK))
 
 
-def pairwise_independence_check(p: int, n: int, k: int, l: int) -> PairwiseReport:
-    """Exhaustively verify single-codeword uniformity and pairwise joint uniformity.
-
-    Enumerates every (G, h) of the grand ensemble and counts, for each codeword
-    index (a, i), the distribution of W(a, i) over F_p^n, and for each ordered
-    pair of distinct indices the joint distribution.  Reports worst integer
-    deviations from the exactly uniform counts (0 when the facts hold).
-    """
-    blocks = _grand_ensemble(p, n, k, l)
-    _require_table(p, 2 * (k + l + n), "pairwise")
-    num_words = p ** (k + l)
-    space = p ** n
-    c1_idx, c2_idx = np.nonzero(~np.eye(num_words, dtype=bool))
-    pair_base = (c1_idx * num_words + c2_idx) * space * space
-    singles = np.zeros(num_words * space, dtype=np.int64)
-    pairs = np.zeros(num_words * num_words * space * space, dtype=np.int64)
-    total = 0
-    for G, h in blocks:
-        flat = codeword_indices(G, h, p)                              # (B, num_words)
-        total += flat.shape[0]
-        singles += np.bincount((np.arange(num_words) * space + flat).ravel(),
-                               minlength=singles.size)
-        pairs += np.bincount((pair_base + flat[:, c1_idx] * space + flat[:, c2_idx]).ravel(),
-                             minlength=pairs.size)
-    exp_single = total // space
-    exp_pair = total // (space * space)
-    dev_single = int(np.max(np.abs(singles - exp_single)))
-    # Only off-diagonal (c1, c2) slots were filled; diagonal slots stay zero
-    # and must be excluded from the comparison against exp_pair.
-    pairs = pairs.reshape(num_words, num_words, space * space)
-    mask = ~np.eye(num_words, dtype=bool)
-    dev_pair = int(np.max(np.abs(pairs[mask] - exp_pair))) if num_words > 1 else 0
-    return PairwiseReport(p, n, k, l, total, dev_single, dev_pair,
-                          exact=(dev_single == 0 and dev_pair == 0))
-
-
 @dataclass(frozen=True)
 class DependenceWitness:
-    p: int
-    n: int
-    k: int
-    l: int
     triple: tuple            # three (a_int, i_int) codeword indices inside one coset
     relation_coeffs: tuple   # c with sum_j c_j W_j = 0 mod p on every ensemble
     relation_holds_always: bool
@@ -317,47 +214,72 @@ class DependenceWitness:
     fires: bool              # non-uniform triple => full independence fails
 
 
-def three_way_dependence_report(p: int, n: int, k: int, l: int) -> DependenceWitness:
-    """Exhibit a same-coset codeword triple that is NOT jointly uniform.
+@dataclass(frozen=True)
+class PairwiseReport:
+    p: int
+    n: int
+    k: int
+    l: int
+    num_ensembles: int
+    worst_single_deviation: int   # max |count - expected| over codewords and values
+    worst_pair_deviation: int     # same over ordered index pairs and value pairs
+    exact: bool
+    witness: DependenceWitness | None   # the collinear triple, when p >= 3 and k >= 1
 
-    W(a, i) is affine in a, so for p >= 3 the collinear triple
-    W(0, i), W(1, i), W(2, i) obeys W(2,i) = 2 W(1,i) - W(0,i) identically:
-    pairwise independence holds but three-way independence fails.  For p = 2
-    any triple of distinct codewords is jointly uniform (the first genuine
-    dependence involves four codewords), so no triple witness exists.
+
+def _tuple_keys(flat, rows, space: int) -> np.ndarray:
+    """Counter of each ensemble (row of ``flat``) and word tuple (row of ``rows``):
+    the tuple's number, then its words' indices, as digits in base ``space``."""
+    key = np.arange(len(rows)) * space + flat[:, rows[:, 0]]          # (B, tuples)
+    for col in rows.T[1:]:
+        key *= space
+        key += flat[:, col]
+    return key.ravel()
+
+
+def pairwise_independence_check(p: int, n: int, k: int, l: int) -> PairwiseReport:
+    """Exhaustively verify single-codeword uniformity and pairwise joint uniformity.
+
+    One sweep of the grand ensemble counts the values of each codeword W(a, i),
+    of each ordered pair of distinct codewords and, when p >= 3 and k >= 1, of
+    the same-coset triple W(0, 0), W(e_1, 0), W(2 e_1, 0).  W is affine in a,
+    so the triple obeys W_0 - 2 W_1 + W_2 = 0: pairwise but not three-way
+    independent (for p = 2 a dependence takes four words, so no witness).
+    Deviations are from the exactly uniform counts; each table is capped first.
     """
-    require_prime(p)
-    if p < 3 or k < 1:
-        raise ValueError("a three-codeword dependence witness needs p >= 3 and k >= 1")
     blocks = _grand_ensemble(p, n, k, l)
-    _require_table(p, 3 * n, "three-way")
-    # a = 0, e_1 and 2 e_1 with coset 0; a = j e_1 is word row j p^(k-1) p^l.
-    a_ints = (0, p ** (k - 1), 2 * p ** (k - 1))
-    rows = [a * p ** l for a in a_ints]
-    coeffs = (1, (-2) % p, 1)    # W(0,i) - 2 W(1,i) + W(2,i) = 0 mod p
-    space = p ** n
-    place = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    joint = np.zeros(space ** 3, dtype=np.int64)
-    holds = True
+    _require_table(p, 2 * (k + l + n), "pairwise")
+    num_words, space = p ** (k + l), p ** n
+    tuples = [np.arange(num_words)[:, None], np.argwhere(~np.eye(num_words, dtype=bool))]
+    triple = p >= 3 and k >= 1
+    if triple:
+        _require_table(p, 3 * n, "three-way")
+        # a = 0, e_1 and 2 e_1 with coset 0; a = j e_1 is word row j p^(k-1) p^l.
+        a_ints = (0, p ** (k - 1), 2 * p ** (k - 1))
+        tuples.append(np.array([[a * p ** l for a in a_ints]]))
+    tables = [np.zeros(len(rows) * space ** rows.shape[1], dtype=np.int64) for rows in tuples]
     total = 0
     for G, h in blocks:
-        flat = codeword_indices(G, h, p)[:, rows]                     # (B, 3)
+        flat = codeword_indices(G, h, p)                              # (B, num_words)
         total += flat.shape[0]
-        digits = (flat[:, :, None] // place) % p                      # (B, 3, n)
-        if np.any(np.tensordot(digits, coeffs, axes=([1], [0])) % p != 0):
-            holds = False
-        joint += np.bincount(flat @ np.array([space * space, space, 1]),
-                             minlength=joint.size)
-    expected = total / space ** 3
-    dev = float(np.max(np.abs(joint - expected)))
-    return DependenceWitness(
-        p, n, k, l,
-        triple=tuple((a, 0) for a in a_ints),
-        relation_coeffs=coeffs,
-        relation_holds_always=holds,
-        max_joint_deviation=dev,
-        fires=(holds and dev > 0),
-    )
+        for rows, table in zip(tuples, tables):
+            table += np.bincount(_tuple_keys(flat, rows, space), minlength=table.size)
+    dev_single = int(np.abs(tables[0] - total // space).max())
+    dev_pair = int(np.abs(tables[1] - total // space ** 2).max(initial=0))
+    witness = None
+    if triple:
+        coeffs = (1, (-2) % p, 1)    # W(0,i) - 2 W(1,i) + W(2,i) = 0 mod p
+        # The relation fixes W_2 given (W_0, W_1); it holds always iff every count is there.
+        words = all_vectors(n, p)
+        forced = np.ravel_multi_index(
+            (-(coeffs[0] * words[:, None] + coeffs[1] * words) % p).reshape(-1, n).T, (p,) * n)
+        joint = tables[2].reshape(space * space, space)
+        holds = bool(joint[np.arange(space * space), forced].sum() == total)
+        dev = float(np.abs(tables[2] - total / space ** 3).max())
+        witness = DependenceWitness(tuple((a, 0) for a in a_ints), coeffs, holds, dev,
+                                    fires=(holds and dev > 0))
+    return PairwiseReport(p, n, k, l, total, dev_single, dev_pair,
+                          exact=(dev_single == 0 and dev_pair == 0), witness=witness)
 
 
 def code_to_json(code: UccCode) -> dict:

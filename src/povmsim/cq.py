@@ -64,21 +64,25 @@ def _products(povms) -> np.ndarray:
     return out
 
 
-def compose(povms, channel: StochasticMap) -> Povm:
-    """The POVM of z: sum_x P(z | x_1, ..., x_k) Lambda^1_{x_1} (x) ... (x) Lambda^k_{x_k}.
+def _reached_rows(povms, channel: StochasticMap) -> np.ndarray:
+    """The rows P(. | x) of ``channel`` at every outcome tuple x of ``povms``, lexicographic.
 
     Input j of ``channel`` may have more letters than POVM j has outcomes
     (letters no outcome reaches are never read), but not fewer.
     """
-    povms = tuple(povms)
     counts = tuple(len(m) for m in povms)
     if len(channel.input_sizes) != len(counts) or any(
             c > size for c, size in zip(counts, channel.input_sizes)):
         raise ValueError(f"stochastic map inputs {channel.input_sizes} do not cover "
                          f"the POVM outcomes {counts}")
-    products = _products(povms)
-    rows = channel.probs[tuple(slice(c) for c in counts)].reshape(len(products), -1)
-    return Povm(tuple(np.tensordot(rows, products, axes=(0, 0))))
+    return channel.probs[tuple(slice(c) for c in counts)].reshape(math.prod(counts), -1)
+
+
+def compose(povms, channel: StochasticMap) -> Povm:
+    """The POVM of z: sum_x P(z | x_1, ..., x_k) Lambda^1_{x_1} (x) ... (x) Lambda^k_{x_k}."""
+    povms = tuple(povms)
+    return Povm(tuple(np.tensordot(_reached_rows(povms, channel), _products(povms),
+                                   axes=(0, 0))))
 
 
 def _hermitian(stack: np.ndarray) -> np.ndarray:
@@ -212,7 +216,7 @@ def _sigma(rho: DensityOperator, povms, channel: StochasticMap, names) -> CqStat
     The classical registers are ``names`` (one per POVM) and Z, the quantum one is R.
     """
     cores = rho.root @ _products(povms) @ rho.root
-    rows = channel.probs.reshape(len(cores), -1)
+    rows = _reached_rows(povms, channel)
     x, z = np.nonzero(rows > 0.0)
     labels = np.column_stack(np.unravel_index(x, [len(m) for m in povms]) + (z,))
     classical = tuple(zip(names, map(len, povms))) + (("Z", channel.output_size),)
@@ -234,11 +238,13 @@ def build_sigma3(rho_ab: DensityOperator, m_a: Povm, m_b: Povm,
 
 
 def build_sigma_p2p(rho: DensityOperator, m: Povm, p_zw: StochasticMap) -> CqState:
-    """Point-to-point auxiliary state: sqrt(rho) Lambda_w sqrt(rho) (x) P(z|w)|w,z><w,z|."""
+    """Point-to-point auxiliary state: sqrt(rho) Lambda_w sqrt(rho) (x) P(z|w)|w,z><w,z|.
+
+    ``p_zw`` may have more letters than ``m`` has outcomes; only the rows of
+    outcomes are read.
+    """
     if m.dim != rho.dim:
         raise ValueError("POVM dimension does not match the state")
-    if p_zw.input_sizes != (len(m),):
-        raise ValueError(f"stochastic map inputs {p_zw.input_sizes} != ({len(m)},)")
     return _sigma(rho, (m,), p_zw, ("W",))
 
 

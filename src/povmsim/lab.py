@@ -12,6 +12,7 @@ import numpy as np
 
 from .codes import ENUMERATION_CAP, _over_cap, all_vectors, require_prime
 from .linalg import (
+    PRUNE_TOL,
     DensityOperator,
     Povm,
     hermitian_part,
@@ -22,7 +23,7 @@ from .linalg import (
 )
 
 TRIAL_BLOCK = 1024    # Monte-Carlo trials per stacked numpy pass
-CUT_MARGIN, ABOVE_I_MARGIN = 1e-10, 1e-12   # pruning: spec(X) - 1 above these is cut / X not<= I
+ABOVE_I_MARGIN = 1e-12   # pruning: spec(X) - 1 above this means X not<= I
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,7 +383,7 @@ def pruning_inequality_experiment(sampler, trials: int, eta: float,
                                   seed: int = 0) -> PruningReport:
     """Pathwise and aggregate pruning inequalities on random PSD samples.
 
-    P projects onto the eigenvalues >= -CUT_MARGIN of I - X, so Tr{I-P} counts
+    P projects onto the eigenvalues >= -PRUNE_TOL of I - X, so Tr{I-P} counts
     the eigenvalues of X above 1 by that margin; X not<= I means an eigenvalue
     of X - I above ABOVE_I_MARGIN.  Both come from one stacked spectrum of X, as
     spec(I - X) = 1 - spec(X).  When E[X] = s I exactly, the same spectrum
@@ -403,9 +404,9 @@ def pruning_inequality_experiment(sampler, trials: int, eta: float,
     markov_viol = 0
     for size in _blocks(trials, ENUMERATION_CAP // mean_x.size):   # <= cap entries of X
         x = sampler.sample(rng, size)
-        spec = _hermitian_spectra(x, (1 + CUT_MARGIN, 1 + ABOVE_I_MARGIN))  # (size, d), ascending
+        spec = _hermitian_spectra(x, (1 + PRUNE_TOL, 1 + ABOVE_I_MARGIN))  # (size, d), ascending
         excess = spec - 1.0                                           # spec(X - I)
-        cut = np.count_nonzero(excess > CUT_MARGIN, axis=1).astype(float)
+        cut = np.count_nonzero(excess > PRUNE_TOL, axis=1).astype(float)
         trace_x = np.trace(x, axis1=1, axis2=2).real
         path_viol += int(np.count_nonzero(cut > trace_x + 1e-9))
         not_below_identity = (excess[:, -1] > ABOVE_I_MARGIN).astype(float)

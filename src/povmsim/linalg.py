@@ -18,6 +18,8 @@ DEFAULT_TOL = 1e-9
 # Double-precision eigensolvers are reliable to ~1e-12 relative, so 1e-10
 # cleanly separates "zero" from "small but real".
 EIG_CUTOFF = 1e-10
+# Pruning: an eigenvalue of X above 1 + PRUNE_TOL is cut.
+PRUNE_TOL = 1e-10
 LOG2 = np.log(2.0)
 
 
@@ -293,8 +295,8 @@ def psd_pinv_sqrt(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     return hermitian_part((vecs * inv) @ vecs.conj().T)
 
 
-def pruning_projector(x, tol: float = 1e-10) -> np.ndarray:
-    """Projector onto the non-negative eigenspace of (I - x)."""
+def pruning_projector(x, tol: float = PRUNE_TOL) -> np.ndarray:
+    """Projector onto the eigenvalues >= -tol of (I - x): an eigenvalue of x above 1 + tol is cut."""
     x = hermitian_part(x)
     vals, vecs = np.linalg.eigh(np.eye(x.shape[0]) - x)
     v = vecs[:, vals >= -tol]
@@ -312,12 +314,7 @@ def purify(rho: DensityOperator) -> PureState:
 
 
 # ---------------------------------------------------------------------------
-# Shared JSON encoding: a complex matrix is a list of rows, each entry [re, im].
-
-def mat_to_json(a) -> list:
-    m = as_complex_matrix(a)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
-
+# JSON decoding: a complex matrix is a list of rows, each entry [re, im].
 
 def mat_from_json(rows) -> np.ndarray:
     return np.array([[complex(e[0], e[1]) for e in row] for row in rows], dtype=complex)

@@ -29,6 +29,7 @@ from .codes import (
 from .cq import StochasticMap, compose
 from .linalg import (
     EIG_CUTOFF,
+    PRUNE_TOL,
     DensityOperator,
     Povm,
     hermitian_part,
@@ -39,7 +40,6 @@ from .linalg import (
 
 SEQUENCE_CAP = 2 ** 20   # cap on p**n (sequence enumeration)
 DIM_CAP = 4200           # cap on dim(H)**n (dense operators)
-PRUNE_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------

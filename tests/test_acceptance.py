@@ -18,7 +18,7 @@ from conftest import (
 )
 from povmsim import lab, protocol, regions
 from povmsim.cli import bundled_example_path, default_covering_instance, load_problem, main
-from povmsim.codes import pairwise_independence_check, three_way_dependence_report
+from povmsim.codes import pairwise_independence_check
 from povmsim.cq import StochasticMap
 from povmsim.linalg import DensityOperator, Povm, kron_power, partial_trace
 from povmsim.regions import (
@@ -164,7 +164,7 @@ def test_pairwise_independence_exhaustive():
         rep = pairwise_independence_check(p, n, k, l)
         devs.append((rep.worst_single_deviation, rep.worst_pair_deviation))
     exact = all(d == (0, 0) for d in devs)
-    wit = three_way_dependence_report(3, 2, 1, 1)
+    wit = rep.witness      # of (3, 2, 1, 1), the last check
     elapsed = time.perf_counter() - t0
     _report("pairwise independence", exact and wit.fires,
             f"worst deviations {devs} (exact), three-way witness fires: {wit.fires} "

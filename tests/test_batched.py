@@ -378,9 +378,9 @@ def test_surface_csv_rows_match_per_row_format(bell_state):
 # ---------------------------------------------------------------------------
 # Code ensembles.
 
-@pytest.mark.parametrize("p,n,k,l", [(3, 1, 1, 1), (2, 2, 1, 1), (2, 1, 2, 1)])
+@pytest.mark.parametrize("p,n,k,l", [(3, 1, 1, 1), (2, 2, 1, 1), (2, 1, 2, 1), (3, 1, 0, 1)])
 def test_ensemble_checks_match_brute_force(monkeypatch, p, n, k, l):
-    # 81, 64 and 16 ensembles in blocks of 5: each ends in a partial block.
+    # 81, 64, 16 and 27 ensembles in blocks of 5: each ends in a partial block.
     monkeypatch.setattr(codes, "ENSEMBLE_BLOCK", 5)
     total, dev_single, dev_pair = ref.pairwise_deviations(p, n, k, l)
     assert total % codes.ENSEMBLE_BLOCK
@@ -388,11 +388,13 @@ def test_ensemble_checks_match_brute_force(monkeypatch, p, n, k, l):
     assert (rep.num_ensembles, rep.worst_single_deviation, rep.worst_pair_deviation) == \
         (total, dev_single, dev_pair)
     assert rep.exact
-    if p >= 3:
+    if p >= 3 and k >= 1:
         holds, dev = ref.three_way_counts(p, n, k, l)
-        wit = codes.three_way_dependence_report(p, n, k, l)
+        wit = rep.witness
         assert (wit.relation_holds_always, wit.max_joint_deviation) == (holds, dev)
         assert wit.fires
+    else:
+        assert rep.witness is None
 
 
 def test_ensemble_checks_default_block_partial():
@@ -401,7 +403,7 @@ def test_ensemble_checks_default_block_partial():
     rep = codes.pairwise_independence_check(3, 2, 1, 1)
     assert rep.num_ensembles == 3 ** 8 and rep.exact
     holds, dev = ref.three_way_counts(3, 2, 1, 1)
-    wit = codes.three_way_dependence_report(3, 2, 1, 1)
+    wit = rep.witness
     assert (wit.relation_holds_always, wit.max_joint_deviation) == (holds, dev)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from povmsim import cli, regions
+from povmsim import cli, codes, regions
 from povmsim.cli import (
     EXIT_BAD_EXPERIMENT,
     EXIT_BAD_PROTOCOL,
@@ -474,14 +474,22 @@ def test_mutated_problem_file_exits_cleanly(tmp_path, capsys, case):
      "the pairwise table needs 5**16 counters, above the cap"),
     (["ucc", "--p", "3", "--n", "6", "--k", "1", "--l", "0", "--check-pairwise"],
      "the pairwise table needs 3**14 counters, above the cap"),
+    (["ucc", "--p", "3", "--n", "5", "--k", "1", "--l", "0", "--check-pairwise"],
+     "the three-way table needs 3**15 counters, above the cap"),
 ], ids=["surface-no-valid-point", "surface-zero-span", "surface-negative-span",
         "covering-M0", "covering-trials1", "covering-ucc-M",
          "covering-ucc-over-cap",
         "pruning-eta", "pruning-trials0", "pruning-dim-over-cap", "pruning-shots-over-cap",
         "ucc-over-cap", "ucc-over-cap-astronomical",
         "ucc-negative-l", "ucc-emit-over-cap", "ucc-zero-n",
-        "ucc-pairwise-table-over-cap", "ucc-pairwise-table-over-cap-p3"])
-def test_lab_commands_refuse_bad_experiments(tmp_path, argv, phrase):
+        "ucc-pairwise-table-over-cap", "ucc-pairwise-table-over-cap-p3",
+        "ucc-three-way-table-over-cap"])
+def test_lab_commands_refuse_bad_experiments(tmp_path, monkeypatch, argv, phrase):
+    # Every refusal comes before a code ensemble is enumerated.
+    def refuse(*_, **__):
+        raise AssertionError("an ensemble was enumerated")
+
+    monkeypatch.setattr(codes, "codeword_indices", refuse)
     out = tmp_path / "err.json"
     assert run(argv + ["--out", str(out)]) == EXIT_BAD_EXPERIMENT
     assert phrase in json.loads(out.read_text())["error"]
@@ -586,7 +594,21 @@ def test_ucc_emit_and_check(tmp_path):
     out2 = tmp_path / "check.json"
     assert run(["ucc", "--p", "2", "--n", "2", "--k", "1", "--l", "1",
                 "--check-pairwise", "--out", str(out2)]) == 0
-    assert json.loads(out2.read_text())["pairwise"]["exact"]
+    assert json.loads(out2.read_text()) == {"pairwise": {
+        "ensembles": 64, "exact": True, "worst_pair_deviation": 0, "worst_single_deviation": 0}}
+
+
+def test_ucc_check_pairwise_report(tmp_path):
+    # The collinear triple's 81 joint values take 3**8 / 81 ensembles each,
+    # 72 above the uniform 3**8 / 3**6.
+    out = tmp_path / "check.json"
+    assert run(["ucc", "--p", "3", "--n", "2", "--k", "1", "--l", "1",
+                "--check-pairwise", "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == {
+        "pairwise": {"ensembles": 6561, "exact": True,
+                     "worst_pair_deviation": 0, "worst_single_deviation": 0},
+        "three_way_witness": {"fires": True, "max_joint_deviation": 72.0,
+                              "relation_coeffs": [1, 1, 1]}}
 
 
 def test_fm_command(tmp_path):

@@ -10,17 +10,11 @@ from povmsim.codes import (
     UccCode,
     all_codewords,
     all_vectors,
-    bins,
     codeword_indices,
-    coset_code,
     is_prime,
-    multiplicity,
     multiplicity_table,
     pairwise_independence_check,
     sample_ensemble,
-    three_way_dependence_report,
-    ucc_codeword,
-    vec_to_int,
 )
 
 
@@ -36,6 +30,12 @@ def test_all_vectors_cached_and_read_only():
     assert not table.flags.writeable and not all_vectors(0, 5).flags.writeable
     with pytest.raises(ValueError):
         table[0, 0] = 1
+
+
+def coset_code(G, B, p):
+    """The coset code a G + B: the words of the UCC with l = 0 and shift B."""
+    G = np.asarray(G)
+    return all_codewords(UccCode(p, G.shape[1], G.shape[0], 0, G, np.asarray(B)[None]))
 
 
 def test_coset_code_zero_generator():
@@ -56,25 +56,22 @@ def test_coset_code_full_rank_distinct():
     assert len({tuple(w) for w in words}) == 4
 
 
+def ucc_codeword(code, a: int, i: int):
+    """W(a, i) = a G + h(i) for the flat message index a: row a p**l + i of the sweep."""
+    return all_codewords(code)[a * code.num_bins + i]
+
+
 def test_ucc_codeword_zero_message():
     code = UccCode(2, 3, 1, 1, np.array([[1, 1, 0]]), np.array([[0, 0, 1], [1, 1, 1]]))
-    assert tuple(ucc_codeword(code, np.zeros(1, dtype=int), 0)) == (0, 0, 1)
-    assert tuple(ucc_codeword(code, np.zeros(1, dtype=int), 1)) == (1, 1, 1)
+    assert tuple(ucc_codeword(code, 0, 0)) == (0, 0, 1)
+    assert tuple(ucc_codeword(code, 0, 1)) == (1, 1, 1)
 
 
 def test_ucc_codeword_fixed_coset_sweep():
     code = UccCode(3, 2, 1, 1, np.array([[1, 2]]), np.array([[0, 1], [2, 2], [1, 0]]))
     coset = {tuple((a * code.G[0] + code.h[1]) % 3) for a in range(3)}
-    got = {tuple(ucc_codeword(code, np.array([a]), 1)) for a in range(3)}
+    got = {tuple(ucc_codeword(code, a, 1)) for a in range(3)}
     assert got == coset
-
-
-def test_ucc_codeword_rejects_bad_index():
-    code = UccCode(2, 2, 1, 1, np.zeros((1, 2), dtype=int), np.zeros((2, 2), dtype=int))
-    with pytest.raises(ValueError):
-        ucc_codeword(code, np.array([0]), 5)
-    with pytest.raises(ValueError):
-        ucc_codeword(code, np.array([2]), 0)
 
 
 def test_full_sweep_size():
@@ -85,8 +82,9 @@ def test_full_sweep_size():
 
 def test_multiplicity_degenerate_code():
     code = UccCode(2, 2, 1, 1, np.zeros((1, 2), dtype=int), np.zeros((2, 2), dtype=int))
-    assert multiplicity(code, (0, 0)) == 4
-    assert multiplicity(code, (1, 1)) == 0
+    table = multiplicity_table(code)
+    assert table.get((0, 0), 0) == 4
+    assert table.get((1, 1), 0) == 0
 
 
 def test_multiplicity_injective_case():
@@ -114,10 +112,11 @@ def test_bins_union_equals_sweep():
     code = sample_ensemble(CodeEnsembleSpec(2, 3, 1, 2, N=1, seed=5))[0]
     from collections import Counter
     union = Counter()
-    for i, coset in bins(code).items():
-        assert coset.shape == (2, 3)
-        union.update(map(tuple, coset))
-    sweep = Counter(map(tuple, all_codewords(code)))
+    for i in range(code.num_bins):
+        coset = codeword_indices(code.G[None], code.h[None, i:i + 1], code.p)
+        assert coset.shape == (1, 2)
+        union.update(coset[0].tolist())
+    sweep = Counter(codeword_indices(code.G[None], code.h[None], code.p)[0].tolist())
     assert union == sweep
 
 
@@ -137,8 +136,8 @@ def test_sample_ensemble_codeword_marginal_uniform():
     counts = np.zeros(p ** n)
     for seed in range(trials):
         code = sample_ensemble(CodeEnsembleSpec(p, n, 1, 1, N=1, seed=seed))[0]
-        w = ucc_codeword(code, np.array([1]), 1)
-        counts[vec_to_int(w, p)] += 1
+        # W(a = 1, i = 1) is word a p**l + i = 3.
+        counts[codeword_indices(code.G[None], code.h[None], p)[0, 3]] += 1
     expected = trials / p ** n
     sigma = np.sqrt(trials * (1 / p ** n) * (1 - 1 / p ** n))
     assert np.max(np.abs(counts - expected)) <= 3 * sigma
@@ -185,7 +184,7 @@ def test_codeword_indices_match_all_codewords(p, n, k, l):
     G[0], h[0] = 1, p - 1      # for k >= 1, a = (p - 1, 0, ...) gives every digit sum 2p - 2
     got = codeword_indices(G, h, p)
     assert got.dtype == np.int64 and got.shape == (size, p ** (k + l))
-    want = [[vec_to_int(w, p) for w in all_codewords(UccCode(p, n, k, l, g, hb))]
+    want = [np.ravel_multi_index(all_codewords(UccCode(p, n, k, l, g, hb)).T, (p,) * n)
             for g, hb in zip(G, h)]
     np.testing.assert_array_equal(got, want)
     digit_sums = (all_vectors(k, p) @ G[0] % p)[:, None, :] + h[0]
@@ -193,29 +192,60 @@ def test_codeword_indices_match_all_codewords(p, n, k, l):
 
 
 def test_three_way_witness_fires_for_p3():
-    wit = three_way_dependence_report(3, 1, 1, 0)
+    wit = pairwise_independence_check(3, 1, 1, 0).witness
     assert wit.relation_holds_always
     assert wit.max_joint_deviation > 0
     assert wit.fires
 
 
-@pytest.mark.parametrize("check, args, phrase", [
-    (pairwise_independence_check, (5, 8, 0, 0), "pairwise table needs 5**16 counters"),
-    (three_way_dependence_report, (3, 5, 1, 0), "three-way table needs 3**15 counters"),
+@pytest.mark.parametrize("args, phrase", [
+    ((5, 8, 0, 0), "pairwise table needs 5**16 counters"),
+    # 3**10 ensembles and a pairwise table of 3**12 counters are within the caps.
+    ((3, 5, 1, 0), "three-way table needs 3**15 counters"),
 ], ids=["pairwise", "three-way"])
-def test_counter_tables_are_capped(monkeypatch, check, args, phrase):
-    # Both tables are refused before any counter array is allocated.
+def test_counter_tables_are_capped(monkeypatch, args, phrase):
+    # Both tables are refused before any counter array is allocated or any
+    # ensemble is enumerated.
     def refuse(*_, **__):
-        raise AssertionError("a counter table was allocated")
+        raise AssertionError("a counter table was allocated or an ensemble enumerated")
 
     monkeypatch.setattr(codes.np, "zeros", refuse)
+    monkeypatch.setattr(codes, "codeword_indices", refuse)
     with pytest.raises(ValueError, match=rf"{re.escape(phrase)}, above the cap 1048576"):
-        check(*args)
+        pairwise_independence_check(*args)
 
 
 def test_three_way_witness_rejects_p2():
-    with pytest.raises(ValueError):
-        three_way_dependence_report(2, 2, 1, 1)
+    # For p = 2 every triple of distinct codewords is jointly uniform: no witness.
+    rep = pairwise_independence_check(2, 2, 1, 1)
+    assert rep.exact and rep.witness is None
+
+
+def test_ensemble_is_swept_once(monkeypatch):
+    # One codeword_indices call per block of the 3**8 ensembles, not one per table.
+    calls = []
+    real = codes.codeword_indices
+    monkeypatch.setattr(codes, "codeword_indices",
+                        lambda *a: calls.append(len(a[0])) or real(*a))
+    rep = pairwise_independence_check(3, 2, 1, 1)
+    assert rep.exact and rep.witness.fires
+    assert len(calls) == -(-3 ** 8 // codes.ENSEMBLE_BLOCK) and sum(calls) == 3 ** 8
+
+
+def test_broken_relation_is_seen(monkeypatch):
+    # Move the third word of the collinear triple on one ensemble: the
+    # relation W_0 - 2 W_1 + W_2 = 0 no longer holds on every ensemble.
+    real = codes.codeword_indices
+    third = 2 * 3      # a = 2 e_1 in coset 0 is word a p**l + 0 at p = 3, k = l = 1
+
+    def moved(G, h, p):
+        flat = real(G, h, p)
+        flat[0, third] = (flat[0, third] + 1) % p ** G.shape[2]
+        return flat
+
+    monkeypatch.setattr(codes, "codeword_indices", moved)
+    wit = pairwise_independence_check(3, 1, 1, 1).witness
+    assert not wit.relation_holds_always and not wit.fires
 
 
 def test_ucc_shape_validation():

@@ -258,10 +258,3 @@ def test_pruning_projector_examples():
 def test_pure_state_norm_validation():
     with pytest.raises(ValueError):
         PureState(np.array([1.0, 1.0]), (2,))
-
-
-def test_matrix_json_round_trip():
-    from povmsim.linalg import mat_from_json, mat_to_json
-    rng = np.random.default_rng(10)
-    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert np.array_equal(mat_from_json(mat_to_json(m)), m)

@@ -379,3 +379,20 @@ def test_p2p_quantities_match_the_reference(example1):
     want = {"i_w_r": 0.7810211143586168, "i_w_rz": 0.7975172819534895, "s_w": 0.999902933300698}
     for name, value in want.items():
         assert abs(getattr(q, name) - value) < 1e-12, name
+
+
+def test_p2p_quantities_read_only_the_reached_letters(example2):
+    # example2's p_zw is on F_3 while m_a has 2 outcomes: row 2 is never read.
+    rho = partial_trace(example2.rho_ab, traced=[1])
+    p_zw = example2.p_zw
+    assert p_zw.input_sizes == (3,) and len(example2.m_a) == 2
+    cut = StochasticMap((2,), p_zw.output_size, p_zw.probs[:2])
+    assert (compute_p2p_quantities(rho, example2.m_a, p_zw, example2.p)
+            == compute_p2p_quantities(rho, example2.m_a, cut, example2.p))
+    spec = load_problem(bundled_example_path(4))
+    q = compute_p2p_quantities(partial_trace(spec.rho_ab, traced=[1]), spec.m_a, spec.p_zw,
+                               spec.p)
+    assert abs(q.i_w_r - 0.7219280948873623) < 1e-12
+    one_letter = StochasticMap((1,), 2, [[0.5, 0.5]])
+    with pytest.raises(ValueError, match=r"inputs \(1,\) do not cover the POVM outcomes \(2,\)"):
+        compute_p2p_quantities(rho, example2.m_a, one_letter, example2.p)
