@@ -179,11 +179,11 @@ def word_counts(indices, p: int, n: int) -> dict:
 
 
 def _grand_ensemble(p: int, n: int, k: int, l: int):
-    """Iterator over the grand ensemble's (G, h) stacks, ENSEMBLE_BLOCK at a time.
+    """blocks(size): iterator over the grand ensemble's (G, h) stacks, ``size`` at a time.
 
     Ensemble e is the base-p digit string of e split into the k rows of G and
     the p**l rows of h, so the blocks run through ``all_vectors`` order.  The
-    parameters and the cap are checked before the iterator is returned.
+    parameters and the cap are checked before ``blocks`` is returned.
     """
     require_prime(p)
     if n < 1 or k < 0 or l < 0:
@@ -197,12 +197,14 @@ def _grand_ensemble(p: int, n: int, k: int, l: int):
     total = p ** digits
     place = p ** np.arange(digits - 1, -1, -1, dtype=np.int64)
 
-    def block(start: int):
-        idx = np.arange(start, min(start + ENSEMBLE_BLOCK, total), dtype=np.int64)
-        vecs = (idx[:, None] // place) % p
-        return vecs[:, :k * n].reshape(idx.size, k, n), vecs[:, k * n:].reshape(idx.size, p ** l, n)
+    def blocks(size: int):
+        for start in range(0, total, size):
+            idx = np.arange(start, min(start + size, total), dtype=np.int64)
+            vecs = (idx[:, None] // place) % p
+            yield (vecs[:, :k * n].reshape(idx.size, k, n),
+                   vecs[:, k * n:].reshape(idx.size, p ** l, n))
 
-    return map(block, range(0, total, ENSEMBLE_BLOCK))
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -245,7 +247,9 @@ def pairwise_independence_check(p: int, n: int, k: int, l: int) -> PairwiseRepor
     the same-coset triple W(0, 0), W(e_1, 0), W(2 e_1, 0).  W is affine in a,
     so the triple obeys W_0 - 2 W_1 + W_2 = 0: pairwise but not three-way
     independent (for p = 2 a dependence takes four words, so no witness).
-    Deviations are from the exactly uniform counts; each table is capped first.
+    Deviations are from the exactly uniform counts; each table is capped first,
+    and a block holds at most ENSEMBLE_BLOCK ensembles and so few that its
+    counter keys (ensembles x tuples of a table) stay within ENUMERATION_CAP.
     """
     blocks = _grand_ensemble(p, n, k, l)
     _require_table(p, 2 * (k + l + n), "pairwise")
@@ -258,8 +262,8 @@ def pairwise_independence_check(p: int, n: int, k: int, l: int) -> PairwiseRepor
         a_ints = (0, p ** (k - 1), 2 * p ** (k - 1))
         tuples.append(np.array([[a * p ** l for a in a_ints]]))
     tables = [np.zeros(len(rows) * space ** rows.shape[1], dtype=np.int64) for rows in tuples]
-    total = 0
-    for G, h in blocks:
+    total, most = 0, max(len(rows) for rows in tuples)
+    for G, h in blocks(max(1, min(ENSEMBLE_BLOCK, ENUMERATION_CAP // most))):
         flat = codeword_indices(G, h, p)                              # (B, num_words)
         total += flat.shape[0]
         for rows, table in zip(tuples, tables):

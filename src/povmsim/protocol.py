@@ -23,8 +23,8 @@ from .codes import (
     all_vectors,
     codeword_indices,
     digit_dtype,
+    multiplicity_table,
     require_prime,
-    word_counts,
 )
 from .cq import StochasticMap, compose
 from .linalg import (
@@ -203,7 +203,9 @@ def _kron_columns(mats, cols: np.ndarray) -> np.ndarray:
     """The columns of kron_all(mats) indexed by the rows of ``cols`` (one index per factor)."""
     out = np.ones((1, cols.shape[0]), dtype=np.result_type(*mats))
     for j, m in enumerate(mats):
-        out = (out[:, None, :] * m[:, cols[:, j]][None, :, :]).reshape(
+        # np.take gathers C-ordered; m[:, cols[:, j]] comes back Fortran-ordered,
+        # which makes the broadcast product below several times slower.
+        out = (out[:, None, :] * np.take(m, cols[:, j], axis=1)[None, :, :]).reshape(
             out.shape[0] * m.shape[0], cols.shape[0])
     return out
 
@@ -351,23 +353,37 @@ def _hstack(factors, dim: int) -> np.ndarray:
     return np.concatenate([np.zeros((dim, 0)), *factors], axis=1)
 
 
-def _sigma_factor(factors: dict, gamma: dict, dim: int) -> np.ndarray:
-    """Y = [sqrt(gamma_w) X_w], so that Sigma = sum_w gamma_w Abar_w = Y Y^dagger."""
-    return _hstack([np.sqrt(gamma[w]) * x for w, x in factors.items()], dim)
+def _column_blocks(mat: np.ndarray, ends: np.ndarray):
+    """(at, cols, stack) per positive width of the column blocks mat[:, ends[i]:ends[i + 1]].
 
-
-def _cut_directions(y: np.ndarray) -> np.ndarray:
-    """The eigenvectors of Y Y^dagger with eigenvalue above 1 + PRUNE_TOL, orthonormal.
-
-    They come from the small Gram Y^dagger Y: for each of its eigenpairs
-    (s**2, v) with s**2 above 1 + PRUNE_TOL, Y v / s is a unit eigenvector of
-    Y Y^dagger with the same eigenvalue.  A Y without columns cuts nothing.
+    ``at`` indexes the blocks of that width; cols[b] holds block at[b]'s
+    columns and stack[b] its entries, C-ordered.
     """
-    if not y.shape[1]:
-        return y
-    s2, v = np.linalg.eigh(y.conj().T @ y)
-    keep = s2 > 1.0 + PRUNE_TOL
-    return (y @ v[:, keep]) / np.sqrt(s2[keep])
+    widths = np.diff(ends)
+    for c in np.unique(widths[widths > 0]).tolist():
+        at = np.flatnonzero(widths == c)
+        cols = ends[at, None] + np.arange(c)
+        yield at, cols, np.ascontiguousarray(np.take(mat, cols, axis=1).transpose(1, 0, 2))
+
+
+def _cut_directions(y: np.ndarray, x: np.ndarray) -> tuple:
+    """(cut, v_cut, f): the pruning of stacks Y = [sqrt(gamma_w) X_w] and X = [X_w], (B, rows, c).
+
+    Code b cuts Y v / s for each eigenpair (s**2, v) of the small Gram
+    Y^dagger Y with s**2 above 1 + PRUNE_TOL: cut[b] orthonormal eigenvectors
+    of Y Y^dagger, the first columns of v_cut[b] (the rest are 0), and
+    f[b] = X - V_cut (V_cut^dagger X).  ``x`` is pruned in place and returned as f.
+    """
+    s2, v = np.linalg.eigh(y.conj().transpose(0, 2, 1) @ y)
+    cut, v_cut = (s2 > 1.0 + PRUNE_TOL).sum(axis=1), np.zeros_like(y)
+    for c in np.unique(cut[cut > 0]).tolist():        # eigh sorts ascending: the last c pairs
+        at = slice(None) if np.all(cut == c) else cut == c     # a view, when all codes cut c
+        # Fortran-ordered, as one eigh's masked columns are: the BLAS product rounds by layout.
+        kept = np.ascontiguousarray(v[at, :, -c:].transpose(0, 2, 1)).transpose(0, 2, 1)
+        vc = (y[at] @ kept) / np.sqrt(s2[at, None, -c:])
+        x[at] -= vc @ (vc.conj().transpose(0, 2, 1) @ x[at])
+        v_cut[at, :, :c] = vc
+    return cut, v_cut, x
 
 
 class _Grams(Mapping):
@@ -401,7 +417,8 @@ class SideData:
     A_w = F_w F_w^dagger with F_w = Pi_mu X_w; bin i is G_i G_i^dagger, where
     G_i puts the F_w of the bin's words side by side (a repeated word
     repeats its columns); the completion is I - G G^dagger, with G every G_i
-    side by side.  ``a_ops`` builds the dense A_w on access.
+    side by side.  ``a_ops`` builds the dense A_w on access.  Its arrays are
+    views of its ``Side``'s.
     """
 
     code: UccCode
@@ -417,6 +434,50 @@ class SideData:
     def a_ops(self) -> Mapping:
         """word tuple -> pruned A_w, for the code's built words."""
         return _Grams(self.a_factors)
+
+
+@dataclass(eq=False)
+class Side:
+    """One party of the protocol: its state, ensemble and typical set, and its N codes' operators.
+
+    Code mu has the generator ``g`` and the shift table h[mu].  Each kind of
+    operator is one matrix whose columns run code after code: code mu's F_w
+    (its built words ascending) are the columns pruned_ends[mu]:pruned_ends[mu + 1]
+    of ``pruned``, its V_cut the first cut[mu] of them in ``cuts``, and its bin
+    i factor G_i the columns of ``bins`` from bin_ends[mu p**l + i] to the next end.
+    """
+
+    rho: DensityOperator        # the party's reduced state
+    ens: CanonicalEnsemble      # padded to F_p
+    tset: TypicalSet
+    typical: np.ndarray         # U, with Pi_rho = U U^dagger
+    factors: dict               # word tuple -> X_w, for every word built on this side
+    g: np.ndarray               # (k, n)
+    h: np.ndarray               # (N, p**l, n)
+    pruned: np.ndarray
+    pruned_ends: np.ndarray     # (N + 1,)
+    cuts: np.ndarray
+    cut: np.ndarray             # (N,)
+    bins: np.ndarray
+    bin_ends: np.ndarray        # (N p**l + 1,)
+    defects: np.ndarray         # (N,) each code's ``SideData.defect``
+
+    @functools.cached_property
+    def mus(self) -> list:
+        """SideData per mu, formed on first read."""
+        p, (num, bins, n) = self.ens.num_letters, self.h.shape
+        out, l = [], round(math.log(bins, p))
+        for mu, lo in enumerate(self.pruned_ends[:-1].tolist()):
+            code = UccCode(p, n, self.g.shape[0], l, self.g, self.h[mu])
+            gamma = multiplicity_table(code)
+            own = {w: self.factors[w] for w in gamma if w in self.factors}
+            ends = np.cumsum([lo] + [x.shape[1] for x in own.values()]).tolist()
+            b = self.bin_ends[mu * bins:(mu + 1) * bins + 1].tolist()
+            out.append(SideData(code, gamma, own, self.typical, self.cuts[:, lo:lo + self.cut[mu]],
+                                {w: self.pruned[:, a:e] for w, a, e in zip(own, ends, ends[1:])},
+                                [self.bins[:, a:e] for a, e in zip(b, b[1:])],
+                                float(self.defects[mu])))
+        return out
 
 
 def _bin_indices(g: np.ndarray, h: np.ndarray, p: int) -> np.ndarray:
@@ -446,85 +507,74 @@ def _decode(hits: np.ndarray) -> tuple:
     return decoded, int((count >= 2).sum())
 
 
-def _code_side(code: UccCode, gamma: dict, factors: dict, hits: np.ndarray,
-               typical: np.ndarray) -> SideData:
-    """One code's pruned operators; ``hits`` places its codewords in ``factors``, -1 if absent."""
-    dim = typical.shape[0]
-    own = {w: x for w, x in factors.items() if w in gamma}
-    v_cut = _cut_directions(_sigma_factor(own, gamma, dim))
-    x = _hstack(own.values(), dim)
-    f = x - v_cut @ (v_cut.conj().T @ x)     # every F_w side by side, in one product
-    # Columns by position in ``factors``, 0 for another code's word; a last 0 serves hit -1.
-    widths = np.array([x_w.shape[1] * (w in gamma) for w, x_w in factors.items()] + [0])
-    ends = np.cumsum(widths)
-    a_factors = {w: f[:, e - c:e] for w, c, e in zip(factors, widths.tolist(), ends.tolist())
-                 if w in gamma}
-    # One gather puts every bin's columns of f side by side as G (a repeated
-    # word repeats its columns); each G_i is a column slice of G.
-    found = hits[hits >= 0]
-    g = f[:, _ranges(ends[found] - widths[found], ends[found])]
-    bounds = np.concatenate([[0], np.cumsum(widths[hits].sum(axis=1))]).tolist()
-    bin_factors = [g[:, a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    top = np.linalg.norm(g, 2) if g.any() else 0.0    # a zero (or column-free) G needs no SVD
-    return SideData(code, gamma, own, typical, v_cut, a_factors, bin_factors,
-                    max(0.0, float(top) ** 2 - 1.0))
+def _build_side(params: ProtocolParams, m: Povm, rho: DensityOperator, g: np.ndarray,
+                h: np.ndarray) -> Side:
+    """The ensemble, typical set and pruned operators of one side's codes (see ``Side``).
 
-
-@dataclass(eq=False)
-class Side:
-    """One party of the protocol: its state, ensemble and typical set, and its codes' operators."""
-
-    rho: DensityOperator        # the party's reduced state
-    ens: CanonicalEnsemble      # padded to F_p
-    tset: TypicalSet
-    mus: list                   # SideData per mu
-
-
-def _build_side(params: ProtocolParams, m: Povm, rho: DensityOperator, codes: list) -> Side:
-    """The ensemble, typical set and pruned per-code operators of one side.
-
-    One enumeration of every code's codewords gives the gamma_w and the bin
-    hits.  X_w is built only for typical words that occur in some code:
+    X_w is built only for typical words that occur in some code:
     Abar_w = X_w X_w^dagger with X_w = Q B_w[:, keep] sqrt(eig c_w), where
     Q = (rho^{-1/2})^{(x) n} Pi_rho = U diag(inv) U^dagger is applied through
     U, B_w is the eigenbasis of rho_hat_{w^n}, keep its conditional typical
-    columns and c_w = lambda_{w^n} p^n / ((1 + eta) p^(k+l)).  Each code's
-    operators are kept as factors (see ``SideData``), for the words of that
-    code only.
-
-    X_w depends on w only through its type up to a reordering of the
-    registers, as Pi_rho and Q are invariant under register permutations:
-    X_w is built once for the sorted word of its type class and every other
-    word of the class permutes that factor's register axes.
+    columns and c_w = lambda_{w^n} p^n / ((1 + eta) p^(k+l)).  As Pi_rho and
+    Q are invariant under register permutations, X_w is built once per type
+    class and each word gathers its rows from it.  Codes with as many
+    columns are pruned together, and so are bins.
     """
     ens = pad_ensemble(canonical_ensemble(m, rho), params.p)
     tset = typical_set(ens.weights, params.n, params.delta)
-    n, d, p = params.n, rho.dim, params.p
+    n, d, p, dim, (num, bins) = params.n, rho.dim, params.p, rho.dim ** params.n, h.shape[:2]
     u, inv = _typical_factor(rho.mat, n, params.delta)
     u_inv, u_adj = u * inv, u.conj().T
-    norm = p ** n / ((1.0 + params.eta) * p ** (codes[0].k + codes[0].l))
-    indices = _bin_indices(np.stack([c.G for c in codes]), np.stack([c.h for c in codes]), p)
-    gammas = [word_counts(i, p, n) for i in indices]
-    used = set().union(*gammas)
-    spectra = [_spectrum(s) for s in ens.post_states]
-    idx = all_vectors(n, d)
-    words = [w for w in tset.members if w in used]
-    # Per word, the positions that sort its letters, and the inverse permutation.
-    orders = np.argsort(np.array(words, dtype=np.int64).reshape(-1, n), axis=1, kind="stable")
-    by_type = {}    # sorted word -> its X, read as (d,) * n + (columns,)
-    factors = {}
-    for w, order, back in zip(words, orders.tolist(), np.argsort(orders, axis=1).tolist()):
-        rep = tuple(w[j] for j in order)
-        if rep not in by_type:
-            cols, eig = _cond_typical_columns(spectra, rep, params.delta, idx)
-            x = cols * np.sqrt(np.clip(eig, 0.0, None) * (norm * ens.weight_of(rep)))
-            by_type[rep] = (u_inv @ (u_adj @ x)).reshape((d,) * n + (x.shape[1],))
-        # Register j of the sorted word holds the letter at w's position order[j].
-        x = by_type[rep]
-        factors[w] = x.transpose(tuple(back) + (n,)).reshape(d ** n, x.shape[-1])
-    hits = _slots(words, p, n)[indices]
-    return Side(rho, ens, tset, [_code_side(c, g, factors, h, u)
-                                 for c, g, h in zip(codes, gammas, hits)])
+    norm = p ** n / ((1.0 + params.eta) * (p ** g.shape[0] * bins))
+    # Codeword (mu, i, a) as the key mu p**n + word: the distinct keys ascend code by code.
+    indices = (_bin_indices(np.broadcast_to(g, (num,) + g.shape), h, p)
+               + p ** n * np.arange(num)[:, None, None])
+    keys, gamma = np.unique(indices, return_counts=True)
+    # The built words, ascending: those of some code that are typical (as in ``typical_set``).
+    used = all_vectors(n, p)[np.unique(keys % p ** n)]
+    words = used[counts_are_typical(_group_counts(used, p), ens.weights, n, params.delta)]
+    orders = np.argsort(words, axis=1, kind="stable")
+    sorted_words = np.take_along_axis(words, orders, axis=1) @ p ** np.arange(n - 1, -1, -1)
+    reps = np.unique(sorted_words)
+    type_of = np.searchsorted(reps, sorted_words)
+    spectra, idx, per_type = [_spectrum(s) for s in ens.post_states], all_vectors(n, d), []
+    for rep in all_vectors(n, p)[reps].tolist():
+        cols, eig = _cond_typical_columns(spectra, rep, params.delta, idx)
+        x = cols * np.sqrt(np.clip(eig, 0.0, None) * (norm * ens.weight_of(rep)))
+        per_type.append(u_inv @ (u_adj @ x))
+    del u_inv, u_adj        # dim x dim, freed before the gathers below
+    type_ends = np.cumsum([0] + [x.shape[1] for x in per_type])
+    lo, widths = type_ends[type_of], np.diff(type_ends)[type_of]
+    # One gather: register j of a word's sorted type holds its letter at position
+    # orders[j], so row r of X_w is the type's row with r's digit j moved to place
+    # argsort(orders)[j] (found by an exact float product, for BLAS).
+    back = np.repeat(np.argsort(orders, axis=1), widths, axis=0)     # per column of the X_w
+    built = _hstack(per_type, dim)[(idx @ np.power(float(d), n - 1 - back).T).astype(np.int64),
+                                   _ranges(lo, lo + widths)]
+    ends = np.cumsum(np.append(0, widths))
+    factors = {w: built[:, a:b] for w, a, b in zip(map(tuple, words.tolist()), ends[:-1].tolist(),
+                                                   ends[1:].tolist())}
+    # Each key's X_w side by side, none for a word not built (slot -1 reads a width of 0).
+    slot = _slots(words, p, n)[keys % p ** n]
+    width, start = np.append(widths, 0)[slot], ends[slot]
+    pruned = np.take(built, _ranges(start, start + width), axis=1)    # X, pruned below
+    scale, col_ends = np.repeat(np.sqrt(gamma), width), np.cumsum(np.append(0, width))
+    pruned_ends = col_ends[np.searchsorted(keys, p ** n * np.arange(num + 1))]
+    cuts, cut = np.zeros_like(pruned), np.zeros(num, dtype=np.int64)
+    for at, block, x in _column_blocks(pruned, pruned_ends):
+        cut[at], v_cut, f = _cut_directions(x * scale[block][:, None, :], x)
+        pruned[:, block], cuts[:, block] = f.transpose(1, 0, 2), v_cut.transpose(1, 0, 2)
+    # Bin i puts the F_w columns of its codewords' keys side by side.
+    hit = np.searchsorted(keys, indices)
+    g_bins = np.take(pruned, _ranges(col_ends[hit].ravel(), col_ends[hit + 1].ravel()), axis=1)
+    bin_ends = np.cumsum(np.append(0, width[hit].sum(axis=2)))
+    # A zero (or column-free) G needs no SVD.
+    defects = np.zeros(num)
+    for at, _, g_mu in _column_blocks(*_live_columns(g_bins, bin_ends[::bins])):
+        top = np.linalg.svd(g_mu, compute_uv=False)[:, 0]
+        defects[at] = [max(0.0, t ** 2 - 1.0) for t in top.tolist()]
+    return Side(rho, ens, tset, u, factors, g, h, pruned, pruned_ends, cuts, cut,
+                g_bins, bin_ends, defects)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +612,7 @@ class Instance:
 
     @property
     def abar(self) -> Mapping:      # word tuple -> unpruned Abar_w of side A
-        return _Grams({w: x for mu in self.mus for w, x in mu.factors.items()})
+        return _Grams(self.sides[0].factors)
 
     @property
     def side_a(self) -> list:
@@ -590,28 +640,28 @@ def _build(params: ProtocolParams, povms, rho: DensityOperator) -> Instance:
     states = [partial_trace(rho, [t for t in range(count) if t != s]) for s in range(count)]
     rng = np.random.default_rng(params.seed)
     g = rng.integers(0, p, size=(k, n))
-    codes = [[UccCode(p, n, k, l, g, rng.integers(0, p, size=(p ** l, n))) for _ in range(num)]
-             for l, num in params.sides]
-    sides = tuple(_build_side(params, m, state, c) for m, state, c in zip(povms, states, codes))
+    # One draw of a side's N tables takes the stream that one draw per table would.
+    shifts = [rng.integers(0, p, size=(num, p ** l, n)) for l, num in params.sides]
+    sides = tuple(_build_side(params, m, state, g, h) for m, state, h in zip(povms, states, shifts))
     tset_w = sides[0].tset if count == 1 else typical_set(
         [float(np.trace(el @ rho.mat).real) for el in _sum_povm(povms, p).elements],
         n, p * params.delta)
     # The sum codes' shifts, axes (N_1, ..., bins_1, ..., n), added side by
     # side; they are digit sums, held in the narrow type ``codeword_indices`` reads.
-    shifts = np.zeros(n, dtype=digit_dtype(p))
-    for s, side_codes in enumerate(codes):
+    total = np.zeros(n, dtype=digit_dtype(p))
+    for s, h in enumerate(shifts):
         shape = [1] * 2 * count + [n]
-        shape[s], shape[count + s] = len(side_codes), side_codes[0].num_bins
-        shifts = shifts + np.stack([c.h for c in side_codes]).astype(shifts.dtype).reshape(shape)
-        shifts %= p
-    num_codes = math.prod(shifts.shape[:count])
+        shape[s], shape[count + s] = h.shape[:2]
+        total = total + h.astype(total.dtype).reshape(shape)
+        total %= p
+    num_codes = math.prod(total.shape[:count])
     slot = _slots(tset_w.members, p, n)
     decoded, collisions = _decode(slot[_bin_indices(
-        np.broadcast_to(g, (num_codes, k, n)), shifts.reshape(num_codes, -1, n), p)])
+        np.broadcast_to(g, (num_codes, k, n)), total.reshape(num_codes, -1, n), p)])
     first = int(np.argmax(slot < 0))        # w0, the first word by index outside tset_w
     w0 = tuple(map(int, np.unravel_index(first, (p,) * n))) if slot[first] < 0 else None
-    return Instance(params, sides, tset_w, w0, decoded.reshape(shifts.shape[:-1]),
-                    float(max(mu.defect for side in sides for mu in side.mus)), collisions)
+    return Instance(params, sides, tset_w, w0, decoded.reshape(total.shape[:-1]),
+                    float(max(side.defects.max() for side in sides)), collisions)
 
 
 def build_instance(params: ProtocolParams, m: Povm, rho: DensityOperator) -> Instance:
@@ -695,17 +745,15 @@ def _output_probs(word, p_ext: StochasticMap, zs: np.ndarray) -> np.ndarray:
     return np.prod(p_ext.probs[np.asarray(word), zs], axis=1)
 
 
-def _live_columns(bin_lists, dim: int) -> tuple:
-    """(G, ends): the nonzero bin factors of every mu side by side, with ``dim`` rows.
-
-    Bins are numbered on across the mus; bin i has the columns
-    [ends[i], ends[i + 1]) of G, none when it has no nonzero column.
-    """
-    bins = [g for mu in bin_lists for g in mu]
-    live = [bool(g.any()) for g in bins]
-    widths = [g.shape[1] * keep for g, keep in zip(bins, live)]
-    return (_hstack([g for g, keep in zip(bins, live) if keep], dim),
-            np.cumsum([0] + widths, dtype=np.int64))
+def _live_columns(g: np.ndarray, ends: np.ndarray) -> tuple:
+    """(G, ends) of the bins g[:, ends[i]:ends[i + 1]], each left with no column when it is 0."""
+    if not g.any():
+        return g[:, :0], np.zeros_like(ends)
+    nonzero = np.concatenate([[0], np.cumsum(g.any(axis=0))])
+    live = nonzero[ends[1:]] > nonzero[ends[:-1]]
+    widths = np.where(live, np.diff(ends), 0)
+    return (np.take(g, _ranges(ends[:-1][live], ends[1:][live]), axis=1),
+            np.concatenate([[0], np.cumsum(widths)]))
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -719,10 +767,11 @@ class FactoredCandidate(Mapping):
 
     ``decoded`` has one mu axis and then one bin axis per side: the index in
     ``words`` of the word that bins (i_1, i_2, ...) decode to under
-    (mu_1, mu_2, ...), all weighted alike, or -1 for w0.  ``bins`` lists, per
-    side and per mu, that side's bin factors G_i, as many per mu as its bin
-    axis.  A side's outcomes, its completion and its bins, add up to I and
-    every tuple with a completion decodes to w0, so C_w0 = I - sum over the
+    (mu_1, mu_2, ...), all weighted alike, or -1 for w0.  ``bins`` holds, per
+    side, a pair (G, ends): the bin factors of every mu side by side, bin i of
+    mu the columns ends[mu b + i]:ends[mu b + i + 1] for b bins per mu.  A
+    side's outcomes, its completion and its bins, add up to I and every
+    tuple with a completion decodes to w0, so C_w0 = I - sum over the
     other words of C_word, and a word other than w0 keeps only its bin tuples:
     C_word = F diag(c) F^dagger on (H_1 (x) H_2 (x) ...)^{(x) n}, with
     F = G_1 (x) G_2 (x) ..., G_s side s's nonzero bin factors side by side,
@@ -740,7 +789,7 @@ class FactoredCandidate(Mapping):
                  dims: tuple):
         self.n, self.dims = n, tuple(dims)
         count = len(self.dims)
-        live = [_live_columns(b, d ** n) for b, d in zip(bins, self.dims)]
+        live = [_live_columns(g, ends) for g, ends in bins]
         self.adjs = [np.ascontiguousarray(g.conj().T) for g, _ in live]
         self.weight = 1.0 / math.prod(decoded.shape[:count])
         # Each tuple of nonzero bins decoding to a word other than w0, as (word,
@@ -822,7 +871,7 @@ def assemble_overall(instance: Instance, p_zw: StochasticMap) -> FactoredCandida
     complete by construction.
     """
     return FactoredCandidate(instance.decoded, instance.words, instance.w0,
-                             [[mu.bin_factors for mu in side.mus] for side in instance.sides],
+                             [(side.bins, side.bin_ends) for side in instance.sides],
                              extend_map_to_field(p_zw, instance.params.p), instance.params.n,
                              [side.rho.dim for side in instance.sides])
 

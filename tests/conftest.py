@@ -51,6 +51,12 @@ def random_complete_povm(rng, dim, num):
     return Povm(tuple(isq @ m @ isq for m in mats))
 
 
+def random_rank_one_povm(rng, dim, num):
+    """num rank-one elements v_i v_i^dagger from the first dim rows of a random unitary."""
+    v = random_unitary(rng, num)[:dim]
+    return Povm(tuple(np.outer(v[:, i], v[:, i].conj()) for i in range(num)))
+
+
 def random_unitary(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)

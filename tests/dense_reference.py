@@ -10,7 +10,7 @@ library takes from the Gram of Y.
 import numpy as np
 
 from povmsim.linalg import hermitian_part
-from povmsim.protocol import PRUNE_TOL, _gram, _hstack, _sigma_factor
+from povmsim.protocol import PRUNE_TOL, _gram, _hstack
 
 
 def svd_cut_directions(y) -> np.ndarray:
@@ -20,8 +20,9 @@ def svd_cut_directions(y) -> np.ndarray:
 
 
 def sigma(side) -> np.ndarray:
-    """sum_w gamma_w Abar_w of one side's code."""
-    return _gram(_sigma_factor(side.factors, side.gamma, side.typical.shape[0]))
+    """sum_w gamma_w Abar_w of one side's code, as Y Y^dagger with Y = [sqrt(gamma_w) X_w]."""
+    y = [np.sqrt(side.gamma[w]) * x for w, x in side.factors.items()]
+    return _gram(_hstack(y, side.typical.shape[0]))
 
 
 def pi_mu(side) -> np.ndarray:

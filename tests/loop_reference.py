@@ -1,16 +1,18 @@
-"""Per-trial, per-point and per-ensemble loop references for the batched lab paths.
+"""Per-trial, per-point, per-ensemble and per-code loop references for the batched paths.
 
 Each function here is the straightforward loop that ``lab``, ``regions``,
-``codes`` and ``cq`` replace with stacked numpy passes: one random draw, one
-small eigendecomposition or one trace per trial, grid point, ensemble or cq
-block.  The
-tests compare the batched results against them.
+``codes``, ``cq`` and the protocol's side build replace with stacked numpy
+passes: one random draw, one small eigendecomposition or one trace per
+trial, grid point, ensemble, cq block or code.  The tests compare the
+batched results against them.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 
+from povmsim.codes import UccCode, all_vectors, codeword_indices, word_counts
 from povmsim.linalg import (
     entropy_bits,
     hermitian_part,
@@ -18,6 +20,17 @@ from povmsim.linalg import (
     partial_trace_mat,
     pruning_projector,
     trace_norm,
+)
+from povmsim.protocol import (
+    PRUNE_TOL,
+    _cond_typical_columns,
+    _hstack,
+    _ranges,
+    _spectrum,
+    _typical_factor,
+    canonical_ensemble,
+    pad_ensemble,
+    typical_set,
 )
 
 
@@ -182,3 +195,78 @@ def cq_entropy(cq, registers):
         acc[key] = acc[key] + red if key in acc else red
     return entropy_bits(np.concatenate([np.linalg.eigvalsh(hermitian_part(red))
                                         for red in acc.values()]))
+
+
+# -- protocol sides ----------------------------------------------------------------
+
+def cut_directions(y):
+    """The eigenvectors of Y Y^dagger with eigenvalue above 1 + PRUNE_TOL, from one
+    eigh of the Gram Y^dagger Y; a Y without columns cuts nothing."""
+    if not y.shape[1]:
+        return y
+    s2, v = np.linalg.eigh(y.conj().T @ y)
+    keep = s2 > 1.0 + PRUNE_TOL
+    return (y @ v[:, keep]) / np.sqrt(s2[keep])
+
+
+def code_side(code, gamma, factors, hits, typical):
+    """One code's pruned operators, one Python pass per code.
+
+    ``factors`` maps every built word of the side to X_w and ``hits`` places
+    the code's codewords, bin by bin, in ``factors`` by position (-1 if
+    absent).  Returns the attributes of ``protocol.SideData`` as a namespace.
+    """
+    dim = typical.shape[0]
+    own = {w: x for w, x in factors.items() if w in gamma}
+    v_cut = cut_directions(_hstack([np.sqrt(gamma[w]) * x for w, x in own.items()], dim))
+    x = _hstack(own.values(), dim)
+    f = x - v_cut @ (v_cut.conj().T @ x)
+    widths = np.array([x_w.shape[1] * (w in gamma) for w, x_w in factors.items()] + [0])
+    ends = np.cumsum(widths)
+    a_factors = {w: f[:, e - c:e] for w, c, e in zip(factors, widths.tolist(), ends.tolist())
+                 if w in gamma}
+    found = hits[hits >= 0]
+    g = f[:, _ranges(ends[found] - widths[found], ends[found])]
+    bounds = np.concatenate([[0], np.cumsum(widths[hits].sum(axis=1))]).tolist()
+    bin_factors = [g[:, a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    top = np.linalg.norm(g, 2) if g.any() else 0.0
+    return SimpleNamespace(code=code, gamma=gamma, factors=own, typical=typical, v_cut=v_cut,
+                           a_factors=a_factors, bin_factors=bin_factors,
+                           defect=max(0.0, float(top) ** 2 - 1.0))
+
+
+def side_codes(params, m, rho, g, h):
+    """``code_side`` of every code (G = g, shift table h[mu]) of one side, code by code.
+
+    X_w is built once per type class and transposed into place word by word.
+    """
+    ens = pad_ensemble(canonical_ensemble(m, rho), params.p)
+    tset = typical_set(ens.weights, params.n, params.delta)
+    n, d, p = params.n, rho.dim, params.p
+    codes = [UccCode(p, n, g.shape[0], round(np.log(h.shape[1]) / np.log(p)), g, s) for s in h]
+    u, inv = _typical_factor(rho.mat, n, params.delta)
+    norm = p ** n / ((1.0 + params.eta) * p ** (codes[0].k + codes[0].l))
+    indices = [codeword_indices(c.G[None], c.h[None], p)[0] for c in codes]
+    gammas = [word_counts(i, p, n) for i in indices]
+    used = set().union(*gammas)
+    spectra = [_spectrum(s) for s in ens.post_states]
+    idx = all_vectors(n, d)
+    factors, by_type = {}, {}
+    for w in (w for w in tset.members if w in used):
+        order = np.argsort(w, kind="stable")
+        rep = tuple(w[j] for j in order)
+        if rep not in by_type:
+            cols, eig = _cond_typical_columns(spectra, rep, params.delta, idx)
+            x = cols * np.sqrt(np.clip(eig, 0.0, None) * (norm * ens.weight_of(rep)))
+            by_type[rep] = ((u * inv) @ (u.conj().T @ x)).reshape((d,) * n + (x.shape[1],))
+        x = by_type[rep]
+        factors[w] = x.transpose(tuple(np.argsort(order)) + (n,)).reshape(d ** n, x.shape[-1])
+    where = {w: i for i, w in enumerate(factors)}
+    place = p ** np.arange(n - 1, -1, -1)
+    out = []
+    for code, gamma, flat in zip(codes, gammas, indices):
+        words = (flat[:, None] // place) % p
+        hits = np.array([where.get(tuple(w), -1) for w in words.tolist()])
+        # Codeword (a, i) sits at row a p**l + i; bin i holds the codewords a G + h(i).
+        out.append(code_side(code, gamma, factors, hits.reshape(-1, code.num_bins).T, u))
+    return out

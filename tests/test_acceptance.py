@@ -359,7 +359,7 @@ def test_p2p_example4_beats_constant_candidate(tmp_path, monkeypatch):
         inst = built[-1]
         constant = protocol.FactoredCandidate(
             np.full_like(inst.decoded, -1), inst.words, inst.w0,
-            [[mu.bin_factors for mu in side.mus] for side in inst.sides], p_ext, n, [rho.dim])
+            [(side.bins, side.bin_ends) for side in inst.sides], p_ext, n, [rho.dim])
         k_constant = protocol.faithfulness(protocol.TensorPower(rho, n),
                                            protocol.target_overall(spec.m_a, p_ext, n), constant)
         errors += [abs(k - want), abs(k_constant - want_constant)]

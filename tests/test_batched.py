@@ -1,12 +1,14 @@
-"""The stacked lab, surface and ensemble passes against their loop references."""
+"""The stacked lab, surface, ensemble and side-build passes against their loop references."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import loop_reference as ref
-from conftest import random_density
-from povmsim import codes, lab, regions
-from povmsim.cli import default_covering_instance
+from conftest import random_density, random_rank_one_povm
+from povmsim import codes, lab, protocol, regions
+from povmsim.cli import bundled_example_path, default_covering_instance, load_problem
+from povmsim.linalg import partial_trace
 
 # Not a multiple of lab.TRIAL_BLOCK, so the last block is a partial one.
 TRIALS = 2 * lab.TRIAL_BLOCK + 37
@@ -417,3 +419,70 @@ def test_codeword_indices_match_all_codewords():
     for b in range(6):
         code = codes.UccCode(p, n, k, l, G[b], h[b])
         np.testing.assert_array_equal(flat[b], codes.all_codewords(code) @ pow_vec)
+
+
+# ---------------------------------------------------------------------------
+# The protocol's side build, stacked over the mus, against one pass per code.
+
+def _assert_sides_equal(side, want):
+    """Every code's SideData view of ``side`` equals the per-code namespace, bit for bit."""
+    assert len(side.mus) == len(want)
+    for got, ns in zip(side.mus, want):
+        assert got.gamma == ns.gamma and list(got.gamma) == list(ns.gamma)
+        for name in ("factors", "a_factors"):
+            a, b = getattr(got, name), getattr(ns, name)
+            assert list(a) == list(b)
+            assert all(np.array_equal(a[w], b[w]) and a[w].shape == b[w].shape for w in a)
+        assert got.v_cut.shape == ns.v_cut.shape and np.array_equal(got.v_cut, ns.v_cut)
+        assert [g.shape for g in got.bin_factors] == [g.shape for g in ns.bin_factors]
+        assert all(np.array_equal(a, b) for a, b in zip(got.bin_factors, ns.bin_factors))
+        assert got.defect == ns.defect
+        assert np.array_equal(got.code.h, ns.code.h) and np.array_equal(got.code.G, ns.code.G)
+
+
+@given(st.integers(0, 10_000), st.sampled_from([2, 3]), st.integers(0, 2), st.integers(0, 2),
+       st.integers(1, 64), st.booleans(), st.sampled_from([0.6, 0.9]))
+@settings(max_examples=30, deadline=None)
+def test_stacked_side_build_matches_per_code_loop(seed, p, k, l, num, repeat, delta):
+    # A generic qubit state measured by a rank-one POVM at n = 3, so the
+    # post-states are pure and X_w has a column: the codes differ in their
+    # column counts, and some prune and have nonzero bins.  With ``repeat``
+    # the rows of G are equal, so a code repeats codewords and a bin can hold
+    # a word twice.
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, 2)
+    m = random_rank_one_povm(rng, 2, p)
+    params = protocol.ProtocolParams(n=3, k=k, p=p, sides=((l, num),), eta=0.1, delta=delta)
+    g = rng.integers(0, p, size=(k, 3))
+    if repeat:
+        g[1:] = g[:1]
+    h = rng.integers(0, p, size=(num, p ** l, 3))
+    side = protocol._build_side(params, m, rho, g, h)
+    _assert_sides_equal(side, ref.side_codes(params, m, rho, g, h))
+
+
+@given(st.integers(0, 10_000), st.integers(0, 1), st.integers(1, 8), st.integers(1, 8))
+@settings(max_examples=15, deadline=None)
+def test_stacked_distributed_sides_match_per_code_loop(seed, k, num_a, num_b):
+    # Both sides of a distributed instance of a generic two-qubit state at n = 2.
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, 4, (2, 2))
+    povms = [random_rank_one_povm(rng, 2, 2) for _ in range(2)]
+    params = protocol.ProtocolParams(n=2, k=k, p=2, sides=((1, num_a), (1, num_b)), eta=0.1,
+                                     delta=0.5, seed=seed)
+    inst = protocol._build(params, povms, rho)
+    for side, m in zip(inst.sides, povms):
+        _assert_sides_equal(side, ref.side_codes(params, m, side.rho, side.g, side.h))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_side_build_matches_per_code_loop_on_example4(seed):
+    # Point-to-point example4 at n = 7: 128-row factors, where the BLAS
+    # products round by the layout of their operands, and pruning and bins
+    # that are not 0.
+    spec = load_problem(bundled_example_path(4))
+    rho = partial_trace(spec.rho_ab, traced=[1])
+    params = protocol.ProtocolParams(n=7, k=0, p=spec.p, sides=((7, 2),), delta=0.6, seed=seed)
+    side = protocol.build_instance(params, spec.m_a, rho).sides[0]
+    assert side.cut.any() and protocol._live_columns(side.bins, side.bin_ends)[0].shape[1]
+    _assert_sides_equal(side, ref.side_codes(params, spec.m_a, rho, side.g, side.h))

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,3 +254,23 @@ def test_ucc_shape_validation():
         UccCode(4, 2, 1, 1, np.zeros((1, 2), dtype=int), np.zeros((4, 2), dtype=int))
     with pytest.raises(ValueError):
         UccCode(2, 2, 1, 1, np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=int))
+
+
+def test_pairwise_block_keys_stay_within_the_cap(monkeypatch):
+    # A block's counter keys (ensembles x tuples of a table) number at most
+    # ENUMERATION_CAP: at (2, 1, 7, 0) and (2, 1, 8, 0), with 16256 and 65280
+    # ordered pairs, the traced peak stays under four int64 arrays of that
+    # many entries, where one block of all 256 (512) ensembles peaked at
+    # 67.9 MB (about 540 MB).  The reports do not depend on the block size.
+    bound, reports = 4 * 8 * codes.ENUMERATION_CAP, {}
+    for args in [(2, 1, 7, 0), (2, 1, 8, 0)]:
+        tracemalloc.start()
+        try:
+            reports[args] = pairwise_independence_check(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reports[args].exact and reports[args].num_ensembles == 2 ** (args[2] + 1)
+        assert peak <= bound, f"{args}: traced peak {peak / 1e6:.1f} MB"
+    monkeypatch.setattr(codes, "ENSEMBLE_BLOCK", 3)
+    assert pairwise_independence_check(2, 1, 7, 0) == reports[(2, 1, 7, 0)]

@@ -15,6 +15,7 @@ from conftest import (
     random_complete_povm,
     random_density,
     random_psd,
+    random_rank_one_povm,
     random_unitary,
     rotated_qubit_problem,
 )
@@ -703,7 +704,11 @@ def _check_generic_candidate(num_sides):
     for mus, table in tables.items():
         assert {msgs: protocol._lookup(inst, mus, msgs) for msgs in table} == table
     p_ext = StochasticMap((2,), 3, np.array([[0.5, 0.5, 0.0], [0.2, 0.0, 0.8]]))
-    cand = protocol.FactoredCandidate(decoded, words, w0, bins, p_ext, n, dims)
+    # The constructor takes each side's bin factors side by side, with their column ends.
+    stacked = [([g for mu in side for g in mu], d ** n) for side, d in zip(bins, dims)]
+    stacked = [(protocol._hstack(flat, dim), np.cumsum([0] + [g.shape[1] for g in flat]))
+               for flat, dim in stacked]
+    cand = protocol.FactoredCandidate(decoded, words, w0, stacked, p_ext, n, dims)
     registers = [d for d in dims for _ in range(n)]
     interleave = [s * n + j for j in range(n) for s in range(num_sides)]
     word_ops = {}
@@ -1297,6 +1302,27 @@ def test_faithfulness_keeps_tiny_eigenvalues():
         assert gap == pytest.approx(eps ** 3, rel=1e-3)
 
 
+@pytest.mark.parametrize("kind", ["real", "complex", "fortran"])
+def test_kron_columns_match_kron_all(kind):
+    # The columns of kron_all(mats) at the index rows of ``cols``, on real,
+    # complex and Fortran-ordered factors (a transposed or sliced basis is one),
+    # rectangular and of unequal sizes, with repeated index rows.
+    rng = np.random.default_rng(len(kind))
+    shapes = [(2, 3), (3, 2), (2, 2), (4, 3)]
+    mats = [rng.standard_normal(s) + (1j * rng.standard_normal(s) if kind == "complex" else 0.0)
+            for s in shapes]
+    if kind == "fortran":
+        mats = [np.asfortranarray(m) for m in mats]
+        assert not any(m.flags.c_contiguous for m in mats)
+    widths = [s[1] for s in shapes]
+    cols = rng.integers(0, widths, size=(60, len(shapes)))
+    got = protocol._kron_columns(mats, cols)
+    want = kron_all(mats)[:, np.ravel_multi_index(cols.T, widths)]
+    assert got.dtype == (np.complex128 if kind == "complex" else np.float64)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert got.flags.c_contiguous
+
+
 @pytest.mark.parametrize("d, nz, n", [(2, 3, 3), (3, 2, 2)])
 def test_product_target_matches_dense(d, nz, n):
     rng = np.random.default_rng(d * 10 + n)
@@ -1312,14 +1338,23 @@ def test_product_target_matches_dense(d, nz, n):
         assert traces[z] == pytest.approx(np.vdot(rho_n, t_z), abs=1e-10)
 
 
+@pytest.mark.parametrize("p, n, l, l2", [(2, 3, 0, 1), (3, 3, 0, 1), (3, 4, 1, 0)])
+def test_one_draw_per_side_keeps_the_per_table_stream(p, n, l, l2):
+    # Each side draws its N shift tables in one call; they are the tables of
+    # one draw per code, G first and side A before side B, with p**l n odd
+    # (3 and 9) and even (6, 12 and 4).
+    params = ProtocolParams(n=n, k=1, p=p, sides=((l, 5), (l2, 3)), eta=0.1, delta=0.5, seed=11)
+    inst = build_distributed_instance(params, BASIS, BASIS, DensityOperator(np.eye(4) / 4, (2, 2)))
+    rng = np.random.default_rng(11)
+    assert np.array_equal(inst.sides[0].g, rng.integers(0, p, size=(1, n)))
+    for side, (l_s, num) in zip(inst.sides, params.sides):
+        assert side.h.shape == (num, p ** l_s, n)
+        for h in side.h:
+            assert np.array_equal(h, rng.integers(0, p, size=(p ** l_s, n)))
+
+
 # ---------------------------------------------------------------------------
 # Protocol invariants on generic instances.
-
-def _rank_one_povm(rng, dim, num):
-    """num rank-one elements v_i v_i^dagger from the first dim rows of a random unitary."""
-    v = random_unitary(rng, num)[:dim]
-    return Povm(tuple(np.outer(v[:, i], v[:, i].conj()) for i in range(num)))
-
 
 def _assert_side_invariants(sides, dim):
     eye = np.eye(dim)
@@ -1334,7 +1369,7 @@ def _assert_side_invariants(sides, dim):
 def test_p2p_invariants_generic(seed, p, rank_one):
     rng = np.random.default_rng(seed)
     rho = random_density(rng, 2)
-    m = _rank_one_povm(rng, 2, p) if rank_one else random_complete_povm(rng, 2, p)
+    m = random_rank_one_povm(rng, 2, p) if rank_one else random_complete_povm(rng, 2, p)
     n = 3
     params = ProtocolParams(n=n, k=int(rng.integers(0, 2)), p=p, sides=((2, 2),), eta=0.1,
                             delta=0.6, seed=seed)
@@ -1361,7 +1396,7 @@ def test_p2p_invariants_generic(seed, p, rank_one):
 def test_distributed_invariants_generic(seed, rank_one):
     rng = np.random.default_rng(seed)
     rho_ab = random_density(rng, 4, (2, 2))
-    make = _rank_one_povm if rank_one else random_complete_povm
+    make = random_rank_one_povm if rank_one else random_complete_povm
     m_a, m_b = make(rng, 2, 2), make(rng, 2, 2)
     params = ProtocolParams(n=2, k=1, p=2, sides=((1, 2), (1, 2)), eta=0.1, delta=0.5, seed=seed)
     inst = build_distributed_instance(params, m_a, m_b, rho_ab)
@@ -1450,7 +1485,9 @@ def test_gram_cut_matches_svd_cut(real, s2):
     # either method.
     rng = np.random.default_rng(len(s2) + 10 * real)
     y = _tall(rng, 64, s2, real) if s2 else np.zeros((64, 0), dtype=float if real else complex)
-    got, want = protocol._cut_directions(y), dense.svd_cut_directions(y)
+    (cut,), (v,), _ = protocol._cut_directions(y[None], y[None].copy())
+    got, want = v[:, :cut], dense.svd_cut_directions(y)
+    assert not np.any(v[:, cut:])
     assert got.shape == want.shape
     assert got.dtype == (np.float64 if real else np.complex128)
     assert np.max(np.abs(got @ got.conj().T - want @ want.conj().T), initial=0.0) <= 1e-12
@@ -1466,12 +1503,12 @@ def test_gram_cut_of_a_scaled_partial_permutation_is_exact():
     scales = rng.uniform(0.2, 3.0, size=60)
     y = np.zeros((256, 60))
     y[rows, np.arange(60)] = scales
-    v = protocol._cut_directions(y)
+    (count,), (v,), (f,) = protocol._cut_directions(y[None], y[None].copy())
     cut = scales ** 2 > 1.0 + protocol.PRUNE_TOL
-    assert v.shape[1] == cut.sum() > 0
+    assert count == cut.sum() > 0 and not np.any(v[:, count:])
+    v = v[:, :count]
     assert set(np.abs(v).ravel().tolist()) == {0.0, 1.0}
     assert sorted(np.flatnonzero(np.abs(v).sum(axis=1)).tolist()) == sorted(rows[cut].tolist())
-    f = y - v @ (v.T @ y)
     assert not np.any(f[:, cut]) and np.array_equal(f[:, ~cut], y[:, ~cut])
 
 
