@@ -226,7 +226,9 @@ def cmd_surface(args) -> int:
     return _run_surface(args.grid, args.span, args.out, "surface.csv")
 
 
+@functools.cache
 def _default_p2p_problem():
+    """(rho, M, P_{Z|W}) of the default p2p problem, built once: its arrays are read-only."""
     rho = DensityOperator(np.eye(2) / 2, (2,))
     m = Povm((np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)))
     p_zw = StochasticMap((2,), 2, np.eye(2))

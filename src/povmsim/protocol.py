@@ -9,9 +9,11 @@ target measurement.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -61,7 +63,7 @@ class CanonicalEnsemble:
             raise ValueError("weights/post_states length mismatch")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "post_states", tuple(np.asarray(s, dtype=complex)
+        object.__setattr__(self, "post_states", tuple(_read_only(np.array(s, dtype=complex))
                                                       for s in self.post_states))
 
     @property
@@ -110,6 +112,11 @@ def pad_ensemble(ens: CanonicalEnsemble, p: int) -> CanonicalEnsemble:
     )
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def sequence_counts(seq, num_letters: int) -> np.ndarray:
     return np.bincount(np.asarray(seq, dtype=np.int64), minlength=num_letters)
 
@@ -150,7 +157,7 @@ class TypicalSet:
 
 def typical_set(dist, n: int, delta: float) -> TypicalSet:
     """Enumerate the strong delta-typical sequences of an i.i.d. distribution."""
-    probs = np.asarray(dist, dtype=float)
+    probs = _read_only(np.array(dist, dtype=float))
     q = probs.size
     if q ** n > SEQUENCE_CAP:
         raise ValueError(f"{q}**{n} sequences exceed the desk-scale cap")
@@ -196,7 +203,7 @@ def _real_if_exact(mat) -> np.ndarray:
 
 def _spectrum(mat) -> _Spectrum:
     vals, vecs = np.linalg.eigh(_real_if_exact(hermitian_part(mat)))
-    return _Spectrum(vals, vecs, *_eigen_groups(vals))
+    return _Spectrum(*map(_read_only, (vals, vecs, *_eigen_groups(vals))))
 
 
 def _kron_columns(mats, cols: np.ndarray) -> np.ndarray:
@@ -443,8 +450,9 @@ class Side:
     Code mu has the generator ``g`` and the shift table h[mu].  Each kind of
     operator is one matrix whose columns run code after code: code mu's F_w
     (its built words ascending) are the columns pruned_ends[mu]:pruned_ends[mu + 1]
-    of ``pruned``, its V_cut the first cut[mu] of them in ``cuts``, and its bin
-    i factor G_i the columns of ``bins`` from bin_ends[mu p**l + i] to the next end.
+    of ``pruned``, its V_cut the columns cut_ends[mu]:cut_ends[mu + 1] of ``cuts``,
+    and its bin i factor G_i the columns of ``bins`` from bin_ends[mu p**l + i] to
+    the next end.  The first four fields are those of the side's ``_SideBasis``.
     """
 
     rho: DensityOperator        # the party's reduced state
@@ -453,11 +461,11 @@ class Side:
     typical: np.ndarray         # U, with Pi_rho = U U^dagger
     factors: dict               # word tuple -> X_w, for every word built on this side
     g: np.ndarray               # (k, n)
-    h: np.ndarray               # (N, p**l, n)
+    h: np.ndarray               # (N, p**l, n), in codes.digit_dtype(p)
     pruned: np.ndarray
     pruned_ends: np.ndarray     # (N + 1,)
     cuts: np.ndarray
-    cut: np.ndarray             # (N,)
+    cut_ends: np.ndarray        # (N + 1,)
     bins: np.ndarray
     bin_ends: np.ndarray        # (N p**l + 1,)
     defects: np.ndarray         # (N,) each code's ``SideData.defect``
@@ -473,7 +481,8 @@ class Side:
             own = {w: self.factors[w] for w in gamma if w in self.factors}
             ends = np.cumsum([lo] + [x.shape[1] for x in own.values()]).tolist()
             b = self.bin_ends[mu * bins:(mu + 1) * bins + 1].tolist()
-            out.append(SideData(code, gamma, own, self.typical, self.cuts[:, lo:lo + self.cut[mu]],
+            c = self.cut_ends[mu:mu + 2].tolist()
+            out.append(SideData(code, gamma, own, self.typical, self.cuts[:, c[0]:c[1]],
                                 {w: self.pruned[:, a:e] for w, a, e in zip(own, ends, ends[1:])},
                                 [self.bins[:, a:e] for a, e in zip(b, b[1:])],
                                 float(self.defects[mu])))
@@ -507,50 +516,129 @@ def _decode(hits: np.ndarray) -> tuple:
     return decoded, int((count >= 2).sum())
 
 
-def _build_side(params: ProtocolParams, m: Povm, rho: DensityOperator, g: np.ndarray,
-                h: np.ndarray) -> Side:
-    """The ensemble, typical set and pruned operators of one side's codes (see ``Side``).
+@dataclass(eq=False)
+class _SideBasis:
+    """The seed-independent half of one side (see ``Side``); every array is read-only.
 
+    ``per_type`` maps a type class, its sorted word as a base-p index, to its
+    X (see ``_build_side``), built when a code first holds a word of the class.
+    """
+
+    rho: DensityOperator
+    ens: CanonicalEnsemble
+    tset: TypicalSet
+    typical: np.ndarray         # U
+    inv: np.ndarray             # Q = U diag(inv) U^dagger
+    spectra: list               # _Spectrum per post-state
+    norm: float                 # p**n / ((1 + eta) p**(k+l))
+    per_type: dict
+
+    def type_factors(self, reps: np.ndarray) -> list:
+        """The X of each type class in ``reps``."""
+        n, p, d = self.tset.n, self.ens.num_letters, self.rho.dim
+        new = [r for r in reps.tolist() if r not in self.per_type]
+        if new:
+            u_inv, u_adj, idx = self.typical * self.inv, self.typical.conj().T, all_vectors(n, d)
+            for r, rep in zip(new, all_vectors(n, p)[new].tolist()):
+                cols, eig = _cond_typical_columns(self.spectra, rep, self.tset.delta, idx)
+                x = cols * np.sqrt(np.clip(eig, 0.0, None) * (self.norm * self.ens.weight_of(rep)))
+                self.per_type[r] = _read_only(u_inv @ (u_adj @ x))
+        return [self.per_type[r] for r in reps.tolist()]
+
+
+@dataclass(eq=False)
+class _Basis:
+    """The seed-independent half of an instance (see ``Instance``)."""
+
+    sides: tuple                # _SideBasis per party
+    tset_w: TypicalSet
+    slot: np.ndarray            # ``_slots`` of tset_w's members
+    w0: tuple | None
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes of its large arrays and of its typical sets' word tuples."""
+        tsets = {id(t): t for t in (self.tset_w, *(s.tset for s in self.sides))}.values()
+        words = sum(len(t.members) * (sys.getsizeof((0,) * t.n) + 8) for t in tsets)
+        arrays = [a for s in self.sides for a in (s.typical, s.inv, *s.per_type.values())]
+        return words + self.slot.nbytes + sum(a.nbytes for a in arrays)
+
+
+BASIS_CACHE_BYTES = 2 ** 26     # cap on the bytes of the bases kept between builds
+_BASES = collections.OrderedDict()      # content key -> _Basis, least recently used first
+
+
+def _basis(params: ProtocolParams, povms, rho: DensityOperator) -> _Basis:
+    """The seed-independent half of ``_build``, memoised in ``_BASES`` by content.
+
+    The key holds the POVM elements, ``rho`` and its registers, n, k, p, each
+    side's l, eta and delta, but neither the seed nor N, so every code draw of
+    a seed sweep shares one basis.
+    """
+    n, p, count = params.n, params.p, len(params.sides)
+    arrays = [a for m in povms for a in m.elements] + [rho.mat]
+    key = (tuple((a.tobytes(), a.dtype.str, a.shape) for a in arrays), tuple(map(len, povms)),
+           rho.register_dims, n, params.k, p, tuple(l for l, _ in params.sides),
+           params.eta, params.delta)
+    basis = _BASES.pop(key, None)
+    if basis is None:
+        if len(povms) != count:
+            raise ValueError(f"{len(povms)} POVM(s) for {count} side(s) of code sizes")
+        _check_dim(rho.dim, n)
+        sides = []
+        for s, (m, (l, _)) in enumerate(zip(povms, params.sides)):
+            state = partial_trace(rho, [t for t in range(count) if t != s])
+            ens = pad_ensemble(canonical_ensemble(m, state), p)
+            u, inv = map(_read_only, _typical_factor(state.mat, n, params.delta))
+            sides.append(_SideBasis(state, ens, typical_set(ens.weights, n, params.delta), u, inv,
+                                    [_spectrum(x) for x in ens.post_states],
+                                    p ** n / ((1.0 + params.eta) * (p ** params.k * p ** l)), {}))
+        tset_w = sides[0].tset if count == 1 else typical_set(
+            [float(np.trace(el @ rho.mat).real) for el in _sum_povm(povms, p).elements],
+            n, p * params.delta)
+        slot = _read_only(_slots(tset_w.members, p, n))
+        first = int(np.argmax(slot < 0))        # w0, the first word by index outside tset_w
+        w0 = tuple(map(int, np.unravel_index(first, (p,) * n))) if slot[first] < 0 else None
+        basis = _Basis(tuple(sides), tset_w, slot, w0)
+    _BASES[key] = basis         # now the most recently used
+    return basis
+
+
+def _build_side(params: ProtocolParams, base: _SideBasis, g: np.ndarray, h: np.ndarray,
+                codewords: np.ndarray) -> Side:
+    """The pruned operators of one side's codes over its basis (see ``Side``).
+
+    ``codewords`` is ``_bin_indices`` of the codes (G = g, shift tables h).
     X_w is built only for typical words that occur in some code:
     Abar_w = X_w X_w^dagger with X_w = Q B_w[:, keep] sqrt(eig c_w), where
     Q = (rho^{-1/2})^{(x) n} Pi_rho = U diag(inv) U^dagger is applied through
     U, B_w is the eigenbasis of rho_hat_{w^n}, keep its conditional typical
     columns and c_w = lambda_{w^n} p^n / ((1 + eta) p^(k+l)).  As Pi_rho and
     Q are invariant under register permutations, X_w is built once per type
-    class and each word gathers its rows from it.  Codes with as many
-    columns are pruned together, and so are bins.
+    class, in the basis, and each word gathers its rows from it.  Codes with
+    as many columns are pruned together, and so are bins.
     """
-    ens = pad_ensemble(canonical_ensemble(m, rho), params.p)
-    tset = typical_set(ens.weights, params.n, params.delta)
-    n, d, p, dim, (num, bins) = params.n, rho.dim, params.p, rho.dim ** params.n, h.shape[:2]
-    u, inv = _typical_factor(rho.mat, n, params.delta)
-    u_inv, u_adj = u * inv, u.conj().T
-    norm = p ** n / ((1.0 + params.eta) * (p ** g.shape[0] * bins))
+    n, d, p, (num, bins) = params.n, base.rho.dim, params.p, h.shape[:2]
     # Codeword (mu, i, a) as the key mu p**n + word: the distinct keys ascend code by code.
-    indices = (_bin_indices(np.broadcast_to(g, (num,) + g.shape), h, p)
-               + p ** n * np.arange(num)[:, None, None])
+    indices = codewords + p ** n * np.arange(num)[:, None, None]
     keys, gamma = np.unique(indices, return_counts=True)
     # The built words, ascending: those of some code that are typical (as in ``typical_set``).
     used = all_vectors(n, p)[np.unique(keys % p ** n)]
-    words = used[counts_are_typical(_group_counts(used, p), ens.weights, n, params.delta)]
+    words = used[counts_are_typical(_group_counts(used, p), base.ens.weights, n, params.delta)]
     orders = np.argsort(words, axis=1, kind="stable")
     sorted_words = np.take_along_axis(words, orders, axis=1) @ p ** np.arange(n - 1, -1, -1)
     reps = np.unique(sorted_words)
     type_of = np.searchsorted(reps, sorted_words)
-    spectra, idx, per_type = [_spectrum(s) for s in ens.post_states], all_vectors(n, d), []
-    for rep in all_vectors(n, p)[reps].tolist():
-        cols, eig = _cond_typical_columns(spectra, rep, params.delta, idx)
-        x = cols * np.sqrt(np.clip(eig, 0.0, None) * (norm * ens.weight_of(rep)))
-        per_type.append(u_inv @ (u_adj @ x))
-    del u_inv, u_adj        # dim x dim, freed before the gathers below
+    per_type = base.type_factors(reps)
     type_ends = np.cumsum([0] + [x.shape[1] for x in per_type])
     lo, widths = type_ends[type_of], np.diff(type_ends)[type_of]
     # One gather: register j of a word's sorted type holds its letter at position
     # orders[j], so row r of X_w is the type's row with r's digit j moved to place
     # argsort(orders)[j] (found by an exact float product, for BLAS).
     back = np.repeat(np.argsort(orders, axis=1), widths, axis=0)     # per column of the X_w
-    built = _hstack(per_type, dim)[(idx @ np.power(float(d), n - 1 - back).T).astype(np.int64),
-                                   _ranges(lo, lo + widths)]
+    built = _hstack(per_type, d ** n)[
+        (all_vectors(n, d) @ np.power(float(d), n - 1 - back).T).astype(np.int64),
+        _ranges(lo, lo + widths)]
     ends = np.cumsum(np.append(0, widths))
     factors = {w: built[:, a:b] for w, a, b in zip(map(tuple, words.tolist()), ends[:-1].tolist(),
                                                    ends[1:].tolist())}
@@ -564,6 +652,8 @@ def _build_side(params: ProtocolParams, m: Povm, rho: DensityOperator, g: np.nda
     for at, block, x in _column_blocks(pruned, pruned_ends):
         cut[at], v_cut, f = _cut_directions(x * scale[block][:, None, :], x)
         pruned[:, block], cuts[:, block] = f.transpose(1, 0, 2), v_cut.transpose(1, 0, 2)
+    # Each code keeps only its V_cut, the first cut[mu] columns of its block.
+    cuts = np.take(cuts, _ranges(pruned_ends[:-1], pruned_ends[:-1] + cut), axis=1)
     # Bin i puts the F_w columns of its codewords' keys side by side.
     hit = np.searchsorted(keys, indices)
     g_bins = np.take(pruned, _ranges(col_ends[hit].ravel(), col_ends[hit + 1].ravel()), axis=1)
@@ -573,8 +663,8 @@ def _build_side(params: ProtocolParams, m: Povm, rho: DensityOperator, g: np.nda
     for at, _, g_mu in _column_blocks(*_live_columns(g_bins, bin_ends[::bins])):
         top = np.linalg.svd(g_mu, compute_uv=False)[:, 0]
         defects[at] = [max(0.0, t ** 2 - 1.0) for t in top.tolist()]
-    return Side(rho, ens, tset, u, factors, g, h, pruned, pruned_ends, cuts, cut,
-                g_bins, bin_ends, defects)
+    return Side(base.rho, base.ens, base.tset, base.typical, factors, g, h, pruned, pruned_ends,
+                cuts, np.cumsum(np.append(0, cut)), g_bins, bin_ends, defects)
 
 
 # ---------------------------------------------------------------------------
@@ -627,40 +717,41 @@ def _build(params: ProtocolParams, povms, rho: DensityOperator) -> Instance:
     """The ``Instance`` of the joint state ``rho``, with one side per POVM and (l, N) pair.
 
     With more than one side, side s measures register s of ``rho``; one side
-    measures all of it.  G is drawn first and then each side's shift tables,
-    side after side, so side 0's codes are those of ``sample_ensemble``.
-    ``tset_w`` is the one side's own typical set, or else the typical set of
-    the law of W, the sum of the sides' letters, at delta_hat = p * delta.
+    measures all of it.  The basis comes from ``_basis``; then G is drawn and
+    each side's shift tables, side after side, so side 0's codes are those of
+    ``sample_ensemble``.  ``tset_w`` is the one side's own typical set, or
+    else the typical set of the law of W, the sum of the sides' letters, at
+    delta_hat = p * delta.
     """
     n, p, k = params.n, params.p, params.k
     count = len(params.sides)
-    if len(povms) != count:
-        raise ValueError(f"{len(povms)} POVM(s) for {count} side(s) of code sizes")
-    _check_dim(rho.dim, n)
-    states = [partial_trace(rho, [t for t in range(count) if t != s]) for s in range(count)]
+    basis = _basis(params, povms, rho)
     rng = np.random.default_rng(params.seed)
     g = rng.integers(0, p, size=(k, n))
-    # One draw of a side's N tables takes the stream that one draw per table would.
-    shifts = [rng.integers(0, p, size=(num, p ** l, n)) for l, num in params.sides]
-    sides = tuple(_build_side(params, m, state, g, h) for m, state, h in zip(povms, states, shifts))
-    tset_w = sides[0].tset if count == 1 else typical_set(
-        [float(np.trace(el @ rho.mat).real) for el in _sum_povm(povms, p).elements],
-        n, p * params.delta)
-    # The sum codes' shifts, axes (N_1, ..., bins_1, ..., n), added side by
-    # side; they are digit sums, held in the narrow type ``codeword_indices`` reads.
-    total = np.zeros(n, dtype=digit_dtype(p))
-    for s, h in enumerate(shifts):
-        shape = [1] * 2 * count + [n]
-        shape[s], shape[count + s] = h.shape[:2]
-        total = total + h.astype(total.dtype).reshape(shape)
-        total %= p
-    num_codes = math.prod(total.shape[:count])
-    slot = _slots(tset_w.members, p, n)
-    decoded, collisions = _decode(slot[_bin_indices(
-        np.broadcast_to(g, (num_codes, k, n)), total.reshape(num_codes, -1, n), p)])
-    first = int(np.argmax(slot < 0))        # w0, the first word by index outside tset_w
-    w0 = tuple(map(int, np.unravel_index(first, (p,) * n))) if slot[first] < 0 else None
-    return Instance(params, sides, tset_w, w0, decoded.reshape(total.shape[:-1]),
+    # One draw of a side's N tables takes the stream that one draw per table would;
+    # the shifts are held in the narrow type ``codeword_indices`` reads.
+    shifts = [rng.integers(0, p, size=(num, p ** l, n)).astype(digit_dtype(p))
+              for l, num in params.sides]
+    codewords = [_bin_indices(np.broadcast_to(g, (len(h),) + g.shape), h, p) for h in shifts]
+    sides = tuple(_build_side(params, b, g, h, c)
+                  for b, h, c in zip(basis.sides, shifts, codewords))
+    hits = codewords[0]             # one side's codes are its sum codes
+    if count > 1:
+        # The sum codes' shifts, axes (N_1, ..., bins_1, ..., n), added side by side.
+        total = np.zeros(n, dtype=digit_dtype(p))
+        for s, h in enumerate(shifts):
+            shape = [1] * 2 * count + [n]
+            shape[s], shape[count + s] = h.shape[:2]
+            total = total + h.reshape(shape)
+            total %= p
+        num_codes = math.prod(total.shape[:count])
+        hits = _bin_indices(np.broadcast_to(g, (num_codes, k, n)), total.reshape(num_codes, -1, n),
+                            p).reshape(total.shape[:-1] + (-1,))
+    decoded, collisions = _decode(basis.slot[hits])
+    held = sum(b.nbytes for b in _BASES.values())
+    while held > BASIS_CACHE_BYTES:         # least recently used first
+        held -= _BASES.popitem(last=False)[1].nbytes
+    return Instance(params, sides, basis.tset_w, basis.w0, decoded,
                     float(max(side.defects.max() for side in sides)), collisions)
 
 

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
+from povmsim import protocol
 from povmsim.cli import bundled_example_path, load_problem
 from povmsim.linalg import DensityOperator, Povm, psd_pinv_sqrt
+
+
+@pytest.fixture(autouse=True)
+def fresh_protocol_bases():
+    """Each test starts with no memoised protocol basis, so none built in another test is read."""
+    protocol._BASES.clear()
 
 
 def bell_matrix():

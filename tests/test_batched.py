@@ -457,7 +457,9 @@ def test_stacked_side_build_matches_per_code_loop(seed, p, k, l, num, repeat, de
     if repeat:
         g[1:] = g[:1]
     h = rng.integers(0, p, size=(num, p ** l, 3))
-    side = protocol._build_side(params, m, rho, g, h)
+    base = protocol._basis(params, [m], rho).sides[0]
+    codewords = protocol._bin_indices(np.broadcast_to(g, (num, k, 3)), h, p)
+    side = protocol._build_side(params, base, g, h, codewords)
     _assert_sides_equal(side, ref.side_codes(params, m, rho, g, h))
 
 
@@ -484,5 +486,5 @@ def test_stacked_side_build_matches_per_code_loop_on_example4(seed):
     rho = partial_trace(spec.rho_ab, traced=[1])
     params = protocol.ProtocolParams(n=7, k=0, p=spec.p, sides=((7, 2),), delta=0.6, seed=seed)
     side = protocol.build_instance(params, spec.m_a, rho).sides[0]
-    assert side.cut.any() and protocol._live_columns(side.bins, side.bin_ends)[0].shape[1]
+    assert side.cut_ends[-1] and protocol._live_columns(side.bins, side.bin_ends)[0].shape[1]
     _assert_sides_equal(side, ref.side_codes(params, spec.m_a, rho, side.g, side.h))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -380,7 +381,8 @@ def test_w0_is_the_first_word_outside_tset_w(mode, example, n, delta):
 @pytest.mark.parametrize("mode", ["p2p", "distributed"])
 def test_one_codeword_enumeration_per_side_and_one_for_the_decoder(monkeypatch, example1, mode):
     # Each side enumerates all of its codes' codewords in one stacked call, and
-    # the decoder all sum codes in one more; the row-wise word table is never built.
+    # the decoder all sum codes in one more, except with one side, whose codes
+    # are the sum codes; the row-wise word table is never built.
     calls = []
     real = codes.codeword_indices
 
@@ -398,7 +400,7 @@ def test_one_codeword_enumeration_per_side_and_one_for_the_decoder(monkeypatch, 
                             delta=0.5, seed=1)
     inst = (build_instance(params, BASIS, MIXED) if mode == "p2p"
             else build_distributed_instance(params, example1.m_a, example1.m_b, example1.rho_ab))
-    assert len(calls) == len(inst.sides) + 1
+    assert len(calls) == (1 if mode == "p2p" else 3)
 
 
 # ---------------------------------------------------------------------------
@@ -948,6 +950,7 @@ def test_type_class_sharing_matches_per_word_construction(monkeypatch, problem, 
     calls = []
     monkeypatch.setattr(protocol, "_cond_typical_columns",
                         lambda *a: calls.append(a[1]) or per_word(*a))
+    protocol._BASES.clear()         # so the basis is built, and its columns counted, here
     inst = build_instance(params, m, rho)
     n, d = params.n, rho.dim
     types = {tuple(sorted(w)) for w in inst.abar}
@@ -1548,6 +1551,7 @@ def test_real_path_k_matches_complex_path(monkeypatch, n):
     for keep_complex in (False, True):
         if keep_complex:
             monkeypatch.setattr(protocol, "_real_if_exact", np.asarray)
+            protocol._BASES.clear()     # its bases were built in real arithmetic
         runs = [_default_p2p_k(n, seed) for seed in range(4)]
         ks.append([k for _, k in runs])
         dtypes.append(runs[0][0].mus[0].typical.dtype)
@@ -1573,6 +1577,12 @@ def _small_instance():
     return build_instance(params, BASIS, MIXED)
 
 
+def _fresh_basis():
+    protocol._BASES.clear()
+    params = ProtocolParams(n=2, k=1, p=2, sides=((1, 1),), delta=0.5)
+    return protocol._basis(params, [BASIS], MIXED)
+
+
 # One builder per dataclass that holds numpy arrays; two calls build alike instances.
 ALIKE = {
     "DensityOperator": lambda: DensityOperator(np.eye(2) / 2, (2,)),
@@ -1588,6 +1598,8 @@ ALIKE = {
     "SideData": lambda: _small_instance().sides[0].mus[0],
     "Side": lambda: _small_instance().sides[0],
     "Instance": _small_instance,
+    "_Basis": _fresh_basis,
+    "_SideBasis": lambda: _fresh_basis().sides[0],
     "CoveringInstance": lambda: default_covering_instance(4),
     "SurfaceScan": lambda: surface_scan(DensityOperator(np.eye(4) / 4, (2, 2)),
                                         ([0.4, 0.5], [0.0], [0.0])),
@@ -1604,3 +1616,148 @@ def test_equality_of_alike_instances_is_a_bool(build):
 
 def test_protocol_params_compare_by_value():
     assert ProtocolParams(n=2, k=1, p=2, sides=[(1, 1)]) == ProtocolParams(2, 1, 2, ((1, 1),))
+
+
+# ---------------------------------------------------------------------------
+# The seed-independent basis, memoised by content and shared by every code draw.
+
+def _assert_builds_equal(a, b):
+    """Every side field, the decoded words and the defect of two instances agree exactly."""
+    for x, y in zip(a.sides, b.sides, strict=True):
+        for f in dataclasses.fields(x):
+            u, v = getattr(x, f.name), getattr(y, f.name)
+            if f.name == "factors":
+                assert list(u) == list(v)
+                u, v = list(u.values()), list(v.values())
+            elif f.name == "rho":
+                u, v = [u.mat], [v.mat]
+            elif f.name == "ens":
+                u, v = [u.weights, *u.post_states], [v.weights, *v.post_states]
+            elif f.name == "tset":
+                assert u.members == v.members and u.mass == v.mass
+                u, v = [u.probs], [v.probs]
+            else:
+                u, v = [u], [v]
+            for s, t in zip(u, v, strict=True):
+                assert s.dtype == t.dtype and s.shape == t.shape and np.array_equal(s, t), f.name
+    assert a.decoded.dtype == b.decoded.dtype and np.array_equal(a.decoded, b.decoded)
+    assert (a.words, a.w0, a.tset_w.mass) == (b.words, b.w0, b.tset_w.mass)
+    assert (a.decoder_collisions, a.sub_povm_defect) == (b.decoder_collisions, b.sub_povm_defect)
+
+
+def _k(inst, m, rho, p_zw):
+    n, p = inst.params.n, inst.params.p
+    tgt = target_overall(m, protocol.extend_map_to_field(p_zw, p), n)
+    return faithfulness(TensorPower(rho, n), tgt, assemble_overall(inst, p_zw))
+
+
+def _warm_and_cold(build, params, warm_up):
+    """(warm, cold): ``build(params)`` after a build of ``warm_up``, and with an empty memo."""
+    protocol._BASES.clear()
+    build(warm_up)
+    warm = build(params)
+    protocol._BASES.clear()
+    return warm, build(params)
+
+
+@given(st.integers(0, 10_000), st.integers(1, 8), st.integers(0, 10_000), st.integers(1, 8),
+       st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_warm_build_equals_cold_build(seed, num, seed0, num0, distributed):
+    # The rotated problem prunes and keeps bins; the distributed one is a
+    # generic two-qubit state.  The warm-up draw shares the basis and fills
+    # some of its type classes.
+    if distributed:
+        rho = random_density(np.random.default_rng(3), 4, (2, 2))
+        povms, p_zw = [random_rank_one_povm(np.random.default_rng(s), 2, 2) for s in (4, 5)], None
+        sides = lambda num: ((1, num), (1, 3))
+    else:
+        rho, m = rotated_qubit_problem()
+        povms, p_zw = [m], StochasticMap((2,), 2, np.array([[0.9, 0.1], [0.2, 0.8]]))
+        sides = lambda num: ((3, num),)
+    params = ProtocolParams(n=3 if distributed else 4, k=0, p=2, sides=sides(num), delta=0.6,
+                            seed=seed)
+    warm_up = dataclasses.replace(params, sides=sides(num0), seed=seed0)
+    warm, cold = _warm_and_cold(lambda q: protocol._build(q, povms, rho), params, warm_up)
+    _assert_builds_equal(warm, cold)
+    if not distributed:
+        assert _k(warm, povms[0], rho, p_zw) == _k(cold, povms[0], rho, p_zw)
+
+
+def test_warm_build_equals_cold_build_on_example4():
+    # Point-to-point example4 at n = 7, with 128-row factors, pruning and live bins.
+    spec = load_problem(bundled_example_path(4))
+    rho = partial_trace(spec.rho_ab, traced=[1])
+    params = ProtocolParams(n=7, k=0, p=spec.p, sides=((7, 2),), delta=0.6, seed=0)
+    warm, cold = _warm_and_cold(lambda q: build_instance(q, spec.m_a, rho), params,
+                                dataclasses.replace(params, seed=1))
+    assert np.diff(warm.sides[0].cut_ends).any()
+    assert protocol._live_columns(warm.sides[0].bins, warm.sides[0].bin_ends)[0].shape[1]
+    _assert_builds_equal(warm, cold)
+    assert _k(warm, spec.m_a, rho, spec.p_zw) == _k(cold, spec.m_a, rho, spec.p_zw)
+
+
+def test_basis_key_is_content_without_seed_or_n():
+    rho, m = rotated_qubit_problem()
+    params = ProtocolParams(n=3, k=0, p=2, sides=((2, 2),), eta=0.1, delta=0.6, seed=0)
+    build_instance(params, m, rho)
+    # Equal content in new objects, another seed and another N: the same entry.
+    copy = DensityOperator(rho.mat.copy(), rho.register_dims)
+    for q in (dataclasses.replace(params, seed=5), dataclasses.replace(params, sides=((2, 7),))):
+        build_instance(q, Povm(tuple(e.copy() for e in m.elements)), copy)
+    assert len(protocol._BASES) == 1
+    other_rho = random_density(np.random.default_rng(1), 2)
+    misses = [
+        (dataclasses.replace(params, delta=0.7), m, rho),
+        (dataclasses.replace(params, eta=0.2), m, rho),
+        (dataclasses.replace(params, k=1), m, rho),
+        (dataclasses.replace(params, sides=((1, 2),)), m, rho),
+        (dataclasses.replace(params, n=4), m, rho),
+        (dataclasses.replace(params, p=3), m, rho),
+        (params, BASIS, rho),
+        (params, m, other_rho),
+    ]
+    for count, (q, povm, state) in enumerate(misses, start=2):
+        build_instance(q, povm, state)
+        assert len(protocol._BASES) == count
+    # The same matrix on other registers is another state.
+    pair = DensityOperator(np.eye(4) / 4, (4,))
+    build_instance(params, Povm((np.diag([1.0, 1, 0, 0]), np.diag([0.0, 0, 1, 1]))), pair)
+    build_instance(params, Povm((np.diag([1.0, 1, 0, 0]), np.diag([0.0, 0, 1, 1]))),
+                   DensityOperator(np.eye(4) / 4, (2, 2)))
+    assert len(protocol._BASES) == len(misses) + 3
+
+
+def test_cached_basis_arrays_refuse_writes():
+    rho, m = rotated_qubit_problem()
+    params = ProtocolParams(n=4, k=0, p=2, sides=((3, 2),), eta=0.1, delta=0.6, seed=1)
+    build_instance(params, m, rho)
+    (basis,) = protocol._BASES.values()
+    (side,) = basis.sides
+    arrays = [basis.slot, basis.tset_w.probs, side.typical, side.inv, side.rho.mat,
+              side.ens.weights, *side.ens.post_states, side.tset.probs, *side.per_type.values()]
+    arrays += [getattr(s, f.name) for s in side.spectra for f in dataclasses.fields(s)]
+    assert side.per_type and len(side.spectra) == 2
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = a.flat[0]
+
+
+def test_basis_cap_drops_least_recently_used(monkeypatch):
+    rho, m = rotated_qubit_problem()
+    base = ProtocolParams(n=4, k=0, p=2, sides=((3, 2),), eta=0.1, delta=0.6, seed=1)
+    a, b, c, d = (dataclasses.replace(base, delta=x) for x in (0.6, 0.65, 0.7, 0.75))
+    unlimited = {q.delta: _k(build_instance(q, m, rho), m, rho, IDENT_MAP) for q in (a, b, c, d)}
+    sizes = {key[-1]: basis.nbytes for key, basis in protocol._BASES.items()}
+    # Room for the two largest bases, not for three.
+    monkeypatch.setattr(protocol, "BASIS_CACHE_BYTES", sum(sorted(sizes.values())[-2:]))
+    protocol._BASES.clear()
+    kept = []
+    for q in (a, b, c, b, d):
+        assert _k(build_instance(q, m, rho), m, rho, IDENT_MAP) == unlimited[q.delta]
+        kept.append([key[-1] for key in protocol._BASES])
+    assert kept == [[0.6], [0.6, 0.65], [0.65, 0.7], [0.7, 0.65], [0.65, 0.75]]
+    # A basis larger than the cap is used once and not kept.
+    monkeypatch.setattr(protocol, "BASIS_CACHE_BYTES", min(sizes.values()) - 1)
+    assert _k(build_instance(c, m, rho), m, rho, IDENT_MAP) == unlimited[0.7]
+    assert not protocol._BASES
