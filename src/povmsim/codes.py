@@ -8,14 +8,14 @@ integers with mod-p reduction.
 
 from __future__ import annotations
 
-import functools
+import collections
 from dataclasses import dataclass
 
 import numpy as np
 
 ENUMERATION_CAP = 2 ** 20        # cap on p**n for exhaustive sequence enumeration
 EXHAUSTIVE_ENSEMBLE_CAP = 2 ** 24  # cap on the number of (G, h) ensembles enumerated
-ENSEMBLE_BLOCK = 2048             # (G, h) ensembles per stacked pass of the exhaustive checks
+BLOCK_KEYS = 2 ** 15              # int64 counter keys per stacked pass of the exhaustive checks (256 KiB)
 
 
 def _over_cap(p: int, e: int, cap: int) -> bool:
@@ -48,19 +48,30 @@ def require_prime(p: int) -> int:
     return int(p)
 
 
-@functools.lru_cache(maxsize=16)
+VECTORS_CACHE_BYTES = 2 ** 22   # cap on the bytes of the all_vectors tables kept between calls
+_VECTORS = collections.OrderedDict()    # (length, p) -> table, least recently used first
+
+
 def all_vectors(length: int, p: int) -> np.ndarray:
     """All p**length vectors over F_p in lexicographic order, shape (p**length, length).
 
-    Cached and read-only: callers index into the table but never write it.
+    Memoised in ``_VECTORS``, least recently used dropped first while the
+    tables hold more than VECTORS_CACHE_BYTES (a table above the cap is built
+    on every call), and read-only: callers index into the table but never write it.
     """
-    if length == 0:
-        out = np.zeros((1, 0), dtype=np.int64)
-    else:
-        grids = np.meshgrid(*([np.arange(p)] * length), indexing="ij")
-        out = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
-    out.setflags(write=False)
-    return out
+    key = (length, p)
+    table = _VECTORS.pop(key, None)
+    if table is None:
+        table = np.zeros((1, 0), dtype=np.int64)
+        if length:
+            table = np.indices((p,) * length, dtype=np.int64).reshape(length, -1).T.copy()
+        table.setflags(write=False)
+    if table.nbytes <= VECTORS_CACHE_BYTES:
+        _VECTORS[key] = table   # now the most recently used
+    held = sum(t.nbytes for t in _VECTORS.values())
+    while held > VECTORS_CACHE_BYTES:
+        held -= _VECTORS.popitem(last=False)[1].nbytes
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,9 +258,10 @@ def pairwise_independence_check(p: int, n: int, k: int, l: int) -> PairwiseRepor
     the same-coset triple W(0, 0), W(e_1, 0), W(2 e_1, 0).  W is affine in a,
     so the triple obeys W_0 - 2 W_1 + W_2 = 0: pairwise but not three-way
     independent (for p = 2 a dependence takes four words, so no witness).
-    Deviations are from the exactly uniform counts; each table is capped first,
-    and a block holds at most ENSEMBLE_BLOCK ensembles and so few that its
-    counter keys (ensembles x tuples of a table) stay within ENUMERATION_CAP.
+    Deviations are from the exactly uniform counts; each table is capped first.
+    A block holds as many ensembles as keep its largest temporary, the
+    (ensembles, tuples) counter keys of a table, within BLOCK_KEYS, so that it
+    stays in cache; a block holds at least one ensemble.
     """
     blocks = _grand_ensemble(p, n, k, l)
     _require_table(p, 2 * (k + l + n), "pairwise")
@@ -263,7 +275,7 @@ def pairwise_independence_check(p: int, n: int, k: int, l: int) -> PairwiseRepor
         tuples.append(np.array([[a * p ** l for a in a_ints]]))
     tables = [np.zeros(len(rows) * space ** rows.shape[1], dtype=np.int64) for rows in tuples]
     total, most = 0, max(len(rows) for rows in tuples)
-    for G, h in blocks(max(1, min(ENSEMBLE_BLOCK, ENUMERATION_CAP // most))):
+    for G, h in blocks(max(1, BLOCK_KEYS // most)):
         flat = codeword_indices(G, h, p)                              # (B, num_words)
         total += flat.shape[0]
         for rows, table in zip(tuples, tables):

@@ -450,26 +450,28 @@ def surface_scan(rho_ab: DensityOperator, theta_grid, field_p: int = 3) -> Surfa
     da, db = rho_ab.register_dims
     if (da, db) != (2, 2):
         raise ValueError("the theta parametrization is for two-qubit states")
-    t1, t2, t3 = (c.ravel() for c in np.meshgrid(*axes, indexing="ij"))
+    t1, t2, t3 = axes[0][:, None, None], axes[1][:, None], axes[2]
     # PSD of Lambda_0 and I - Lambda_0: diagonal in [0,1] and det >= 0.
     det = t1 * (1.0 - t1) - (t2 * t2 + t3 * t3)
-    valid = (0.0 <= t1) & (t1 <= 1.0) & (det >= 0.0)
-    t1, t2, t3 = t1[valid], t2[valid], t3[valid]
-    lam0 = np.empty((t1.size, 2, 2), dtype=complex)
-    lam0[:, 0, 0] = t1
-    lam0[:, 0, 1] = t2 + 1j * t3
-    lam0[:, 1, 0] = t2 - 1j * t3
-    lam0[:, 1, 1] = 1.0 - t1
-    lam = np.stack([lam0, np.eye(2) - lam0], axis=1)          # (P, 2, 2, 2)
-    # Tr{(L_s (x) L_t) rho} = sum L_s[a, c] L_t[b, d] rho[(c, d), (a, b)].
-    joint = np.einsum("psac,ptbd,cdab->pst", lam, lam,
-                      rho_ab.mat.reshape(2, 2, 2, 2), optimize=True).real
-    joint = np.clip(joint, 0.0, None).reshape(-1, 4)
+    valid = (0.0 <= t1) & (t1 <= 1.0) & (det >= 0.0)              # (n1, n2, n3)
+    v = np.stack([np.ones(np.count_nonzero(valid)),
+                  *(a[i] for a, i in zip(axes, np.nonzero(valid)))], axis=1)   # (valid, 4)
+    # Lambda_0 = sum_k v_k B_k, so P(0,0) = v^T Q v with Q_kl = Tr{(B_k (x) B_l) rho} and
+    # P_A(0), P_B(0) = v.m_A, v.m_B; Lambda_1 = I - Lambda_0 gives the other entries.
+    basis = np.array([[[0, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, 1j], [-1j, 0]]])
+    rho = rho_ab.mat.reshape(2, 2, 2, 2)        # rho[(c, d), (a, b)]
+    q = np.einsum("kac,lbd,cdab->kl", basis, basis, rho).real
+    m_a = v @ np.einsum("kac,cbab->k", basis, rho).real
+    m_b = v @ np.einsum("kbd,adab->k", basis, rho).real
+    p00 = np.einsum("pk,pk->p", v @ q, v)
+    joint = np.stack([p00, m_a - p00, m_b - p00, 1.0 - m_a - m_b + p00], axis=1)
+    joint = np.clip(joint, 0.0, None)
     joint /= joint.sum(axis=1, keepdims=True)
     wdist = np.zeros((joint.shape[0], field_p))
     for s in range(2):
         for t in range(2):
             wdist[:, (s + t) % field_p] += joint[:, 2 * s + t]
+    valid = valid.ravel()
     gain = np.full(valid.size, np.nan)
     gain[valid] = 2.0 * _entropy_bits_rows(wdist) - _entropy_bits_rows(joint)
     return SurfaceScan(axes, valid, gain)

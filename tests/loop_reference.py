@@ -60,18 +60,27 @@ def ucc_draw(inst, p, n, k, l):
     return draw
 
 
+def cut_states(inst):
+    """The cut state Pi Pi_x sigma_x Pi_x Pi of each letter, one product at a time."""
+    return [inst.pi @ px @ s @ px @ inst.pi for s, px in zip(inst.sigmas, inst.pi_x)]
+
+
 def covering_loop(inst, trials, seed, draw):
-    """(raw deviations, cut deviations), one trace norm per trial and version."""
+    """(raw deviations, cut deviations), one trace norm per trial and version.
+
+    The cut states and both targets are built here letter by letter, not read
+    from the instance.
+    """
     rng = np.random.default_rng(seed)
-    tilde = inst.sigma_tilde()
-    target_raw = inst.sigma()
-    target_cut = np.einsum("x,xij->ij", inst.lam, tilde)
+    tilde = cut_states(inst)
+    target_raw = sum(w * s for w, s in zip(inst.lam, inst.sigmas))
+    target_cut = sum(w * c for w, c in zip(inst.lam, tilde))
     ratio = np.where(inst.mu > 0, inst.lam / np.where(inst.mu > 0, inst.mu, 1.0), 0.0)
     raw, cut = np.empty(trials), np.empty(trials)
     for t in range(trials):
         weights = draw(rng) * ratio / inst.m
-        raw[t] = trace_norm(target_raw - np.einsum("x,xij->ij", weights, inst.sigmas))
-        cut[t] = trace_norm(target_cut - np.einsum("x,xij->ij", weights, tilde))
+        raw[t] = trace_norm(target_raw - sum(w * s for w, s in zip(weights, inst.sigmas)))
+        cut[t] = trace_norm(target_cut - sum(w * c for w, c in zip(weights, tilde)))
     return raw, cut
 
 

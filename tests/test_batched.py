@@ -31,14 +31,14 @@ def _assert_pruning_matches(rep, want):
 # ---------------------------------------------------------------------------
 # Covering.
 
-@pytest.mark.parametrize("seed", [0, 1, 7])
-@pytest.mark.parametrize("sampler_name", ["iid", "ucc"])
-def test_covering_matches_loop(seed, sampler_name):
-    inst = default_covering_instance(256)
-    if sampler_name == "iid":
-        sampler, draw = lab.iid_code_sampler(inst), ref.iid_draw(inst)
-    else:
-        sampler, draw = lab.ucc_code_sampler(inst, 2, 2, 2, 6), ref.ucc_draw(inst, 2, 2, 2, 6)
+def _samplers(inst, name, k, l):
+    """(sampler, per-trial draw) of the i.i.d. or the UCC code over F_2^2."""
+    if name == "iid":
+        return lab.iid_code_sampler(inst), ref.iid_draw(inst)
+    return lab.ucc_code_sampler(inst, 2, 2, k, l), ref.ucc_draw(inst, 2, 2, k, l)
+
+
+def _assert_covering_matches_loop(inst, sampler, draw, seed):
     rep = lab.covering_experiment(inst, TRIALS, seed, sampler=sampler)
     raw, cut = ref.covering_loop(inst, TRIALS, seed, draw)
     assert rep.empirical_mean == pytest.approx(raw.mean(), abs=1e-12)
@@ -46,8 +46,48 @@ def test_covering_matches_loop(seed, sampler_name):
     raw_se = raw.std(ddof=1) / np.sqrt(TRIALS)
     cut_se = cut.std(ddof=1) / np.sqrt(TRIALS)
     assert rep.stderr == pytest.approx(raw_se, abs=1e-12)
+    assert rep.extras["cut_stderr"] == pytest.approx(cut_se, abs=1e-12)
     assert rep.passed == bool(raw.mean() <= rep.bound + 3 * raw_se
                               and cut.mean() <= rep.extras["cut_bound"] + 3 * cut_se)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("sampler_name", ["iid", "ucc"])
+def test_covering_matches_loop(seed, sampler_name):
+    inst = default_covering_instance(256)
+    _assert_covering_matches_loop(inst, *_samplers(inst, sampler_name, 2, 6), seed)
+
+
+def _projector(rng, dim, rank):
+    q = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    return q[:, :rank] @ q[:, :rank].conj().T
+
+
+def _qutrit_instance_with_projectors():
+    """Four qutrit letters, a rank-2 Pi and a rank-2 Pi_x per letter, M = 4."""
+    rng = np.random.default_rng(21)
+    lam = np.array([0.4, 0.3, 0.2, 0.1])
+    sigmas = np.stack([random_density(rng, 3).mat for _ in lam])
+    pi_x = np.stack([_projector(rng, 3, 2) for _ in lam])
+    return lab.CoveringInstance(lam, sigmas, np.full(4, 0.25), _projector(rng, 3, 2), pi_x,
+                                eps=0.1, d=1.5, big_d=3.0, m=4)
+
+
+def test_cut_states_and_targets_match_per_letter_products():
+    inst = _qutrit_instance_with_projectors()
+    assert not np.allclose(inst.pi, np.eye(3)) and not np.allclose(inst.pi_x, np.eye(3))
+    tilde = inst.sigma_tilde()
+    np.testing.assert_allclose(tilde, ref.cut_states(inst), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(inst.sigma(), sum(w * s for w, s in zip(inst.lam, inst.sigmas)),
+                               rtol=0, atol=1e-15)
+    assert np.linalg.norm(tilde - inst.sigmas) > 0.1       # the projectors do cut
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("sampler_name", ["iid", "ucc"])
+def test_covering_with_projectors_matches_loop(seed, sampler_name):
+    inst = _qutrit_instance_with_projectors()
+    _assert_covering_matches_loop(inst, *_samplers(inst, sampler_name, 1, 1), seed)
 
 
 # With p = 2, x - y = y - x over F_2^n, so a letter-difference table read
@@ -383,9 +423,10 @@ def test_surface_csv_rows_match_per_row_format(bell_state):
 @pytest.mark.parametrize("p,n,k,l", [(3, 1, 1, 1), (2, 2, 1, 1), (2, 1, 2, 1), (3, 1, 0, 1)])
 def test_ensemble_checks_match_brute_force(monkeypatch, p, n, k, l):
     # 81, 64, 16 and 27 ensembles in blocks of 5: each ends in a partial block.
-    monkeypatch.setattr(codes, "ENSEMBLE_BLOCK", 5)
+    words = p ** (k + l)
+    monkeypatch.setattr(codes, "BLOCK_KEYS", 5 * words * (words - 1))   # 5 x the ordered pairs
     total, dev_single, dev_pair = ref.pairwise_deviations(p, n, k, l)
-    assert total % codes.ENSEMBLE_BLOCK
+    assert total % 5
     rep = codes.pairwise_independence_check(p, n, k, l)
     assert (rep.num_ensembles, rep.worst_single_deviation, rep.worst_pair_deviation) == \
         (total, dev_single, dev_pair)
@@ -400,8 +441,9 @@ def test_ensemble_checks_match_brute_force(monkeypatch, p, n, k, l):
 
 
 def test_ensemble_checks_default_block_partial():
-    # 3**8 = 6561 ensembles: three full blocks and a partial one.
-    assert 3 ** 8 % codes.ENSEMBLE_BLOCK
+    # 3**8 = 6561 ensembles in blocks of BLOCK_KEYS // 72 (the ordered pairs of
+    # 9 codewords): full blocks and a partial one.
+    assert 3 ** 8 % (codes.BLOCK_KEYS // 72)
     rep = codes.pairwise_independence_check(3, 2, 1, 1)
     assert rep.num_ensembles == 3 ** 8 and rep.exact
     holds, dev = ref.three_way_counts(3, 2, 1, 1)

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import re
 import tracemalloc
 
@@ -17,6 +19,23 @@ from povmsim.codes import (
     pairwise_independence_check,
     sample_ensemble,
 )
+
+
+def test_all_vectors_cache_holds_at_most_its_byte_cap(monkeypatch):
+    # 192 + 144 bytes fit: a hit makes (3, 2) the most recently used, so
+    # (1, 5) pushes (2, 3) out; the 9720-byte (5, 3) table is above the cap,
+    # returned in order but not kept, and drops nothing.
+    monkeypatch.setattr(codes, "_VECTORS", collections.OrderedDict())
+    monkeypatch.setattr(codes, "VECTORS_CACHE_BYTES", 192 + 144)
+    first = all_vectors(3, 2)
+    all_vectors(2, 3)
+    assert all_vectors(3, 2) is first and list(codes._VECTORS) == [(2, 3), (3, 2)]
+    all_vectors(1, 5)
+    assert list(codes._VECTORS) == [(3, 2), (1, 5)]
+    big = all_vectors(5, 3)
+    assert list(codes._VECTORS) == [(3, 2), (1, 5)] and not big.flags.writeable
+    np.testing.assert_array_equal(big, np.array(list(itertools.product(range(3), repeat=5))))
+    assert sum(t.nbytes for t in codes._VECTORS.values()) <= codes.VECTORS_CACHE_BYTES
 
 
 def test_is_prime():
@@ -225,12 +244,11 @@ def test_three_way_witness_rejects_p2():
 def test_ensemble_is_swept_once(monkeypatch):
     # One codeword_indices call per block of the 3**8 ensembles, not one per table.
     calls = []
-    real = codes.codeword_indices
-    monkeypatch.setattr(codes, "codeword_indices",
-                        lambda *a: calls.append(len(a[0])) or real(*a))
+    _spy(monkeypatch, "codeword_indices", lambda a, out: calls.append(len(out)))
     rep = pairwise_independence_check(3, 2, 1, 1)
     assert rep.exact and rep.witness.fires
-    assert len(calls) == -(-3 ** 8 // codes.ENSEMBLE_BLOCK) and sum(calls) == 3 ** 8
+    per_block = codes.BLOCK_KEYS // (9 * 8)     # the 9 codewords' ordered pairs are the most keys
+    assert len(calls) == -(-3 ** 8 // per_block) and sum(calls) == 3 ** 8
 
 
 def test_broken_relation_is_seen(monkeypatch):
@@ -258,10 +276,11 @@ def test_ucc_shape_validation():
 
 def test_pairwise_block_keys_stay_within_the_cap(monkeypatch):
     # A block's counter keys (ensembles x tuples of a table) number at most
-    # ENUMERATION_CAP: at (2, 1, 7, 0) and (2, 1, 8, 0), with 16256 and 65280
-    # ordered pairs, the traced peak stays under four int64 arrays of that
-    # many entries, where one block of all 256 (512) ensembles peaked at
-    # 67.9 MB (about 540 MB).  The reports do not depend on the block size.
+    # BLOCK_KEYS, or one ensemble's tuples where those are more: at
+    # (2, 1, 7, 0) and (2, 1, 8, 0), with 16256 and 65280 ordered pairs, the
+    # traced peak stays under four int64 arrays of ENUMERATION_CAP entries,
+    # where one block of all 256 (512) ensembles peaked at 67.9 MB (about
+    # 540 MB).  The reports do not depend on the block size.
     bound, reports = 4 * 8 * codes.ENUMERATION_CAP, {}
     for args in [(2, 1, 7, 0), (2, 1, 8, 0)]:
         tracemalloc.start()
@@ -272,5 +291,51 @@ def test_pairwise_block_keys_stay_within_the_cap(monkeypatch):
             tracemalloc.stop()
         assert reports[args].exact and reports[args].num_ensembles == 2 ** (args[2] + 1)
         assert peak <= bound, f"{args}: traced peak {peak / 1e6:.1f} MB"
-    monkeypatch.setattr(codes, "ENSEMBLE_BLOCK", 3)
+    monkeypatch.setattr(codes, "BLOCK_KEYS", 3 * 16256)      # three ensembles per block
     assert pairwise_independence_check(2, 1, 7, 0) == reports[(2, 1, 7, 0)]
+
+
+def _spy(monkeypatch, name, record):
+    """Wrap ``codes.<name>`` so that ``record(args, result)`` sees every call."""
+    real = getattr(codes, name)
+
+    def spy(*args):
+        out = real(*args)
+        record(args, out)
+        return out
+
+    monkeypatch.setattr(codes, name, spy)
+
+
+@pytest.mark.parametrize("args", [(3, 1, 1, 1), (2, 2, 1, 1), (3, 1, 0, 1)])
+def test_pairwise_reports_do_not_depend_on_the_block_size(monkeypatch, args):
+    # 81, 64 and 27 ensembles: one per block, 7 per block (a partial last
+    # block) and all of them in one block give equal reports.
+    p, n, k, l = args
+    words, total = p ** (k + l), p ** (k * n + p ** l * n)
+    sizes, reports = [], []
+    _spy(monkeypatch, "codeword_indices", lambda a, out: sizes.append(len(out)))
+    assert total % 7
+    for per_block in (1, 7, total):
+        sizes.clear()
+        monkeypatch.setattr(codes, "BLOCK_KEYS", per_block * words * (words - 1))
+        reports.append(pairwise_independence_check(*args))
+        assert sizes == [per_block] * (total // per_block) + [total % per_block] * (total % per_block > 0)
+    assert reports[0] == reports[1] == reports[2] and reports[0].exact
+
+
+@pytest.mark.parametrize("bound,args", [(None, (3, 2, 1, 1)), (500, (3, 1, 1, 1)),
+                                        (50, (3, 1, 1, 1)), (10 ** 6, (2, 1, 7, 0))])
+def test_pairwise_block_keys_stay_within_the_bound(monkeypatch, bound, args):
+    # Every key array _tuple_keys returns holds at most BLOCK_KEYS keys, and
+    # the blocks are as large as that allows; a bound below one ensemble's
+    # 72 ordered pairs (bound 50) leaves one ensemble per block.
+    if bound is not None:
+        monkeypatch.setattr(codes, "BLOCK_KEYS", bound)
+    bound = codes.BLOCK_KEYS
+    seen = []      # (ensembles in the block, tuples of the table, keys returned)
+    _spy(monkeypatch, "_tuple_keys", lambda a, keys: seen.append((len(a[0]), len(a[1]), keys.size)))
+    assert pairwise_independence_check(*args).exact
+    most = max(tuples for _, tuples, _ in seen)
+    assert all(keys == block * tuples <= max(bound, tuples) for block, tuples, keys in seen)
+    assert max(block for block, _, _ in seen) == max(1, bound // most)
