@@ -283,7 +283,7 @@ def _run_protocol(args, spec, p: int):
             m, protocol.extend_map_to_field(p_zw, params.p), params.n)
         rho_n = protocol.TensorPower(rho, params.n)
         bins_stats = {
-            "typical_words": len(inst.tset_w.members),
+            "typical_words": int(inst.tset_w.mask.sum()),
             "typical_mass": inst.tset_w.mass,
             "bins_per_mu": params.p ** params.sides[0][0],
         }
@@ -294,7 +294,7 @@ def _run_protocol(args, spec, p: int):
             spec.m_a, spec.m_b, spec.p_zw, params.p, params.n)
         rho_n = protocol.TensorPower(spec.rho_ab, params.n)
         bins_stats = {
-            "typical_words_w": len(inst.tset_w.members),
+            "typical_words_w": int(inst.tset_w.mask.sum()),
             "typical_mass_w": inst.tset_w.mass,
             "bins_per_mu": [params.p ** l for l, _ in params.sides],
         }

@@ -261,7 +261,9 @@ def pairwise_independence_check(p: int, n: int, k: int, l: int) -> PairwiseRepor
     Deviations are from the exactly uniform counts; each table is capped first.
     A block holds as many ensembles as keep its largest temporary, the
     (ensembles, tuples) counter keys of a table, within BLOCK_KEYS, so that it
-    stays in cache; a block holds at least one ensemble.
+    stays in cache, or within the largest table where that is larger, as
+    each block's ``bincount`` allocates a table anyway; a block holds at
+    least one ensemble.
     """
     blocks = _grand_ensemble(p, n, k, l)
     _require_table(p, 2 * (k + l + n), "pairwise")
@@ -275,7 +277,7 @@ def pairwise_independence_check(p: int, n: int, k: int, l: int) -> PairwiseRepor
         tuples.append(np.array([[a * p ** l for a in a_ints]]))
     tables = [np.zeros(len(rows) * space ** rows.shape[1], dtype=np.int64) for rows in tuples]
     total, most = 0, max(len(rows) for rows in tuples)
-    for G, h in blocks(max(1, BLOCK_KEYS // most)):
+    for G, h in blocks(max(1, max(BLOCK_KEYS, *(t.size for t in tables)) // most)):
         flat = codeword_indices(G, h, p)                              # (B, num_words)
         total += flat.shape[0]
         for rows, table in zip(tuples, tables):

@@ -13,7 +13,6 @@ import collections
 import functools
 import itertools
 import math
-import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -117,42 +116,40 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def sequence_counts(seq, num_letters: int) -> np.ndarray:
-    return np.bincount(np.asarray(seq, dtype=np.int64), minlength=num_letters)
+def _digits(index, p: int, n: int) -> np.ndarray:
+    """The n base-p digits of each index (most significant first), one row per index."""
+    return np.stack(np.unravel_index(index, (p,) * n), axis=-1)
 
 
-def _group_counts(labels: np.ndarray, num_groups: int) -> np.ndarray:
-    """Per row of ``labels``, how often each label 0..num_groups-1 occurs."""
-    return (labels[..., None] == np.arange(num_groups)).sum(axis=-2)
+def typical_rows(labels, probs, delta: float) -> np.ndarray:
+    """Which rows of ``labels`` (..., n) are strong delta-typical for the law ``probs``.
 
-
-def counts_are_typical(counts, probs, n: int, delta: float):
-    """Strong typicality: |count/n - p| <= delta * p per letter, zero stays zero.
-
-    ``counts`` is one count vector (giving a bool) or a stack of them along
-    the leading axes (giving a bool array).
+    A row is typical when each letter a of positive probability occurs
+    N(a) times with |N(a)/n - probs[a]| <= delta probs[a], and no letter of
+    zero probability occurs; the result has the leading shape of ``labels``.
     """
-    counts = np.asarray(counts, dtype=float)
+    labels = np.asarray(labels)
     probs = np.asarray(probs, dtype=float)
+    counts = (labels[..., None] == np.arange(probs.size)).sum(axis=-2)
     zero = probs <= 1e-14
     pos = ~zero
-    ok = (np.all(counts[..., zero] == 0, axis=-1)
-          & np.all(np.abs(counts[..., pos] / n - probs[pos]) <= delta * probs[pos] + 1e-12,
-                   axis=-1))
-    return ok if ok.ndim else bool(ok)
+    return (np.all(counts[..., zero] == 0, axis=-1)
+            & np.all(np.abs(counts[..., pos] / labels.shape[-1] - probs[pos])
+                     <= delta * probs[pos] + 1e-12, axis=-1))
 
 
 @dataclass(frozen=True, eq=False)
 class TypicalSet:
+    """The strong delta-typical words of length n for ``probs``, as a mask over base-q indices."""
+
     probs: np.ndarray
     n: int
     delta: float
-    members: tuple        # tuple of sequence tuples
+    mask: np.ndarray      # (q**n,) bool, read-only: word index -> typical
     mass: float
 
     def is_member(self, seq) -> bool:
-        counts = sequence_counts(seq, len(self.probs))
-        return counts_are_typical(counts, self.probs, self.n, self.delta)
+        return bool(self.mask[np.ravel_multi_index(tuple(seq), (len(self.probs),) * self.n)])
 
 
 def typical_set(dist, n: int, delta: float) -> TypicalSet:
@@ -162,9 +159,9 @@ def typical_set(dist, n: int, delta: float) -> TypicalSet:
     if q ** n > SEQUENCE_CAP:
         raise ValueError(f"{q}**{n} sequences exceed the desk-scale cap")
     seqs = all_vectors(n, q)
-    typical = seqs[counts_are_typical(_group_counts(seqs, q), probs, n, delta)]
-    mass = float(np.prod(probs[typical], axis=1).sum())
-    return TypicalSet(probs, n, delta, tuple(map(tuple, typical.tolist())), mass)
+    mask = _read_only(typical_rows(seqs, probs, delta))
+    mass = float(np.prod(probs[seqs[mask]], axis=1).sum())
+    return TypicalSet(probs, n, delta, mask, mass)
 
 
 def _eigen_groups(vals, rel_tol: float = 1e-8):
@@ -234,8 +231,7 @@ def _typical_factor(mat: np.ndarray, n: int, delta: float):
     _check_dim(mat.shape[0], n)
     spec = _spectrum(mat)
     idx = all_vectors(n, mat.shape[0])
-    keep = idx[counts_are_typical(_group_counts(spec.group_ids[idx], spec.group_probs.size),
-                                  spec.group_probs, n, delta)]
+    keep = idx[typical_rows(spec.group_ids[idx], spec.group_probs, delta)]
     cutoff = EIG_CUTOFF * max(float(spec.vals[-1]), 0.0)
     inv = np.where(spec.vals > cutoff, 1.0 / np.sqrt(np.clip(spec.vals, cutoff, None)), 0.0)
     return _kron_columns([spec.vecs] * n, keep), np.prod(inv[keep], axis=1)
@@ -264,9 +260,7 @@ def _cond_typical_columns(spectra, w_seq, delta: float, idx: np.ndarray):
     ok = np.ones(idx.shape[0], dtype=bool)
     for w in np.unique(w_seq):
         at = w_seq == w
-        s = spectra[w]
-        counts = _group_counts(s.group_ids[idx[:, at]], s.group_probs.size)
-        ok &= counts_are_typical(counts, s.group_probs, int(at.sum()), delta)
+        ok &= typical_rows(spectra[w].group_ids[idx[:, at]], spectra[w].group_probs, delta)
     keep = idx[ok]
     eig = np.ones(keep.shape[0])
     for j, w in enumerate(w_seq):
@@ -494,24 +488,19 @@ def _bin_indices(g: np.ndarray, h: np.ndarray, p: int) -> np.ndarray:
     return codeword_indices(g, h, p).reshape(h.shape[0], -1, h.shape[1]).transpose(0, 2, 1)
 
 
-def _slots(words, p: int, n: int) -> np.ndarray:
-    """Each word's position in ``words`` by base-p index, -1 if not listed: p**n int32 entries."""
-    slot = np.full(p ** n, -1, dtype=np.int32)
-    at = np.ravel_multi_index(np.array(words, dtype=np.int64).reshape(-1, n).T, (p,) * n)
-    slot[at] = np.arange(len(words), dtype=np.int32)
-    return slot
+def _decode(codewords: np.ndarray, accept: np.ndarray) -> tuple:
+    """(decoded, collisions) of a stack of codes' codeword indices, shape (B, bins, p**k).
 
-
-def _decode(hits: np.ndarray) -> tuple:
-    """(decoded, collisions) of the bin hits of a stack of codes, shape (B, bins, p**k).
-
-    A bin decodes to its single accepted codeword, by its index in the word
-    list, else to -1, which stands for w0.  A bin with two or more accepted
-    codewords (a repeated codeword counting twice) is a collision.  Built in
-    place, so that no array larger than ``hits`` is formed.
+    A bin decodes to its single codeword that ``accept`` (a mask over word
+    indices) holds, as its index, else to -1, which stands for w0.  A bin
+    with two or more accepted codewords (a repeated codeword counting twice)
+    is a collision.  No array larger than a bool mask of ``codewords`` is
+    formed, and ``decoded`` is int32, which holds every index below SEQUENCE_CAP.
     """
-    count = (hits >= 0).sum(axis=-1, dtype=np.int32)
-    decoded = hits.max(axis=-1)
+    ok = accept[codewords]
+    count = ok.sum(axis=-1, dtype=np.int32)
+    decoded = np.max(codewords, axis=-1, where=ok, initial=-1,
+                     out=np.empty(ok.shape[:-1], dtype=np.int32))
     decoded[count != 1] = -1
     return decoded, int((count >= 2).sum())
 
@@ -539,7 +528,7 @@ class _SideBasis:
         new = [r for r in reps.tolist() if r not in self.per_type]
         if new:
             u_inv, u_adj, idx = self.typical * self.inv, self.typical.conj().T, all_vectors(n, d)
-            for r, rep in zip(new, all_vectors(n, p)[new].tolist()):
+            for r, rep in zip(new, _digits(new, p, n).tolist()):
                 cols, eig = _cond_typical_columns(self.spectra, rep, self.tset.delta, idx)
                 x = cols * np.sqrt(np.clip(eig, 0.0, None) * (self.norm * self.ens.weight_of(rep)))
                 self.per_type[r] = _read_only(u_inv @ (u_adj @ x))
@@ -552,16 +541,14 @@ class _Basis:
 
     sides: tuple                # _SideBasis per party
     tset_w: TypicalSet
-    slot: np.ndarray            # ``_slots`` of tset_w's members
     w0: tuple | None
 
     @property
     def nbytes(self) -> int:
-        """The bytes of its large arrays and of its typical sets' word tuples."""
+        """The bytes of its large arrays and of its typical sets' masks."""
         tsets = {id(t): t for t in (self.tset_w, *(s.tset for s in self.sides))}.values()
-        words = sum(len(t.members) * (sys.getsizeof((0,) * t.n) + 8) for t in tsets)
         arrays = [a for s in self.sides for a in (s.typical, s.inv, *s.per_type.values())]
-        return words + self.slot.nbytes + sum(a.nbytes for a in arrays)
+        return sum(a.nbytes for a in [t.mask for t in tsets] + arrays)
 
 
 BASIS_CACHE_BYTES = 2 ** 26     # cap on the bytes of the bases kept between builds
@@ -596,10 +583,9 @@ def _basis(params: ProtocolParams, povms, rho: DensityOperator) -> _Basis:
         tset_w = sides[0].tset if count == 1 else typical_set(
             [float(np.trace(el @ rho.mat).real) for el in _sum_povm(povms, p).elements],
             n, p * params.delta)
-        slot = _read_only(_slots(tset_w.members, p, n))
-        first = int(np.argmax(slot < 0))        # w0, the first word by index outside tset_w
-        w0 = tuple(map(int, np.unravel_index(first, (p,) * n))) if slot[first] < 0 else None
-        basis = _Basis(tuple(sides), tset_w, slot, w0)
+        first = int(np.argmin(tset_w.mask))     # w0, the first word by index outside tset_w
+        w0 = None if tset_w.mask[first] else tuple(_digits(first, p, n).tolist())
+        basis = _Basis(tuple(sides), tset_w, w0)
     _BASES[key] = basis         # now the most recently used
     return basis
 
@@ -622,9 +608,11 @@ def _build_side(params: ProtocolParams, base: _SideBasis, g: np.ndarray, h: np.n
     # Codeword (mu, i, a) as the key mu p**n + word: the distinct keys ascend code by code.
     indices = codewords + p ** n * np.arange(num)[:, None, None]
     keys, gamma = np.unique(indices, return_counts=True)
-    # The built words, ascending: those of some code that are typical (as in ``typical_set``).
-    used = all_vectors(n, p)[np.unique(keys % p ** n)]
-    words = used[counts_are_typical(_group_counts(used, p), base.ens.weights, n, params.delta)]
+    # The built words, ascending: the typical words of some code.
+    word = keys % p ** n
+    ids = np.unique(word)
+    ids = ids[base.tset.mask[ids]]
+    words = _digits(ids, p, n)
     orders = np.argsort(words, axis=1, kind="stable")
     sorted_words = np.take_along_axis(words, orders, axis=1) @ p ** np.arange(n - 1, -1, -1)
     reps = np.unique(sorted_words)
@@ -643,7 +631,7 @@ def _build_side(params: ProtocolParams, base: _SideBasis, g: np.ndarray, h: np.n
     factors = {w: built[:, a:b] for w, a, b in zip(map(tuple, words.tolist()), ends[:-1].tolist(),
                                                    ends[1:].tolist())}
     # Each key's X_w side by side, none for a word not built (slot -1 reads a width of 0).
-    slot = _slots(words, p, n)[keys % p ** n]
+    slot = np.where(base.tset.mask[word], np.searchsorted(ids, word), -1)
     width, start = np.append(widths, 0)[slot], ends[slot]
     pruned = np.take(built, _ranges(start, start + width), axis=1)    # X, pruned below
     scale, col_ends = np.repeat(np.sqrt(gamma), width), np.cumsum(np.append(0, width))
@@ -679,8 +667,8 @@ class Instance:
     a G + h_1(i_1) + h_2(i_2) + ...: a bin of the sum code, whose shift is
     the sum of the sides' shifts.  It decodes to its single word in
     ``tset_w``, else to w0, and two or more such words are a collision.
-    ``decoded`` has one mu axis and then one bin axis per side: the index in
-    ``words`` of the word of bins (i_1, ...) under (mu_1, ...), -1 for w0.
+    ``decoded`` has one mu axis and then one bin axis per side: the base-p
+    index of the word of bins (i_1, ...) under (mu_1, ...), -1 for w0.
     """
 
     params: ProtocolParams
@@ -690,10 +678,6 @@ class Instance:
     decoded: np.ndarray         # (N_1, ..., bins_1, ...)
     sub_povm_defect: float      # max over every side's mus of lambda_max(sum_i Gamma_i - I)
     decoder_collisions: int
-
-    @property
-    def words(self) -> tuple:
-        return self.tset_w.members
 
     # Read by the benchmark's span tracer, perfbench/spans.py.
     @property
@@ -735,7 +719,7 @@ def _build(params: ProtocolParams, povms, rho: DensityOperator) -> Instance:
     codewords = [_bin_indices(np.broadcast_to(g, (len(h),) + g.shape), h, p) for h in shifts]
     sides = tuple(_build_side(params, b, g, h, c)
                   for b, h, c in zip(basis.sides, shifts, codewords))
-    hits = codewords[0]             # one side's codes are its sum codes
+    sums = codewords[0]             # one side's codes are its sum codes
     if count > 1:
         # The sum codes' shifts, axes (N_1, ..., bins_1, ..., n), added side by side.
         total = np.zeros(n, dtype=digit_dtype(p))
@@ -745,9 +729,9 @@ def _build(params: ProtocolParams, povms, rho: DensityOperator) -> Instance:
             total = total + h.reshape(shape)
             total %= p
         num_codes = math.prod(total.shape[:count])
-        hits = _bin_indices(np.broadcast_to(g, (num_codes, k, n)), total.reshape(num_codes, -1, n),
+        sums = _bin_indices(np.broadcast_to(g, (num_codes, k, n)), total.reshape(num_codes, -1, n),
                             p).reshape(total.shape[:-1] + (-1,))
-    decoded, collisions = _decode(basis.slot[hits])
+    decoded, collisions = _decode(sums, basis.tset_w.mask)
     held = sum(b.nbytes for b in _BASES.values())
     while held > BASIS_CACHE_BYTES:         # least recently used first
         held -= _BASES.popitem(last=False)[1].nbytes
@@ -794,7 +778,7 @@ def _lookup(inst, mus: tuple, messages: tuple):
     if not _in_range(messages, np.add(inst.decoded.shape[count:], 1)):
         raise ValueError(f"message {show(messages)} out of range")
     k = inst.decoded[mus + tuple(i - 1 for i in messages)] if all(messages) else -1
-    return inst.words[k] if k >= 0 else inst.w0
+    return tuple(_digits(k, inst.params.p, inst.params.n).tolist()) if k >= 0 else inst.w0
 
 
 def decode_p2p(instance: Instance, message: int, mu: int = 0):
@@ -856,8 +840,8 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 class FactoredCandidate(Mapping):
     """The overall sub-POVM C_z = sum_word P^n_{Z|W}(z | word) C_word of the protocol.
 
-    ``decoded`` has one mu axis and then one bin axis per side: the index in
-    ``words`` of the word that bins (i_1, i_2, ...) decode to under
+    ``decoded`` has one mu axis and then one bin axis per side: the base-p
+    index of the word that bins (i_1, i_2, ...) decode to under
     (mu_1, mu_2, ...), all weighted alike, or -1 for w0.  ``bins`` holds, per
     side, a pair (G, ends): the bin factors of every mu side by side, bin i of
     mu the columns ends[mu b + i]:ends[mu b + i + 1] for b bins per mu.  A
@@ -876,8 +860,7 @@ class FactoredCandidate(Mapping):
     interleaved (H_1 H_2 ...)^n ordering, ``dims`` giving each side's register.
     """
 
-    def __init__(self, decoded: np.ndarray, words, w0, bins, p_ext: StochasticMap, n: int,
-                 dims: tuple):
+    def __init__(self, decoded: np.ndarray, w0, bins, p_ext: StochasticMap, n: int, dims: tuple):
         self.n, self.dims = n, tuple(dims)
         count = len(self.dims)
         live = [_live_columns(g, ends) for g, ends in bins]
@@ -902,10 +885,9 @@ class FactoredCandidate(Mapping):
             cols = np.repeat(cols, hi - lo) * g.shape[1] + _ranges(lo, hi)
             owner = np.repeat(owner, hi - lo)
         self.cols = cols
-        sizes = np.bincount(ids[owner])
-        stored = np.flatnonzero(sizes)
-        self.words = [w0] + [words[k] for k in stored.tolist()]
-        self.bounds = np.cumsum([0] + sizes[stored].tolist(), dtype=np.int64)
+        stored, sizes = np.unique(ids[owner], return_counts=True)
+        self.words = [w0] + list(map(tuple, _digits(stored, p_ext.input_sizes[0], n).tolist()))
+        self.bounds = np.cumsum([0] + sizes.tolist(), dtype=np.int64)
         zs = _output_grid(p_ext, n)
         probs = np.array([_output_probs(w, p_ext, zs) for w in self.words]).reshape(-1, len(zs))
         keys = probs.sum(axis=0) > 0.0
@@ -961,7 +943,7 @@ def assemble_overall(instance: Instance, p_zw: StochasticMap) -> FactoredCandida
     It acts on (H_1 (x) H_2 (x) ...)^{(x) n}, one register per side, and is
     complete by construction.
     """
-    return FactoredCandidate(instance.decoded, instance.words, instance.w0,
+    return FactoredCandidate(instance.decoded, instance.w0,
                              [(side.bins, side.bin_ends) for side in instance.sides],
                              extend_map_to_field(p_zw, instance.params.p), instance.params.n,
                              [side.rho.dim for side in instance.sides])

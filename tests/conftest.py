@@ -12,6 +12,12 @@ def fresh_protocol_bases():
     protocol._BASES.clear()
 
 
+def members(tset) -> tuple:
+    """The words of a ``TypicalSet`` as a tuple of word tuples, ascending by base-q index."""
+    shape = (len(tset.probs),) * tset.n
+    return tuple(zip(*(u.tolist() for u in np.unravel_index(np.flatnonzero(tset.mask), shape))))
+
+
 def bell_matrix():
     m = np.zeros((4, 4), dtype=complex)
     for i in (0, 3):

@@ -34,6 +34,20 @@ from povmsim.protocol import (
 )
 
 
+def typical_row(row, probs, delta):
+    """Strong typicality of one word, letter by letter: every letter's count N
+    has |N / n - P| <= delta P (+1e-12), and a letter with P <= 1e-14 does not occur."""
+    n = len(row)
+    for a, prob in enumerate(probs):
+        count = sum(1 for x in row if x == a)
+        if prob <= 1e-14:
+            if count:
+                return False
+        elif abs(count / n - prob) > delta * prob + 1e-12:
+            return False
+    return True
+
+
 def _all_a(p, k):
     """Every a in F_p^k, lexicographic, shape (p**k, k)."""
     return np.array(list(itertools.product(range(p), repeat=k)), dtype=np.int64).reshape(p ** k, k)
@@ -261,7 +275,7 @@ def side_codes(params, m, rho, g, h):
     spectra = [_spectrum(s) for s in ens.post_states]
     idx = all_vectors(n, d)
     factors, by_type = {}, {}
-    for w in (w for w in tset.members if w in used):
+    for w in sorted(w for w in used if tset.is_member(w)):
         order = np.argsort(w, kind="stable")
         rep = tuple(w[j] for j in order)
         if rep not in by_type:

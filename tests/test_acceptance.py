@@ -358,7 +358,7 @@ def test_p2p_example4_beats_constant_candidate(tmp_path, monkeypatch):
         k = json.loads(out.read_text())["K"] if rc == 0 else float("nan")
         inst = built[-1]
         constant = protocol.FactoredCandidate(
-            np.full_like(inst.decoded, -1), inst.words, inst.w0,
+            np.full_like(inst.decoded, -1), inst.w0,
             [(side.bins, side.bin_ends) for side in inst.sides], p_ext, n, [rho.dim])
         k_constant = protocol.faithfulness(protocol.TensorPower(rho, n),
                                            protocol.target_overall(spec.m_a, p_ext, n), constant)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from povmsim import codes
 from povmsim.codes import (
     CodeEnsembleSpec,
+    PairwiseReport,
     UccCode,
     all_codewords,
     all_vectors,
@@ -276,7 +277,7 @@ def test_ucc_shape_validation():
 
 def test_pairwise_block_keys_stay_within_the_cap(monkeypatch):
     # A block's counter keys (ensembles x tuples of a table) number at most
-    # BLOCK_KEYS, or one ensemble's tuples where those are more: at
+    # BLOCK_KEYS, or the largest table's counters where those are more: at
     # (2, 1, 7, 0) and (2, 1, 8, 0), with 16256 and 65280 ordered pairs, the
     # traced peak stays under four int64 arrays of ENUMERATION_CAP entries,
     # where one block of all 256 (512) ensembles peaked at 67.9 MB (about
@@ -291,8 +292,20 @@ def test_pairwise_block_keys_stay_within_the_cap(monkeypatch):
             tracemalloc.stop()
         assert reports[args].exact and reports[args].num_ensembles == 2 ** (args[2] + 1)
         assert peak <= bound, f"{args}: traced peak {peak / 1e6:.1f} MB"
-    monkeypatch.setattr(codes, "BLOCK_KEYS", 3 * 16256)      # three ensembles per block
+    monkeypatch.setattr(codes, "BLOCK_KEYS", 5 * 16256)      # five ensembles per block
     assert pairwise_independence_check(2, 1, 7, 0) == reports[(2, 1, 7, 0)]
+
+
+def test_pairwise_blocks_grow_to_the_largest_table(monkeypatch):
+    # At (2, 1, 8, 0) one ensemble's 65280 ordered pairs exceed BLOCK_KEYS,
+    # but the pair table has 4 * 65280 counters, which each block's bincount
+    # allocates anyway: a block holds 4 ensembles, so the 512 ensembles take
+    # 128 codeword enumerations, not 512.  The report is that of the exact check.
+    calls = []
+    _spy(monkeypatch, "codeword_indices", lambda args, out: calls.append(out.shape[0]))
+    report = pairwise_independence_check(2, 1, 8, 0)
+    assert report == PairwiseReport(2, 1, 8, 0, 512, 0, 0, exact=True, witness=None)
+    assert sum(calls) == 512 and len(calls) * 4 <= 512
 
 
 def _spy(monkeypatch, name, record):
@@ -309,16 +322,20 @@ def _spy(monkeypatch, name, record):
 
 @pytest.mark.parametrize("args", [(3, 1, 1, 1), (2, 2, 1, 1), (3, 1, 0, 1)])
 def test_pairwise_reports_do_not_depend_on_the_block_size(monkeypatch, args):
-    # 81, 64 and 27 ensembles: one per block, 7 per block (a partial last
-    # block) and all of them in one block give equal reports.
+    # 81, 64 and 27 ensembles: the fewest per block (as many as the pair
+    # table, p**(2n) counters per ordered pair, holds: 9, 16 and 9), one more
+    # (a partial last block) and all of them in one block give equal reports.
     p, n, k, l = args
     words, total = p ** (k + l), p ** (k * n + p ** l * n)
+    least = p ** (2 * n)
     sizes, reports = [], []
     _spy(monkeypatch, "codeword_indices", lambda a, out: sizes.append(len(out)))
-    assert total % 7
-    for per_block in (1, 7, total):
+    assert total % (least + 1)
+    for per_block in (least, least + 1, total):
         sizes.clear()
-        monkeypatch.setattr(codes, "BLOCK_KEYS", per_block * words * (words - 1))
+        # Below the pair table, BLOCK_KEYS leaves the block at the fewest.
+        keys = 1 if per_block == least else per_block * words * (words - 1)
+        monkeypatch.setattr(codes, "BLOCK_KEYS", keys)
         reports.append(pairwise_independence_check(*args))
         assert sizes == [per_block] * (total // per_block) + [total % per_block] * (total % per_block > 0)
     assert reports[0] == reports[1] == reports[2] and reports[0].exact
@@ -327,15 +344,19 @@ def test_pairwise_reports_do_not_depend_on_the_block_size(monkeypatch, args):
 @pytest.mark.parametrize("bound,args", [(None, (3, 2, 1, 1)), (500, (3, 1, 1, 1)),
                                         (50, (3, 1, 1, 1)), (10 ** 6, (2, 1, 7, 0))])
 def test_pairwise_block_keys_stay_within_the_bound(monkeypatch, bound, args):
-    # Every key array _tuple_keys returns holds at most BLOCK_KEYS keys, and
-    # the blocks are as large as that allows; a bound below one ensemble's
-    # 72 ordered pairs (bound 50) leaves one ensemble per block.
+    # Every key array _tuple_keys returns holds at most BLOCK_KEYS keys, or
+    # as many as the largest counter table where that is larger, and the
+    # blocks are as large as that allows: at (3, 1, 1, 1) a bound of 500 or
+    # 50 keys is below the 648-counter pair table, whose 72 ordered pairs
+    # then take 9 ensembles per block.
     if bound is not None:
         monkeypatch.setattr(codes, "BLOCK_KEYS", bound)
     bound = codes.BLOCK_KEYS
-    seen = []      # (ensembles in the block, tuples of the table, keys returned)
-    _spy(monkeypatch, "_tuple_keys", lambda a, keys: seen.append((len(a[0]), len(a[1]), keys.size)))
+    seen = []      # (ensembles in the block, tuples of the table, keys returned, table size)
+    _spy(monkeypatch, "_tuple_keys", lambda a, keys: seen.append(
+        (len(a[0]), len(a[1]), keys.size, len(a[1]) * a[2] ** a[1].shape[1])))
     assert pairwise_independence_check(*args).exact
-    most = max(tuples for _, tuples, _ in seen)
-    assert all(keys == block * tuples <= max(bound, tuples) for block, tuples, keys in seen)
-    assert max(block for block, _, _ in seen) == max(1, bound // most)
+    most = max(tuples for _, tuples, _, _ in seen)
+    cap = max(bound, *(table for *_, table in seen))
+    assert all(keys == block * tuples <= max(cap, tuples) for block, tuples, keys, _ in seen)
+    assert max(block for block, *_ in seen) == max(1, cap // most)

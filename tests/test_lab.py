@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_complete_povm, random_density, random_hermitian, random_psd
+from conftest import members, random_complete_povm, random_density, random_hermitian, random_psd
 from povmsim import lab
 from povmsim.cli import default_covering_instance
 from povmsim.lab import (
@@ -53,7 +53,7 @@ def test_hypotheses_protocol_pipeline_instance():
     ens = pad_ensemble(canonical_ensemble(m, rho), 2)
     ts = typical_set(ens.weights, n, delta)
     pi = typical_projector(rho, n, delta)
-    words = list(ts.members)
+    words = list(members(ts))
     lam = np.array([ens.weight_of(w) for w in words])
     lam = lam / lam.sum()
     sigmas = np.stack([ens.post_state_of(w) for w in words])

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_reference as dense
+import loop_reference as loop
 from conftest import (
+    members,
     random_complete_povm,
     random_density,
     random_psd,
@@ -124,27 +126,70 @@ def test_canonical_reconstruction_identity():
 
 def test_typical_set_degenerate():
     ts = typical_set(np.array([1.0, 0.0]), 3, 0.2)
-    assert ts.members == ((0, 0, 0),)
+    assert members(ts) == ((0, 0, 0),)
     assert ts.mass == pytest.approx(1.0)
 
 
 def test_typical_set_loose_delta_hits_full_support():
     # delta >= max_w 1/lambda_w makes every supported sequence typical.
     ts = typical_set(np.array([0.5, 0.5]), 2, 2.0)
-    assert len(ts.members) == 4
+    assert members(ts) == ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def test_typical_set_uniform_balanced_count():
     # Brute-force oracle: n=4, delta=0.25 admits only the balanced sequences.
     ts = typical_set(np.array([0.5, 0.5]), 4, 0.25)
     brute = [s for s in itertools.product(range(2), repeat=4) if sum(s) == 2]
-    assert sorted(ts.members) == brute
-    assert len(ts.members) == 6
+    assert list(members(ts)) == brute
+    assert ts.mask.sum() == 6
 
 
 def test_typical_set_excludes_zero_probability_letters():
     ts = typical_set(np.array([0.5, 0.5, 0.0]), 2, 0.999)
-    assert all(2 not in seq for seq in ts.members)
+    assert all(2 not in seq for seq in members(ts)) and ts.mask.any()
+
+
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=4).filter(any), st.integers(1, 6),
+       st.one_of(st.floats(0.01, 0.99), st.floats(1.0, 3.0)))
+@settings(max_examples=60, deadline=None)
+def test_typical_rows_matches_loop_oracle(weights, n, delta):
+    # Laws with zero-probability letters, delta inside and above (0, 1):
+    # every word of length n, as rows and with two leading axes, against the
+    # letter-by-letter oracle; the typical set's mask and members are the
+    # brute-force words the oracle accepts, in itertools.product order.
+    probs = np.array(weights, dtype=float) / sum(weights)
+    q = probs.size
+    brute = list(itertools.product(range(q), repeat=n))
+    want = [loop.typical_row(w, probs, delta) for w in brute]
+    rows = np.array(brute, dtype=np.int64)
+    assert protocol.typical_rows(rows, probs, delta).tolist() == want
+    stacked = protocol.typical_rows(rows.reshape(q, -1, n), probs, delta)
+    assert stacked.shape == (q, q ** (n - 1)) and stacked.ravel().tolist() == want
+    ts = typical_set(probs, n, delta)
+    assert ts.mask.shape == (q ** n,) and not ts.mask.flags.writeable
+    assert ts.mask.tolist() == want and [ts.is_member(w) for w in brute] == want
+    assert members(ts) == tuple(w for w, ok in zip(brute, want) if ok)
+
+
+def test_build_enumerates_the_words_once(monkeypatch):
+    # p2p at p = 3, n = 10: the 3**10-row table of all words is above the
+    # all_vectors cache, so each call rebuilds it.  A cold build makes one
+    # call, for the typical set; a warm build (another seed) makes none.
+    calls = []
+    real = protocol.all_vectors
+
+    def spy(length, p):
+        calls.append((length, p))
+        return real(length, p)
+
+    monkeypatch.setattr(protocol, "all_vectors", spy)
+    rho, m, _ = _default_p2p_problem()
+    assert real(10, 3).nbytes > codes.VECTORS_CACHE_BYTES
+    for seed, want in [(0, 1), (1, 0)]:
+        calls.clear()
+        params = ProtocolParams(n=10, k=0, p=3, sides=((4, 2),), delta=0.7, seed=seed)
+        build_instance(params, m, rho)
+        assert calls.count((10, 3)) == want, seed
 
 
 def test_typical_projector_pure_state():
@@ -372,10 +417,10 @@ def test_w0_is_the_first_word_outside_tset_w(mode, example, n, delta):
                             delta=delta, seed=3)
     inst = (build_instance(params, m, rho) if mode == "p2p"
             else build_distributed_instance(params, spec.m_a, spec.m_b, spec.rho_ab))
-    members = set(inst.tset_w.members)
-    want = next((w for w in itertools.product(range(p), repeat=n) if w not in members), None)
+    accepted = set(members(inst.tset_w))
+    want = next((w for w in itertools.product(range(p), repeat=n) if w not in accepted), None)
     assert inst.w0 == want
-    assert (want is None) == (example == 4) == (len(members) == p ** n)
+    assert (want is None) == (example == 4) == (len(accepted) == p ** n)
 
 
 @pytest.mark.parametrize("mode", ["p2p", "distributed"])
@@ -463,8 +508,8 @@ def _check_projective_decoder(p, k, num_mus):
     for letters in itertools.product(range(2), repeat=count):
         law[sum(letters) % p] += 0.5 ** count
     assert np.allclose(inst.tset_w.probs, law, atol=1e-12)
-    members = set(inst.tset_w.members)
-    assert members and inst.w0 is not None
+    accepted = set(members(inst.tset_w))
+    assert accepted and inst.w0 is not None
     collisions = 0
     for mus in itertools.product(*map(range, num_mus)):
         side_codes = [inst.sides[s].mus[mu].code for s, mu in enumerate(mus)]
@@ -474,7 +519,7 @@ def _check_projective_decoder(p, k, num_mus):
             for a in itertools.product(range(p), repeat=k):
                 w = tuple(int(x) for x in (np.array(a, dtype=np.int64) @ side_codes[0].G
                                            + shift) % p)
-                if w in members:
+                if w in accepted:
                     found.append(w)
             collisions += len(found) >= 2
             want = found[0] if len(found) == 1 else inst.w0
@@ -510,15 +555,17 @@ def test_three_side_decoder(p, k):
 
 
 def test_decode_keeps_single_hits_and_counts_collisions():
-    # Per bin, the indices of its accepted codewords (-1 for none): a bin
-    # with one hit decodes to it, one with none to -1 (w0), and one with two
-    # hits, or one word hit twice, is a collision that decodes to -1.
-    hits = np.array([[[-1, -1], [3, -1], [-1, 0]],
-                     [[2, 5], [4, 4], [-1, 1]]])
-    decoded, collisions = protocol._decode(hits)
+    # Per bin, the indices of its codewords, of which words 6 and 7 are not
+    # accepted: a bin with one accepted codeword decodes to its index, one
+    # with none to -1 (w0), and one with two, or one word twice, is a
+    # collision that decodes to -1.
+    accept = np.arange(8) < 6
+    codewords = np.array([[[6, 7], [3, 7], [6, 0]],
+                          [[2, 5], [4, 4], [7, 1]]])
+    decoded, collisions = protocol._decode(codewords, accept)
     assert decoded.tolist() == [[-1, 3, 0], [-1, -1, 1]]
     assert collisions == 2
-    decoded, collisions = protocol._decode(np.full((2, 4, 1), -1))
+    decoded, collisions = protocol._decode(np.full((2, 4, 1), 7), accept)
     assert decoded.tolist() == [[-1] * 4] * 2 and collisions == 0
 
 
@@ -545,9 +592,10 @@ def test_distributed_sum_code_at_the_cap(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert peak < 34e6
     assert json.loads(out.read_text())["K"] == 0.7078394879999999
-    decoded, words = built[0].decoded, built[0].words
+    decoded = built[0].decoded
     assert decoded.shape == (1, 1, 1024, 1024) and np.count_nonzero(decoded >= 0) == 261734
-    assert {words[k] for k in decoded[decoded >= 0].tolist()} == {(0, 0)} != {built[0].w0}
+    # Every decoded index is 0, the word (0, 0), which is not w0.
+    assert set(decoded[decoded >= 0].tolist()) == {0} and built[0].w0 != (0, 0)
 
 
 def test_distributed_sides_are_sub_povms(example1):
@@ -694,15 +742,14 @@ def _check_generic_candidate(num_sides):
             msgs: (w0 if not all(msgs) else (1, 0) if (mus[0], msgs[0]) == (0, 2)
                    else next(cycle))
             for msgs in itertools.product(*(range(b + 1) for b in num_bins))}
-    # The constructor takes them as one array of bin tuples, the index of the
-    # decoded word in a word list or -1 for w0.
-    words = [(1, 1), (0, 0), (1, 0)]
+    # The constructor takes them as one array of bin tuples, the base-2 index
+    # of the decoded word or -1 for w0.
     decoded = np.full(num_mus + num_bins, -1)
     for mus, table in tables.items():
         for msgs, word in table.items():
             if all(msgs) and word != w0:
-                decoded[mus + tuple(i - 1 for i in msgs)] = words.index(word)
-    inst = SimpleNamespace(decoded=decoded, words=words, w0=w0)
+                decoded[mus + tuple(i - 1 for i in msgs)] = np.ravel_multi_index(word, (2,) * n)
+    inst = SimpleNamespace(decoded=decoded, params=SimpleNamespace(p=2, n=n), w0=w0)
     for mus, table in tables.items():
         assert {msgs: protocol._lookup(inst, mus, msgs) for msgs in table} == table
     p_ext = StochasticMap((2,), 3, np.array([[0.5, 0.5, 0.0], [0.2, 0.0, 0.8]]))
@@ -710,7 +757,7 @@ def _check_generic_candidate(num_sides):
     stacked = [([g for mu in side for g in mu], d ** n) for side, d in zip(bins, dims)]
     stacked = [(protocol._hstack(flat, dim), np.cumsum([0] + [g.shape[1] for g in flat]))
                for flat, dim in stacked]
-    cand = protocol.FactoredCandidate(decoded, words, w0, stacked, p_ext, n, dims)
+    cand = protocol.FactoredCandidate(decoded, w0, stacked, p_ext, n, dims)
     registers = [d for d in dims for _ in range(n)]
     interleave = [s * n + j for j in range(n) for s in range(num_sides)]
     word_ops = {}
@@ -1034,9 +1081,9 @@ def test_p2p_candidate_matches_dense_reference(request, instance, probs):
 
 @pytest.mark.parametrize("p, n, k, l", [(2, 4, 0, 3), (2, 4, 2, 1), (3, 3, 1, 1)])
 def test_bin_hits_match_word_tuples(p, n, k, l):
-    # Each bin's codewords looked up by base-p index in the position table of
-    # a word list, against a dict of word tuples; with k = 2 the two rows of
-    # G are equal, so bins repeat words.
+    # Each bin's codewords looked up by base-p index in the mask of a word
+    # set, against a set of word tuples; with k = 2 the two rows of G are
+    # equal, so bins repeat words.
     rng = np.random.default_rng(100 * p + 10 * n + k)
     g = rng.integers(0, p, size=(k, n))
     g[1:] = g[:1]
@@ -1044,16 +1091,16 @@ def test_bin_hits_match_word_tuples(p, n, k, l):
     codewords = all_codewords(code)
     distinct = np.unique(codewords, axis=0)
     picked = distinct[rng.choice(len(distinct), size=len(distinct) // 2, replace=False)]
-    words = sorted({tuple(w) for w in picked.tolist() + rng.integers(0, p, (4, n)).tolist()},
-                   key=lambda w: rng.random())
-    where = {w: i for i, w in enumerate(words)}
+    words = {tuple(w) for w in picked.tolist() + rng.integers(0, p, (4, n)).tolist()}
+    mask = np.zeros(p ** n, dtype=bool)
+    mask[[np.ravel_multi_index(w, (p,) * n) for w in words]] = True
     per_bin = codewords.reshape(p ** k, p ** l, n).transpose(1, 0, 2).tolist()
-    want = [[where.get(tuple(w), -1) for w in bin_words] for bin_words in per_bin]
+    want = [[tuple(w) in words for w in bin_words] for bin_words in per_bin]
     indices = protocol._bin_indices(code.G[None], code.h[None], p)
-    hits = protocol._slots(words, p, n)[indices][0]
+    hits = mask[indices][0]
     assert hits.shape == (p ** l, p ** k) and np.array_equal(hits, want)
-    assert (hits >= 0).any() and (hits < 0).any()
-    assert np.array_equal(protocol._slots([], p, n)[indices][0], np.full(hits.shape, -1))
+    assert hits.any() and not hits.all()
+    assert np.array_equal(protocol._digits(indices[0], p, n), per_bin)
 
 
 def _assert_product_form_matches_apply(state, target, candidate=None):
@@ -1634,14 +1681,15 @@ def _assert_builds_equal(a, b):
             elif f.name == "ens":
                 u, v = [u.weights, *u.post_states], [v.weights, *v.post_states]
             elif f.name == "tset":
-                assert u.members == v.members and u.mass == v.mass
+                assert np.array_equal(u.mask, v.mask) and u.mass == v.mass
                 u, v = [u.probs], [v.probs]
             else:
                 u, v = [u], [v]
             for s, t in zip(u, v, strict=True):
                 assert s.dtype == t.dtype and s.shape == t.shape and np.array_equal(s, t), f.name
     assert a.decoded.dtype == b.decoded.dtype and np.array_equal(a.decoded, b.decoded)
-    assert (a.words, a.w0, a.tset_w.mass) == (b.words, b.w0, b.tset_w.mass)
+    assert np.array_equal(a.tset_w.mask, b.tset_w.mask)
+    assert (a.w0, a.tset_w.mass) == (b.w0, b.tset_w.mass)
     assert (a.decoder_collisions, a.sub_povm_defect) == (b.decoder_collisions, b.sub_povm_defect)
 
 
@@ -1734,7 +1782,7 @@ def test_cached_basis_arrays_refuse_writes():
     build_instance(params, m, rho)
     (basis,) = protocol._BASES.values()
     (side,) = basis.sides
-    arrays = [basis.slot, basis.tset_w.probs, side.typical, side.inv, side.rho.mat,
+    arrays = [basis.tset_w.mask, basis.tset_w.probs, side.typical, side.inv, side.rho.mat,
               side.ens.weights, *side.ens.post_states, side.tset.probs, *side.per_type.values()]
     arrays += [getattr(s, f.name) for s in side.spectra for f in dataclasses.fields(s)]
     assert side.per_type and len(side.spectra) == 2
