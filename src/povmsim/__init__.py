@@ -15,7 +15,6 @@ from .linalg import (
     psd_pinv_sqrt,
     psd_sqrt,
     purify,
-    quantum_mutual_information,
     trace_norm,
     validate_povm,
     von_neumann_entropy,
@@ -62,8 +61,6 @@ from .protocol import (
     canonical_ensemble,
     cond_typical_projector,
     cut_post_state,
-    decode_distributed,
-    decode_p2p,
     faithfulness,
     typical_projector,
     typical_set,

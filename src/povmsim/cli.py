@@ -200,6 +200,9 @@ def _run_surface(grid: int, span: float, out: str | None, default_out: str) -> i
     """
     if grid < 1:
         return _refuse(f"--grid {grid} must be >= 1", EXIT_BAD_EXPERIMENT, out)
+    if grid ** 3 > codes.ENUMERATION_CAP:
+        return _refuse(f"--grid {grid} has {grid}**3 points, above the cap "
+                       f"{codes.ENUMERATION_CAP}", EXIT_BAD_EXPERIMENT, out)
     if not 0.0 < span < np.inf:
         return _refuse(f"--span {span} must be a positive finite number", EXIT_BAD_EXPERIMENT, out)
     with open(bundled_example_path(3)) as fh:
@@ -242,6 +245,11 @@ EXIT_NO_SPEC = 5
 EXIT_BAD_PROTOCOL = 6    # the protocol construction rejected its parameters
 EXIT_BAD_SPEC = 7        # the problem or region file is not valid JSON or not a valid one
 EXIT_BAD_EXPERIMENT = 8  # surface, covering, pruning, ucc or fm rejected its parameters
+
+
+def _not_prime(p: int) -> bool:
+    """Whether ``p`` is refused as not prime; a p above the cap is left to ``require_prime``."""
+    return p <= codes.ENUMERATION_CAP and not codes.is_prime(p)
 
 
 def _refuse(message: str, code: int, out_path: str | None) -> int:
@@ -309,7 +317,7 @@ def cmd_simulate(args) -> int:
     when no file is given).  The field is the problem file's p, or F_2 for the
     default p2p problem; a ``--p`` that disagrees with the file is refused.
     """
-    if args.p is not None and not codes.is_prime(args.p):
+    if args.p is not None and _not_prime(args.p):
         return _refuse(f"--p {args.p} is not prime", EXIT_NOT_PRIME, args.out)
     if args.mode == "distributed" and (args.l2 is None or args.N2 is None):
         return _refuse("--mode distributed needs --l2 and --N2", EXIT_NEEDS_L2, args.out)
@@ -396,7 +404,7 @@ def cmd_pruning(args) -> int:
 
 
 def cmd_ucc(args) -> int:
-    if not codes.is_prime(args.p):
+    if _not_prime(args.p):
         return _refuse(f"--p {args.p} is not prime", EXIT_NOT_PRIME, args.out)
     try:
         out, ok = _ucc_report(args)

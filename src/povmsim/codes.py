@@ -43,9 +43,17 @@ def is_prime(p: int) -> bool:
 
 
 def require_prime(p: int) -> int:
-    if not is_prime(int(p)):
+    """``p`` as an int, once it is a prime no larger than ENUMERATION_CAP.
+
+    Every table over F_p has at least p entries, so a larger p is refused
+    before the trial division, which takes sqrt(p) steps.
+    """
+    p = int(p)
+    if p > ENUMERATION_CAP:
+        raise ValueError(f"p = {p} exceeds the desk-scale cap {ENUMERATION_CAP}")
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return int(p)
+    return p
 
 
 VECTORS_CACHE_BYTES = 2 ** 22   # cap on the bytes of the all_vectors tables kept between calls

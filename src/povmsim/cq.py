@@ -51,9 +51,6 @@ class StochasticMap:
     def __call__(self, out: int, *ins: int) -> float:
         return float(self.probs[tuple(ins) + (out,)])
 
-    def row(self, *ins: int) -> np.ndarray:
-        return np.asarray(self.probs[tuple(ins)])
-
 
 def _products(povms) -> np.ndarray:
     """Lambda^1_{x_1} (x) ... (x) Lambda^k_{x_k} for every outcome tuple x, lexicographic."""

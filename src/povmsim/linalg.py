@@ -257,23 +257,6 @@ def partial_trace(rho: DensityOperator, traced) -> DensityOperator:
     return DensityOperator(red, tuple(rho.register_dims[i] for i in keep), tol=rho.tol)
 
 
-def quantum_mutual_information(rho_ab: DensityOperator, cut) -> float:
-    """I(A;B) = S(A) + S(B) - S(AB) across the register bipartition ``cut``.
-
-    ``cut`` is the set of register indices forming side A.
-    """
-    side_a = sorted(set(cut))
-    n = len(rho_ab.register_dims)
-    side_b = [i for i in range(n) if i not in side_a]
-    if not side_a or not side_b:
-        raise ValueError(f"cut {cut} does not bipartition {n} registers")
-    if any(i < 0 or i >= n for i in side_a):
-        raise ValueError(f"cut {cut} out of range")
-    s_a = von_neumann_entropy(partial_trace_mat(rho_ab.mat, rho_ab.register_dims, side_a))
-    s_b = von_neumann_entropy(partial_trace_mat(rho_ab.mat, rho_ab.register_dims, side_b))
-    return s_a + s_b - von_neumann_entropy(rho_ab)
-
-
 def psd_sqrt(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Principal square root of a PSD matrix (negative eigenvalues beyond tol are errors)."""
     vals, vecs = eigh(a)

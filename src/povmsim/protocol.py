@@ -19,13 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import (
-    UccCode,
     _over_cap,
     all_vectors,
     codeword_indices,
     digit_dtype,
-    multiplicity_table,
     require_prime,
+    word_counts,
 )
 from .cq import StochasticMap, compose
 from .linalg import (
@@ -408,7 +407,7 @@ class _Grams(Mapping):
 
 @dataclass(eq=False)
 class SideData:
-    """Operators derived from one code realization (G, h^(mu)) on one side, kept as factors.
+    """Operators derived from one code of one side, kept as factors.
 
     With Y = [sqrt(gamma_w) X_w] over the code's built words, Sigma = Y Y^dagger.
     Pruning cuts V_cut, the left singular vectors of Y with squared singular
@@ -422,7 +421,7 @@ class SideData:
     views of its ``Side``'s.
     """
 
-    code: UccCode
+    codewords: np.ndarray       # (p**l, p**k): bin i's codewords a G + h(i), as base-p indices
     gamma: dict                 # word tuple -> multiplicity
     factors: dict               # word tuple -> X_w, for the code's built words
     typical: np.ndarray         # U, with Pi_rho = U U^dagger
@@ -441,7 +440,7 @@ class SideData:
 class Side:
     """One party of the protocol: its state, ensemble and typical set, and its N codes' operators.
 
-    Code mu has the generator ``g`` and the shift table h[mu].  Each kind of
+    Code mu is its codewords, codewords[mu] (see ``SideData``).  Each kind of
     operator is one matrix whose columns run code after code: code mu's F_w
     (its built words ascending) are the columns pruned_ends[mu]:pruned_ends[mu + 1]
     of ``pruned``, its V_cut the columns cut_ends[mu]:cut_ends[mu + 1] of ``cuts``,
@@ -454,8 +453,7 @@ class Side:
     tset: TypicalSet
     typical: np.ndarray         # U, with Pi_rho = U U^dagger
     factors: dict               # word tuple -> X_w, for every word built on this side
-    g: np.ndarray               # (k, n)
-    h: np.ndarray               # (N, p**l, n), in codes.digit_dtype(p)
+    codewords: np.ndarray       # (N, p**l, p**k), from ``_bin_indices``
     pruned: np.ndarray
     pruned_ends: np.ndarray     # (N + 1,)
     cuts: np.ndarray
@@ -467,16 +465,16 @@ class Side:
     @functools.cached_property
     def mus(self) -> list:
         """SideData per mu, formed on first read."""
-        p, (num, bins, n) = self.ens.num_letters, self.h.shape
-        out, l = [], round(math.log(bins, p))
+        p, n, bins = self.ens.num_letters, self.tset.n, self.codewords.shape[1]
+        out = []
         for mu, lo in enumerate(self.pruned_ends[:-1].tolist()):
-            code = UccCode(p, n, self.g.shape[0], l, self.g, self.h[mu])
-            gamma = multiplicity_table(code)
+            gamma = word_counts(self.codewords[mu], p, n)
             own = {w: self.factors[w] for w in gamma if w in self.factors}
             ends = np.cumsum([lo] + [x.shape[1] for x in own.values()]).tolist()
             b = self.bin_ends[mu * bins:(mu + 1) * bins + 1].tolist()
             c = self.cut_ends[mu:mu + 2].tolist()
-            out.append(SideData(code, gamma, own, self.typical, self.cuts[:, c[0]:c[1]],
+            out.append(SideData(self.codewords[mu], gamma, own, self.typical,
+                                self.cuts[:, c[0]:c[1]],
                                 {w: self.pruned[:, a:e] for w, a, e in zip(own, ends, ends[1:])},
                                 [self.bins[:, a:e] for a, e in zip(b, b[1:])],
                                 float(self.defects[mu])))
@@ -590,13 +588,12 @@ def _basis(params: ProtocolParams, povms, rho: DensityOperator) -> _Basis:
     return basis
 
 
-def _build_side(params: ProtocolParams, base: _SideBasis, g: np.ndarray, h: np.ndarray,
-                codewords: np.ndarray) -> Side:
+def _build_side(base: _SideBasis, codewords: np.ndarray) -> Side:
     """The pruned operators of one side's codes over its basis (see ``Side``).
 
-    ``codewords`` is ``_bin_indices`` of the codes (G = g, shift tables h).
-    X_w is built only for typical words that occur in some code:
-    Abar_w = X_w X_w^dagger with X_w = Q B_w[:, keep] sqrt(eig c_w), where
+    ``codewords`` is ``_bin_indices`` of the codes.  X_w is built only for
+    typical words that occur in some code: Abar_w = X_w X_w^dagger with
+    X_w = Q B_w[:, keep] sqrt(eig c_w), where
     Q = (rho^{-1/2})^{(x) n} Pi_rho = U diag(inv) U^dagger is applied through
     U, B_w is the eigenbasis of rho_hat_{w^n}, keep its conditional typical
     columns and c_w = lambda_{w^n} p^n / ((1 + eta) p^(k+l)).  As Pi_rho and
@@ -604,7 +601,7 @@ def _build_side(params: ProtocolParams, base: _SideBasis, g: np.ndarray, h: np.n
     class, in the basis, and each word gathers its rows from it.  Codes with
     as many columns are pruned together, and so are bins.
     """
-    n, d, p, (num, bins) = params.n, base.rho.dim, params.p, h.shape[:2]
+    n, d, p, (num, bins) = base.tset.n, base.rho.dim, base.ens.num_letters, codewords.shape[:2]
     # Codeword (mu, i, a) as the key mu p**n + word: the distinct keys ascend code by code.
     indices = codewords + p ** n * np.arange(num)[:, None, None]
     keys, gamma = np.unique(indices, return_counts=True)
@@ -651,8 +648,8 @@ def _build_side(params: ProtocolParams, base: _SideBasis, g: np.ndarray, h: np.n
     for at, _, g_mu in _column_blocks(*_live_columns(g_bins, bin_ends[::bins])):
         top = np.linalg.svd(g_mu, compute_uv=False)[:, 0]
         defects[at] = [max(0.0, t ** 2 - 1.0) for t in top.tolist()]
-    return Side(base.rho, base.ens, base.tset, base.typical, factors, g, h, pruned, pruned_ends,
-                cuts, np.cumsum(np.append(0, cut)), g_bins, bin_ends, defects)
+    return Side(base.rho, base.ens, base.tset, base.typical, factors, codewords, pruned,
+                pruned_ends, cuts, np.cumsum(np.append(0, cut)), g_bins, bin_ends, defects)
 
 
 # ---------------------------------------------------------------------------
@@ -703,9 +700,9 @@ def _build(params: ProtocolParams, povms, rho: DensityOperator) -> Instance:
     With more than one side, side s measures register s of ``rho``; one side
     measures all of it.  The basis comes from ``_basis``; then G is drawn and
     each side's shift tables, side after side, so side 0's codes are those of
-    ``sample_ensemble``.  ``tset_w`` is the one side's own typical set, or
-    else the typical set of the law of W, the sum of the sides' letters, at
-    delta_hat = p * delta.
+    ``sample_ensemble``; a side keeps only its codes' codewords.  ``tset_w``
+    is the one side's own typical set, or else the typical set of the law of
+    W, the sum of the sides' letters, at delta_hat = p * delta.
     """
     n, p, k = params.n, params.p, params.k
     count = len(params.sides)
@@ -717,8 +714,7 @@ def _build(params: ProtocolParams, povms, rho: DensityOperator) -> Instance:
     shifts = [rng.integers(0, p, size=(num, p ** l, n)).astype(digit_dtype(p))
               for l, num in params.sides]
     codewords = [_bin_indices(np.broadcast_to(g, (len(h),) + g.shape), h, p) for h in shifts]
-    sides = tuple(_build_side(params, b, g, h, c)
-                  for b, h, c in zip(basis.sides, shifts, codewords))
+    sides = tuple(_build_side(b, c) for b, c in zip(basis.sides, codewords))
     sums = codewords[0]             # one side's codes are its sum codes
     if count > 1:
         # The sum codes' shifts, axes (N_1, ..., bins_1, ..., n), added side by side.
@@ -754,41 +750,6 @@ def _sum_povm(povms, p: int) -> Povm:
     """The measurement of W, the sum of the POVMs' letters over F_p, on their joint space."""
     counts = tuple(len(m) for m in povms)
     return compose(povms, StochasticMap(counts, p, np.eye(p)[np.indices(counts).sum(axis=0) % p]))
-
-
-def _in_range(index: tuple, stops) -> bool:
-    """Whether each part of ``index`` is an integer in range(stop) of its own stop."""
-    return all(isinstance(i, (int, np.integer)) and 0 <= i < stop
-               for i, stop in zip(index, stops))
-
-
-def _lookup(inst, mus: tuple, messages: tuple):
-    """The word that one message per side decodes to under one mu per side.
-
-    Message 0 of a side is its completion, which decodes to w0, and message
-    i >= 1 its bin i - 1.  A ValueError names a bad index, as a number when
-    there is one side, or a number of mus that is not the number of sides.
-    """
-    count = inst.decoded.ndim // 2          # one mu axis and one bin axis per side
-    if len(mus) != count:
-        raise ValueError(f"{len(mus)} mu index(es) for an instance of {count} side(s)")
-    show = (lambda t: t[0]) if count == 1 else (lambda t: t)
-    if not _in_range(mus, inst.decoded.shape[:count]):
-        raise ValueError(f"mu {show(mus)} out of range")
-    if not _in_range(messages, np.add(inst.decoded.shape[count:], 1)):
-        raise ValueError(f"message {show(messages)} out of range")
-    k = inst.decoded[mus + tuple(i - 1 for i in messages)] if all(messages) else -1
-    return tuple(_digits(k, inst.params.p, inst.params.n).tolist()) if k >= 0 else inst.w0
-
-
-def decode_p2p(instance: Instance, message: int, mu: int = 0):
-    """Message 0 is the completion outcome (decoded to w0); 1..p**l are bins."""
-    return _lookup(instance, (mu,), (message,))
-
-
-def decode_distributed(inst: Instance, i: int, j: int, mu1: int = 0, mu2: int = 0):
-    """Messages (i, j) with 0 meaning the completion outcome on that side."""
-    return _lookup(inst, (mu1, mu2), (i, j))
 
 
 # ---------------------------------------------------------------------------

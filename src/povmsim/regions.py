@@ -7,7 +7,7 @@ conjunctions of such inequalities over named rate variables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,15 +176,6 @@ class InfoQuantities:
     i_w_rz: float = 0.0      # point-to-point I(W; R,Z)
     s_w: float = 0.0         # point-to-point S(W)
     log_p: float = 1.0
-
-    def check(self, tol: float = 1e-9) -> list:
-        """Names of fields violating nonnegativity (MIs within -tol)."""
-        bad = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v < -tol:
-                bad.append(f.name)
-        return bad
 
 
 def compute_distributed_quantities(rho_ab: DensityOperator, m_a: Povm, m_b: Povm,

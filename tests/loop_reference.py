@@ -232,12 +232,13 @@ def cut_directions(y):
     return (y @ v[:, keep]) / np.sqrt(s2[keep])
 
 
-def code_side(code, gamma, factors, hits, typical):
+def code_side(codewords, gamma, factors, hits, typical):
     """One code's pruned operators, one Python pass per code.
 
-    ``factors`` maps every built word of the side to X_w and ``hits`` places
-    the code's codewords, bin by bin, in ``factors`` by position (-1 if
-    absent).  Returns the attributes of ``protocol.SideData`` as a namespace.
+    ``codewords`` holds the code's codeword indices bin by bin, ``factors``
+    maps every built word of the side to X_w and ``hits`` places the
+    codewords in ``factors`` by position (-1 if absent).  Returns the
+    attributes of ``protocol.SideData`` as a namespace.
     """
     dim = typical.shape[0]
     own = {w: x for w, x in factors.items() if w in gamma}
@@ -253,7 +254,7 @@ def code_side(code, gamma, factors, hits, typical):
     bounds = np.concatenate([[0], np.cumsum(widths[hits].sum(axis=1))]).tolist()
     bin_factors = [g[:, a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     top = np.linalg.norm(g, 2) if g.any() else 0.0
-    return SimpleNamespace(code=code, gamma=gamma, factors=own, typical=typical, v_cut=v_cut,
+    return SimpleNamespace(codewords=codewords, gamma=gamma, factors=own, typical=typical, v_cut=v_cut,
                            a_factors=a_factors, bin_factors=bin_factors,
                            defect=max(0.0, float(top) ** 2 - 1.0))
 
@@ -291,5 +292,24 @@ def side_codes(params, m, rho, g, h):
         words = (flat[:, None] // place) % p
         hits = np.array([where.get(tuple(w), -1) for w in words.tolist()])
         # Codeword (a, i) sits at row a p**l + i; bin i holds the codewords a G + h(i).
-        out.append(code_side(code, gamma, factors, hits.reshape(-1, code.num_bins).T, u))
+        out.append(code_side(flat.reshape(-1, code.num_bins).T, gamma, factors,
+                             hits.reshape(-1, code.num_bins).T, u))
     return out
+
+
+def redraw(params):
+    """(G, each side's (N, p**l, n) shift tables) drawn from ``params.seed`` one table
+    at a time, in the order ``protocol._build`` draws them: G, then side after side."""
+    rng = np.random.default_rng(params.seed)
+    p, n = params.p, params.n
+    g = rng.integers(0, p, size=(params.k, n))
+    return g, [np.array([rng.integers(0, p, size=(p ** l, n)) for _ in range(num)])
+               for l, num in params.sides]
+
+
+def decoded_word(inst, mus, messages):
+    """The word one message per side decodes to under one mu per side: message i >= 1
+    is bin i - 1 of ``inst.decoded``; a completion (message 0) or an entry -1 is w0."""
+    k = inst.decoded[tuple(mus) + tuple(i - 1 for i in messages)] if all(messages) else -1
+    word = tuple(map(int, np.unravel_index(max(k, 0), (inst.params.p,) * inst.params.n)))
+    return word if k >= 0 else inst.w0

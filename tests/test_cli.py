@@ -2,6 +2,7 @@ import ast
 import hashlib
 import importlib
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -502,6 +503,43 @@ def test_ucc_refuses_non_prime_p(tmp_path):
     assert run(["ucc", "--p", "4", "--n", "2", "--k", "1", "--l", "1", "--check-pairwise",
                 "--out", str(out)]) == EXIT_NOT_PRIME
     assert "not prime" in json.loads(out.read_text())["error"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", "--n", "3", "--k", "0", "--l", "1"], EXIT_BAD_PROTOCOL),
+    (["ucc", "--n", "1", "--k", "0", "--l", "0"], EXIT_BAD_EXPERIMENT),
+    (["ucc", "--n", "1", "--k", "0", "--l", "0", "--check-pairwise"], EXIT_BAD_EXPERIMENT),
+], ids=["simulate", "ucc", "ucc-pairwise"])
+def test_huge_p_is_refused_at_the_cap_before_any_primality_test(tmp_path, monkeypatch, argv,
+                                                                code):
+    # Every table over F_p has at least p entries, so a p above the cap is
+    # refused as such; trial division on 2**61 - 1 would not end.
+    def refuse(p):
+        raise AssertionError(f"primality test of {p}")
+
+    monkeypatch.setattr(codes, "is_prime", refuse)
+    out = tmp_path / "err.json"
+    start = time.perf_counter()
+    assert run(argv + ["--p", str(2 ** 61 - 1), "--out", str(out)]) == code
+    assert time.perf_counter() - start < 1.0
+    assert f"exceeds the desk-scale cap {codes.ENUMERATION_CAP}" in json.loads(
+        out.read_text())["error"]
+
+
+@pytest.mark.parametrize("argv", [["surface", "--grid", "102"], ["surface", "--grid", "100000"],
+                                  ["example", "--id", "3", "--grid", "100000"]],
+                         ids=["surface-102", "surface-100000", "example3-100000"])
+def test_surface_grid_above_the_cap_is_refused_before_the_scan(tmp_path, monkeypatch, argv):
+    # grid**3 points above ENUMERATION_CAP (grid >= 102) are refused before
+    # any array is allocated.
+    def refuse(*_, **__):
+        raise AssertionError("the surface was scanned")
+
+    monkeypatch.setattr(regions, "surface_scan", refuse)
+    out = tmp_path / "err.json"
+    assert run(argv + ["--out", str(out)]) == EXIT_BAD_EXPERIMENT
+    assert f"**3 points, above the cap {codes.ENUMERATION_CAP}" in json.loads(
+        out.read_text())["error"]
 
 
 def test_surface_refusal_without_out_prints_json(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import bell_matrix, random_density, random_hermitian, random_psd, random_unitary
+from povmsim.cq import CqState, cq_mutual_information
 from povmsim.linalg import (
     DensityOperator,
     Povm,
@@ -13,7 +14,6 @@ from povmsim.linalg import (
     psd_sqrt,
     purify,
     pruning_projector,
-    quantum_mutual_information,
     trace_norm,
     validate_povm,
     von_neumann_entropy,
@@ -78,36 +78,37 @@ def test_entropy_unitarily_invariant():
         assert von_neumann_entropy(u @ rho.mat @ u.conj().T) == pytest.approx(s, abs=1e-9)
 
 
+def _mutual_information(rho):
+    """I(A;B) of a two-register state, read as a CqState with no classical register."""
+    cq = CqState((), (("A", rho.register_dims[0]), ("B", rho.register_dims[1])),
+                 np.zeros((1, 0)), rho.mat[None])
+    return cq_mutual_information(cq, {"A"}, {"B"})
+
+
 def test_mutual_information_product_state():
     rng = np.random.default_rng(1)
     ra, rb = random_density(rng, 2), random_density(rng, 3)
     rho = DensityOperator(np.kron(ra.mat, rb.mat), (2, 3))
-    assert quantum_mutual_information(rho, cut=[0]) == pytest.approx(0.0, abs=1e-9)
+    assert _mutual_information(rho) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_mutual_information_bell():
     rho = DensityOperator(bell_matrix(), (2, 2))
-    assert quantum_mutual_information(rho, cut=[0]) == pytest.approx(2.0, abs=1e-9)
+    assert _mutual_information(rho) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_mutual_information_classically_correlated():
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = m[3, 3] = 0.5
     rho = DensityOperator(m, (2, 2))
-    assert quantum_mutual_information(rho, cut=[0]) == pytest.approx(1.0, abs=1e-9)
+    assert _mutual_information(rho) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_mutual_information_nonnegative_random():
     rng = np.random.default_rng(5)
     for _ in range(10):
         rho = random_density(rng, 4, dims=(2, 2))
-        assert quantum_mutual_information(rho, cut=[0]) >= -1e-9
-
-
-def test_mutual_information_bad_cut():
-    rho = DensityOperator(bell_matrix(), (2, 2))
-    with pytest.raises(ValueError):
-        quantum_mutual_information(rho, cut=[0, 1])
+        assert _mutual_information(rho) >= -1e-9
 
 
 def test_partial_trace_product():

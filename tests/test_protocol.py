@@ -60,8 +60,6 @@ from povmsim.protocol import (
     canonical_ensemble,
     cond_typical_projector,
     cut_post_state,
-    decode_distributed,
-    decode_p2p,
     faithfulness,
     pad_ensemble,
     target_overall,
@@ -299,7 +297,8 @@ def test_instance_alpha_gamma_uniform_full_cover():
     params = ProtocolParams(n=2, k=2, p=2, sides=((0, 1),), eta=0.1, delta=0.9, seed=3)
     inst = build_instance(params, BASIS, MIXED)
     mu = inst.mus[0]
-    if np.linalg.matrix_rank(mu.code.G % 2) == 2:   # seed 3 gives full rank
+    g, _ = loop.redraw(params)
+    if np.linalg.matrix_rank(g) == 2:   # seed 3 gives full rank
         assert set(mu.gamma.values()) == {1}
     total = sum(mu.gamma.values())
     assert total == 4
@@ -332,16 +331,23 @@ def test_off_typical_abar_vanishes(small_instance):
 # Decoding.
 
 def test_decode_message_zero_is_w0(small_instance):
-    assert decode_p2p(small_instance, 0) == small_instance.w0
+    # The decoded table has one entry per bin of each mu and none for the
+    # completion (message 0), which, like an entry of -1, stands for w0: a
+    # word outside tset_w, so no decoded word is w0.
+    inst = small_instance
+    assert inst.decoded.shape == (len(inst.mus), 2 ** inst.params.sides[0][0])
+    words = inst.decoded[inst.decoded >= 0]
+    assert words.size and inst.tset_w.mask[words].all()
+    assert not inst.tset_w.is_member(inst.w0)
 
 
 def test_decode_unique_typical_bin(small_instance):
+    # k = 0: bin i of code mu holds the one word h_mu(i), its decoded word
+    # when typical, else -1 (w0).
     inst = small_instance
-    for mu_idx, mu in enumerate(inst.mus):
-        for i in range(mu.code.num_bins):
-            word = tuple(int(x) for x in mu.code.h[i])  # k = 0: singleton bins
-            want = word if inst.sides[0].tset.is_member(word) else inst.w0
-            assert decode_p2p(inst, i + 1, mu=mu_idx) == want
+    _, (h,) = loop.redraw(inst.params)
+    words = h @ 2 ** np.arange(inst.params.n - 1, -1, -1)
+    assert np.array_equal(inst.decoded, np.where(inst.sides[0].tset.mask[words], words, -1))
 
 
 def test_decode_collision_goes_to_w0():
@@ -352,51 +358,13 @@ def test_decode_collision_goes_to_w0():
         if not np.any(np.random.default_rng(seed).integers(0, 2, size=(1, 2))))
     params = ProtocolParams(n=2, k=1, p=2, sides=((2, 1),), eta=0.1, delta=0.7, seed=zero_g_seed)
     inst = build_instance(params, BASIS, MIXED)
-    mu = inst.mus[0]
-    assert not np.any(mu.code.G)
-    typical_bins = [i for i in range(mu.code.num_bins)
-                    if inst.sides[0].tset.is_member(tuple(int(x) for x in mu.code.h[i]))]
+    g, (h,) = loop.redraw(params)
+    assert not np.any(g)
+    typical_bins = [i for i, shift in enumerate(h[0].tolist())
+                    if inst.sides[0].tset.is_member(tuple(shift))]
     assert typical_bins, "seed produced no typical shifts"
-    for i in typical_bins:
-        assert decode_p2p(inst, i + 1) == inst.w0
+    assert np.all(inst.decoded[0, typical_bins] == -1)
     assert inst.decoder_collisions == len(typical_bins)
-
-
-@pytest.fixture(scope="module")
-def product_distributed_instance():
-    rho = DensityOperator(np.kron(np.eye(2) / 2, np.eye(2) / 2), (2, 2))
-    params = ProtocolParams(n=2, k=1, p=2, sides=((1, 1), (1, 1)), eta=0.1, delta=0.7, seed=2)
-    return build_distributed_instance(params, BASIS, BASIS, rho)
-
-
-@pytest.mark.parametrize("topology, index, named", [
-    ("p2p", dict(message=-1), "message -1"),
-    ("p2p", dict(message=10 ** 6), "message 1000000"),
-    ("p2p", dict(message=1, mu=5), "mu 5"),
-    ("distributed", dict(i=-1, j=1), "message (-1, 1)"),
-    ("distributed", dict(i=0, j=99), "message (0, 99)"),
-    ("distributed", dict(i=1, j=1, mu1=5), "mu (5, 0)"),
-    ("distributed", dict(i=1, j=1, mu2=1), "mu (0, 1)"),
-    ("distributed", dict(i=1.0, j=1), "message (1.0, 1)"),
-], ids=["p2p-negative-message", "p2p-large-message", "p2p-mu", "distributed-negative-message",
-        "distributed-large-message", "distributed-mu1", "distributed-mu2",
-        "distributed-float-message"])
-def test_decode_out_of_range(small_instance, product_distributed_instance, topology, index,
-                             named):
-    # Both decoders read the shared decoded array and name the bad index.
-    decode, inst = ((decode_p2p, small_instance) if topology == "p2p"
-                    else (decode_distributed, product_distributed_instance))
-    with pytest.raises(ValueError, match=re.escape(f"{named} out of range")):
-        decode(inst, **index)
-
-
-def test_decode_refuses_the_other_topology(small_instance, product_distributed_instance):
-    # Each front end reads one mu per side of its own topology; on the other
-    # one it names both counts.
-    with pytest.raises(ValueError, match=re.escape("1 mu index(es) for an instance of 2 side(s)")):
-        decode_p2p(product_distributed_instance, 1)
-    with pytest.raises(ValueError, match=re.escape("2 mu index(es) for an instance of 1 side(s)")):
-        decode_distributed(small_instance, 1, 1)
 
 
 @pytest.mark.parametrize("mode, example, n, delta", [
@@ -427,7 +395,9 @@ def test_w0_is_the_first_word_outside_tset_w(mode, example, n, delta):
 def test_one_codeword_enumeration_per_side_and_one_for_the_decoder(monkeypatch, example1, mode):
     # Each side enumerates all of its codes' codewords in one stacked call, and
     # the decoder all sum codes in one more, except with one side, whose codes
-    # are the sum codes; the row-wise word table is never built.
+    # are the sum codes; the row-wise word table is never built.  The per-mu
+    # views, and the tracer's readings of them, count the codewords the side
+    # keeps and enumerate none again.
     calls = []
     real = codes.codeword_indices
 
@@ -445,6 +415,13 @@ def test_one_codeword_enumeration_per_side_and_one_for_the_decoder(monkeypatch, 
                             delta=0.5, seed=1)
     inst = (build_instance(params, BASIS, MIXED) if mode == "p2p"
             else build_distributed_instance(params, example1.m_a, example1.m_b, example1.rho_ab))
+    assert len(calls) == (1 if mode == "p2p" else 3)
+    for side, (l, num) in zip(inst.sides, params.sides):
+        assert [sum(mu.gamma.values()) for mu in side.mus] == [2 ** (1 + l)] * num
+    assert inst.mus is inst.sides[0].mus
+    assert len([inst.abar[w] for w in inst.abar]) == len(inst.sides[0].factors)
+    if mode == "distributed":
+        assert (inst.side_a, inst.side_b) == (inst.sides[0].mus, inst.sides[1].mus)
     assert len(calls) == (1 if mode == "p2p" else 3)
 
 
@@ -510,23 +487,19 @@ def _check_projective_decoder(p, k, num_mus):
     assert np.allclose(inst.tset_w.probs, law, atol=1e-12)
     accepted = set(members(inst.tset_w))
     assert accepted and inst.w0 is not None
+    g, tables = loop.redraw(params)
     collisions = 0
     for mus in itertools.product(*map(range, num_mus)):
-        side_codes = [inst.sides[s].mus[mu].code for s, mu in enumerate(mus)]
-        for bins in itertools.product(*(range(c.num_bins) for c in side_codes)):
-            shift = sum(c.h[i] for c, i in zip(side_codes, bins))
+        for bins in itertools.product(range(p), repeat=count):
+            shift = sum(h[mu, i] for h, mu, i in zip(tables, mus, bins))
             found = []
             for a in itertools.product(range(p), repeat=k):
-                w = tuple(int(x) for x in (np.array(a, dtype=np.int64) @ side_codes[0].G
-                                           + shift) % p)
+                w = tuple(int(x) for x in (np.array(a, dtype=np.int64) @ g + shift) % p)
                 if w in accepted:
                     found.append(w)
             collisions += len(found) >= 2
             want = found[0] if len(found) == 1 else inst.w0
-            assert protocol._lookup(inst, mus, tuple(i + 1 for i in bins)) == want
-        for messages in itertools.product(*(range(c.num_bins + 1) for c in side_codes)):
-            if not all(messages):       # a completion on some side
-                assert protocol._lookup(inst, mus, messages) == inst.w0
+            assert loop.decoded_word(inst, mus, tuple(i + 1 for i in bins)) == want
     assert inst.decoder_collisions == collisions
 
 
@@ -670,7 +643,7 @@ def test_distributed_candidate_matches_kron_reference(example1):
             ops_a = [dense.completion(inst.side_a[i1])] + dense.bin_ops(inst.side_a[i1])
             ops_b = [dense.completion(inst.side_b[i2])] + dense.bin_ops(inst.side_b[i2])
             for i, j in itertools.product(range(len(ops_a)), range(len(ops_b))):
-                word = decode_distributed(inst, i, j, i1, i2)
+                word = loop.decoded_word(inst, (i1, i2), (i, j))
                 op = dense.permute_registers(np.kron(ops_a[i], ops_b[j]), dims,
                                              interleave) / num_mus
                 if not np.any(op):
@@ -751,7 +724,7 @@ def _check_generic_candidate(num_sides):
                 decoded[mus + tuple(i - 1 for i in msgs)] = np.ravel_multi_index(word, (2,) * n)
     inst = SimpleNamespace(decoded=decoded, params=SimpleNamespace(p=2, n=n), w0=w0)
     for mus, table in tables.items():
-        assert {msgs: protocol._lookup(inst, mus, msgs) for msgs in table} == table
+        assert {msgs: loop.decoded_word(inst, mus, msgs) for msgs in table} == table
     p_ext = StochasticMap((2,), 3, np.array([[0.5, 0.5, 0.0], [0.2, 0.0, 0.8]]))
     # The constructor takes each side's bin factors side by side, with their column ends.
     stacked = [([g for mu in side for g in mu], d ** n) for side, d in zip(bins, dims)]
@@ -823,6 +796,22 @@ def test_params_validation():
         ProtocolParams(n=2, k=0, p=2, sides=((1, 1),), delta=0.0)
 
 
+def test_huge_prime_is_refused_at_the_cap_at_once(monkeypatch):
+    # The parameters, the ensemble spec and the grand ensemble refuse a p
+    # above the cap before trial division, which would not end on 2**61 - 1.
+    def refuse(p):
+        raise AssertionError(f"primality test of {p}")
+
+    monkeypatch.setattr(codes, "is_prime", refuse)
+    start = time.perf_counter()
+    for build in (lambda p: ProtocolParams(n=1, k=0, p=p, sides=((0, 1),)),
+                  lambda p: CodeEnsembleSpec(p, 1, 0, 0, 1),
+                  lambda p: codes.pairwise_independence_check(p, 1, 0, 0)):
+        with pytest.raises(ValueError, match="exceeds the desk-scale cap"):
+            build(2 ** 61 - 1)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_absurd_block_length_is_refused_at_once(tmp_path):
     # The caps are bit-length tests: no p**n is formed for n = 10**7.
     t0 = time.perf_counter()
@@ -850,14 +839,37 @@ def test_side_a_codes_are_those_of_sample_ensemble(topology):
     want = sample_ensemble(CodeEnsembleSpec(3, 3, 1, 2, 3, seed=7))
     assert len(inst.mus) == len(want)
     for mu, code in zip(inst.mus, want):
-        assert np.array_equal(mu.code.G, code.G) and np.array_equal(mu.code.h, code.h)
+        assert np.array_equal(mu.codewords, _bin_words(code.G, code.h, 3))
     if topology == "distributed":
         rng = np.random.default_rng(7)
         for shape in [(1, 3)] + [(9, 3)] * 3:        # G and side A's shift tables
             rng.integers(0, 3, size=shape)
         for mu in inst.side_b:
-            assert np.array_equal(mu.code.G, want[0].G)
-            assert np.array_equal(mu.code.h, rng.integers(0, 3, size=(3, 3)))
+            assert np.array_equal(mu.codewords,
+                                  _bin_words(want[0].G, rng.integers(0, 3, size=(3, 3)), 3))
+
+
+def _bin_words(g, h, p):
+    """The codeword indices of the code (G = g, shift table h), bin by bin: (p**l, p**k)."""
+    return codes.codeword_indices(g[None], h[None], p)[0].reshape(p ** g.shape[0], -1).T
+
+
+@pytest.mark.parametrize("p", [2, 3], ids=lambda p: f"p{p}")
+@pytest.mark.parametrize("k", [0, 1, 2], ids=lambda k: f"k{k}")
+def test_side_codewords_and_gammas_match_the_redrawn_codes(p, k):
+    # Each code of both sides against the UccCode redrawn from the seed: its
+    # codewords are the code's codeword indices bin by bin, and its gamma is
+    # the code's multiplicity table, in the same (ascending) order.
+    params = ProtocolParams(n=3, k=k, p=p, sides=((1, 3), (2, 2)), eta=0.1, delta=0.5, seed=5)
+    inst = build_distributed_instance(params, BASIS, BASIS, DensityOperator(np.eye(4) / 4, (2, 2)))
+    g, tables = loop.redraw(params)
+    for side, h, (l, num) in zip(inst.sides, tables, params.sides):
+        assert side.codewords.shape == (num, p ** l, p ** k) and len(side.mus) == num
+        for mu, table in enumerate(h):
+            code = UccCode(p, 3, k, l, g, table)
+            assert np.array_equal(side.codewords[mu], _bin_words(code.G, code.h, p))
+            want = codes.multiplicity_table(code)
+            assert list(side.mus[mu].gamma.items()) == list(want.items())
 
 
 # ---------------------------------------------------------------------------
@@ -944,13 +956,14 @@ def test_factored_side_matches_dense_construction(rotated_instance):
     vals, vecs = np.linalg.eigh(dense.pi_rho(inst))
     basis = vecs[:, vals > 0.5]
     cuts, live_bins, defect = [], 0, 0.0
-    for mu in inst.mus:
+    _, (tables,) = loop.redraw(inst.params)
+    for mu, table in zip(inst.mus, tables):
         sigma = sum(mu.gamma[w] * inst.abar[w] for w in mu.a_ops)
         vals, vecs = np.linalg.eigh(np.eye(basis.shape[1]) - basis.conj().T @ sigma @ basis)
         v = basis @ vecs[:, vals >= -protocol.PRUNE_TOL]
         pi_mu = v @ v.conj().T
         a_ops = {w: pi_mu @ x @ (pi_mu @ x).conj().T for w, x in mu.factors.items()}
-        bins = [a_ops.get(tuple(int(x) for x in h), 0 * eye) for h in mu.code.h]  # k = 0
+        bins = [a_ops.get(tuple(h), 0 * eye) for h in table.tolist()]  # k = 0
         total = sum(bins)
         defect = max(defect, max(0.0, max_eigenvalue(total - eye)))
         cuts.append(basis.shape[1] - v.shape[1])
@@ -1060,7 +1073,7 @@ def test_p2p_candidate_matches_dense_reference(request, instance, probs):
     word_ops = {}
     for i1, mu in enumerate(inst.mus):
         for i, op in enumerate([dense.completion(mu)] + dense.bin_ops(mu)):
-            word = decode_p2p(inst, i, mu=i1)
+            word = loop.decoded_word(inst, (i1,), (i,))
             word_ops[word] = word_ops.get(word, 0) + op / len(inst.mus)
     ref = {}
     for word, op in word_ops.items():
@@ -1390,17 +1403,16 @@ def test_product_target_matches_dense(d, nz, n):
 
 @pytest.mark.parametrize("p, n, l, l2", [(2, 3, 0, 1), (3, 3, 0, 1), (3, 4, 1, 0)])
 def test_one_draw_per_side_keeps_the_per_table_stream(p, n, l, l2):
-    # Each side draws its N shift tables in one call; they are the tables of
-    # one draw per code, G first and side A before side B, with p**l n odd
-    # (3 and 9) and even (6, 12 and 4).
+    # Each side draws its N shift tables in one call; its codewords are those
+    # of the tables of one draw per code, G first and side A before side B,
+    # with p**l n odd (3 and 9) and even (6, 12 and 4).
     params = ProtocolParams(n=n, k=1, p=p, sides=((l, 5), (l2, 3)), eta=0.1, delta=0.5, seed=11)
     inst = build_distributed_instance(params, BASIS, BASIS, DensityOperator(np.eye(4) / 4, (2, 2)))
-    rng = np.random.default_rng(11)
-    assert np.array_equal(inst.sides[0].g, rng.integers(0, p, size=(1, n)))
-    for side, (l_s, num) in zip(inst.sides, params.sides):
-        assert side.h.shape == (num, p ** l_s, n)
-        for h in side.h:
-            assert np.array_equal(h, rng.integers(0, p, size=(p ** l_s, n)))
+    g, tables = loop.redraw(params)
+    for side, h, (l_s, num) in zip(inst.sides, tables, params.sides):
+        assert side.codewords.shape == (num, p ** l_s, p)
+        for words, table in zip(side.codewords, h):
+            assert np.array_equal(words, _bin_words(g, table, p))
 
 
 # ---------------------------------------------------------------------------
