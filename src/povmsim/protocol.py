@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -34,7 +33,6 @@ from .linalg import (
     Povm,
     hermitian_part,
     kron_all,
-    kron_power,
     partial_trace,
 )
 
@@ -126,14 +124,16 @@ def typical_rows(labels, probs, delta: float) -> np.ndarray:
     A row is typical when each letter a of positive probability occurs
     N(a) times with |N(a)/n - probs[a]| <= delta probs[a], and no letter of
     zero probability occurs; the result has the leading shape of ``labels``.
+    Only the letters of positive probability are counted, so a large
+    alphabet of null letters costs one lookup per label.
     """
     labels = np.asarray(labels)
     probs = np.asarray(probs, dtype=float)
-    counts = (labels[..., None] == np.arange(probs.size)).sum(axis=-2)
     zero = probs <= 1e-14
-    pos = ~zero
-    return (np.all(counts[..., zero] == 0, axis=-1)
-            & np.all(np.abs(counts[..., pos] / labels.shape[-1] - probs[pos])
+    pos = np.flatnonzero(~zero)
+    counts = (labels[..., None] == pos).sum(axis=-2)
+    return (~zero[labels].any(axis=-1)
+            & np.all(np.abs(counts / labels.shape[-1] - probs[pos])
                      <= delta * probs[pos] + 1e-12, axis=-1))
 
 
@@ -798,7 +798,7 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.repeat(lo - np.cumsum(widths) + widths, widths) + np.arange(widths.sum())
 
 
-class FactoredCandidate(Mapping):
+class FactoredCandidate:
     """The overall sub-POVM C_z = sum_word P^n_{Z|W}(z | word) C_word of the protocol.
 
     ``decoded`` has one mu axis and then one bin axis per side: the base-p
@@ -815,10 +815,12 @@ class FactoredCandidate(Mapping):
     tuples, 0 elsewhere.  A word other than w0 with no nonzero bin tuple is
     not stored.
 
-    The keys are the z of positive probability under a stored word.
-    ``candidate[z]`` builds the dense C_z on demand; ``word_sandwiches`` gives
-    every W^dagger C_word W without forming it.  Dense operators, like W, are in the
-    interleaved (H_1 H_2 ...)^n ordering, ``dims`` giving each side's register.
+    ``outputs`` holds the z of positive probability under a stored word, as
+    ascending base-|Z| indices (|Z| = ``output_size``), and probs[:, i] the
+    P^n_{Z|W}(outputs[i] | word) of every stored word, w0 first.
+    ``word_sandwiches`` gives every W^dagger C_word W without forming C_word.
+    Dense operators, like W, are in the interleaved (H_1 H_2 ...)^n ordering,
+    ``dims`` giving each side's register.
     """
 
     def __init__(self, decoded: np.ndarray, w0, bins, p_ext: StochasticMap, n: int, dims: tuple):
@@ -853,20 +855,8 @@ class FactoredCandidate(Mapping):
         probs = np.array([_output_probs(w, p_ext, zs) for w in self.words]).reshape(-1, len(zs))
         keys = probs.sum(axis=0) > 0.0
         self.probs = probs[:, keys]                     # (word, output) -> P^n(z | word)
-        self._column = {z: col for col, z in enumerate(map(tuple, zs[keys].tolist()))}
+        self.outputs, self.output_size = np.flatnonzero(keys), p_ext.output_size
         self.dim = math.prod(g.shape[0] for g, _ in live)
-
-    def __contains__(self, z) -> bool:
-        return z in self._column
-
-    def __getitem__(self, z) -> np.ndarray:
-        return self.combine(self.probs[:, self._column[z]])
-
-    def __iter__(self):
-        return iter(self._column)
-
-    def __len__(self) -> int:
-        return len(self._column)
 
     def _projections(self, w: np.ndarray) -> np.ndarray:
         """The rows of F^dagger W that the stored words use, word by word."""
@@ -878,13 +868,6 @@ class FactoredCandidate(Mapping):
         for s, adj in enumerate(self.adjs):
             t = np.moveaxis(np.tensordot(adj, t, axes=(1, s)), 0, s)
         return t.reshape(-1, r)[self.cols]
-
-    def combine(self, c: np.ndarray) -> np.ndarray:
-        """sum_word c[word] C_word = c[w0] I + sum_(word != w0) (c[word] - c[w0]) C_word, dense."""
-        eye = np.eye(self.dim)
-        q = self._projections(eye)
-        v = np.repeat(self.weight * (c[1:] - c[0]), np.diff(self.bounds))
-        return hermitian_part(c[0] * eye + (q.conj().T * v) @ q)
 
     def word_sandwiches(self, gram: np.ndarray, w) -> np.ndarray:
         """W^dagger C_word W of every stored word, w0 first, stacked, given W^dagger W.
@@ -913,31 +896,16 @@ def assemble_overall(instance: Instance, p_zw: StochasticMap) -> FactoredCandida
 assemble_overall_distributed = assemble_overall
 
 
-class ProductTarget(Mapping):
+class ProductTarget:
     """The target T_z = T_{z_1} (x) ... (x) T_{z_n}, z in Z^n, kept as its single-copy factors.
 
-    ``target[z]`` builds the dense tensor product on demand; ``traces`` gives
-    every Tr{T_z rho^{(x) n}} without forming any T_z.
+    No T_z is formed: ``traces`` gives every Tr{T_z rho^{(x) n}}, and
+    ``TensorPower.sandwiches`` every W^dagger T_z W, from the singles.
     """
 
     def __init__(self, singles, n: int):
         self.singles = tuple(_real_if_exact(np.asarray(s, dtype=complex)) for s in singles)
         self.n = n
-
-    def __contains__(self, z) -> bool:
-        return (isinstance(z, tuple) and len(z) == self.n
-                and all(zj in range(len(self.singles)) for zj in z))
-
-    def __getitem__(self, z) -> np.ndarray:
-        if z not in self:
-            raise KeyError(z)
-        return kron_all([self.singles[zj] for zj in z])
-
-    def __iter__(self):
-        return itertools.product(range(len(self.singles)), repeat=self.n)
-
-    def __len__(self) -> int:
-        return len(self.singles) ** self.n
 
     def traces(self, state: TensorPower) -> np.ndarray:
         """Tr{T_z rho^{(x) n}} for every z, as an array indexed by the tuple z.
@@ -966,12 +934,11 @@ def target_overall_distributed(m_a: Povm, m_b: Povm, p_zw: StochasticMap,
 class TensorPower:
     """The n-copy state rho^{(x) n} = W W^dagger on its numerical support, kept as single-copy data.
 
-    A dense n-copy state is the case n = 1.  One eigendecomposition
-    rho = V Lambda V^dagger of the single copy, taken when the state is
-    built: the columns of W are the tensor products of the columns of
-    V sqrt(Lambda) at the index tuples ``idx`` (lexicographic order) whose
-    eigenvalue product lambda clears the eigensolver's rounding floor
-    dim * eps * lambda_max (dim = d**n).  ``w`` forms the dense d**n x r
+    One eigendecomposition rho = V Lambda V^dagger of the single copy, taken
+    when the state is built: the columns of W are the tensor products of the
+    columns of V sqrt(Lambda) at the index tuples ``idx`` (lexicographic
+    order) whose eigenvalue product lambda clears the eigensolver's rounding
+    floor dim * eps * lambda_max (dim = d**n).  ``w`` forms the dense d**n x r
     factor on first use; ``sandwiches`` never does.
     """
 
@@ -986,9 +953,6 @@ class TensorPower:
         self.idx, self.total = idx[keep], float(lam[keep].sum())
         self.rank = self.idx.shape[0]
         self.roots = np.sqrt(np.clip(vals, 0.0, None))
-
-    def dense(self) -> np.ndarray:
-        return self.single if self.n == 1 else kron_power(self.single, self.n)
 
     @functools.cached_property
     def levels(self) -> list:
@@ -1076,50 +1040,23 @@ def _trace_norms(d: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(_real_if_exact(d))).sum(axis=-1)
 
 
-def _factored(target: Mapping, state: TensorPower) -> bool:
-    """Whether ``target`` is a ``ProductTarget`` on as many registers as ``state`` has copies."""
-    return isinstance(target, ProductTarget) and target.n == state.n
+def _dense_terms(target: ProductTarget, state: TensorPower,
+                 candidate: FactoredCandidate) -> list:
+    """(sum Tr{W^dagger C_z W}, sum ||W^dagger (T_z - C_z) W||_1) per chunk of outputs.
 
-
-def _target_sandwiches(target: Mapping, state: TensorPower):
-    """zs -> the stacked W^dagger T_z W of the outputs zs.
-
-    A ``ProductTarget`` on as many registers as the state is sandwiched from
-    single-copy blocks; any other target is applied to the dense W, a z
-    outside it giving 0.
+    The r x r operators are formed, W^dagger T_z W from single-copy blocks and
+    W^dagger C_z W by spreading the word sandwiches over z, and their trace
+    norms taken as one stacked eigvalsh per chunk of at most SPECTRUM_BLOCK entries.
     """
-    if _factored(target, state):
-        singles = np.stack(target.singles)
-        return lambda zs: state.sandwiches(singles, zs)
-    r = state.rank
-    return lambda zs: np.array([state.w.conj().T @ (target[z] @ state.w) if z in target
-                                else np.zeros((r, r)) for z in zs]).reshape(-1, r, r)
-
-
-def _candidate_sandwiches(candidate: Mapping, state: TensorPower) -> tuple:
-    """(keys, stack): stack(lo, hi) is W^dagger C_z W for keys[lo:hi], stacked."""
-    keys = list(candidate)
-    if isinstance(candidate, FactoredCandidate):
-        s_words = candidate.word_sandwiches(state.gram(), lambda: state.w)
-        return keys, lambda lo, hi: np.tensordot(candidate.probs[:, lo:hi].T, s_words, axes=1)
-    ops = [candidate[z] for z in keys]
-    return keys, lambda lo, hi: np.array([state.w.conj().T @ (c @ state.w) for c in ops[lo:hi]])
-
-
-def _dense_terms(target: Mapping, state: TensorPower, candidate: Mapping) -> list:
-    """(sum Tr{W^dagger C_z W}, sum ||W^dagger (T_z - C_z) W||_1) per chunk of keys.
-
-    The r x r operators are formed and their trace norms taken as one stacked
-    eigvalsh per chunk of at most SPECTRUM_BLOCK entries.
-    """
-    target_block = _target_sandwiches(target, state)
-    keys, candidate_block = _candidate_sandwiches(candidate, state)
+    singles = np.stack(target.singles)
+    zs = _digits(candidate.outputs, candidate.output_size, state.n)
+    s_words = candidate.word_sandwiches(state.gram(), lambda: state.w)
     step = max(1, SPECTRUM_BLOCK // state.rank ** 2)
     terms = []
-    for lo in range(0, len(keys), step):
-        c = candidate_block(lo, lo + step)
+    for lo in range(0, zs.shape[0], step):
+        c = np.tensordot(candidate.probs[:, lo:lo + step].T, s_words, axes=1)
         mass = float(np.trace(c, axis1=1, axis2=2).real.sum())
-        gap = target_block(keys[lo:lo + step])
+        gap = state.sandwiches(singles, zs[lo:lo + step])
         gap = gap.astype(np.result_type(gap, c), copy=False)    # real only when both are
         gap -= c
         del c                   # freed before the solver takes its workspace
@@ -1127,24 +1064,23 @@ def _dense_terms(target: Mapping, state: TensorPower, candidate: Mapping) -> lis
     return terms
 
 
-def _diagonal_terms(target: Mapping, state: TensorPower, candidate: Mapping) -> list | None:
+def _diagonal_terms(target: ProductTarget, state: TensorPower,
+                    candidate: FactoredCandidate) -> list | None:
     """The terms of ``_dense_terms`` from r-vectors when every gap is diagonal, else None.
 
-    That is the case of a ``ProductTarget`` on the state's registers, a
-    ``FactoredCandidate`` that stores w0 only, so C_z = c_z I, and
+    That is the case of a candidate that stores w0 only, so C_z = c_z I, and
     single-copy blocks of every T_z and of I that are diagonal (see
     ``TensorPower.diagonals``).  Then W^dagger (T_z - C_z) W = diag(t_z - c_z lam),
     with t_z and lam the diagonals of W^dagger T_z W and W^dagger W, so its
     trace norm is sum |t_z - c_z lam| and Tr{W^dagger C_z W} = c_z sum(lam).
     """
-    if not (_factored(target, state)
-            and isinstance(candidate, FactoredCandidate) and len(candidate.words) == 1):
+    if len(candidate.words) > 1:
         return None
     singles = state.diagonals(np.stack(target.singles))
     eye = state.diagonals(np.eye(state.vecs.shape[0])[None])
     if singles is None or eye is None:
         return None
-    zs = np.array(list(candidate), dtype=np.int64).reshape(-1, state.n)
+    zs = _digits(candidate.outputs, candidate.output_size, state.n)
     lam = state.diagonal_sandwiches(eye, np.zeros((1, state.n), dtype=np.int64))[0]
     step = max(1, SPECTRUM_BLOCK // state.rank)
     terms = []
@@ -1155,40 +1091,37 @@ def _diagonal_terms(target: Mapping, state: TensorPower, candidate: Mapping) -> 
     return terms
 
 
-def _absent_mass(target: Mapping, state: TensorPower, keys: list) -> float:
-    """sum Tr{T_z rho} over the outputs z of the target that are not keys of the candidate."""
-    if _factored(target, state):
-        traces = target.traces(state)
-        absent = np.ones(traces.shape, dtype=bool)
-        seen = np.array([z for z in keys if z in target], dtype=np.int64).reshape(-1, target.n)
-        absent[tuple(seen.T)] = False
-        return float(traces[absent].real.sum())
-    seen = set(keys)
-    mat = state.dense()
-    return sum(float(np.vdot(mat, target[z]).real) for z in target if z not in seen)
+def _absent_mass(target: ProductTarget, state: TensorPower, outputs: np.ndarray) -> float:
+    """sum Tr{T_z rho} over the outputs z of the target that are not ``outputs``."""
+    traces = target.traces(state)
+    absent = np.ones(traces.shape, dtype=bool)
+    absent.reshape(-1)[outputs] = False
+    return float(traces[absent].real.sum())
 
 
-def faithfulness(rho_n, target: Mapping, candidate: Mapping) -> float:
-    """The faithfulness figure K of a candidate sub-POVM against a target.
+def faithfulness(state: TensorPower, target: ProductTarget, candidate: FactoredCandidate) -> float:
+    """The faithfulness figure K of the protocol's candidate sub-POVM against its target.
 
     K = sum_z ||sqrt(rho)(T_z - C_z)sqrt(rho)||_1 + Tr{(I - sum_z C_z) rho},
-    evaluated on the n-copy state ``rho_n`` (a ``TensorPower``, or a dense
-    matrix taken as a single copy) through its support: with rho = W W^dagger
-    (see ``TensorPower``), each trace norm is that of the r x r operator
-    W^dagger (T_z - C_z) W (r = rank rho; exact, as sqrt(rho) = V_+ W^dagger
-    and V_+ is an isometry), and the completion term is
-    sum lambda_+ - sum_z Tr{W^dagger C_z W}.  When every W^dagger (T_z - C_z) W
-    is diagonal (a constant candidate on a commuting target, see
-    ``_diagonal_terms``) K comes from r-vectors with no solver; otherwise the
-    trace norms are taken as one stacked eigvalsh per chunk of at most
-    SPECTRUM_BLOCK entries.  A z with no candidate operator contributes
-    Tr{T_z rho}, which is its trace norm because T_z >= 0.  A ``ProductTarget``
-    on as many registers as the state has copies is sandwiched and traced from
-    single-copy blocks; any other target, a ``ProductTarget`` on a dense
-    n-copy matrix included, is applied to the dense W.  A
-    ``FactoredCandidate`` is never expanded into dense C_z.
+    evaluated on the n-copy state rho = W W^dagger of ``state`` through its
+    support (see ``TensorPower``): each trace norm is that of the r x r
+    operator W^dagger (T_z - C_z) W (r = rank rho; exact, as
+    sqrt(rho) = V_+ W^dagger and V_+ is an isometry), and the completion term
+    is sum lambda_+ - sum_z Tr{W^dagger C_z W}.  The target and the candidate
+    act on as many registers as ``state`` has copies, and neither is expanded
+    into dense T_z or C_z.  When every W^dagger (T_z - C_z) W is diagonal (a
+    constant candidate on a commuting target, see ``_diagonal_terms``) K comes
+    from r-vectors with no solver; otherwise the trace norms are taken as one
+    stacked eigvalsh per chunk of at most SPECTRUM_BLOCK entries.  A z that is
+    not among the candidate's ``outputs`` contributes Tr{T_z rho}, which is
+    its trace norm because T_z >= 0.
     """
-    state = rho_n if isinstance(rho_n, TensorPower) else TensorPower(rho_n, 1)
+    if not (isinstance(state, TensorPower) and isinstance(target, ProductTarget)
+            and isinstance(candidate, FactoredCandidate)
+            and target.n == candidate.n == state.n
+            and len(target.singles) == candidate.output_size):
+        raise ValueError("faithfulness takes a TensorPower, and a ProductTarget and a "
+                         "FactoredCandidate on its copies and one output alphabet")
     terms = _diagonal_terms(target, state, candidate)
     if terms is None:
         terms = _dense_terms(target, state, candidate)
@@ -1196,4 +1129,4 @@ def faithfulness(rho_n, target: Mapping, candidate: Mapping) -> float:
     for mass, norms in terms:
         k -= mass
         k += norms
-    return k + _absent_mass(target, state, list(candidate))
+    return k + _absent_mass(target, state, candidate.outputs)

@@ -44,8 +44,6 @@ from povmsim.linalg import (
     min_eigenvalue,
     partial_trace,
     psd_pinv_sqrt,
-    psd_sqrt,
-    trace_norm,
     validate_povm,
 )
 from povmsim.regions import surface_scan
@@ -167,6 +165,33 @@ def test_typical_rows_matches_loop_oracle(weights, n, delta):
     assert ts.mask.shape == (q ** n,) and not ts.mask.flags.writeable
     assert ts.mask.tolist() == want and [ts.is_member(w) for w in brute] == want
     assert members(ts) == tuple(w for w, ok in zip(brute, want) if ok)
+
+
+def test_typical_rows_of_a_large_padded_law_stay_small():
+    # A two-letter law padded to F_65537 with null letters, as the padded
+    # ensemble of simulate --p 65537 is: only the two letters of positive
+    # probability are counted, so every word of length 1 is tested within a
+    # few MB, where a count over all letters would take 32 GiB (at delta
+    # above 1 both letters are typical words).  Rows of length 4 with and
+    # without null letters agree with the loop oracle, which can drop the
+    # null letters above each row's largest.
+    p, delta = 65537, 0.6
+    probs = np.zeros(p)
+    probs[:2] = [0.4, 0.6]
+    tracemalloc.start()
+    try:
+        ts = typical_set(probs, 1, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert np.flatnonzero(ts.mask).tolist() == [0, 1] and ts.mass == pytest.approx(1.0)
+    rng = np.random.default_rng(0)
+    rows = np.concatenate([rng.integers(0, 2, size=(30, 4)), rng.integers(0, 4, size=(30, 4)),
+                           rng.integers(0, p, size=(30, 4))])
+    want = [loop.typical_row(r, probs[:max(2, max(r) + 1)], delta) for r in rows.tolist()]
+    assert protocol.typical_rows(rows, probs, delta).tolist() == want
+    assert any(want) and not all(want)
 
 
 def test_build_enumerates_the_words_once(monkeypatch):
@@ -430,7 +455,7 @@ def test_one_codeword_enumeration_per_side_and_one_for_the_decoder(monkeypatch, 
 
 def test_assemble_overall_is_complete(small_instance):
     out = assemble_overall(small_instance, IDENT_MAP)
-    total = sum(out.values())
+    total = sum(dense.candidate_ops(out).values())
     assert np.max(np.abs(total - np.eye(small_instance.mus[0].typical.shape[0]))) < 1e-9
 
 
@@ -438,20 +463,64 @@ def test_assemble_degenerate_map_single_operator(small_instance):
     p_zw = StochasticMap((2,), 1, np.ones((2, 1)))
     out = assemble_overall(small_instance, p_zw)
     key = tuple(0 for _ in range(small_instance.params.n))
-    assert set(out) == {key}
-    assert np.max(np.abs(out[key] - np.eye(small_instance.mus[0].typical.shape[0]))) < 1e-9
+    assert out.outputs.tolist() == [0] and out.output_size == 1
+    op = dense.candidate_ops(out)[key]
+    assert np.max(np.abs(op - np.eye(small_instance.mus[0].typical.shape[0]))) < 1e-9
 
 
-def test_faithfulness_self_is_zero():
-    tgt = target_overall(BASIS, IDENT_MAP, 3)
-    rho_n = kron_power(MIXED.mat, 3)
-    assert faithfulness(rho_n, tgt, tgt) == pytest.approx(0.0, abs=1e-9)
+def _self_k_case(name, seed, row):
+    """K of one built instance under the map whose rows all equal ``row``.
+
+    Then every T_z and C_z is P(z) I, so the candidate is the target.  The
+    rotated p2p instance, and example4 at most seeds, store words other than
+    w0 (the dense route); example1 and example2 store w0 only (the diagonal
+    route).
+    """
+    if name == "rotated":
+        rho, m = rotated_qubit_problem()
+        params = ProtocolParams(n=4, k=0, p=2, sides=((3, 2),), eta=0.1, delta=0.6, seed=seed)
+        inst = build_instance(params, m, rho)
+        p_zw = StochasticMap((2,), len(row), np.tile(row, (2, 1)))
+        return faithfulness(TensorPower(rho, 4), target_overall(m, p_zw, 4),
+                            assemble_overall(inst, p_zw))
+    ex = load_problem(bundled_example_path({"example1": 1, "example2": 2, "example4": 4}[name]))
+    live = name == "example4"
+    params = ProtocolParams(n=3, k=0 if live else 1, p=ex.p,
+                            sides=((2, 2), (2, 2)) if live else ((1, 2), (1, 2)),
+                            eta=0.1, delta=0.7 if live else 0.5, seed=seed)
+    inst = build_distributed_instance(params, ex.m_a, ex.m_b, ex.rho_ab)
+    p_zw = StochasticMap((ex.p,), len(row), np.tile(row, (ex.p, 1)))
+    return faithfulness(TensorPower(ex.rho_ab, 3),
+                        target_overall_distributed(ex.m_a, ex.m_b, p_zw, ex.p, 3),
+                        assemble_overall_distributed(inst, p_zw))
 
 
-def test_faithfulness_null_candidate_is_two():
-    tgt = target_overall(BASIS, IDENT_MAP, 2)
-    rho_n = kron_power(MIXED.mat, 2)
-    assert faithfulness(rho_n, tgt, {}) == pytest.approx(2.0, abs=1e-9)
+@given(st.sampled_from(["rotated", "example1", "example2", "example4"]), st.integers(0, 10_000),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3).filter(lambda r: sum(r) > 0.1))
+@settings(max_examples=20, deadline=None)
+def test_faithfulness_self_is_zero(name, seed, row):
+    # When every row of P_{Z|W} is equal, Z ignores the measurement: the
+    # protocol's candidate equals its target, so K = 0 for any code draw.
+    row = np.array(row) / sum(row)
+    assert abs(_self_k_case(name, seed, row)) <= 1e-12
+
+
+def test_faithfulness_takes_only_the_factored_forms(small_instance):
+    # K takes a TensorPower, a ProductTarget and a FactoredCandidate on as
+    # many registers and one output alphabet; a dense matrix, a dict or a
+    # mismatched form is refused.
+    n = small_instance.params.n
+    state, tgt = TensorPower(MIXED, n), target_overall(BASIS, IDENT_MAP, n)
+    cand = assemble_overall(small_instance, IDENT_MAP)
+    assert 0.0 <= faithfulness(state, tgt, cand) <= 2.0
+    for args in [(kron_power(MIXED.mat, n), tgt, cand),
+                 (state, dense.target_ops(tgt), cand),
+                 (state, tgt, dense.candidate_ops(cand)),
+                 (TensorPower(MIXED, n + 1), tgt, cand),
+                 (state, target_overall(BASIS, IDENT_MAP, n + 1), cand),
+                 (state, target_overall(BASIS, StochasticMap((2,), 3, np.eye(3)[:2]), n), cand)]:
+        with pytest.raises(ValueError, match="faithfulness takes a TensorPower"):
+            faithfulness(*args)
 
 
 def test_faithfulness_trend_smoke():
@@ -464,7 +533,7 @@ def test_faithfulness_trend_smoke():
             inst = build_instance(trend_params(n, seed=seed), BASIS, MIXED)
             cand = assemble_overall(inst, IDENT_MAP)
             tgt = target_overall(BASIS, IDENT_MAP, n)
-            ks.append(faithfulness(kron_power(MIXED.mat, n), tgt, cand))
+            ks.append(faithfulness(TensorPower(MIXED, n), tgt, cand))
         meds[n] = float(np.median(ks))
     assert meds[5] <= meds[2]
 
@@ -585,10 +654,10 @@ def test_distributed_overall_complete_and_k_reported(example1):
     params = ProtocolParams(n=2, k=1, p=2, sides=((1, 2), (1, 2)), eta=0.1, delta=0.5, seed=1)
     inst = build_distributed_instance(params, example1.m_a, example1.m_b, example1.rho_ab)
     cand = assemble_overall_distributed(inst, example1.p_zw)
-    total = sum(cand.values())
+    total = sum(dense.candidate_ops(cand).values())
     assert np.max(np.abs(total - np.eye(16))) < 1e-9
     tgt = target_overall_distributed(example1.m_a, example1.m_b, example1.p_zw, 2, 2)
-    k = faithfulness(kron_power(example1.rho_ab.mat, 2), tgt, cand)
+    k = faithfulness(TensorPower(example1.rho_ab, 2), tgt, cand)
     assert 0.0 <= k <= 2.0 + 1e-9   # desk-scale value logged, not asserted
 
 
@@ -653,20 +722,22 @@ def test_distributed_candidate_matches_kron_reference(example1):
                           else np.prod([p_ext.probs[w, zj] for w, zj in zip(word, z)]))
                     if pr > 0.0:
                         ref[z] = ref.get(z, 0) + pr * op
-        assert ref and set(cand) == set(ref) and len(cand) == len(ref)
+        ops = dense.candidate_ops(cand)
+        assert ref and set(ops) == set(ref) and len(cand.outputs) == len(ref)
         rng = np.random.default_rng(0)
         w = rng.standard_normal((4 ** n, 3)) + 1j * rng.standard_normal((4 ** n, 3))
         sandwiches = _spread_sandwiches(cand, w)
         assert set(sandwiches) == set(ref)
         for z, op in ref.items():
-            assert np.allclose(cand[z], op, atol=1e-12)
+            assert np.allclose(ops[z], op, atol=1e-12)
             assert np.allclose(sandwiches[z], w.conj().T @ op @ w, atol=1e-12)
 
 
 def _spread_sandwiches(cand, w):
     """{z: W^dagger C_z W} of a factored candidate, its word sandwiches spread over z."""
     s_words = cand.word_sandwiches(w.conj().T @ w, lambda: w)
-    return {z: np.tensordot(cand.probs[:, col], s_words, axes=1) for col, z in enumerate(cand)}
+    zs = map(tuple, protocol._digits(cand.outputs, cand.output_size, cand.n).tolist())
+    return {z: np.tensordot(cand.probs[:, col], s_words, axes=1) for col, z in enumerate(zs)}
 
 
 # Per side: its register dimension and, per mu, the column count of each bin,
@@ -749,7 +820,8 @@ def _check_generic_candidate(num_sides):
             pr = p_ext.probs[word[0], z[0]] * p_ext.probs[word[1], z[1]]
             if pr > 0.0 and np.any(op):
                 ref[z] = ref.get(z, 0) + pr * op
-    assert set(cand) == set(ref) == set(itertools.product(range(3), repeat=n)) - {(2, 1)}
+    ops = dense.candidate_ops(cand)
+    assert set(ops) == set(ref) == set(itertools.product(range(3), repeat=n)) - {(2, 1)}
     w = rng.standard_normal((dim, 5)) + 1j * rng.standard_normal((dim, 5))
     sandwiches = _spread_sandwiches(cand, w)
     assert set(sandwiches) == set(ref)
@@ -758,7 +830,7 @@ def _check_generic_candidate(num_sides):
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
     for z, op in ref.items():
-        close(cand[z], op)
+        close(ops[z], op)
         close(sandwiches[z], w.conj().T @ op @ w)
     # The support of a mixed state on the interleaved registers, with the
     # target and the candidate's W^dagger W taken from single-copy blocks.
@@ -1048,8 +1120,9 @@ def test_code_without_built_words_has_zero_defect():
     cand = assemble_overall(inst, IDENT_MAP)
     target = target_overall(BASIS, IDENT_MAP, 4)
     k = faithfulness(TensorPower(MIXED, 4), target, cand)
-    assert k == pytest.approx(faithfulness(TensorPower(MIXED, 4), target,
-                                           {z: cand[z] for z in cand}), abs=1e-10)
+    want = dense.faithfulness(kron_power(MIXED.mat, 4), dense.target_ops(target),
+                              dense.candidate_ops(cand))
+    assert k == pytest.approx(want, abs=1e-10)
 
 
 @pytest.fixture(scope="module")
@@ -1081,14 +1154,15 @@ def test_p2p_candidate_matches_dense_reference(request, instance, probs):
             pr = np.prod([p_zw.probs[w, zj] for w, zj in zip(word, z)])
             if np.any(op) and pr > 0.0:
                 ref[z] = ref.get(z, 0) + pr * op
-    assert set(cand) == set(ref) and len(cand) == len(ref)
+    ops = dense.candidate_ops(cand)
+    assert set(ops) == set(ref) and len(cand.outputs) == len(ref)
     rng = np.random.default_rng(0)
     dim = inst.mus[0].typical.shape[0]
     w = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
     sandwiches = _spread_sandwiches(cand, w)
     assert set(sandwiches) == set(ref)
     for z, op in ref.items():
-        assert np.allclose(cand[z], op, atol=1e-12)
+        assert np.allclose(ops[z], op, atol=1e-12)
         assert np.allclose(sandwiches[z], w.conj().T @ op @ w, atol=1e-10)
 
 
@@ -1120,20 +1194,23 @@ def _assert_product_form_matches_apply(state, target, candidate=None):
     """Single-copy-block sandwiches against T_z applied to the dense support factor W.
 
     Checks W^dagger T_z W for every z, W^dagger W and, for a factored
-    candidate, every W^dagger C_z W, each to 1e-12 of its scale.
+    candidate, every W^dagger C_z W spread from its word sandwiches, each to
+    1e-12 of its scale.
     """
     w = state.w
 
     def close(got, want):
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
-    zs = list(target)
-    close(protocol._target_sandwiches(target, state)(zs),
-          np.array([w.conj().T @ (target[z] @ w) for z in zs]))
+    ops = dense.target_ops(target)
+    close(state.sandwiches(np.stack(target.singles), np.array(list(ops))),
+          np.array([w.conj().T @ (op @ w) for op in ops.values()]))
     close(state.gram(), w.conj().T @ w)
     if candidate is not None:
-        keys, block = protocol._candidate_sandwiches(candidate, state)
-        close(block(0, len(keys)), np.array([w.conj().T @ candidate[z] @ w for z in keys]))
+        s_words = candidate.word_sandwiches(state.gram(), lambda: w)
+        ops = dense.candidate_ops(candidate)
+        close(np.tensordot(candidate.probs.T, s_words, axes=1),
+              np.array([w.conj().T @ op @ w for op in ops.values()]))
 
 
 def _support_case(name, example1, rotated_instance):
@@ -1181,17 +1258,22 @@ def _counting_eigvalsh(monkeypatch, as_complex=False):
     return seen
 
 
-@pytest.mark.parametrize("name, real", [("default", True), ("rotated", False)])
+@pytest.mark.parametrize("name, real", [("default", True), ("classical_live", True),
+                                        ("rotated", False)])
 def test_k_real_solver_equals_complex_solver(monkeypatch, rotated_instance, name, real):
     # The maximally mixed qubit gives T_z - C_z with an exactly zero imaginary
     # part, which takes the real solver; the rotated instance does not.  The
-    # default candidate is passed dense: in factored form its gaps are
-    # diagonal and need no solver.
+    # default candidate stores w0 only, so its gaps are diagonal: the dense
+    # route is forced.  The classical qubit at l = n stores other words and
+    # takes the dense route, through F^dagger W, in real arithmetic.
     if name == "default":
         params = ProtocolParams(n=5, k=0, p=2, sides=((4, 2),), eta=0.1, delta=0.7, seed=0)
         cand = assemble_overall(build_instance(params, BASIS, MIXED), IDENT_MAP)
-        args = (TensorPower(MIXED, 5), target_overall(BASIS, IDENT_MAP, 5),
-                {z: cand[z] for z in cand})
+        args = (TensorPower(MIXED, 5), target_overall(BASIS, IDENT_MAP, 5), cand)
+        monkeypatch.setattr(protocol, "_diagonal_terms", lambda *a: None)
+    elif name == "classical_live":
+        args = _diagonal_route_case(name, 4, None, None)
+        assert len(args[2].words) > 1
     else:
         rho, m = rotated_qubit_problem()
         p_zw = StochasticMap((2,), 2, np.array([[0.9, 0.1], [0.2, 0.8]]))
@@ -1211,13 +1293,11 @@ def test_k_unchanged_with_one_key_per_chunk(monkeypatch, rotated_instance):
     p_zw = StochasticMap((2,), 2, np.array([[0.9, 0.1], [0.2, 0.8]]))
     cand = assemble_overall(rotated_instance, p_zw)
     tgt = target_overall(m, p_zw, 4)
-    cases = [(cand, tgt), ({z: cand[z] for z in cand}, {z: tgt[z] for z in tgt})]
-    ks = [faithfulness(TensorPower(rho, 4), c, t) for c, t in cases]
+    k = faithfulness(TensorPower(rho, 4), tgt, cand)
     monkeypatch.setattr(protocol, "SPECTRUM_BLOCK", 1)
     seen = _counting_eigvalsh(monkeypatch)
-    for (c, t), k in zip(cases, ks):
-        assert abs(faithfulness(TensorPower(rho, 4), c, t) - k) <= 1e-12
-    assert len(seen) == 2 * len(cand) == 32 and {size for _, size in seen} == {1}
+    assert abs(faithfulness(TensorPower(rho, 4), tgt, cand) - k) <= 1e-12
+    assert len(seen) == len(cand.outputs) == 16 and {size for _, size in seen} == {1}
 
 
 def test_p2p_n8_op_uses_single_copy_blocks(tmp_path, monkeypatch):
@@ -1243,7 +1323,6 @@ def test_p2p_n8_op_uses_single_copy_blocks(tmp_path, monkeypatch):
         built.append(build_instance(*args))
         return built[-1]
 
-    monkeypatch.setattr(protocol.ProductTarget, "__getitem__", refuse)
     monkeypatch.setattr(protocol.TensorPower, "w", property(refuse))
     monkeypatch.setattr(np.linalg, "svd", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", single_copy_eigvalsh)
@@ -1291,26 +1370,19 @@ def test_factors_carry_no_subnormals(example1, example2, rotated_instance):
 @given(st.integers(0, 10_000))
 @settings(max_examples=20, deadline=None)
 def test_faithfulness_absent_candidate_is_target_trace(seed):
-    # A z without a candidate contributes Tr{T_z rho}; compare with the full
-    # trace norm on every z.
+    # Under the identity map a candidate has only the outputs of its stored
+    # words: a z outside them contributes Tr{T_z rho}.  Compare with the full
+    # trace norm on every z of the dense reference.
     rng = np.random.default_rng(seed)
-    rho = random_density(rng, 4)
-    target = {z: random_psd(rng, 4) / 4 for z in range(4)}
-    candidate = {z: random_psd(rng, 4) / 8 for z in (1, 3, 5)}
-    root = psd_sqrt(rho.mat)
-    want = sum(trace_norm(root @ (target.get(z, 0) - candidate.get(z, 0)) @ root)
-               for z in set(target) | set(candidate))
-    want += 1.0 - np.trace(sum(candidate.values()) @ rho.mat).real
-    assert faithfulness(rho, target, candidate) == pytest.approx(want, abs=1e-10)
-
-
-def _dense_faithfulness(rho_n, target, candidate):
-    """Reference K with the dense square root of rho_n and SVD trace norms."""
-    root = psd_sqrt(rho_n)
-    k = sum(trace_norm(root @ (target.get(z, 0) - candidate.get(z, 0)) @ root)
-            for z in set(target) | set(candidate))
-    total = sum(candidate.values(), np.zeros_like(rho_n))
-    return k + np.trace(rho_n).real - np.vdot(rho_n, total).real
+    rho = random_density(rng, 2)
+    m = random_complete_povm(rng, 2, 2)
+    params = ProtocolParams(n=3, k=0, p=2, sides=((2, 2),), eta=0.1, delta=0.3, seed=seed)
+    cand = assemble_overall(build_instance(params, m, rho), IDENT_MAP)
+    tgt = target_overall(m, IDENT_MAP, 3)
+    assert 0 < len(cand.outputs) < 2 ** 3
+    want = dense.faithfulness(kron_power(rho.mat, 3), dense.target_ops(tgt),
+                              dense.candidate_ops(cand))
+    assert faithfulness(TensorPower(rho, 3), tgt, cand) == pytest.approx(want, abs=1e-10)
 
 
 def _state_with_spectrum(rng, eigs):
@@ -1323,7 +1395,7 @@ def _state_with_spectrum(rng, eigs):
 def test_faithfulness_matches_dense_reference(seed, kind):
     # K on the support of rho_n against the dense-root formula, on rank-deficient
     # states and on a near-pure qubit whose smallest eigenvalue product (1e-12)
-    # lies below a 1e-10 relative cutoff.
+    # lies below a 1e-10 relative cutoff, for the candidate built on the state.
     rng = np.random.default_rng(seed)
     if kind == "rank1":
         rho, n = _state_with_spectrum(rng, [1.0, 0.0, 0.0]), 2
@@ -1335,34 +1407,34 @@ def test_faithfulness_matches_dense_reference(seed, kind):
     m = random_complete_povm(rng, rho.dim, 2)
     p_zw = StochasticMap((2,), 3, rng.dirichlet(np.ones(3), size=2))
     tgt = target_overall(m, p_zw, n)
-    dense_tgt = {z: tgt[z] for z in tgt}
-    zs = list(dense_tgt)
-    picked = rng.choice(len(zs), size=len(zs) // 2, replace=False)
-    dim_n = rho.dim ** n
-    cand = {zs[i]: dense_tgt[zs[i]] * rng.uniform(0.5, 1.0)
-            + random_psd(rng, dim_n) / (8 * dim_n) for i in picked}
-    rho_n = kron_power(rho.mat, n)
-    want = _dense_faithfulness(rho_n, dense_tgt, cand)
-    assert faithfulness(rho_n, tgt, cand) == pytest.approx(want, abs=1e-10)
-    assert faithfulness(rho_n, dense_tgt, cand) == pytest.approx(want, abs=1e-10)
+    params = ProtocolParams(n=n, k=0, p=2, sides=((n, 2),), eta=0.1, delta=0.6, seed=seed)
+    cand = assemble_overall(build_instance(params, m, rho), p_zw)
+    want = dense.faithfulness(kron_power(rho.mat, n), dense.target_ops(tgt),
+                              dense.candidate_ops(cand))
     assert faithfulness(TensorPower(rho, n), tgt, cand) == pytest.approx(want, abs=1e-10)
-    assert faithfulness(TensorPower(rho, n), dense_tgt, cand) == pytest.approx(want, abs=1e-10)
-    assert abs(faithfulness(rho_n, tgt, tgt)) <= 1e-9
 
 
-def test_faithfulness_keeps_tiny_eigenvalues():
+def test_faithfulness_keeps_tiny_eigenvalues(monkeypatch):
     # The 1e-12 eigenvector of a near-pure qubit's third tensor power stays in
-    # the support: an operator living only there still adds its mass to K.
+    # the support.  Measured in its eigenbasis against the constant candidate
+    # C_z = I on z = (0, 0, 0) only, K = sum_(z != 000) lambda_z twice: once
+    # in the trace norm at z = 000 and once as the absent mass.  Dropping the
+    # tail product lambda_111 = eps**3 from W would take eps**3 off the first,
+    # on the diagonal route and on the dense one.
     eps = 1e-4
-    rho = _state_with_spectrum(np.random.default_rng(7), [1.0 - eps, eps])
-    rho_n = kron_power(rho.mat, 3)
-    vals, vecs = np.linalg.eigh(rho_n)
-    tail = np.outer(vecs[:, 0], vecs[:, 0].conj())
-    assert vals[0] == pytest.approx(eps ** 3, rel=1e-3)
-    zero = np.zeros_like(tail)
-    for state in (rho_n, TensorPower(rho, 3)):
-        gap = faithfulness(state, {0: tail}, {0: zero}) - faithfulness(state, {0: zero}, {0: zero})
-        assert gap == pytest.approx(eps ** 3, rel=1e-3)
+    state = TensorPower(DensityOperator(np.diag([1.0 - eps, eps]), (2,)), 3)
+    assert state.rank == 8
+    tgt = protocol.ProductTarget([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], 3)
+    cand = protocol.FactoredCandidate(np.full((1, 1), -1), (0, 0, 0),
+                                      [(np.zeros((8, 1)), np.array([0, 1]))],
+                                      StochasticMap((2,), 2, np.array([[1.0, 0.0], [1.0, 0.0]])),
+                                      3, (2,))
+    assert cand.outputs.tolist() == [0]
+    want = 2 * (1.0 - (1.0 - eps) ** 3)
+    assert protocol._diagonal_terms(tgt, state, cand) is not None
+    assert abs(faithfulness(state, tgt, cand) - want) <= eps ** 3 / 10
+    monkeypatch.setattr(protocol, "_diagonal_terms", lambda *a: None)
+    assert abs(faithfulness(state, tgt, cand) - want) <= eps ** 3 / 10
 
 
 @pytest.mark.parametrize("kind", ["real", "complex", "fortran"])
@@ -1391,13 +1463,11 @@ def test_product_target_matches_dense(d, nz, n):
     rng = np.random.default_rng(d * 10 + n)
     singles = [random_psd(rng, d) for _ in range(nz)]
     tgt = protocol.ProductTarget(singles, n)
-    assert len(tgt) == len(list(tgt)) == nz ** n
-    assert (0,) * (n + 1) not in tgt and (nz,) * n not in tgt
     rho = random_density(rng, d).mat
     traces, rho_n = tgt.traces(TensorPower(rho, n)), kron_power(rho, n)
+    assert traces.shape == (nz,) * n
     for z in itertools.product(range(nz), repeat=n):
         t_z = kron_all([singles[j] for j in z])
-        assert np.allclose(tgt[z], t_z, atol=1e-12)
         assert traces[z] == pytest.approx(np.vdot(rho_n, t_z), abs=1e-10)
 
 
@@ -1439,18 +1509,15 @@ def test_p2p_invariants_generic(seed, p, rank_one):
     _assert_side_invariants(inst.mus, inst.mus[0].typical.shape[0])
     p_zw = StochasticMap((p,), 2, rng.dirichlet(np.ones(2), size=p))
     tgt = target_overall(m, p_zw, n)
-    rho_n = kron_power(rho.mat, n)
     cand = assemble_overall(inst, p_zw)
-    k = faithfulness(rho_n, tgt, cand)
+    k = faithfulness(TensorPower(rho, n), tgt, cand)
     assert -1e-9 <= k <= 2.0 + 1e-9
-    assert abs(faithfulness(rho_n, tgt, tgt)) <= 1e-9
     # The factored candidate and the tensor-power state agree with the dense
     # candidate and state.
-    dense_cand = {z: cand[z] for z in cand}
+    dense_cand = dense.candidate_ops(cand)
     assert np.max(np.abs(sum(dense_cand.values()) - np.eye(inst.mus[0].typical.shape[0]))) <= 1e-9
-    assert faithfulness(TensorPower(rho, n), tgt, cand) == pytest.approx(k, abs=1e-10)
-    assert faithfulness(TensorPower(rho, n), tgt, dense_cand) == pytest.approx(k, abs=1e-10)
-    assert faithfulness(rho_n, tgt, dense_cand) == pytest.approx(k, abs=1e-10)
+    want = dense.faithfulness(kron_power(rho.mat, n), dense.target_ops(tgt), dense_cand)
+    assert k == pytest.approx(want, abs=1e-10)
 
 
 @given(st.integers(0, 10_000), st.booleans())
@@ -1466,15 +1533,14 @@ def test_distributed_invariants_generic(seed, rank_one):
     p_zw = StochasticMap((2,), 2, rng.dirichlet(np.ones(2), size=2))
     tgt = target_overall_distributed(m_a, m_b, p_zw, 2, 2)
     cand = assemble_overall_distributed(inst, p_zw)
-    k = faithfulness(kron_power(rho_ab.mat, 2), tgt, cand)
+    k = faithfulness(TensorPower(rho_ab, 2), tgt, cand)
     assert -1e-9 <= k <= 2.0 + 1e-9
     # The mixed rho_ab gives a support of rank 16: the factored candidate and
     # the tensor-power state agree with the dense candidate and state.
-    dense_cand = {z: cand[z] for z in cand}
+    dense_cand = dense.candidate_ops(cand)
     assert np.max(np.abs(sum(dense_cand.values()) - np.eye(16))) <= 1e-9
-    assert faithfulness(TensorPower(rho_ab, 2), tgt, cand) == pytest.approx(k, abs=1e-10)
-    assert faithfulness(TensorPower(rho_ab, 2), tgt, dense_cand) == pytest.approx(k, abs=1e-10)
-    assert faithfulness(kron_power(rho_ab.mat, 2), tgt, dense_cand) == pytest.approx(k, abs=1e-10)
+    want = dense.faithfulness(kron_power(rho_ab.mat, 2), dense.target_ops(tgt), dense_cand)
+    assert k == pytest.approx(want, abs=1e-10)
 
 
 CLASSICAL = DensityOperator(np.diag([0.7, 0.3]), (2,))
@@ -1506,7 +1572,7 @@ def test_diagonal_route_matches_dense_candidate(monkeypatch, example1, example2,
     # its eigenbasis, P^n(z | w0) unequal over z) or on a rank-one state takes
     # K from r-vectors with no solver; a candidate that stores a word other
     # than w0 keeps the dense route.  Either way K is that of the dense
-    # candidate.
+    # route, forced on the same input.
     state, tgt, cand = _diagonal_route_case(name, n, example1, example2)
     live = name == "classical_live"
     assert (len(cand.words) > 1) == live
@@ -1514,7 +1580,8 @@ def test_diagonal_route_matches_dense_candidate(monkeypatch, example1, example2,
         seen = _counting_eigvalsh(patch)
         k = faithfulness(state, tgt, cand)
     assert bool(seen) == live
-    assert abs(k - faithfulness(state, tgt, {z: cand[z] for z in cand})) <= 1e-12
+    monkeypatch.setattr(protocol, "_diagonal_terms", lambda *a: None)
+    assert abs(k - faithfulness(state, tgt, cand)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -1618,17 +1685,20 @@ def test_real_path_k_matches_complex_path(monkeypatch, n):
     assert np.max(np.abs(np.subtract(*ks))) <= 1e-12
 
 
-def test_faithfulness_mixes_real_and_complex_blocks():
-    # A real state and target against a candidate of complex dtype: the real
-    # target blocks are promoted, not updated in place.
+def test_faithfulness_mixes_real_and_complex_blocks(rotated_instance):
+    # A real state and target against a candidate of complex dtype (the
+    # rotated instance's live bins): the real target blocks are promoted, not
+    # updated in place.
     rho, m, p_zw = _default_p2p_problem()
-    params = ProtocolParams(n=4, k=0, p=2, sides=((2, 2),), delta=0.7, seed=0)
-    cand = assemble_overall(build_instance(params, m, rho), p_zw)
+    cand = assemble_overall(rotated_instance, p_zw)
     tgt = target_overall(m, p_zw, 4)
-    assert tgt.singles[0].dtype == np.float64
-    k = faithfulness(TensorPower(rho, 4), tgt, cand)
-    k_complex = faithfulness(TensorPower(rho, 4), tgt, {z: cand[z].astype(complex) for z in cand})
-    assert abs(k - k_complex) <= 1e-12
+    state = TensorPower(rho, 4)
+    assert tgt.singles[0].dtype == state.vecs.dtype == np.float64
+    assert len(cand.words) > 1 and cand.adjs[0].dtype == np.complex128
+    k = faithfulness(state, tgt, cand)
+    want = dense.faithfulness(kron_power(rho.mat, 4), dense.target_ops(tgt),
+                              dense.candidate_ops(cand))
+    assert abs(k - want) <= 1e-12
 
 
 def _small_instance():
