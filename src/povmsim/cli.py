@@ -19,6 +19,7 @@ import numpy as np
 from . import codes, lab, protocol, regions
 from .cq import StochasticMap, compose
 from .linalg import DensityOperator, Povm, mat_from_json, partial_trace, validate_povm
+from .memo import memoised, nbytes
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,6 +35,11 @@ class ProblemSpec:
     f_s: tuple[int, ...]
     f_t: tuple[int, ...]
     p_zw: StochasticMap
+
+    @property
+    def nbytes(self) -> int:
+        return nbytes(self.rho_ab.mat, self.m_a.elements, self.m_b.elements, self.m_ab.elements,
+                      self.p_zst.probs, self.p_zw.probs)
 
 
 def _povm_from_json(d: dict) -> Povm:
@@ -63,13 +69,21 @@ def load_problem(source) -> ProblemSpec:
     ``m_a`` and ``m_b`` must be POVMs on the two registers of ``rho``, a
     given ``m_ab`` one on both with an outcome per letter of ``p_zst``,
     ``f_s``/``f_t`` must map each of their outcomes into F_p for a prime
-    ``p``, and ``p_zw`` must be defined on all of F_p.
+    ``p``, and ``p_zw`` must be defined on all of F_p.  A file is read on
+    every call, but parsed and checked once per content: the problem is
+    memoised in ``protocol._BASES`` by the file's bytes, so an edited file is
+    read afresh and a refused one is refused again.  A dict is parsed on
+    every call.
     """
     if isinstance(source, dict):
-        d = source
-    else:
-        with open(source) as fh:
-            d = json.load(fh)
+        return _parse_problem(source)
+    with open(source, "rb") as fh:
+        raw = fh.read()
+    return memoised(protocol._BASES, protocol.BASIS_CACHE_BYTES, ("problem", raw),
+                    lambda: _parse_problem(json.loads(raw)))
+
+
+def _parse_problem(d: dict) -> ProblemSpec:
     rho = DensityOperator(mat_from_json(d["rho"]), tuple(d["dims"]))
     m_a = _require_povm("m_a", _povm_from_json(d["m_a"]))
     m_b = _require_povm("m_b", _povm_from_json(d["m_b"]))
@@ -289,7 +303,7 @@ def _run_protocol(args, spec, p: int):
         candidate = protocol.assemble_overall(inst, p_zw)
         target = protocol.target_overall(
             m, protocol.extend_map_to_field(p_zw, params.p), params.n)
-        rho_n = protocol.TensorPower(rho, params.n)
+        rho_n = protocol.tensor_power(rho, params.n)
         bins_stats = {
             "typical_words": int(inst.tset_w.mask.sum()),
             "typical_mass": inst.tset_w.mass,
@@ -300,7 +314,7 @@ def _run_protocol(args, spec, p: int):
         candidate = protocol.assemble_overall_distributed(inst, spec.p_zw)
         target = protocol.target_overall_distributed(
             spec.m_a, spec.m_b, spec.p_zw, params.p, params.n)
-        rho_n = protocol.TensorPower(spec.rho_ab, params.n)
+        rho_n = protocol.tensor_power(spec.rho_ab, params.n)
         bins_stats = {
             "typical_words_w": int(inst.tset_w.mask.sum()),
             "typical_mass_w": inst.tset_w.mass,

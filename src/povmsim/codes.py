@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .memo import memoised
+
 ENUMERATION_CAP = 2 ** 20        # cap on p**n for exhaustive sequence enumeration
 EXHAUSTIVE_ENSEMBLE_CAP = 2 ** 24  # cap on the number of (G, h) ensembles enumerated
 BLOCK_KEYS = 2 ** 15              # int64 counter keys per stacked pass of the exhaustive checks (256 KiB)
@@ -60,26 +62,22 @@ VECTORS_CACHE_BYTES = 2 ** 22   # cap on the bytes of the all_vectors tables kep
 _VECTORS = collections.OrderedDict()    # (length, p) -> table, least recently used first
 
 
+def _vectors(length: int, p: int) -> np.ndarray:
+    table = np.zeros((1, 0), dtype=np.int64)
+    if length:
+        table = np.indices((p,) * length, dtype=np.int64).reshape(length, -1).T.copy()
+    table.setflags(write=False)
+    return table
+
+
 def all_vectors(length: int, p: int) -> np.ndarray:
     """All p**length vectors over F_p in lexicographic order, shape (p**length, length).
 
-    Memoised in ``_VECTORS``, least recently used dropped first while the
-    tables hold more than VECTORS_CACHE_BYTES (a table above the cap is built
-    on every call), and read-only: callers index into the table but never write it.
+    Memoised in ``_VECTORS`` within VECTORS_CACHE_BYTES (see ``memo.memoised``;
+    a table above the cap is built on every call), and read-only: callers
+    index into the table but never write it.
     """
-    key = (length, p)
-    table = _VECTORS.pop(key, None)
-    if table is None:
-        table = np.zeros((1, 0), dtype=np.int64)
-        if length:
-            table = np.indices((p,) * length, dtype=np.int64).reshape(length, -1).T.copy()
-        table.setflags(write=False)
-    if table.nbytes <= VECTORS_CACHE_BYTES:
-        _VECTORS[key] = table   # now the most recently used
-    held = sum(t.nbytes for t in _VECTORS.values())
-    while held > VECTORS_CACHE_BYTES:
-        held -= _VECTORS.popitem(last=False)[1].nbytes
-    return table
+    return memoised(_VECTORS, VECTORS_CACHE_BYTES, (length, p), lambda: _vectors(length, p))
 
 
 @dataclass(frozen=True, eq=False)

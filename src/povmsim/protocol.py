@@ -35,6 +35,7 @@ from .linalg import (
     kron_all,
     partial_trace,
 )
+from .memo import array_key, memoised, nbytes, trim
 
 SEQUENCE_CAP = 2 ** 20   # cap on p**n (sequence enumeration)
 DIM_CAP = 4200           # cap on dim(H)**n (dense operators)
@@ -151,16 +152,25 @@ class TypicalSet:
         return bool(self.mask[np.ravel_multi_index(tuple(seq), (len(self.probs),) * self.n)])
 
 
+TYPICAL_BLOCK = 2 ** 16     # word indices per chunk of ``typical_set``
+
+
 def typical_set(dist, n: int, delta: float) -> TypicalSet:
-    """Enumerate the strong delta-typical sequences of an i.i.d. distribution."""
+    """Enumerate the strong delta-typical sequences of an i.i.d. distribution.
+
+    The words are taken TYPICAL_BLOCK indices at a time, so no table of every
+    word is formed; the mass adds up the chunks' sums in index order.
+    """
     probs = _read_only(np.array(dist, dtype=float))
     q = probs.size
     if q ** n > SEQUENCE_CAP:
         raise ValueError(f"{q}**{n} sequences exceed the desk-scale cap")
-    seqs = all_vectors(n, q)
-    mask = _read_only(typical_rows(seqs, probs, delta))
-    mass = float(np.prod(probs[seqs[mask]], axis=1).sum())
-    return TypicalSet(probs, n, delta, mask, mass)
+    mask, mass = np.empty(q ** n, dtype=bool), 0.0
+    for lo in range(0, q ** n, TYPICAL_BLOCK):
+        words = _digits(np.arange(lo, min(lo + TYPICAL_BLOCK, q ** n)), q, n)
+        ok = mask[lo:lo + TYPICAL_BLOCK] = typical_rows(words, probs, delta)
+        mass += float(np.prod(probs[words[ok]], axis=1).sum())
+    return TypicalSet(probs, n, delta, _read_only(mask), mass)
 
 
 def _eigen_groups(vals, rel_tol: float = 1e-8):
@@ -549,8 +559,21 @@ class _Basis:
         return sum(a.nbytes for a in [t.mask for t in tsets] + arrays)
 
 
-BASIS_CACHE_BYTES = 2 ** 26     # cap on the bytes of the bases kept between builds
-_BASES = collections.OrderedDict()      # content key -> _Basis, least recently used first
+# The seed-independent half of ``simulate``, least recently used first: bases,
+# targets, n-copy states and parsed problem files, keyed by content and kind.
+BASIS_CACHE_BYTES = 2 ** 26     # cap on the bytes the memo keeps between builds
+_BASES = collections.OrderedDict()
+
+
+def _post_state_spectra(ens: CanonicalEnsemble) -> list:
+    """``_spectrum`` of each post-state; the letters of weight 0 share the one of the null operator.
+
+    Padding to F_p adds p minus the outcome count such letters, so one
+    spectrum for them all keeps the cost of a large field to one ``eigh``.
+    """
+    weights = ens.weights.tolist()
+    null = _spectrum(ens.post_states[weights.index(0.0)]) if 0.0 in weights else None
+    return [null if w == 0.0 else _spectrum(x) for w, x in zip(weights, ens.post_states)]
 
 
 def _basis(params: ProtocolParams, povms, rho: DensityOperator) -> _Basis:
@@ -560,32 +583,31 @@ def _basis(params: ProtocolParams, povms, rho: DensityOperator) -> _Basis:
     side's l, eta and delta, but neither the seed nor N, so every code draw of
     a seed sweep shares one basis.
     """
+    key = ("basis", array_key([a for m in povms for a in m.elements] + [rho.mat]),
+           tuple(map(len, povms)), rho.register_dims, params.n, params.k, params.p,
+           tuple(l for l, _ in params.sides), params.eta, params.delta)
+    return memoised(_BASES, BASIS_CACHE_BYTES, key, lambda: _new_basis(params, povms, rho))
+
+
+def _new_basis(params: ProtocolParams, povms, rho: DensityOperator) -> _Basis:
     n, p, count = params.n, params.p, len(params.sides)
-    arrays = [a for m in povms for a in m.elements] + [rho.mat]
-    key = (tuple((a.tobytes(), a.dtype.str, a.shape) for a in arrays), tuple(map(len, povms)),
-           rho.register_dims, n, params.k, p, tuple(l for l, _ in params.sides),
-           params.eta, params.delta)
-    basis = _BASES.pop(key, None)
-    if basis is None:
-        if len(povms) != count:
-            raise ValueError(f"{len(povms)} POVM(s) for {count} side(s) of code sizes")
-        _check_dim(rho.dim, n)
-        sides = []
-        for s, (m, (l, _)) in enumerate(zip(povms, params.sides)):
-            state = partial_trace(rho, [t for t in range(count) if t != s])
-            ens = pad_ensemble(canonical_ensemble(m, state), p)
-            u, inv = map(_read_only, _typical_factor(state.mat, n, params.delta))
-            sides.append(_SideBasis(state, ens, typical_set(ens.weights, n, params.delta), u, inv,
-                                    [_spectrum(x) for x in ens.post_states],
-                                    p ** n / ((1.0 + params.eta) * (p ** params.k * p ** l)), {}))
-        tset_w = sides[0].tset if count == 1 else typical_set(
-            [float(np.trace(el @ rho.mat).real) for el in _sum_povm(povms, p).elements],
-            n, p * params.delta)
-        first = int(np.argmin(tset_w.mask))     # w0, the first word by index outside tset_w
-        w0 = None if tset_w.mask[first] else tuple(_digits(first, p, n).tolist())
-        basis = _Basis(tuple(sides), tset_w, w0)
-    _BASES[key] = basis         # now the most recently used
-    return basis
+    if len(povms) != count:
+        raise ValueError(f"{len(povms)} POVM(s) for {count} side(s) of code sizes")
+    _check_dim(rho.dim, n)
+    sides = []
+    for s, (m, (l, _)) in enumerate(zip(povms, params.sides)):
+        state = partial_trace(rho, [t for t in range(count) if t != s])
+        ens = pad_ensemble(canonical_ensemble(m, state), p)
+        u, inv = map(_read_only, _typical_factor(state.mat, n, params.delta))
+        sides.append(_SideBasis(state, ens, typical_set(ens.weights, n, params.delta), u, inv,
+                                _post_state_spectra(ens),
+                                p ** n / ((1.0 + params.eta) * (p ** params.k * p ** l)), {}))
+    tset_w = sides[0].tset if count == 1 else typical_set(
+        [float(np.trace(el @ rho.mat).real) for el in _sum_povm(povms, p).elements],
+        n, p * params.delta)
+    first = int(np.argmin(tset_w.mask))     # w0, the first word by index outside tset_w
+    w0 = None if tset_w.mask[first] else tuple(_digits(first, p, n).tolist())
+    return _Basis(tuple(sides), tset_w, w0)
 
 
 def _build_side(base: _SideBasis, codewords: np.ndarray) -> Side:
@@ -714,7 +736,10 @@ def _build(params: ProtocolParams, povms, rho: DensityOperator) -> Instance:
     shifts = [rng.integers(0, p, size=(num, p ** l, n)).astype(digit_dtype(p))
               for l, num in params.sides]
     codewords = [_bin_indices(np.broadcast_to(g, (len(h),) + g.shape), h, p) for h in shifts]
+    classes = sum(len(b.per_type) for b in basis.sides)
     sides = tuple(_build_side(b, c) for b, c in zip(basis.sides, codewords))
+    if sum(len(b.per_type) for b in basis.sides) > classes:
+        trim(_BASES, BASIS_CACHE_BYTES)     # the basis has grown type classes
     sums = codewords[0]             # one side's codes are its sum codes
     if count > 1:
         # The sum codes' shifts, axes (N_1, ..., bins_1, ..., n), added side by side.
@@ -728,9 +753,6 @@ def _build(params: ProtocolParams, povms, rho: DensityOperator) -> Instance:
         sums = _bin_indices(np.broadcast_to(g, (num_codes, k, n)), total.reshape(num_codes, -1, n),
                             p).reshape(total.shape[:-1] + (-1,))
     decoded, collisions = _decode(sums, basis.tset_w.mask)
-    held = sum(b.nbytes for b in _BASES.values())
-    while held > BASIS_CACHE_BYTES:         # least recently used first
-        held -= _BASES.popitem(last=False)[1].nbytes
     return Instance(params, sides, basis.tset_w, basis.w0, decoded,
                     float(max(side.defects.max() for side in sides)), collisions)
 
@@ -900,12 +922,27 @@ class ProductTarget:
     """The target T_z = T_{z_1} (x) ... (x) T_{z_n}, z in Z^n, kept as its single-copy factors.
 
     No T_z is formed: ``traces`` gives every Tr{T_z rho^{(x) n}}, and
-    ``TensorPower.sandwiches`` every W^dagger T_z W, from the singles.
+    ``TensorPower.sandwiches`` every W^dagger T_z W, from the singles.  What
+    K reads of the target on a state, ``traces`` and ``diagonals``, is formed
+    on first use and kept for the last state, matched by its content
+    (``TensorPower.key``).  Every array is read-only.
     """
 
     def __init__(self, singles, n: int):
-        self.singles = tuple(_real_if_exact(np.asarray(s, dtype=complex)) for s in singles)
+        self.singles = tuple(_read_only(_real_if_exact(np.array(s, dtype=complex)))
+                             for s in singles)
         self.n = n
+        self._on = (None, None, None)       # (state key, traces, diagonals) of the last state
+
+    def _against(self, state: TensorPower) -> tuple:
+        if self._on[0] != state.key:
+            stack = np.stack(self.singles)
+            per_copy = np.einsum("zij,ji->z", stack, state.single)
+            diagonals = state.diagonals(stack)
+            self._on = (state.key, _read_only(functools.reduce(np.multiply.outer,
+                                                               [per_copy] * self.n)),
+                        None if diagonals is None else _read_only(diagonals))
+        return self._on
 
     def traces(self, state: TensorPower) -> np.ndarray:
         """Tr{T_z rho^{(x) n}} for every z, as an array indexed by the tuple z.
@@ -913,22 +950,44 @@ class ProductTarget:
         ``state`` holds as many copies as the target has registers; each
         trace is the product of the single-copy traces.
         """
-        per_copy = np.einsum("zij,ji->z", np.stack(self.singles), state.single)
-        return functools.reduce(np.multiply.outer, [per_copy] * self.n)
+        return self._against(state)[1]
+
+    def diagonals(self, state: TensorPower) -> np.ndarray | None:
+        """``state.diagonals`` of the singles: the real diagonals of their blocks, or None."""
+        return self._against(state)[2]
+
+    @property
+    def nbytes(self) -> int:
+        return nbytes(self.singles, self._on[1:])
 
 
-def target_overall(m: Povm, p_zw: StochasticMap, n: int) -> ProductTarget:
-    """(M composed with P_{Z|W})^{(x) n}: the measurement being simulated."""
+def _product_target(m: Povm, p_zw: StochasticMap, n: int) -> ProductTarget:
     (nw,) = p_zw.input_sizes
     if nw < len(m):
         raise ValueError("P_{Z|W} must cover every POVM outcome")
     return ProductTarget(compose((m,), p_zw).elements, n)
 
 
+def target_overall(m: Povm, p_zw: StochasticMap, n: int) -> ProductTarget:
+    """(M composed with P_{Z|W})^{(x) n}: the measurement being simulated.
+
+    Memoised in ``_BASES`` by the content of M's elements and P_{Z|W}, and n.
+    """
+    key = ("target", array_key(m.elements), array_key([p_zw.probs]), n)
+    return memoised(_BASES, BASIS_CACHE_BYTES, key, lambda: _product_target(m, p_zw, n))
+
+
 def target_overall_distributed(m_a: Povm, m_b: Povm, p_zw: StochasticMap,
                                p: int, n: int) -> ProductTarget:
-    """(M_AB composed with P_{Z|W})^{(x) n} in the interleaved (AB)^n ordering."""
-    return target_overall(_sum_povm((m_a, m_b), p), extend_map_to_field(p_zw, p), n)
+    """(M_AB composed with P_{Z|W})^{(x) n} in the interleaved (AB)^n ordering.
+
+    Memoised in ``_BASES`` by the content of both POVMs' elements and
+    P_{Z|W}, p and n.
+    """
+    key = ("distributed target", array_key(m_a.elements), array_key(m_b.elements),
+           array_key([p_zw.probs]), p, n)
+    return memoised(_BASES, BASIS_CACHE_BYTES, key, lambda: _product_target(
+        _sum_povm((m_a, m_b), p), extend_map_to_field(p_zw, p), n))
 
 
 class TensorPower:
@@ -939,20 +998,27 @@ class TensorPower:
     columns of V sqrt(Lambda) at the index tuples ``idx`` (lexicographic
     order) whose eigenvalue product lambda clears the eigensolver's rounding
     floor dim * eps * lambda_max (dim = d**n).  ``w`` forms the dense d**n x r
-    factor on first use; ``sandwiches`` never does.
+    factor; ``sandwiches`` never does.  ``key`` is the state's content: the
+    single copy's bytes, dtype and shape, and n.  Every array is read-only.
     """
 
     def __init__(self, single, n: int):
         mat = single.mat if isinstance(single, DensityOperator) else single
-        self.single = hermitian_part(mat)
+        self.single = _read_only(hermitian_part(mat))
         self.n = n
-        vals, self.vecs = np.linalg.eigh(_real_if_exact(self.single))
+        self.key = (array_key([self.single]), n)
+        vals, vecs = np.linalg.eigh(_real_if_exact(self.single))
+        self.vecs = _read_only(vecs)
         idx = all_vectors(n, vals.size)
         lam = np.prod(vals[idx], axis=1)
         keep = lam > lam.size * np.finfo(float).eps * max(float(lam.max()), 0.0)
-        self.idx, self.total = idx[keep], float(lam[keep].sum())
+        self.idx, self.total = _read_only(idx[keep]), float(lam[keep].sum())
         self.rank = self.idx.shape[0]
-        self.roots = np.sqrt(np.clip(vals, 0.0, None))
+        self.roots = _read_only(np.sqrt(np.clip(vals, 0.0, None)))
+
+    @property
+    def nbytes(self) -> int:
+        return nbytes(vars(self))
 
     @functools.cached_property
     def levels(self) -> list:
@@ -968,13 +1034,26 @@ class TensorPower:
             grid = (np.arange(d)[:, None] * d ** (self.n - 1 - j) + prev).ravel()
             kept = np.zeros(d ** (self.n - j), dtype=bool)
             kept[codes] = True
-            levels.append(None if codes.size == grid.size else np.flatnonzero(kept[grid]))
+            levels.append(None if codes.size == grid.size
+                          else _read_only(np.flatnonzero(kept[grid])))
             prev = codes
         return levels
 
-    @functools.cached_property
+    @property
     def w(self) -> np.ndarray:
+        """The dense factor W, formed on every access: a shared state does not keep it."""
         return _kron_columns([self.vecs * self.roots] * self.n, self.idx)
+
+    @functools.cached_property
+    def gram_diagonal(self) -> np.ndarray | None:
+        """lam, the diagonal of W^dagger W, or None when a block of I is not diagonal.
+
+        See ``diagonals``.
+        """
+        eye = self.diagonals(np.eye(self.vecs.shape[0])[None])
+        if eye is None:
+            return None
+        return _read_only(self.diagonal_sandwiches(eye, np.zeros((1, self.n), dtype=np.int64))[0])
 
     def blocks(self, singles: np.ndarray) -> np.ndarray:
         """The single-copy blocks sqrt(Lambda) V^dagger S V sqrt(Lambda) of a stack of S."""
@@ -1032,6 +1111,12 @@ class TensorPower:
         return self.sandwiches(eye, np.zeros(self.n, dtype=np.int64))[0]
 
 
+def tensor_power(rho: DensityOperator, n: int) -> TensorPower:
+    """``TensorPower(rho, n)``, memoised in ``_BASES`` by the content of ``rho.mat`` and n."""
+    return memoised(_BASES, BASIS_CACHE_BYTES, ("state", array_key([rho.mat]), n),
+                    lambda: TensorPower(rho, n))
+
+
 SPECTRUM_BLOCK = 2 ** 16    # entries of one stacked (keys, r, r) batch of trace norms
 
 
@@ -1073,15 +1158,14 @@ def _diagonal_terms(target: ProductTarget, state: TensorPower,
     ``TensorPower.diagonals``).  Then W^dagger (T_z - C_z) W = diag(t_z - c_z lam),
     with t_z and lam the diagonals of W^dagger T_z W and W^dagger W, so its
     trace norm is sum |t_z - c_z lam| and Tr{W^dagger C_z W} = c_z sum(lam).
+    The diagonals and lam are those the target and the state keep.
     """
     if len(candidate.words) > 1:
         return None
-    singles = state.diagonals(np.stack(target.singles))
-    eye = state.diagonals(np.eye(state.vecs.shape[0])[None])
-    if singles is None or eye is None:
+    singles, lam = target.diagonals(state), state.gram_diagonal
+    if singles is None or lam is None:
         return None
     zs = _digits(candidate.outputs, candidate.output_size, state.n)
-    lam = state.diagonal_sandwiches(eye, np.zeros((1, state.n), dtype=np.int64))[0]
     step = max(1, SPECTRUM_BLOCK // state.rank)
     terms = []
     for lo in range(0, zs.shape[0], step):
@@ -1122,6 +1206,7 @@ def faithfulness(state: TensorPower, target: ProductTarget, candidate: FactoredC
             and len(target.singles) == candidate.output_size):
         raise ValueError("faithfulness takes a TensorPower, and a ProductTarget and a "
                          "FactoredCandidate on its copies and one output alphabet")
+    first = target._on[0] != state.key      # the target's side of K is formed for this state
     terms = _diagonal_terms(target, state, candidate)
     if terms is None:
         terms = _dense_terms(target, state, candidate)
@@ -1129,4 +1214,7 @@ def faithfulness(state: TensorPower, target: ProductTarget, candidate: FactoredC
     for mass, norms in terms:
         k -= mass
         k += norms
-    return k + _absent_mass(target, state, candidate.outputs)
+    k += _absent_mass(target, state, candidate.outputs)
+    if first:
+        trim(_BASES, BASIS_CACHE_BYTES)     # what the memo shares may have grown
+    return k

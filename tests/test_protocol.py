@@ -5,6 +5,7 @@ import math
 import re
 import time
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -194,10 +195,54 @@ def test_typical_rows_of_a_large_padded_law_stay_small():
     assert any(want) and not all(want)
 
 
+def test_typical_set_of_a_long_word_stays_small(monkeypatch):
+    # 2**20 words of length 20: the chunks keep the peak far below the 416 MB
+    # that one table of every word took, for a 1 MB mask.  The typical words
+    # hold 8 to 12 ones, each of mass 2**-20, so the mass is exact.
+    tracemalloc.start()
+    try:
+        ts = typical_set([0.5, 0.5], 20, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    count = sum(math.comb(20, ones) for ones in range(8, 13))
+    assert int(ts.mask.sum()) == count and ts.mass == count / 2 ** 20
+    # Chunks of 7 words, the last one short, give the mask of one table bit for bit.
+    monkeypatch.setattr(protocol, "TYPICAL_BLOCK", 7)
+    probs, n, delta = [0.5, 0.3, 0.2], 5, 0.6
+    chunked = typical_set(probs, n, delta)
+    whole = protocol.typical_rows(codes.all_vectors(n, 3), np.array(probs), delta)
+    assert 3 ** n % 7 and np.array_equal(chunked.mask, whole)
+    assert chunked.mass == pytest.approx(
+        np.prod(np.array(probs)[codes.all_vectors(n, 3)[whole]], axis=1).sum(), rel=1e-15)
+
+
+@pytest.mark.parametrize("p", [3, 7, 13])
+def test_padded_letters_share_one_spectrum(monkeypatch, p):
+    # The default problem has two letters; padding to F_p adds p - 2 null
+    # letters, whose post-states are all 0.  The basis takes as many eigh
+    # calls as over F_2, where no letter is padded, and one for all the null
+    # letters.
+    calls = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or real(a))
+    rho, m, _ = _default_p2p_problem()
+    counts = []
+    for field in (2, p):
+        calls.clear()
+        basis = protocol._basis(ProtocolParams(n=2, k=0, p=field, sides=((1, 1),)), [m], rho)
+        counts.append(len(calls))
+    assert counts[1] == counts[0] + 1
+    spectra = basis.sides[0].spectra
+    assert len(spectra) == p and len({id(s) for s in spectra[2:]}) == 1
+
+
 def test_build_enumerates_the_words_once(monkeypatch):
     # p2p at p = 3, n = 10: the 3**10-row table of all words is above the
-    # all_vectors cache, so each call rebuilds it.  A cold build makes one
-    # call, for the typical set; a warm build (another seed) makes none.
+    # all_vectors cache, so each call would rebuild it.  The typical set takes
+    # the words in chunks of indices, so neither a cold build nor a warm one
+    # (another seed) asks for the table.
     calls = []
     real = protocol.all_vectors
 
@@ -208,11 +253,11 @@ def test_build_enumerates_the_words_once(monkeypatch):
     monkeypatch.setattr(protocol, "all_vectors", spy)
     rho, m, _ = _default_p2p_problem()
     assert real(10, 3).nbytes > codes.VECTORS_CACHE_BYTES
-    for seed, want in [(0, 1), (1, 0)]:
+    for seed in (0, 1):
         calls.clear()
         params = ProtocolParams(n=10, k=0, p=3, sides=((4, 2),), delta=0.7, seed=seed)
         build_instance(params, m, rho)
-        assert calls.count((10, 3)) == want, seed
+        assert calls.count((10, 3)) == 0, seed
 
 
 def test_typical_projector_pure_state():
@@ -1732,7 +1777,8 @@ ALIKE = {
     "CoveringInstance": lambda: default_covering_instance(4),
     "SurfaceScan": lambda: surface_scan(DensityOperator(np.eye(4) / 4, (2, 2)),
                                         ([0.4, 0.5], [0.0], [0.0])),
-    "ProblemSpec": lambda: load_problem(bundled_example_path(1)),
+    # A file's problem is memoised by content; a dict is parsed on every call.
+    "ProblemSpec": lambda: load_problem(json.loads(Path(bundled_example_path(1)).read_text())),
 }
 
 
@@ -1873,21 +1919,29 @@ def test_cached_basis_arrays_refuse_writes():
             a.flat[0] = a.flat[0]
 
 
+def _kept_bases() -> dict:
+    """delta -> basis of the bases in the memo, least recently used first."""
+    return {key[-1]: v for key, v in protocol._BASES.items() if isinstance(v, protocol._Basis)}
+
+
 def test_basis_cap_drops_least_recently_used(monkeypatch):
+    # K's target shares the memo with the bases: one entry, the same for every delta.
     rho, m = rotated_qubit_problem()
     base = ProtocolParams(n=4, k=0, p=2, sides=((3, 2),), eta=0.1, delta=0.6, seed=1)
     a, b, c, d = (dataclasses.replace(base, delta=x) for x in (0.6, 0.65, 0.7, 0.75))
     unlimited = {q.delta: _k(build_instance(q, m, rho), m, rho, IDENT_MAP) for q in (a, b, c, d)}
-    sizes = {key[-1]: basis.nbytes for key, basis in protocol._BASES.items()}
-    # Room for the two largest bases, not for three.
-    monkeypatch.setattr(protocol, "BASIS_CACHE_BYTES", sum(sorted(sizes.values())[-2:]))
+    sizes = {delta: basis.nbytes for delta, basis in _kept_bases().items()}
+    (target,) = [v for v in protocol._BASES.values() if isinstance(v, protocol.ProductTarget)]
+    # Room for the target and the two largest bases, not for three.
+    monkeypatch.setattr(protocol, "BASIS_CACHE_BYTES",
+                        target.nbytes + sum(sorted(sizes.values())[-2:]))
     protocol._BASES.clear()
     kept = []
     for q in (a, b, c, b, d):
         assert _k(build_instance(q, m, rho), m, rho, IDENT_MAP) == unlimited[q.delta]
-        kept.append([key[-1] for key in protocol._BASES])
+        kept.append(list(_kept_bases()))
     assert kept == [[0.6], [0.6, 0.65], [0.65, 0.7], [0.7, 0.65], [0.65, 0.75]]
     # A basis larger than the cap is used once and not kept.
     monkeypatch.setattr(protocol, "BASIS_CACHE_BYTES", min(sizes.values()) - 1)
     assert _k(build_instance(c, m, rho), m, rho, IDENT_MAP) == unlimited[0.7]
-    assert not protocol._BASES
+    assert not _kept_bases()
