@@ -6,6 +6,8 @@ inequalities, and the bipartite sandwich-reduction inequality.
 
 from __future__ import annotations
 
+import threading
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -332,9 +334,57 @@ def covering_experiment(inst: CoveringInstance, trials: int, seed: int,
 
 # -- pruning trace inequalities ----------------------------------------------
 #
-# A pruning sampler has ``mean`` (E[X], d x d) and sample(rng, size), which
-# returns a (size, d, d) stack of Hermitian samples; the experiment reads
-# their lower triangles.
+# A pruning sampler has ``mean`` (E[X], d x d) and blocks(rng, sizes), a
+# generator that yields a fresh (size, d, d) stack of Hermitian samples for
+# each size in turn; the experiment reads their lower triangles and closes the
+# generator before it returns or raises.
+
+def _normals_ahead(rng: np.random.Generator, counts: list, tail: tuple):
+    """Yield standard normals of shape (t, *tail) for each t in ``counts``, drawn ahead.
+
+    One worker thread fills two buffers in turn with ``rng.standard_normal(out=...)``,
+    one chunk ahead of the caller, while the caller works on the other; numpy
+    drops the interpreter lock while it draws.  Only the worker touches ``rng``
+    and it draws in chunk order, so the values are those of a serial loop.  The
+    caller's thread allocates the buffers and every view of them, so the worker
+    allocates no array.  A yielded view is overwritten after the next request.
+    The worker is joined before the generator finishes, raises or is closed,
+    and an exception it raises reaches the caller unchanged.
+    """
+    if not counts:
+        return
+    buffers = np.empty((2, max(counts), *tail))
+    views = [{t: buffer[:t] for t in set(counts)} for buffer in buffers]
+    free, ready, stop = threading.Semaphore(2), threading.Semaphore(0), threading.Event()
+    failure = []
+
+    def draw():
+        for j, t in enumerate(counts):
+            free.acquire()
+            if stop.is_set():
+                return
+            try:
+                rng.standard_normal(out=views[j % 2][t])
+            except BaseException as exc:       # handed to the caller's thread
+                failure.append(exc)
+                ready.release()
+                return
+            ready.release()
+
+    worker = threading.Thread(target=draw, name="povmsim-normals", daemon=True)
+    worker.start()
+    try:
+        for j, t in enumerate(counts):
+            ready.acquire()
+            if failure:
+                raise failure[0]
+            yield views[j % 2][t]
+            free.release()
+    finally:
+        stop.set()
+        free.release()
+        worker.join()
+
 
 @dataclass(frozen=True)
 class ScaledWishartSampler:
@@ -355,21 +405,24 @@ class ScaledWishartSampler:
     def mean(self) -> np.ndarray:
         return self.scale * np.eye(self.dim)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def blocks(self, rng: np.random.Generator, sizes):
         # Per sample: zr = sqrt(2) Re g, then zi = sqrt(2) Im g, drawn in row chunks of at
-        # most ENUMERATION_CAP entries (same stream).  Built trial axis last,
-        # X = f (zr zr^T + zi zi^T) + i f (C - C^T) with C = zi zr^T, f = scale/(2 shots).
+        # most ENUMERATION_CAP entries (same stream) by _normals_ahead's worker.  Built
+        # trial axis last, X = f (zr zr^T + zi zi^T) + i f (C - C^T) with C = zi zr^T,
+        # f = scale/(2 shots).
         d, f = self.dim, self.scale / (2 * self.shots)
         rows = ENUMERATION_CAP // max(2 * d * self.shots, d * d)
-        x = np.empty((d, d, size), dtype=complex)
-        for start in range(0, size, rows):
-            t = slice(start, min(start + rows, size))
-            z = rng.standard_normal((t.stop - start, 2, d, self.shots))
-            z = np.ascontiguousarray(z.transpose(1, 2, 3, 0))
-            x.real[..., t] = f * np.einsum("cikt,cjkt->ijt", z, z)
-            c = np.einsum("ikt,jkt->ijt", z[1], z[0])
-            x.imag[..., t] = f * (c - c.swapaxes(0, 1))
-        return x.transpose(2, 0, 1)
+        counts = [min(rows, size - start) for size in sizes for start in range(0, size, rows)]
+        with closing(_normals_ahead(rng, counts, (2, d, self.shots))) as normals:
+            for size in sizes:
+                x = np.empty((d, d, size), dtype=complex)
+                for start in range(0, size, rows):
+                    t = slice(start, min(start + rows, size))
+                    z = np.ascontiguousarray(next(normals).transpose(1, 2, 3, 0))
+                    x.real[..., t] = f * np.einsum("cikt,cjkt->ijt", z, z)
+                    c = np.einsum("ikt,jkt->ijt", z[1], z[0])
+                    x.imag[..., t] = f * (c - c.swapaxes(0, 1))
+                yield x.transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -408,21 +461,23 @@ def pruning_inequality_experiment(sampler, trials: int, eta: float,
     cuts, diffs = [], []   # Tr{I-P} and Tr{I-P} - (1/eta)||X - E[X]||_1 per trial
     path_viol = 0
     markov_viol = 0
-    for size in _blocks(trials, ENUMERATION_CAP // mean_x.size):   # <= cap entries of X
-        x = sampler.sample(rng, size)
-        spec = _hermitian_spectra(x, (1 + PRUNE_TOL, 1 + ABOVE_I_MARGIN))  # (size, d), ascending
-        excess = spec - 1.0                                           # spec(X - I)
-        cut = np.count_nonzero(excess > PRUNE_TOL, axis=1).astype(float)
-        trace_x = np.trace(x, axis1=1, axis2=2).real
-        path_viol += int(np.count_nonzero(cut > trace_x + 1e-9))
-        not_below_identity = (excess[:, -1] > ABOVE_I_MARGIN).astype(float)
-        markov_viol += int(np.count_nonzero(not_below_identity > cut + 1e-9))
-        if scalar_mean:
-            gap_norm = np.abs(spec - scale).sum(axis=1)
-        else:
-            gap_norm = np.abs(_hermitian_spectra(x - mean_x)).sum(axis=1)
-        cuts.append(cut)
-        diffs.append(cut - gap_norm / eta)
+    sizes = _blocks(trials, ENUMERATION_CAP // mean_x.size)        # <= cap entries of X
+    with closing(sampler.blocks(rng, sizes)) as samples:
+        for x in samples:
+            # (size, d), ascending
+            spec = _hermitian_spectra(x, (1 + PRUNE_TOL, 1 + ABOVE_I_MARGIN))
+            excess = spec - 1.0                                       # spec(X - I)
+            cut = np.count_nonzero(excess > PRUNE_TOL, axis=1).astype(float)
+            trace_x = np.trace(x, axis1=1, axis2=2).real
+            path_viol += int(np.count_nonzero(cut > trace_x + 1e-9))
+            not_below_identity = (excess[:, -1] > ABOVE_I_MARGIN).astype(float)
+            markov_viol += int(np.count_nonzero(not_below_identity > cut + 1e-9))
+            if scalar_mean:
+                gap_norm = np.abs(spec - scale).sum(axis=1)
+            else:
+                gap_norm = np.abs(_hermitian_spectra(x - mean_x)).sum(axis=1)
+            cuts.append(cut)
+            diffs.append(cut - gap_norm / eta)
     cuts, diffs = np.concatenate(cuts), np.concatenate(diffs)
     se = float(diffs.std(ddof=1) / np.sqrt(trials))
     aggregate_ok = float(diffs.mean()) <= 3 * se

@@ -60,8 +60,13 @@ class CanonicalEnsemble:
             raise ValueError("weights/post_states length mismatch")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "post_states", tuple(_read_only(np.array(s, dtype=complex))
-                                                      for s in self.post_states))
+        # One read-only copy per distinct object: letters that share a state
+        # (the padding's null operator) keep sharing it.
+        copies = {}
+        for s in self.post_states:
+            if id(s) not in copies:
+                copies[id(s)] = _read_only(np.array(s, dtype=complex))
+        object.__setattr__(self, "post_states", tuple(copies[id(s)] for s in self.post_states))
 
     @property
     def num_letters(self) -> int:
@@ -96,17 +101,19 @@ def canonical_ensemble(m: Povm, rho: DensityOperator) -> CanonicalEnsemble:
 
 
 def pad_ensemble(ens: CanonicalEnsemble, p: int) -> CanonicalEnsemble:
-    """Extend the letter alphabet to F_p with zero-weight null letters."""
+    """Extend the letter alphabet to F_p with zero-weight null letters.
+
+    Every null letter holds the same read-only zero operator.
+    """
     if ens.num_letters > p:
         raise ValueError(f"alphabet of size {ens.num_letters} does not embed in F_{p}")
     if ens.num_letters == p:
         return ens
     d = ens.post_states[0].shape[0]
     pad = p - ens.num_letters
-    return CanonicalEnsemble(
-        np.concatenate([ens.weights, np.zeros(pad)]),
-        ens.post_states + tuple(np.zeros((d, d), dtype=complex) for _ in range(pad)),
-    )
+    zero = np.zeros((d, d), dtype=complex)
+    return CanonicalEnsemble(np.concatenate([ens.weights, np.zeros(pad)]),
+                             ens.post_states + (zero,) * pad)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -1,5 +1,8 @@
 """The stacked lab, surface, ensemble and side-build passes against their loop references."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -207,8 +210,9 @@ class _HermitianSpectrumSampler:
         x = (u * self.values[rng.integers(0, self.values.size, d)]) @ u.conj().T
         return (x + x.conj().T) / 2
 
-    def sample(self, rng, size):
-        return np.stack([self.draw(rng) for _ in range(size)])
+    def blocks(self, rng, sizes):
+        for size in sizes:
+            yield np.stack([self.draw(rng) for _ in range(size)])
 
 
 def _check_violation_counts(monkeypatch, mean, spectra_per_block):
@@ -323,7 +327,7 @@ def test_wishart_pruning_takes_no_eigvalsh(monkeypatch):
 def test_wishart_samples_match_per_trial_draws(dim, shots):
     sampler = lab.ScaledWishartSampler(dim, shots, 0.35)
     rng = np.random.default_rng(8)
-    got = np.concatenate([sampler.sample(rng, size) for size in (lab.TRIAL_BLOCK, 37, 1)])
+    got = np.concatenate(list(sampler.blocks(rng, (lab.TRIAL_BLOCK, 37, 1))))
     draw, rng = ref.wishart_draw(sampler), np.random.default_rng(8)
     want = np.stack([draw(rng) for _ in range(len(got))])
     err = np.abs(got - want).max(axis=(1, 2))
@@ -332,18 +336,48 @@ def test_wishart_samples_match_per_trial_draws(dim, shots):
     np.testing.assert_array_equal(got, got.conj().swapaxes(-1, -2))
 
 
+def test_wishart_blocks_survive_rapid_thread_switches(monkeypatch):
+    # Four generators at once, each with its own worker (more threads than
+    # cores), hand 2- and 5-trial chunks between two buffers under a 1 us
+    # switch interval: a buffer refilled while it is read would change a sample.
+    sampler = lab.ScaledWishartSampler(3, 2, 0.35)
+    draw, rng = ref.wishart_draw(sampler), np.random.default_rng(4)
+    want = np.stack([draw(rng) for _ in range(600)])
+    monkeypatch.setattr(lab, "ENUMERATION_CAP", 64)     # 5-trial row chunks
+    got = [None] * 4
+
+    def run(i):
+        got[i] = np.concatenate(list(sampler.blocks(np.random.default_rng(4), [7] * 85 + [5])))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    scale = np.abs(want).max(axis=(1, 2))
+    for samples in got:
+        assert np.all(np.abs(samples - want).max(axis=(1, 2)) <= 1e-15 * scale)
+
+
 def test_wishart_row_chunks_do_not_change_samples_or_reports(monkeypatch):
     sampler = lab.ScaledWishartSampler(4, 6, 0.35)
 
     def run():
-        samples = sampler.sample(np.random.default_rng(3), 100)
+        samples, = sampler.blocks(np.random.default_rng(3), [100])
         return samples, _pruning_fields(lab.pruning_inequality_experiment(sampler, 300, 0.3, 2))
 
     default = run()
     monkeypatch.setattr(lab, "ENUMERATION_CAP", 100)    # 2-trial chunks, 6-trial blocks
-    sizes, sample = [], lab.ScaledWishartSampler.sample
-    monkeypatch.setattr(lab.ScaledWishartSampler, "sample",
-                        lambda self, rng, size: sizes.append(size) or sample(self, rng, size))
+    sizes, blocks = [], lab.ScaledWishartSampler.blocks
+    monkeypatch.setattr(lab.ScaledWishartSampler, "blocks",
+                        lambda self, rng, block_sizes: sizes.extend(block_sizes)
+                        or blocks(self, rng, block_sizes))
     small = run()
     assert max(sizes[1:]) == 100 // 16
     np.testing.assert_allclose(small[0], default[0], rtol=1e-15, atol=0)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -156,8 +158,9 @@ def test_covering_reproducible():
 def test_pruning_deterministic_zero():
     class Zero:
         mean = np.zeros((2, 2))
-        def sample(self, rng, size):
-            return np.zeros((size, 2, 2))
+        def blocks(self, rng, sizes):
+            for size in sizes:
+                yield np.zeros((size, 2, 2))
     rep = pruning_inequality_experiment(Zero(), trials=5, eta=0.5, seed=0)
     assert rep.pathwise_violations == 0
     assert rep.mean_cut == pytest.approx(0.0)
@@ -168,8 +171,9 @@ def test_pruning_hand_eigencalc():
     # one direction so Tr{I-P} = 1 <= Tr{X} = 2.
     class Fixed:
         mean = np.diag([0.4, 0.4])
-        def sample(self, rng, size):
-            return np.tile(np.diag([2.0, 0.0]).astype(complex), (size, 1, 1))
+        def blocks(self, rng, sizes):
+            for size in sizes:
+                yield np.tile(np.diag([2.0, 0.0]).astype(complex), (size, 1, 1))
     rep = pruning_inequality_experiment(Fixed(), trials=3, eta=0.5, seed=0)
     assert rep.pathwise_violations == 0
     assert rep.markov_violations == 0
@@ -193,6 +197,72 @@ def test_pruning_precondition_warning():
 def test_pruning_rejects_bad_eta():
     with pytest.raises(ValueError):
         pruning_inequality_experiment(ScaledWishartSampler(2, 2, 0.1), 10, eta=1.0)
+
+
+# The Wishart sampler draws its normals on one worker thread; no experiment
+# leaves it running, whether it completes, raises or stops early.
+
+class _DrawError(Exception):
+    pass
+
+
+class _FailingGenerator:
+    """A generator whose third draw raises, after two good chunks."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.Generator(np.random.PCG64(seed)), 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == 3:
+            raise _DrawError("draw failed")
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+def test_pruning_joins_its_worker_when_it_completes():
+    before = threading.active_count()
+    rep = pruning_inequality_experiment(ScaledWishartSampler(4, 6, 0.35), 3000, 0.3, 1)
+    assert rep.trials == 3000
+    assert threading.active_count() == before
+
+
+def test_pruning_joins_its_worker_when_the_spectra_raise(monkeypatch):
+    def failing_eigvalsh(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("spectrum failed")
+
+    before = threading.active_count()
+    sampler = ScaledWishartSampler(3, 2, 0.35)          # 3 x 3 stacks take eigvalsh
+    monkeypatch.setattr(lab, "max_eigenvalue", lambda a: 0.0)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+    with pytest.raises(np.linalg.LinAlgError, match="spectrum failed") as raised:
+        pruning_inequality_experiment(sampler, 5000, 0.3, 0)
+    # The traceback keeps the experiment's frame, and with it the generator, alive.
+    assert raised.tb is not None and threading.active_count() == before
+
+
+def test_pruning_hands_a_failed_draw_to_the_caller(monkeypatch):
+    before = threading.active_count()
+    monkeypatch.setattr(np.random, "default_rng", _FailingGenerator)
+    with pytest.raises(_DrawError, match="draw failed") as raised:
+        pruning_inequality_experiment(ScaledWishartSampler(4, 6, 0.35), 5000, 0.3, 0)
+    assert raised.tb is not None and threading.active_count() == before
+
+
+def test_wishart_blocks_closed_early_join_the_worker():
+    before = threading.active_count()
+    sampler = ScaledWishartSampler(4, 6, 0.35)
+    blocks = sampler.blocks(np.random.default_rng(0), [lab.TRIAL_BLOCK] * 6)
+    assert threading.active_count() == before          # nothing starts before the first block
+    first = next(blocks)
+    assert threading.active_count() == before + 1
+    blocks.close()
+    assert threading.active_count() == before
+    # The closed generator's first block is the first block of a full run, and
+    # each yielded stack is the caller's to keep.
+    full = list(sampler.blocks(np.random.default_rng(0), [lab.TRIAL_BLOCK] * 6))
+    np.testing.assert_array_equal(first, full[0])
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(full) for b in full[i + 1:])
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------

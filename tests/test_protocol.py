@@ -306,6 +306,20 @@ def test_cut_post_state_off_typical_is_zero():
     assert np.all(out == 0)
 
 
+def test_padded_letters_share_one_read_only_zero():
+    ens = canonical_ensemble(BASIS, MIXED)
+    padded = pad_ensemble(ens, 7)
+    pads = padded.post_states[ens.num_letters:]
+    assert len(pads) == 5 and all(s is pads[0] for s in pads)
+    assert not pads[0].flags.writeable and pads[0].dtype == complex
+    np.testing.assert_array_equal(pads[0], np.zeros((2, 2)))
+    np.testing.assert_array_equal(padded.weights[ens.num_letters:], 0.0)
+    # The real letters keep their own states.
+    for s, t in zip(padded.post_states, ens.post_states):
+        np.testing.assert_array_equal(s, t)
+    assert len({id(s) for s in padded.post_states}) == ens.num_letters + 1
+
+
 def test_cut_post_state_trace_deficit_bounded():
     rng = np.random.default_rng(2)
     rho = random_density(rng, 2)
