@@ -47,7 +47,6 @@ from .regions import (
     fourier_motzkin_eliminate,
     gain_indicator,
     augmented_region,
-    region_membership,
     surface_scan,
     distributed_region,
     point_to_point_region,

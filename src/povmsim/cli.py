@@ -71,7 +71,7 @@ def load_problem(source) -> ProblemSpec:
     ``f_s``/``f_t`` must map each of their outcomes into F_p for a prime
     ``p``, and ``p_zw`` must be defined on all of F_p.  A file is read on
     every call, but parsed and checked once per content: the problem is
-    memoised in ``protocol._BASES`` by the file's bytes, so an edited file is
+    memoised by the file's bytes (see ``memo``), so an edited file is
     read afresh and a refused one is refused again.  A dict is parsed on
     every call.
     """
@@ -79,8 +79,7 @@ def load_problem(source) -> ProblemSpec:
         return _parse_problem(source)
     with open(source, "rb") as fh:
         raw = fh.read()
-    return memoised(protocol._BASES, protocol.BASIS_CACHE_BYTES, ("problem", raw),
-                    lambda: _parse_problem(json.loads(raw)))
+    return memoised(("problem", raw), lambda: _parse_problem(json.loads(raw)))
 
 
 def _parse_problem(d: dict) -> ProblemSpec:

@@ -8,7 +8,6 @@ integers with mod-p reduction.
 
 from __future__ import annotations
 
-import collections
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +57,6 @@ def require_prime(p: int) -> int:
     return p
 
 
-VECTORS_CACHE_BYTES = 2 ** 22   # cap on the bytes of the all_vectors tables kept between calls
-_VECTORS = collections.OrderedDict()    # (length, p) -> table, least recently used first
-
-
 def _vectors(length: int, p: int) -> np.ndarray:
     table = np.zeros((1, 0), dtype=np.int64)
     if length:
@@ -73,11 +68,11 @@ def _vectors(length: int, p: int) -> np.ndarray:
 def all_vectors(length: int, p: int) -> np.ndarray:
     """All p**length vectors over F_p in lexicographic order, shape (p**length, length).
 
-    Memoised in ``_VECTORS`` within VECTORS_CACHE_BYTES (see ``memo.memoised``;
-    a table above the cap is built on every call), and read-only: callers
-    index into the table but never write it.
+    Memoised by ``("vectors", length, p)`` (see ``memo``; a table above the
+    cap is built on every call), and read-only: callers index into the
+    table but never write it.
     """
-    return memoised(_VECTORS, VECTORS_CACHE_BYTES, (length, p), lambda: _vectors(length, p))
+    return memoised(("vectors", length, p), lambda: _vectors(length, p))
 
 
 @dataclass(frozen=True, eq=False)

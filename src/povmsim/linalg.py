@@ -209,32 +209,20 @@ class Povm:
 
 @dataclass(frozen=True, eq=False)
 class PovmValidation:
-    mode: str
     element_psd_defects: tuple[float, ...]   # max(0, -min eigenvalue) per element
-    completeness_defect: float               # ||I - sum||_1 (povm) or max eig(sum - I) (sub_povm)
-    completion: np.ndarray | None            # I - sum, returned for sub_povm mode
+    completeness_defect: float               # ||I - sum||_1
     ok: bool
 
 
-def validate_povm(povm: Povm, mode: str = "povm", tol: float = DEFAULT_TOL) -> PovmValidation:
-    """Report per-element PSD defects and the (sub-)completeness defect.
+def validate_povm(povm: Povm, tol: float = DEFAULT_TOL) -> PovmValidation:
+    """Report per-element PSD defects and the completeness defect.
 
     Report-only: never raises on an invalid collection.
     """
-    if mode not in ("povm", "sub_povm"):
-        raise ValueError(f"unknown mode {mode!r}")
     defects = tuple(max(0.0, -min_eigenvalue(e)) for e in povm.elements)
-    total = sum(povm.elements)
-    eye = np.eye(povm.dim)
-    if mode == "povm":
-        comp_defect = trace_norm(eye - total)
-        completion = None
-        ok = comp_defect <= tol and all(d <= tol for d in defects)
-    else:
-        comp_defect = max_eigenvalue(total - eye)
-        completion = hermitian_part(eye - total)
-        ok = comp_defect <= tol and all(d <= tol for d in defects)
-    return PovmValidation(mode, defects, float(comp_defect), completion, ok)
+    comp_defect = trace_norm(np.eye(povm.dim) - sum(povm.elements))
+    ok = comp_defect <= tol and all(d <= tol for d in defects)
+    return PovmValidation(defects, float(comp_defect), ok)
 
 
 def von_neumann_entropy(rho, tol: float = DEFAULT_TOL) -> float:

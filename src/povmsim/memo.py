@@ -1,16 +1,26 @@
-"""Byte-bounded least-recently-used memos keyed by content.
+"""The one byte-bounded least-recently-used memo of the process, keyed by content.
 
-A memo is an ``OrderedDict``, least recently used first, whose values give
-their size as ``nbytes``.  ``memoised`` returns a key's value, building it on
-a miss, and keeps the memo within a byte cap that it reads on every call.
-Keys are content: file bytes, array bytes with dtype and shape
-(``array_key``) and sizes, never object ids, which a new object can reuse
-once the old one is freed.  A memo belongs to its process and is not locked.
+Every value worth keeping between calls lives in one store under one cap,
+``CAP``: parsed problem files, protocol bases and their type-class factors,
+targets, n-copy states, K's target data on a state and the ``all_vectors``
+tables.  ``memoised(key, build)`` returns a key's value, building it on a
+miss.  A key is a tuple tagged by its kind first, then content: file bytes,
+array bytes with dtype and shape (``array_key``) and sizes, never object
+ids, which a new object can reuse once the old one is freed.  A value gives
+its size as ``nbytes`` and is complete when it is stored, so its size is
+counted once, at insert, and the store keeps its byte total as it inserts
+and evicts.  The memo belongs to its process and is not locked.
 """
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
+
+CAP = 2 ** 26       # cap on the bytes the store keeps, read at every insert
+_STORE = collections.OrderedDict()      # key -> (value, its nbytes when stored), LRU first
+_held = 0                               # the bytes of the values in _STORE
 
 
 def array_key(arrays) -> tuple:
@@ -31,29 +41,38 @@ def nbytes(*parts) -> int:
     return total
 
 
-def trim(memo, cap: int) -> None:
-    """Drop the least recently used values until the memo holds at most ``cap`` bytes."""
-    held = sum(v.nbytes for v in memo.values())
-    while held > cap:
-        held -= memo.popitem(last=False)[1].nbytes
+def clear() -> None:
+    """Empty the store."""
+    global _held
+    _STORE.clear()
+    _held = 0
 
 
-def memoised(memo, cap: int, key, build):
-    """The value of ``key`` in ``memo``, ``build()`` on a miss, now the most recently used.
+def _trim() -> None:
+    """Drop the least recently used values until the store holds at most ``CAP`` bytes."""
+    global _held
+    while _held > CAP:
+        _held -= _STORE.popitem(last=False)[1][1]
 
-    A built value above ``cap`` bytes is returned but not kept, and drops
-    nothing; any other is kept, and the memo is trimmed to the cap.  A hit
-    only reorders the memo, so a value that grows after it is kept (say, by
-    filling a cache of its own) counts at its new size at the next insert,
-    or when its owner calls ``trim``.  A failed build stores nothing, so the
-    next call builds again.
+
+def memoised(key, build):
+    """The value of ``key``, ``build()`` on a miss, now the most recently used.
+
+    A built value above ``CAP`` bytes is returned but not kept, and drops
+    nothing; any other is kept.  Every call leaves the store within the cap,
+    so a lowered cap takes effect at the next call.  A failed build stores
+    nothing, so the next call builds again.
     """
-    value = memo.get(key)
-    if value is not None:
-        memo.move_to_end(key)
-        return value
-    value = build()
-    if value.nbytes <= cap:
-        memo[key] = value
-        trim(memo, cap)
+    global _held
+    hit = _STORE.get(key)
+    if hit is not None:
+        _STORE.move_to_end(key)
+        value = hit[0]
+    else:
+        value = build()
+        size = value.nbytes
+        if size <= CAP:
+            _STORE[key] = (value, size)
+            _held += size
+    _trim()
     return value

@@ -9,7 +9,6 @@ target measurement.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 from collections.abc import Mapping
@@ -35,7 +34,7 @@ from .linalg import (
     kron_all,
     partial_trace,
 )
-from .memo import array_key, memoised, nbytes, trim
+from .memo import array_key, memoised, nbytes
 
 SEQUENCE_CAP = 2 ** 20   # cap on p**n (sequence enumeration)
 DIM_CAP = 4200           # cap on dim(H)**n (dense operators)
@@ -389,7 +388,10 @@ def _cut_directions(y: np.ndarray, x: np.ndarray) -> tuple:
     Code b cuts Y v / s for each eigenpair (s**2, v) of the small Gram
     Y^dagger Y with s**2 above 1 + PRUNE_TOL: cut[b] orthonormal eigenvectors
     of Y Y^dagger, the first columns of v_cut[b] (the rest are 0), and
-    f[b] = X - V_cut (V_cut^dagger X).  ``x`` is pruned in place and returned as f.
+    f[b] = X - V_cut (V_cut^dagger X).  A code cut in every direction has
+    V_cut spanning range(Y) = range(X) (Y = X diag(sqrt gamma), gamma > 0),
+    so its f is exactly 0 and takes no product.  ``x`` is pruned in place
+    and returned as f.
     """
     s2, v = np.linalg.eigh(y.conj().transpose(0, 2, 1) @ y)
     cut, v_cut = (s2 > 1.0 + PRUNE_TOL).sum(axis=1), np.zeros_like(y)
@@ -398,7 +400,10 @@ def _cut_directions(y: np.ndarray, x: np.ndarray) -> tuple:
         # Fortran-ordered, as one eigh's masked columns are: the BLAS product rounds by layout.
         kept = np.ascontiguousarray(v[at, :, -c:].transpose(0, 2, 1)).transpose(0, 2, 1)
         vc = (y[at] @ kept) / np.sqrt(s2[at, None, -c:])
-        x[at] -= vc @ (vc.conj().transpose(0, 2, 1) @ x[at])
+        if c == x.shape[2]:
+            x[at] = 0.0
+        else:
+            x[at] -= vc @ (vc.conj().transpose(0, 2, 1) @ x[at])
         v_cut[at, :, :c] = vc
     return cut, v_cut, x
 
@@ -524,8 +529,8 @@ def _decode(codewords: np.ndarray, accept: np.ndarray) -> tuple:
 class _SideBasis:
     """The seed-independent half of one side (see ``Side``); every array is read-only.
 
-    ``per_type`` maps a type class, its sorted word as a base-p index, to its
-    X (see ``_build_side``), built when a code first holds a word of the class.
+    The X of a type class (see ``_build_side``) is its own memo entry, keyed
+    by ``key`` and the class, its sorted word as a base-p index.
     """
 
     rho: DensityOperator
@@ -535,19 +540,19 @@ class _SideBasis:
     inv: np.ndarray             # Q = U diag(inv) U^dagger
     spectra: list               # _Spectrum per post-state
     norm: float                 # p**n / ((1 + eta) p**(k+l))
-    per_type: dict
+    key: tuple                  # the basis's key and the side's place in it
 
     def type_factors(self, reps: np.ndarray) -> list:
         """The X of each type class in ``reps``."""
+        return [memoised(("type class", self.key, r), lambda r=r: self._type_factor(r))
+                for r in reps.tolist()]
+
+    def _type_factor(self, r: int) -> np.ndarray:
         n, p, d = self.tset.n, self.ens.num_letters, self.rho.dim
-        new = [r for r in reps.tolist() if r not in self.per_type]
-        if new:
-            u_inv, u_adj, idx = self.typical * self.inv, self.typical.conj().T, all_vectors(n, d)
-            for r, rep in zip(new, _digits(new, p, n).tolist()):
-                cols, eig = _cond_typical_columns(self.spectra, rep, self.tset.delta, idx)
-                x = cols * np.sqrt(np.clip(eig, 0.0, None) * (self.norm * self.ens.weight_of(rep)))
-                self.per_type[r] = _read_only(u_inv @ (u_adj @ x))
-        return [self.per_type[r] for r in reps.tolist()]
+        rep = _digits(r, p, n).tolist()
+        cols, eig = _cond_typical_columns(self.spectra, rep, self.tset.delta, all_vectors(n, d))
+        x = cols * np.sqrt(np.clip(eig, 0.0, None) * (self.norm * self.ens.weight_of(rep)))
+        return _read_only((self.typical * self.inv) @ (self.typical.conj().T @ x))
 
 
 @dataclass(eq=False)
@@ -562,14 +567,8 @@ class _Basis:
     def nbytes(self) -> int:
         """The bytes of its large arrays and of its typical sets' masks."""
         tsets = {id(t): t for t in (self.tset_w, *(s.tset for s in self.sides))}.values()
-        arrays = [a for s in self.sides for a in (s.typical, s.inv, *s.per_type.values())]
+        arrays = [a for s in self.sides for a in (s.typical, s.inv)]
         return sum(a.nbytes for a in [t.mask for t in tsets] + arrays)
-
-
-# The seed-independent half of ``simulate``, least recently used first: bases,
-# targets, n-copy states and parsed problem files, keyed by content and kind.
-BASIS_CACHE_BYTES = 2 ** 26     # cap on the bytes the memo keeps between builds
-_BASES = collections.OrderedDict()
 
 
 def _post_state_spectra(ens: CanonicalEnsemble) -> list:
@@ -584,7 +583,7 @@ def _post_state_spectra(ens: CanonicalEnsemble) -> list:
 
 
 def _basis(params: ProtocolParams, povms, rho: DensityOperator) -> _Basis:
-    """The seed-independent half of ``_build``, memoised in ``_BASES`` by content.
+    """The seed-independent half of ``_build``, memoised by content (see ``memo``).
 
     The key holds the POVM elements, ``rho`` and its registers, n, k, p, each
     side's l, eta and delta, but neither the seed nor N, so every code draw of
@@ -593,10 +592,10 @@ def _basis(params: ProtocolParams, povms, rho: DensityOperator) -> _Basis:
     key = ("basis", array_key([a for m in povms for a in m.elements] + [rho.mat]),
            tuple(map(len, povms)), rho.register_dims, params.n, params.k, params.p,
            tuple(l for l, _ in params.sides), params.eta, params.delta)
-    return memoised(_BASES, BASIS_CACHE_BYTES, key, lambda: _new_basis(params, povms, rho))
+    return memoised(key, lambda: _new_basis(params, povms, rho, key))
 
 
-def _new_basis(params: ProtocolParams, povms, rho: DensityOperator) -> _Basis:
+def _new_basis(params: ProtocolParams, povms, rho: DensityOperator, key: tuple) -> _Basis:
     n, p, count = params.n, params.p, len(params.sides)
     if len(povms) != count:
         raise ValueError(f"{len(povms)} POVM(s) for {count} side(s) of code sizes")
@@ -608,7 +607,8 @@ def _new_basis(params: ProtocolParams, povms, rho: DensityOperator) -> _Basis:
         u, inv = map(_read_only, _typical_factor(state.mat, n, params.delta))
         sides.append(_SideBasis(state, ens, typical_set(ens.weights, n, params.delta), u, inv,
                                 _post_state_spectra(ens),
-                                p ** n / ((1.0 + params.eta) * (p ** params.k * p ** l)), {}))
+                                p ** n / ((1.0 + params.eta) * (p ** params.k * p ** l)),
+                                (key, s)))
     tset_w = sides[0].tset if count == 1 else typical_set(
         [float(np.trace(el @ rho.mat).real) for el in _sum_povm(povms, p).elements],
         n, p * params.delta)
@@ -643,14 +643,14 @@ def _build_side(base: _SideBasis, codewords: np.ndarray) -> Side:
     sorted_words = np.take_along_axis(words, orders, axis=1) @ p ** np.arange(n - 1, -1, -1)
     reps = np.unique(sorted_words)
     type_of = np.searchsorted(reps, sorted_words)
-    per_type = base.type_factors(reps)
-    type_ends = np.cumsum([0] + [x.shape[1] for x in per_type])
+    classes = base.type_factors(reps)
+    type_ends = np.cumsum([0] + [x.shape[1] for x in classes])
     lo, widths = type_ends[type_of], np.diff(type_ends)[type_of]
     # One gather: register j of a word's sorted type holds its letter at position
     # orders[j], so row r of X_w is the type's row with r's digit j moved to place
     # argsort(orders)[j] (found by an exact float product, for BLAS).
     back = np.repeat(np.argsort(orders, axis=1), widths, axis=0)     # per column of the X_w
-    built = _hstack(per_type, d ** n)[
+    built = _hstack(classes, d ** n)[
         (all_vectors(n, d) @ np.power(float(d), n - 1 - back).T).astype(np.int64),
         _ranges(lo, lo + widths)]
     ends = np.cumsum(np.append(0, widths))
@@ -743,10 +743,7 @@ def _build(params: ProtocolParams, povms, rho: DensityOperator) -> Instance:
     shifts = [rng.integers(0, p, size=(num, p ** l, n)).astype(digit_dtype(p))
               for l, num in params.sides]
     codewords = [_bin_indices(np.broadcast_to(g, (len(h),) + g.shape), h, p) for h in shifts]
-    classes = sum(len(b.per_type) for b in basis.sides)
     sides = tuple(_build_side(b, c) for b, c in zip(basis.sides, codewords))
-    if sum(len(b.per_type) for b in basis.sides) > classes:
-        trim(_BASES, BASIS_CACHE_BYTES)     # the basis has grown type classes
     sums = codewords[0]             # one side's codes are its sum codes
     if count > 1:
         # The sum codes' shifts, axes (N_1, ..., bins_1, ..., n), added side by side.
@@ -930,26 +927,21 @@ class ProductTarget:
 
     No T_z is formed: ``traces`` gives every Tr{T_z rho^{(x) n}}, and
     ``TensorPower.sandwiches`` every W^dagger T_z W, from the singles.  What
-    K reads of the target on a state, ``traces`` and ``diagonals``, is formed
-    on first use and kept for the last state, matched by its content
-    (``TensorPower.key``).  Every array is read-only.
+    K reads of the target on a state, ``traces`` and ``diagonals``, is one
+    memo entry, keyed by the target's content ``key`` (the singles' bytes,
+    dtype and shape, and n) and the state's (``TensorPower.key``).  Every
+    array is read-only.
     """
 
     def __init__(self, singles, n: int):
         self.singles = tuple(_read_only(_real_if_exact(np.array(s, dtype=complex)))
                              for s in singles)
         self.n = n
-        self._on = (None, None, None)       # (state key, traces, diagonals) of the last state
+        self.key = (array_key(self.singles), n)
 
-    def _against(self, state: TensorPower) -> tuple:
-        if self._on[0] != state.key:
-            stack = np.stack(self.singles)
-            per_copy = np.einsum("zij,ji->z", stack, state.single)
-            diagonals = state.diagonals(stack)
-            self._on = (state.key, _read_only(functools.reduce(np.multiply.outer,
-                                                               [per_copy] * self.n)),
-                        None if diagonals is None else _read_only(diagonals))
-        return self._on
+    def _against(self, state: TensorPower) -> _TargetOnState:
+        return memoised(("target on state", self.key, state.key),
+                        lambda: _TargetOnState(self, state))
 
     def traces(self, state: TensorPower) -> np.ndarray:
         """Tr{T_z rho^{(x) n}} for every z, as an array indexed by the tuple z.
@@ -957,15 +949,27 @@ class ProductTarget:
         ``state`` holds as many copies as the target has registers; each
         trace is the product of the single-copy traces.
         """
-        return self._against(state)[1]
+        return self._against(state).traces
 
     def diagonals(self, state: TensorPower) -> np.ndarray | None:
         """``state.diagonals`` of the singles: the real diagonals of their blocks, or None."""
-        return self._against(state)[2]
+        return self._against(state).diagonals
 
     @property
     def nbytes(self) -> int:
-        return nbytes(self.singles, self._on[1:])
+        return nbytes(self.singles)
+
+
+class _TargetOnState:
+    """What K reads of a ``ProductTarget`` on a ``TensorPower``: its traces and diagonals."""
+
+    def __init__(self, target: ProductTarget, state: TensorPower):
+        stack = np.stack(target.singles)
+        per_copy = np.einsum("zij,ji->z", stack, state.single)
+        self.traces = _read_only(functools.reduce(np.multiply.outer, [per_copy] * target.n))
+        diagonals = state.diagonals(stack)
+        self.diagonals = None if diagonals is None else _read_only(diagonals)
+        self.nbytes = nbytes(self.traces, self.diagonals)
 
 
 def _product_target(m: Povm, p_zw: StochasticMap, n: int) -> ProductTarget:
@@ -978,22 +982,21 @@ def _product_target(m: Povm, p_zw: StochasticMap, n: int) -> ProductTarget:
 def target_overall(m: Povm, p_zw: StochasticMap, n: int) -> ProductTarget:
     """(M composed with P_{Z|W})^{(x) n}: the measurement being simulated.
 
-    Memoised in ``_BASES`` by the content of M's elements and P_{Z|W}, and n.
+    Memoised by the content of M's elements and P_{Z|W}, and n.
     """
     key = ("target", array_key(m.elements), array_key([p_zw.probs]), n)
-    return memoised(_BASES, BASIS_CACHE_BYTES, key, lambda: _product_target(m, p_zw, n))
+    return memoised(key, lambda: _product_target(m, p_zw, n))
 
 
 def target_overall_distributed(m_a: Povm, m_b: Povm, p_zw: StochasticMap,
                                p: int, n: int) -> ProductTarget:
     """(M_AB composed with P_{Z|W})^{(x) n} in the interleaved (AB)^n ordering.
 
-    Memoised in ``_BASES`` by the content of both POVMs' elements and
-    P_{Z|W}, p and n.
+    Memoised by the content of both POVMs' elements and P_{Z|W}, p and n.
     """
     key = ("distributed target", array_key(m_a.elements), array_key(m_b.elements),
            array_key([p_zw.probs]), p, n)
-    return memoised(_BASES, BASIS_CACHE_BYTES, key, lambda: _product_target(
+    return memoised(key, lambda: _product_target(
         _sum_povm((m_a, m_b), p), extend_map_to_field(p_zw, p), n))
 
 
@@ -1005,8 +1008,9 @@ class TensorPower:
     columns of V sqrt(Lambda) at the index tuples ``idx`` (lexicographic
     order) whose eigenvalue product lambda clears the eigensolver's rounding
     floor dim * eps * lambda_max (dim = d**n).  ``w`` forms the dense d**n x r
-    factor; ``sandwiches`` never does.  ``key`` is the state's content: the
-    single copy's bytes, dtype and shape, and n.  Every array is read-only.
+    factor; ``sandwiches`` never does.  ``levels`` and ``gram_diagonal`` are
+    formed with the state.  ``key`` is the state's content: the single
+    copy's bytes, dtype and shape, and n.  Every array is read-only.
     """
 
     def __init__(self, single, n: int):
@@ -1022,13 +1026,14 @@ class TensorPower:
         self.idx, self.total = _read_only(idx[keep]), float(lam[keep].sum())
         self.rank = self.idx.shape[0]
         self.roots = _read_only(np.sqrt(np.clip(vals, 0.0, None)))
+        self.levels = self._levels()
+        self.gram_diagonal = self._gram_diagonal()
 
     @property
     def nbytes(self) -> int:
         return nbytes(vars(self))
 
-    @functools.cached_property
-    def levels(self) -> list:
+    def _levels(self) -> list:
         """Which entries of (d letters) x (kept suffixes from register j + 1) are kept suffixes.
 
         One entry per register j, last to first: the kept suffixes from
@@ -1051,8 +1056,7 @@ class TensorPower:
         """The dense factor W, formed on every access: a shared state does not keep it."""
         return _kron_columns([self.vecs * self.roots] * self.n, self.idx)
 
-    @functools.cached_property
-    def gram_diagonal(self) -> np.ndarray | None:
+    def _gram_diagonal(self) -> np.ndarray | None:
         """lam, the diagonal of W^dagger W, or None when a block of I is not diagonal.
 
         See ``diagonals``.
@@ -1119,9 +1123,8 @@ class TensorPower:
 
 
 def tensor_power(rho: DensityOperator, n: int) -> TensorPower:
-    """``TensorPower(rho, n)``, memoised in ``_BASES`` by the content of ``rho.mat`` and n."""
-    return memoised(_BASES, BASIS_CACHE_BYTES, ("state", array_key([rho.mat]), n),
-                    lambda: TensorPower(rho, n))
+    """``TensorPower(rho, n)``, memoised by the content of ``rho.mat`` and n."""
+    return memoised(("state", array_key([rho.mat]), n), lambda: TensorPower(rho, n))
 
 
 SPECTRUM_BLOCK = 2 ** 16    # entries of one stacked (keys, r, r) batch of trace norms
@@ -1213,7 +1216,6 @@ def faithfulness(state: TensorPower, target: ProductTarget, candidate: FactoredC
             and len(target.singles) == candidate.output_size):
         raise ValueError("faithfulness takes a TensorPower, and a ProductTarget and a "
                          "FactoredCandidate on its copies and one output alphabet")
-    first = target._on[0] != state.key      # the target's side of K is formed for this state
     terms = _diagonal_terms(target, state, candidate)
     if terms is None:
         terms = _dense_terms(target, state, candidate)
@@ -1222,6 +1224,4 @@ def faithfulness(state: TensorPower, target: ProductTarget, candidate: FactoredC
         k -= mass
         k += norms
     k += _absent_mass(target, state, candidate.outputs)
-    if first:
-        trim(_BASES, BASIS_CACHE_BYTES)     # what the memo shares may have grown
     return k

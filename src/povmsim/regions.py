@@ -42,9 +42,6 @@ class LinearInequality:
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "const", float(self.const))
 
-    def evaluate(self, point: dict) -> float:
-        return sum(c * point[v] for v, c in self.coeffs.items()) - self.const
-
 
 @dataclass(frozen=True)
 class RateRegion:
@@ -81,13 +78,6 @@ class RateRegion:
             return np.zeros(pts.shape[0], dtype=bool)
         a, c = self.matrix()
         return np.all(pts @ a.T >= c - slack, axis=1)
-
-
-def region_membership(region: RateRegion, point: dict, slack: float = MEMBERSHIP_SLACK) -> bool:
-    """True iff every inequality holds within ``slack``."""
-    if not region.feasible:
-        return False
-    return all(ineq.evaluate(point) >= -slack for ineq in region.inequalities)
 
 
 def _dominance_prune(ineqs) -> list:
@@ -287,26 +277,6 @@ def augmented_region(q: InfoQuantities) -> RateRegion:
         I({"R1": 1}, 0.0), I({"R2": 1}, 0.0), I({"C1": 1}, 0.0), I({"C2": 1}, 0.0),
     ]
     return RateRegion(("Rt", "R1", "R2", "C1", "C2"), tuple(rows))
-
-
-def sample_box(regions, pad: float = 2.0):
-    """Bounding box [-pad*c, pad*c] per variable, c = max(1, largest |const|)."""
-    c = 1.0
-    for region in regions:
-        for ineq in region.inequalities:
-            c = max(c, abs(ineq.const))
-    return -pad * c, pad * c
-
-
-def membership_disagreements(r1: RateRegion, r2: RateRegion, num_samples: int,
-                             seed: int, slack: float = MEMBERSHIP_SLACK) -> int:
-    """Count membership disagreements on uniform box samples; variables must match."""
-    if tuple(r1.variables) != tuple(r2.variables):
-        raise ValueError("regions must share a variable ordering")
-    lo, hi = sample_box([r1, r2])
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(lo, hi, size=(num_samples, len(r1.variables)))
-    return int(np.sum(r1.contains_points(pts, slack) != r2.contains_points(pts, slack)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
 
-from povmsim import protocol
+from povmsim import memo
 from povmsim.cli import bundled_example_path, load_problem
 from povmsim.linalg import DensityOperator, Povm, psd_pinv_sqrt
+from povmsim.regions import MEMBERSHIP_SLACK
 
 
 @pytest.fixture(autouse=True)
-def fresh_protocol_bases():
-    """Each test starts with no memoised protocol basis, so none built in another test is read."""
-    protocol._BASES.clear()
+def fresh_memo():
+    """Each test starts with an empty memo, so nothing built in another test is read."""
+    memo.clear()
+
+
+def kept(kind: str) -> dict:
+    """key -> value of the memo's entries of ``kind``, least recently used first."""
+    return {key: value for key, (value, _) in memo._STORE.items() if key[0] == kind}
 
 
 def members(tset) -> tuple:
@@ -121,3 +127,23 @@ def random_consistent_quantities(rng, p=None):
         i_v_rzu=float(rng.uniform(0, 2)),
         log_p=float(np.log2(p)),
     )
+
+
+def sample_box(regions, pad: float = 2.0):
+    """Bounding box [-pad*c, pad*c] per variable, c = max(1, largest |const|)."""
+    c = 1.0
+    for region in regions:
+        for ineq in region.inequalities:
+            c = max(c, abs(ineq.const))
+    return -pad * c, pad * c
+
+
+def membership_disagreements(r1, r2, num_samples: int, seed: int,
+                             slack: float = MEMBERSHIP_SLACK) -> int:
+    """Count membership disagreements on uniform box samples; variables must match."""
+    if tuple(r1.variables) != tuple(r2.variables):
+        raise ValueError("regions must share a variable ordering")
+    lo, hi = sample_box([r1, r2])
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(lo, hi, size=(num_samples, len(r1.variables)))
+    return int(np.sum(r1.contains_points(pts, slack) != r2.contains_points(pts, slack)))

@@ -244,7 +244,8 @@ def code_side(codewords, gamma, factors, hits, typical):
     own = {w: x for w, x in factors.items() if w in gamma}
     v_cut = cut_directions(_hstack([np.sqrt(gamma[w]) * x for w, x in own.items()], dim))
     x = _hstack(own.values(), dim)
-    f = x - v_cut @ (v_cut.conj().T @ x)
+    # Every column cut: V_cut spans range(Y) = range(X), so F is exactly 0.
+    f = np.zeros_like(x) if v_cut.shape[1] == x.shape[1] else x - v_cut @ (v_cut.conj().T @ x)
     widths = np.array([x_w.shape[1] * (w in gamma) for w, x_w in factors.items()] + [0])
     ends = np.cumsum(widths)
     a_factors = {w: f[:, e - c:e] for w, c, e in zip(factors, widths.tolist(), ends.tolist())

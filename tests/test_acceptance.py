@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from conftest import (
+    membership_disagreements,
     random_complete_povm,
     random_consistent_quantities,
     random_density,
     random_hermitian,
     random_psd,
     rotated_qubit_problem,
+    sample_box,
 )
 from povmsim import lab, protocol, regions
 from povmsim.cli import bundled_example_path, default_covering_instance, load_problem, main
@@ -27,7 +29,6 @@ from povmsim.regions import (
     compute_p2p_quantities,
     fourier_motzkin_eliminate,
     gain_indicator,
-    membership_disagreements,
     augmented_region,
     distributed_inequalities,
     distributed_region,
@@ -95,7 +96,7 @@ def test_region_comparison(q1):
     # satisfies all five distributed inequalities yet violates the baseline row.
     five = RateRegion(("R1", "R2", "C1", "C2"), distributed_inequalities(q1))
     rng = np.random.default_rng(123)
-    lo, hi = regions.sample_box([five])
+    lo, hi = sample_box([five])
     pts = rng.uniform(lo, hi, size=(10000, 4))
     inside = five.contains_points(pts)
     violates = pts.sum(axis=1) < baseline.const - 1e-9

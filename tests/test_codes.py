@@ -1,4 +1,3 @@
-import collections
 import itertools
 import re
 import tracemalloc
@@ -7,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from povmsim import codes
+from povmsim import codes, memo
 from povmsim.codes import (
     CodeEnsembleSpec,
     PairwiseReport,
@@ -26,17 +25,18 @@ def test_all_vectors_cache_holds_at_most_its_byte_cap(monkeypatch):
     # 192 + 144 bytes fit: a hit makes (3, 2) the most recently used, so
     # (1, 5) pushes (2, 3) out; the 9720-byte (5, 3) table is above the cap,
     # returned in order but not kept, and drops nothing.
-    monkeypatch.setattr(codes, "_VECTORS", collections.OrderedDict())
-    monkeypatch.setattr(codes, "VECTORS_CACHE_BYTES", 192 + 144)
+    monkeypatch.setattr(memo, "CAP", 192 + 144)
     first = all_vectors(3, 2)
     all_vectors(2, 3)
-    assert all_vectors(3, 2) is first and list(codes._VECTORS) == [(2, 3), (3, 2)]
+    assert all_vectors(3, 2) is first and list(memo._STORE) == [("vectors", 2, 3),
+                                                                ("vectors", 3, 2)]
     all_vectors(1, 5)
-    assert list(codes._VECTORS) == [(3, 2), (1, 5)]
+    assert list(memo._STORE) == [("vectors", 3, 2), ("vectors", 1, 5)]
     big = all_vectors(5, 3)
-    assert list(codes._VECTORS) == [(3, 2), (1, 5)] and not big.flags.writeable
+    assert list(memo._STORE) == [("vectors", 3, 2), ("vectors", 1, 5)]
+    assert not big.flags.writeable
     np.testing.assert_array_equal(big, np.array(list(itertools.product(range(3), repeat=5))))
-    assert sum(t.nbytes for t in codes._VECTORS.values()) <= codes.VECTORS_CACHE_BYTES
+    assert sum(size for _, size in memo._STORE.values()) <= memo.CAP
 
 
 def test_is_prime():

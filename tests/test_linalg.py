@@ -221,31 +221,14 @@ def test_psd_sqrt_rejects_negative():
 
 
 def test_validate_povm_identity():
-    rep = validate_povm(Povm((np.eye(2),)), mode="povm")
+    rep = validate_povm(Povm((np.eye(2),)))
     assert rep.ok and rep.completeness_defect == pytest.approx(0.0, abs=1e-12)
 
 
 def test_validate_povm_example1(example1):
-    rep = validate_povm(example1.m_a, mode="povm")
+    rep = validate_povm(example1.m_a)
     assert rep.ok
     assert max(rep.element_psd_defects) <= 1e-9
-
-
-def test_validate_sub_povm_completion():
-    rep = validate_povm(Povm((np.eye(2) / 2,)), mode="sub_povm")
-    assert rep.ok
-    assert np.allclose(rep.completion, np.eye(2) / 2)
-
-
-def test_sub_povm_completion_restores_identity():
-    rng = np.random.default_rng(8)
-    els = [random_psd(rng, 3) for _ in range(3)]
-    scale = 1.05 * np.linalg.eigvalsh(sum(els))[-1]
-    sub = Povm(tuple(e / scale for e in els))
-    rep = validate_povm(sub, mode="sub_povm")
-    assert rep.ok
-    total = sum(sub.elements) + rep.completion
-    assert np.max(np.abs(total - np.eye(3))) < 1e-10
 
 
 def test_pruning_projector_examples():

@@ -1,10 +1,10 @@
 """The content-keyed memo of the seed-independent half of ``simulate``.
 
-One byte-bounded LRU helper, ``memo.memoised``, keeps the parsed problem
-files, the targets, the n-copy states and the protocol bases in
-``protocol._BASES`` (and the word tables in ``codes._VECTORS``).  A warm run
-must be the cold run bit for bit, and an edited or refused file must be read
-afresh.
+One byte-bounded LRU store, ``memo``, keeps the parsed problem files, the
+targets and their data on a state, the n-copy states, the protocol bases and
+their type classes, and the word tables under one cap.  A warm run must be
+the cold run bit for bit, an edited or refused file must be read afresh, and
+no entry may change size after it is stored.
 """
 
 import collections
@@ -42,15 +42,15 @@ def test_warm_simulate_is_the_cold_one_byte_for_byte(tmp_path, name):
     argv, out = RUNS[name], tmp_path / "sim.json"
     cold = []
     for seed in range(3):
-        protocol._BASES.clear()
+        memo.clear()
         cold.append(_simulate(argv, seed, out))
-    protocol._BASES.clear()
+    memo.clear()
     _simulate(argv, 7, out)
-    kinds = {key[0] for key in protocol._BASES}
+    kinds = {key[0] for key in memo._STORE}
     assert {"problem", "basis", "state"} <= kinds and kinds & {"target", "distributed target"}
-    held = dict(protocol._BASES)
+    held = dict(memo._STORE)
     assert [_simulate(argv, seed, out) for seed in range(3)] == cold
-    assert all(protocol._BASES[key] is value for key, value in held.items())
+    assert all(memo._STORE[key][0] is value for key, (value, _) in held.items())
 
 
 def _arrays(obj) -> list:
@@ -89,7 +89,7 @@ def test_warm_problem_target_state_and_k_equal_the_cold_ones(ident):
     warm_up = _seed_free_half(ident)
     warm = _seed_free_half(ident)
     assert all(w is u for w, u in zip(warm[:3], warm_up[:3]))      # hits: the same objects
-    protocol._BASES.clear()
+    memo.clear()
     cold = _seed_free_half(ident)
     assert all(w is not c for w, c in zip(warm[:3], cold[:3]))
     assert warm[3] == cold[3]
@@ -131,7 +131,7 @@ def test_problem_is_keyed_by_the_file_bytes(tmp_path):
 def test_a_dict_problem_is_parsed_on_every_call():
     d = json.loads(Path(bundled_example_path(1)).read_text())
     assert load_problem(d) is not load_problem(d)
-    assert not [key for key in protocol._BASES if key[0] == "problem"]
+    assert not [key for key in memo._STORE if key[0] == "problem"]
 
 
 @pytest.mark.parametrize("command", ["rates", "simulate"])
@@ -147,7 +147,7 @@ def test_a_malformed_file_is_refused_on_every_call(tmp_path, command):
     for path in (bad_json, short_fs, bad_json, short_fs):
         assert main([command, "--spec", str(path), *extra, "--out", str(out)]) == EXIT_BAD_SPEC
         assert "malformed problem file" in json.loads(out.read_text())["error"]
-    assert not [key for key in protocol._BASES if key[0] == "problem"]
+    assert not [key for key in memo._STORE if key[0] == "problem"]
     # Mended in place, the file is accepted.
     short_fs.write_bytes(Path(bundled_example_path(1)).read_bytes())
     assert main([command, "--spec", str(short_fs), *extra, "--out", str(out)]) == 0
@@ -160,49 +160,95 @@ class _Sized:
         self.nbytes = nbytes
 
 
-def test_memoised_holds_its_cap_least_recently_used_first():
-    store, built = collections.OrderedDict(), []
+def test_memoised_holds_its_cap_least_recently_used_first(monkeypatch):
+    monkeypatch.setattr(memo, "CAP", 100)
+    built = []
 
-    def get(key, size, cap=100):
-        return memo.memoised(store, cap, key, lambda: built.append(key) or _Sized(size))
+    def get(key, size):
+        return memo.memoised(key, lambda: built.append(key) or _Sized(size))
 
     a = get("a", 40)
     get("b", 30)
-    assert get("a", 40) is a and list(store) == ["b", "a"] and built == ["a", "b"]
+    assert get("a", 40) is a and list(memo._STORE) == ["b", "a"] and built == ["a", "b"]
     get("c", 50)        # 120 bytes: the least recently used, b, goes
-    assert list(store) == ["a", "c"]
+    assert list(memo._STORE) == ["a", "c"]
     big = get("big", 101)    # above the cap: used once, not kept, and drops nothing
-    assert big.nbytes == 101 and list(store) == ["a", "c"]
+    assert big.nbytes == 101 and list(memo._STORE) == ["a", "c"]
     assert get("big", 101) is not big and built == ["a", "b", "c", "big", "big"]
     get("d", 100)       # exactly the cap: every other value goes
-    assert list(store) == ["d"]
+    assert list(memo._STORE) == ["d"]
     for key, size in zip("efghij", [10, 60, 35, 5, 70, 20]):
         get(key, size)
-        assert sum(v.nbytes for v in store.values()) <= 100
-    assert list(store) == ["h", "i", "j"]
+        assert memo._held == sum(size for _, size in memo._STORE.values()) <= 100
+    assert list(memo._STORE) == ["h", "i", "j"]
+    # A lowered cap holds from the next call on, a hit included.
+    monkeypatch.setattr(memo, "CAP", 25)
+    assert get("j", 20).nbytes == 20 and list(memo._STORE) == ["j"] and memo._held == 20
 
 
 def test_a_failed_build_stores_nothing():
-    store = collections.OrderedDict()
-
     def fail():
         raise ValueError("refused")
 
     for _ in range(2):
         with pytest.raises(ValueError, match="refused"):
-            memo.memoised(store, 100, "k", fail)
-    assert not store
+            memo.memoised("k", fail)
+    assert not memo._STORE and memo._held == 0
+
+
+class _Evictions(collections.OrderedDict):
+    """A memo store that records the kind of every entry it evicts."""
+
+    def __init__(self):
+        super().__init__()
+        self.evicted = set()
+
+    def popitem(self, last=True):
+        key, value = super().popitem(last)
+        self.evicted.add(key[0])
+        return key, value
 
 
 def test_the_shared_memo_holds_its_cap_across_kinds(tmp_path, monkeypatch):
-    # Problems, targets, states and bases share BASIS_CACHE_BYTES: with room for
-    # a few KB, alternating two problems keeps the memo within the cap after
-    # every op, and the output stays that of an unlimited memo.
+    # Problems, targets and their data on a state, states, bases with their
+    # type classes and word tables share one cap.  With room for a few KB,
+    # alternating two problems keeps the memo within the cap after every op;
+    # at 3000 bytes every kind evicts the others.  The output stays that of an
+    # unlimited memo.
     out, ops = tmp_path / "sim.json", [(RUNS["dist_example1"], 0), (RUNS["dist_example2"], 1)] * 2
     unlimited = [_simulate(argv, seed, out) for argv, seed in ops]
-    monkeypatch.setattr(protocol, "BASIS_CACHE_BYTES", 6000)
-    protocol._BASES.clear()
-    for (argv, seed), want in zip(ops, unlimited):
-        assert _simulate(argv, seed, out) == want
-        assert sum(v.nbytes for v in protocol._BASES.values()) <= 6000
-    assert len({key[0] for key in protocol._BASES}) > 1
+    for cap in (6000, 3000):
+        monkeypatch.setattr(memo, "CAP", cap)
+        monkeypatch.setattr(memo, "_STORE", _Evictions())
+        memo.clear()
+        for (argv, seed), want in zip(ops, unlimited):
+            assert _simulate(argv, seed, out) == want
+            assert memo._held == sum(size for _, size in memo._STORE.values()) <= cap
+        assert len({key[0] for key in memo._STORE}) > 1
+    assert {"vectors", "problem", "basis", "state", "distributed target",
+            "target on state"} <= memo._STORE.evicted
+
+
+# Ops of every kind that fills the memo: p2p and distributed simulate, both
+# bundled rate computations and a UCC covering run.
+OPS = [
+    ["simulate", "--mode", "p2p", "--n", "6", "--k", "0", "--l", "4", "--N", "2",
+     "--delta", "0.7"],
+    ["simulate", *RUNS["dist_example2"]],
+    ["rates", "--spec", bundled_example_path(1)],
+    ["rates", "--spec", bundled_example_path(2)],
+    ["covering", "--M", "16", "--trials", "200", "--sampler", "ucc", "--k", "2", "--l", "2"],
+]
+
+
+def test_entries_keep_their_size_and_the_store_its_cap(tmp_path):
+    # Each op runs twice, so an entry read again by a warm op would show any growth.
+    stored = {}
+    for argv in OPS * 2:
+        assert main([*argv, "--seed", "1", "--out", str(tmp_path / "out.json")]) == 0
+        assert memo._held == sum(size for _, size in memo._STORE.values()) <= memo.CAP
+        stored.update(memo._STORE)
+    kinds = {key[0] for key in stored}
+    assert {"vectors", "problem", "basis", "type class", "state", "target",
+            "distributed target", "target on state"} <= kinds
+    assert all(value.nbytes == size for value, size in stored.values())

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import dense_reference as dense
 import loop_reference as loop
 from conftest import (
+    kept,
     members,
     random_complete_povm,
     random_density,
@@ -23,7 +24,7 @@ from conftest import (
     random_unitary,
     rotated_qubit_problem,
 )
-from povmsim import codes, protocol
+from povmsim import codes, memo, protocol
 from povmsim.codes import CodeEnsembleSpec, UccCode, all_codewords, sample_ensemble
 from povmsim.cli import (
     EXIT_BAD_PROTOCOL,
@@ -45,7 +46,6 @@ from povmsim.linalg import (
     min_eigenvalue,
     partial_trace,
     psd_pinv_sqrt,
-    validate_povm,
 )
 from povmsim.regions import surface_scan
 from povmsim.protocol import (
@@ -239,10 +239,9 @@ def test_padded_letters_share_one_spectrum(monkeypatch, p):
 
 
 def test_build_enumerates_the_words_once(monkeypatch):
-    # p2p at p = 3, n = 10: the 3**10-row table of all words is above the
-    # all_vectors cache, so each call would rebuild it.  The typical set takes
-    # the words in chunks of indices, so neither a cold build nor a warm one
-    # (another seed) asks for the table.
+    # p2p at p = 3, n = 10: the 3**10-row table of all words takes 4.7 MB.
+    # The typical set takes the words in chunks of indices, so neither a cold
+    # build nor a warm one (another seed) asks for the table.
     calls = []
     real = protocol.all_vectors
 
@@ -252,7 +251,6 @@ def test_build_enumerates_the_words_once(monkeypatch):
 
     monkeypatch.setattr(protocol, "all_vectors", spy)
     rho, m, _ = _default_p2p_problem()
-    assert real(10, 3).nbytes > codes.VECTORS_CACHE_BYTES
     for seed in (0, 1):
         calls.clear()
         params = ProtocolParams(n=10, k=0, p=3, sides=((4, 2),), delta=0.7, seed=seed)
@@ -732,8 +730,9 @@ def _rotated_rank_one_problem():
 
     sqrt(0.8)|00> + sqrt(0.2)|11> in qubit bases rotated by 0.3 and 0.9 rad.
     The post-states are pure, so the bins are live: at n = 3, k = 0,
-    l = l2 = 2, N = N2 = 2, delta = 0.7 and seed 1, 2 + 2 of the A bins and
-    3 + 3 of the B bins are nonzero.
+    l = l2 = 2, N = N2 = 2, eta = 0.5, delta = 0.7 and seed 1, 2 + 2 of the
+    A bins and 3 + 3 of the B bins are nonzero.  At eta = 0.1 pruning cuts
+    every direction of the A codes, and every A bin is exactly 0.
     """
     spec = load_problem(bundled_example_path(4))
     return spec.rho_ab, spec.m_a, spec.m_b
@@ -750,10 +749,12 @@ def test_distributed_candidate_matches_kron_reference(example1):
     cases = [(example1.rho_ab, example1.m_a, example1.m_b,
               ProtocolParams(n=2, k=1, p=2, sides=((1, 2), (1, 2)), eta=0.1, delta=0.5,
                              seed=1), [0, 0, 0, 0]),
-             (rho, m_a, m_b, ProtocolParams(n=3, k=0, p=2, sides=((2, 2), (2, 2)), eta=0.1,
+             (rho, m_a, m_b, ProtocolParams(n=3, k=0, p=2, sides=((2, 2), (2, 2)), eta=0.5,
                                             delta=0.7, seed=1), [2, 2, 3, 3]),
+             (rho, m_a, m_b, ProtocolParams(n=3, k=0, p=2, sides=((2, 3), (2, 2)), eta=0.5,
+                                            delta=0.7, seed=1), [2, 2, 3, 3, 4]),
              (rho, m_a, m_b, ProtocolParams(n=3, k=0, p=2, sides=((2, 3), (2, 2)), eta=0.1,
-                                            delta=0.7, seed=1), [2, 2, 3, 3, 4])]
+                                            delta=0.7, seed=1), [0, 0, 0, 3, 4])]
     for rho_ab, m_a, m_b, params, live in cases:
         n = params.n
         inst = build_distributed_instance(params, m_a, m_b, rho_ab)
@@ -1141,7 +1142,7 @@ def test_type_class_sharing_matches_per_word_construction(monkeypatch, problem, 
     calls = []
     monkeypatch.setattr(protocol, "_cond_typical_columns",
                         lambda *a: calls.append(a[1]) or per_word(*a))
-    protocol._BASES.clear()         # so the basis is built, and its columns counted, here
+    memo.clear()            # so the type classes are built, and their columns counted, here
     inst = build_instance(params, m, rho)
     n, d = params.n, rho.dim
     types = {tuple(sorted(w)) for w in inst.abar}
@@ -1736,7 +1737,7 @@ def test_real_path_k_matches_complex_path(monkeypatch, n):
     for keep_complex in (False, True):
         if keep_complex:
             monkeypatch.setattr(protocol, "_real_if_exact", np.asarray)
-            protocol._BASES.clear()     # its bases were built in real arithmetic
+            memo.clear()        # its bases were built in real arithmetic
         runs = [_default_p2p_k(n, seed) for seed in range(4)]
         ks.append([k for _, k in runs])
         dtypes.append(runs[0][0].mus[0].typical.dtype)
@@ -1766,7 +1767,7 @@ def _small_instance():
 
 
 def _fresh_basis():
-    protocol._BASES.clear()
+    memo.clear()
     params = ProtocolParams(n=2, k=1, p=2, sides=((1, 1),), delta=0.5)
     return protocol._basis(params, [BASIS], MIXED)
 
@@ -1776,7 +1777,6 @@ ALIKE = {
     "DensityOperator": lambda: DensityOperator(np.eye(2) / 2, (2,)),
     "PureState": lambda: PureState(np.array([1.0, 0.0]), (2,)),
     "Povm": lambda: Povm((np.eye(2),)),
-    "PovmValidation": lambda: validate_povm(BASIS, mode="sub_povm"),
     "StochasticMap": lambda: StochasticMap((2,), 2, np.eye(2)),
     "CqState": lambda: build_sigma_p2p(MIXED, BASIS, IDENT_MAP),
     "UccCode": lambda: sample_ensemble(CodeEnsembleSpec(2, 3, 1, 1, N=1))[0],
@@ -1843,10 +1843,10 @@ def _k(inst, m, rho, p_zw):
 
 def _warm_and_cold(build, params, warm_up):
     """(warm, cold): ``build(params)`` after a build of ``warm_up``, and with an empty memo."""
-    protocol._BASES.clear()
+    memo.clear()
     build(warm_up)
     warm = build(params)
-    protocol._BASES.clear()
+    memo.clear()
     return warm, build(params)
 
 
@@ -1874,6 +1874,30 @@ def test_warm_build_equals_cold_build(seed, num, seed0, num0, distributed):
         assert _k(warm, povms[0], rho, p_zw) == _k(cold, povms[0], rho, p_zw)
 
 
+@pytest.mark.parametrize("l", [4, 5, 6])
+def test_a_code_cut_in_every_direction_has_exactly_zero_bins(l):
+    # Point-to-point example4 at n = 7.  When pruning cuts every column of a
+    # code's Y, V_cut spans range(Y) = range(X), so its F_w and bins are
+    # exactly 0, not rounding residue.  Every code is cut so at seeds 0-2 of
+    # l = 4 and 5 and at seed 0 of l = 6, and the candidate then stores only
+    # w0; at l = 6 one code of the two is at seed 1 and neither at seed 2.
+    spec = load_problem(bundled_example_path(4))
+    rho = partial_trace(spec.rho_ab, traced=[1])
+    for seed in range(3):
+        params = ProtocolParams(n=7, k=0, p=spec.p, sides=((l, 2),), delta=0.6, seed=seed)
+        inst = build_instance(params, spec.m_a, rho)
+        side = inst.sides[0]
+        all_cut = np.diff(side.cut_ends) == np.diff(side.pruned_ends)
+        assert all_cut.tolist() == ([True, True] if l < 6 or seed == 0
+                                    else [True, False] if seed == 1 else [False, False])
+        for mu, cut in zip(side.mus, all_cut.tolist()):
+            if cut:
+                assert not any(f.any() for f in mu.a_factors.values())
+                assert not any(g.any() for g in mu.bin_factors)
+        words = assemble_overall(inst, spec.p_zw).words
+        assert (words == [inst.w0]) == all_cut.all()
+
+
 def test_warm_build_equals_cold_build_on_example4():
     # Point-to-point example4 at n = 7, with 128-row factors, pruning and live bins.
     spec = load_problem(bundled_example_path(4))
@@ -1895,7 +1919,7 @@ def test_basis_key_is_content_without_seed_or_n():
     copy = DensityOperator(rho.mat.copy(), rho.register_dims)
     for q in (dataclasses.replace(params, seed=5), dataclasses.replace(params, sides=((2, 7),))):
         build_instance(q, Povm(tuple(e.copy() for e in m.elements)), copy)
-    assert len(protocol._BASES) == 1
+    assert len(kept("basis")) == 1
     other_rho = random_density(np.random.default_rng(1), 2)
     misses = [
         (dataclasses.replace(params, delta=0.7), m, rho),
@@ -1909,25 +1933,26 @@ def test_basis_key_is_content_without_seed_or_n():
     ]
     for count, (q, povm, state) in enumerate(misses, start=2):
         build_instance(q, povm, state)
-        assert len(protocol._BASES) == count
+        assert len(kept("basis")) == count
     # The same matrix on other registers is another state.
     pair = DensityOperator(np.eye(4) / 4, (4,))
     build_instance(params, Povm((np.diag([1.0, 1, 0, 0]), np.diag([0.0, 0, 1, 1]))), pair)
     build_instance(params, Povm((np.diag([1.0, 1, 0, 0]), np.diag([0.0, 0, 1, 1]))),
                    DensityOperator(np.eye(4) / 4, (2, 2)))
-    assert len(protocol._BASES) == len(misses) + 3
+    assert len(kept("basis")) == len(misses) + 3
 
 
 def test_cached_basis_arrays_refuse_writes():
     rho, m = rotated_qubit_problem()
     params = ProtocolParams(n=4, k=0, p=2, sides=((3, 2),), eta=0.1, delta=0.6, seed=1)
     build_instance(params, m, rho)
-    (basis,) = protocol._BASES.values()
+    (basis,) = kept("basis").values()
     (side,) = basis.sides
+    classes = list(kept("type class").values())
     arrays = [basis.tset_w.mask, basis.tset_w.probs, side.typical, side.inv, side.rho.mat,
-              side.ens.weights, *side.ens.post_states, side.tset.probs, *side.per_type.values()]
+              side.ens.weights, *side.ens.post_states, side.tset.probs, *classes]
     arrays += [getattr(s, f.name) for s in side.spectra for f in dataclasses.fields(s)]
-    assert side.per_type and len(side.spectra) == 2
+    assert classes and len(side.spectra) == 2
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = a.flat[0]
@@ -1935,27 +1960,33 @@ def test_cached_basis_arrays_refuse_writes():
 
 def _kept_bases() -> dict:
     """delta -> basis of the bases in the memo, least recently used first."""
-    return {key[-1]: v for key, v in protocol._BASES.items() if isinstance(v, protocol._Basis)}
+    return {key[-1]: v for key, v in kept("basis").items()}
 
 
 def test_basis_cap_drops_least_recently_used(monkeypatch):
-    # K's target shares the memo with the bases: one entry, the same for every delta.
+    # K's target, its data on the state and the word tables share the memo with
+    # the bases and their type classes: entries that are the same for every delta.
     rho, m = rotated_qubit_problem()
     base = ProtocolParams(n=4, k=0, p=2, sides=((3, 2),), eta=0.1, delta=0.6, seed=1)
     a, b, c, d = (dataclasses.replace(base, delta=x) for x in (0.6, 0.65, 0.7, 0.75))
     unlimited = {q.delta: _k(build_instance(q, m, rho), m, rho, IDENT_MAP) for q in (a, b, c, d)}
     sizes = {delta: basis.nbytes for delta, basis in _kept_bases().items()}
-    (target,) = [v for v in protocol._BASES.values() if isinstance(v, protocol.ProductTarget)]
-    # Room for the target and the two largest bases, not for three.
-    monkeypatch.setattr(protocol, "BASIS_CACHE_BYTES",
-                        target.nbytes + sum(sorted(sizes.values())[-2:]))
-    protocol._BASES.clear()
+    # The bytes of each delta's basis with its type classes (keyed by the basis key).
+    groups = dict.fromkeys(sizes, 0)
+    for key, (_, size) in memo._STORE.items():
+        if key[0] in ("basis", "type class"):
+            groups[(key if key[0] == "basis" else key[1][0])[-1]] += size
+    shared = sum(size for _, size in memo._STORE.values()) - sum(groups.values())
+    assert shared > 0 and len(memo._STORE) > len(sizes)
+    # Room for the shared entries and the two largest bases, not for three.
+    monkeypatch.setattr(memo, "CAP", shared + sum(sorted(groups.values())[-2:]))
+    memo.clear()
     kept = []
     for q in (a, b, c, b, d):
         assert _k(build_instance(q, m, rho), m, rho, IDENT_MAP) == unlimited[q.delta]
         kept.append(list(_kept_bases()))
     assert kept == [[0.6], [0.6, 0.65], [0.65, 0.7], [0.7, 0.65], [0.65, 0.75]]
     # A basis larger than the cap is used once and not kept.
-    monkeypatch.setattr(protocol, "BASIS_CACHE_BYTES", min(sizes.values()) - 1)
+    monkeypatch.setattr(memo, "CAP", min(sizes.values()) - 1)
     assert _k(build_instance(c, m, rho), m, rho, IDENT_MAP) == unlimited[0.7]
     assert not _kept_bases()

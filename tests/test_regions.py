@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_consistent_quantities
+from conftest import membership_disagreements, random_consistent_quantities, sample_box
 from povmsim import linalg, regions
 from povmsim.cli import bundled_example_path, load_problem
 from povmsim.cq import StochasticMap
@@ -16,10 +16,8 @@ from povmsim.regions import (
     compute_p2p_quantities,
     fourier_motzkin_eliminate,
     gain_indicator,
-    membership_disagreements,
     augmented_region,
     region_from_json,
-    region_membership,
     region_to_json,
     surface_scan,
     distributed_inequalities,
@@ -81,10 +79,15 @@ def test_sum_structure_random_counterexample(example1):
 # ---------------------------------------------------------------------------
 # Regions.
 
+def _inside(region: RateRegion, point: dict) -> bool:
+    """``contains_points`` of one point given as {variable: value}."""
+    return bool(region.contains_points(np.array([[point[v] for v in region.variables]]))[0])
+
+
 def test_distributed_region_zero_quantities():
     region = distributed_region(InfoQuantities())
-    assert region_membership(region, {"R1": 0, "R2": 0, "C1": 0, "C2": 0})
-    assert not region_membership(region, {"R1": -0.1, "R2": 0, "C1": 0, "C2": 0})
+    assert _inside(region, {"R1": 0, "R2": 0, "C1": 0, "C2": 0})
+    assert not _inside(region, {"R1": -0.1, "R2": 0, "C1": 0, "C2": 0})
 
 
 def test_distributed_example1_sum_gap(q1):
@@ -109,9 +112,9 @@ def test_gain_indicator_independent_uniform():
 def test_p2p_region_trivial_measurement():
     q = InfoQuantities(i_w_r=0.0, i_w_rz=0.0, s_w=0.0, log_p=1.0)
     region = point_to_point_region(q)
-    assert region_membership(region, {"R": 1.0, "R1": 0.0, "C": 0.0})
-    assert not region_membership(region, {"R": 0.9, "R1": 0.0, "C": 0.0})
-    assert not region_membership(region, {"R": 2.0, "R1": 1.1, "C": 0.0})
+    assert _inside(region, {"R": 1.0, "R1": 0.0, "C": 0.0})
+    assert not _inside(region, {"R": 0.9, "R1": 0.0, "C": 0.0})
+    assert not _inside(region, {"R": 2.0, "R1": 1.1, "C": 0.0})
 
 
 def test_p2p_region_saturated_code_rate_corner():
@@ -119,9 +122,9 @@ def test_p2p_region_saturated_code_rate_corner():
     q = InfoQuantities(i_w_r=0.4, i_w_rz=0.7, s_w=0.6, log_p=1.0)
     region = point_to_point_region(q)
     r1 = q.log_p - q.s_w
-    assert region_membership(region, {"R": q.i_w_r, "R1": r1, "C": q.i_w_rz - q.i_w_r})
-    assert not region_membership(region, {"R": q.i_w_r - 0.01, "R1": r1,
-                                          "C": q.i_w_rz - q.i_w_r + 0.01})
+    assert _inside(region, {"R": q.i_w_r, "R1": r1, "C": q.i_w_rz - q.i_w_r})
+    assert not _inside(region, {"R": q.i_w_r - 0.01, "R1": r1,
+                                "C": q.i_w_rz - q.i_w_r + 0.01})
 
 
 def test_p2p_region_membership_oracle():
@@ -134,7 +137,7 @@ def test_p2p_region_membership_oracle():
                 and pt["R1"] + pt["R"] + pt["C"] >= q.i_w_rz - q.s_w + q.log_p - 1e-9
                 and -1e-9 <= pt["R1"] <= q.log_p - q.s_w + 1e-9
                 and pt["C"] >= -1e-9)
-        assert region_membership(region, pt) == want
+        assert _inside(region, pt) == want
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +145,8 @@ def test_p2p_region_membership_oracle():
 
 def test_r3_zero_quantities_degenerate():
     region = augmented_region(InfoQuantities())   # log_p = 1, all informations 0
-    assert region_membership(region, {"Rt": 1.0, "R1": 0.0, "R2": 0.0,
-                                      "C1": 0.0, "C2": 0.0})
-    assert not region_membership(region, {"Rt": 0.5, "R1": 0.0, "R2": 0.0,
-                                          "C1": 0.0, "C2": 0.0})
+    assert _inside(region, {"Rt": 1.0, "R1": 0.0, "R2": 0.0, "C1": 0.0, "C2": 0.0})
+    assert not _inside(region, {"Rt": 0.5, "R1": 0.0, "R2": 0.0, "C1": 0.0, "C2": 0.0})
 
 
 def test_fm_hand_projection():
@@ -211,11 +212,11 @@ def test_fm_projection_semantics(q1):
     r3 = augmented_region(q1)
     elim = fourier_motzkin_eliminate(r3, "Rt")
     elim = RateRegion(("R1", "R2", "C1", "C2"), elim.inequalities, feasible=elim.feasible)
-    lo, hi = regions.sample_box([elim])
+    lo, hi = sample_box([elim])
     names = elim.variables
     for _ in range(300):
         pt = {v: float(rng.uniform(lo, hi)) for v in names}
-        inside = region_membership(elim, pt)
+        inside = _inside(elim, pt)
         # compute the Rt feasibility interval in the original region
         rt_lo, rt_hi = -np.inf, np.inf
         for ineq in r3.inequalities:
@@ -235,8 +236,8 @@ def test_region_membership_unit_box():
         LinearInequality({"X": 1}, 0.0), LinearInequality({"X": -1}, -1.0),
         LinearInequality({"Y": 1}, 0.0), LinearInequality({"Y": -1}, -1.0),
     ))
-    assert region_membership(region, {"X": 0.5, "Y": 0.5})
-    assert not region_membership(region, {"X": 1.5, "Y": 0.5})
+    assert _inside(region, {"X": 0.5, "Y": 0.5})
+    assert not _inside(region, {"X": 1.5, "Y": 0.5})
 
 
 def test_region_json_round_trip(q1):
@@ -254,7 +255,7 @@ def test_structured_system_admits_baseline_violation(q1):
     five = RateRegion(("R1", "R2", "C1", "C2"), distributed_inequalities(q1))
     baseline = unstructured_sum_constraint(q1)
     rng = np.random.default_rng(20)
-    lo, hi = regions.sample_box([five])
+    lo, hi = sample_box([five])
     pts = rng.uniform(lo, hi, size=(20000, 4))
     inside = five.contains_points(pts)
     sums = pts.sum(axis=1)
